@@ -32,12 +32,8 @@ double now_seconds() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const util::Options options(argc, argv);
-  bench::MetricsSession metrics(options, "bench_ablation_methods");
-  util::apply_fault_options(options);
-  bench::CacheSession cache(options);
-  bench::TraceSession trace(options, "bench_ablation_methods", metrics.run_id());
-  const analysis::McConfig mc = bench::mc_from_options(options, metrics.run_id());
+  core::RunContext run(argc, argv, "bench_ablation_methods");
+  const analysis::McConfig mc = run.mc();
   const std::size_t n = std::min<std::size_t>(mc.iterations, 100);
 
   // --- 1. offset search method ------------------------------------------------

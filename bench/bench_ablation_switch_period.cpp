@@ -20,12 +20,8 @@
 using namespace issa;
 
 int main(int argc, char** argv) {
-  const util::Options options(argc, argv);
-  bench::MetricsSession metrics(options, "bench_ablation_switch_period");
-  util::apply_fault_options(options);
-  bench::CacheSession cache(options);
-  bench::TraceSession trace(options, "bench_ablation_switch_period", metrics.run_id());
-  const analysis::McConfig mc = bench::mc_from_options(options, metrics.run_id());
+  core::RunContext run(argc, argv, "bench_ablation_switch_period");
+  const analysis::McConfig mc = run.mc();
   const std::size_t stream_len = 1 << 16;
 
   std::cout << "Ablation: ISSA switching period (counter width N)\n\n";

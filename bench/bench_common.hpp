@@ -1,224 +1,22 @@
 // Shared scaffolding for the table/figure bench binaries.
 #pragma once
 
-#include <chrono>
-#include <cstdio>
 #include <iostream>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "issa/analysis/mc_cache.hpp"
-#include "issa/analysis/montecarlo.hpp"
 #include "issa/core/experiment.hpp"
-#include "issa/util/cli.hpp"
-#include "issa/util/store/store.hpp"
-#include "issa/util/metrics.hpp"
-#include "issa/util/runinfo.hpp"
+#include "issa/core/run_context.hpp"
 #include "issa/util/table.hpp"
-#include "issa/util/trace.hpp"
 
 namespace issa::bench {
-
-/// Turns metrics collection on when --metrics (or ISSA_METRICS=1) was given
-/// and emits the report sidecars when the bench finishes (RAII: the
-/// destructor emits, so early returns still produce a report):
-///   <stem>.metrics.json / .csv      whole-run registry snapshot
-///   <stem>.conditions.json / .csv   per-condition breakdown (attach_rows)
-/// The stem defaults to the bench name; --metrics=stem overrides it.
-///
-/// Every session generates a run id at construction; pass run_id() to a
-/// TraceSession so the .trace/.forensics sidecars of the same invocation can
-/// be joined with the .metrics/.conditions reports.
-class MetricsSession {
- public:
-  MetricsSession(const util::Options& options, std::string_view bench_name)
-      : stem_(util::metrics_report_stem(options, bench_name)),
-        title_(bench_name),
-        run_id_(util::generate_run_id()),
-        start_(std::chrono::steady_clock::now()),
-        active_(util::metrics_requested(options)) {
-    if (active_) util::metrics::set_enabled(true);
-  }
-
-  const std::string& run_id() const noexcept { return run_id_; }
-
-  /// Attaches per-condition experiment rows for the breakdown report.
-  void attach_rows(std::vector<core::ExperimentRow> rows) { rows_ = std::move(rows); }
-
-  void emit() {
-    if (!active_ || emitted_) return;
-    emitted_ = true;
-    util::RunInfo run;
-    run.run_id = run_id_;
-    run.wall_clock_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
-    run.rss_peak_kb = util::rss_peak_kb();
-    const util::metrics::Snapshot snapshot = util::metrics::Registry::instance().snapshot();
-    util::metrics::write_report_json(stem_ + ".metrics.json", title_, snapshot);
-    util::metrics::write_report_csv(stem_ + ".metrics.csv", snapshot);
-    std::cout << "wrote " << stem_ << ".metrics.json / .csv\n";
-    if (!rows_.empty()) {
-      core::write_run_report_json(stem_ + ".conditions.json", title_, rows_, run);
-      core::write_run_report_csv(stem_ + ".conditions.csv", rows_, run);
-      std::cout << "wrote " << stem_ << ".conditions.json / .csv\n";
-    }
-  }
-
-  ~MetricsSession() {
-    try {
-      emit();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "metrics report failed: %s\n", e.what());
-    }
-  }
-
-  MetricsSession(const MetricsSession&) = delete;
-  MetricsSession& operator=(const MetricsSession&) = delete;
-
- private:
-  std::string stem_;
-  std::string title_;
-  std::string run_id_;
-  std::chrono::steady_clock::time_point start_;
-  bool active_ = false;
-  bool emitted_ = false;
-  std::vector<core::ExperimentRow> rows_;
-};
-
-/// Turns span tracing on when --trace (or ISSA_TRACE=1) was given and writes
-/// the trace sidecars when the bench finishes:
-///   <stem>.trace.json      Chrome trace-event JSON (Perfetto-loadable)
-///   <stem>.trace.jsonl     compact one-event-per-line stream
-///   <stem>.forensics.json  solver diagnostic bundles (only when non-empty)
-/// The stem defaults to the bench name; --trace=stem overrides it.  Pass the
-/// MetricsSession's run_id() so all sidecars of one invocation share it.
-class TraceSession {
- public:
-  TraceSession(const util::Options& options, std::string_view bench_name, std::string run_id)
-      : stem_(util::trace_report_stem(options, bench_name)),
-        run_id_(std::move(run_id)),
-        active_(util::trace_requested(options)) {
-    if (active_) util::trace::set_enabled(true);
-  }
-
-  void emit() {
-    if (!active_ || emitted_) return;
-    emitted_ = true;
-    // Disable before draining: collect() requires quiescent producers.
-    util::trace::set_enabled(false);
-    const util::trace::TraceData data = util::trace::collect();
-    util::trace::write_chrome_json(stem_ + ".trace.json", data, run_id_);
-    util::trace::write_jsonl(stem_ + ".trace.jsonl", data);
-    std::cout << "wrote " << stem_ << ".trace.json / .jsonl (" << data.spans.size()
-              << " spans, " << data.dropped << " dropped)\n";
-    if (!data.forensics.empty()) {
-      util::trace::write_forensics_json(stem_ + ".forensics.json", data, run_id_);
-      std::cout << "wrote " << stem_ << ".forensics.json (" << data.forensics.size()
-                << " events)\n";
-    }
-  }
-
-  ~TraceSession() {
-    try {
-      emit();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "trace report failed: %s\n", e.what());
-    }
-  }
-
-  TraceSession(const TraceSession&) = delete;
-  TraceSession& operator=(const TraceSession&) = delete;
-
- private:
-  std::string stem_;
-  std::string run_id_;
-  bool active_ = false;
-  bool emitted_ = false;
-};
-
-/// Opens the Monte-Carlo sample cache when --cache (or ISSA_CACHE=1) was
-/// given and closes it — flushing the store — when the bench finishes.  The
-/// destructor prints one machine-greppable summary line:
-///   cache: hits=<h> misses=<m> stores=<s> dir=<directory>
-/// which scripts/check_cache_*.sh parse to gate warm-rerun hit rates.  All
-/// benches share the ".issa-cache" default directory; --cache=dir overrides.
-class CacheSession {
- public:
-  explicit CacheSession(const util::Options& options)
-      : active_(util::cache_requested(options)) {
-    if (!active_) return;
-    if constexpr (ISSA_STORE_ENABLED) {
-      directory_ = util::cache_directory(options, ".issa-cache");
-      analysis::mc_cache::open(directory_);
-      const util::store::StoreStats stats = analysis::mc_cache::store()->stats();
-      std::cout << "cache: loaded " << stats.records_loaded << " record(s) from "
-                << stats.segments_loaded << " segment(s) in " << directory_;
-      if (stats.corrupt_segments > 0) {
-        std::cout << " (" << stats.corrupt_segments << " segment(s) had a damaged tail; "
-                  << stats.bytes_dropped << " byte(s) dropped, will re-simulate)";
-      }
-      std::cout << "\n";
-    } else {
-      // Asking for a cache in a build without the store is almost certainly
-      // a mistake; say so instead of silently re-simulating everything.
-      std::fprintf(stderr, "[issa] --cache/ISSA_CACHE ignored: built with -DISSA_STORE=OFF\n");
-      active_ = false;
-    }
-  }
-
-  void emit() {
-    if (!active_ || emitted_) return;
-    emitted_ = true;
-    const analysis::mc_cache::CacheCounts counts = analysis::mc_cache::counts();
-    analysis::mc_cache::close();
-    std::cout << "cache: hits=" << counts.hits << " misses=" << counts.misses
-              << " stores=" << counts.stores << " dir=" << directory_ << "\n";
-  }
-
-  ~CacheSession() {
-    try {
-      emit();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "cache close failed: %s\n", e.what());
-    }
-  }
-
-  CacheSession(const CacheSession&) = delete;
-  CacheSession& operator=(const CacheSession&) = delete;
-
- private:
-  std::string directory_;
-  bool active_ = false;
-  bool emitted_ = false;
-};
 
 /// Paper reference values for one experiment row (mV / mV / mV / ps).
 struct PaperRow {
   double mu, sigma, spec, delay;
 };
-
-/// Builds the bench's McConfig from its options.  Pass the MetricsSession's
-/// run_id so quarantine records join the run's sidecars; --quarantine-max
-/// overrides the failure-fraction threshold for fault-injection experiments.
-inline analysis::McConfig mc_from_options(const util::Options& options,
-                                          std::string run_id = {}) {
-  analysis::McConfig mc;
-  mc.iterations = util::bench_mc_iterations(options);
-  mc.seed = static_cast<std::uint64_t>(options.get_long_or("seed", 42));
-  mc.max_quarantine_fraction =
-      options.get_double_or("quarantine-max", mc.max_quarantine_fraction);
-  mc.run_id = std::move(run_id);
-  if (const auto shard = util::shard_from_options(options)) {
-    mc.shard_index = shard->index;
-    mc.shard_count = shard->count;
-    std::cout << "shard " << shard->index << "/" << shard->count
-              << ": computing samples with index % " << shard->count << " == " << shard->index
-              << "\n";
-  }
-  return mc;
-}
 
 /// Prints one reproduced table with the paper's values interleaved, in the
 /// layout of the paper's Tables II-IV.

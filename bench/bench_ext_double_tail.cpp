@@ -16,12 +16,8 @@
 using namespace issa;
 
 int main(int argc, char** argv) {
-  const util::Options options(argc, argv);
-  bench::MetricsSession metrics(options, "bench_ext_double_tail");
-  util::apply_fault_options(options);
-  bench::CacheSession cache(options);
-  bench::TraceSession trace(options, "bench_ext_double_tail", metrics.run_id());
-  const analysis::McConfig mc = bench::mc_from_options(options, metrics.run_id());
+  core::RunContext run(argc, argv, "bench_ext_double_tail");
+  const analysis::McConfig mc = run.mc();
 
   std::cout << "Extension: input switching on the double-tail SA (paper ref. [23]), MC = "
             << mc.iterations << "\n\n";
@@ -29,7 +25,7 @@ int main(int argc, char** argv) {
   util::AsciiTable table({"Scheme", "Time(s)", "Workload", "mu(mV)", "sigma(mV)", "spec(mV)",
                           "delay(ps)"});
 
-  auto run = [&](sa::SenseAmpKind kind, const char* wl, double t) {
+  auto measure = [&](sa::SenseAmpKind kind, const char* wl, double t) {
     analysis::Condition c;
     c.kind = kind;
     c.config = sa::nominal_config();
@@ -47,12 +43,12 @@ int main(int argc, char** argv) {
     return offsets.spec();
   };
 
-  run(sa::SenseAmpKind::kDoubleTail, "80r0r1", 0.0);
-  run(sa::SenseAmpKind::kDoubleTail, "80r0r1", 1e8);
-  const double plain_spec = run(sa::SenseAmpKind::kDoubleTail, "80r0", 1e8);
-  run(sa::SenseAmpKind::kDoubleTail, "80r1", 1e8);
-  run(sa::SenseAmpKind::kDoubleTailSwitching, "80r0r1", 0.0);
-  const double sw_spec = run(sa::SenseAmpKind::kDoubleTailSwitching, "80r0", 1e8);
+  measure(sa::SenseAmpKind::kDoubleTail, "80r0r1", 0.0);
+  measure(sa::SenseAmpKind::kDoubleTail, "80r0r1", 1e8);
+  const double plain_spec = measure(sa::SenseAmpKind::kDoubleTail, "80r0", 1e8);
+  measure(sa::SenseAmpKind::kDoubleTail, "80r1", 1e8);
+  measure(sa::SenseAmpKind::kDoubleTailSwitching, "80r0r1", 0.0);
+  const double sw_spec = measure(sa::SenseAmpKind::kDoubleTailSwitching, "80r0", 1e8);
 
   std::cout << table << "\n";
   std::cout << "Input switching reduces the aged 80r0 spec by "

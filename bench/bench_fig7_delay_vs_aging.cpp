@@ -14,12 +14,8 @@
 using namespace issa;
 
 int main(int argc, char** argv) {
-  const util::Options options(argc, argv);
-  bench::MetricsSession metrics(options, "bench_fig7_delay_vs_aging");
-  util::apply_fault_options(options);
-  bench::CacheSession cache(options);
-  bench::TraceSession trace(options, "bench_fig7_delay_vs_aging", metrics.run_id());
-  core::ExperimentRunner runner(bench::mc_from_options(options, metrics.run_id()));
+  core::RunContext run(argc, argv, "bench_fig7_delay_vs_aging", {"csv=path"});
+  core::ExperimentRunner runner(run.mc());
 
   std::cout << "Reproducing Fig. 7 (delay vs aging at 125 C), MC = " << runner.mc().iterations
             << " iterations\n\n";
@@ -37,7 +33,7 @@ int main(int argc, char** argv) {
   }
   std::cout << table << "\n";
 
-  if (const auto csv_path = options.get_string("csv")) {
+  if (const auto csv_path = run.options().get_string("csv")) {
     std::vector<std::string> cols = {"time_s"};
     for (const auto& s : series) cols.push_back(s.label);
     util::CsvWriter csv(*csv_path, cols);

@@ -13,12 +13,8 @@
 using namespace issa;
 
 int main(int argc, char** argv) {
-  const util::Options options(argc, argv);
-  bench::MetricsSession metrics(options, "bench_guardband");
-  util::apply_fault_options(options);
-  bench::CacheSession cache(options);
-  bench::TraceSession trace(options, "bench_guardband", metrics.run_id());
-  analysis::McConfig mc = bench::mc_from_options(options, metrics.run_id());
+  core::RunContext run(argc, argv, "bench_guardband");
+  analysis::McConfig mc = run.mc();
   // The lifetime-extension search runs ~10 extra Monte-Carlo cells; shrink
   // its sample count so the bench stays affordable at the default 400.
   analysis::McConfig search_mc = mc;

@@ -6,9 +6,9 @@
 #include <string_view>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "issa/aging/bti_model.hpp"
 #include "issa/circuit/simulator.hpp"
+#include "issa/core/run_context.hpp"
 #include "issa/device/mosfet.hpp"
 #include "issa/linalg/lu.hpp"
 #include "issa/sa/builder.hpp"
@@ -145,21 +145,14 @@ BENCHMARK(BM_BtiSampleShift);
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN so --metrics/--trace work here too;
-// the flags are stripped before benchmark::Initialize (which rejects unknown
-// args).
+// Custom main instead of BENCHMARK_MAIN so the run flags work here too: the
+// RunContext accepts them plus google-benchmark's own --benchmark_* flags,
+// and only the latter reach benchmark::Initialize (which rejects the rest).
 int main(int argc, char** argv) {
-  const issa::util::Options options(argc, argv);
-  issa::bench::MetricsSession metrics(options, "bench_kernels");
-  issa::util::apply_fault_options(options);
-  issa::bench::CacheSession cache(options);
-  issa::bench::TraceSession trace(options, "bench_kernels", metrics.run_id());
-
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    const std::string_view arg(argv[i]);
-    if (arg.rfind("--metrics", 0) == 0 || arg.rfind("--trace", 0) == 0) continue;
-    args.push_back(argv[i]);
+  const issa::core::RunContext run(argc, argv, "bench_kernels", {"benchmark_*"});
+  std::vector<char*> args = {argv[0]};
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]).starts_with("--benchmark_")) args.push_back(argv[i]);
   }
   int bench_argc = static_cast<int>(args.size());
   benchmark::Initialize(&bench_argc, args.data());

@@ -12,11 +12,7 @@
 using namespace issa;
 
 int main(int argc, char** argv) {
-  const util::Options options(argc, argv);
-  bench::MetricsSession metrics(options, "bench_overheads");
-  util::apply_fault_options(options);
-  bench::CacheSession cache(options);
-  bench::TraceSession trace(options, "bench_overheads", metrics.run_id());
+  core::RunContext run(argc, argv, "bench_overheads");
 
   std::cout << "Reproducing Sec. IV-C overhead discussion\n\n";
 
@@ -75,6 +71,5 @@ int main(int argc, char** argv) {
   }
   std::cout << "### Read-path timing with the paper's specs (the 'faster memory' claim)\n\n"
             << read << "\n";
-  (void)options;
   return 0;
 }

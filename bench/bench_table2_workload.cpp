@@ -10,18 +10,14 @@
 using namespace issa;
 
 int main(int argc, char** argv) {
-  const util::Options options(argc, argv);
-  bench::MetricsSession metrics(options, "bench_table2_workload");
-  util::apply_fault_options(options);
-  bench::CacheSession cache(options);
-  bench::TraceSession trace(options, "bench_table2_workload", metrics.run_id());
-  core::ExperimentRunner runner(bench::mc_from_options(options, metrics.run_id()));
+  core::RunContext run(argc, argv, "bench_table2_workload", {"csv=path"});
+  core::ExperimentRunner runner(run.mc());
 
   std::cout << "Reproducing Table II / Fig. 4 (workload impact), MC = "
             << runner.mc().iterations << " iterations\n\n";
 
   const auto rows = runner.table2_workload();
-  metrics.attach_rows(rows);
+  run.attach_rows(rows);
 
   // Paper Table II reference values in the same row order.
   const std::vector<std::optional<bench::PaperRow>> paper = {
@@ -53,7 +49,7 @@ int main(int argc, char** argv) {
   }
   std::cout << fig << "\n";
 
-  if (const auto csv_path = options.get_string("csv")) {
+  if (const auto csv_path = run.options().get_string("csv")) {
     util::CsvWriter csv(*csv_path, {"scheme", "time_s", "workload", "mu_mv", "sigma_mv",
                                     "spec_mv", "delay_ps"});
     for (const auto& r : rows) {

@@ -11,18 +11,14 @@
 using namespace issa;
 
 int main(int argc, char** argv) {
-  const util::Options options(argc, argv);
-  bench::MetricsSession metrics(options, "bench_table3_voltage");
-  util::apply_fault_options(options);
-  bench::CacheSession cache(options);
-  bench::TraceSession trace(options, "bench_table3_voltage", metrics.run_id());
-  core::ExperimentRunner runner(bench::mc_from_options(options, metrics.run_id()));
+  core::RunContext run(argc, argv, "bench_table3_voltage", {"csv=path"});
+  core::ExperimentRunner runner(run.mc());
 
   std::cout << "Reproducing Table III / Fig. 5 (supply-voltage impact), MC = "
             << runner.mc().iterations << " iterations\n\n";
 
   const auto rows = runner.table3_voltage();
-  metrics.attach_rows(rows);
+  run.attach_rows(rows);
 
   // Paper Table III reference values in row order (supply column added).
   const std::vector<std::optional<bench::PaperRow>> paper = {
@@ -49,7 +45,7 @@ int main(int argc, char** argv) {
   bench::print_rows_with_reference("Table III: voltage impact on offset voltage and delay",
                                    {"Supply"}, rows, extra, paper);
 
-  if (const auto csv_path = options.get_string("csv")) {
+  if (const auto csv_path = run.options().get_string("csv")) {
     util::CsvWriter csv(*csv_path, {"scheme", "time_s", "workload", "vdd", "mu_mv", "sigma_mv",
                                     "spec_mv", "delay_ps"});
     for (const auto& r : rows) {

@@ -10,18 +10,14 @@
 using namespace issa;
 
 int main(int argc, char** argv) {
-  const util::Options options(argc, argv);
-  bench::MetricsSession metrics(options, "bench_table4_temperature");
-  util::apply_fault_options(options);
-  bench::CacheSession cache(options);
-  bench::TraceSession trace(options, "bench_table4_temperature", metrics.run_id());
-  core::ExperimentRunner runner(bench::mc_from_options(options, metrics.run_id()));
+  core::RunContext run(argc, argv, "bench_table4_temperature", {"csv=path"});
+  core::ExperimentRunner runner(run.mc());
 
   std::cout << "Reproducing Table IV / Fig. 6 (temperature impact), MC = "
             << runner.mc().iterations << " iterations\n\n";
 
   const auto rows = runner.table4_temperature();
-  metrics.attach_rows(rows);
+  run.attach_rows(rows);
 
   // Paper Table IV reference values in row order (temperature column added).
   const std::vector<std::optional<bench::PaperRow>> paper = {
@@ -47,7 +43,7 @@ int main(int argc, char** argv) {
   bench::print_rows_with_reference("Table IV: temperature impact on offset voltage and delay",
                                    {"Temp"}, rows, extra, paper);
 
-  if (const auto csv_path = options.get_string("csv")) {
+  if (const auto csv_path = run.options().get_string("csv")) {
     util::CsvWriter csv(*csv_path, {"scheme", "time_s", "workload", "temp_c", "mu_mv",
                                     "sigma_mv", "spec_mv", "delay_ps"});
     for (const auto& r : rows) {

@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace issa;
-  const util::Options options(argc, argv);
+  const util::Options options(argc, argv, {"mc=N", "temp=C", "csv=path"});
 
   analysis::McConfig mc;
   mc.iterations = static_cast<std::size_t>(options.get_long_or("mc", 80));

@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace issa;
-  const util::Options options(argc, argv);
+  const util::Options options(argc, argv, {"bits=N", "reads=K"});
   const auto bits = static_cast<unsigned>(options.get_long_or("bits", 3));
   const auto reads = static_cast<std::size_t>(options.get_long_or("reads", 12));
 

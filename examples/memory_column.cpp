@@ -18,7 +18,7 @@
 
 int main(int argc, char** argv) {
   using namespace issa;
-  const util::Options options(argc, argv);
+  const util::Options options(argc, argv, {"mc=N", "temp=C", "rows=R"});
 
   analysis::McConfig mc;
   mc.iterations = static_cast<std::size_t>(options.get_long_or("mc", 60));

@@ -30,7 +30,8 @@ Cl load 0 4f
 
 int main(int argc, char** argv) {
   using namespace issa;
-  const util::Options options(argc, argv);
+  const util::Options options(argc, argv,
+                              {"file=path", "temp=C", "tstop=s", "dt=s", "csv=path"});
 
   circuit::Netlist netlist;
   try {

@@ -2,27 +2,25 @@
 // measure its two figures of merit — offset voltage and sensing delay.
 //
 //   $ ./quickstart [--metrics[=stem]] [--trace[=stem]] [--faults=spec] [--cache[=dir]]
+//
+// --help lists every accepted flag.
 #include <cstdio>
 
 #include "issa/analysis/mc_cache.hpp"
 #include "issa/analysis/montecarlo.hpp"
+#include "issa/core/run_context.hpp"
 #include "issa/sa/builder.hpp"
 #include "issa/sa/measure.hpp"
-#include "issa/util/cli.hpp"
 #include "issa/util/metrics.hpp"
-#include "issa/util/runinfo.hpp"
-#include "issa/util/trace.hpp"
 #include "issa/util/units.hpp"
 #include "issa/variation/mismatch.hpp"
 
 int main(int argc, char** argv) {
   using namespace issa;
 
-  const util::Options options(argc, argv);
-  if (util::metrics_requested(options)) util::metrics::set_enabled(true);
-  if (util::trace_requested(options)) util::trace::set_enabled(true);
-  util::apply_fault_options(options);  // e.g. --faults='lu.singular_pivot=n1'
-  const std::string run_id = util::generate_run_id();
+  // Parses the flags, arms --faults (e.g. 'lu.singular_pivot=n1'), opens
+  // the --cache and turns on --metrics / --trace collection.
+  core::RunContext run(argc, argv, "quickstart");
 
   // 1. A testbench for the standard latch-type SA of the paper's Fig. 1,
   //    at nominal conditions (Vdd = 1.0 V, 25 C, PTM-45-like devices).
@@ -55,20 +53,19 @@ int main(int argc, char** argv) {
               util::to_ps(sa::measure_delay(issa).worst()));
 
   // 6. With --cache[=dir] (or ISSA_CACHE=1): a small Monte-Carlo offset
-  //    distribution through the persistent sample cache.  The first run
-  //    simulates and stores every sample; run the same command again and the
-  //    samples replay from disk as cache hits, bit-identically.
-  if (util::cache_requested(options)) {
-    analysis::mc_cache::open(util::cache_directory(options, ".issa-cache"));
+  //    distribution (16 samples unless --mc says otherwise) through the
+  //    persistent sample cache.  The first run simulates and stores every
+  //    sample; run the same command again and the samples replay from disk
+  //    as cache hits, bit-identically.
+  if (analysis::mc_cache::enabled()) {
     analysis::Condition condition;
     condition.kind = sa::SenseAmpKind::kNssa;
     condition.config = config;
-    analysis::McConfig mc;
-    mc.iterations = 16;
+    analysis::McConfig mc = run.mc();
+    if (!run.options().get_long("mc")) mc.iterations = 16;
     const analysis::OffsetDistribution dist =
         analysis::measure_offset_distribution(condition, mc);
     const analysis::mc_cache::CacheCounts counts = analysis::mc_cache::counts();
-    analysis::mc_cache::close();
     std::printf("cached MC      : sigma %.1f mV over %zu samples (hits=%llu misses=%llu"
                 " stores=%llu)\n",
                 util::to_mV(dist.summary.stddev), dist.valid_count(),
@@ -77,41 +74,15 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(counts.stores));
   }
 
-  // 7. With --metrics: dump the solver work this run cost (Newton iterations,
-  //    LU factorizations, ...) as JSON + CSV sidecars.
+  // 7. With --metrics: the solver work this run cost (Newton iterations, LU
+  //    factorizations, ...).  Finishing the run writes it as JSON + CSV
+  //    sidecars; with --trace also the span timeline as Chrome trace-event
+  //    JSON (load in Perfetto) plus a compact JSONL stream, and a forensics
+  //    sidecar if any solve failed.  Pipe the .trace.json through
+  //    `trace_report` for a terminal summary.
   if (util::metrics::enabled()) {
-    const std::string stem = util::metrics_report_stem(options, "quickstart");
     const util::metrics::Snapshot snapshot = util::metrics::Registry::instance().snapshot();
     std::printf("\n%s", util::metrics::to_table(snapshot).c_str());
-    try {
-      util::metrics::write_report_json(stem + ".metrics.json", "quickstart", snapshot);
-      util::metrics::write_report_csv(stem + ".metrics.csv", snapshot);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "metrics report failed: %s\n", e.what());
-      return 1;
-    }
-    std::printf("wrote %s.metrics.json / .csv\n", stem.c_str());
   }
-
-  // 8. With --trace: dump the span timeline of the same work as Chrome
-  //    trace-event JSON (load in Perfetto) plus a compact JSONL stream, and a
-  //    forensics sidecar if any solve failed.  Pipe the .trace.json through
-  //    `trace_report` for a terminal summary.
-  if (util::trace_requested(options)) {
-    const std::string stem = util::trace_report_stem(options, "quickstart");
-    util::trace::set_enabled(false);  // quiesce before draining the rings
-    const util::trace::TraceData data = util::trace::collect();
-    try {
-      util::trace::write_chrome_json(stem + ".trace.json", data, run_id);
-      util::trace::write_jsonl(stem + ".trace.jsonl", data);
-      if (!data.forensics.empty()) {
-        util::trace::write_forensics_json(stem + ".forensics.json", data, run_id);
-      }
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "trace report failed: %s\n", e.what());
-      return 1;
-    }
-    std::printf("wrote %s.trace.json / .jsonl (%zu spans)\n", stem.c_str(), data.spans.size());
-  }
-  return 0;
+  return run.finish() ? 0 : 1;
 }

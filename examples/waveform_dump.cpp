@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace issa;
-  const util::Options options(argc, argv);
+  const util::Options options(argc, argv, {"vin=mV", "out=prefix"});
   const double vin = options.get_double_or("vin", 50.0) * 1e-3;
   const std::string prefix = options.get_string("out").value_or("waves");
 

@@ -1,7 +1,5 @@
 #include "issa/analysis/mc_cache.hpp"
 
-#if ISSA_STORE_ENABLED
-
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -274,4 +272,3 @@ void insert(const std::string& fingerprint, const char* kind, std::size_t sample
 
 }  // namespace issa::analysis::mc_cache
 
-#endif  // ISSA_STORE_ENABLED

@@ -35,7 +35,7 @@
 // "offset", "delay.worst", "delay.mean" — human-greppable in store_report.
 //
 // The subsystem is inert unless open() is called (benches wire this to
-// --cache[=dir] / ISSA_CACHE) and compiles to nothing under -DISSA_STORE=OFF.
+// --cache[=dir] / ISSA_CACHE).
 #pragma once
 
 #include <cstddef>
@@ -43,10 +43,6 @@
 #include <string>
 
 #include "issa/analysis/montecarlo.hpp"
-
-#ifndef ISSA_STORE_ENABLED
-#define ISSA_STORE_ENABLED 1
-#endif
 
 namespace issa::util::store {
 class Store;
@@ -72,14 +68,12 @@ struct CachedSample {
 };
 
 /// Process-lifetime hit accounting, independent of the metrics layer so the
-/// bench summary line and the CI gates work in every build mode.
+/// bench summary line and the CI gates work without --metrics.
 struct CacheCounts {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t stores = 0;
 };
-
-#if ISSA_STORE_ENABLED
 
 /// True when a cache store is open: the distribution loops consult it.
 bool enabled() noexcept;
@@ -121,22 +115,5 @@ void insert(const std::string& fingerprint, const char* kind, std::size_t sample
 /// Record encoding, exposed for store_report and tests.
 std::string encode(const CachedSample& sample_result);
 bool decode(const std::string& bytes, CachedSample& out);
-
-#else  // !ISSA_STORE_ENABLED: structural no-ops, zero symbols emitted.
-
-constexpr bool enabled() noexcept { return false; }
-inline void open(const std::string&) {}
-inline void close() {}
-inline void flush() {}
-inline util::store::Store* store() noexcept { return nullptr; }
-inline CacheCounts counts() noexcept { return {}; }
-inline std::string condition_fingerprint(const Condition&, const McConfig&) { return {}; }
-inline std::string sample_key(const std::string&, const char*, std::size_t) { return {}; }
-inline bool lookup(const std::string&, const char*, std::size_t, CachedSample&) { return false; }
-inline void insert(const std::string&, const char*, std::size_t, const CachedSample&) {}
-inline std::string encode(const CachedSample&) { return {}; }
-inline bool decode(const std::string&, CachedSample&) { return false; }
-
-#endif  // ISSA_STORE_ENABLED
 
 }  // namespace issa::analysis::mc_cache

@@ -51,8 +51,9 @@ util::metrics::Counter& m_quarantined() {
   return c;
 }
 
-// FNV-1a, for the deterministic auto run id (works in every build config,
-// unlike the store's SHA-256 which compiles out under -DISSA_STORE=OFF).
+// FNV-1a, for the deterministic auto run id.  Quarantine records carry that
+// id and warm reruns replay them from the sample cache, so the hash must not
+// change: a different one would rename every auto id already in a store.
 std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t h) noexcept {
   const unsigned char* bytes = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < size; ++i) {

@@ -4,30 +4,13 @@
 #include <sstream>
 
 #include "issa/util/csv.hpp"
+#include "issa/util/json.hpp"
 #include "issa/util/trace.hpp"
 #include "issa/util/units.hpp"
 
 namespace issa::core {
 
 namespace {
-
-// Same minimal escaping as util/metrics' report writer: reports must stay
-// parseable even when a title or label carries a quote or control byte.
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 // Reports must always be joinable on run_id (satellite of the persistence
 // work: a quarantine record or cache segment with no run id is orphaned), so
@@ -58,8 +41,8 @@ void write_run_report_json(const std::string& path, std::string_view title,
                            const std::vector<ExperimentRow>& rows, const util::RunInfo& run) {
   const util::RunInfo stamped = with_run_id(run);
   std::ostringstream os;
-  os << "{\n  \"title\": \"" << json_escape(title) << "\",\n";
-  os << "  \"run_id\": \"" << json_escape(stamped.run_id) << "\",\n";
+  os << "{\n  \"title\": \"" << util::json::escape(title) << "\",\n";
+  os << "  \"run_id\": \"" << util::json::escape(stamped.run_id) << "\",\n";
   if (!run.empty()) {
     os << "  \"wall_clock_s\": " << run.wall_clock_s << ",\n";
     os << "  \"rss_peak_kb\": " << run.rss_peak_kb << ",\n";
@@ -83,8 +66,9 @@ void write_run_report_json(const std::string& path, std::string_view title,
     if (!row.degraded() && row.recovered == 0) continue;
     os << (first_deg ? "\n" : ",\n");
     first_deg = false;
-    os << "    {\"condition\": \"" << json_escape(row.condition_label()) << "\", \"quarantined\": "
-       << row.quarantined << ", \"recovered\": " << row.recovered << "}";
+    os << "    {\"condition\": \"" << util::json::escape(row.condition_label())
+       << "\", \"quarantined\": " << row.quarantined << ", \"recovered\": " << row.recovered
+       << "}";
   }
   os << (first_deg ? "],\n" : "\n  ],\n");
   os << "  \"conditions\": [";
@@ -126,8 +110,8 @@ void write_run_report_csv(const std::string& path, const std::vector<ExperimentR
   }
   for (const auto& row : rows) {
     const std::string label = row.condition_label();
-    // Degradation rows are written even when metrics are compiled out: a
-    // degraded run must be visible in every report format.
+    // Degradation rows do not depend on the metrics snapshot: a degraded
+    // run must be visible in every report format.
     if (row.quarantined > 0 || row.recovered > 0) {
       csv.add_row(std::vector<std::string>{stamped.run_id, label, "mc.quarantined", "degradation",
                                            std::to_string(row.quarantined), "0", "0"});

@@ -1,0 +1,198 @@
+#include "issa/core/run_context.hpp"
+
+#include <cstdio>
+#include <cstdlib>
+#include <iostream>
+#include <iterator>
+#include <stdexcept>
+
+#include "issa/analysis/mc_cache.hpp"
+#include "issa/util/faultpoint.hpp"
+#include "issa/util/metrics.hpp"
+#include "issa/util/runinfo.hpp"
+#include "issa/util/store/store.hpp"
+#include "issa/util/trace.hpp"
+
+namespace issa::core {
+
+namespace {
+
+// The run flags (see run_context.hpp), in util::Options spec form.
+constexpr std::string_view kRunFlags[] = {
+    "mc=N",        "fast",        "seed=S",         "quarantine-max=F", "shard=i/N",
+    "faults=spec", "cache[=dir]", "metrics[=stem]", "trace[=stem]"};
+
+// The value of --name=value, or `fallback` when absent or bare.
+std::string value_or(const util::Options& options, std::string_view name,
+                     std::string_view fallback) {
+  if (const auto v = options.get_string(name); v && !v->empty()) return *v;
+  return std::string(fallback);
+}
+
+// --faults=spec, else ISSA_FAULTS, else empty (util/faultpoint.hpp grammar).
+std::string fault_spec(const util::Options& options) {
+  const char* env = std::getenv("ISSA_FAULTS");
+  return value_or(options, "faults", env != nullptr ? env : "");
+}
+
+// --cache=dir; else ISSA_CACHE when it names a path (anything but the bare
+// on-switches "1"/"true"); else one shared ".issa-cache", so a warm rerun of
+// any binary hits the same store.
+std::string cache_directory(const util::Options& options) {
+  const char* env = std::getenv("ISSA_CACHE");
+  const bool env_is_path = env != nullptr && env[0] != '\0' && std::string_view(env) != "1" &&
+                           std::string_view(env) != "true";
+  return value_or(options, "cache", env_is_path ? env : ".issa-cache");
+}
+
+// Applies --shard=i/N (0 <= i < N) to `mc`; throws std::invalid_argument on a
+// malformed selector ("2/2", "a/b", "1", ...).
+void apply_shard(const std::string& v, analysis::McConfig& mc) {
+  const std::size_t slash = v.find('/');
+  std::size_t index_consumed = 0;
+  std::size_t count_consumed = 0;
+  try {
+    if (slash == std::string::npos || slash == 0 || slash + 1 >= v.size()) {
+      throw std::invalid_argument("missing i/N");
+    }
+    mc.shard_index = static_cast<std::size_t>(std::stoul(v.substr(0, slash), &index_consumed));
+    mc.shard_count = static_cast<std::size_t>(std::stoul(v.substr(slash + 1), &count_consumed));
+    if (index_consumed != slash || count_consumed != v.size() - slash - 1) {
+      throw std::invalid_argument("trailing characters");
+    }
+  } catch (const std::exception&) {
+    throw std::invalid_argument("bad --shard value (want i/N, e.g. 0/4): " + v);
+  }
+  if (mc.shard_count == 0 || mc.shard_index >= mc.shard_count) {
+    throw std::invalid_argument("bad --shard value (need 0 <= i < N): " + v);
+  }
+}
+
+analysis::McConfig mc_config(const util::Options& options, std::string run_id) {
+  analysis::McConfig mc;
+  mc.iterations = util::bench_mc_iterations(options);
+  mc.seed = static_cast<std::uint64_t>(options.get_long_or("seed", 42));
+  mc.max_quarantine_fraction =
+      options.get_double_or("quarantine-max", mc.max_quarantine_fraction);
+  mc.run_id = std::move(run_id);
+  if (const auto shard = options.get_string("shard")) apply_shard(*shard, mc);
+  return mc;
+}
+
+std::vector<std::string_view> with_run_flags(const std::vector<std::string_view>& extra) {
+  std::vector<std::string_view> flags = extra;
+  flags.insert(flags.end(), std::begin(kRunFlags), std::end(kRunFlags));
+  return flags;
+}
+
+// Runs one step of finish(); a failure is reported and does not stop the
+// remaining steps.
+template <typename Step>
+bool guarded(const char* what, Step&& step) {
+  try {
+    step();
+    return true;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", what, e.what());
+    return false;
+  }
+}
+
+}  // namespace
+
+RunContext::RunContext(int argc, const char* const* argv, std::string_view name,
+                       const std::vector<std::string_view>& extra_flags)
+    : options_(argc, argv, with_run_flags(extra_flags)),
+      name_(name),
+      run_id_(util::generate_run_id()),
+      start_(std::chrono::steady_clock::now()) {
+  try {
+    mc_ = mc_config(options_, run_id_);
+  } catch (const std::invalid_argument& e) {
+    options_.fail(e.what());
+  }
+  if (const std::string spec = fault_spec(options_); !spec.empty()) {
+    try {
+      util::faultpoint::configure(spec);
+    } catch (const std::invalid_argument& e) {
+      options_.fail(std::string("[issa] bad --faults/ISSA_FAULTS spec: ") + e.what());
+    }
+  }
+
+  metrics_ = options_.flag_or_env("metrics", "ISSA_METRICS");
+  if (metrics_) util::metrics::set_enabled(true);
+  if (options_.flag_or_env("cache", "ISSA_CACHE")) {
+    cache_dir_ = cache_directory(options_);
+    analysis::mc_cache::open(cache_dir_);
+    const util::store::StoreStats stats = analysis::mc_cache::store()->stats();
+    std::cout << "cache: loaded " << stats.records_loaded << " record(s) from "
+              << stats.segments_loaded << " segment(s) in " << cache_dir_;
+    if (stats.corrupt_segments > 0) {
+      std::cout << " (" << stats.corrupt_segments << " segment(s) had a damaged tail; "
+                << stats.bytes_dropped << " byte(s) dropped, will re-simulate)";
+    }
+    std::cout << "\n";
+  }
+  trace_ = options_.flag_or_env("trace", "ISSA_TRACE");
+  if (trace_) util::trace::set_enabled(true);
+  if (options_.get_string("shard")) {
+    std::cout << "shard " << mc_.shard_index << "/" << mc_.shard_count
+              << ": computing samples with index % " << mc_.shard_count
+              << " == " << mc_.shard_index << "\n";
+  }
+}
+
+RunContext::~RunContext() { finish(); }
+
+bool RunContext::finish() {
+  if (finished_) return ok_;
+  finished_ = true;
+  if (trace_) ok_ &= guarded("trace report failed", [this] { write_trace(); });
+  if (!cache_dir_.empty()) ok_ &= guarded("cache close failed", [this] { close_cache(); });
+  if (metrics_) ok_ &= guarded("metrics report failed", [this] { write_metrics(); });
+  return ok_;
+}
+
+void RunContext::write_trace() {
+  // Disable before draining: collect() requires quiescent producers.
+  util::trace::set_enabled(false);
+  const util::trace::TraceData data = util::trace::collect();
+  const std::string stem = value_or(options_, "trace", name_);
+  util::trace::write_chrome_json(stem + ".trace.json", data, run_id_);
+  util::trace::write_jsonl(stem + ".trace.jsonl", data);
+  std::cout << "wrote " << stem << ".trace.json / .jsonl (" << data.spans.size() << " spans, "
+            << data.dropped << " dropped)\n";
+  if (!data.forensics.empty()) {
+    util::trace::write_forensics_json(stem + ".forensics.json", data, run_id_);
+    std::cout << "wrote " << stem << ".forensics.json (" << data.forensics.size()
+              << " events)\n";
+  }
+}
+
+void RunContext::close_cache() {
+  const analysis::mc_cache::CacheCounts counts = analysis::mc_cache::counts();
+  analysis::mc_cache::close();
+  std::cout << "cache: hits=" << counts.hits << " misses=" << counts.misses
+            << " stores=" << counts.stores << " dir=" << cache_dir_ << "\n";
+}
+
+void RunContext::write_metrics() {
+  util::RunInfo run;
+  run.run_id = run_id_;
+  run.wall_clock_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+  run.rss_peak_kb = util::rss_peak_kb();
+  const util::metrics::Snapshot snapshot = util::metrics::Registry::instance().snapshot();
+  util::metrics::set_enabled(false);
+  const std::string stem = value_or(options_, "metrics", name_);
+  util::metrics::write_report_json(stem + ".metrics.json", name_, snapshot, run_id_);
+  util::metrics::write_report_csv(stem + ".metrics.csv", snapshot);
+  std::cout << "wrote " << stem << ".metrics.json / .csv\n";
+  if (!rows_.empty()) {
+    write_run_report_json(stem + ".conditions.json", name_, rows_, run);
+    write_run_report_csv(stem + ".conditions.csv", rows_, run);
+    std::cout << "wrote " << stem << ".conditions.json / .csv\n";
+  }
+}
+
+}  // namespace issa::core

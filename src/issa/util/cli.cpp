@@ -4,8 +4,6 @@
 #include <cstdlib>
 #include <stdexcept>
 
-#include "issa/util/faultpoint.hpp"
-
 namespace issa::util {
 
 Options::Options(int argc, const char* const* argv) {
@@ -35,12 +33,53 @@ std::optional<std::string> find_arg(const std::string& args, std::string_view na
   return std::nullopt;
 }
 
+// True when `arg` is --name or --name=value for a name `flags` declares.
+bool declared(std::string_view arg, const std::vector<std::string_view>& flags) {
+  if (arg.substr(0, 2) != "--") return false;
+  const std::string_view name = arg.substr(2, arg.find('=') - 2);
+  for (const std::string_view spec : flags) {
+    if (spec.ends_with('*') ? name.starts_with(spec.substr(0, spec.size() - 1))
+                            : name == spec.substr(0, spec.find_first_of("=["))) {
+      return true;
+    }
+  }
+  return false;
+}
+
 }  // namespace
+
+Options::Options(int argc, const char* const* argv, const std::vector<std::string_view>& flags)
+    : Options(argc, argv) {
+  const std::string_view program = argc > 0 ? argv[0] : "program";
+  usage_ = "usage: " + std::string(program.substr(program.find_last_of('/') + 1));
+  for (const std::string_view spec : flags) usage_ += " [--" + std::string(spec) + "]";
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--help") {
+      std::printf("%s\n", usage_.c_str());
+      std::exit(0);
+    }
+  }
+  for (int i = 1; i < argc; ++i) {
+    if (!declared(argv[i], flags)) fail("unknown option " + std::string(argv[i]));
+  }
+}
+
+void Options::fail(std::string_view message) const {
+  std::fprintf(stderr, "%.*s\n", static_cast<int>(message.size()), message.data());
+  if (!usage_.empty()) std::fprintf(stderr, "%s\n", usage_.c_str());
+  std::exit(2);
+}
 
 bool Options::has_flag(std::string_view name) const {
   const auto v = find_arg(args_, name);
   if (!v) return false;
   return *v != "0" && *v != "false";
+}
+
+bool Options::flag_or_env(std::string_view name, const char* env) const {
+  if (has_flag(name)) return true;
+  const char* value = std::getenv(env);
+  return value != nullptr && value[0] != '\0' && std::string_view(value) != "0";
 }
 
 std::optional<std::string> Options::get_string(std::string_view name) const {
@@ -82,104 +121,11 @@ long Options::get_long_or(std::string_view name, long fallback) const {
   return get_long(name).value_or(fallback);
 }
 
-bool fast_mode(const Options& options) {
-  if (options.has_flag("fast")) return true;
-  const char* env = std::getenv("ISSA_FAST");
-  return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-}
+bool fast_mode(const Options& options) { return options.flag_or_env("fast", "ISSA_FAST"); }
 
 std::size_t bench_mc_iterations(const Options& options) {
   if (const auto mc = options.get_long("mc"); mc && *mc > 0) return static_cast<std::size_t>(*mc);
   return fast_mode(options) ? 60u : 400u;
-}
-
-bool metrics_requested(const Options& options) {
-  if (options.has_flag("metrics")) return true;
-  const char* env = std::getenv("ISSA_METRICS");
-  return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-}
-
-std::string metrics_report_stem(const Options& options, std::string_view default_stem) {
-  if (const auto v = options.get_string("metrics"); v && !v->empty()) return *v;
-  return std::string(default_stem);
-}
-
-bool trace_requested(const Options& options) {
-  if (options.has_flag("trace")) return true;
-  const char* env = std::getenv("ISSA_TRACE");
-  return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-}
-
-std::string trace_report_stem(const Options& options, std::string_view default_stem) {
-  if (const auto v = options.get_string("trace"); v && !v->empty()) return *v;
-  return std::string(default_stem);
-}
-
-std::string fault_spec(const Options& options) {
-  if (const auto v = options.get_string("faults"); v && !v->empty()) return *v;
-  const char* env = std::getenv("ISSA_FAULTS");
-  return env != nullptr ? env : "";
-}
-
-void apply_fault_options(const Options& options) {
-  const std::string spec = fault_spec(options);
-  if (spec.empty()) return;
-  if constexpr (ISSA_FAULTPOINTS_ENABLED) {
-    try {
-      faultpoint::configure(spec);
-    } catch (const std::invalid_argument& e) {
-      // A malformed spec is an operator error, not a bug: diagnose and exit
-      // instead of letting the exception terminate the process.
-      std::fprintf(stderr, "[issa] bad --faults/ISSA_FAULTS spec: %s\n", e.what());
-      std::exit(2);
-    }
-  } else {
-    // Asking for faults in a build without fault sites is almost certainly a
-    // mistake; say so instead of silently measuring nothing.
-    std::fprintf(stderr,
-                 "[issa] --faults/ISSA_FAULTS ignored: built with -DISSA_FAULTPOINTS=OFF\n");
-  }
-}
-
-bool cache_requested(const Options& options) {
-  if (options.has_flag("cache")) return true;
-  const char* env = std::getenv("ISSA_CACHE");
-  return env != nullptr && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-}
-
-std::string cache_directory(const Options& options, std::string_view default_dir) {
-  if (const auto v = options.get_string("cache"); v && !v->empty()) return *v;
-  if (const char* env = std::getenv("ISSA_CACHE");
-      env != nullptr && env[0] != '\0' && std::string_view(env) != "1" &&
-      std::string_view(env) != "true") {
-    return env;
-  }
-  return std::string(default_dir);
-}
-
-std::optional<ShardSpec> shard_from_options(const Options& options) {
-  const auto v = options.get_string("shard");
-  if (!v) return std::nullopt;
-  const std::size_t slash = v->find('/');
-  std::size_t index_consumed = 0;
-  std::size_t count_consumed = 0;
-  ShardSpec spec;
-  try {
-    if (slash == std::string::npos || slash == 0 || slash + 1 >= v->size()) {
-      throw std::invalid_argument("missing i/N");
-    }
-    spec.index = static_cast<std::size_t>(std::stoul(v->substr(0, slash), &index_consumed));
-    spec.count = static_cast<std::size_t>(std::stoul(v->substr(slash + 1), &count_consumed));
-    if (index_consumed != slash || count_consumed != v->size() - slash - 1) {
-      throw std::invalid_argument("trailing characters");
-    }
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad --shard value (want i/N, e.g. 0/4): " + *v);
-  }
-  if (spec.count == 0 || spec.index >= spec.count) {
-    throw std::invalid_argument("bad --shard value (need 0 <= i < N): " + *v);
-  }
-  return spec;
 }
 
 }  // namespace issa::util

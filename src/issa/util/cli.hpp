@@ -7,15 +7,30 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace issa::util {
 
 class Options {
  public:
+  /// Lenient form: accepts any argument; lookups see only `--name` forms.
   Options(int argc, const char* const* argv);
+
+  /// Strict form for program mains.  `flags` declares every accepted option
+  /// as the usage line shows it ("fast", "csv=path", "metrics[=stem]"); the
+  /// option name is the part before '=' or '[', and a spec ending in '*'
+  /// accepts every option with that prefix.  --help prints the usage line on
+  /// stdout and exits 0.  An undeclared option or a positional argument
+  /// prints "unknown option <arg>" and the usage line on stderr and exits 2,
+  /// so bad input never starts a run.
+  Options(int argc, const char* const* argv, const std::vector<std::string_view>& flags);
 
   /// True when `--name` or `--name=anything-truthy` was passed.
   bool has_flag(std::string_view name) const;
+
+  /// True when has_flag(name), or when the environment variable `env` is set
+  /// to a non-empty, non-"0" value.
+  bool flag_or_env(std::string_view name, const char* env) const;
 
   std::optional<std::string> get_string(std::string_view name) const;
   std::optional<double> get_double(std::string_view name) const;
@@ -24,8 +39,13 @@ class Options {
   double get_double_or(std::string_view name, double fallback) const;
   long get_long_or(std::string_view name, long fallback) const;
 
+  /// Prints `message` and the usage line on stderr and exits 2: for values
+  /// the program rejects after parsing (a malformed --shard, say).
+  [[noreturn]] void fail(std::string_view message) const;
+
  private:
-  std::string args_;  // flattened "--k=v\n--flag\n" list for lookup
+  std::string args_;   // flattened "--k=v\n--flag\n" list for lookup
+  std::string usage_;  // "usage: prog [--flag] ..." (strict form only)
 };
 
 /// True when the ISSA_FAST environment variable is set to a non-empty,
@@ -36,57 +56,5 @@ bool fast_mode(const Options& options);
 /// Monte-Carlo iteration count used by benches: the paper's 400 by default,
 /// overridable with --mc=N, shrunk to 60 in fast mode.
 std::size_t bench_mc_iterations(const Options& options);
-
-/// True when --metrics (or --metrics=stem) was passed, or the ISSA_METRICS
-/// environment variable is set to a non-empty, non-"0" value.  Callers turn
-/// collection on with util::metrics::set_enabled(true) when this holds.
-bool metrics_requested(const Options& options);
-
-/// Output stem for metrics reports: the value of --metrics=stem when given,
-/// otherwise `default_stem`.  Reports land at <stem>.metrics.json/.csv.
-std::string metrics_report_stem(const Options& options, std::string_view default_stem);
-
-/// True when --trace (or --trace=stem) was passed, or the ISSA_TRACE
-/// environment variable is set to a non-empty, non-"0" value.  Callers turn
-/// collection on with util::trace::set_enabled(true) when this holds.
-bool trace_requested(const Options& options);
-
-/// Output stem for trace sidecars: the value of --trace=stem when given,
-/// otherwise `default_stem`.  Sidecars land at <stem>.trace.json / .jsonl
-/// (plus <stem>.forensics.json when solver failures were captured), mirroring
-/// the --metrics naming so one stem correlates both report families.
-std::string trace_report_stem(const Options& options, std::string_view default_stem);
-
-/// Fault-injection spec for util::faultpoint: the value of --faults=spec
-/// when given, else the ISSA_FAULTS environment variable, else empty.  See
-/// util/faultpoint.hpp for the grammar.
-std::string fault_spec(const Options& options);
-
-/// Arms util::faultpoint from fault_spec() (no-op when the spec is empty,
-/// including -DISSA_FAULTPOINTS=OFF builds where the spec is ignored with a
-/// stderr warning).  Every bench/example main calls this right after parsing
-/// its options.  Throws std::invalid_argument on a malformed spec.
-void apply_fault_options(const Options& options);
-
-/// True when --cache (or --cache=dir) was passed, or the ISSA_CACHE
-/// environment variable is set to a non-empty, non-"0" value.  Callers open
-/// the Monte-Carlo sample cache (analysis/mc_cache) when this holds.
-bool cache_requested(const Options& options);
-
-/// Store directory for the sample cache: the value of --cache=dir when
-/// given; else ISSA_CACHE when it names a path (any value other than the
-/// bare on-switches "1"/"true"); else `default_dir`.  Benches default to one
-/// shared ".issa-cache" so a warm rerun of any bench hits the same store.
-std::string cache_directory(const Options& options, std::string_view default_dir);
-
-/// Parsed --shard=i/N selector (0-based index, count >= 1, index < count).
-struct ShardSpec {
-  std::size_t index = 0;
-  std::size_t count = 1;
-};
-
-/// The --shard=i/N option, or nullopt when absent.  Throws
-/// std::invalid_argument on a malformed selector ("2/2", "a/b", "1", ...).
-std::optional<ShardSpec> shard_from_options(const Options& options);
 
 }  // namespace issa::util

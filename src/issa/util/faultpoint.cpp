@@ -1,7 +1,5 @@
 #include "issa/util/faultpoint.hpp"
 
-#if ISSA_FAULTPOINTS_ENABLED
-
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -309,5 +307,3 @@ RetryScope::~RetryScope() {
 }
 
 }  // namespace issa::util::faultpoint
-
-#endif  // ISSA_FAULTPOINTS_ENABLED

@@ -39,13 +39,9 @@
 // for unit tests); configure() rejects unknown names so a typo cannot arm
 // nothing silently.
 //
-// The same two off switches as util/metrics and util/trace:
-//  - compile time: -DISSA_FAULTPOINTS=OFF turns every entry point below into
-//    a constexpr/inline no-op (ISSA_FAULTPOINTS_ENABLED == 0), so the checks
-//    compile out of the hot paths entirely (CI asserts zero faultpoint
-//    symbols survive in the solver libraries);
-//  - run time: sites are unarmed by default and every check pays one relaxed
-//    atomic load + predicted branch until configure() arms a spec.
+// Like util/metrics and util/trace, sites are unarmed by default: every
+// check pays one relaxed atomic load + predicted branch until configure()
+// arms a spec.
 #pragma once
 
 #include <cstdint>
@@ -53,10 +49,6 @@
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef ISSA_FAULTPOINTS_ENABLED
-#define ISSA_FAULTPOINTS_ENABLED 1
-#endif
 
 namespace issa::util::faultpoint {
 
@@ -99,8 +91,6 @@ struct SiteReport {
   std::uint64_t evaluations = 0;
   std::uint64_t fires = 0;
 };
-
-#if ISSA_FAULTPOINTS_ENABLED
 
 /// True when any site is armed.  One relaxed load; every instrumented site
 /// asks this (directly or via should_fire) before doing any other work.
@@ -149,34 +139,6 @@ class RetryScope {
   RetryScope(const RetryScope&) = delete;
   RetryScope& operator=(const RetryScope&) = delete;
 };
-
-#else  // !ISSA_FAULTPOINTS_ENABLED: structural no-ops, zero symbols emitted.
-
-constexpr bool armed() noexcept { return false; }
-constexpr bool should_fire(const char*) noexcept { return false; }
-inline void configure(std::string_view) {}
-inline void configure_from_env() {}
-inline void clear() {}
-inline std::vector<SiteReport> report() { return {}; }
-constexpr bool would_fire(std::string_view, std::uint64_t, std::uint32_t) noexcept {
-  return false;
-}
-
-class SampleScope {
- public:
-  explicit SampleScope(std::uint64_t) noexcept {}
-  SampleScope(const SampleScope&) = delete;
-  SampleScope& operator=(const SampleScope&) = delete;
-};
-
-class RetryScope {
- public:
-  RetryScope() noexcept {}
-  RetryScope(const RetryScope&) = delete;
-  RetryScope& operator=(const RetryScope&) = delete;
-};
-
-#endif  // ISSA_FAULTPOINTS_ENABLED
 
 /// Throws FaultInjected(site) when the site fires.  Use at sites whose
 /// natural failure is an exception; sites whose failure is a status code

@@ -327,4 +327,20 @@ class Parser {
 
 Value Value::parse(std::string_view text) { return Parser(text).parse_document(); }
 
+std::string escape(std::string_view s) {
+  std::string out;
+  out.reserve(s.size());
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      out += ' ';
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
 }  // namespace issa::util::json

@@ -1,4 +1,5 @@
-// Minimal JSON document model + recursive-descent parser.
+// Minimal JSON document model + recursive-descent parser, plus the string
+// escaper every report writer uses.
 //
 // Exists so the trace tooling can round-trip its own emissions (trace_report
 // ingests Chrome trace-event JSON / JSONL; the tracer unit tests parse what
@@ -83,5 +84,11 @@ class Value {
   std::vector<Value> array_;
   std::vector<std::pair<std::string, Value>> object_;
 };
+
+/// Escapes `s` for the inside of a JSON string literal, as every report
+/// writer in the tree emits it: quote and backslash are backslash-escaped and
+/// control bytes become spaces, so a title or label carrying either still
+/// yields a parseable document.
+std::string escape(std::string_view s);
 
 }  // namespace issa::util::json

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "issa/util/csv.hpp"
+#include "issa/util/json.hpp"
 #include "issa/util/table.hpp"
 
 namespace issa::util::metrics {
@@ -18,8 +19,6 @@ std::uint64_t monotonic_ns() noexcept {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-#if ISSA_METRICS_ENABLED
 
 namespace {
 std::atomic<bool> g_enabled{false};
@@ -87,12 +86,6 @@ void Histogram::reset() noexcept {
   total_.store(0, std::memory_order_relaxed);
 }
 
-#else  // !ISSA_METRICS_ENABLED
-
-void set_enabled(bool) noexcept {}
-
-#endif  // ISSA_METRICS_ENABLED
-
 const SnapshotEntry* Snapshot::find(std::string_view name) const noexcept {
   for (const auto& e : entries) {
     if (e.name == name) return &e;
@@ -130,7 +123,6 @@ Snapshot Snapshot::delta_since(const Snapshot& earlier) const {
 // Registry
 
 struct Registry::Impl {
-#if ISSA_METRICS_ENABLED
   template <typename Metric>
   struct Named {
     std::string name;
@@ -150,7 +142,6 @@ struct Registry::Impl {
     list.push_back({std::string(name), std::make_unique<Metric>()});
     return *list.back().metric;
   }
-#endif
 };
 
 Registry& Registry::instance() {
@@ -159,7 +150,6 @@ Registry& Registry::instance() {
 }
 
 Registry::Registry() : impl_(new Impl) {
-#if ISSA_METRICS_ENABLED
   // Pre-register the canonical schema so every report lists the full metric
   // set even for binaries that never touch some subsystem.
   for (const char* name :
@@ -175,42 +165,22 @@ Registry::Registry() : impl_(new Impl) {
     timer(name);
   }
   histogram(names::kPoolQueueLatency);
-#endif
 }
 
 Counter& Registry::counter(std::string_view name) {
-#if ISSA_METRICS_ENABLED
   return impl_->get(impl_->counters, name);
-#else
-  (void)name;
-  static Counter noop;
-  return noop;
-#endif
 }
 
 Timer& Registry::timer(std::string_view name) {
-#if ISSA_METRICS_ENABLED
   return impl_->get(impl_->timers, name);
-#else
-  (void)name;
-  static Timer noop;
-  return noop;
-#endif
 }
 
 Histogram& Registry::histogram(std::string_view name) {
-#if ISSA_METRICS_ENABLED
   return impl_->get(impl_->histograms, name);
-#else
-  (void)name;
-  static Histogram noop;
-  return noop;
-#endif
 }
 
 Snapshot Registry::snapshot() const {
   Snapshot snap;
-#if ISSA_METRICS_ENABLED
   std::lock_guard lock(impl_->mutex);
   snap.entries.reserve(impl_->counters.size() + impl_->timers.size() +
                        impl_->histograms.size());
@@ -241,17 +211,14 @@ Snapshot Registry::snapshot() const {
     while (!e.buckets.empty() && e.buckets.back() == 0) e.buckets.pop_back();
     snap.entries.push_back(std::move(e));
   }
-#endif
   return snap;
 }
 
 void Registry::reset() {
-#if ISSA_METRICS_ENABLED
   std::lock_guard lock(impl_->mutex);
   for (auto& c : impl_->counters) c.metric->reset();
   for (auto& t : impl_->timers) t.metric->reset();
   for (auto& h : impl_->histograms) h.metric->reset();
-#endif
 }
 
 // ---------------------------------------------------------------------------
@@ -271,32 +238,18 @@ const char* kind_name(Kind kind) {
   return "unknown";
 }
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
-std::string to_json(std::string_view title, const Snapshot& snapshot) {
+std::string to_json(std::string_view title, const Snapshot& snapshot, std::string_view run_id) {
   std::ostringstream os;
-  os << "{\n  \"title\": \"" << json_escape(title) << "\",\n  \"metrics\": {";
+  os << "{\n  \"title\": \"" << json::escape(title) << "\",\n";
+  if (!run_id.empty()) os << "  \"run_id\": \"" << json::escape(run_id) << "\",\n";
+  os << "  \"metrics\": {";
   bool first = true;
   for (const auto& e : snapshot.entries) {
     os << (first ? "\n" : ",\n");
     first = false;
-    os << "    \"" << json_escape(e.name) << "\": {\"kind\": \"" << kind_name(e.kind)
+    os << "    \"" << json::escape(e.name) << "\": {\"kind\": \"" << kind_name(e.kind)
        << "\", \"count\": " << e.count;
     if (e.kind != Kind::kCounter) {
       os << ", \"total_ns\": " << e.total_ns << ", \"mean_ns\": " << e.mean_ns();
@@ -316,10 +269,10 @@ std::string to_json(std::string_view title, const Snapshot& snapshot) {
 }
 
 void write_report_json(const std::string& path, std::string_view title,
-                       const Snapshot& snapshot) {
+                       const Snapshot& snapshot, std::string_view run_id) {
   std::ofstream out(path);
   if (!out) throw std::runtime_error("metrics: cannot open " + path);
-  out << to_json(title, snapshot);
+  out << to_json(title, snapshot, run_id);
   out.flush();
   if (!out) throw std::runtime_error("metrics: write failed for " + path);
 }

@@ -7,28 +7,17 @@
 // per-thread stripe id; updates are a relaxed fetch_add with no shared
 // write-line contention in the common case.
 //
-// Two off switches keep the layer out of measurements that do not want it:
-//  - compile time: configure with -DISSA_METRICS=OFF and every class below
-//    becomes an empty no-op (ISSA_METRICS_ENABLED == 0), so instrumented
-//    call sites compile to nothing;
-//  - run time: metrics start disabled and instrumented sites pay one relaxed
-//    atomic load + predicted branch until set_enabled(true) is called
-//    (the --metrics CLI flag or the ISSA_METRICS environment variable).
+// Metrics start disabled: instrumented sites pay one relaxed atomic load +
+// predicted branch until set_enabled(true) is called (the --metrics CLI flag
+// or the ISSA_METRICS environment variable).
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#ifndef ISSA_METRICS_ENABLED
-#define ISSA_METRICS_ENABLED 1
-#endif
-
-#if ISSA_METRICS_ENABLED
-#include <array>
-#include <atomic>
-#endif
 
 namespace issa::util::metrics {
 
@@ -37,11 +26,7 @@ enum class Kind { kCounter, kTimer, kHistogram };
 /// Turns collection on or off at run time (default: off).
 void set_enabled(bool on) noexcept;
 
-#if ISSA_METRICS_ENABLED
 bool enabled() noexcept;
-#else
-constexpr bool enabled() noexcept { return false; }
-#endif
 
 /// Monotonic wall-clock in nanoseconds (steady_clock).
 std::uint64_t monotonic_ns() noexcept;
@@ -50,7 +35,6 @@ namespace detail {
 
 inline constexpr std::size_t kStripes = 16;
 
-#if ISSA_METRICS_ENABLED
 /// Stable per-thread stripe index in [0, kStripes).
 std::size_t thread_stripe() noexcept;
 
@@ -62,11 +46,8 @@ struct alignas(64) TimerCell {
   std::atomic<std::uint64_t> count{0};
   std::atomic<std::uint64_t> total_ns{0};
 };
-#endif
 
 }  // namespace detail
-
-#if ISSA_METRICS_ENABLED
 
 /// Monotonically increasing event count.
 class Counter {
@@ -163,42 +144,6 @@ class Histogram {
   std::atomic<std::uint64_t> total_{0};
 };
 
-#else  // !ISSA_METRICS_ENABLED: every metric is an empty no-op.
-
-class Counter {
- public:
-  void add(std::uint64_t = 1) noexcept {}
-  std::uint64_t value() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class Timer {
- public:
-  void record_ns(std::uint64_t) noexcept {}
-  class Scope {
-   public:
-    explicit Scope(Timer&) noexcept {}
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-  };
-  std::uint64_t count() const noexcept { return 0; }
-  std::uint64_t total_ns() const noexcept { return 0; }
-  void reset() noexcept {}
-};
-
-class Histogram {
- public:
-  static constexpr std::size_t kBuckets = 40;
-  void record(std::uint64_t) noexcept {}
-  void record_double(double) noexcept {}
-  std::uint64_t count() const noexcept { return 0; }
-  std::uint64_t total() const noexcept { return 0; }
-  std::uint64_t bucket(std::size_t) const noexcept { return 0; }
-  void reset() noexcept {}
-  static std::size_t bucket_of(std::uint64_t) noexcept { return 0; }
-};
-
-#endif  // ISSA_METRICS_ENABLED
 
 /// One metric's value at snapshot time.
 struct SnapshotEntry {
@@ -277,12 +222,14 @@ class Registry {
   Impl* impl_;  // leaked singleton state; never destroyed (safe at exit)
 };
 
-/// Serializes a snapshot as a JSON document ({"title", "metrics": {...}}).
-std::string to_json(std::string_view title, const Snapshot& snapshot);
+/// Serializes a snapshot as a JSON document ({"title", "metrics": {...}});
+/// a non-empty `run_id` adds a "run_id" member after the title.
+std::string to_json(std::string_view title, const Snapshot& snapshot,
+                    std::string_view run_id = {});
 
 /// Writes the JSON / CSV report; throws std::runtime_error on I/O failure.
 void write_report_json(const std::string& path, std::string_view title,
-                       const Snapshot& snapshot);
+                       const Snapshot& snapshot, std::string_view run_id = {});
 void write_report_csv(const std::string& path, const Snapshot& snapshot);
 
 /// Renders a snapshot as a human-readable ASCII table string.

@@ -1,7 +1,5 @@
 #include "issa/util/store/crc32.hpp"
 
-#if ISSA_STORE_ENABLED
-
 #include <array>
 
 namespace issa::util::store {
@@ -37,4 +35,3 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) noex
 
 }  // namespace issa::util::store
 
-#endif  // ISSA_STORE_ENABLED

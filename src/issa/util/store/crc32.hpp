@@ -4,22 +4,13 @@
 // killed process or a bit-flipped byte fails its checksum and the loader
 // drops the damaged suffix instead of trusting poisoned cache entries.
 // Table-driven software implementation, no dependencies.
-//
-// Compiled out (structural no-op) under -DISSA_STORE=OFF together with the
-// rest of the store subsystem.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
 
-#ifndef ISSA_STORE_ENABLED
-#define ISSA_STORE_ENABLED 1
-#endif
-
 namespace issa::util::store {
-
-#if ISSA_STORE_ENABLED
 
 /// CRC-32 of `size` bytes at `data`.  Pass a previous result as `seed` to
 /// checksum a logical stream in chunks: crc32(b, crc32(a)) == crc32(a+b).
@@ -28,12 +19,5 @@ std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed = 0) 
 inline std::uint32_t crc32(std::string_view bytes, std::uint32_t seed = 0) noexcept {
   return crc32(bytes.data(), bytes.size(), seed);
 }
-
-#else  // !ISSA_STORE_ENABLED: no-op, zero symbols emitted.
-
-constexpr std::uint32_t crc32(const void*, std::size_t, std::uint32_t = 0) noexcept { return 0; }
-constexpr std::uint32_t crc32(std::string_view, std::uint32_t = 0) noexcept { return 0; }
-
-#endif  // ISSA_STORE_ENABLED
 
 }  // namespace issa::util::store

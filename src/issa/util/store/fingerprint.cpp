@@ -1,7 +1,5 @@
 #include "issa/util/store/fingerprint.hpp"
 
-#if ISSA_STORE_ENABLED
-
 #include <cstring>
 
 namespace issa::util::store {
@@ -139,4 +137,3 @@ Hasher& Hasher::str(std::string_view s) {
 
 }  // namespace issa::util::store
 
-#endif  // ISSA_STORE_ENABLED

@@ -12,9 +12,6 @@
 // 8-byte little-endian word (doubles by bit pattern) and every string is
 // length-prefixed, so no two distinct field sequences can produce the same
 // byte stream (no "ab"+"c" vs "a"+"bc" ambiguity).
-//
-// Compiled out under -DISSA_STORE=OFF: the stubs return the zero fingerprint
-// and nothing is emitted into the libraries.
 #pragma once
 
 #include <array>
@@ -23,18 +20,13 @@
 #include <string>
 #include <string_view>
 
-#ifndef ISSA_STORE_ENABLED
-#define ISSA_STORE_ENABLED 1
-#endif
-
 namespace issa::util::store {
 
 /// A 256-bit digest.
 struct Fingerprint {
   std::array<std::uint8_t, 32> bytes{};
 
-  /// Lowercase hex, 64 characters.  Inline so -DISSA_STORE=OFF builds keep
-  /// zero store symbols in the libraries.
+  /// Lowercase hex, 64 characters.
   std::string hex() const {
     static constexpr char kDigits[] = "0123456789abcdef";
     std::string out;
@@ -48,8 +40,6 @@ struct Fingerprint {
 
   bool operator==(const Fingerprint&) const = default;
 };
-
-#if ISSA_STORE_ENABLED
 
 /// Incremental SHA-256 (FIPS 180-4).  Self-contained software implementation
 /// so the store has no external dependencies.
@@ -86,27 +76,5 @@ class Hasher {
  private:
   Sha256 sha_;
 };
-
-#else  // !ISSA_STORE_ENABLED: structural no-ops, zero symbols emitted.
-
-class Sha256 {
- public:
-  Sha256() = default;
-  void update(const void*, std::size_t) {}
-  void update(std::string_view) {}
-  Fingerprint finish() { return {}; }
-};
-
-class Hasher {
- public:
-  Hasher& u64(std::uint64_t) { return *this; }
-  Hasher& u32(std::uint32_t) { return *this; }
-  Hasher& f64(double) { return *this; }
-  Hasher& boolean(bool) { return *this; }
-  Hasher& str(std::string_view) { return *this; }
-  Fingerprint finish() { return {}; }
-};
-
-#endif  // ISSA_STORE_ENABLED
 
 }  // namespace issa::util::store

@@ -1,7 +1,5 @@
 #include "issa/util/store/store.hpp"
 
-#if ISSA_STORE_ENABLED
-
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -238,4 +236,3 @@ StoreStats Store::stats() const {
 
 }  // namespace issa::util::store
 
-#endif  // ISSA_STORE_ENABLED

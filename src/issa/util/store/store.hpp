@@ -30,10 +30,7 @@
 // serializes them on an internal mutex (the values are tiny — tens of bytes
 // — so the critical sections are short compared to one Monte-Carlo sample).
 //
-// The same two off switches as util/metrics, util/trace, util/faultpoint:
-// -DISSA_STORE=OFF turns the whole subsystem into inline no-ops with zero
-// symbols in the libraries; at run time a store simply isn't opened unless
-// --cache / ISSA_CACHE asks for one.
+// A store simply isn't opened unless --cache / ISSA_CACHE asks for one.
 #pragma once
 
 #include <cstddef>
@@ -45,10 +42,6 @@
 #include <string_view>
 #include <unordered_map>
 #include <vector>
-
-#ifndef ISSA_STORE_ENABLED
-#define ISSA_STORE_ENABLED 1
-#endif
 
 namespace issa::util::store {
 
@@ -63,8 +56,6 @@ struct StoreStats {
   std::size_t records_appended = 0;   ///< put()s accepted by this instance
   std::size_t checkpoints = 0;        ///< fsync'd write-outs performed
 };
-
-#if ISSA_STORE_ENABLED
 
 class Store {
  public:
@@ -130,36 +121,5 @@ class Store {
   bool wrote_header_ = false;
   StoreStats stats_;
 };
-
-#else  // !ISSA_STORE_ENABLED: structural no-ops, zero symbols emitted.
-
-class Store {
- public:
-  struct Options {
-    std::size_t checkpoint_every = 64;
-    bool must_exist = false;
-  };
-
-  explicit Store(std::string directory) : directory_(std::move(directory)) {}
-  Store(std::string directory, Options) : directory_(std::move(directory)) {}
-
-  Store(const Store&) = delete;
-  Store& operator=(const Store&) = delete;
-
-  const std::string& directory() const noexcept { return directory_; }
-  bool contains(std::string_view) const { return false; }
-  std::optional<std::string> get(std::string_view) const { return std::nullopt; }
-  bool put(std::string_view, std::string_view) { return false; }
-  void flush() {}
-  std::size_t size() const { return 0; }
-  std::vector<std::string> keys() const { return {}; }
-  void for_each(const std::function<void(const std::string&, const std::string&)>&) const {}
-  StoreStats stats() const { return {}; }
-
- private:
-  std::string directory_;
-};
-
-#endif  // ISSA_STORE_ENABLED
 
 }  // namespace issa::util::store

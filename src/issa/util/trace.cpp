@@ -1,6 +1,7 @@
 #include "issa/util/trace.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -8,11 +9,10 @@
 #include <mutex>
 #include <sstream>
 
+#include "issa/util/json.hpp"
 #include "issa/util/metrics.hpp"  // monotonic_ns
 
 namespace issa::util::trace {
-
-#if ISSA_TRACE_ENABLED
 
 namespace {
 
@@ -68,22 +68,6 @@ ThreadBuffer& thread_buffer() {
 thread_local std::vector<const char*> t_span_stack;
 thread_local std::vector<Attr> t_context;
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 void append_double(std::ostringstream& os, double v) {
   if (!std::isfinite(v)) {
     os << "null";
@@ -98,7 +82,7 @@ void append_attrs_object(std::ostringstream& os, const std::vector<Attr>& attrs)
   os << "{";
   for (std::size_t i = 0; i < attrs.size(); ++i) {
     const Attr& a = attrs[i];
-    os << (i == 0 ? "" : ", ") << "\"" << json_escape(a.key) << "\": ";
+    os << (i == 0 ? "" : ", ") << "\"" << json::escape(a.key) << "\": ";
     switch (a.type) {
       case Attr::Type::kUint:
         os << a.u;
@@ -107,7 +91,7 @@ void append_attrs_object(std::ostringstream& os, const std::vector<Attr>& attrs)
         append_double(os, a.d);
         break;
       case Attr::Type::kString:
-        os << "\"" << json_escape(a.s) << "\"";
+        os << "\"" << json::escape(a.s) << "\"";
         break;
     }
   }
@@ -249,70 +233,8 @@ void clear() {
   r.forensics_dropped = 0;
 }
 
-#else  // !ISSA_TRACE_ENABLED
-
-void set_enabled(bool) noexcept {}
-void configure(const TraceConfig&) {}
-TraceConfig config() { return {}; }
-void record_forensic(ForensicEvent) {}
-TraceData collect() { return {}; }
-void clear() {}
-
-namespace {
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      out += ' ';
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-void append_double(std::ostringstream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << "null";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  os << buf;
-}
-
-void append_attrs_object(std::ostringstream& os, const std::vector<Attr>& attrs) {
-  os << "{";
-  for (std::size_t i = 0; i < attrs.size(); ++i) {
-    const Attr& a = attrs[i];
-    os << (i == 0 ? "" : ", ") << "\"" << json_escape(a.key) << "\": ";
-    switch (a.type) {
-      case Attr::Type::kUint:
-        os << a.u;
-        break;
-      case Attr::Type::kDouble:
-        append_double(os, a.d);
-        break;
-      case Attr::Type::kString:
-        os << "\"" << json_escape(a.s) << "\"";
-        break;
-    }
-  }
-  os << "}";
-}
-
-}  // namespace
-
-#endif  // ISSA_TRACE_ENABLED
-
 // ---------------------------------------------------------------------------
-// Serialization (shared by both build modes: an OFF build emits empty-but-
-// valid documents, which keeps the --trace plumbing exercisable everywhere).
+// Serialization
 
 namespace {
 
@@ -344,8 +266,8 @@ std::string to_chrome_json(const TraceData& data, std::string_view run_id) {
   }
 
   for (const auto& e : data.spans) {
-    os << ",\n{\"name\": \"" << json_escape(e.name) << "\", \"cat\": \""
-       << json_escape(e.category) << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << e.tid
+    os << ",\n{\"name\": \"" << json::escape(e.name) << "\", \"cat\": \""
+       << json::escape(e.category) << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << e.tid
        << ", \"ts\": ";
     append_ts_us(os, e.start_ns);
     os << ", \"dur\": ";
@@ -358,7 +280,7 @@ std::string to_chrome_json(const TraceData& data, std::string_view run_id) {
   }
 
   for (const auto& f : data.forensics) {
-    os << ",\n{\"name\": \"forensic." << json_escape(f.kind)
+    os << ",\n{\"name\": \"forensic." << json::escape(f.kind)
        << "\", \"cat\": \"forensic\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": "
        << f.tid << ", \"ts\": ";
     append_ts_us(os, f.time_ns);
@@ -379,7 +301,7 @@ std::string to_chrome_json(const TraceData& data, std::string_view run_id) {
   }
 
   os << "\n],\n\"displayTimeUnit\": \"ns\",\n\"metadata\": {\"run_id\": \""
-     << json_escape(run_id) << "\", \"dropped_spans\": " << data.dropped
+     << json::escape(run_id) << "\", \"dropped_spans\": " << data.dropped
      << ", \"dropped_forensics\": " << data.forensics_dropped
      << ", \"clock\": \"steady_ns\"}\n}\n";
   return os.str();
@@ -388,15 +310,15 @@ std::string to_chrome_json(const TraceData& data, std::string_view run_id) {
 std::string to_jsonl(const TraceData& data) {
   std::ostringstream os;
   for (const auto& e : data.spans) {
-    os << "{\"type\": \"span\", \"name\": \"" << json_escape(e.name) << "\", \"cat\": \""
-       << json_escape(e.category) << "\", \"ts_ns\": " << e.start_ns
+    os << "{\"type\": \"span\", \"name\": \"" << json::escape(e.name) << "\", \"cat\": \""
+       << json::escape(e.category) << "\", \"ts_ns\": " << e.start_ns
        << ", \"dur_ns\": " << e.dur_ns << ", \"tid\": " << e.tid << ", \"depth\": " << e.depth
        << ", \"attrs\": ";
     append_attrs_object(os, e.attrs);
     os << "}\n";
   }
   for (const auto& f : data.forensics) {
-    os << "{\"type\": \"forensic\", \"kind\": \"" << json_escape(f.kind)
+    os << "{\"type\": \"forensic\", \"kind\": \"" << json::escape(f.kind)
        << "\", \"ts_ns\": " << f.time_ns << ", \"tid\": " << f.tid << ", \"attrs\": ";
     append_attrs_object(os, f.attrs);
     os << "}\n";
@@ -406,15 +328,15 @@ std::string to_jsonl(const TraceData& data) {
 
 std::string forensics_to_json(const TraceData& data, std::string_view run_id) {
   std::ostringstream os;
-  os << "{\n\"run_id\": \"" << json_escape(run_id) << "\",\n\"dropped\": "
+  os << "{\n\"run_id\": \"" << json::escape(run_id) << "\",\n\"dropped\": "
      << data.forensics_dropped << ",\n\"events\": [";
   for (std::size_t i = 0; i < data.forensics.size(); ++i) {
     const ForensicEvent& f = data.forensics[i];
     os << (i == 0 ? "\n" : ",\n");
-    os << "{\"kind\": \"" << json_escape(f.kind) << "\", \"ts_ns\": " << f.time_ns
+    os << "{\"kind\": \"" << json::escape(f.kind) << "\", \"ts_ns\": " << f.time_ns
        << ", \"tid\": " << f.tid << ",\n \"span_path\": [";
     for (std::size_t k = 0; k < f.span_path.size(); ++k) {
-      os << (k == 0 ? "" : ", ") << "\"" << json_escape(f.span_path[k]) << "\"";
+      os << (k == 0 ? "" : ", ") << "\"" << json::escape(f.span_path[k]) << "\"";
     }
     os << "],\n \"attrs\": ";
     append_attrs_object(os, f.attrs);

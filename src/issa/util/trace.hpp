@@ -12,12 +12,9 @@
 // to Chrome trace-event JSON (loadable in Perfetto / chrome://tracing) and to
 // a compact JSONL stream.
 //
-// The same two off switches as util/metrics:
-//  - compile time: -DISSA_TRACE=OFF turns every class below into an empty
-//    no-op (ISSA_TRACE_ENABLED == 0), so instrumented sites compile away;
-//  - run time: tracing starts disabled and every span site pays one relaxed
-//    atomic load + predicted branch until set_enabled(true) (the --trace CLI
-//    flag or the ISSA_TRACE environment variable).
+// Like util/metrics, tracing starts disabled: every span site pays one
+// relaxed atomic load + predicted branch until set_enabled(true) (the --trace
+// CLI flag or the ISSA_TRACE environment variable).
 //
 // Forensics: when a Newton solve gives up or a transient's step-size control
 // collapses, the solver captures a diagnostic bundle — residual and damping
@@ -33,10 +30,6 @@
 #include <string_view>
 #include <vector>
 
-#ifndef ISSA_TRACE_ENABLED
-#define ISSA_TRACE_ENABLED 1
-#endif
-
 namespace issa::util::trace {
 
 /// Tuning knobs; set with configure() BEFORE enabling.  The defaults hold a
@@ -51,15 +44,10 @@ struct TraceConfig {
 /// Turns span collection on or off at run time (default: off).
 void set_enabled(bool on) noexcept;
 
-#if ISSA_TRACE_ENABLED
 bool enabled() noexcept;
 /// True when tracing is on AND the config asks for forensic bundles.  One
 /// relaxed load; solver failure paths check this before assembling anything.
 bool forensics_enabled() noexcept;
-#else
-constexpr bool enabled() noexcept { return false; }
-constexpr bool forensics_enabled() noexcept { return false; }
-#endif
 
 /// Installs a config.  Call while tracing is disabled; an installed ring
 /// capacity applies to buffers created after the call (threads register their
@@ -123,8 +111,6 @@ struct ForensicEvent {
   std::vector<double> node_voltages;     ///< full node vector at failure
 };
 
-#if ISSA_TRACE_ENABLED
-
 /// RAII span.  Construction reads the clock and pushes the thread stack only
 /// when tracing is enabled; destruction pops and commits the record.  `name`
 /// and `category` must be string literals (or otherwise outlive collect()).
@@ -166,28 +152,6 @@ class ContextScope {
  private:
   std::size_t pushed_;
 };
-
-#else  // !ISSA_TRACE_ENABLED: structural no-ops.
-
-class Span {
- public:
-  explicit Span(const char*, const char* = "app") noexcept {}
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-  bool active() const noexcept { return false; }
-  void attr_u64(const char*, std::uint64_t) {}
-  void attr_f64(const char*, double) {}
-  void attr_str(const char*, std::string) {}
-};
-
-class ContextScope {
- public:
-  explicit ContextScope(std::vector<Attr>) {}
-  ContextScope(const ContextScope&) = delete;
-  ContextScope& operator=(const ContextScope&) = delete;
-};
-
-#endif  // ISSA_TRACE_ENABLED
 
 /// Records a forensic bundle (fills time_ns/tid/span_path/context attrs from
 /// the calling thread; the caller supplies everything else).  No-op unless

@@ -119,8 +119,6 @@ TEST(ShardConfig, ShardsUnionToTheUnshardedDistribution) {
   }
 }
 
-#if ISSA_STORE_ENABLED
-
 class McCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -346,8 +344,6 @@ TEST_F(McCacheTest, TruncatedStoreResumesWithPartialReplay) {
   EXPECT_EQ(healed.hits, 10u);
 }
 
-#if ISSA_FAULTPOINTS_ENABLED
-
 TEST_F(McCacheTest, QuarantineVerdictsReplayWithTheirRecords) {
   namespace fp = util::faultpoint;
   const Condition condition = fresh_condition();
@@ -404,27 +400,6 @@ TEST_F(McCacheTest, FaultSpecOwnsItsKeyspace) {
   EXPECT_EQ(counts.misses, 6u);
   EXPECT_TRUE(clean_dist.degradation.quarantined.empty());
 }
-
-#endif  // ISSA_FAULTPOINTS_ENABLED
-
-#else  // !ISSA_STORE_ENABLED
-
-TEST(McCacheOffTest, ApiIsInert) {
-  EXPECT_FALSE(mc_cache::enabled());
-  mc_cache::open(::testing::TempDir() + "/issa_mc_cache_off");
-  EXPECT_FALSE(mc_cache::enabled());
-  EXPECT_EQ(mc_cache::condition_fingerprint(fresh_condition(), mc_with(4)), "");
-  mc_cache::CachedSample out;
-  EXPECT_FALSE(mc_cache::lookup("fp", "offset", 0, out));
-  mc_cache::close();
-
-  // The distributions still work, they just never cache.
-  const OffsetDistribution dist = measure_offset_distribution(fresh_condition(), mc_with(4));
-  EXPECT_EQ(dist.valid_count(), 4u);
-  EXPECT_EQ(mc_cache::counts().hits, 0u);
-}
-
-#endif  // ISSA_STORE_ENABLED
 
 }  // namespace
 }  // namespace issa::analysis

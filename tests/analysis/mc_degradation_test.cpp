@@ -67,8 +67,6 @@ std::vector<std::size_t> quarantined_indices(const McDegradation& deg) {
   return out;
 }
 
-#if ISSA_FAULTPOINTS_ENABLED
-
 class McDegradationTest : public ::testing::Test {
  protected:
   void TearDown() override { fp::clear(); }
@@ -282,8 +280,6 @@ TEST_F(McDegradationTest, PoolTaskThrowStillFailsTheRun) {
   McConfig mc = mc_with(16, true, &pool);
   EXPECT_THROW(measure_offset_distribution(fresh_condition(), mc), fp::FaultInjected);
 }
-
-#endif  // ISSA_FAULTPOINTS_ENABLED
 
 TEST(McDegradationApi, ConditionStressMapNamesUnknownKind) {
   Condition c = fresh_condition();

@@ -1,0 +1,208 @@
+// Tests for core::RunContext: run flags into the McConfig, strict option
+// handling, sidecars joined by one run id, the cache summary line, and the
+// emit-exactly-once contract.
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "issa/analysis/mc_cache.hpp"
+#include "issa/core/run_context.hpp"
+#include "issa/sa/config.hpp"
+#include "issa/util/json.hpp"
+#include "issa/util/trace.hpp"
+
+namespace {
+
+using namespace issa;
+namespace fs = std::filesystem;
+
+// argv for a RunContext: a program name followed by `args`.
+class Argv {
+ public:
+  explicit Argv(std::vector<std::string> args) : strings_(std::move(args)) {
+    strings_.insert(strings_.begin(), "run_context_test");
+    for (const auto& s : strings_) pointers_.push_back(s.c_str());
+  }
+  int argc() const { return static_cast<int>(pointers_.size()); }
+  const char* const* argv() const { return pointers_.data(); }
+
+ private:
+  std::vector<std::string> strings_;
+  std::vector<const char*> pointers_;
+};
+
+std::string fresh_dir(const std::string& name) {
+  const fs::path dir = fs::path(::testing::TempDir()) / ("issa_run_context_" + name);
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir.string();
+}
+
+util::json::Value read_json(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return util::json::Value::parse(text.str());
+}
+
+std::size_t count_of(const std::string& haystack, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t pos = haystack.find(needle); pos != std::string::npos;
+       pos = haystack.find(needle, pos + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+class RunContextTest : public ::testing::Test {
+ protected:
+  // The run flags fall back to the environment; keep it out of the tests.
+  void SetUp() override {
+    for (const char* name : {"ISSA_METRICS", "ISSA_TRACE", "ISSA_CACHE", "ISSA_FAULTS",
+                             "ISSA_FAST"}) {
+      unsetenv(name);
+    }
+  }
+};
+
+using RunContextDeathTest = RunContextTest;
+
+TEST_F(RunContextTest, RunFlagsBuildTheMcConfig) {
+  const Argv args({"--mc=7", "--seed=9", "--quarantine-max=0.25", "--shard=1/4"});
+  core::RunContext run(args.argc(), args.argv(), "t");
+  EXPECT_EQ(run.mc().iterations, 7u);
+  EXPECT_EQ(run.mc().seed, 9u);
+  EXPECT_DOUBLE_EQ(run.mc().max_quarantine_fraction, 0.25);
+  EXPECT_EQ(run.mc().shard_index, 1u);
+  EXPECT_EQ(run.mc().shard_count, 4u);
+  EXPECT_FALSE(run.run_id().empty());
+  EXPECT_EQ(run.mc().run_id, run.run_id());
+}
+
+TEST_F(RunContextTest, NoShardMeansTheWholeSweep) {
+  const Argv args({});
+  core::RunContext run(args.argc(), args.argv(), "t");
+  EXPECT_EQ(run.mc().shard_index, 0u);
+  EXPECT_EQ(run.mc().shard_count, 1u);
+  EXPECT_EQ(run.mc().seed, 42u);
+}
+
+TEST_F(RunContextDeathTest, MalformedShardExitsTwo) {
+  for (const char* bad : {"2/2", "0/0", "a/b", "1", "1/", "/4", "1/4x"}) {
+    const Argv args({std::string("--shard=") + bad});
+    EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t"), ::testing::ExitedWithCode(2),
+                "bad --shard value")
+        << bad;
+  }
+}
+
+TEST_F(RunContextDeathTest, UnknownOptionExitsTwoBeforeAnyWork) {
+  const Argv args({"--mcc=2", "--fats"});
+  EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t", {"csv=path"}),
+              ::testing::ExitedWithCode(2), "unknown option --mcc=2");
+}
+
+TEST_F(RunContextDeathTest, BadFaultSpecExitsTwo) {
+  const Argv args({"--faults=no.such_site=always"});
+  EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t"), ::testing::ExitedWithCode(2),
+              "bad --faults/ISSA_FAULTS spec");
+}
+
+TEST_F(RunContextTest, SidecarsShareOneRunId) {
+  const std::string stem = fresh_dir("sidecars") + "/run";
+  const Argv args({"--metrics=" + stem, "--trace=" + stem});
+  std::string run_id;
+  {
+    core::RunContext run(args.argc(), args.argv(), "t");
+    run_id = run.run_id();
+    { util::trace::Span span("test.span", "test"); }
+    core::ExperimentRow row;
+    row.scheme = "NSSA";
+    row.workload_label = "-";
+    run.attach_rows({row});
+  }
+  ASSERT_FALSE(run_id.empty());
+  EXPECT_EQ(read_json(stem + ".metrics.json").at("run_id").as_string(), run_id);
+  EXPECT_EQ(read_json(stem + ".conditions.json").at("run_id").as_string(), run_id);
+  EXPECT_EQ(read_json(stem + ".trace.json").at("metadata").at("run_id").as_string(), run_id);
+  EXPECT_TRUE(fs::exists(stem + ".metrics.csv"));
+  EXPECT_TRUE(fs::exists(stem + ".conditions.csv"));
+  EXPECT_TRUE(fs::exists(stem + ".trace.jsonl"));
+}
+
+TEST_F(RunContextTest, CacheSummaryLineKeepsItsFormat) {
+  const std::string dir = fresh_dir("cache");
+  const Argv args({"--cache=" + dir, "--mc=2"});
+  const analysis::mc_cache::CacheCounts before = analysis::mc_cache::counts();
+  ::testing::internal::CaptureStdout();
+  {
+    core::RunContext run(args.argc(), args.argv(), "t");
+    EXPECT_TRUE(analysis::mc_cache::enabled());
+    analysis::Condition condition;
+    condition.kind = sa::SenseAmpKind::kNssa;
+    condition.config = sa::nominal_config();
+    analysis::measure_offset_distribution(condition, run.mc());
+  }
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_FALSE(analysis::mc_cache::enabled());
+  const analysis::mc_cache::CacheCounts after = analysis::mc_cache::counts();
+  EXPECT_EQ(after.misses - before.misses, 2u);
+  EXPECT_EQ(after.stores - before.stores, 2u);
+  EXPECT_NE(out.find("cache: loaded 0 record(s) from 0 segment(s) in " + dir + "\n"),
+            std::string::npos)
+      << out;
+  const std::string summary = "cache: hits=" + std::to_string(after.hits) +
+                              " misses=" + std::to_string(after.misses) +
+                              " stores=" + std::to_string(after.stores) + " dir=" + dir + "\n";
+  EXPECT_NE(out.find(summary), std::string::npos) << out;
+}
+
+TEST_F(RunContextTest, FinishEmitsExactlyOnce) {
+  const std::string stem = fresh_dir("once") + "/run";
+  const Argv args({"--metrics=" + stem});
+  ::testing::internal::CaptureStdout();
+  {
+    core::RunContext run(args.argc(), args.argv(), "t");
+    EXPECT_TRUE(run.finish());
+    fs::remove(stem + ".metrics.json");
+    EXPECT_TRUE(run.finish());  // no second write...
+  }                             // ...and none from the destructor either
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_FALSE(fs::exists(stem + ".metrics.json"));
+  EXPECT_EQ(count_of(out, "wrote " + stem + ".metrics.json"), 1u) << out;
+}
+
+// A main that bails out before reaching its explicit finish().
+int main_with_early_return(const Argv& args, bool bail) {
+  core::RunContext run(args.argc(), args.argv(), "t");
+  if (bail) return 3;
+  return run.finish() ? 0 : 1;
+}
+
+TEST_F(RunContextTest, EarlyReturnStillEmitsOnce) {
+  const std::string stem = fresh_dir("early") + "/run";
+  const Argv args({"--metrics=" + stem, "--trace=" + stem});
+  ::testing::internal::CaptureStdout();
+  EXPECT_EQ(main_with_early_return(args, true), 3);
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_TRUE(fs::exists(stem + ".metrics.json"));
+  EXPECT_TRUE(fs::exists(stem + ".trace.json"));
+  EXPECT_EQ(count_of(out, "wrote " + stem + ".metrics.json"), 1u) << out;
+  EXPECT_EQ(count_of(out, "wrote " + stem + ".trace.json"), 1u) << out;
+}
+
+TEST_F(RunContextTest, UnwritableSidecarMakesFinishFail) {
+  const Argv args({"--metrics=/nonexistent-dir/x/run"});
+  core::RunContext run(args.argc(), args.argv(), "t");
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(run.finish());
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("metrics report failed"),
+            std::string::npos);
+}
+
+}  // namespace

@@ -17,8 +17,6 @@
 namespace issa::util::faultpoint {
 namespace {
 
-#if ISSA_FAULTPOINTS_ENABLED
-
 class FaultpointTest : public ::testing::Test {
  protected:
   void TearDown() override { clear(); }
@@ -256,23 +254,6 @@ TEST_F(FaultpointTest, ConcurrentNthHitFiresExactlyOnce) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(fires.load(), 1);
 }
-
-#else  // !ISSA_FAULTPOINTS_ENABLED
-
-TEST(FaultpointOff, EverythingIsInertAndNothingThrows) {
-  configure("total nonsense ;;; not even a spec");  // no-op, must not throw
-  configure_from_env();
-  EXPECT_FALSE(armed());
-  EXPECT_FALSE(should_fire("test.site"));
-  EXPECT_FALSE(would_fire("test.site", 0, 0));
-  EXPECT_TRUE(report().empty());
-  SampleScope scope(1);
-  RetryScope retry;
-  maybe_fail("test.site");  // must not throw
-  clear();
-}
-
-#endif  // ISSA_FAULTPOINTS_ENABLED
 
 }  // namespace
 }  // namespace issa::util::faultpoint

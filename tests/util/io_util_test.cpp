@@ -1,6 +1,8 @@
 // Tests for AsciiTable, CsvWriter, Options (CLI), and the unit helpers.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -146,6 +148,53 @@ TEST(Options, BenchIterationsDefaultMatchesPaper) {
   const char* argv2[] = {"prog", "--mc=33"};
   Options opt2(2, argv2);
   EXPECT_EQ(bench_mc_iterations(opt2), 33u);
+}
+
+TEST(Options, StrictAcceptsDeclaredFlagsInEveryForm) {
+  const char* argv[] = {"prog", "--csv=out.csv", "--fast", "--metrics", "--metrics=stem",
+                        "--benchmark_filter=BM_X"};
+  const Options opt(6, argv, {"csv=path", "fast", "metrics[=stem]", "benchmark_*"});
+  EXPECT_EQ(*opt.get_string("csv"), "out.csv");
+  EXPECT_TRUE(opt.has_flag("fast"));
+  EXPECT_EQ(*opt.get_string("benchmark_filter"), "BM_X");
+}
+
+TEST(OptionsDeathTest, HelpPrintsUsageAndExitsZero) {
+  const char* argv[] = {"/some/dir/prog", "--mc=3", "--help"};
+  // The usage line goes to stdout; route it to stderr, which EXPECT_EXIT reads.
+  EXPECT_EXIT(
+      {
+        dup2(STDERR_FILENO, STDOUT_FILENO);
+        Options(3, argv, {"mc=N", "csv=path", "fast"});
+      },
+      ::testing::ExitedWithCode(0), "usage: prog \\[--mc=N\\] \\[--csv=path\\] \\[--fast\\]\n");
+}
+
+TEST(OptionsDeathTest, UnknownFlagPrintsUsageAndExitsTwo) {
+  const char* argv[] = {"prog", "--mc=2", "--fats"};
+  EXPECT_EXIT(Options(3, argv, {"mc=N", "fast"}), ::testing::ExitedWithCode(2),
+              "unknown option --fats\nusage: prog \\[--mc=N\\] \\[--fast\\]\n");
+}
+
+TEST(OptionsDeathTest, PositionalArgumentIsRejected) {
+  const char* argv[] = {"prog", "stray"};
+  EXPECT_EXIT(Options(2, argv, {"mc=N"}), ::testing::ExitedWithCode(2), "unknown option stray");
+}
+
+TEST(OptionsDeathTest, NamesMustMatchExactly) {
+  // Neither a prefix nor an extension of a declared name is that option.
+  for (const char* arg : {"--m=3", "--mcc=3", "--mc-extra", "-mc=3", "--"}) {
+    const char* argv[] = {"prog", arg};
+    EXPECT_EXIT(Options(2, argv, {"mc=N"}), ::testing::ExitedWithCode(2), "unknown option")
+        << arg;
+  }
+}
+
+TEST(OptionsDeathTest, FailPrintsMessageAndUsage) {
+  const char* argv[] = {"prog"};
+  const Options opt(1, argv, {"shard=i/N"});
+  EXPECT_EXIT(opt.fail("bad --shard value"), ::testing::ExitedWithCode(2),
+              "bad --shard value\nusage: prog \\[--shard=i/N\\]\n");
 }
 
 TEST(Units, Conversions) {

@@ -85,5 +85,14 @@ TEST(JsonTest, MutatorsBuildDocuments) {
   EXPECT_EQ(obj.at("a").as_array()[0].as_string(), "e");
 }
 
+TEST(JsonTest, EscapeKeepsReportsParseable) {
+  // Quote and backslash are escaped; control bytes become spaces.
+  const std::string raw = std::string("a\"b\\c\n\td") + '\0' + "\x1f";
+  const std::string escaped = escape(raw);
+  EXPECT_EQ(escaped, "a\\\"b\\\\c  d  ");
+  EXPECT_EQ(Value::parse("\"" + escaped + "\"").as_string(), "a\"b\\c  d  ");
+  EXPECT_EQ(escape("plain"), "plain");
+}
+
 }  // namespace
 }  // namespace issa::util::json

@@ -30,8 +30,6 @@ class MetricsTest : public ::testing::Test {
   }
 };
 
-#if ISSA_METRICS_ENABLED
-
 TEST_F(MetricsTest, CounterAggregatesAcrossThreads) {
   Counter& c = Registry::instance().counter("test.threads");
   constexpr int kThreads = 8;
@@ -222,20 +220,6 @@ TEST_F(MetricsTest, RuntimeDisabledIsNoOp) {
   EXPECT_EQ(c.value(), 1u);
 }
 
-#else  // compile-disabled build: everything is a structural no-op.
-
-TEST_F(MetricsTest, CompileDisabledEverythingIsNoOp) {
-  EXPECT_FALSE(enabled());
-  set_enabled(true);
-  EXPECT_FALSE(enabled());
-  Counter& c = Registry::instance().counter("test.off");
-  c.add(5);
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_TRUE(Registry::instance().snapshot().entries.empty());
-}
-
-#endif  // ISSA_METRICS_ENABLED
-
 TEST_F(MetricsTest, JsonReportIsWellFormed) {
   Registry::instance().counter("test.json").add(2);
   const Snapshot snap = Registry::instance().snapshot();
@@ -251,10 +235,8 @@ TEST_F(MetricsTest, JsonReportIsWellFormed) {
   }
   EXPECT_EQ(braces, 0);
   EXPECT_EQ(brackets, 0);
-#if ISSA_METRICS_ENABLED
   EXPECT_NE(json.find("\"test.json\": {\"kind\": \"counter\", \"count\": 2}"),
             std::string::npos);
-#endif
 }
 
 TEST_F(MetricsTest, ReportFilesRoundTrip) {

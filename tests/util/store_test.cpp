@@ -37,8 +37,6 @@ std::string only_segment(const std::string& dir) {
   return found;
 }
 
-#if ISSA_STORE_ENABLED
-
 TEST(Crc32Test, MatchesKnownVectors) {
   // The standard CRC-32 check value ("123456789" -> 0xCBF43926) pins the
   // polynomial, reflection, and final XOR all at once.
@@ -264,20 +262,6 @@ TEST(StoreTest, KeysAreSortedAndForEachVisitsAll) {
   std::sort(visited.begin(), visited.end());
   EXPECT_EQ(visited, (std::vector<std::string>{"a=1", "b=2", "c=3"}));
 }
-
-#else  // !ISSA_STORE_ENABLED
-
-TEST(StoreOffTest, StubIsInertAndWritesNothing) {
-  const std::string dir = fresh_dir("off");
-  Store store(dir);
-  EXPECT_FALSE(store.put("k", "v"));
-  EXPECT_FALSE(store.get("k").has_value());
-  EXPECT_EQ(store.size(), 0u);
-  store.flush();
-  EXPECT_FALSE(fs::exists(dir)) << "OFF stub must not touch the filesystem";
-}
-
-#endif  // ISSA_STORE_ENABLED
 
 }  // namespace
 }  // namespace issa::util::store

@@ -152,7 +152,6 @@ TEST(ThreadPool, ShutdownWhileBusyDrainsAllTasks) {
 }
 
 TEST(ThreadPool, CountsTasksWhenMetricsEnabled) {
-#if ISSA_METRICS_ENABLED
   metrics::Registry::instance().reset();
   metrics::set_enabled(true);
   ThreadPool pool(2);
@@ -167,9 +166,6 @@ TEST(ThreadPool, CountsTasksWhenMetricsEnabled) {
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count, executed);
   metrics::Registry::instance().reset();
-#else
-  GTEST_SKIP() << "metrics compiled out";
-#endif
 }
 
 }  // namespace

@@ -37,8 +37,6 @@ class TraceTest : public ::testing::Test {
   }
 };
 
-#if ISSA_TRACE_ENABLED
-
 TEST_F(TraceTest, SpanRecordsNameCategoryAndDuration) {
   {
     Span span("test.outer", "test");
@@ -273,34 +271,10 @@ TEST_F(TraceTest, ClearDropsBufferedEvents) {
   EXPECT_TRUE(data.spans.empty());
 }
 
-#else  // compile-disabled build: everything is a structural no-op.
-
-TEST_F(TraceTest, CompileDisabledEverythingIsNoOp) {
-  EXPECT_FALSE(enabled());
-  EXPECT_FALSE(forensics_enabled());
-  set_enabled(true);
-  EXPECT_FALSE(enabled());
-  {
-    Span span("test.off", "test");
-    EXPECT_FALSE(span.active());
-    span.attr_u64("ignored", 1);
-    span.attr_f64("ignored", 1.0);
-    span.attr_str("ignored", "x");
-    ContextScope ctx({Attr::u64("sample", 1)});
-  }
-  record_forensic(ForensicEvent{});
-  const TraceData data = collect();
-  EXPECT_TRUE(data.spans.empty());
-  EXPECT_TRUE(data.forensics.empty());
-}
-
-#endif  // ISSA_TRACE_ENABLED
-
 // Serialization is compiled in both modes; these round-trip what the writers
 // produce through the in-tree JSON parser.
 
 TEST_F(TraceTest, ChromeJsonRoundTripsThroughParser) {
-#if ISSA_TRACE_ENABLED
   {
     Span outer("test.rt_outer", "test");
     outer.attr_u64("n", 3);
@@ -313,7 +287,6 @@ TEST_F(TraceTest, ChromeJsonRoundTripsThroughParser) {
     Span s("test.rt_fail", "test");
     record_forensic(std::move(event));
   }
-#endif
   set_enabled(false);
   const TraceData data = collect();
   const std::string text = to_chrome_json(data, "run-123");
@@ -340,7 +313,6 @@ TEST_F(TraceTest, ChromeJsonRoundTripsThroughParser) {
     }
   }
   EXPECT_EQ(doc.at("metadata").at("run_id").as_string(), "run-123");
-#if ISSA_TRACE_ENABLED
   EXPECT_EQ(complete, 3u);
   EXPECT_EQ(instants, 1u);
   // The instant event names the forensic kind and carries the span path.
@@ -353,16 +325,10 @@ TEST_F(TraceTest, ChromeJsonRoundTripsThroughParser) {
     }
   }
   EXPECT_TRUE(found);
-#else
-  EXPECT_EQ(complete, 0u);
-  EXPECT_EQ(instants, 0u);
-#endif
 }
 
 TEST_F(TraceTest, JsonlEmitsOneParseableObjectPerLine) {
-#if ISSA_TRACE_ENABLED
   { Span span("test.jsonl", "test"); }
-#endif
   set_enabled(false);
   const std::string text = to_jsonl(collect());
   std::size_t lines = 0;
@@ -376,37 +342,27 @@ TEST_F(TraceTest, JsonlEmitsOneParseableObjectPerLine) {
     ++lines;
     pos = eol + 1;
   }
-#if ISSA_TRACE_ENABLED
   EXPECT_EQ(lines, 1u);
-#else
-  EXPECT_EQ(lines, 0u);
-#endif
 }
 
 TEST_F(TraceTest, ForensicsJsonParsesWithFullHistories) {
-#if ISSA_TRACE_ENABLED
   ForensicEvent event;
   event.kind = "transient_step_collapse";
   event.residual_history = {4.0, 2.0, 1.0};
   event.alpha_history = {1.0, 0.5};
   event.node_voltages = {0.0, 1.0, 0.5};
   record_forensic(std::move(event));
-#endif
   set_enabled(false);
   const std::string text = forensics_to_json(collect(), "run-xyz");
   const json::Value doc = json::Value::parse(text);
   EXPECT_EQ(doc.at("run_id").as_string(), "run-xyz");
   ASSERT_TRUE(doc.at("events").is_array());
-#if ISSA_TRACE_ENABLED
   ASSERT_EQ(doc.at("events").as_array().size(), 1u);
   const json::Value& f = doc.at("events").as_array()[0];
   EXPECT_EQ(f.at("kind").as_string(), "transient_step_collapse");
   EXPECT_EQ(f.at("residual_history").as_array().size(), 3u);
   EXPECT_DOUBLE_EQ(f.at("alpha_history").as_array()[1].as_number(), 0.5);
   EXPECT_EQ(f.at("node_voltages").as_array().size(), 3u);
-#else
-  EXPECT_TRUE(doc.at("events").as_array().empty());
-#endif
 }
 
 TEST_F(TraceTest, WriteToUnopenablePathThrows) {

@@ -168,10 +168,6 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!ISSA_STORE_ENABLED) {
-    std::fprintf(stderr, "store_report: built with -DISSA_STORE=OFF; no stores to read\n");
-    return 2;
-  }
   try {
     const std::vector<std::string> args(argv + 1, argv + argc);
     if (args.size() == 1 && args[0].rfind("--", 0) != 0) return summarize(args[0]);
