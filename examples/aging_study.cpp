@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
   const util::Options options(argc, argv, {"mc=N", "temp=C", "csv=path"});
 
   analysis::McConfig mc;
-  mc.iterations = static_cast<std::size_t>(options.get_long_or("mc", 80));
+  mc.iterations = options.get_count_or("mc", 80);
   const double temp_c = options.get_double_or("temp", 25.0);
 
   analysis::Condition condition;

@@ -21,11 +21,11 @@ int main(int argc, char** argv) {
   const util::Options options(argc, argv, {"mc=N", "temp=C", "rows=R"});
 
   analysis::McConfig mc;
-  mc.iterations = static_cast<std::size_t>(options.get_long_or("mc", 60));
+  mc.iterations = options.get_count_or("mc", 60);
   const double temp_c = options.get_double_or("temp", 125.0);
 
   mem::ReadPathParams path_params;
-  path_params.bitline.rows = static_cast<std::size_t>(options.get_long_or("rows", 256));
+  path_params.bitline.rows = options.get_count_or("rows", 256);
   const mem::ColumnReadPath path(path_params);
 
   analysis::Condition condition;

@@ -30,11 +30,6 @@ util::metrics::Counter& m_saturated() {
       util::metrics::Registry::instance().counter(mnames::kMcSaturatedSamples);
   return c;
 }
-util::metrics::Timer& m_sample_time() {
-  static util::metrics::Timer& t =
-      util::metrics::Registry::instance().timer(mnames::kMcSampleTime);
-  return t;
-}
 util::metrics::Counter& m_sample_failures() {
   static util::metrics::Counter& c =
       util::metrics::Registry::instance().counter(mnames::kMcSampleFailures);
@@ -179,7 +174,7 @@ McDegradation for_samples(const Condition& condition, const McConfig& mc,
                           const char* phase_name, Body&& body, Replay&& replay,
                           Persist&& persist) {
   util::trace::Span phase(phase_name, "mc");
-  if (phase.active()) {
+  if (phase.traced()) {
     phase.attr_u64("iterations", mc.iterations);
     phase.attr_u64("seed", mc.seed);
     phase.attr_str("kind", kind_name(condition.kind));
@@ -207,10 +202,9 @@ McDegradation for_samples(const Condition& condition, const McConfig& mc,
       m_samples().add();
       return;
     }
-    const util::metrics::Timer::Scope timing(m_sample_time());
     util::trace::Span span(util::trace::spans::kMcSample, "mc");
     std::vector<util::trace::Attr> context;
-    if (span.active()) {
+    if (span.traced()) {
       span.attr_u64("sample", i);
       span.attr_u64("seed", mc.seed);
       context = {util::trace::Attr::u64("sample", i),

@@ -46,6 +46,10 @@ util::metrics::Counter& m_early_exits() {
   static util::metrics::Counter& c = metric(mnames::kTransientEarlyExits);
   return c;
 }
+util::metrics::Counter& m_lu_factorizations() {
+  static util::metrics::Counter& c = metric(mnames::kLuFactorizations);
+  return c;
+}
 
 }  // namespace
 
@@ -185,7 +189,6 @@ void Simulator::gather_unknowns(const std::vector<double>& v, std::vector<double
 void Simulator::assemble(const std::vector<double>& x, double t, bool transient, double gmin,
                          double source_scale, linalg::Matrix& jacobian,
                          std::vector<double>& residual) {
-  ++stats_.jacobian_builds;  // flushed to metrics by newton_solve's Telemetry
   jacobian.set_zero();
   std::fill(residual.begin(), residual.end(), 0.0);
 
@@ -292,9 +295,6 @@ void Simulator::record_solver_forensic(const char* kind, const char* reason,
   event.attrs.push_back(util::trace::Attr::f64("t", t));
   event.attrs.push_back(util::trace::Attr::f64("h_or_gmin", h_or_gmin));
   event.attrs.push_back(util::trace::Attr::f64("temperature_k", temperature_k_));
-  event.attrs.push_back(
-      util::trace::Attr::u64("newton_iterations", static_cast<std::uint64_t>(
-                                 stats_.newton_iterations)));
   event.residual_history = fnorm_hist_ws_;
   event.alpha_history = alpha_hist_ws_;
   fill_node_voltages(x, t, 1.0, forensic_v_ws_);
@@ -305,7 +305,6 @@ void Simulator::record_solver_forensic(const char* kind, const char* reason,
 bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, double gmin,
                              double source_scale, const NewtonOptions& options) {
   const std::size_t n = unknown_count();
-  util::trace::Span span(util::trace::spans::kNewtonSolve, "sim");
   const bool forensic = util::trace::forensics_enabled();
   if (forensic) {
     fnorm_hist_ws_.clear();
@@ -327,46 +326,33 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, d
   // Telemetry is batched per solve: the Newton loop counts locally (it runs
   // thousands of times per transient) and one flush on exit pays a single
   // enabled() check, keeping the hot loop free of atomics when metrics are off.
+  // These counters are the only record of work below the transient level.
   struct Telemetry {
-    const SimulatorStats& stats;
-    const long builds_before;
     std::uint64_t iterations = 0;
     std::uint64_t failures = 0;
-    explicit Telemetry(const SimulatorStats& s) : stats(s), builds_before(s.jacobian_builds) {}
+    std::uint64_t builds = 0;          // assemble() calls, line-search trials included
+    std::uint64_t factorizations = 0;  // LU attempts, singular ones included
     ~Telemetry() {
       if (!util::metrics::enabled()) return;
       if (iterations > 0) m_newton_iterations().add(iterations);
       if (failures > 0) m_newton_failures().add(failures);
-      const long builds = stats.jacobian_builds - builds_before;
-      if (builds > 0) m_jacobian_builds().add(static_cast<std::uint64_t>(builds));
+      if (builds > 0) m_jacobian_builds().add(builds);
+      if (factorizations > 0) m_lu_factorizations().add(factorizations);
     }
-  } telemetry(stats_);
+  } telemetry;
 
   assemble(x, t, transient, gmin, source_scale, jacobian, residual);
+  ++telemetry.builds;
   double fnorm = inf_norm(residual);
   int line_search_failures = 0;
-  double last_alpha = 1.0;
   if (forensic) fnorm_hist_ws_.push_back(fnorm);
-
-  // Attaches the solve's outcome to its trace span (one branch when tracing
-  // is off) and forwards the convergence verdict.
-  auto finish = [&](bool converged, int iterations, const char* outcome) {
-    if (span.active()) {
-      span.attr_u64("iterations", static_cast<std::uint64_t>(iterations));
-      span.attr_f64("final_residual", fnorm);
-      span.attr_f64("alpha", last_alpha);
-      span.attr_str("outcome", outcome);
-    }
-    return converged;
-  };
 
   // Injected non-convergence reports failure through the normal verdict path,
   // so callers exercise their real fallbacks (homotopy, source stepping,
   // step halving) exactly as they would for a natural failure.
   if (util::faultpoint::should_fire(util::faultpoint::sites::kNewtonNonconvergence)) {
-    ++stats_.newton_failures;
     ++telemetry.failures;
-    return finish(false, 0, "fault_injected");
+    return false;
   }
 
   // Newton cannot land exactly on the root of a stiff exponential; the
@@ -375,19 +361,17 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, d
   const double abstol = std::max(options.abstol, 2.0 * gmin);
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    ++stats_.newton_iterations;
     ++telemetry.iterations;
-    if (fnorm < abstol) return finish(true, iter, "converged_abstol");
+    if (fnorm < abstol) return true;
 
     try {
+      ++telemetry.factorizations;
       lu_ws_.factorize(jacobian);  // in place: jacobian now holds the factors
-      ++stats_.lu_factorizations;
       for (std::size_t i = 0; i < n; ++i) dx[i] = -residual[i];
       lu_ws_.solve_in_place(dx);
     } catch (const std::runtime_error&) {
-      ++stats_.newton_failures;
       ++telemetry.failures;
-      return finish(false, iter, "singular_jacobian");  // caller falls back
+      return false;  // singular Jacobian: the caller falls back
     }
 
     // Damping stage 1: clamp the voltage updates (branch currents are free).
@@ -402,15 +386,15 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, d
         detail::backtracking_line_search(7, fnorm, abstol, [&](double alpha) {
           for (std::size_t i = 0; i < n; ++i) x_try[i] = x[i] + alpha * dx[i];
           assemble(x_try, t, transient, gmin, source_scale, jacobian, residual_try);
+          ++telemetry.builds;
           return inf_norm(residual_try);
         });
     if (!ls.improved) {
       // Accept the smallest trial step anyway to escape flat regions, but a
       // run of such steps means we are stuck.
       if (++line_search_failures > 4) {
-        ++stats_.newton_failures;
         ++telemetry.failures;
-        return finish(false, iter + 1, "line_search_stuck");
+        return false;
       }
     } else {
       line_search_failures = 0;
@@ -423,24 +407,21 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, d
     x.swap(x_try);
     residual.swap(residual_try);  // jacobian/residual already match x now
     fnorm = inf_norm(residual);
-    last_alpha = ls.alpha;
     if (forensic) {
       fnorm_hist_ws_.push_back(fnorm);
       alpha_hist_ws_.push_back(ls.alpha);
     }
 
-    if (max_dv < options.vtol && ls.improved) return finish(true, iter + 1, "converged_vtol");
+    if (max_dv < options.vtol && ls.improved) return true;
   }
-  ++stats_.newton_failures;
   ++telemetry.failures;
-  return finish(false, options.max_iterations, "max_iterations");
+  return false;
 }
 
 std::vector<double> Simulator::solve_dc(const DcOptions& options) {
-  ++stats_.dc_solves;
   m_dc_solves().add();
   util::trace::Span span(util::trace::spans::kDcSolve, "sim");
-  if (span.active()) {
+  if (span.traced()) {
     span.attr_u64("unknowns", unknown_count());
     span.attr_u64("warm_start", options.initial_guess.empty() ? 0 : 1);
   }
@@ -533,7 +514,7 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
     throw std::invalid_argument("run_transient: tstop and dt must be > 0");
   }
   util::trace::Span span(util::trace::spans::kTransient, "sim");
-  if (span.active()) {
+  if (span.traced()) {
     span.attr_f64("tstop", options.tstop);
     span.attr_f64("dt", options.dt);
   }
@@ -614,7 +595,6 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
         t += h;
         fill_node_voltages(x, t, 1.0, node_v);
         accept_step(node_v);
-        ++stats_.transient_steps;
         m_transient_steps().add();
         break;
       }
@@ -626,19 +606,17 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
         }
         throw ConvergenceError("run_transient: Newton failed at t = " + std::to_string(t));
       }
-      ++stats_.step_rejections;
       m_step_rejections().add();
       h *= 0.5;
     }
     result.append(t, node_v);
     if (options.stop_condition && options.stop_condition(t, node_v)) {
-      ++stats_.early_exits;
       m_early_exits().add();
-      if (span.active()) span.attr_u64("early_exit", 1);
+      if (span.traced()) span.attr_u64("early_exit", 1);
       break;
     }
   }
-  if (span.active()) {
+  if (span.traced()) {
     span.attr_u64("steps", result.steps());
     span.attr_f64("t_end", t);
   }

@@ -171,7 +171,7 @@ ExperimentRow ExperimentRunner::run_cell(sa::SenseAmpKind kind,
       make_condition(kind, workload, stress_time_s, vdd_scale, temperature_c);
 
   util::trace::Span span(util::trace::spans::kExperimentCell, "experiment");
-  if (span.active()) {
+  if (span.traced()) {
     span.attr_str("scheme", kind == sa::SenseAmpKind::kNssa ? "NSSA" : "ISSA");
     span.attr_str("workload", workload_label(kind, workload, stress_time_s));
     span.attr_f64("vdd", condition.config.vdd);

@@ -5,50 +5,14 @@
 #include <stdexcept>
 
 #include "issa/util/faultpoint.hpp"
-#include "issa/util/metrics.hpp"
-#include "issa/util/trace.hpp"
 
 namespace issa::linalg {
-
-namespace {
-
-namespace mnames = util::metrics::names;
-
-util::metrics::Counter& m_factorizations() {
-  static util::metrics::Counter& c =
-      util::metrics::Registry::instance().counter(mnames::kLuFactorizations);
-  return c;
-}
-util::metrics::Counter& m_solves() {
-  static util::metrics::Counter& c =
-      util::metrics::Registry::instance().counter(mnames::kLuSolves);
-  return c;
-}
-util::metrics::Timer& m_factor_time() {
-  static util::metrics::Timer& t =
-      util::metrics::Registry::instance().timer(mnames::kLuFactorTime);
-  return t;
-}
-util::metrics::Timer& m_solve_time() {
-  static util::metrics::Timer& t =
-      util::metrics::Registry::instance().timer(mnames::kLuSolveTime);
-  return t;
-}
-
-}  // namespace
 
 LuFactorization::LuFactorization(const Matrix& a, double min_pivot) : owned_(a) {
   factorize(owned_, min_pivot);
 }
 
 void LuFactorization::factorize(Matrix& a, double min_pivot) {
-  util::trace::Span span(util::trace::spans::kLuFactorize, "lu");
-  if (span.active()) span.attr_u64("n", a.rows());
-  // One enabled() check covers both counter and timer; when metrics are off
-  // the factorization pays a single relaxed load.
-  const bool monitored = util::metrics::enabled();
-  const std::uint64_t t0 = monitored ? util::metrics::monotonic_ns() : 0;
-  if (monitored) m_factorizations().add();
   if (a.rows() != a.cols()) throw std::invalid_argument("LuFactorization: matrix not square");
   // Injected stand-in for the singular-pivot throw below: same type, same
   // catch paths, but on demand (see util/faultpoint.hpp).
@@ -90,14 +54,9 @@ void LuFactorization::factorize(Matrix& a, double min_pivot) {
     }
   }
   lu_ = &a;
-  if (monitored) m_factor_time().record_ns(util::metrics::monotonic_ns() - t0);
 }
 
 void LuFactorization::solve_in_place(std::span<double> b) const {
-  util::trace::Span span(util::trace::spans::kLuSolve, "lu");
-  const bool monitored = util::metrics::enabled();
-  const std::uint64_t t0 = monitored ? util::metrics::monotonic_ns() : 0;
-  if (monitored) m_solves().add();
   if (lu_ == nullptr) throw std::logic_error("LuFactorization::solve: not factorized");
   const Matrix& lu = *lu_;
   const std::size_t n = size();
@@ -121,7 +80,6 @@ void LuFactorization::solve_in_place(std::span<double> b) const {
     y[ii] = acc / lu(ii, ii);
   }
   for (std::size_t i = 0; i < n; ++i) b[i] = y[i];
-  if (monitored) m_solve_time().record_ns(util::metrics::monotonic_ns() - t0);
 }
 
 std::vector<double> LuFactorization::solve(std::span<const double> b) const {

@@ -92,7 +92,7 @@ std::optional<double> Options::get_double(std::string_view name) const {
   try {
     return std::stod(*v);
   } catch (const std::exception&) {
-    throw std::invalid_argument("bad numeric value for --" + std::string(name) + ": " + *v);
+    reject("bad numeric value for --" + std::string(name) + ": " + *v);
   }
 }
 
@@ -109,7 +109,7 @@ std::optional<long> Options::get_long(std::string_view name) const {
     }
     return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("bad integer value for --" + std::string(name) + ": " + *v);
+    reject("bad integer value for --" + std::string(name) + ": " + *v);
   }
 }
 
@@ -121,11 +121,24 @@ long Options::get_long_or(std::string_view name, long fallback) const {
   return get_long(name).value_or(fallback);
 }
 
+std::size_t Options::get_count_or(std::string_view name, std::size_t fallback) const {
+  const auto v = get_long(name);
+  if (!v) return fallback;
+  if (*v <= 0) {
+    reject("--" + std::string(name) + " must be a positive integer: " + std::to_string(*v));
+  }
+  return static_cast<std::size_t>(*v);
+}
+
+void Options::reject(const std::string& message) const {
+  if (!usage_.empty()) fail(message);
+  throw std::invalid_argument(message);
+}
+
 bool fast_mode(const Options& options) { return options.flag_or_env("fast", "ISSA_FAST"); }
 
 std::size_t bench_mc_iterations(const Options& options) {
-  if (const auto mc = options.get_long("mc"); mc && *mc > 0) return static_cast<std::size_t>(*mc);
-  return fast_mode(options) ? 60u : 400u;
+  return options.get_count_or("mc", fast_mode(options) ? 60u : 400u);
 }
 
 }  // namespace issa::util

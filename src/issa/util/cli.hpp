@@ -32,18 +32,25 @@ class Options {
   /// to a non-empty, non-"0" value.
   bool flag_or_env(std::string_view name, const char* env) const;
 
+  /// Numeric lookups.  A malformed value (or, for get_count_or, one that is
+  /// not positive) fails like fail() in the strict form and throws
+  /// std::invalid_argument in the lenient form.
   std::optional<std::string> get_string(std::string_view name) const;
   std::optional<double> get_double(std::string_view name) const;
   std::optional<long> get_long(std::string_view name) const;
 
   double get_double_or(std::string_view name, double fallback) const;
   long get_long_or(std::string_view name, long fallback) const;
+  /// A positive integer such as --mc=N or --rows=R.
+  std::size_t get_count_or(std::string_view name, std::size_t fallback) const;
 
   /// Prints `message` and the usage line on stderr and exits 2: for values
   /// the program rejects after parsing (a malformed --shard, say).
   [[noreturn]] void fail(std::string_view message) const;
 
  private:
+  [[noreturn]] void reject(const std::string& message) const;
+
   std::string args_;   // flattened "--k=v\n--flag\n" list for lookup
   std::string usage_;  // "usage: prog [--flag] ..." (strict form only)
 };
@@ -54,7 +61,7 @@ class Options {
 bool fast_mode(const Options& options);
 
 /// Monte-Carlo iteration count used by benches: the paper's 400 by default,
-/// overridable with --mc=N, shrunk to 60 in fast mode.
+/// overridable with --mc=N (a positive integer), shrunk to 60 in fast mode.
 std::size_t bench_mc_iterations(const Options& options);
 
 }  // namespace issa::util

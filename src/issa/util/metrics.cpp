@@ -10,6 +10,7 @@
 #include "issa/util/csv.hpp"
 #include "issa/util/json.hpp"
 #include "issa/util/table.hpp"
+#include "issa/util/trace.hpp"  // spans::kAll
 
 namespace issa::util::metrics {
 
@@ -150,20 +151,19 @@ Registry& Registry::instance() {
 }
 
 Registry::Registry() : impl_(new Impl) {
-  // Pre-register the canonical schema so every report lists the full metric
-  // set even for binaries that never touch some subsystem.
+  // Pre-register the canonical schema (the span timers included) so every
+  // report lists the full metric set even for binaries that never touch
+  // some subsystem.
   for (const char* name :
        {names::kNewtonIterations, names::kNewtonFailures, names::kStepRejections,
         names::kJacobianBuilds, names::kTransientSteps, names::kDcSolves,
         names::kTransientEarlyExits,
-        names::kLuFactorizations, names::kLuSolves, names::kPoolTasksEnqueued,
+        names::kLuFactorizations, names::kPoolTasksEnqueued,
         names::kPoolTasksExecuted, names::kMcSamples, names::kMcSaturatedSamples,
         names::kMcCacheHits, names::kMcCacheMisses, names::kMcCacheStores}) {
     counter(name);
   }
-  for (const char* name : {names::kLuFactorTime, names::kLuSolveTime, names::kMcSampleTime}) {
-    timer(name);
-  }
+  for (const char* name : trace::spans::kAll) timer(name);
   histogram(names::kPoolQueueLatency);
 }
 

@@ -7,6 +7,9 @@
 // per-thread stripe id; updates are a relaxed fetch_add with no shared
 // write-line contention in the common case.
 //
+// Below the sample level (Newton, assembly, LU) work is only counted; every
+// timer is the aggregate of the util::trace::Span of the same name.
+//
 // Metrics start disabled: instrumented sites pay one relaxed atomic load +
 // predicted branch until set_enabled(true) is called (the --metrics CLI flag
 // or the ISSA_METRICS environment variable).
@@ -64,7 +67,8 @@ class Counter {
   std::array<detail::CounterCell, detail::kStripes> cells_{};
 };
 
-/// Accumulated duration plus event count; measure scopes with Timer::Scope.
+/// Accumulated duration plus event count.  Code times a scope with a
+/// util::trace::Span, which feeds the timer of its own name on close.
 class Timer {
  public:
   void record_ns(std::uint64_t ns) noexcept {
@@ -73,23 +77,6 @@ class Timer {
     cell.count.fetch_add(1, std::memory_order_relaxed);
     cell.total_ns.fetch_add(ns, std::memory_order_relaxed);
   }
-
-  /// RAII span: reads the clock only when metrics are enabled at entry.
-  class Scope {
-   public:
-    explicit Scope(Timer& timer) noexcept
-        : timer_(&timer), active_(enabled()), start_ns_(active_ ? monotonic_ns() : 0) {}
-    ~Scope() {
-      if (active_) timer_->record_ns(monotonic_ns() - start_ns_);
-    }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    Timer* timer_;
-    bool active_;
-    std::uint64_t start_ns_;
-  };
 
   std::uint64_t count() const noexcept;
   std::uint64_t total_ns() const noexcept;
@@ -182,15 +169,11 @@ inline constexpr const char* kTransientSteps = "sim.transient_steps";
 inline constexpr const char* kDcSolves = "sim.dc_solves";
 inline constexpr const char* kTransientEarlyExits = "sim.transient_early_exits";
 inline constexpr const char* kLuFactorizations = "lu.factorizations";
-inline constexpr const char* kLuSolves = "lu.solves";
-inline constexpr const char* kLuFactorTime = "lu.factor_time";
-inline constexpr const char* kLuSolveTime = "lu.solve_time";
 inline constexpr const char* kPoolTasksEnqueued = "pool.tasks_enqueued";
 inline constexpr const char* kPoolTasksExecuted = "pool.tasks_executed";
 inline constexpr const char* kPoolQueueLatency = "pool.queue_latency";
 inline constexpr const char* kMcSamples = "mc.samples";
 inline constexpr const char* kMcSaturatedSamples = "mc.saturated_samples";
-inline constexpr const char* kMcSampleTime = "mc.sample_time";
 inline constexpr const char* kMcSampleFailures = "mc.sample_failures";
 inline constexpr const char* kMcSampleRetries = "mc.sample_retries";
 inline constexpr const char* kMcQuarantinedSamples = "mc.quarantined_samples";
@@ -199,8 +182,9 @@ inline constexpr const char* kMcCacheMisses = "mc.cache_misses";
 inline constexpr const char* kMcCacheStores = "mc.cache_stores";
 }  // namespace names
 
-/// Process-wide metric registry.  Lookup is mutex-protected (call sites cache
-/// the returned reference); the metrics themselves are lock-free.
+/// Process-wide metric registry.  Lookup is mutex-protected (per-iteration
+/// call sites cache the returned reference; a closing span looks its timer
+/// up); the metrics themselves are lock-free.
 class Registry {
  public:
   static Registry& instance();

@@ -59,10 +59,7 @@ void ThreadPool::run_task(Task task) {
   tasks_executed().add();
   // Task spans make worker utilization visible in the trace timeline: the
   // gap between pool.task spans on a tid is idle/queueing time.
-  trace::Span span(trace::spans::kPoolTask, "pool");
-  if (span.active() && task.enqueue_ns != 0) {
-    span.attr_u64("queue_ns", metrics::monotonic_ns() - task.enqueue_ns);
-  }
+  const trace::Span span(trace::spans::kPoolTask, "pool");
   task.fn();
 }
 
@@ -95,7 +92,7 @@ bool ThreadPool::try_run_one() {
 void ThreadPool::enqueue(std::function<void()> fn) {
   Task task;
   task.fn = std::move(fn);
-  if (metrics::enabled() || trace::enabled()) task.enqueue_ns = metrics::monotonic_ns();
+  if (metrics::enabled()) task.enqueue_ns = metrics::monotonic_ns();
   tasks_enqueued().add();
   {
     std::lock_guard lock(mutex_);

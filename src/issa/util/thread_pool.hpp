@@ -50,7 +50,7 @@ class ThreadPool {
  private:
   struct Task {
     std::function<void()> fn;
-    std::uint64_t enqueue_ns = 0;  // set only while metrics or tracing are enabled
+    std::uint64_t enqueue_ns = 0;  // set only while metrics are enabled
   };
 
   void worker_loop();

@@ -10,7 +10,7 @@
 #include <sstream>
 
 #include "issa/util/json.hpp"
-#include "issa/util/metrics.hpp"  // monotonic_ns
+#include "issa/util/metrics.hpp"
 
 namespace issa::util::trace {
 
@@ -130,15 +130,22 @@ TraceConfig config() {
 }
 
 Span::Span(const char* name, const char* category) noexcept
-    : active_(enabled()), name_(name), category_(category) {
-  if (!active_) return;
-  t_span_stack.push_back(name);
+    : timed_(metrics::enabled() || enabled()),
+      traced_(enabled()),
+      name_(name),
+      category_(category) {
+  if (!timed_) return;
+  if (traced_) t_span_stack.push_back(name);
   start_ns_ = metrics::monotonic_ns();
 }
 
 Span::~Span() {
-  if (!active_) return;
+  if (!timed_) return;
   const std::uint64_t end_ns = metrics::monotonic_ns();
+  // Spans sit at sample level and above, so the registry's locked lookup
+  // stays off the hot path.
+  metrics::Registry::instance().timer(name_).record_ns(end_ns - start_ns_);
+  if (!traced_) return;
   t_span_stack.pop_back();
   ThreadBuffer& buffer = thread_buffer();
   SpanEvent event;
@@ -153,13 +160,13 @@ Span::~Span() {
 }
 
 void Span::attr_u64(const char* key, std::uint64_t value) {
-  if (active_) attrs_.push_back(Attr::u64(key, value));
+  if (traced_) attrs_.push_back(Attr::u64(key, value));
 }
 void Span::attr_f64(const char* key, double value) {
-  if (active_) attrs_.push_back(Attr::f64(key, value));
+  if (traced_) attrs_.push_back(Attr::f64(key, value));
 }
 void Span::attr_str(const char* key, std::string value) {
-  if (active_) attrs_.push_back(Attr::str(key, std::move(value)));
+  if (traced_) attrs_.push_back(Attr::str(key, std::move(value)));
 }
 
 ContextScope::ContextScope(std::vector<Attr> attrs) : pushed_(0) {

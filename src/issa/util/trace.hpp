@@ -1,20 +1,23 @@
 // Hierarchical span tracing: where the wall-clock of a run goes, span by
 // span, plus failure forensics for the nonlinear solver.
 //
-// Model: a Span is an RAII scope.  Opening one pushes onto a thread-local
-// stack (giving every span its nesting depth and its ancestors for forensic
-// context); closing one appends a completed-span record to a per-thread ring
-// buffer.  The producer path is lock-free: a monotonically increasing local
-// sequence number plus a plain write into the thread's own ring slot — no
-// shared write line, no mutex, no allocation for attribute-free spans.  The
-// rings are drained by collect() once the traced region has quiesced (the
-// session helpers disable tracing first), and the merged event set serializes
-// to Chrome trace-event JSON (loadable in Perfetto / chrome://tracing) and to
-// a compact JSONL stream.
+// Model: a Span is an RAII scope and the stack's only timer: closing one adds
+// its duration to the util::metrics timer of its name.  While tracing is on,
+// opening a span also pushes onto a thread-local stack (giving every span its
+// nesting depth and its ancestors for forensic context) and closing one
+// appends a completed-span record to a per-thread ring buffer.  The producer
+// path is lock-free: a monotonically increasing local sequence number plus a
+// plain write into the thread's own ring slot — no shared write line, no
+// mutex, no allocation for attribute-free spans.  The rings are drained by
+// collect() once the traced region has quiesced, and the merged event set
+// serializes to Chrome trace-event JSON (loadable in Perfetto /
+// chrome://tracing) and to a compact JSONL stream.  Spans sit at sample
+// granularity and above (spans::kAll); Newton and LU work is only counted.
 //
-// Like util/metrics, tracing starts disabled: every span site pays one
-// relaxed atomic load + predicted branch until set_enabled(true) (the --trace
-// CLI flag or the ISSA_TRACE environment variable).
+// Like util/metrics, tracing starts disabled: with metrics off too, every
+// span site pays two relaxed atomic loads + a predicted branch until
+// set_enabled(true) (the --trace CLI flag or the ISSA_TRACE environment
+// variable).
 //
 // Forensics: when a Newton solve gives up or a transient's step-size control
 // collapses, the solver captures a diagnostic bundle — residual and damping
@@ -25,6 +28,7 @@
 // single relaxed question ("are forensics on?") before doing any work.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -33,8 +37,8 @@
 namespace issa::util::trace {
 
 /// Tuning knobs; set with configure() BEFORE enabling.  The defaults hold a
-/// quickstart-sized run without dropping; long Monte-Carlo campaigns wrap
-/// (oldest events overwritten, counted in TraceData::dropped).
+/// full 400-sample table run without dropping; a run that overflows a ring
+/// wraps (oldest events overwritten, counted in TraceData::dropped).
 struct TraceConfig {
   std::size_t ring_capacity = 1u << 16;  ///< completed spans kept per thread
   bool forensics = true;                 ///< capture solver diagnostic bundles
@@ -111,9 +115,9 @@ struct ForensicEvent {
   std::vector<double> node_voltages;     ///< full node vector at failure
 };
 
-/// RAII span.  Construction reads the clock and pushes the thread stack only
-/// when tracing is enabled; destruction pops and commits the record.  `name`
-/// and `category` must be string literals (or otherwise outlive collect()).
+/// RAII span (see the file comment): timed while metrics or tracing is on,
+/// recorded as a raw event only while tracing is on.  `name` and `category`
+/// must be string literals (or otherwise outlive collect()).
 class Span {
  public:
   explicit Span(const char* name, const char* category = "app") noexcept;
@@ -122,15 +126,18 @@ class Span {
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
-  bool active() const noexcept { return active_; }
+  /// True when the span keeps a raw trace event; callers guard attribute
+  /// construction with it.
+  bool traced() const noexcept { return traced_; }
 
-  /// Attach attributes (no-ops on an inactive span).
+  /// Attach attributes (no-ops on an untraced span).
   void attr_u64(const char* key, std::uint64_t value);
   void attr_f64(const char* key, double value);
   void attr_str(const char* key, std::string value);
 
  private:
-  bool active_;
+  bool timed_;
+  bool traced_;
   std::uint64_t start_ns_ = 0;
   const char* name_ = "";
   const char* category_ = "";
@@ -202,10 +209,11 @@ inline constexpr const char* kMcDelayDistribution = "mc.delay_distribution";
 inline constexpr const char* kMcSample = "mc.sample";
 inline constexpr const char* kDcSolve = "sim.dc_solve";
 inline constexpr const char* kTransient = "sim.transient";
-inline constexpr const char* kNewtonSolve = "sim.newton_solve";
-inline constexpr const char* kLuFactorize = "lu.factorize";
-inline constexpr const char* kLuSolve = "lu.solve";
 inline constexpr const char* kPoolTask = "pool.task";
+/// Every name above; util::metrics pre-registers a timer for each.
+inline constexpr std::array kAll = {kExperimentCell, kMcOffsetDistribution,
+                                    kMcDelayDistribution, kMcSample, kDcSolve,
+                                    kTransient, kPoolTask};
 }  // namespace spans
 
 }  // namespace issa::util::trace

@@ -4,6 +4,7 @@
 
 #include "issa/circuit/simulator.hpp"
 #include "issa/device/mos_params.hpp"
+#include "issa/util/metrics.hpp"
 
 namespace issa::circuit {
 namespace {
@@ -156,12 +157,21 @@ TEST(SimulatorDc, RejectsNonPositiveTemperature) {
 TEST(SimulatorDc, StatsAreCounted) {
   Netlist net;
   const NodeId a = net.node("a");
+  const NodeId b = net.node("b");  // an unknown, so Newton has a system to factor
   net.add_vsource("V", a, kGround, SourceWave::dc(1.0));
-  net.add_resistor("R", a, kGround, 1000.0);
+  net.add_resistor("R1", a, b, 1000.0);
+  net.add_resistor("R2", b, kGround, 1000.0);
   Simulator sim(net, kT);
+  util::metrics::Registry& registry = util::metrics::Registry::instance();
+  util::metrics::set_enabled(true);
+  const util::metrics::Snapshot before = registry.snapshot();
   sim.solve_dc();
-  EXPECT_EQ(sim.stats().dc_solves, 1);
-  EXPECT_GT(sim.stats().newton_iterations, 0);
+  const util::metrics::Snapshot delta = registry.snapshot().delta_since(before);
+  util::metrics::set_enabled(false);
+  EXPECT_EQ(delta.value(util::metrics::names::kDcSolves), 1u);
+  EXPECT_GT(delta.value(util::metrics::names::kNewtonIterations), 0u);
+  EXPECT_GT(delta.value(util::metrics::names::kJacobianBuilds), 0u);
+  EXPECT_GT(delta.value(util::metrics::names::kLuFactorizations), 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include "issa/circuit/simulator.hpp"
 #include "issa/device/mos_params.hpp"
+#include "issa/util/metrics.hpp"
 
 namespace issa::circuit {
 namespace {
@@ -282,12 +283,17 @@ TEST(SimulatorTran, StopConditionEndsRunEarly) {
   opt.stop_condition = [out_index](double, const std::vector<double>& v) {
     return v[out_index] > 0.5;
   };
+  util::metrics::Registry& registry = util::metrics::Registry::instance();
+  util::metrics::set_enabled(true);
+  const util::metrics::Snapshot before = registry.snapshot();
   const TransientResult tr = sim.run_transient(opt);
+  const util::metrics::Snapshot delta = registry.snapshot().delta_since(before);
+  util::metrics::set_enabled(false);
   // tau ln 2 ~ 0.69 ns: the run must stop shortly after the 50% point
   // instead of integrating to 5 ns.
   EXPECT_LT(tr.time().back(), 1e-9);
   EXPECT_GT(tr.node_wave(f.out).back(), 0.5);
-  EXPECT_EQ(sim.stats().early_exits, 1);
+  EXPECT_EQ(delta.value(util::metrics::names::kTransientEarlyExits), 1u);
 
   // The truncated run is a prefix of the uninterrupted one.
   Simulator ref_sim(f.net, kT);

@@ -101,6 +101,17 @@ TEST_F(RunContextDeathTest, MalformedShardExitsTwo) {
   }
 }
 
+TEST_F(RunContextDeathTest, BadMcCountExitsTwo) {
+  // Zero, negative and malformed counts stop before any run; none of them
+  // may fall back to the default 400-sample sweep.
+  for (const char* bad : {"0", "-5", "abc", "3x"}) {
+    const Argv args({std::string("--mc=") + bad});
+    EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t"), ::testing::ExitedWithCode(2),
+                "--mc.*\nusage: run_context_test")
+        << bad;
+  }
+}
+
 TEST_F(RunContextDeathTest, UnknownOptionExitsTwoBeforeAnyWork) {
   const Argv args({"--mcc=2", "--fats"});
   EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t", {"csv=path"}),

@@ -197,6 +197,41 @@ TEST(OptionsDeathTest, FailPrintsMessageAndUsage) {
               "bad --shard value\nusage: prog \\[--shard=i/N\\]\n");
 }
 
+TEST(OptionsDeathTest, StrictMalformedNumberPrintsUsageAndExitsTwo) {
+  const char* argv[] = {"prog", "--mc=abc", "--vin=x"};
+  const Options opt(3, argv, {"mc=N", "vin=mV"});
+  EXPECT_EXIT(opt.get_long_or("mc", 80), ::testing::ExitedWithCode(2),
+              "bad integer value for --mc: abc\nusage: prog \\[--mc=N\\] \\[--vin=mV\\]\n");
+  EXPECT_EXIT(opt.get_double_or("vin", 50.0), ::testing::ExitedWithCode(2),
+              "bad numeric value for --vin: x\nusage: prog");
+  EXPECT_EXIT(opt.get_count_or("mc", 80), ::testing::ExitedWithCode(2),
+              "bad integer value for --mc: abc\nusage: prog");
+}
+
+TEST(OptionsDeathTest, StrictNonPositiveCountExitsTwo) {
+  for (const char* arg : {"--mc=0", "--mc=-5"}) {
+    const char* argv[] = {"prog", arg};
+    const Options opt(2, argv, {"mc=N"});
+    EXPECT_EXIT(opt.get_count_or("mc", 80), ::testing::ExitedWithCode(2),
+                "--mc must be a positive integer: -?[05]\nusage: prog \\[--mc=N\\]\n")
+        << arg;
+    EXPECT_EXIT(bench_mc_iterations(opt), ::testing::ExitedWithCode(2),
+                "--mc must be a positive integer")
+        << arg;
+  }
+}
+
+TEST(Options, LenientMalformedOrNonPositiveValueThrows) {
+  const char* argv[] = {"prog", "--mc=abc", "--vin=x", "--n=0", "--m=-5", "--k=7"};
+  const Options opt(6, argv);
+  EXPECT_THROW(opt.get_long("mc"), std::invalid_argument);
+  EXPECT_THROW(opt.get_double("vin"), std::invalid_argument);
+  EXPECT_THROW(opt.get_count_or("n", 3), std::invalid_argument);
+  EXPECT_THROW(opt.get_count_or("m", 3), std::invalid_argument);
+  EXPECT_EQ(opt.get_count_or("k", 3), 7u);
+  EXPECT_EQ(opt.get_count_or("absent", 3), 3u);
+}
+
 TEST(Units, Conversions) {
   using namespace literals;
   EXPECT_DOUBLE_EQ(5_mV, 0.005);

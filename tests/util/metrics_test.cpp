@@ -1,6 +1,7 @@
 // Tests for the metrics/observability layer: cross-thread counter
-// aggregation, timer monotonicity, registry snapshot/reset/delta, report
-// serialization, and the runtime-disabled no-op path.
+// aggregation, timer monotonicity, span-fed timers, registry
+// snapshot/reset/delta, report serialization, and the runtime-disabled
+// no-op path.
 #include "issa/util/metrics.hpp"
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include <sstream>
 #include <thread>
 #include <vector>
+
+#include "issa/util/trace.hpp"
 
 namespace issa::util::metrics {
 namespace {
@@ -69,11 +72,14 @@ TEST_F(MetricsTest, TimerAccumulatesMonotonically) {
 }
 
 TEST_F(MetricsTest, TimerScopeMeasuresElapsedTime) {
-  Timer& t = Registry::instance().timer("test.scope");
+  // A trace::Span is the timing scope: with tracing off it still feeds the
+  // timer of its own name.
   {
-    const Timer::Scope scope(t);
+    const trace::Span span("test.scope", "test");
+    EXPECT_FALSE(span.traced());  // timed for metrics, no raw trace event
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
+  const Timer& t = Registry::instance().timer("test.scope");
   EXPECT_EQ(t.count(), 1u);
   EXPECT_GE(t.total_ns(), 2'000'000u);  // slept >= 2 ms
   EXPECT_LT(t.total_ns(), 60'000'000'000u);
@@ -174,8 +180,15 @@ TEST_F(MetricsTest, SnapshotContainsCanonicalSchema) {
   const Snapshot snap = Registry::instance().snapshot();
   for (const char* name :
        {names::kNewtonIterations, names::kLuFactorizations, names::kPoolTasksExecuted,
-        names::kMcSamples, names::kLuFactorTime, names::kPoolQueueLatency}) {
+        names::kMcSamples, names::kPoolQueueLatency}) {
     EXPECT_NE(snap.find(name), nullptr) << name;
+  }
+  // Every span name has its timer before any span ran.
+  for (const char* name : trace::spans::kAll) {
+    const SnapshotEntry* entry = snap.find(name);
+    ASSERT_NE(entry, nullptr) << name;
+    EXPECT_EQ(entry->kind, Kind::kTimer) << name;
+    EXPECT_EQ(entry->count, 0u) << name;
   }
 }
 
@@ -210,9 +223,7 @@ TEST_F(MetricsTest, RuntimeDisabledIsNoOp) {
   set_enabled(false);
   c.add(100);
   t.record_ns(100);
-  {
-    const Timer::Scope scope(t);
-  }
+  { const trace::Span span("test.disabled_t", "test"); }
   EXPECT_EQ(c.value(), 0u);
   EXPECT_EQ(t.count(), 0u);
   set_enabled(true);

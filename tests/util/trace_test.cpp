@@ -1,7 +1,8 @@
 // Tests for the hierarchical span tracer: ring collection, nesting depth
 // under recursive parallel_for, forensic bundles with thread context, the
-// runtime-disabled no-op path, ring overflow accounting, and a Chrome
-// trace-event JSON round trip through the in-tree JSON parser.
+// runtime-disabled no-op path, ring overflow accounting, agreement with the
+// span-fed metrics timers, and a Chrome trace-event JSON round trip through
+// the in-tree JSON parser.
 #include "issa/util/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -12,9 +13,11 @@
 #include <string_view>
 #include <vector>
 
+#include "issa/analysis/montecarlo.hpp"
 #include "issa/circuit/simulator.hpp"
 #include "issa/device/mos_params.hpp"
 #include "issa/util/json.hpp"
+#include "issa/util/metrics.hpp"
 #include "issa/util/thread_pool.hpp"
 
 namespace issa::util::trace {
@@ -134,7 +137,7 @@ TEST_F(TraceTest, RuntimeDisabledCollectsNothing) {
   set_enabled(false);
   {
     Span span("test.off", "test");
-    EXPECT_FALSE(span.active());
+    EXPECT_FALSE(span.traced());
     span.attr_u64("ignored", 1);
   }
   record_forensic(ForensicEvent{});
@@ -261,6 +264,45 @@ TEST_F(TraceTest, TerminalDcFailureRecordsForensicBundle) {
   // Recorded while the DC span was still open.
   ASSERT_FALSE(f.span_path.empty());
   EXPECT_EQ(f.span_path.back(), spans::kDcSolve);
+}
+
+TEST_F(TraceTest, TraceAndMetricsAgree) {
+  // With both layers on, every closed span is one raw event AND one count in
+  // the metrics timer of its name, and a small Monte-Carlo sweep fits the
+  // default rings without dropping anything.
+  metrics::Registry& registry = metrics::Registry::instance();
+  registry.reset();
+  metrics::set_enabled(true);
+  {
+    ThreadPool pool(2);
+    analysis::Condition condition;
+    condition.kind = sa::SenseAmpKind::kNssa;
+    condition.config = sa::nominal_config();
+    analysis::McConfig mc;
+    mc.iterations = 4;
+    mc.pool = &pool;
+    analysis::measure_offset_distribution(condition, mc);
+  }  // joins the workers, so every pool.task span has closed
+  set_enabled(false);
+  const TraceData data = collect();
+  const metrics::Snapshot snapshot = registry.snapshot();
+  metrics::set_enabled(false);
+  registry.reset();
+
+  EXPECT_EQ(data.dropped, 0u);
+  std::map<std::string, std::uint64_t> events;
+  for (const SpanEvent& e : data.spans) ++events[e.name];
+  for (const char* name : spans::kAll) events.try_emplace(name, 0);
+  for (const auto& [name, count] : events) {
+    const metrics::SnapshotEntry* timer = snapshot.find(name);
+    ASSERT_NE(timer, nullptr) << name;
+    EXPECT_EQ(timer->kind, metrics::Kind::kTimer) << name;
+    EXPECT_EQ(timer->count, count) << name;
+  }
+  EXPECT_EQ(events[spans::kMcSample], 4u);
+  EXPECT_EQ(events[spans::kMcSample], snapshot.value(metrics::names::kMcSamples));
+  EXPECT_GT(events[spans::kDcSolve], 0u);
+  EXPECT_EQ(events[spans::kDcSolve], snapshot.value(metrics::names::kDcSolves));
 }
 
 TEST_F(TraceTest, ClearDropsBufferedEvents) {

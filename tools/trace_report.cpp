@@ -8,8 +8,8 @@
 // how busy each worker thread was (from pool.task spans), and any solver
 // forensic events.  --check parses the document and verifies it is
 // structurally valid Chrome trace-event JSON (the format Perfetto and
-// chrome://tracing load); it exits non-zero on any malformation, which is
-// what the CI smoke job gates on.
+// chrome://tracing load) that dropped no spans; it exits non-zero on any
+// malformation or loss, which is what the CI smoke job gates on.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -329,6 +329,12 @@ int check(const std::string& path) {
     throw std::runtime_error("\"traceEvents\" is not an array");
   }
   const Trace trace = ingest_chrome(doc);
+  // A trace that lost spans to ring wrap-around cannot say where the time
+  // went, however well-formed it is.
+  if (trace.dropped_spans > 0) {
+    throw std::runtime_error("lossy trace: metadata.dropped_spans = " +
+                             std::to_string(static_cast<std::uint64_t>(trace.dropped_spans)));
+  }
   std::printf("OK: %s is valid Chrome trace-event JSON (%zu spans, %zu forensic events)\n",
               path.c_str(), trace.spans.size(), trace.forensics.size());
   return 0;
