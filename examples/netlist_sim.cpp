@@ -1,7 +1,7 @@
 // Mini SPICE driver: parse a netlist file, solve the DC operating point,
 // and optionally run a transient, dumping node waveforms to CSV.
 //
-//   $ ./netlist_sim --file=circuit.sp [--tstop=1n] [--dt=1p] [--csv=out.csv]
+//   $ ./netlist_sim --file=circuit.sp [--tstop=1e-9] [--dt=1e-12] [--csv=out.csv]
 //
 // With no --file, a built-in demo netlist (CMOS inverter driving an RC load)
 // is simulated, so the example is runnable out of the box.

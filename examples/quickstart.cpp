@@ -52,11 +52,11 @@ int main(int argc, char** argv) {
   std::printf("ISSA delay     : %.2f ps (overhead of the extra pass pair)\n",
               util::to_ps(sa::measure_delay(issa).worst()));
 
-  // 6. With --cache[=dir] (or ISSA_CACHE=1): a small Monte-Carlo offset
-  //    distribution (16 samples unless --mc says otherwise) through the
-  //    persistent sample cache.  The first run simulates and stores every
-  //    sample; run the same command again and the samples replay from disk
-  //    as cache hits, bit-identically.
+  // 6. With --cache[=dir]: a small Monte-Carlo offset distribution (16
+  //    samples unless --mc says otherwise) through the persistent sample
+  //    cache.  The first run simulates and stores every sample; run the
+  //    same command again and the samples replay from disk as cache hits,
+  //    bit-identically.
   if (analysis::mc_cache::enabled()) {
     analysis::Condition condition;
     condition.kind = sa::SenseAmpKind::kNssa;

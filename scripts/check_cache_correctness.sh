@@ -46,7 +46,8 @@ field() { sed -n "s/^cache: hits=\([0-9]*\) misses=\([0-9]*\) stores=\([0-9]*\).
 
 echo "== 1. cold -> warm rerun (--mc=$MC) =="
 # Both runs use the same metrics stem so their stdout is comparable; the warm
-# run's CSV overwrites the cold one's, which is the one we want to inspect.
+# run's metrics report overwrites the cold one's, which is the one we want to
+# inspect.
 "$BENCH" --mc="$MC" --cache="$work/store" --metrics=run >cold.txt
 "$BENCH" --mc="$MC" --cache="$work/store" --metrics=run >warm.txt
 if ! diff <(results_of cold.txt) <(results_of warm.txt); then
@@ -65,7 +66,8 @@ if (( hit_pct < MIN_HIT_PCT )); then
 fi
 # Cross-check against the metrics layer: the mc.cache_hits counter of the
 # warm run must agree with the summary line.
-metric_hits="$(awk -F, '$1 == "mc.cache_hits" { print $3 }' run.metrics.csv)"
+metric_hits="$(sed -n 's/.*"mc.cache_hits": {"kind": "counter", "count": \([0-9]*\)}.*/\1/p' \
+  run.metrics.json)"
 if [[ "$metric_hits" != "$hits" ]]; then
   echo "FAIL: mc.cache_hits counter ($metric_hits) disagrees with summary ($hits)" >&2
   exit 1

@@ -35,7 +35,7 @@
 // "offset", "delay.worst", "delay.mean" — human-greppable in store_report.
 //
 // The subsystem is inert unless open() is called (benches wire this to
-// --cache[=dir] / ISSA_CACHE).
+// --cache[=dir]).
 #pragma once
 
 #include <cstddef>

@@ -241,7 +241,7 @@ McDegradation for_samples(const Condition& condition, const McConfig& mc,
       }
       if (status[i] == kSampleQuarantined) {
         m_quarantined().add();
-        if (util::trace::forensics_enabled()) {
+        if (util::trace::enabled()) {
           util::trace::ForensicEvent event;
           event.kind = "mc_sample_quarantined";
           event.attrs.push_back(util::trace::Attr::u64("sample", i));

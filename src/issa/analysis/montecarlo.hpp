@@ -19,7 +19,7 @@
 // so the quarantine list is bit-identical across thread counts.
 //
 // Persistence: when the Monte-Carlo sample cache is open (analysis/mc_cache,
-// benches wire it to --cache / ISSA_CACHE), every computed per-sample result
+// benches wire it to --cache), every computed per-sample result
 // — including quarantine verdicts — is stored under a content fingerprint of
 // its inputs, and a rerun of the same sweep replays stored samples from disk
 // bit-identically instead of re-simulating them.  McConfig::shard_index/

@@ -305,7 +305,7 @@ void Simulator::record_solver_forensic(const char* kind, const char* reason,
 bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, double gmin,
                              double source_scale, const NewtonOptions& options) {
   const std::size_t n = unknown_count();
-  const bool forensic = util::trace::forensics_enabled();
+  const bool forensic = util::trace::enabled();
   if (forensic) {
     fnorm_hist_ws_.clear();
     alpha_hist_ws_.clear();
@@ -476,7 +476,7 @@ std::vector<double> Simulator::solve_dc(const DcOptions& options) {
   }
   // Terminal: every fallback (plain, gmin homotopy, source stepping) failed.
   // The history workspace still holds the LAST failed Newton solve.
-  if (util::trace::forensics_enabled()) {
+  if (util::trace::enabled()) {
     record_solver_forensic("newton_nonconvergence", "dc_all_fallbacks_failed", x, 0.0,
                            options.newton.gmin);
   }
@@ -582,7 +582,7 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
       // Injected step collapse takes the same terminal path as exhausting
       // max_step_halvings below: forensic event, then ConvergenceError.
       if (util::faultpoint::should_fire(util::faultpoint::sites::kTransientStepCollapse)) {
-        if (util::trace::forensics_enabled()) {
+        if (util::trace::enabled()) {
           record_solver_forensic("transient_step_collapse", "fault_injected", x, t, h);
         }
         throw ConvergenceError("run_transient: Newton failed at t = " + std::to_string(t));
@@ -601,7 +601,7 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
       if (++halvings > options.max_step_halvings) {
         // Terminal: the step-size control collapsed.  x is the last ACCEPTED
         // state; the history workspace holds the last failed Newton solve.
-        if (util::trace::forensics_enabled()) {
+        if (util::trace::enabled()) {
           record_solver_forensic("transient_step_collapse", "max_step_halvings", x, t, h);
         }
         throw ConvergenceError("run_transient: Newton failed at t = " + std::to_string(t));

@@ -222,7 +222,7 @@ class Simulator {
 
   // Trace forensics: emits a diagnostic bundle (kind + reason, the residual/
   // alpha histories of the last Newton solve, the node voltages implied by
-  // x) when trace::forensics_enabled().  Called only on TERMINAL failures —
+  // x) when trace::enabled().  Called only on TERMINAL failures —
   // recovered fallbacks (gmin homotopy stages, transient step halvings) are
   // normal control flow and would drown the bounded forensic list.
   void record_solver_forensic(const char* kind, const char* reason,
@@ -273,7 +273,7 @@ class Simulator {
   std::vector<double> last_dc_;       // most recent DC solution
 
   // Forensic history workspace: filled by newton_solve only while
-  // trace::forensics_enabled(), read by record_solver_forensic.  Reused
+  // trace::enabled(), read by record_solver_forensic.  Reused
   // across solves (no allocation once warm), untouched when tracing is off.
   std::vector<double> fnorm_hist_ws_;
   std::vector<double> alpha_hist_ws_;

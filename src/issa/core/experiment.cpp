@@ -1,9 +1,10 @@
 #include "issa/core/experiment.hpp"
 
 #include <cmath>
+#include <fstream>
 #include <sstream>
+#include <stdexcept>
 
-#include "issa/util/csv.hpp"
 #include "issa/util/json.hpp"
 #include "issa/util/trace.hpp"
 #include "issa/util/units.hpp"
@@ -89,49 +90,6 @@ void write_run_report_json(const std::string& path, std::string_view title,
   out << os.str();
   out.flush();
   if (!out) throw std::runtime_error("write_run_report_json: write failed for " + path);
-}
-
-void write_run_report_csv(const std::string& path, const std::vector<ExperimentRow>& rows) {
-  write_run_report_csv(path, rows, util::RunInfo{});
-}
-
-void write_run_report_csv(const std::string& path, const std::vector<ExperimentRow>& rows,
-                          const util::RunInfo& run) {
-  const util::RunInfo stamped = with_run_id(run);
-  util::CsvWriter csv(path,
-                      {"run_id", "condition", "metric", "kind", "count", "total_ns", "mean_ns"});
-  if (!run.empty()) {
-    // Run-level provenance rides in the same table: one pseudo-metric row per
-    // quantity, keyed by the shared run id.
-    csv.add_row(std::vector<std::string>{stamped.run_id, "-", "run.wall_clock_s", "run",
-                                         std::to_string(run.wall_clock_s), "0", "0"});
-    csv.add_row(std::vector<std::string>{stamped.run_id, "-", "run.rss_peak_kb", "run",
-                                         std::to_string(run.rss_peak_kb), "0", "0"});
-  }
-  for (const auto& row : rows) {
-    const std::string label = row.condition_label();
-    // Degradation rows do not depend on the metrics snapshot: a degraded
-    // run must be visible in every report format.
-    if (row.quarantined > 0 || row.recovered > 0) {
-      csv.add_row(std::vector<std::string>{stamped.run_id, label, "mc.quarantined", "degradation",
-                                           std::to_string(row.quarantined), "0", "0"});
-      csv.add_row(std::vector<std::string>{stamped.run_id, label, "mc.recovered", "degradation",
-                                           std::to_string(row.recovered), "0", "0"});
-    }
-    if (row.skipped > 0) {
-      csv.add_row(std::vector<std::string>{stamped.run_id, label, "mc.skipped", "shard",
-                                           std::to_string(row.skipped), "0", "0"});
-    }
-    for (const auto& e : row.metrics.entries) {
-      const char* kind = e.kind == util::metrics::Kind::kCounter   ? "counter"
-                         : e.kind == util::metrics::Kind::kTimer   ? "timer"
-                                                                   : "histogram";
-      csv.add_row(std::vector<std::string>{stamped.run_id, label, e.name, kind,
-                                           std::to_string(e.count), std::to_string(e.total_ns),
-                                           std::to_string(e.mean_ns())});
-    }
-  }
-  csv.close();
 }
 
 ExperimentRunner::ExperimentRunner(analysis::McConfig mc) : mc_(std::move(mc)) {}

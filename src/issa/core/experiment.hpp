@@ -49,9 +49,8 @@ struct ExperimentRow {
   std::string condition_label() const;
 };
 
-/// Writes the per-condition run report of a row set: one JSON document and
-/// one CSV file (one line per condition x metric) built from each row's
-/// metrics snapshot.  No-ops (writes empty reports) when metrics were off.
+/// Writes the per-condition run report of a row set: one JSON document built
+/// from each row's metrics snapshot.  No-ops (writes empty reports) when metrics were off.
 /// The RunInfo overloads additionally stamp the report with the run id shared
 /// by every sidecar of the run (.metrics/.conditions/.trace/.forensics), the
 /// wall-clock duration, and the process peak RSS.  Every report carries a
@@ -61,9 +60,6 @@ void write_run_report_json(const std::string& path, std::string_view title,
                            const std::vector<ExperimentRow>& rows);
 void write_run_report_json(const std::string& path, std::string_view title,
                            const std::vector<ExperimentRow>& rows, const util::RunInfo& run);
-void write_run_report_csv(const std::string& path, const std::vector<ExperimentRow>& rows);
-void write_run_report_csv(const std::string& path, const std::vector<ExperimentRow>& rows,
-                          const util::RunInfo& run);
 
 /// A (time, delay) series for Fig. 7.
 struct DelayAgingSeries {

@@ -1,7 +1,6 @@
 #include "issa/core/run_context.hpp"
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <iterator>
 #include <stdexcept>
@@ -19,30 +18,14 @@ namespace {
 
 // The run flags (see run_context.hpp), in util::Options spec form.
 constexpr std::string_view kRunFlags[] = {
-    "mc=N",        "fast",        "seed=S",         "quarantine-max=F", "shard=i/N",
-    "faults=spec", "cache[=dir]", "metrics[=stem]", "trace[=stem]"};
+    "mc=N",        "seed=S",         "quarantine-max=F", "shard=i/N",
+    "faults=spec", "cache[=dir]",    "metrics[=stem]",   "trace[=stem]"};
 
 // The value of --name=value, or `fallback` when absent or bare.
 std::string value_or(const util::Options& options, std::string_view name,
                      std::string_view fallback) {
   if (const auto v = options.get_string(name); v && !v->empty()) return *v;
   return std::string(fallback);
-}
-
-// --faults=spec, else ISSA_FAULTS, else empty (util/faultpoint.hpp grammar).
-std::string fault_spec(const util::Options& options) {
-  const char* env = std::getenv("ISSA_FAULTS");
-  return value_or(options, "faults", env != nullptr ? env : "");
-}
-
-// --cache=dir; else ISSA_CACHE when it names a path (anything but the bare
-// on-switches "1"/"true"); else one shared ".issa-cache", so a warm rerun of
-// any binary hits the same store.
-std::string cache_directory(const util::Options& options) {
-  const char* env = std::getenv("ISSA_CACHE");
-  const bool env_is_path = env != nullptr && env[0] != '\0' && std::string_view(env) != "1" &&
-                           std::string_view(env) != "true";
-  return value_or(options, "cache", env_is_path ? env : ".issa-cache");
 }
 
 // Applies --shard=i/N (0 <= i < N) to `mc`; throws std::invalid_argument on a
@@ -70,10 +53,14 @@ void apply_shard(const std::string& v, analysis::McConfig& mc) {
 
 analysis::McConfig mc_config(const util::Options& options, std::string run_id) {
   analysis::McConfig mc;
-  mc.iterations = util::bench_mc_iterations(options);
+  mc.iterations = options.get_count_or("mc", 400);
   mc.seed = static_cast<std::uint64_t>(options.get_long_or("seed", 42));
   mc.max_quarantine_fraction =
       options.get_double_or("quarantine-max", mc.max_quarantine_fraction);
+  if (mc.max_quarantine_fraction < 0.0 || mc.max_quarantine_fraction > 1.0) {
+    throw std::invalid_argument("--quarantine-max must be a fraction in [0, 1]: " +
+                                *options.get_string("quarantine-max"));
+  }
   mc.run_id = std::move(run_id);
   if (const auto shard = options.get_string("shard")) apply_shard(*shard, mc);
   return mc;
@@ -111,18 +98,20 @@ RunContext::RunContext(int argc, const char* const* argv, std::string_view name,
   } catch (const std::invalid_argument& e) {
     options_.fail(e.what());
   }
-  if (const std::string spec = fault_spec(options_); !spec.empty()) {
+  if (const std::string spec = value_or(options_, "faults", ""); !spec.empty()) {
     try {
       util::faultpoint::configure(spec);
     } catch (const std::invalid_argument& e) {
-      options_.fail(std::string("[issa] bad --faults/ISSA_FAULTS spec: ") + e.what());
+      options_.fail(std::string("[issa] bad --faults spec: ") + e.what());
     }
   }
 
-  metrics_ = options_.flag_or_env("metrics", "ISSA_METRICS");
+  metrics_ = options_.has_flag("metrics");
   if (metrics_) util::metrics::set_enabled(true);
-  if (options_.flag_or_env("cache", "ISSA_CACHE")) {
-    cache_dir_ = cache_directory(options_);
+  if (options_.has_flag("cache")) {
+    // One shared default directory, so a warm rerun of any binary hits the
+    // same store.
+    cache_dir_ = value_or(options_, "cache", ".issa-cache");
     analysis::mc_cache::open(cache_dir_);
     const util::store::StoreStats stats = analysis::mc_cache::store()->stats();
     std::cout << "cache: loaded " << stats.records_loaded << " record(s) from "
@@ -133,7 +122,7 @@ RunContext::RunContext(int argc, const char* const* argv, std::string_view name,
     }
     std::cout << "\n";
   }
-  trace_ = options_.flag_or_env("trace", "ISSA_TRACE");
+  trace_ = options_.has_flag("trace");
   if (trace_) util::trace::set_enabled(true);
   if (options_.get_string("shard")) {
     std::cout << "shard " << mc_.shard_index << "/" << mc_.shard_count
@@ -159,8 +148,7 @@ void RunContext::write_trace() {
   const util::trace::TraceData data = util::trace::collect();
   const std::string stem = value_or(options_, "trace", name_);
   util::trace::write_chrome_json(stem + ".trace.json", data, run_id_);
-  util::trace::write_jsonl(stem + ".trace.jsonl", data);
-  std::cout << "wrote " << stem << ".trace.json / .jsonl (" << data.spans.size() << " spans, "
+  std::cout << "wrote " << stem << ".trace.json (" << data.spans.size() << " spans, "
             << data.dropped << " dropped)\n";
   if (!data.forensics.empty()) {
     util::trace::write_forensics_json(stem + ".forensics.json", data, run_id_);
@@ -186,12 +174,10 @@ void RunContext::write_metrics() {
   util::metrics::set_enabled(false);
   const std::string stem = value_or(options_, "metrics", name_);
   util::metrics::write_report_json(stem + ".metrics.json", name_, snapshot, run_id_);
-  util::metrics::write_report_csv(stem + ".metrics.csv", snapshot);
-  std::cout << "wrote " << stem << ".metrics.json / .csv\n";
+  std::cout << "wrote " << stem << ".metrics.json\n";
   if (!rows_.empty()) {
     write_run_report_json(stem + ".conditions.json", name_, rows_, run);
-    write_run_report_csv(stem + ".conditions.csv", rows_, run);
-    std::cout << "wrote " << stem << ".conditions.json / .csv\n";
+    std::cout << "wrote " << stem << ".conditions.json\n";
   }
 }
 

@@ -2,18 +2,19 @@
 // strict option parsing, the run id, fault injection, the Monte-Carlo sample
 // cache, the McConfig, and the report sidecars.
 //
-// Run flags, accepted by every binary that builds a RunContext:
-//   --mc=N, --fast            MC iterations (400; 60 with --fast or ISSA_FAST)
+// Run flags, accepted by every binary that builds a RunContext (each setting
+// has only this spelling; the environment does not steer a run):
+//   --mc=N                    MC iterations (the paper's 400)
 //   --seed=S                  master seed (42)
-//   --quarantine-max=F        tolerated quarantined-sample fraction
+//   --quarantine-max=F        tolerated quarantined-sample fraction, in [0, 1]
 //   --shard=i/N               compute only samples with index % N == i
-//   --metrics[=stem]          ISSA_METRICS: <stem>.metrics.json / .csv, plus
-//                             <stem>.conditions.json / .csv for attached rows
-//   --trace[=stem]            ISSA_TRACE: <stem>.trace.json / .jsonl, plus
-//                             <stem>.forensics.json when a solve failed
-//   --faults=spec             ISSA_FAULTS: arms util::faultpoint
-//   --cache[=dir]             ISSA_CACHE: opens the MC sample cache
-//                             (default directory .issa-cache)
+//   --metrics[=stem]          <stem>.metrics.json, plus <stem>.conditions.json
+//                             for attached rows
+//   --trace[=stem]            <stem>.trace.json, plus <stem>.forensics.json
+//                             when a solve failed
+//   --faults=spec             arms util::faultpoint
+//   --cache[=dir]             opens the MC sample cache (default directory
+//                             .issa-cache)
 // Report stems default to the run name; every sidecar carries the run id.
 //
 // Construction validates all arguments before any work starts (--help exits
@@ -52,7 +53,7 @@ class RunContext {
   /// quarantine records join the run's sidecars.
   const analysis::McConfig& mc() const noexcept { return mc_; }
 
-  /// Per-condition rows for the .conditions.json / .csv breakdown.
+  /// Per-condition rows for the .conditions.json breakdown.
   void attach_rows(std::vector<ExperimentRow> rows) { rows_ = std::move(rows); }
 
   /// Writes the requested sidecars and closes the cache.  Returns false when

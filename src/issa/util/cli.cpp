@@ -1,17 +1,11 @@
 #include "issa/util/cli.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace issa::util {
-
-Options::Options(int argc, const char* const* argv) {
-  for (int i = 1; i < argc; ++i) {
-    args_ += argv[i];
-    args_ += '\n';
-  }
-}
 
 namespace {
 
@@ -48,8 +42,7 @@ bool declared(std::string_view arg, const std::vector<std::string_view>& flags) 
 
 }  // namespace
 
-Options::Options(int argc, const char* const* argv, const std::vector<std::string_view>& flags)
-    : Options(argc, argv) {
+Options::Options(int argc, const char* const* argv, const std::vector<std::string_view>& flags) {
   const std::string_view program = argc > 0 ? argv[0] : "program";
   usage_ = "usage: " + std::string(program.substr(program.find_last_of('/') + 1));
   for (const std::string_view spec : flags) usage_ += " [--" + std::string(spec) + "]";
@@ -61,12 +54,14 @@ Options::Options(int argc, const char* const* argv, const std::vector<std::strin
   }
   for (int i = 1; i < argc; ++i) {
     if (!declared(argv[i], flags)) fail("unknown option " + std::string(argv[i]));
+    args_ += argv[i];
+    args_ += '\n';
   }
 }
 
 void Options::fail(std::string_view message) const {
   std::fprintf(stderr, "%.*s\n", static_cast<int>(message.size()), message.data());
-  if (!usage_.empty()) std::fprintf(stderr, "%s\n", usage_.c_str());
+  std::fprintf(stderr, "%s\n", usage_.c_str());
   std::exit(2);
 }
 
@@ -76,12 +71,6 @@ bool Options::has_flag(std::string_view name) const {
   return *v != "0" && *v != "false";
 }
 
-bool Options::flag_or_env(std::string_view name, const char* env) const {
-  if (has_flag(name)) return true;
-  const char* value = std::getenv(env);
-  return value != nullptr && value[0] != '\0' && std::string_view(value) != "0";
-}
-
 std::optional<std::string> Options::get_string(std::string_view name) const {
   return find_arg(args_, name);
 }
@@ -89,10 +78,17 @@ std::optional<std::string> Options::get_string(std::string_view name) const {
 std::optional<double> Options::get_double(std::string_view name) const {
   const auto v = find_arg(args_, name);
   if (!v || v->empty()) return std::nullopt;
+  // Like get_long: the whole string must parse, and to a finite value ("5x"
+  // and "nan" are typos, not 5 and a silently disabled comparison).
   try {
-    return std::stod(*v);
+    std::size_t consumed = 0;
+    const double value = std::stod(*v, &consumed);
+    if (consumed != v->size() || !std::isfinite(value)) {
+      throw std::invalid_argument("trailing characters or non-finite");
+    }
+    return value;
   } catch (const std::exception&) {
-    reject("bad numeric value for --" + std::string(name) + ": " + *v);
+    fail("bad numeric value for --" + std::string(name) + ": " + *v);
   }
 }
 
@@ -109,7 +105,7 @@ std::optional<long> Options::get_long(std::string_view name) const {
     }
     return value;
   } catch (const std::exception&) {
-    reject("bad integer value for --" + std::string(name) + ": " + *v);
+    fail("bad integer value for --" + std::string(name) + ": " + *v);
   }
 }
 
@@ -125,20 +121,9 @@ std::size_t Options::get_count_or(std::string_view name, std::size_t fallback) c
   const auto v = get_long(name);
   if (!v) return fallback;
   if (*v <= 0) {
-    reject("--" + std::string(name) + " must be a positive integer: " + std::to_string(*v));
+    fail("--" + std::string(name) + " must be a positive integer: " + std::to_string(*v));
   }
   return static_cast<std::size_t>(*v);
-}
-
-void Options::reject(const std::string& message) const {
-  if (!usage_.empty()) fail(message);
-  throw std::invalid_argument(message);
-}
-
-bool fast_mode(const Options& options) { return options.flag_or_env("fast", "ISSA_FAST"); }
-
-std::size_t bench_mc_iterations(const Options& options) {
-  return options.get_count_or("mc", fast_mode(options) ? 60u : 400u);
 }
 
 }  // namespace issa::util

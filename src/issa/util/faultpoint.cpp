@@ -1,7 +1,6 @@
 #include "issa/util/faultpoint.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -105,7 +104,7 @@ Site* find_site(Config* config, std::string_view name) noexcept {
 }
 
 [[noreturn]] void bad_spec(std::string_view entry, const std::string& why) {
-  throw std::invalid_argument("ISSA_FAULTS entry '" + std::string(entry) + "': " + why);
+  throw std::invalid_argument("--faults entry '" + std::string(entry) + "': " + why);
 }
 
 bool site_registered(std::string_view name) noexcept {
@@ -261,12 +260,6 @@ void configure(std::string_view spec) {
 
   // Publish (parks the previous config; see Config comment).
   publish(config->sites.empty() ? nullptr : config.release());
-}
-
-void configure_from_env() {
-  const char* env = std::getenv("ISSA_FAULTS");
-  if (env == nullptr || env[0] == '\0') return;
-  configure(env);
 }
 
 void clear() { publish(nullptr); }

@@ -20,8 +20,7 @@
 //    order-deterministic only in serial code; they exist for unit tests of
 //    single failure paths ("fail exactly the first DC solve").
 //
-// Spec syntax (ISSA_FAULTS environment variable or --faults= CLI flag);
-// entries separated by ';' or ',':
+// Spec syntax (the --faults= run flag); entries separated by ';' or ',':
 //
 //   <site>=<trigger>[;<site>=<trigger>...]
 //
@@ -33,7 +32,7 @@
 //                                     one of the listed values (any attempt)
 //            | always                 fire on every evaluation
 //
-//   example: ISSA_FAULTS='lu.singular_pivot=p0.01@7;sim.gmin_stage_fail=n1'
+//   example: --faults='lu.singular_pivot=p0.01@7;sim.gmin_stage_fail=n1'
 //
 // Site names must be registered below (or carry the 'test.' prefix reserved
 // for unit tests); configure() rejects unknown names so a typo cannot arm
@@ -105,9 +104,6 @@ bool should_fire(const char* site) noexcept;
 /// Throws std::invalid_argument naming the offending entry on bad syntax or
 /// an unregistered site.  An empty spec disarms everything.
 void configure(std::string_view spec);
-
-/// Arms from the ISSA_FAULTS environment variable; no-op when unset/empty.
-void configure_from_env();
 
 /// Disarms every site.
 void clear();

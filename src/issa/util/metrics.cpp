@@ -7,7 +7,6 @@
 #include <mutex>
 #include <sstream>
 
-#include "issa/util/csv.hpp"
 #include "issa/util/json.hpp"
 #include "issa/util/table.hpp"
 #include "issa/util/trace.hpp"  // spans::kAll
@@ -275,16 +274,6 @@ void write_report_json(const std::string& path, std::string_view title,
   out << to_json(title, snapshot, run_id);
   out.flush();
   if (!out) throw std::runtime_error("metrics: write failed for " + path);
-}
-
-void write_report_csv(const std::string& path, const Snapshot& snapshot) {
-  CsvWriter csv(path, {"metric", "kind", "count", "total_ns", "mean_ns"});
-  for (const auto& e : snapshot.entries) {
-    csv.add_row(std::vector<std::string>{e.name, kind_name(e.kind), std::to_string(e.count),
-                                         std::to_string(e.total_ns),
-                                         std::to_string(e.mean_ns())});
-  }
-  csv.close();
 }
 
 std::string to_table(const Snapshot& snapshot) {

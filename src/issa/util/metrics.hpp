@@ -1,5 +1,5 @@
 // Observability layer: lock-free counters, timers, and histograms behind a
-// global registry, with JSON/CSV report export.
+// global registry, with JSON report export.
 //
 // The hot paths (Newton iterations, LU factorizations, thread-pool tasks,
 // Monte-Carlo samples) increment these from many threads at once, so every
@@ -11,8 +11,8 @@
 // timer is the aggregate of the util::trace::Span of the same name.
 //
 // Metrics start disabled: instrumented sites pay one relaxed atomic load +
-// predicted branch until set_enabled(true) is called (the --metrics CLI flag
-// or the ISSA_METRICS environment variable).
+// predicted branch until set_enabled(true) is called (the --metrics run
+// flag).
 #pragma once
 
 #include <array>
@@ -211,10 +211,9 @@ class Registry {
 std::string to_json(std::string_view title, const Snapshot& snapshot,
                     std::string_view run_id = {});
 
-/// Writes the JSON / CSV report; throws std::runtime_error on I/O failure.
+/// Writes the JSON report; throws std::runtime_error on I/O failure.
 void write_report_json(const std::string& path, std::string_view title,
                        const Snapshot& snapshot, std::string_view run_id = {});
-void write_report_csv(const std::string& path, const Snapshot& snapshot);
 
 /// Renders a snapshot as a human-readable ASCII table string.
 std::string to_table(const Snapshot& snapshot);

@@ -30,7 +30,7 @@
 // serializes them on an internal mutex (the values are tiny — tens of bytes
 // — so the critical sections are short compared to one Monte-Carlo sample).
 //
-// A store simply isn't opened unless --cache / ISSA_CACHE asks for one.
+// A store simply isn't opened unless --cache asks for one.
 #pragma once
 
 #include <cstddef>

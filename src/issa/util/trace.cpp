@@ -17,7 +17,6 @@ namespace issa::util::trace {
 namespace {
 
 std::atomic<bool> g_enabled{false};
-std::atomic<bool> g_forensics{true};
 
 // Registry of per-thread rings.  The mutex guards registration and draining
 // only; the producer path never takes it.
@@ -27,7 +26,6 @@ struct ThreadBuffer {
   std::atomic<std::uint64_t> seq{0};  // events ever pushed (monotonic)
 
   void push(SpanEvent&& event) {
-    if (ring.empty()) return;
     const std::uint64_t n = seq.load(std::memory_order_relaxed);
     ring[n % ring.size()] = std::move(event);
     seq.store(n + 1, std::memory_order_release);
@@ -37,7 +35,6 @@ struct ThreadBuffer {
 struct Registry {
   std::mutex mutex;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;
-  TraceConfig config;
 
   std::mutex forensic_mutex;
   std::vector<ForensicEvent> forensics;
@@ -55,7 +52,7 @@ ThreadBuffer& thread_buffer() {
     std::lock_guard lock(r.mutex);
     auto owned = std::make_unique<ThreadBuffer>();
     owned->tid = static_cast<std::uint32_t>(r.buffers.size());
-    owned->ring.resize(r.config.ring_capacity);
+    owned->ring.resize(kRingCapacity);
     ThreadBuffer* raw = owned.get();
     r.buffers.push_back(std::move(owned));
     return raw;
@@ -102,32 +99,7 @@ void append_attrs_object(std::ostringstream& os, const std::vector<Attr>& attrs)
 
 bool enabled() noexcept { return g_enabled.load(std::memory_order_relaxed); }
 
-bool forensics_enabled() noexcept {
-  return g_enabled.load(std::memory_order_relaxed) &&
-         g_forensics.load(std::memory_order_relaxed);
-}
-
 void set_enabled(bool on) noexcept { g_enabled.store(on, std::memory_order_relaxed); }
-
-void configure(const TraceConfig& config) {
-  Registry& r = registry();
-  std::lock_guard lock(r.mutex);
-  r.config = config;
-  r.config.ring_capacity = std::max<std::size_t>(1, r.config.ring_capacity);
-  // Re-size already-registered rings (call while disabled/quiescent: resizing
-  // races with nothing then, and buffered events are intentionally dropped).
-  for (auto& b : r.buffers) {
-    b->ring.assign(r.config.ring_capacity, SpanEvent{});
-    b->seq.store(0, std::memory_order_relaxed);
-  }
-  g_forensics.store(config.forensics, std::memory_order_relaxed);
-}
-
-TraceConfig config() {
-  Registry& r = registry();
-  std::lock_guard lock(r.mutex);
-  return r.config;
-}
 
 Span::Span(const char* name, const char* category) noexcept
     : timed_(metrics::enabled() || enabled()),
@@ -180,7 +152,7 @@ ContextScope::~ContextScope() {
 }
 
 void record_forensic(ForensicEvent event) {
-  if (!forensics_enabled()) return;
+  if (!enabled()) return;
   ThreadBuffer& buffer = thread_buffer();
   event.time_ns = metrics::monotonic_ns();
   event.tid = buffer.tid;
@@ -193,7 +165,7 @@ void record_forensic(ForensicEvent event) {
 
   Registry& r = registry();
   std::lock_guard lock(r.forensic_mutex);
-  if (r.forensics.size() >= r.config.max_forensic_events) {
+  if (r.forensics.size() >= kMaxForensicEvents) {
     ++r.forensics_dropped;
     return;
   }
@@ -314,25 +286,6 @@ std::string to_chrome_json(const TraceData& data, std::string_view run_id) {
   return os.str();
 }
 
-std::string to_jsonl(const TraceData& data) {
-  std::ostringstream os;
-  for (const auto& e : data.spans) {
-    os << "{\"type\": \"span\", \"name\": \"" << json::escape(e.name) << "\", \"cat\": \""
-       << json::escape(e.category) << "\", \"ts_ns\": " << e.start_ns
-       << ", \"dur_ns\": " << e.dur_ns << ", \"tid\": " << e.tid << ", \"depth\": " << e.depth
-       << ", \"attrs\": ";
-    append_attrs_object(os, e.attrs);
-    os << "}\n";
-  }
-  for (const auto& f : data.forensics) {
-    os << "{\"type\": \"forensic\", \"kind\": \"" << json::escape(f.kind)
-       << "\", \"ts_ns\": " << f.time_ns << ", \"tid\": " << f.tid << ", \"attrs\": ";
-    append_attrs_object(os, f.attrs);
-    os << "}\n";
-  }
-  return os.str();
-}
-
 std::string forensics_to_json(const TraceData& data, std::string_view run_id) {
   std::ostringstream os;
   os << "{\n\"run_id\": \"" << json::escape(run_id) << "\",\n\"dropped\": "
@@ -379,10 +332,6 @@ void write_text(const std::string& path, const std::string& text, const char* wh
 void write_chrome_json(const std::string& path, const TraceData& data,
                        std::string_view run_id) {
   write_text(path, to_chrome_json(data, run_id), "trace");
-}
-
-void write_jsonl(const std::string& path, const TraceData& data) {
-  write_text(path, to_jsonl(data), "trace");
 }
 
 void write_forensics_json(const std::string& path, const TraceData& data,

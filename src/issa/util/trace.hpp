@@ -11,13 +11,12 @@
 // mutex, no allocation for attribute-free spans.  The rings are drained by
 // collect() once the traced region has quiesced, and the merged event set
 // serializes to Chrome trace-event JSON (loadable in Perfetto /
-// chrome://tracing) and to a compact JSONL stream.  Spans sit at sample
-// granularity and above (spans::kAll); Newton and LU work is only counted.
+// chrome://tracing).  Spans sit at sample granularity and above
+// (spans::kAll); Newton and LU work is only counted.
 //
 // Like util/metrics, tracing starts disabled: with metrics off too, every
 // span site pays two relaxed atomic loads + a predicted branch until
-// set_enabled(true) (the --trace CLI flag or the ISSA_TRACE environment
-// variable).
+// set_enabled(true) (the --trace run flag).
 //
 // Forensics: when a Newton solve gives up or a transient's step-size control
 // collapses, the solver captures a diagnostic bundle — residual and damping
@@ -25,10 +24,11 @@
 // key/value context the caller pushed (sample index, RNG seed, operating
 // condition) via ContextScope.  Bundles are rare by construction, so they go
 // through a mutex-protected bounded list; the hot path only ever asks a
-// single relaxed question ("are forensics on?") before doing any work.
+// single relaxed question ("is tracing on?") before doing any work.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -36,28 +36,20 @@
 
 namespace issa::util::trace {
 
-/// Tuning knobs; set with configure() BEFORE enabling.  The defaults hold a
-/// full 400-sample table run without dropping; a run that overflows a ring
-/// wraps (oldest events overwritten, counted in TraceData::dropped).
-struct TraceConfig {
-  std::size_t ring_capacity = 1u << 16;  ///< completed spans kept per thread
-  bool forensics = true;                 ///< capture solver diagnostic bundles
-  std::size_t max_forensic_events = 64;  ///< bound on stored bundles
-};
+/// Completed spans kept per thread.  Holds a full 400-sample table run
+/// without dropping; a run that overflows a ring wraps (oldest events
+/// overwritten, counted in TraceData::dropped).
+inline constexpr std::size_t kRingCapacity = std::size_t{1} << 16;
+/// Bound on stored forensic bundles.
+inline constexpr std::size_t kMaxForensicEvents = 64;
 
-/// Turns span collection on or off at run time (default: off).
+/// Turns span collection (and forensic capture) on or off at run time
+/// (default: off).
 void set_enabled(bool on) noexcept;
 
+/// One relaxed load; solver failure paths check this before assembling a
+/// forensic bundle.
 bool enabled() noexcept;
-/// True when tracing is on AND the config asks for forensic bundles.  One
-/// relaxed load; solver failure paths check this before assembling anything.
-bool forensics_enabled() noexcept;
-
-/// Installs a config.  Call while tracing is disabled; an installed ring
-/// capacity applies to buffers created after the call (threads register their
-/// ring lazily on first span).
-void configure(const TraceConfig& config);
-TraceConfig config();
 
 /// One typed key/value pair attached to a span or forensic event.  Keys are
 /// string literals (the tracer stores the pointer, not a copy).
@@ -162,7 +154,7 @@ class ContextScope {
 
 /// Records a forensic bundle (fills time_ns/tid/span_path/context attrs from
 /// the calling thread; the caller supplies everything else).  No-op unless
-/// forensics_enabled(); the stored list is bounded by max_forensic_events
+/// enabled(); the stored list is bounded by kMaxForensicEvents
 /// (further events only bump TraceData::forensics_dropped).
 void record_forensic(ForensicEvent event);
 
@@ -173,7 +165,7 @@ struct TraceData {
   std::vector<SpanEvent> spans;
   std::vector<ForensicEvent> forensics;
   std::uint64_t dropped = 0;            ///< spans lost to ring wrap-around
-  std::uint64_t forensics_dropped = 0;  ///< bundles past max_forensic_events
+  std::uint64_t forensics_dropped = 0;  ///< bundles past kMaxForensicEvents
 };
 
 TraceData collect();
@@ -187,17 +179,12 @@ void clear();
 /// timeline; thread-name metadata records the tid mapping.
 std::string to_chrome_json(const TraceData& data, std::string_view run_id = {});
 
-/// Compact JSONL: one {"name",...} object per line, nanosecond timestamps,
-/// forensic events flagged with "forensic": true.
-std::string to_jsonl(const TraceData& data);
-
 /// Forensic sidecar: {"run_id", "events": [...]} with full histories.
 std::string forensics_to_json(const TraceData& data, std::string_view run_id = {});
 
 /// File writers; throw std::runtime_error on I/O failure.
 void write_chrome_json(const std::string& path, const TraceData& data,
                        std::string_view run_id = {});
-void write_jsonl(const std::string& path, const TraceData& data);
 void write_forensics_json(const std::string& path, const TraceData& data,
                           std::string_view run_id = {});
 

@@ -13,6 +13,7 @@
 #include "issa/analysis/mc_cache.hpp"
 #include "issa/core/run_context.hpp"
 #include "issa/sa/config.hpp"
+#include "issa/util/faultpoint.hpp"
 #include "issa/util/json.hpp"
 #include "issa/util/trace.hpp"
 
@@ -59,20 +60,7 @@ std::size_t count_of(const std::string& haystack, const std::string& needle) {
   return n;
 }
 
-class RunContextTest : public ::testing::Test {
- protected:
-  // The run flags fall back to the environment; keep it out of the tests.
-  void SetUp() override {
-    for (const char* name : {"ISSA_METRICS", "ISSA_TRACE", "ISSA_CACHE", "ISSA_FAULTS",
-                             "ISSA_FAST"}) {
-      unsetenv(name);
-    }
-  }
-};
-
-using RunContextDeathTest = RunContextTest;
-
-TEST_F(RunContextTest, RunFlagsBuildTheMcConfig) {
+TEST(RunContextTest, RunFlagsBuildTheMcConfig) {
   const Argv args({"--mc=7", "--seed=9", "--quarantine-max=0.25", "--shard=1/4"});
   core::RunContext run(args.argc(), args.argv(), "t");
   EXPECT_EQ(run.mc().iterations, 7u);
@@ -84,7 +72,7 @@ TEST_F(RunContextTest, RunFlagsBuildTheMcConfig) {
   EXPECT_EQ(run.mc().run_id, run.run_id());
 }
 
-TEST_F(RunContextTest, NoShardMeansTheWholeSweep) {
+TEST(RunContextTest, NoShardMeansTheWholeSweep) {
   const Argv args({});
   core::RunContext run(args.argc(), args.argv(), "t");
   EXPECT_EQ(run.mc().shard_index, 0u);
@@ -92,7 +80,7 @@ TEST_F(RunContextTest, NoShardMeansTheWholeSweep) {
   EXPECT_EQ(run.mc().seed, 42u);
 }
 
-TEST_F(RunContextDeathTest, MalformedShardExitsTwo) {
+TEST(RunContextDeathTest, MalformedShardExitsTwo) {
   for (const char* bad : {"2/2", "0/0", "a/b", "1", "1/", "/4", "1/4x"}) {
     const Argv args({std::string("--shard=") + bad});
     EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t"), ::testing::ExitedWithCode(2),
@@ -101,7 +89,7 @@ TEST_F(RunContextDeathTest, MalformedShardExitsTwo) {
   }
 }
 
-TEST_F(RunContextDeathTest, BadMcCountExitsTwo) {
+TEST(RunContextDeathTest, BadMcCountExitsTwo) {
   // Zero, negative and malformed counts stop before any run; none of them
   // may fall back to the default 400-sample sweep.
   for (const char* bad : {"0", "-5", "abc", "3x"}) {
@@ -112,19 +100,30 @@ TEST_F(RunContextDeathTest, BadMcCountExitsTwo) {
   }
 }
 
-TEST_F(RunContextDeathTest, UnknownOptionExitsTwoBeforeAnyWork) {
+TEST(RunContextDeathTest, BadQuarantineMaxExitsTwo) {
+  // NaN would disable the degradation gate (every comparison is false) and a
+  // negative fraction would fail every cell with nothing quarantined.
+  for (const char* bad : {"nan", "-0.1", "0.5x", "1.5"}) {
+    const Argv args({std::string("--quarantine-max=") + bad});
+    EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t"), ::testing::ExitedWithCode(2),
+                "--quarantine-max.*\nusage: run_context_test")
+        << bad;
+  }
+}
+
+TEST(RunContextDeathTest, UnknownOptionExitsTwoBeforeAnyWork) {
   const Argv args({"--mcc=2", "--fats"});
   EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t", {"csv=path"}),
               ::testing::ExitedWithCode(2), "unknown option --mcc=2");
 }
 
-TEST_F(RunContextDeathTest, BadFaultSpecExitsTwo) {
+TEST(RunContextDeathTest, BadFaultSpecExitsTwo) {
   const Argv args({"--faults=no.such_site=always"});
   EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t"), ::testing::ExitedWithCode(2),
-              "bad --faults/ISSA_FAULTS spec");
+              "bad --faults spec: --faults entry 'no.such_site=always'");
 }
 
-TEST_F(RunContextTest, SidecarsShareOneRunId) {
+TEST(RunContextTest, SidecarsShareOneRunId) {
   const std::string stem = fresh_dir("sidecars") + "/run";
   const Argv args({"--metrics=" + stem, "--trace=" + stem});
   std::string run_id;
@@ -141,12 +140,43 @@ TEST_F(RunContextTest, SidecarsShareOneRunId) {
   EXPECT_EQ(read_json(stem + ".metrics.json").at("run_id").as_string(), run_id);
   EXPECT_EQ(read_json(stem + ".conditions.json").at("run_id").as_string(), run_id);
   EXPECT_EQ(read_json(stem + ".trace.json").at("metadata").at("run_id").as_string(), run_id);
-  EXPECT_TRUE(fs::exists(stem + ".metrics.csv"));
-  EXPECT_TRUE(fs::exists(stem + ".conditions.csv"));
-  EXPECT_TRUE(fs::exists(stem + ".trace.jsonl"));
+  // One file per report: no CSV or JSONL twins.
+  for (const auto& entry : fs::directory_iterator(fs::path(stem).parent_path())) {
+    const std::string ext = entry.path().extension().string();
+    EXPECT_NE(ext, ".csv") << entry.path();
+    EXPECT_NE(ext, ".jsonl") << entry.path();
+  }
 }
 
-TEST_F(RunContextTest, CacheSummaryLineKeepsItsFormat) {
+TEST(RunContextTest, IgnoresTheEnvironment) {
+  // Each run setting has exactly one spelling, the flag: variables that once
+  // doubled as flags must not steer a run.
+  const std::string dir = fresh_dir("environment");
+  const std::string cache_dir = dir + "/cache";
+  setenv("ISSA_FAST", "1", 1);
+  setenv("ISSA_METRICS", "1", 1);
+  setenv("ISSA_TRACE", "1", 1);
+  setenv("ISSA_CACHE", cache_dir.c_str(), 1);
+  setenv("ISSA_FAULTS", "test.x=always", 1);
+  const fs::path cwd = fs::current_path();
+  fs::current_path(dir);
+  {
+    const Argv args({});
+    core::RunContext run(args.argc(), args.argv(), "t");
+    EXPECT_EQ(run.mc().iterations, 400u);
+    EXPECT_FALSE(analysis::mc_cache::enabled());
+    EXPECT_FALSE(util::faultpoint::armed());
+    EXPECT_TRUE(run.finish());
+  }
+  fs::current_path(cwd);
+  for (const char* name : {"ISSA_FAST", "ISSA_METRICS", "ISSA_TRACE", "ISSA_CACHE",
+                           "ISSA_FAULTS"}) {
+    unsetenv(name);
+  }
+  EXPECT_TRUE(fs::is_empty(dir)) << "finish() wrote into " << dir;
+}
+
+TEST(RunContextTest, CacheSummaryLineKeepsItsFormat) {
   const std::string dir = fresh_dir("cache");
   const Argv args({"--cache=" + dir, "--mc=2"});
   const analysis::mc_cache::CacheCounts before = analysis::mc_cache::counts();
@@ -173,7 +203,7 @@ TEST_F(RunContextTest, CacheSummaryLineKeepsItsFormat) {
   EXPECT_NE(out.find(summary), std::string::npos) << out;
 }
 
-TEST_F(RunContextTest, FinishEmitsExactlyOnce) {
+TEST(RunContextTest, FinishEmitsExactlyOnce) {
   const std::string stem = fresh_dir("once") + "/run";
   const Argv args({"--metrics=" + stem});
   ::testing::internal::CaptureStdout();
@@ -195,7 +225,7 @@ int main_with_early_return(const Argv& args, bool bail) {
   return run.finish() ? 0 : 1;
 }
 
-TEST_F(RunContextTest, EarlyReturnStillEmitsOnce) {
+TEST(RunContextTest, EarlyReturnStillEmitsOnce) {
   const std::string stem = fresh_dir("early") + "/run";
   const Argv args({"--metrics=" + stem, "--trace=" + stem});
   ::testing::internal::CaptureStdout();
@@ -207,7 +237,7 @@ TEST_F(RunContextTest, EarlyReturnStillEmitsOnce) {
   EXPECT_EQ(count_of(out, "wrote " + stem + ".trace.json"), 1u) << out;
 }
 
-TEST_F(RunContextTest, UnwritableSidecarMakesFinishFail) {
+TEST(RunContextTest, UnwritableSidecarMakesFinishFail) {
   const Argv args({"--metrics=/nonexistent-dir/x/run"});
   core::RunContext run(args.argc(), args.argv(), "t");
   ::testing::internal::CaptureStderr();

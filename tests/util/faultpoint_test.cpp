@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <set>
 #include <thread>
 #include <vector>
@@ -218,14 +217,6 @@ TEST_F(FaultpointTest, EmptySpecDisarms) {
   configure("");
   EXPECT_FALSE(armed());
   EXPECT_FALSE(should_fire("test.site"));
-}
-
-TEST_F(FaultpointTest, ConfigureFromEnvReadsIssaFaults) {
-  ::setenv("ISSA_FAULTS", "test.env=always", 1);
-  configure_from_env();
-  ::unsetenv("ISSA_FAULTS");
-  EXPECT_TRUE(armed());
-  EXPECT_TRUE(should_fire("test.env"));
 }
 
 TEST_F(FaultpointTest, WouldFireIsPureAndCountsNothing) {

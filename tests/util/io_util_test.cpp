@@ -7,6 +7,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "issa/core/run_context.hpp"
 #include "issa/util/cli.hpp"
 #include "issa/util/csv.hpp"
 #include "issa/util/table.hpp"
@@ -77,7 +78,7 @@ TEST(CsvWriter, RejectsWidthMismatch) {
 
 TEST(Options, ParsesFlagsAndValues) {
   const char* argv[] = {"prog", "--fast", "--mc=250", "--name=hello", "--x=-1.5"};
-  Options opt(5, argv);
+  const Options opt(5, argv, {"fast", "slow", "mc=N", "name=s", "x=F"});
   EXPECT_TRUE(opt.has_flag("fast"));
   EXPECT_FALSE(opt.has_flag("slow"));
   EXPECT_EQ(opt.get_long_or("mc", 0), 250);
@@ -87,7 +88,7 @@ TEST(Options, ParsesFlagsAndValues) {
 
 TEST(Options, DefaultsWhenAbsent) {
   const char* argv[] = {"prog"};
-  Options opt(1, argv);
+  const Options opt(1, argv, {"x=F", "n=N", "missing=s"});
   EXPECT_DOUBLE_EQ(opt.get_double_or("x", 2.5), 2.5);
   EXPECT_EQ(opt.get_long_or("n", 7), 7);
   EXPECT_FALSE(opt.get_string("missing").has_value());
@@ -95,43 +96,38 @@ TEST(Options, DefaultsWhenAbsent) {
 
 TEST(Options, FlagValueZeroMeansOff) {
   const char* argv[] = {"prog", "--fast=0"};
-  Options opt(2, argv);
+  const Options opt(2, argv, {"fast"});
   EXPECT_FALSE(opt.has_flag("fast"));
 }
 
-TEST(Options, BadNumberThrows) {
+TEST(OptionsDeathTest, BadNumberExitsTwo) {
   const char* argv[] = {"prog", "--mc=abc"};
-  Options opt(2, argv);
-  EXPECT_THROW(opt.get_long("mc"), std::invalid_argument);
+  const Options opt(2, argv, {"mc=N"});
+  EXPECT_EXIT(opt.get_long("mc"), ::testing::ExitedWithCode(2),
+              "bad integer value for --mc: abc\nusage: prog");
 }
 
 // Regression: get_long used to round-trip through stod, silently truncating
 // "3.7" to 3.  Non-integer values must be rejected with a clear error.
 TEST(Options, GetLongRejectsNonInteger) {
   const char* argv[] = {"prog", "--iterations=3.7"};
-  Options opt(2, argv);
-  EXPECT_THROW(opt.get_long("iterations"), std::invalid_argument);
-  try {
-    opt.get_long("iterations");
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("iterations"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("3.7"), std::string::npos);
-  }
+  const Options opt(2, argv, {"iterations=N"});
+  EXPECT_EXIT(opt.get_long("iterations"), ::testing::ExitedWithCode(2),
+              "bad integer value for --iterations: 3\\.7\nusage: prog");
 }
 
 // Regression: the stod round-trip also lost precision above 2^53.
 // 2^53 + 1 is the first integer a double cannot represent.
 TEST(Options, GetLongIsExactAboveDoublePrecision) {
   const char* argv[] = {"prog", "--n=9007199254740993", "--m=-9007199254740993"};
-  Options opt(3, argv);
+  const Options opt(3, argv, {"n=N", "m=N"});
   EXPECT_EQ(*opt.get_long("n"), 9007199254740993L);
   EXPECT_EQ(*opt.get_long("m"), -9007199254740993L);
 }
 
 TEST(Options, GetLongStillAcceptsPlainIntegers) {
   const char* argv[] = {"prog", "--a=0", "--b=-17", "--c=+4"};
-  Options opt(4, argv);
+  const Options opt(4, argv, {"a=N", "b=N", "c=N", "absent=N"});
   EXPECT_EQ(*opt.get_long("a"), 0);
   EXPECT_EQ(*opt.get_long("b"), -17);
   EXPECT_EQ(*opt.get_long("c"), 4);
@@ -140,14 +136,9 @@ TEST(Options, GetLongStillAcceptsPlainIntegers) {
 
 TEST(Options, BenchIterationsDefaultMatchesPaper) {
   const char* argv[] = {"prog"};
-  Options opt(1, argv);
-  // Unless the environment forces fast mode, the default is the paper's 400.
-  if (std::getenv("ISSA_FAST") == nullptr) {
-    EXPECT_EQ(bench_mc_iterations(opt), 400u);
-  }
+  EXPECT_EQ(core::RunContext(1, argv, "t").mc().iterations, 400u);
   const char* argv2[] = {"prog", "--mc=33"};
-  Options opt2(2, argv2);
-  EXPECT_EQ(bench_mc_iterations(opt2), 33u);
+  EXPECT_EQ(core::RunContext(2, argv2, "t").mc().iterations, 33u);
 }
 
 TEST(Options, StrictAcceptsDeclaredFlagsInEveryForm) {
@@ -206,6 +197,16 @@ TEST(OptionsDeathTest, StrictMalformedNumberPrintsUsageAndExitsTwo) {
               "bad numeric value for --vin: x\nusage: prog");
   EXPECT_EXIT(opt.get_count_or("mc", 80), ::testing::ExitedWithCode(2),
               "bad integer value for --mc: abc\nusage: prog");
+  // A double must parse whole and be finite: "5x" is not 5, and "nan" would
+  // silently disable every comparison it feeds.
+  const char* argv2[] = {"prog", "--vin=5x", "--q=nan", "--r=inf"};
+  const Options opt2(4, argv2, {"vin=mV", "q=F", "r=F"});
+  EXPECT_EXIT(opt2.get_double("vin"), ::testing::ExitedWithCode(2),
+              "bad numeric value for --vin: 5x\nusage: prog");
+  EXPECT_EXIT(opt2.get_double_or("q", 0.01), ::testing::ExitedWithCode(2),
+              "bad numeric value for --q: nan\nusage: prog");
+  EXPECT_EXIT(opt2.get_double_or("r", 0.01), ::testing::ExitedWithCode(2),
+              "bad numeric value for --r: inf\nusage: prog");
 }
 
 TEST(OptionsDeathTest, StrictNonPositiveCountExitsTwo) {
@@ -215,21 +216,7 @@ TEST(OptionsDeathTest, StrictNonPositiveCountExitsTwo) {
     EXPECT_EXIT(opt.get_count_or("mc", 80), ::testing::ExitedWithCode(2),
                 "--mc must be a positive integer: -?[05]\nusage: prog \\[--mc=N\\]\n")
         << arg;
-    EXPECT_EXIT(bench_mc_iterations(opt), ::testing::ExitedWithCode(2),
-                "--mc must be a positive integer")
-        << arg;
   }
-}
-
-TEST(Options, LenientMalformedOrNonPositiveValueThrows) {
-  const char* argv[] = {"prog", "--mc=abc", "--vin=x", "--n=0", "--m=-5", "--k=7"};
-  const Options opt(6, argv);
-  EXPECT_THROW(opt.get_long("mc"), std::invalid_argument);
-  EXPECT_THROW(opt.get_double("vin"), std::invalid_argument);
-  EXPECT_THROW(opt.get_count_or("n", 3), std::invalid_argument);
-  EXPECT_THROW(opt.get_count_or("m", 3), std::invalid_argument);
-  EXPECT_EQ(opt.get_count_or("k", 3), 7u);
-  EXPECT_EQ(opt.get_count_or("absent", 3), 3u);
 }
 
 TEST(Units, Conversions) {

@@ -254,22 +254,18 @@ TEST_F(MetricsTest, ReportFilesRoundTrip) {
   Registry::instance().counter("test.file").add(9);
   const Snapshot snap = Registry::instance().snapshot();
   const std::string json_path = ::testing::TempDir() + "metrics_test_report.json";
-  const std::string csv_path = ::testing::TempDir() + "metrics_test_report.csv";
   write_report_json(json_path, "roundtrip", snap);
-  write_report_csv(csv_path, snap);
 
   std::ifstream json_in(json_path);
   std::stringstream json_text;
   json_text << json_in.rdbuf();
   EXPECT_NE(json_text.str().find("\"title\": \"roundtrip\""), std::string::npos);
-
-  std::ifstream csv_in(csv_path);
-  std::string header;
-  std::getline(csv_in, header);
-  EXPECT_EQ(header, "metric,kind,count,total_ns,mean_ns");
+  // One metric per line: scripts/check_cache_correctness.sh greps a counter
+  // out of this form.
+  EXPECT_NE(json_text.str().find("\n    \"test.file\": {\"kind\": \"counter\", \"count\": 9}"),
+            std::string::npos);
 
   std::remove(json_path.c_str());
-  std::remove(csv_path.c_str());
 }
 
 TEST_F(MetricsTest, WriteToUnopenablePathThrows) {

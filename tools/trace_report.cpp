@@ -1,15 +1,16 @@
 // trace_report: terminal summaries of the sidecars written by --trace.
 //
-//   trace_report <run.trace.json | run.trace.jsonl>   full report
-//   trace_report --check <run.trace.json>             validate only (CI)
+//   trace_report <run.trace.json>           full report
+//   trace_report --check <run.trace.json>   validate only (CI)
 //
 // The full report shows where the run's wall clock went (per-span-name
 // breakdown), the shape of each span population (log2 duration histograms),
 // how busy each worker thread was (from pool.task spans), and any solver
-// forensic events.  --check parses the document and verifies it is
-// structurally valid Chrome trace-event JSON (the format Perfetto and
-// chrome://tracing load) that dropped no spans; it exits non-zero on any
-// malformation or loss, which is what the CI smoke job gates on.
+// forensic events.  Both modes read only the Chrome trace-event document
+// --trace writes (the format Perfetto and chrome://tracing load) and check
+// every event structurally; --check also fails a trace that dropped spans.
+// Any malformation or loss exits non-zero, which is what the CI smoke job
+// gates on.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -38,7 +39,7 @@ struct SpanRec {
 };
 
 struct ForensicRec {
-  std::string name;  // "forensic.<kind>" or kind
+  std::string name;  // "forensic.<kind>"
   std::uint32_t tid = 0;
   std::string span_path;
   std::string detail;  // flattened selected attrs
@@ -140,64 +141,15 @@ Trace ingest_chrome(const Value& doc) {
   return trace;
 }
 
-// --- JSONL ingestion -------------------------------------------------------
-
-Trace ingest_jsonl(const std::string& text) {
-  Trace trace;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    Value v;
-    try {
-      v = Value::parse(line);
-    } catch (const std::exception& e) {
-      throw std::runtime_error("line " + std::to_string(lineno) + ": " + e.what());
-    }
-    const std::string type = v.string_or("type", "");
-    if (type == "span") {
-      SpanRec s;
-      s.name = v.string_or("name", "?");
-      s.cat = v.string_or("cat", "");
-      s.start_ns = v.number_or("ts_ns", 0.0);
-      s.dur_ns = v.number_or("dur_ns", 0.0);
-      s.tid = static_cast<std::uint32_t>(v.number_or("tid", 0.0));
-      trace.spans.push_back(std::move(s));
-    } else if (type == "forensic") {
-      ForensicRec f;
-      f.name = "forensic." + v.string_or("kind", "?");
-      f.tid = static_cast<std::uint32_t>(v.number_or("tid", 0.0));
-      if (const Value* attrs = v.find("attrs"); attrs != nullptr && attrs->is_object()) {
-        f.detail = flatten_args(
-            *attrs, {"reason", "sample", "seed", "kind", "vdd", "temperature_c",
-                     "stress_time_s", "iterations", "final_residual", "t", "h_or_gmin"});
-      }
-      trace.forensics.push_back(std::move(f));
-    } else {
-      throw std::runtime_error("line " + std::to_string(lineno) +
-                               ": unknown \"type\": " + type);
-    }
-  }
-  return trace;
-}
-
+// Parses the whole document, requires a traceEvents array, and
+// structurally checks every event (ingest_chrome runs check_chrome_event on
+// each entry).
 Trace load(const std::string& path) {
-  const std::string text = read_file(path);
-  const std::size_t first = text.find_first_not_of(" \t\r\n");
-  if (first == std::string::npos) throw std::runtime_error(path + " is empty");
-  // A Chrome document is one object with traceEvents; a JSONL stream is one
-  // object per line.  Disambiguate by parsing the whole text first.
-  if (text[first] == '{') {
-    try {
-      Value doc = Value::parse(text);
-      if (doc.find("traceEvents") != nullptr) return ingest_chrome(doc);
-    } catch (const issa::util::json::ParseError&) {
-      // Fall through: likely JSONL (each line its own document).
-    }
-  }
-  return ingest_jsonl(text);
+  const Value doc = Value::parse(read_file(path));
+  const Value* events = doc.find("traceEvents");
+  if (events == nullptr) throw std::runtime_error("document has no \"traceEvents\" array");
+  if (!events->is_array()) throw std::runtime_error("\"traceEvents\" is not an array");
+  return ingest_chrome(doc);
 }
 
 // --- Reporting -------------------------------------------------------------
@@ -317,18 +269,7 @@ void print_report(const Trace& trace) {
 }
 
 int check(const std::string& path) {
-  // Validation is strict Chrome-format only: parse the whole document,
-  // require traceEvents, and structurally check every event.  ingest_chrome
-  // runs check_chrome_event on each entry, so a successful load IS the check.
-  const std::string text = read_file(path);
-  Value doc = Value::parse(text);
-  if (doc.find("traceEvents") == nullptr) {
-    throw std::runtime_error("document has no \"traceEvents\" array");
-  }
-  if (!doc.at("traceEvents").is_array()) {
-    throw std::runtime_error("\"traceEvents\" is not an array");
-  }
-  const Trace trace = ingest_chrome(doc);
+  const Trace trace = load(path);
   // A trace that lost spans to ring wrap-around cannot say where the time
   // went, however well-formed it is.
   if (trace.dropped_spans > 0) {
@@ -350,7 +291,7 @@ int main(int argc, char** argv) {
     if (arg == "--check") {
       check_only = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::printf("usage: trace_report [--check] <run.trace.json | run.trace.jsonl>\n");
+      std::printf("usage: trace_report [--check] <run.trace.json>\n");
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "trace_report: unknown flag %s\n", argv[i]);
@@ -363,7 +304,7 @@ int main(int argc, char** argv) {
     }
   }
   if (path.empty()) {
-    std::fprintf(stderr, "usage: trace_report [--check] <run.trace.json | run.trace.jsonl>\n");
+    std::fprintf(stderr, "usage: trace_report [--check] <run.trace.json>\n");
     return 2;
   }
   try {
