@@ -86,9 +86,8 @@ std::vector<sa::SenseAmpCircuit> offset_search_samples() {
 }
 
 // Fast path at default options (warm-started bracket, split interpolation,
-// early-exit transients, reused solver workspace).  Compare against
-// BM_OffsetSearchLegacy for the speedup guarded by
-// scripts/check_offset_fastpath.sh.
+// early-exit transients, reused solver workspace).  Its work counts are
+// guarded deterministically by the Measure.WarmStartCutsTransientCount test.
 void BM_OffsetSearchFast(benchmark::State& state) {
   auto circuits = offset_search_samples();
   for (auto _ : state) {
@@ -98,23 +97,6 @@ void BM_OffsetSearchFast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OffsetSearchFast)->Unit(benchmark::kMillisecond);
-
-// The pre-fast-path behaviour: full-window bisection, all transients
-// integrated to t_stop, a fresh simulator (and workspace) per run.
-void BM_OffsetSearchLegacy(benchmark::State& state) {
-  auto circuits = offset_search_samples();
-  sa::OffsetSearchOptions legacy;
-  legacy.warm_start = false;
-  legacy.split_secant = false;
-  legacy.early_exit = false;
-  legacy.reuse_simulator = false;
-  for (auto _ : state) {
-    for (auto& circuit : circuits) {
-      benchmark::DoNotOptimize(sa::measure_offset(circuit, legacy).offset);
-    }
-  }
-}
-BENCHMARK(BM_OffsetSearchLegacy)->Unit(benchmark::kMillisecond);
 
 void BM_TrapSetSampling(benchmark::State& state) {
   device::MosInstance inst;

@@ -18,7 +18,7 @@
 int main(int argc, char** argv) {
   using namespace issa;
 
-  // Parses the flags, arms --faults (e.g. 'lu.singular_pivot=n1'), opens
+  // Parses the flags, arms --faults (e.g. 'lu.singular_pivot=p0.001'), opens
   // the --cache and turns on --metrics / --trace collection.
   core::RunContext run(argc, argv, "quickstart");
 

@@ -190,7 +190,10 @@ std::string condition_fingerprint(const Condition& condition, const McConfig& mc
       .f64(bti.pmos_density_factor);
 
   h.u64(mc.seed);
-  h.boolean(mc.retry_failed_samples);
+  // Retry policy: every run retries a failed sample once.  Hashed as the
+  // constant it became so fingerprints written while it was a setting still
+  // match.
+  h.boolean(true);
   // Iteration count, parallelism, pool, sharding, and run_id are
   // deliberately excluded: none of them changes what sample i computes.
 

@@ -25,14 +25,14 @@
 //                                        produced (catches builder changes
 //                                        that the config alone would miss)
 //   mismatch + BTI parameters            every field
-//   mc seed + retry policy               sample streams are keyed by (seed,
+//   mc seed (+ the constant retry flag)  sample streams are keyed by (seed,
 //                                        index), so ITERATION COUNT is
 //                                        deliberately excluded: growing a
 //                                        sweep from 400 to 4000 samples
 //                                        reuses the first 400
 //
 // Cache keys are "<fingerprint-hex>:<kind>:<sample>" with kind one of
-// "offset", "delay.worst", "delay.mean" — human-greppable in store_report.
+// "offset" or "delay.worst" — human-greppable in store_report.
 //
 // The subsystem is inert unless open() is called (benches wire this to
 // --cache[=dir]).

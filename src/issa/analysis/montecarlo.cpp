@@ -220,24 +220,19 @@ McDegradation for_samples(const Condition& condition, const McConfig& mc,
     util::faultpoint::SampleScope fault_key(i);
     try {
       body(i, 0);
-    } catch (const std::runtime_error& first) {
+    } catch (const std::runtime_error&) {
       m_sample_failures().add();
-      if (mc.retry_failed_samples) {
-        m_sample_retries().add();
-        try {
-          // The retry draws its own injected-fault decisions (attempt = 1)
-          // and the body switches to its robust profile — together the
-          // deterministic analog of "retry from a perturbed initial guess".
-          util::faultpoint::RetryScope retry;
-          body(i, 1);
-          status[i] = kSampleRecovered;
-        } catch (const std::runtime_error& second) {
-          status[i] = kSampleQuarantined;
-          errors[i] = second.what();
-        }
-      } else {
+      m_sample_retries().add();
+      try {
+        // The retry draws its own injected-fault decisions (attempt = 1)
+        // and the body switches to its robust profile — together the
+        // deterministic analog of "retry from a perturbed initial guess".
+        util::faultpoint::RetryScope retry;
+        body(i, 1);
+        status[i] = kSampleRecovered;
+      } catch (const std::runtime_error& second) {
         status[i] = kSampleQuarantined;
-        errors[i] = first.what();
+        errors[i] = second.what();
       }
       if (status[i] == kSampleQuarantined) {
         m_quarantined().add();
@@ -356,16 +351,11 @@ OffsetDistribution measure_offset_distribution(const Condition& condition, const
       condition, mc, util::trace::spans::kMcOffsetDistribution,
       [&](std::size_t i, int attempt) {
         sa::SenseAmpCircuit circuit = build_sample(condition, mc, i, stress ? &*stress : nullptr);
+        // The retry runs the robust profile: a fresh simulator with cold
+        // bracketing approaches the flip from different operating points —
+        // the "perturbed initial guess".
         sa::OffsetSearchOptions search;
-        if (attempt > 0) {
-          // Robust retry profile: every fast-path knob off.  A fresh
-          // simulator with cold bracketing approaches the flip from
-          // different operating points — the "perturbed initial guess".
-          search.warm_start = false;
-          search.split_secant = false;
-          search.early_exit = false;
-          search.reuse_simulator = false;
-        }
+        search.robust = attempt > 0;
         const sa::OffsetResult r = sa::measure_offset(circuit, search);
         dist.offsets[i] = r.offset;
         saturated[i] = r.saturated ? 1 : 0;
@@ -398,10 +388,6 @@ DelayDistribution measure_delay_distribution(const Condition& condition, const M
   dist.skipped = mc.iterations - mc.shard_iterations(mc.iterations);
   const std::string fp =
       mc_cache::enabled() ? mc_cache::condition_fingerprint(condition, mc) : std::string();
-  // The two delay metrics derive different values from one sample's pair of
-  // transients, so they occupy distinct key spaces.
-  const char* kind =
-      mc.delay_metric == DelayMetric::kWorstDirection ? "delay.worst" : "delay.mean";
   std::optional<aging::DeviceStressMap> stress;
   if (condition.aged()) stress.emplace(condition_stress_map(condition));
   dist.degradation = for_samples(
@@ -411,14 +397,12 @@ DelayDistribution measure_delay_distribution(const Condition& condition, const M
         // still re-runs from a fresh build and draws fresh injected-fault
         // decisions (attempt = 1).
         sa::SenseAmpCircuit circuit = build_sample(condition, mc, i, stress ? &*stress : nullptr);
-        const sa::DelayPair pair = sa::measure_delay(circuit);
-        dist.delays[i] =
-            mc.delay_metric == DelayMetric::kWorstDirection ? pair.worst() : pair.mean();
+        dist.delays[i] = sa::measure_delay(circuit).worst();
       },
       [&](std::size_t i, unsigned char& status, std::string& error) {
         if (fp.empty()) return false;
         mc_cache::CachedSample cached;
-        if (!mc_cache::lookup(fp, kind, i, cached)) return false;
+        if (!mc_cache::lookup(fp, "delay.worst", i, cached)) return false;
         dist.delays[i] = cached.value;
         status = cached.status;
         error = cached.error;
@@ -426,7 +410,7 @@ DelayDistribution measure_delay_distribution(const Condition& condition, const M
       },
       [&](std::size_t i, unsigned char status, const std::string& error) {
         if (fp.empty()) return;
-        mc_cache::insert(fp, kind, i,
+        mc_cache::insert(fp, "delay.worst", i,
                          mc_cache::CachedSample{status, dist.delays[i], false, error});
       });
   dist.summary = util::summarize(valid_samples(dist.delays, dist.degradation.quarantined, mc));

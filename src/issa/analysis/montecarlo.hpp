@@ -62,7 +62,7 @@ struct Condition {
 std::string condition_label(const Condition& condition);
 
 /// One sample excluded from a distribution: its solver failed on the first
-/// attempt and again on the retry (or retries were disabled).
+/// attempt and again on the retry.
 struct QuarantinedSample {
   std::size_t sample = 0;  ///< Monte-Carlo sample index
   std::uint64_t seed = 0;  ///< the run's McConfig::seed
@@ -93,11 +93,6 @@ class McDegradationError : public std::runtime_error {
   McDegradation degradation_;
 };
 
-/// Which per-sample sensing delay enters the distribution.  A memory's
-/// timing is set by its slowest read, so the paper-facing experiments use
-/// the worst direction; the mean is available for symmetric analyses.
-enum class DelayMetric { kWorstDirection, kMeanOfDirections };
-
 struct McConfig {
   std::size_t iterations = 400;  ///< the paper's Monte-Carlo count
   std::uint64_t seed = 42;
@@ -105,13 +100,9 @@ struct McConfig {
   /// Pool for parallel runs (non-owning; nullptr = the global pool).  Results
   /// are identical for every pool size, including serial (parallel = false).
   util::ThreadPool* pool = nullptr;
-  DelayMetric delay_metric = DelayMetric::kWorstDirection;
   variation::MismatchParams mismatch = variation::default_mismatch();
   aging::BtiParams bti = aging::default_bti();
 
-  /// Retry a failed sample once (robust cold-start measurement profile =
-  /// perturbed Newton trajectory) before quarantining it.
-  bool retry_failed_samples = true;
   /// The run throws McDegradationError when strictly more than this fraction
   /// of iterations ends up quarantined (1% of samples exactly still passes).
   double max_quarantine_fraction = 0.01;
@@ -202,9 +193,9 @@ std::uint64_t condition_stress_map_builds() noexcept;
 /// Measures the offset distribution of a condition.
 OffsetDistribution measure_offset_distribution(const Condition& condition, const McConfig& mc);
 
-/// Measures the sensing-delay distribution of a condition, applying the
-/// McConfig's DelayMetric per sample (worst direction by default, per the
-/// delay experiments of Sec. IV).
+/// Measures the sensing-delay distribution of a condition.  Each sample
+/// contributes its slower read direction (DelayPair::worst()): a memory's
+/// timing is set by its slowest read, as in the delay experiments of Sec. IV.
 DelayDistribution measure_delay_distribution(const Condition& condition, const McConfig& mc);
 
 /// The per-transistor stress map implied by a condition (NSSA maps the

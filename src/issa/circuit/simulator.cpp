@@ -14,6 +14,24 @@ namespace {
 
 namespace mnames = util::metrics::names;
 
+// Newton solver settings, shared by the DC and transient solves.
+constexpr int kNewtonMaxIterations = 120;
+constexpr double kNewtonVtol = 1e-7;  // convergence: max |dV| below this [V]
+// Residual floor [A]: below this the point counts as converged.  Five orders
+// below the SA's on-currents (~1e-4 A); floating nodes held only by gmin reach
+// an oscillation floor near gmin * Vdd that must be accepted, not iterated
+// (newton_solve additionally floors this at 2 * gmin).
+constexpr double kNewtonAbstol = 1e-9;
+constexpr double kNewtonMaxStep = 0.3;  // damping: per-iteration voltage-step clamp [V]
+// Conductance from every node to ground [S].  1 nS is far below every
+// on-conductance in the SA yet large enough to dominate the subthreshold
+// leakage of off devices hanging on otherwise-floating nodes, which keeps
+// Newton out of limit cycles there (RC with 1 fF is ~1 us >> the ~60 ps
+// sensing window, so waveforms are unaffected).
+constexpr double kGmin = 1e-9;
+// Local timestep cuts of one transient step before the run gives up.
+constexpr int kMaxStepHalvings = 8;
+
 util::metrics::Counter& metric(const char* name) {
   return util::metrics::Registry::instance().counter(name);
 }
@@ -303,7 +321,7 @@ void Simulator::record_solver_forensic(const char* kind, const char* reason,
 }
 
 bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, double gmin,
-                             double source_scale, const NewtonOptions& options) {
+                             double source_scale) {
   const std::size_t n = unknown_count();
   const bool forensic = util::trace::enabled();
   if (forensic) {
@@ -358,9 +376,9 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, d
   // Newton cannot land exactly on the root of a stiff exponential; the
   // attainable residual floor on nodes held only by gmin scales with the
   // gmin current itself, so the acceptance floor must track it.
-  const double abstol = std::max(options.abstol, 2.0 * gmin);
+  const double abstol = std::max(kNewtonAbstol, 2.0 * gmin);
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kNewtonMaxIterations; ++iter) {
     ++telemetry.iterations;
     if (fnorm < abstol) return true;
 
@@ -376,7 +394,7 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, d
 
     // Damping stage 1: clamp the voltage updates (branch currents are free).
     for (std::size_t i = 0; i < free_node_count_; ++i) {
-      dx[i] = std::clamp(dx[i], -options.max_step, options.max_step);
+      dx[i] = std::clamp(dx[i], -kNewtonMaxStep, kNewtonMaxStep);
     }
 
     // Damping stage 2: backtracking line search on the residual norm.  This
@@ -412,7 +430,7 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, d
       alpha_hist_ws_.push_back(ls.alpha);
     }
 
-    if (max_dv < options.vtol && ls.improved) return true;
+    if (max_dv < kNewtonVtol && ls.improved) return true;
   }
   ++telemetry.failures;
   return false;
@@ -440,45 +458,39 @@ std::vector<double> Simulator::solve_dc(const DcOptions& options) {
   };
 
   load_guess();
-  if (newton_solve(x, 0.0, /*transient=*/false, options.newton.gmin, 1.0, options.newton)) {
-    return finish();
+  if (newton_solve(x, 0.0, /*transient=*/false, kGmin, 1.0)) return finish();
+
+  // Homotopy: converge the heavily damped system first, then ramp gmin down
+  // gently, warm-starting every stage from the previous solution.
+  load_guess();
+  bool ok = true;
+  double gmin = 1e-2;
+  while (true) {
+    if (util::faultpoint::should_fire(util::faultpoint::sites::kGminStageFail) ||
+        !newton_solve(x, 0.0, false, gmin, 1.0)) {
+      ok = false;
+      break;
+    }
+    if (gmin <= kGmin * 1.0001) break;
+    gmin = std::max(gmin * 0.5, kGmin);
   }
+  if (ok) return finish();
 
-  if (options.gmin_stepping) {
-    // Homotopy: converge the heavily damped system first, then ramp gmin
-    // down gently, warm-starting every stage from the previous solution.
-    load_guess();
-    bool ok = true;
-    double gmin = 1e-2;
-    while (true) {
-      if (util::faultpoint::should_fire(util::faultpoint::sites::kGminStageFail) ||
-          !newton_solve(x, 0.0, false, gmin, 1.0, options.newton)) {
-        ok = false;
-        break;
-      }
-      if (gmin <= options.newton.gmin * 1.0001) break;
-      gmin = std::max(gmin * 0.5, options.newton.gmin);
-    }
-    if (ok) return finish();
-
-    // Last resort: source stepping under relaxed gmin, then re-tighten.
-    load_guess();
-    ok = true;
-    for (double scale = 0.05; scale <= 1.0001; scale += 0.05) {
-      if (!newton_solve(x, 0.0, false, 1e-8, scale, options.newton)) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok && newton_solve(x, 0.0, false, options.newton.gmin, 1.0, options.newton)) {
-      return finish();
+  // Last resort: source stepping under relaxed gmin, then re-tighten.
+  load_guess();
+  ok = true;
+  for (double scale = 0.05; scale <= 1.0001; scale += 0.05) {
+    if (!newton_solve(x, 0.0, false, 1e-8, scale)) {
+      ok = false;
+      break;
     }
   }
+  if (ok && newton_solve(x, 0.0, false, kGmin, 1.0)) return finish();
+
   // Terminal: every fallback (plain, gmin homotopy, source stepping) failed.
   // The history workspace still holds the LAST failed Newton solve.
   if (util::trace::enabled()) {
-    record_solver_forensic("newton_nonconvergence", "dc_all_fallbacks_failed", x, 0.0,
-                           options.newton.gmin);
+    record_solver_forensic("newton_nonconvergence", "dc_all_fallbacks_failed", x, 0.0, kGmin);
   }
   throw ConvergenceError("solve_dc: Newton failed to converge");
 }
@@ -521,7 +533,6 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
 
   // Starting point: DC at t = 0, then apply explicit overrides.
   DcOptions dc_options;
-  dc_options.newton = options.newton;
   dc_options.initial_guess = options.dc_guess;
   std::vector<double> v0 = solve_dc(dc_options);
   for (const auto& [node, value] : options.initial_overrides) {
@@ -580,7 +591,7 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
     int halvings = 0;
     for (;;) {
       // Injected step collapse takes the same terminal path as exhausting
-      // max_step_halvings below: forensic event, then ConvergenceError.
+      // kMaxStepHalvings below: forensic event, then ConvergenceError.
       if (util::faultpoint::should_fire(util::faultpoint::sites::kTransientStepCollapse)) {
         if (util::trace::enabled()) {
           record_solver_forensic("transient_step_collapse", "fault_injected", x, t, h);
@@ -589,8 +600,7 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
       }
       prepare_companions(h, options.method);
       x_try.assign(x.begin(), x.end());
-      if (newton_solve(x_try, t + h, /*transient=*/true, options.newton.gmin, 1.0,
-                       options.newton)) {
+      if (newton_solve(x_try, t + h, /*transient=*/true, kGmin, 1.0)) {
         x.swap(x_try);
         t += h;
         fill_node_voltages(x, t, 1.0, node_v);
@@ -598,11 +608,11 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
         m_transient_steps().add();
         break;
       }
-      if (++halvings > options.max_step_halvings) {
+      if (++halvings > kMaxStepHalvings) {
         // Terminal: the step-size control collapsed.  x is the last ACCEPTED
         // state; the history workspace holds the last failed Newton solve.
         if (util::trace::enabled()) {
-          record_solver_forensic("transient_step_collapse", "max_step_halvings", x, t, h);
+          record_solver_forensic("transient_step_collapse", "step_halvings_exhausted", x, t, h);
         }
         throw ConvergenceError("run_transient: Newton failed at t = " + std::to_string(t));
       }

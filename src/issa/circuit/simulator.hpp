@@ -51,26 +51,7 @@ class ConvergenceError : public std::runtime_error {
 
 enum class IntegrationMethod { kBackwardEuler, kTrapezoidal };
 
-struct NewtonOptions {
-  int max_iterations = 120;
-  double vtol = 1e-7;    ///< convergence: max |dV| below this [V]
-  /// Residual floor [A]: below this the point counts as converged.  Five
-  /// orders below the SA's on-currents (~1e-4 A); floating nodes held only by
-  /// gmin reach an oscillation floor near gmin * Vdd that must be accepted,
-  /// not iterated (the solver additionally floors this at 2 * gmin).
-  double abstol = 1e-9;
-  double max_step = 0.3; ///< damping: per-iteration voltage-step clamp [V]
-  /// Conductance from every node to ground [S].  1 nS is far below every
-  /// on-conductance in the SA yet large enough to dominate the subthreshold
-  /// leakage of off devices hanging on otherwise-floating nodes, which keeps
-  /// Newton out of limit cycles there (RC with 1 fF is ~1 us >> the ~60 ps
-  /// sensing window, so waveforms are unaffected).
-  double gmin = 1e-9;
-};
-
 struct DcOptions {
-  NewtonOptions newton;
-  bool gmin_stepping = true;  ///< retry with relaxed gmin ramp on failure
   /// Optional starting point: full node-voltage vector (index = NodeId).
   /// A good guess (e.g. the known precharge state of a testbench) avoids
   /// the homotopy fallbacks entirely.
@@ -81,7 +62,6 @@ struct TransientOptions {
   double tstop = 0.0;  ///< simulation end time [s]
   double dt = 1e-13;   ///< base timestep [s]
   IntegrationMethod method = IntegrationMethod::kTrapezoidal;
-  NewtonOptions newton;
   /// Node voltages forced at t = 0 instead of their DC solution (the DC
   /// solve still provides every other node's starting point).  A node pinned
   /// by a grounded voltage source cannot be overridden: run_transient throws
@@ -89,7 +69,6 @@ struct TransientOptions {
   std::vector<std::pair<NodeId, double>> initial_overrides;
   /// Passed through to the t = 0 DC solve as its starting point.
   std::vector<double> dc_guess;
-  int max_step_halvings = 8;  ///< local timestep cuts before giving up
 
   /// When non-empty, the TransientResult records only these nodes instead of
   /// every node at every step (the measurement fast path probes just the
@@ -187,7 +166,9 @@ class Simulator {
   Simulator(const Netlist& netlist, double temperature_k);
 
   /// DC operating point with sources evaluated at t = 0.  Returns the full
-  /// node-voltage vector (index = NodeId, entry 0 = ground = 0 V).
+  /// node-voltage vector (index = NodeId, entry 0 = ground = 0 V).  When
+  /// plain Newton fails it falls back to a gmin homotopy, then to source
+  /// stepping; throws ConvergenceError when all three fail.
   std::vector<double> solve_dc(const DcOptions& options = {});
 
   /// Transient analysis starting from the DC operating point (plus any
@@ -218,7 +199,7 @@ class Simulator {
   // Newton loop on the current assembly configuration; updates x in place.
   // Returns true on convergence.
   bool newton_solve(std::vector<double>& x, double t, bool transient, double gmin,
-                    double source_scale, const NewtonOptions& options);
+                    double source_scale);
 
   // Trace forensics: emits a diagnostic bundle (kind + reason, the residual/
   // alpha histories of the last Newton solve, the node voltages implied by

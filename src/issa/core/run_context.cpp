@@ -1,5 +1,6 @@
 #include "issa/core/run_context.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <iterator>
@@ -29,20 +30,21 @@ std::string value_or(const util::Options& options, std::string_view name,
 }
 
 // Applies --shard=i/N (0 <= i < N) to `mc`; throws std::invalid_argument on a
-// malformed selector ("2/2", "a/b", "1", ...).
+// malformed selector ("2/2", "a/b", "1", "0/-4", ...).
 void apply_shard(const std::string& v, analysis::McConfig& mc) {
+  // Digits only: std::stoul would also take a sign, and wrap "-4" to 2^64 - 4.
+  auto digits = [](const std::string& s) {
+    return !s.empty() &&
+           std::all_of(s.begin(), s.end(), [](char c) { return c >= '0' && c <= '9'; });
+  };
   const std::size_t slash = v.find('/');
-  std::size_t index_consumed = 0;
-  std::size_t count_consumed = 0;
   try {
-    if (slash == std::string::npos || slash == 0 || slash + 1 >= v.size()) {
-      throw std::invalid_argument("missing i/N");
+    if (slash == std::string::npos || !digits(v.substr(0, slash)) ||
+        !digits(v.substr(slash + 1))) {
+      throw std::invalid_argument("want i/N");
     }
-    mc.shard_index = static_cast<std::size_t>(std::stoul(v.substr(0, slash), &index_consumed));
-    mc.shard_count = static_cast<std::size_t>(std::stoul(v.substr(slash + 1), &count_consumed));
-    if (index_consumed != slash || count_consumed != v.size() - slash - 1) {
-      throw std::invalid_argument("trailing characters");
-    }
+    mc.shard_index = static_cast<std::size_t>(std::stoul(v.substr(0, slash)));
+    mc.shard_count = static_cast<std::size_t>(std::stoul(v.substr(slash + 1)));
   } catch (const std::exception&) {
     throw std::invalid_argument("bad --shard value (want i/N, e.g. 0/4): " + v);
   }
@@ -62,7 +64,15 @@ analysis::McConfig mc_config(const util::Options& options, std::string run_id) {
                                 *options.get_string("quarantine-max"));
   }
   mc.run_id = std::move(run_id);
-  if (const auto shard = options.get_string("shard")) apply_shard(*shard, mc);
+  const auto shard = options.get_string("shard");
+  if (shard) apply_shard(*shard, mc);
+  // Every distribution reports a standard deviation, which takes two samples.
+  if (const std::size_t n = mc.shard_iterations(mc.iterations); n < 2) {
+    std::string run = "--mc=" + std::to_string(mc.iterations);
+    if (shard) run += " --shard=" + *shard;
+    throw std::invalid_argument(run + " computes " + std::to_string(n) +
+                                " sample(s); a run needs at least 2");
+  }
   return mc;
 }
 

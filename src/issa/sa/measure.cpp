@@ -11,6 +11,11 @@ namespace issa::sa {
 
 namespace {
 
+// First marching step of the warm start [V].  Of the order of the DC
+// estimator's typical error against the transient measurement, so one or two
+// marching probes usually bracket the flip.
+constexpr double kWarmStartHalfwidth = 2e-3;
+
 circuit::TransientOptions transient_options(const SenseAmpCircuit& c, double vin) {
   circuit::TransientOptions opt;
   opt.tstop = c.config().timing.t_stop;
@@ -44,25 +49,22 @@ SenseRunResult classify(const SenseAmpCircuit& c, const circuit::TransientResult
 }
 
 // One measurement campaign over a single testbench: a sequence of sensing
-// runs at different input differentials.  Owns the fast-path state — the
-// reused Simulator (with its Newton workspace) and the previous run's DC
-// solution — and applies the early-exit/probe configuration per run.
+// runs at different input differentials.  Unless robust, owns the fast-path
+// state — the reused Simulator (with its Newton workspace) and the previous
+// run's DC solution — and applies the early-exit/probe configuration per run.
+// A robust session integrates every run to t_stop on a fresh Simulator.
 class SenseSession {
  public:
   // `decision_only` relaxes the early-exit condition to the read decision
   // alone (offset search ignores the delay); delay measurements must leave it
   // false so the output crossing is always in the record.
-  SenseSession(SenseAmpCircuit& circuit, bool early_exit, bool reuse_simulator,
-               bool decision_only = false)
-      : circuit_(circuit),
-        early_exit_(early_exit),
-        reuse_(reuse_simulator),
-        decision_only_(decision_only) {}
+  SenseSession(SenseAmpCircuit& circuit, bool robust, bool decision_only = false)
+      : circuit_(circuit), robust_(robust), decision_only_(decision_only) {}
 
   SenseRunResult run(double vin) {
     circuit_.set_input_differential(vin);
     circuit::TransientOptions opt = transient_options(circuit_, vin);
-    if (early_exit_) {
+    if (!robust_) {
       // Record only what classify() reads.
       for (const circuit::NodeId node : {circuit_.node_s(), circuit_.node_sbar(),
                                          circuit_.node_out(), circuit_.node_outbar()}) {
@@ -95,7 +97,7 @@ class SenseSession {
         };
       }
     }
-    if (reuse_ && sim_.has_value()) {
+    if (!robust_ && sim_.has_value()) {
       // Consecutive runs differ only in the bitline drive: the previous DC
       // operating point is a near-exact starting guess for this one.
       if (!sim_->last_dc_solution().empty()) opt.dc_guess = sim_->last_dc_solution();
@@ -110,8 +112,7 @@ class SenseSession {
 
  private:
   SenseAmpCircuit& circuit_;
-  bool early_exit_;
-  bool reuse_;
+  bool robust_;
   bool decision_only_;
   std::optional<circuit::Simulator> sim_;
   int transients_ = 0;
@@ -134,15 +135,11 @@ OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions&
   if (!(options.vmax > 0.0) || !(options.tolerance > 0.0) || options.tolerance >= options.vmax) {
     throw std::invalid_argument("measure_offset: bad search options");
   }
-  if (!(options.warm_start_halfwidth > 0.0)) {
-    throw std::invalid_argument("measure_offset: warm_start_halfwidth must be > 0");
-  }
   OffsetResult result;
   double lo = -options.vmax;  // assumed to read 0
   double hi = options.vmax;   // assumed to read 1
 
-  SenseSession session(circuit, options.early_exit, options.reuse_simulator,
-                       /*decision_only=*/true);
+  SenseSession session(circuit, options.robust, /*decision_only=*/true);
 
   // Final latch splits V(S) - V(SBar) at the bracket ends, once probed:
   // negative on the lo (read-0) side, positive on the hi side.  While both
@@ -170,11 +167,11 @@ OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions&
   // bracketed.  Only for the unswapped latch-type SAs — the estimator is not
   // defined for the double-tail topologies, and swapping inverts the
   // decision's monotonicity, which the probe updates above assume.
-  const double w0 = options.warm_start_halfwidth;
+  const double w0 = kWarmStartHalfwidth;
   const bool estimable =
       (circuit.kind() == SenseAmpKind::kNssa || circuit.kind() == SenseAmpKind::kIssa) &&
       !circuit.swapped();
-  if (options.warm_start && estimable && w0 > options.tolerance && 2.0 * w0 < hi - lo) {
+  if (!options.robust && estimable && w0 > options.tolerance && 2.0 * w0 < hi - lo) {
     // The flip point of vin is minus the offset estimate (sign convention of
     // OffsetResult); clamp it inside the window.
     const double center = std::clamp(-estimate_offset_dc(circuit), lo + options.tolerance,
@@ -190,11 +187,12 @@ OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions&
     // still narrowed the window one-sidedly, so nothing is lost.
   }
 
-  // Bisection, accelerated by false position on the final latch splits when
-  // both bracket ends are unresolved (|split| below the early-exit seal at
-  // Vdd/2, so identical with early exit on or off): there the split is
-  // near-linear in vin and interpolation lands next to the flip, collapsing
-  // the bracket in 2-3 runs where bisection needs ~log2(width / tolerance).
+  // Bisection, accelerated on the fast path by false position on the final
+  // latch splits when both bracket ends are unresolved (|split| below the
+  // early-exit seal at Vdd/2, so early exit never truncates them): there the
+  // split is near-linear in vin and interpolation lands next to the flip,
+  // collapsing the bracket in 2-3 runs where bisection needs
+  // ~log2(width / tolerance).
   // Correctness never depends on the interpolation — it only picks the query
   // point inside the bracket — and a forced bisection after every two
   // interpolation steps keeps the worst case bisection-like.
@@ -203,7 +201,7 @@ OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions&
   while (hi - lo > options.tolerance) {
     double x = 0.5 * (lo + hi);
     bool used_secant = false;
-    if (options.split_secant && secant_streak < 2 && have_lo && have_hi && g_lo < 0.0 &&
+    if (!options.robust && secant_streak < 2 && have_lo && have_hi && g_lo < 0.0 &&
         g_hi > 0.0 && g_lo > -g_linear && g_hi < g_linear) {
       // Brent-style minimum step: keep the proposal at least half a tolerance
       // off either end.  Once interpolation has pinned the flip at one end,
@@ -231,7 +229,7 @@ OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions&
 
 DelayPair measure_delay(SenseAmpCircuit& circuit, double vin_magnitude) {
   if (!(vin_magnitude > 0.0)) throw std::invalid_argument("measure_delay: vin must be > 0");
-  SenseSession session(circuit, /*early_exit=*/true, /*reuse_simulator=*/true);
+  SenseSession session(circuit, /*robust=*/false);
   for (int scale = 1; scale <= 4; ++scale) {
     const double vin = vin_magnitude * scale;
     const SenseRunResult one = session.run(vin);

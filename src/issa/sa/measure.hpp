@@ -30,37 +30,14 @@ struct OffsetSearchOptions {
   double vmax = 0.25;        ///< search window: [-vmax, +vmax] [V]
   double tolerance = 5e-5;   ///< stop when the bracket is this narrow [V]
 
-  // Fast-path knobs (see DESIGN.md "Measurement fast path").  All preserve
-  // the measurement contract; each can be switched off independently, which
-  // is what the bench_kernels legacy/fast comparison does.
-
-  /// Seed the bisection bracket from estimate_offset_dc: probe the estimated
-  /// flip, then march geometrically (w, 4w, 16w, ...) into the side the
-  /// estimate leaves unbracketed.  Each probe is an ordinary bisection query,
-  /// so a wrong estimate only costs the marching probes — the bracket stays
-  /// valid.  Applies to the unswapped latch-type SAs (the estimator is not
-  /// defined elsewhere); ignored otherwise.
-  bool warm_start = true;
-  /// First marching step of the warm start [V].  Of the order of the
-  /// estimator's typical error against the transient measurement, so one or
-  /// two marching probes usually bracket the flip.
-  double warm_start_halfwidth = 2e-3;
-  /// Accelerate the endgame with false position on the final latch split
-  /// V(S) - V(SBar): near the flip the split is a linear function of vin, so
-  /// interpolating two unresolved probes lands on the flip in a couple of
-  /// runs where bisection needs ~log2(bracket / tolerance).  Used only while
-  /// both bracket ends are in the linear (unresolved) regime, with a forced
-  /// bisection every third probe — the worst case stays bisection-like.
-  bool split_secant = true;
-  /// Stop each transient once regeneration has resolved instead of always
-  /// integrating to t_stop, and record only the nodes the classification
-  /// reads.  Decisions are unchanged: a resolved latch cannot un-resolve,
-  /// and marginal (non-triggering) runs integrate to t_stop exactly as
-  /// before.
-  bool early_exit = true;
-  /// Reuse one Simulator (and its Newton workspace) for the whole search,
-  /// feeding each run's DC solution to the next as its starting guess.
-  bool reuse_simulator = true;
+  /// Search profile.  false (the default) is the measurement fast path (see
+  /// DESIGN.md "Measurement fast path"): the bracket is warm-started from
+  /// estimate_offset_dc, the endgame interpolates the final latch split,
+  /// every transient stops once regeneration has resolved, and one Simulator
+  /// serves the whole search.  true is the paper's method: full-window
+  /// bisection over full-length transients, a fresh simulator per probe.
+  /// The Monte-Carlo engine retries a failed sample with it.
+  bool robust = false;
 };
 
 struct OffsetResult {

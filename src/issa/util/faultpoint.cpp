@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 
@@ -28,11 +29,10 @@ std::uint64_t fnv1a(std::string_view s) noexcept {
 }
 
 struct Trigger {
-  enum class Mode { kProbability, kNth, kKeys, kAlways };
+  enum class Mode { kProbability, kKeys, kAlways };
   Mode mode = Mode::kAlways;
   double p = 0.0;             // kProbability
   std::uint64_t seed = 0;     // kProbability
-  std::uint64_t nth = 0;      // kNth (1-based)
   std::vector<std::uint64_t> keys;  // kKeys (sorted)
 };
 
@@ -121,7 +121,11 @@ std::uint64_t parse_u64(std::string_view entry, std::string_view text, const cha
   std::uint64_t value = 0;
   for (const char c : text) {
     if (c < '0' || c > '9') bad_spec(entry, std::string("bad ") + what + " '" + std::string(text) + "'");
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      bad_spec(entry, std::string(what) + " '" + std::string(text) + "' does not fit in 64 bits");
+    }
+    value = value * 10 + digit;
   }
   return value;
 }
@@ -145,12 +149,6 @@ Trigger parse_trigger(std::string_view entry, std::string_view text) {
     }
     return t;
   }
-  if (text.size() >= 2 && text[0] == 'n') {
-    t.mode = Trigger::Mode::kNth;
-    t.nth = parse_u64(entry, text.substr(1), "hit index");
-    if (t.nth == 0) bad_spec(entry, "nth-hit index is 1-based");
-    return t;
-  }
   if (text.size() >= 2 && text[0] == 'p') {
     t.mode = Trigger::Mode::kProbability;
     std::string_view body = text.substr(1);
@@ -170,15 +168,13 @@ Trigger parse_trigger(std::string_view entry, std::string_view text) {
     return t;
   }
   bad_spec(entry, "unknown trigger '" + std::string(text) +
-                      "' (want p<float>[@seed], n<int>, key<int>[|<int>...], or always)");
+                      "' (want p<float>[@seed], key<int>[|<int>...], or always)");
 }
 
 bool trigger_would_fire(const Site& site, std::uint64_t key, std::uint32_t attempt) noexcept {
   switch (site.trigger.mode) {
     case Trigger::Mode::kAlways:
       return true;
-    case Trigger::Mode::kNth:
-      return false;  // counter-order-dependent: no pure answer
     case Trigger::Mode::kKeys:
       return keys_contain(site.trigger.keys, key);
     case Trigger::Mode::kProbability:
@@ -204,9 +200,6 @@ bool should_fire(const char* site) noexcept {
   switch (s->trigger.mode) {
     case Trigger::Mode::kAlways:
       fire = true;
-      break;
-    case Trigger::Mode::kNth:
-      fire = evaluation == s->trigger.nth;
       break;
     case Trigger::Mode::kKeys:
       fire = !t_key_stack.empty() && keys_contain(s->trigger.keys, t_key_stack.back());

@@ -16,9 +16,6 @@
 //    perturbed initial guess may escape the failure"; key-list triggers
 //    ignore the attempt and model a sample that is pathological no matter
 //    how it is approached (it must end up quarantined).
-//  * nth-hit triggers use a per-site evaluation counter and are therefore
-//    order-deterministic only in serial code; they exist for unit tests of
-//    single failure paths ("fail exactly the first DC solve").
 //
 // Spec syntax (the --faults= run flag); entries separated by ';' or ',':
 //
@@ -26,13 +23,11 @@
 //
 //   trigger := p<float>[@<seed>]      fire with probability <float> per key
 //                                     (seeded hash; default seed 0)
-//            | n<int>                 fire on exactly the <int>-th evaluation
-//                                     of the site (1-based, fires once)
 //            | key<int>[|<int>...]    fire whenever the scoped key matches
 //                                     one of the listed values (any attempt)
 //            | always                 fire on every evaluation
 //
-//   example: --faults='lu.singular_pivot=p0.01@7;sim.gmin_stage_fail=n1'
+//   example: --faults='lu.singular_pivot=p0.01@7;sim.gmin_stage_fail=key3'
 //
 // Site names must be registered below (or carry the 'test.' prefix reserved
 // for unit tests); configure() rejects unknown names so a typo cannot arm
@@ -112,8 +107,7 @@ void clear();
 std::vector<SiteReport> report();
 
 /// Test oracle: would `site` fire for (key, attempt) under the current
-/// configuration?  Pure — does not count an evaluation.  Nth-hit triggers
-/// return false (their decision is counter-order-dependent by design).
+/// configuration?  Pure — does not count an evaluation.
 bool would_fire(std::string_view site, std::uint64_t key, std::uint32_t attempt) noexcept;
 
 /// Scopes the calling thread's deterministic trigger key (e.g. the

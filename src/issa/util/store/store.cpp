@@ -47,10 +47,9 @@ std::string segment_header() {
 
 }  // namespace
 
-Store::Store(std::string directory, Options options)
-    : directory_(std::move(directory)), options_(options) {
+Store::Store(std::string directory, Options options) : directory_(std::move(directory)) {
   std::error_code ec;
-  if (options_.must_exist) {
+  if (options.must_exist) {
     if (!fs::is_directory(directory_, ec)) {
       throw std::runtime_error("store: no such store directory: " + directory_);
     }
@@ -174,7 +173,7 @@ bool Store::put(std::string_view key, std::string_view value) {
   pending_.append(record);
   ++pending_records_;
   ++stats_.records_appended;
-  if (pending_records_ >= options_.checkpoint_every) write_pending_locked();
+  if (pending_records_ >= kCheckpointEvery) write_pending_locked();
   return true;
 }
 

@@ -21,7 +21,7 @@
 //   ...repeated until end of file.
 //
 // Crash safety: records are buffered in memory and written + fsync'd every
-// `checkpoint_every` appends (and on flush()/destruction).  A process killed
+// kCheckpointEvery appends (and on flush()/destruction).  A process killed
 // mid-write leaves at most a torn tail; the loader validates each record's
 // CRC and drops the segment's damaged suffix, so a restarted sweep resumes
 // from the last checkpoint instead of recomputing everything — or crashing.
@@ -59,10 +59,11 @@ struct StoreStats {
 
 class Store {
  public:
+  /// Records buffered between fsync'd write-outs.  Lower = smaller replay
+  /// window after a kill; higher = fewer fsyncs on the sample hot path.
+  static constexpr std::size_t kCheckpointEvery = 64;
+
   struct Options {
-    /// Records buffered between fsync'd write-outs.  Lower = smaller replay
-    /// window after a kill; higher = fewer fsyncs on the sample hot path.
-    std::size_t checkpoint_every = 64;
     /// Open an existing directory only (store_report uses this so a typo'd
     /// path errors instead of silently creating an empty store).
     bool must_exist = false;
@@ -89,7 +90,7 @@ class Store {
   /// Appends a record.  Returns false (and appends nothing) when the key is
   /// already present — the store is content-addressed, so the existing value
   /// is by construction the same.  Auto-checkpoints every
-  /// Options::checkpoint_every accepted records.
+  /// kCheckpointEvery accepted records.
   bool put(std::string_view key, std::string_view value);
 
   /// Writes buffered records to this process's segment and fsyncs it.
@@ -113,7 +114,6 @@ class Store {
 
   mutable std::mutex lock_;
   std::string directory_;
-  Options options_;
   std::unordered_map<std::string, std::string> index_;
   std::string write_path_;     // this process's segment (created lazily)
   std::string pending_;        // encoded records not yet written

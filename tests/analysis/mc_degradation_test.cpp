@@ -179,20 +179,6 @@ TEST_F(McDegradationTest, ProbabilisticFaultRecoversViaRetryDeterministically) {
   EXPECT_EQ(serial.degradation.recovered, expect_recovered);
 }
 
-TEST_F(McDegradationTest, RetryDisabledQuarantinesFirstFailure) {
-  fp::configure("sim.newton_nonconvergence=p0.9@21");
-  McConfig mc = mc_with(12, false);
-  mc.retry_failed_samples = false;
-  mc.max_quarantine_fraction = 1.0;
-  std::vector<std::size_t> expected;
-  for (std::size_t i = 0; i < 12; ++i) {
-    if (fp::would_fire(fp::sites::kNewtonNonconvergence, i, 0)) expected.push_back(i);
-  }
-  const OffsetDistribution dist = measure_offset_distribution(fresh_condition(), mc);
-  EXPECT_EQ(quarantined_indices(dist.degradation), expected);
-  EXPECT_EQ(dist.degradation.recovered, 0u);
-}
-
 TEST_F(McDegradationTest, ThresholdExceededThrowsWithQuarantineSummary) {
   fp::configure("sim.transient_step_collapse=key0|1|2|3");
   McConfig mc = mc_with(16, false);
@@ -275,7 +261,7 @@ TEST_F(McDegradationTest, PoolTaskThrowStillFailsTheRun) {
   // pool.task_throw fires OUTSIDE the per-sample body, in the chunk lambda:
   // it exercises parallel_for's first-error rethrow contract and is
   // deliberately NOT absorbed by sample quarantine.
-  fp::configure("pool.task_throw=n1");
+  fp::configure("pool.task_throw=always");
   util::ThreadPool pool(2);
   McConfig mc = mc_with(16, true, &pool);
   EXPECT_THROW(measure_offset_distribution(fresh_condition(), mc), fp::FaultInjected);

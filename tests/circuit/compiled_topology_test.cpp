@@ -26,7 +26,7 @@ namespace {
 namespace nm = workload::names;
 
 // The two forms are the same equations, but Newton stops each step once its
-// update is below NewtonOptions::vtol (1e-7 V), and the two systems reach
+// update is below the solver's 1e-7 V step tolerance, and the two systems reach
 // that point along different iterates.  Largest deviations measured (x86-64,
 // GCC 13, RelWithDebInfo): warm DC 0 V; S/SBar/Out waveforms 1.7e-6 V, all
 // of it on the steep regeneration edge (1 uV there is a 1e-18 s shift);

@@ -81,7 +81,8 @@ TEST(RunContextTest, NoShardMeansTheWholeSweep) {
 }
 
 TEST(RunContextDeathTest, MalformedShardExitsTwo) {
-  for (const char* bad : {"2/2", "0/0", "a/b", "1", "1/", "/4", "1/4x"}) {
+  // "0/-4" once slipped through: std::stoul wrapped the sign.
+  for (const char* bad : {"2/2", "0/0", "a/b", "1", "1/", "/4", "1/4x", "0/-4", "-0/4", "+1/4"}) {
     const Argv args({std::string("--shard=") + bad});
     EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t"), ::testing::ExitedWithCode(2),
                 "bad --shard value")
@@ -91,12 +92,15 @@ TEST(RunContextDeathTest, MalformedShardExitsTwo) {
 
 TEST(RunContextDeathTest, BadMcCountExitsTwo) {
   // Zero, negative and malformed counts stop before any run; none of them
-  // may fall back to the default 400-sample sweep.
-  for (const char* bad : {"0", "-5", "abc", "3x"}) {
-    const Argv args({std::string("--mc=") + bad});
+  // may fall back to the default 400-sample sweep.  Nor may a run whose
+  // shard computes fewer than the two samples a standard deviation needs.
+  const std::vector<std::vector<std::string>> bad = {
+      {"--mc=0"}, {"--mc=-5"}, {"--mc=abc"}, {"--mc=3x"}, {"--mc=1"}, {"--mc=4", "--shard=0/4"}};
+  for (const auto& flags : bad) {
+    const Argv args(flags);
     EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t"), ::testing::ExitedWithCode(2),
                 "--mc.*\nusage: run_context_test")
-        << bad;
+        << flags.back();
   }
 }
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "issa/analysis/montecarlo.hpp"
+#include "issa/util/metrics.hpp"
 #include "issa/workload/device_names.hpp"
 
 namespace issa::sa {
@@ -165,39 +168,93 @@ TEST(Measure, RunSenseTransientExposesWaveforms) {
   EXPECT_GT(s_end - sbar_end, 0.5);
 }
 
-OffsetSearchOptions legacy_options() {
-  // The pre-fast-path behaviour: full-window bisection, every transient
-  // integrated to t_stop, a fresh simulator per run.
-  OffsetSearchOptions opt;
-  opt.warm_start = false;
-  opt.split_secant = false;
-  opt.early_exit = false;
-  opt.reuse_simulator = false;
-  return opt;
-}
-
 TEST(Measure, FastPathMatchesLegacyWithinTolerance) {
+  // The robust profile is the pre-fast-path behaviour: full-window
+  // bisection, every transient integrated to t_stop, a fresh simulator per run.
+  const OffsetSearchOptions legacy{.robust = true};
   for (const double dvth : {0.0, 0.02, -0.015}) {
     auto c = build_nssa(nominal_config());
     c.netlist().find_mosfet(nm::kMdown).inst.delta_vth = dvth;
-    const OffsetResult legacy = measure_offset(c, legacy_options());
+    const OffsetResult robust = measure_offset(c, legacy);
     const OffsetResult fast = measure_offset(c);
     // Both searches stop at a bracket of width `tolerance`; warm-start and
     // DC-guess reuse may move the result within a couple of brackets only.
-    EXPECT_NEAR(fast.offset, legacy.offset, 3.0 * OffsetSearchOptions{}.tolerance) << dvth;
-    EXPECT_EQ(fast.saturated, legacy.saturated);
+    EXPECT_NEAR(fast.offset, robust.offset, 3.0 * OffsetSearchOptions{}.tolerance) << dvth;
+    EXPECT_EQ(fast.saturated, robust.saturated);
   }
 }
 
+// Solver work of the offset searches over a fixed sample set, in counts that
+// are bit-deterministic (no timing enters them).
+struct SearchWork {
+  std::uint64_t transients = 0;
+  std::uint64_t steps = 0;
+  std::uint64_t newton_iterations = 0;
+  std::uint64_t jacobian_builds = 0;
+  std::uint64_t lu_factorizations = 0;
+};
+
+SearchWork offset_search_work(bool robust) {
+  namespace mnames = util::metrics::names;
+  auto condition = [](SenseAmpKind kind, double stress_time_s, double temperature_c) {
+    analysis::Condition c;
+    c.kind = kind;
+    c.config = nominal_config();
+    c.config.temperature_c = temperature_c;
+    c.workload = workload::workload_from_name("80r0");
+    c.stress_time_s = stress_time_s;
+    return c;
+  };
+  // Fresh, aged, aged ISSA and aged hot: the offsets the fast path's warm
+  // start predicts best and worst.
+  const analysis::Condition conditions[] = {
+      condition(SenseAmpKind::kNssa, 0.0, 25.0), condition(SenseAmpKind::kNssa, 1e8, 25.0),
+      condition(SenseAmpKind::kIssa, 1e8, 25.0), condition(SenseAmpKind::kNssa, 1e8, 125.0)};
+  analysis::McConfig mc;
+  mc.seed = 42;
+
+  util::metrics::Registry& registry = util::metrics::Registry::instance();
+  const bool metrics_were_enabled = util::metrics::enabled();
+  util::metrics::set_enabled(true);
+  const util::metrics::Snapshot before = registry.snapshot();
+  SearchWork work;
+  for (const analysis::Condition& c : conditions) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      SenseAmpCircuit circuit = analysis::build_sample(c, mc, i);
+      work.transients += static_cast<std::uint64_t>(
+          measure_offset(circuit, OffsetSearchOptions{.robust = robust}).transients);
+    }
+  }
+  const util::metrics::Snapshot done = registry.snapshot().delta_since(before);
+  util::metrics::set_enabled(metrics_were_enabled);
+  work.steps = done.value(mnames::kTransientSteps);
+  work.newton_iterations = done.value(mnames::kNewtonIterations);
+  work.jacobian_builds = done.value(mnames::kJacobianBuilds);
+  work.lu_factorizations = done.value(mnames::kLuFactorizations);
+  return work;
+}
+
 TEST(Measure, WarmStartCutsTransientCount) {
-  auto c = build_nssa(nominal_config());
-  c.netlist().find_mosfet(nm::kMdown).inst.delta_vth = 0.02;
-  const OffsetResult legacy = measure_offset(c, legacy_options());
-  const OffsetResult fast = measure_offset(c);
-  // Full-window bisection needs ~log2(0.5 / 5e-5) = 14 transients; a good
-  // warm start brackets within 4 mV and finishes in ~9.
-  EXPECT_GE(legacy.transients, 13);
-  EXPECT_LE(fast.transients, legacy.transients - 3);
+  // The guard on the fast path's cost: 32 offset searches (samples 0-7 at
+  // seed 42 of four conditions) may not do more solver work than when the
+  // guard was set.  The counts are deterministic, so a rise is a real
+  // regression, never noise.  A change that cuts work lowers the ceilings.
+  const SearchWork fast = offset_search_work(/*robust=*/false);
+  EXPECT_LE(fast.transients, 247u);
+  EXPECT_LE(fast.steps, 137138u);
+  EXPECT_LE(fast.newton_iterations, 287002u);
+  EXPECT_LE(fast.jacobian_builds, 301505u);
+  EXPECT_LE(fast.lu_factorizations, 164081u);
+
+  // Full-window bisection needs ceil(log2(2 * 0.25 / 5e-5)) = 14 full-length
+  // transients per search; the fast path must undercut it on every count.
+  const SearchWork robust = offset_search_work(/*robust=*/true);
+  EXPECT_EQ(robust.transients, 32u * 14u);
+  EXPECT_LT(fast.transients, robust.transients);
+  EXPECT_LT(fast.steps, robust.steps);
+  EXPECT_LT(fast.newton_iterations, robust.newton_iterations);
+  EXPECT_LT(fast.jacobian_builds, robust.jacobian_builds);
+  EXPECT_LT(fast.lu_factorizations, robust.lu_factorizations);
 }
 
 TEST(Measure, FastPathIsDeterministic) {
@@ -207,30 +264,6 @@ TEST(Measure, FastPathIsDeterministic) {
   const OffsetResult b = measure_offset(c);
   EXPECT_EQ(a.offset, b.offset);
   EXPECT_EQ(a.transients, b.transients);
-}
-
-TEST(Measure, EarlyExitAloneKeepsDecisionsBitExact) {
-  // Early exit only truncates resolved transients; every bisection decision
-  // and hence the measured offset must be bit-identical.
-  auto c = build_nssa(nominal_config());
-  c.netlist().find_mosfet(nm::kMdown).inst.delta_vth = 0.01;
-  OffsetSearchOptions early = legacy_options();
-  early.early_exit = true;
-  EXPECT_EQ(measure_offset(c, early).offset, measure_offset(c, legacy_options()).offset);
-}
-
-TEST(Measure, SplitSecantAloneStaysWithinOneBracket) {
-  // With only the interpolation knob on, the bisection decisions come from
-  // the same decision function as legacy, so both final brackets contain the
-  // same flip point and the midpoints differ by at most one tolerance.
-  auto c = build_nssa(nominal_config());
-  c.netlist().find_mosfet(nm::kMdown).inst.delta_vth = 0.015;
-  OffsetSearchOptions secant = legacy_options();
-  secant.split_secant = true;
-  const OffsetResult plain = measure_offset(c, legacy_options());
-  const OffsetResult fast = measure_offset(c, secant);
-  EXPECT_NEAR(fast.offset, plain.offset, OffsetSearchOptions{}.tolerance);
-  EXPECT_LE(fast.transients, plain.transients);
 }
 
 TEST(Measure, SaturationIsFlaggedOnFastPath) {

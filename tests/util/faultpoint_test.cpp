@@ -1,6 +1,6 @@
 // Unit tests of the deterministic fault-injection framework: spec parsing
-// (and its rejection diagnostics), trigger semantics (probability / nth-hit
-// / key-list / always), the determinism contract (decisions are pure in
+// (and its rejection diagnostics), trigger semantics (probability /
+// key-list / always), the determinism contract (decisions are pure in
 // (site, spec, key, attempt)), the would_fire oracle, and the report
 // counters.  Sites here use the reserved "test." prefix so the tests never
 // depend on the solver-stack registry.
@@ -38,17 +38,6 @@ TEST_F(FaultpointTest, AlwaysTriggerFiresEveryEvaluation) {
   EXPECT_EQ(reports[0].trigger, "always");
   EXPECT_EQ(reports[0].evaluations, 5u);
   EXPECT_EQ(reports[0].fires, 5u);
-}
-
-TEST_F(FaultpointTest, NthHitFiresExactlyOnce) {
-  configure("test.site=n3");
-  EXPECT_FALSE(should_fire("test.site"));
-  EXPECT_FALSE(should_fire("test.site"));
-  EXPECT_TRUE(should_fire("test.site"));
-  EXPECT_FALSE(should_fire("test.site"));
-  const auto reports = report();
-  ASSERT_EQ(reports.size(), 1u);
-  EXPECT_EQ(reports[0].fires, 1u);
 }
 
 TEST_F(FaultpointTest, KeyListFiresOnlyForScopedKeys) {
@@ -173,7 +162,7 @@ TEST_F(FaultpointTest, MaybeFailThrowsFaultInjectedNamingTheSite) {
 
 TEST_F(FaultpointTest, RegisteredSolverSitesAreAccepted) {
   configure(
-      "lu.singular_pivot=p0.01;sim.newton_nonconvergence=n1;sim.gmin_stage_fail=always;"
+      "lu.singular_pivot=p0.01;sim.newton_nonconvergence=key0;sim.gmin_stage_fail=always;"
       "sim.transient_step_collapse=key1;pool.task_throw=p0.5@7");
   EXPECT_EQ(report().size(), 5u);
 }
@@ -189,16 +178,22 @@ TEST_F(FaultpointTest, SpecParsingRejectsMalformedEntries) {
   EXPECT_THROW(configure("test.site=p1.5"), std::invalid_argument);
   EXPECT_THROW(configure("test.site=p-0.5"), std::invalid_argument);
   EXPECT_THROW(configure("test.site=pnan"), std::invalid_argument);
-  EXPECT_THROW(configure("test.site=n0"), std::invalid_argument);
-  EXPECT_THROW(configure("test.site=nx"), std::invalid_argument);
+  EXPECT_THROW(configure("test.site=n1"), std::invalid_argument);
   EXPECT_THROW(configure("test.site=key"), std::invalid_argument);
   EXPECT_THROW(configure("test.site=key1|"), std::invalid_argument);
   EXPECT_THROW(configure("test.site=key1|x"), std::invalid_argument);
+  // Integers beyond 64 bits are rejected, not wrapped: 2^64 + 3 once armed key 3.
+  EXPECT_THROW(configure("test.site=key18446744073709551619"), std::invalid_argument);
+  EXPECT_THROW(configure("test.site=key1|18446744073709551616"), std::invalid_argument);
+  EXPECT_THROW(configure("test.site=p0.5@18446744073709551616"), std::invalid_argument);
+  EXPECT_NO_THROW(configure("test.site=key18446744073709551615"));  // 2^64 - 1 fits
+  EXPECT_TRUE(would_fire("test.site", 18446744073709551615ull, 0));
+  EXPECT_FALSE(would_fire("test.site", 3, 0));
   // Duplicate site.
-  EXPECT_THROW(configure("test.site=always;test.site=n1"), std::invalid_argument);
+  EXPECT_THROW(configure("test.site=always;test.site=key1"), std::invalid_argument);
   // The offending entry is named in the diagnostic.
   try {
-    configure("test.good=always;bogus.site=n1");
+    configure("test.good=always;bogus.site=always");
     FAIL() << "configure did not throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("bogus.site"), std::string::npos);
@@ -206,7 +201,7 @@ TEST_F(FaultpointTest, SpecParsingRejectsMalformedEntries) {
 }
 
 TEST_F(FaultpointTest, SpecAllowsSeparatorsAndWhitespace) {
-  configure(" test.a=always , test.b=n1 ; ");
+  configure(" test.a=always , test.b=key1 ; ");
   EXPECT_EQ(report().size(), 2u);
   EXPECT_TRUE(should_fire("test.a"));
 }
@@ -226,24 +221,28 @@ TEST_F(FaultpointTest, WouldFireIsPureAndCountsNothing) {
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_EQ(reports[0].evaluations, 0u);
   EXPECT_EQ(reports[0].fires, 0u);
-  // Nth-hit has no pure answer: the oracle declines.
-  configure("test.site=n1");
-  EXPECT_FALSE(would_fire("test.site", 0, 0));
 }
 
-TEST_F(FaultpointTest, ConcurrentNthHitFiresExactlyOnce) {
-  configure("test.site=n1");
+TEST_F(FaultpointTest, ConcurrentEvaluationsAreCountedExactly) {
+  // Each thread scopes its own key; only thread 1's key fires.  Neither the
+  // decisions nor the report counters may lose or invent an evaluation.
+  configure("test.site=key1");
   std::atomic<int> fires{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&fires, t] {
+      SampleScope scope(static_cast<std::uint64_t>(t));
       for (int i = 0; i < 100; ++i) {
         if (should_fire("test.site")) fires.fetch_add(1);
       }
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(fires.load(), 1);
+  EXPECT_EQ(fires.load(), 100);
+  const auto reports = report();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].evaluations, 400u);
+  EXPECT_EQ(reports[0].fires, 100u);
 }
 
 }  // namespace

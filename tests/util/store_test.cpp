@@ -195,18 +195,17 @@ TEST(StoreTest, GarbageFileIsCountedNotFatal) {
 }
 
 TEST(StoreTest, CheckpointMakesRecordsDurableBeforeClose) {
+  static_assert(Store::kCheckpointEvery == 64);
   const std::string dir = fresh_dir("checkpoint");
-  Store::Options options;
-  options.checkpoint_every = 8;
-  Store store(dir, options);  // stays open: simulates a process that dies
-  for (int i = 0; i < 20; ++i) store.put("key" + std::to_string(i), "v");
+  Store store(dir);  // stays open: simulates a process that dies
+  for (int i = 0; i < 150; ++i) store.put("key" + std::to_string(i), "v");
   EXPECT_EQ(store.stats().checkpoints, 2u);
 
-  // A second reader sees exactly the checkpointed prefix (16 of 20).
+  // A second reader sees exactly the checkpointed prefix (128 of 150).
   Store reader(dir);
-  EXPECT_EQ(reader.size(), 16u);
-  EXPECT_TRUE(reader.contains("key15"));
-  EXPECT_FALSE(reader.contains("key16"));
+  EXPECT_EQ(reader.size(), 128u);
+  EXPECT_TRUE(reader.contains("key127"));
+  EXPECT_FALSE(reader.contains("key128"));
 }
 
 TEST(StoreTest, TwoWritersShareOneDirectory) {

@@ -16,6 +16,7 @@
 #include "issa/analysis/montecarlo.hpp"
 #include "issa/circuit/simulator.hpp"
 #include "issa/device/mos_params.hpp"
+#include "issa/util/faultpoint.hpp"
 #include "issa/util/json.hpp"
 #include "issa/util/metrics.hpp"
 #include "issa/util/thread_pool.hpp"
@@ -203,10 +204,10 @@ TEST_F(TraceTest, ForensicListIsBounded) {
 }
 
 TEST_F(TraceTest, TerminalDcFailureRecordsForensicBundle) {
-  // End-to-end forensics through the real solver: strangling the Newton
-  // budget to one iteration defeats plain Newton, the gmin homotopy, and
-  // source stepping alike on a nonlinear circuit, so solve_dc must throw and
-  // leave exactly one terminal bundle carrying the caller's thread context.
+  // End-to-end forensics through the real solver: an injected
+  // non-convergence on every Newton solve defeats plain Newton, the gmin
+  // homotopy, and source stepping alike, so solve_dc must throw and leave
+  // exactly one terminal bundle carrying the caller's thread context.
   circuit::Netlist net;
   const circuit::NodeId vdd = net.node("vdd");
   const circuit::NodeId in = net.node("in");
@@ -225,11 +226,11 @@ TEST_F(TraceTest, TerminalDcFailureRecordsForensicBundle) {
   net.add_mosfet("MP", mp, in, out, vdd, vdd);
 
   circuit::Simulator sim(net, 298.15);
-  circuit::DcOptions opts;
-  opts.newton.max_iterations = 1;
+  faultpoint::configure("sim.newton_nonconvergence=always");
 
   ContextScope ctx({Attr::u64("sample", 13), Attr::str("kind", "unit")});
-  EXPECT_THROW(sim.solve_dc(opts), circuit::ConvergenceError);
+  EXPECT_THROW(sim.solve_dc(), circuit::ConvergenceError);
+  faultpoint::clear();
 
   set_enabled(false);
   const TraceData data = collect();
@@ -245,8 +246,9 @@ TEST_F(TraceTest, TerminalDcFailureRecordsForensicBundle) {
     if (std::string_view(a.key) == "reason") reason_ok = (a.s == "dc_all_fallbacks_failed");
   }
   EXPECT_TRUE(reason_ok);
-  // The history workspace holds the last failed solve; node voltages cover
-  // every node including ground.
+  // The history workspace holds the last failed solve (its initial residual
+  // is recorded before the fault fires); node voltages cover every node
+  // including ground.
   EXPECT_FALSE(f.residual_history.empty());
   EXPECT_EQ(f.node_voltages.size(), 4u);
   // Recorded while the DC span was still open.
