@@ -75,11 +75,11 @@ int main(int argc, char** argv) {
   }
 
   // 7. With --metrics: the solver work this run cost (Newton iterations, LU
-  //    factorizations, ...).  Finishing the run writes it as JSON + CSV
-  //    sidecars; with --trace also the span timeline as Chrome trace-event
-  //    JSON (load in Perfetto) plus a compact JSONL stream, and a forensics
-  //    sidecar if any solve failed.  Pipe the .trace.json through
-  //    `trace_report` for a terminal summary.
+  //    factorizations, ...).  Finishing the run writes it to
+  //    <stem>.metrics.json; with --trace also <stem>.trace.json, the span
+  //    timeline and any solver forensic bundles as Chrome trace-event JSON
+  //    (load in Perfetto).  Pipe the .trace.json through `trace_report` for
+  //    a terminal summary.
   if (util::metrics::enabled()) {
     const util::metrics::Snapshot snapshot = util::metrics::Registry::instance().snapshot();
     std::printf("\n%s", util::metrics::to_table(snapshot).c_str());

@@ -64,9 +64,11 @@ if (( hit_pct < MIN_HIT_PCT )); then
   echo "FAIL: warm hit rate ${hit_pct}% < required ${MIN_HIT_PCT}%" >&2
   exit 1
 fi
-# Cross-check against the metrics layer: the mc.cache_hits counter of the
-# warm run must agree with the summary line.
-metric_hits="$(sed -n 's/.*"mc.cache_hits": {"kind": "counter", "count": \([0-9]*\)}.*/\1/p' \
+# Cross-check against the metrics layer: the whole-run mc.cache_hits counter
+# of the warm run must agree with the summary line.  The report's run-level
+# "metrics" object precedes its per-condition entries, so the first match is
+# the whole run's.
+metric_hits="$(sed -n '/"mc.cache_hits": /{s/.*"mc.cache_hits": {"kind": "counter", "count": \([0-9]*\)}.*/\1/p;q;}' \
   run.metrics.json)"
 if [[ "$metric_hits" != "$hits" ]]; then
   echo "FAIL: mc.cache_hits counter ($metric_hits) disagrees with summary ($hits)" >&2

@@ -147,12 +147,21 @@ enum : unsigned char {
   kSampleSkipped = 3,  // out-of-shard; never cached
 };
 
+// Puts the operating condition and seed on a traced span.
+void attr_condition(util::trace::Span& span, const Condition& condition, const McConfig& mc) {
+  span.attr_u64("seed", mc.seed);
+  span.attr_str("kind", kind_name(condition.kind));
+  span.attr_f64("vdd", condition.config.vdd);
+  span.attr_f64("temperature_c", condition.config.temperature_c);
+  span.attr_f64("stress_time_s", condition.stress_time_s);
+}
+
 // Runs `body(i, attempt)` over the sample indices, in parallel when
 // requested, with per-sample work accounting and fault tolerance.  Each
-// sample gets a trace span carrying its index and seed, plus a forensic
-// context scope naming the operating condition — a solver failure deep
-// inside a transient can then be pinned to the exact (condition, seed,
-// sample) that produced it.
+// sample gets a trace span carrying its index, seed and operating condition
+// — a forensic bundle recorded by a solver failure deep inside a transient
+// takes them as context, so it names the exact (condition, seed, sample)
+// that produced it.
 //
 // A body that throws std::runtime_error (solver failures: ConvergenceError,
 // singular LU, unresolvable delay, injected faults) is retried once with
@@ -176,11 +185,7 @@ McDegradation for_samples(const Condition& condition, const McConfig& mc,
   util::trace::Span phase(phase_name, "mc");
   if (phase.traced()) {
     phase.attr_u64("iterations", mc.iterations);
-    phase.attr_u64("seed", mc.seed);
-    phase.attr_str("kind", kind_name(condition.kind));
-    phase.attr_f64("vdd", condition.config.vdd);
-    phase.attr_f64("temperature_c", condition.config.temperature_c);
-    phase.attr_f64("stress_time_s", condition.stress_time_s);
+    attr_condition(phase, condition, mc);
   }
 
   std::vector<unsigned char> status(mc.iterations, kSampleOk);
@@ -203,18 +208,10 @@ McDegradation for_samples(const Condition& condition, const McConfig& mc,
       return;
     }
     util::trace::Span span(util::trace::spans::kMcSample, "mc");
-    std::vector<util::trace::Attr> context;
     if (span.traced()) {
       span.attr_u64("sample", i);
-      span.attr_u64("seed", mc.seed);
-      context = {util::trace::Attr::u64("sample", i),
-                 util::trace::Attr::u64("seed", mc.seed),
-                 util::trace::Attr::str("kind", kind_name(condition.kind)),
-                 util::trace::Attr::f64("vdd", condition.config.vdd),
-                 util::trace::Attr::f64("temperature_c", condition.config.temperature_c),
-                 util::trace::Attr::f64("stress_time_s", condition.stress_time_s)};
+      attr_condition(span, condition, mc);
     }
-    util::trace::ContextScope ctx(std::move(context));
     // Scope the deterministic fault-trigger key to this sample: an armed
     // key/probability trigger decides by sample index, never by schedule.
     util::faultpoint::SampleScope fault_key(i);
@@ -239,8 +236,6 @@ McDegradation for_samples(const Condition& condition, const McConfig& mc,
         if (util::trace::enabled()) {
           util::trace::ForensicEvent event;
           event.kind = "mc_sample_quarantined";
-          event.attrs.push_back(util::trace::Attr::u64("sample", i));
-          event.attrs.push_back(util::trace::Attr::u64("seed", mc.seed));
           event.attrs.push_back(util::trace::Attr::str("condition", condition_label(condition)));
           event.attrs.push_back(util::trace::Attr::str("run_id", run_id));
           event.attrs.push_back(util::trace::Attr::str("error", errors[i]));

@@ -107,8 +107,8 @@ struct McConfig {
   /// of iterations ends up quarantined (1% of samples exactly still passes).
   double max_quarantine_fraction = 0.01;
   /// Forensic run id stamped into quarantine records.  Benches pass their
-  /// session run id so a quarantined sample joins the .metrics/.trace/
-  /// .forensics sidecars of the same invocation.  When left EMPTY the engine
+  /// session run id so a quarantined sample joins the .metrics and .trace
+  /// sidecars of the same invocation.  When left EMPTY the engine
   /// stamps a deterministic fallback derived from (condition, seed) — see
   /// effective_run_id() — so records are always joinable.
   std::string run_id;

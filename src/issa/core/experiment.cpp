@@ -1,29 +1,12 @@
 #include "issa/core/experiment.hpp"
 
 #include <cmath>
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 
-#include "issa/util/json.hpp"
 #include "issa/util/trace.hpp"
 #include "issa/util/units.hpp"
 
 namespace issa::core {
-
-namespace {
-
-// Reports must always be joinable on run_id (satellite of the persistence
-// work: a quarantine record or cache segment with no run id is orphaned), so
-// a caller that never opened a RunInfo session still gets a generated id.
-util::RunInfo with_run_id(const util::RunInfo& run) {
-  if (!run.empty()) return run;
-  util::RunInfo stamped = run;
-  stamped.run_id = util::generate_run_id();
-  return stamped;
-}
-
-}  // namespace
 
 std::string ExperimentRow::condition_label() const {
   std::ostringstream os;
@@ -31,65 +14,6 @@ std::string ExperimentRow::condition_label() const {
   os.precision(2);
   os << std::fixed << " vdd=" << vdd << " T=" << static_cast<int>(temperature_c);
   return os.str();
-}
-
-void write_run_report_json(const std::string& path, std::string_view title,
-                           const std::vector<ExperimentRow>& rows) {
-  write_run_report_json(path, title, rows, util::RunInfo{});
-}
-
-void write_run_report_json(const std::string& path, std::string_view title,
-                           const std::vector<ExperimentRow>& rows, const util::RunInfo& run) {
-  const util::RunInfo stamped = with_run_id(run);
-  std::ostringstream os;
-  os << "{\n  \"title\": \"" << util::json::escape(title) << "\",\n";
-  os << "  \"run_id\": \"" << util::json::escape(stamped.run_id) << "\",\n";
-  if (!run.empty()) {
-    os << "  \"wall_clock_s\": " << run.wall_clock_s << ",\n";
-    os << "  \"rss_peak_kb\": " << run.rss_peak_kb << ",\n";
-  }
-  // Degradation summary first, so a degraded run is visible at the top of
-  // the report without digging through per-condition metrics.
-  std::size_t total_quarantined = 0;
-  std::size_t total_recovered = 0;
-  std::size_t total_skipped = 0;
-  for (const auto& row : rows) {
-    total_quarantined += row.quarantined;
-    total_recovered += row.recovered;
-    total_skipped += row.skipped;
-  }
-  os << "  \"quarantined_samples\": " << total_quarantined << ",\n";
-  os << "  \"recovered_samples\": " << total_recovered << ",\n";
-  os << "  \"skipped_samples\": " << total_skipped << ",\n";
-  os << "  \"degraded_conditions\": [";
-  bool first_deg = true;
-  for (const auto& row : rows) {
-    if (!row.degraded() && row.recovered == 0) continue;
-    os << (first_deg ? "\n" : ",\n");
-    first_deg = false;
-    os << "    {\"condition\": \"" << util::json::escape(row.condition_label())
-       << "\", \"quarantined\": " << row.quarantined << ", \"recovered\": " << row.recovered
-       << "}";
-  }
-  os << (first_deg ? "],\n" : "\n  ],\n");
-  os << "  \"conditions\": [";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n");
-    // Indent the per-condition metrics document under its condition label.
-    std::istringstream doc(util::metrics::to_json(rows[i].condition_label(), rows[i].metrics));
-    std::string line;
-    bool first = true;
-    while (std::getline(doc, line)) {
-      os << (first ? "    " : "\n    ") << line;
-      first = false;
-    }
-  }
-  os << "\n  ]\n}\n";
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("write_run_report_json: cannot open " + path);
-  out << os.str();
-  out.flush();
-  if (!out) throw std::runtime_error("write_run_report_json: write failed for " + path);
 }
 
 ExperimentRunner::ExperimentRunner(analysis::McConfig mc) : mc_(std::move(mc)) {}

@@ -10,12 +10,10 @@
 
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "issa/analysis/montecarlo.hpp"
 #include "issa/util/metrics.hpp"
-#include "issa/util/runinfo.hpp"
 
 namespace issa::core {
 
@@ -48,18 +46,6 @@ struct ExperimentRow {
   /// Condition label for reports: "NSSA/80r0@1e8s vdd=1.00 T=25".
   std::string condition_label() const;
 };
-
-/// Writes the per-condition run report of a row set: one JSON document built
-/// from each row's metrics snapshot.  No-ops (writes empty reports) when metrics were off.
-/// The RunInfo overloads additionally stamp the report with the run id shared
-/// by every sidecar of the run (.metrics/.conditions/.trace/.forensics), the
-/// wall-clock duration, and the process peak RSS.  Every report carries a
-/// NON-EMPTY run_id: when the caller supplies none (or an empty RunInfo), a
-/// fresh one is generated so reports are always joinable.
-void write_run_report_json(const std::string& path, std::string_view title,
-                           const std::vector<ExperimentRow>& rows);
-void write_run_report_json(const std::string& path, std::string_view title,
-                           const std::vector<ExperimentRow>& rows, const util::RunInfo& run);
 
 /// A (time, delay) series for Fig. 7.
 struct DelayAgingSeries {

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
 #include <iostream>
 #include <iterator>
+#include <sstream>
 #include <stdexcept>
 
 #include "issa/analysis/mc_cache.hpp"
 #include "issa/util/faultpoint.hpp"
+#include "issa/util/json.hpp"
 #include "issa/util/metrics.hpp"
 #include "issa/util/runinfo.hpp"
 #include "issa/util/store/store.hpp"
@@ -29,14 +32,27 @@ std::string value_or(const util::Options& options, std::string_view name,
   return std::string(fallback);
 }
 
+// True for a non-empty string of decimal digits.  Unsigned values are
+// checked with it first: std::stoul/stoull would also take a sign, and wrap
+// "-4" to 2^64 - 4.
+bool digits(const std::string& s) {
+  return !s.empty() &&
+         std::all_of(s.begin(), s.end(), [](char c) { return c >= '0' && c <= '9'; });
+}
+
+// Parses --seed=S: exactly the decimal digits of a uint64_t.
+std::uint64_t parse_seed(const std::string& v) {
+  try {
+    if (!digits(v)) throw std::invalid_argument("not digits");
+    return std::stoull(v);
+  } catch (const std::exception&) {
+    throw std::invalid_argument("bad --seed value (want 0 to 2^64 - 1 in decimal): " + v);
+  }
+}
+
 // Applies --shard=i/N (0 <= i < N) to `mc`; throws std::invalid_argument on a
 // malformed selector ("2/2", "a/b", "1", "0/-4", ...).
 void apply_shard(const std::string& v, analysis::McConfig& mc) {
-  // Digits only: std::stoul would also take a sign, and wrap "-4" to 2^64 - 4.
-  auto digits = [](const std::string& s) {
-    return !s.empty() &&
-           std::all_of(s.begin(), s.end(), [](char c) { return c >= '0' && c <= '9'; });
-  };
   const std::size_t slash = v.find('/');
   try {
     if (slash == std::string::npos || !digits(v.substr(0, slash)) ||
@@ -56,7 +72,7 @@ void apply_shard(const std::string& v, analysis::McConfig& mc) {
 analysis::McConfig mc_config(const util::Options& options, std::string run_id) {
   analysis::McConfig mc;
   mc.iterations = options.get_count_or("mc", 400);
-  mc.seed = static_cast<std::uint64_t>(options.get_long_or("seed", 42));
+  if (const auto seed = options.get_string("seed")) mc.seed = parse_seed(*seed);
   mc.max_quarantine_fraction =
       options.get_double_or("quarantine-max", mc.max_quarantine_fraction);
   if (mc.max_quarantine_fraction < 0.0 || mc.max_quarantine_fraction > 1.0) {
@@ -80,6 +96,18 @@ std::vector<std::string_view> with_run_flags(const std::vector<std::string_view>
   std::vector<std::string_view> flags = extra;
   flags.insert(flags.end(), std::begin(kRunFlags), std::end(kRunFlags));
   return flags;
+}
+
+// Writes one sidecar, the only way a run writes a file, and says so on stdout;
+// throws std::runtime_error when the file cannot be written.
+void write_sidecar(const std::string& path, const std::string& text,
+                   const std::string& note = "") {
+  std::ofstream out(path);
+  if (!out) throw std::runtime_error("cannot open " + path);
+  out << text;
+  out.flush();
+  if (!out) throw std::runtime_error("write failed for " + path);
+  std::cout << "wrote " << path << note << "\n";
 }
 
 // Runs one step of finish(); a failure is reported and does not stop the
@@ -156,15 +184,11 @@ void RunContext::write_trace() {
   // Disable before draining: collect() requires quiescent producers.
   util::trace::set_enabled(false);
   const util::trace::TraceData data = util::trace::collect();
-  const std::string stem = value_or(options_, "trace", name_);
-  util::trace::write_chrome_json(stem + ".trace.json", data, run_id_);
-  std::cout << "wrote " << stem << ".trace.json (" << data.spans.size() << " spans, "
-            << data.dropped << " dropped)\n";
-  if (!data.forensics.empty()) {
-    util::trace::write_forensics_json(stem + ".forensics.json", data, run_id_);
-    std::cout << "wrote " << stem << ".forensics.json (" << data.forensics.size()
-              << " events)\n";
-  }
+  write_sidecar(value_or(options_, "trace", name_) + ".trace.json",
+                util::trace::to_chrome_json(data, run_id_),
+                " (" + std::to_string(data.spans.size()) + " spans, " +
+                    std::to_string(data.dropped) + " dropped, " +
+                    std::to_string(data.forensics.size()) + " forensic events)");
 }
 
 void RunContext::close_cache() {
@@ -175,20 +199,49 @@ void RunContext::close_cache() {
 }
 
 void RunContext::write_metrics() {
-  util::RunInfo run;
-  run.run_id = run_id_;
-  run.wall_clock_s =
+  const double wall_clock_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
-  run.rss_peak_kb = util::rss_peak_kb();
   const util::metrics::Snapshot snapshot = util::metrics::Registry::instance().snapshot();
   util::metrics::set_enabled(false);
-  const std::string stem = value_or(options_, "metrics", name_);
-  util::metrics::write_report_json(stem + ".metrics.json", name_, snapshot, run_id_);
-  std::cout << "wrote " << stem << ".metrics.json\n";
-  if (!rows_.empty()) {
-    write_run_report_json(stem + ".conditions.json", name_, rows_, run);
-    std::cout << "wrote " << stem << ".conditions.json\n";
+  std::size_t quarantined = 0;
+  std::size_t recovered = 0;
+  std::size_t skipped = 0;
+  for (const ExperimentRow& row : rows_) {
+    quarantined += row.quarantined;
+    recovered += row.recovered;
+    skipped += row.skipped;
   }
+
+  using util::json::escape;
+  std::ostringstream os;
+  os << "{\n  \"title\": \"" << escape(name_) << "\",\n";
+  os << "  \"run_id\": \"" << escape(run_id_) << "\",\n";
+  os << "  \"wall_clock_s\": " << wall_clock_s << ",\n";
+  os << "  \"rss_peak_kb\": " << util::rss_peak_kb() << ",\n";
+  // The degradation summary of the attached conditions comes first, so a
+  // degraded run shows at the top of the report.
+  os << "  \"quarantined_samples\": " << quarantined << ",\n";
+  os << "  \"recovered_samples\": " << recovered << ",\n";
+  os << "  \"skipped_samples\": " << skipped << ",\n";
+  os << "  \"degraded_conditions\": [";
+  bool first = true;
+  for (const ExperimentRow& row : rows_) {
+    if (!row.degraded() && row.recovered == 0) continue;
+    os << (first ? "\n" : ",\n") << "    {\"condition\": \"" << escape(row.condition_label())
+       << "\", \"quarantined\": " << row.quarantined << ", \"recovered\": " << row.recovered
+       << "}";
+    first = false;
+  }
+  os << (first ? "],\n" : "\n  ],\n");
+  os << "  \"metrics\": " << util::metrics::to_json(snapshot, "  ") << ",\n";
+  os << "  \"conditions\": [";
+  for (std::size_t i = 0; i < rows_.size(); ++i) {
+    os << (i == 0 ? "\n" : ",\n") << "    {\"condition\": \""
+       << escape(rows_[i].condition_label())
+       << "\", \"metrics\": " << util::metrics::to_json(rows_[i].metrics, "    ") << "}";
+  }
+  os << (rows_.empty() ? "]\n}\n" : "\n  ]\n}\n");
+  write_sidecar(value_or(options_, "metrics", name_) + ".metrics.json", os.str());
 }
 
 }  // namespace issa::core

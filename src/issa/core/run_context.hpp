@@ -8,14 +8,15 @@
 //   --seed=S                  master seed (42)
 //   --quarantine-max=F        tolerated quarantined-sample fraction, in [0, 1]
 //   --shard=i/N               compute only samples with index % N == i
-//   --metrics[=stem]          <stem>.metrics.json, plus <stem>.conditions.json
-//                             for attached rows
-//   --trace[=stem]            <stem>.trace.json, plus <stem>.forensics.json
-//                             when a solve failed
+//   --metrics[=stem]          <stem>.metrics.json: the whole-run metrics and
+//                             one entry per attached row
+//   --trace[=stem]            <stem>.trace.json: the spans and the solver
+//                             forensic bundles
 //   --faults=spec             arms util::faultpoint
 //   --cache[=dir]             opens the MC sample cache (default directory
 //                             .issa-cache)
-// Report stems default to the run name; every sidecar carries the run id.
+// Each flag writes exactly one file.  Report stems default to the run name;
+// every sidecar carries the run id.
 //
 // Construction validates all arguments before any work starts (--help exits
 // 0; an unknown option or a malformed value exits 2, see util::Options).  The
@@ -53,7 +54,7 @@ class RunContext {
   /// quarantine records join the run's sidecars.
   const analysis::McConfig& mc() const noexcept { return mc_; }
 
-  /// Per-condition rows for the .conditions.json breakdown.
+  /// Per-condition rows for the metrics report's "conditions" breakdown.
   void attach_rows(std::vector<ExperimentRow> rows) { rows_ = std::move(rows); }
 
   /// Writes the requested sidecars and closes the cache.  Returns false when

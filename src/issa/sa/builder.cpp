@@ -18,22 +18,6 @@ using device::MosInstance;
 using device::MosType;
 namespace names = workload::names;
 
-MosInstance nmos_of(const SenseAmpConfig& cfg, double wl) {
-  MosInstance m;
-  m.card = cfg.nmos;
-  m.type = MosType::kNmos;
-  m.w_over_l = wl;
-  return m;
-}
-
-MosInstance pmos_of(const SenseAmpConfig& cfg, double wl) {
-  MosInstance m;
-  m.card = cfg.pmos;
-  m.type = MosType::kPmos;
-  m.w_over_l = wl;
-  return m;
-}
-
 // Shared construction of the latch core, enable devices, output inverters,
 // supplies, and SAenable waves.  Pass transistors differ per kind and are
 // added by the caller.
@@ -120,12 +104,23 @@ CoreNodes build_core(circuit::Netlist& net, const SenseAmpConfig& cfg, std::size
   return n;
 }
 
-void finish_circuit(SenseAmpCircuit& c, const CoreNodes& n) {
-  c.set_input_differential(0.0);
-  (void)n;
+}  // namespace
+
+MosInstance nmos_of(const SenseAmpConfig& cfg, double wl) {
+  MosInstance m;
+  m.card = cfg.nmos;
+  m.type = MosType::kNmos;
+  m.w_over_l = wl;
+  return m;
 }
 
-}  // namespace
+MosInstance pmos_of(const SenseAmpConfig& cfg, double wl) {
+  MosInstance m;
+  m.card = cfg.pmos;
+  m.type = MosType::kPmos;
+  m.w_over_l = wl;
+  return m;
+}
 
 void SenseAmpCircuit::set_input_differential(double vin) {
   const double vdd = config_.vdd;
@@ -240,7 +235,6 @@ SenseAmpCircuit build_nssa(const SenseAmpConfig& config) {
   c.out_ = n.out;
   c.outbar_ = n.outbar;
   c.saen_ = n.saen;
-  finish_circuit(c, n);
   return c;
 }
 
@@ -282,7 +276,6 @@ SenseAmpCircuit build_issa(const SenseAmpConfig& config) {
   c.out_ = n.out;
   c.outbar_ = n.outbar;
   c.saen_ = n.saen;
-  finish_circuit(c, n);
   return c;
 }
 

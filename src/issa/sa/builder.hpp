@@ -93,6 +93,10 @@ class SenseAmpCircuit {
   std::size_t src_saen_b_ = 0;  // ISSA only
 };
 
+/// A device of the config's NMOS / PMOS card with the given W/L.
+device::MosInstance nmos_of(const SenseAmpConfig& cfg, double wl);
+device::MosInstance pmos_of(const SenseAmpConfig& cfg, double wl);
+
 /// Builds the standard (non-switching) latch-type SA testbench.
 SenseAmpCircuit build_nssa(const SenseAmpConfig& config);
 

@@ -11,25 +11,7 @@ namespace {
 
 using circuit::NodeId;
 using circuit::SourceWave;
-using device::MosInstance;
-using device::MosType;
 namespace dn = dt_names;
-
-MosInstance nmos_of(const SenseAmpConfig& cfg, double wl) {
-  MosInstance m;
-  m.card = cfg.nmos;
-  m.type = MosType::kNmos;
-  m.w_over_l = wl;
-  return m;
-}
-
-MosInstance pmos_of(const SenseAmpConfig& cfg, double wl) {
-  MosInstance m;
-  m.card = cfg.pmos;
-  m.type = MosType::kPmos;
-  m.w_over_l = wl;
-  return m;
-}
 
 }  // namespace
 

@@ -27,17 +27,19 @@ std::optional<std::string> find_arg(const std::string& args, std::string_view na
   return std::nullopt;
 }
 
-// True when `arg` is --name or --name=value for a name `flags` declares.
-bool declared(std::string_view arg, const std::vector<std::string_view>& flags) {
-  if (arg.substr(0, 2) != "--") return false;
+// The spec in `flags` that declares `arg` (--name or --name=value), or
+// nullopt when none does.
+std::optional<std::string_view> declared(std::string_view arg,
+                                         const std::vector<std::string_view>& flags) {
+  if (arg.substr(0, 2) != "--") return std::nullopt;
   const std::string_view name = arg.substr(2, arg.find('=') - 2);
   for (const std::string_view spec : flags) {
     if (spec.ends_with('*') ? name.starts_with(spec.substr(0, spec.size() - 1))
                             : name == spec.substr(0, spec.find_first_of("=["))) {
-      return true;
+      return spec;
     }
   }
-  return false;
+  return std::nullopt;
 }
 
 }  // namespace
@@ -53,7 +55,14 @@ Options::Options(int argc, const char* const* argv, const std::vector<std::strin
     }
   }
   for (int i = 1; i < argc; ++i) {
-    if (!declared(argv[i], flags)) fail("unknown option " + std::string(argv[i]));
+    const std::string_view arg(argv[i]);
+    const auto spec = declared(arg, flags);
+    if (!spec) fail("unknown option " + std::string(arg));
+    // "name=X" requires its value; "name[=X]" and "name" do not.
+    if (arg.find('=') == std::string_view::npos && spec->find('=') != std::string_view::npos &&
+        spec->find("[=") == std::string_view::npos) {
+      fail(std::string(arg) + " needs a value: --" + std::string(*spec));
+    }
     args_ += argv[i];
     args_ += '\n';
   }

@@ -17,8 +17,9 @@ class Options {
   /// before '=' or '[', and a spec ending in '*' accepts every option with
   /// that prefix.  --help prints the usage line on stdout and exits 0.  An
   /// undeclared option or a positional argument prints "unknown option <arg>"
-  /// and the usage line on stderr and exits 2, so bad input never starts a
-  /// run.
+  /// and the usage line on stderr and exits 2, and so does an option whose
+  /// spec requires a value ("mc=N", unlike "metrics[=stem]") given bare, so
+  /// bad input never starts a run.
   Options(int argc, const char* const* argv, const std::vector<std::string_view>& flags);
 
   /// True when `--name` or `--name=anything-truthy` was passed.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -239,17 +238,14 @@ const char* kind_name(Kind kind) {
 
 }  // namespace
 
-std::string to_json(std::string_view title, const Snapshot& snapshot, std::string_view run_id) {
+std::string to_json(const Snapshot& snapshot, std::string_view indent) {
   std::ostringstream os;
-  os << "{\n  \"title\": \"" << json::escape(title) << "\",\n";
-  if (!run_id.empty()) os << "  \"run_id\": \"" << json::escape(run_id) << "\",\n";
-  os << "  \"metrics\": {";
+  os << "{";
   bool first = true;
   for (const auto& e : snapshot.entries) {
-    os << (first ? "\n" : ",\n");
+    os << (first ? "\n" : ",\n") << indent << "  \"" << json::escape(e.name)
+       << "\": {\"kind\": \"" << kind_name(e.kind) << "\", \"count\": " << e.count;
     first = false;
-    os << "    \"" << json::escape(e.name) << "\": {\"kind\": \"" << kind_name(e.kind)
-       << "\", \"count\": " << e.count;
     if (e.kind != Kind::kCounter) {
       os << ", \"total_ns\": " << e.total_ns << ", \"mean_ns\": " << e.mean_ns();
     }
@@ -263,17 +259,8 @@ std::string to_json(std::string_view title, const Snapshot& snapshot, std::strin
     }
     os << "}";
   }
-  os << "\n  }\n}\n";
+  os << "\n" << indent << "}";
   return os.str();
-}
-
-void write_report_json(const std::string& path, std::string_view title,
-                       const Snapshot& snapshot, std::string_view run_id) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("metrics: cannot open " + path);
-  out << to_json(title, snapshot, run_id);
-  out.flush();
-  if (!out) throw std::runtime_error("metrics: write failed for " + path);
 }
 
 std::string to_table(const Snapshot& snapshot) {

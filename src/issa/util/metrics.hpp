@@ -1,5 +1,5 @@
 // Observability layer: lock-free counters, timers, and histograms behind a
-// global registry, with JSON report export.
+// global registry, with JSON and table renderings of a snapshot.
 //
 // The hot paths (Newton iterations, LU factorizations, thread-pool tasks,
 // Monte-Carlo samples) increment these from many threads at once, so every
@@ -98,20 +98,6 @@ class Histogram {
     total_.fetch_add(v, std::memory_order_relaxed);
   }
 
-  /// Floating-point entry point: NaN and negative values are dropped (they
-  /// carry no magnitude to bucket), values beyond the uint64 range clamp to
-  /// the overflow bucket.  Finite in-range values round to nearest.
-  void record_double(double v) noexcept {
-    if (!enabled()) return;
-    if (!(v >= 0.0)) return;  // false for NaN and negatives
-    if (v >= 18446744073709549568.0) {  // largest double below 2^64
-      buckets_[kBuckets - 1].fetch_add(1, std::memory_order_relaxed);
-      total_.fetch_add(~std::uint64_t{0}, std::memory_order_relaxed);
-      return;
-    }
-    record(static_cast<std::uint64_t>(v + 0.5));
-  }
-
   std::uint64_t count() const noexcept;
   std::uint64_t total() const noexcept;
   std::uint64_t bucket(std::size_t b) const noexcept;
@@ -206,14 +192,10 @@ class Registry {
   Impl* impl_;  // leaked singleton state; never destroyed (safe at exit)
 };
 
-/// Serializes a snapshot as a JSON document ({"title", "metrics": {...}});
-/// a non-empty `run_id` adds a "run_id" member after the title.
-std::string to_json(std::string_view title, const Snapshot& snapshot,
-                    std::string_view run_id = {});
-
-/// Writes the JSON report; throws std::runtime_error on I/O failure.
-void write_report_json(const std::string& path, std::string_view title,
-                       const Snapshot& snapshot, std::string_view run_id = {});
+/// Serializes a snapshot as one JSON object, {"<name>": {"kind", "count",
+/// ...}, ...}, with one metric per line.  Each line after the opening brace
+/// starts with `indent`, so the object nests at that depth in a report.
+std::string to_json(const Snapshot& snapshot, std::string_view indent = "");
 
 /// Renders a snapshot as a human-readable ASCII table string.
 std::string to_table(const Snapshot& snapshot);

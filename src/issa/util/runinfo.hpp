@@ -1,20 +1,11 @@
-// Run-level provenance for report sidecars: one run id shared by the
-// --metrics and --trace outputs of a binary invocation, plus the wall clock
-// and peak RSS the run cost.  Correlating a conditions report with a trace
-// is a join on run_id.
+// Run-level provenance for the report sidecars: the run id shared by the
+// --metrics and --trace outputs of one binary invocation (correlating them is
+// a join on run_id), and the peak RSS the run cost.
 #pragma once
 
 #include <string>
 
 namespace issa::util {
-
-struct RunInfo {
-  std::string run_id;        ///< empty = not recorded
-  double wall_clock_s = 0.0; ///< process section wall time
-  long rss_peak_kb = 0;      ///< peak resident set size [kB]; 0 = unknown
-
-  bool empty() const noexcept { return run_id.empty(); }
-};
 
 /// A process-unique run id: <pid hex>-<steady-clock ns hex>.  Cheap, ordered
 /// within a process, unique enough to join sidecars from one invocation.

@@ -4,7 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -60,10 +60,8 @@ ThreadBuffer& thread_buffer() {
   return *buffer;
 }
 
-// Per-thread open-span stack (names only; attrs live on the Span itself) and
-// key/value context pushed by ContextScope.
-thread_local std::vector<const char*> t_span_stack;
-thread_local std::vector<Attr> t_context;
+// Per-thread stack of the open traced spans, outermost first.
+thread_local std::vector<const Span*> t_span_stack;
 
 void append_double(std::ostringstream& os, double v) {
   if (!std::isfinite(v)) {
@@ -75,11 +73,10 @@ void append_double(std::ostringstream& os, double v) {
   os << buf;
 }
 
-void append_attrs_object(std::ostringstream& os, const std::vector<Attr>& attrs) {
-  os << "{";
-  for (std::size_t i = 0; i < attrs.size(); ++i) {
-    const Attr& a = attrs[i];
-    os << (i == 0 ? "" : ", ") << "\"" << json::escape(a.key) << "\": ";
+// Writes each attr as a JSON object member preceded by ", ".
+void append_members(std::ostringstream& os, const std::vector<Attr>& attrs) {
+  for (const Attr& a : attrs) {
+    os << ", \"" << json::escape(a.key) << "\": ";
     switch (a.type) {
       case Attr::Type::kUint:
         os << a.u;
@@ -92,7 +89,6 @@ void append_attrs_object(std::ostringstream& os, const std::vector<Attr>& attrs)
         break;
     }
   }
-  os << "}";
 }
 
 }  // namespace
@@ -107,7 +103,7 @@ Span::Span(const char* name, const char* category) noexcept
       name_(name),
       category_(category) {
   if (!timed_) return;
-  if (traced_) t_span_stack.push_back(name);
+  if (traced_) t_span_stack.push_back(this);
   start_ns_ = metrics::monotonic_ns();
 }
 
@@ -141,26 +137,29 @@ void Span::attr_str(const char* key, std::string value) {
   if (traced_) attrs_.push_back(Attr::str(key, std::move(value)));
 }
 
-ContextScope::ContextScope(std::vector<Attr> attrs) : pushed_(0) {
-  if (!enabled()) return;
-  pushed_ = attrs.size();
-  for (auto& a : attrs) t_context.push_back(std::move(a));
-}
-
-ContextScope::~ContextScope() {
-  for (std::size_t i = 0; i < pushed_ && !t_context.empty(); ++i) t_context.pop_back();
-}
-
 void record_forensic(ForensicEvent event) {
   if (!enabled()) return;
   ThreadBuffer& buffer = thread_buffer();
   event.time_ns = metrics::monotonic_ns();
   event.tid = buffer.tid;
-  event.span_path.assign(t_span_stack.begin(), t_span_stack.end());
-  // Thread context first, caller extras after (caller wins on display).
-  std::vector<Attr> attrs(t_context.begin(), t_context.end());
-  attrs.insert(attrs.end(), std::make_move_iterator(event.attrs.begin()),
-               std::make_move_iterator(event.attrs.end()));
+  // Open-span attrs outermost first, the caller's extras last; a key keeps
+  // its first position and takes its innermost value.
+  std::vector<Attr> attrs;
+  auto merge = [&attrs](const Attr& a) {
+    const auto same = std::find_if(attrs.begin(), attrs.end(), [&a](const Attr& b) {
+      return std::strcmp(a.key, b.key) == 0;
+    });
+    if (same == attrs.end()) {
+      attrs.push_back(a);
+    } else {
+      *same = a;
+    }
+  };
+  for (const Span* span : t_span_stack) {
+    event.span_path.emplace_back(span->name_);
+    for (const Attr& a : span->attrs_) merge(a);
+  }
+  for (const Attr& a : event.attrs) merge(a);
   event.attrs = std::move(attrs);
 
   Registry& r = registry();
@@ -251,11 +250,9 @@ std::string to_chrome_json(const TraceData& data, std::string_view run_id) {
     append_ts_us(os, e.start_ns);
     os << ", \"dur\": ";
     append_ts_us(os, e.dur_ns);
-    os << ", \"args\": ";
-    std::vector<Attr> attrs = e.attrs;
-    attrs.push_back(Attr::u64("depth", e.depth));
-    append_attrs_object(os, attrs);
-    os << "}";
+    os << ", \"args\": {\"depth\": " << e.depth;
+    append_members(os, e.attrs);
+    os << "}}";
   }
 
   for (const auto& f : data.forensics) {
@@ -263,20 +260,25 @@ std::string to_chrome_json(const TraceData& data, std::string_view run_id) {
        << "\", \"cat\": \"forensic\", \"ph\": \"i\", \"s\": \"t\", \"pid\": 1, \"tid\": "
        << f.tid << ", \"ts\": ";
     append_ts_us(os, f.time_ns);
-    os << ", \"args\": ";
-    std::vector<Attr> attrs = f.attrs;
     std::string path;
     for (const auto& name : f.span_path) {
       if (!path.empty()) path += " > ";
       path += name;
     }
-    attrs.push_back(Attr::str("span_path", std::move(path)));
-    attrs.push_back(Attr::u64("iterations", f.residual_history.size()));
-    if (!f.residual_history.empty()) {
-      attrs.push_back(Attr::f64("final_residual", f.residual_history.back()));
-    }
-    append_attrs_object(os, attrs);
-    os << "}";
+    os << ", \"args\": {\"span_path\": \"" << json::escape(path) << "\"";
+    append_members(os, f.attrs);
+    auto series = [&os](const char* key, const std::vector<double>& values) {
+      os << ", \"" << key << "\": [";
+      for (std::size_t k = 0; k < values.size(); ++k) {
+        if (k != 0) os << ", ";
+        append_double(os, values[k]);
+      }
+      os << "]";
+    };
+    series("residual_history", f.residual_history);
+    series("alpha_history", f.alpha_history);
+    series("node_voltages", f.node_voltages);
+    os << "}}";
   }
 
   os << "\n],\n\"displayTimeUnit\": \"ns\",\n\"metadata\": {\"run_id\": \""
@@ -284,59 +286,6 @@ std::string to_chrome_json(const TraceData& data, std::string_view run_id) {
      << ", \"dropped_forensics\": " << data.forensics_dropped
      << ", \"clock\": \"steady_ns\"}\n}\n";
   return os.str();
-}
-
-std::string forensics_to_json(const TraceData& data, std::string_view run_id) {
-  std::ostringstream os;
-  os << "{\n\"run_id\": \"" << json::escape(run_id) << "\",\n\"dropped\": "
-     << data.forensics_dropped << ",\n\"events\": [";
-  for (std::size_t i = 0; i < data.forensics.size(); ++i) {
-    const ForensicEvent& f = data.forensics[i];
-    os << (i == 0 ? "\n" : ",\n");
-    os << "{\"kind\": \"" << json::escape(f.kind) << "\", \"ts_ns\": " << f.time_ns
-       << ", \"tid\": " << f.tid << ",\n \"span_path\": [";
-    for (std::size_t k = 0; k < f.span_path.size(); ++k) {
-      os << (k == 0 ? "" : ", ") << "\"" << json::escape(f.span_path[k]) << "\"";
-    }
-    os << "],\n \"attrs\": ";
-    append_attrs_object(os, f.attrs);
-    auto dump_series = [&os](const char* key, const std::vector<double>& values) {
-      os << ",\n \"" << key << "\": [";
-      for (std::size_t k = 0; k < values.size(); ++k) {
-        if (k != 0) os << ", ";
-        append_double(os, values[k]);
-      }
-      os << "]";
-    };
-    dump_series("residual_history", f.residual_history);
-    dump_series("alpha_history", f.alpha_history);
-    dump_series("node_voltages", f.node_voltages);
-    os << "}";
-  }
-  os << "\n]\n}\n";
-  return os.str();
-}
-
-namespace {
-
-void write_text(const std::string& path, const std::string& text, const char* what) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error(std::string(what) + ": cannot open " + path);
-  out << text;
-  out.flush();
-  if (!out) throw std::runtime_error(std::string(what) + ": write failed for " + path);
-}
-
-}  // namespace
-
-void write_chrome_json(const std::string& path, const TraceData& data,
-                       std::string_view run_id) {
-  write_text(path, to_chrome_json(data, run_id), "trace");
-}
-
-void write_forensics_json(const std::string& path, const TraceData& data,
-                          std::string_view run_id) {
-  write_text(path, forensics_to_json(data, run_id), "trace");
 }
 
 }  // namespace issa::util::trace

@@ -3,15 +3,15 @@
 //
 // Model: a Span is an RAII scope and the stack's only timer: closing one adds
 // its duration to the util::metrics timer of its name.  While tracing is on,
-// opening a span also pushes onto a thread-local stack (giving every span its
-// nesting depth and its ancestors for forensic context) and closing one
-// appends a completed-span record to a per-thread ring buffer.  The producer
-// path is lock-free: a monotonically increasing local sequence number plus a
-// plain write into the thread's own ring slot — no shared write line, no
-// mutex, no allocation for attribute-free spans.  The rings are drained by
-// collect() once the traced region has quiesced, and the merged event set
-// serializes to Chrome trace-event JSON (loadable in Perfetto /
-// chrome://tracing).  Spans sit at sample granularity and above
+// opening a span also pushes it onto a thread-local stack (giving every span
+// its nesting depth, and forensic bundles their span path and context) and
+// closing one appends a completed-span record to a per-thread ring buffer.
+// The producer path is lock-free: a monotonically increasing local sequence
+// number plus a plain write into the thread's own ring slot — no shared write
+// line, no mutex, no allocation for attribute-free spans.  The rings are
+// drained by collect() once the traced region has quiesced, and the merged
+// event set serializes to one Chrome trace-event JSON document (loadable in
+// Perfetto / chrome://tracing).  Spans sit at sample granularity and above
 // (spans::kAll); Newton and LU work is only counted.
 //
 // Like util/metrics, tracing starts disabled: with metrics off too, every
@@ -20,11 +20,11 @@
 //
 // Forensics: when a Newton solve gives up or a transient's step-size control
 // collapses, the solver captures a diagnostic bundle — residual and damping
-// histories, the node-voltage vector, the enclosing span path, and whatever
-// key/value context the caller pushed (sample index, RNG seed, operating
-// condition) via ContextScope.  Bundles are rare by construction, so they go
-// through a mutex-protected bounded list; the hot path only ever asks a
-// single relaxed question ("is tracing on?") before doing any work.
+// histories, the node-voltage vector, the enclosing span path, and the attrs
+// of the spans open on the failing thread (the mc.sample span names the
+// sample, seed and operating condition).  Bundles are rare by construction,
+// so they go through a mutex-protected bounded list; the hot path only ever
+// asks a single relaxed question ("is tracing on?") before doing any work.
 #pragma once
 
 #include <array>
@@ -101,7 +101,7 @@ struct ForensicEvent {
   std::uint64_t time_ns = 0;
   std::uint32_t tid = 0;
   std::vector<std::string> span_path;  ///< enclosing spans, outermost first
-  std::vector<Attr> attrs;             ///< thread context + caller extras
+  std::vector<Attr> attrs;             ///< open-span attrs + caller extras
   std::vector<double> residual_history;  ///< |F| per Newton iteration
   std::vector<double> alpha_history;     ///< accepted damping per iteration
   std::vector<double> node_voltages;     ///< full node vector at failure
@@ -128,6 +128,8 @@ class Span {
   void attr_str(const char* key, std::string value);
 
  private:
+  friend void record_forensic(ForensicEvent event);
+
   bool timed_;
   bool traced_;
   std::uint64_t start_ns_ = 0;
@@ -136,25 +138,11 @@ class Span {
   std::vector<Attr> attrs_;
 };
 
-/// Pushes key/value context onto the calling thread for the lifetime of the
-/// scope; forensic bundles copy the full context stack.  The Monte-Carlo
-/// loop pushes (sample, seed, vdd, T, ...) so a solver failure deep inside a
-/// transient can name the exact sample that produced it.
-class ContextScope {
- public:
-  explicit ContextScope(std::vector<Attr> attrs);
-  ~ContextScope();
-
-  ContextScope(const ContextScope&) = delete;
-  ContextScope& operator=(const ContextScope&) = delete;
-
- private:
-  std::size_t pushed_;
-};
-
-/// Records a forensic bundle (fills time_ns/tid/span_path/context attrs from
-/// the calling thread; the caller supplies everything else).  No-op unless
-/// enabled(); the stored list is bounded by kMaxForensicEvents
+/// Records a forensic bundle; the caller supplies kind, histories and extra
+/// attrs.  Fills time_ns, tid and span_path from the calling thread, and
+/// prepends the attrs of its open spans, outermost first: a key appears
+/// once, with the value of the innermost span (or the caller) that set it.
+/// No-op unless enabled(); the stored list is bounded by kMaxForensicEvents
 /// (further events only bump TraceData::forensics_dropped).
 void record_forensic(ForensicEvent event);
 
@@ -176,17 +164,10 @@ void clear();
 /// Chrome trace-event JSON: {"traceEvents": [...], "metadata": {...}}.
 /// Spans become complete ("ph":"X") events with microsecond timestamps;
 /// forensic bundles become instant ("ph":"i") events so they show up on the
-/// timeline; thread-name metadata records the tid mapping.
+/// timeline, their args holding the context attrs, the span path and the
+/// residual_history, alpha_history and node_voltages arrays; thread-name
+/// metadata records the tid mapping.
 std::string to_chrome_json(const TraceData& data, std::string_view run_id = {});
-
-/// Forensic sidecar: {"run_id", "events": [...]} with full histories.
-std::string forensics_to_json(const TraceData& data, std::string_view run_id = {});
-
-/// File writers; throw std::runtime_error on I/O failure.
-void write_chrome_json(const std::string& path, const TraceData& data,
-                       std::string_view run_id = {});
-void write_forensics_json(const std::string& path, const TraceData& data,
-                          std::string_view run_id = {});
 
 /// Well-known span names (one taxonomy across the stack; see DESIGN.md §13).
 namespace spans {

@@ -3,8 +3,10 @@
 // emit-exactly-once contract.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <set>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -72,6 +74,12 @@ TEST(RunContextTest, RunFlagsBuildTheMcConfig) {
   EXPECT_EQ(run.mc().run_id, run.run_id());
 }
 
+TEST(RunContextTest, SeedTakesTheWholeUint64Range) {
+  const Argv args({"--seed=18446744073709551615"});
+  core::RunContext run(args.argc(), args.argv(), "t");
+  EXPECT_EQ(run.mc().seed, UINT64_MAX);
+}
+
 TEST(RunContextTest, NoShardMeansTheWholeSweep) {
   const Argv args({});
   core::RunContext run(args.argc(), args.argv(), "t");
@@ -90,12 +98,26 @@ TEST(RunContextDeathTest, MalformedShardExitsTwo) {
   }
 }
 
+TEST(RunContextDeathTest, BadSeedExitsTwo) {
+  // A seed is the decimal digits of a uint64_t: "-1" once ran seed 2^64 - 1,
+  // and a bare --seed the default 42.
+  for (const char* bad : {"--seed=-1", "--seed=+1", "--seed=18446744073709551616",
+                          "--seed=4x", "--seed=", "--seed"}) {
+    const Argv args({bad});
+    EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t"), ::testing::ExitedWithCode(2),
+                "--seed.*\nusage: run_context_test")
+        << bad;
+  }
+}
+
 TEST(RunContextDeathTest, BadMcCountExitsTwo) {
-  // Zero, negative and malformed counts stop before any run; none of them
-  // may fall back to the default 400-sample sweep.  Nor may a run whose
-  // shard computes fewer than the two samples a standard deviation needs.
+  // Zero, negative, malformed and missing counts stop before any run; none
+  // of them may fall back to the default 400-sample sweep.  Nor may a run
+  // whose shard computes fewer than the two samples a standard deviation
+  // needs.
   const std::vector<std::vector<std::string>> bad = {
-      {"--mc=0"}, {"--mc=-5"}, {"--mc=abc"}, {"--mc=3x"}, {"--mc=1"}, {"--mc=4", "--shard=0/4"}};
+      {"--mc=0"}, {"--mc=-5"}, {"--mc=abc"}, {"--mc=3x"},
+      {"--mc=1"}, {"--mc=4", "--shard=0/4"}, {"--mc"}};
   for (const auto& flags : bad) {
     const Argv args(flags);
     EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t"), ::testing::ExitedWithCode(2),
@@ -107,8 +129,8 @@ TEST(RunContextDeathTest, BadMcCountExitsTwo) {
 TEST(RunContextDeathTest, BadQuarantineMaxExitsTwo) {
   // NaN would disable the degradation gate (every comparison is false) and a
   // negative fraction would fail every cell with nothing quarantined.
-  for (const char* bad : {"nan", "-0.1", "0.5x", "1.5"}) {
-    const Argv args({std::string("--quarantine-max=") + bad});
+  for (const std::string bad : {"=nan", "=-0.1", "=0.5x", "=1.5", ""}) {
+    const Argv args({"--quarantine-max" + bad});
     EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t"), ::testing::ExitedWithCode(2),
                 "--quarantine-max.*\nusage: run_context_test")
         << bad;
@@ -141,15 +163,16 @@ TEST(RunContextTest, SidecarsShareOneRunId) {
     run.attach_rows({row});
   }
   ASSERT_FALSE(run_id.empty());
-  EXPECT_EQ(read_json(stem + ".metrics.json").at("run_id").as_string(), run_id);
-  EXPECT_EQ(read_json(stem + ".conditions.json").at("run_id").as_string(), run_id);
+  const util::json::Value metrics = read_json(stem + ".metrics.json");
+  EXPECT_EQ(metrics.at("run_id").as_string(), run_id);
+  EXPECT_EQ(metrics.at("conditions").as_array().size(), 1u);
   EXPECT_EQ(read_json(stem + ".trace.json").at("metadata").at("run_id").as_string(), run_id);
-  // One file per report: no CSV or JSONL twins.
+  // Each flag writes exactly one file.
+  std::set<std::string> written;
   for (const auto& entry : fs::directory_iterator(fs::path(stem).parent_path())) {
-    const std::string ext = entry.path().extension().string();
-    EXPECT_NE(ext, ".csv") << entry.path();
-    EXPECT_NE(ext, ".jsonl") << entry.path();
+    written.insert(entry.path().filename().string());
   }
+  EXPECT_EQ(written, (std::set<std::string>{"run.metrics.json", "run.trace.json"}));
 }
 
 TEST(RunContextTest, IgnoresTheEnvironment) {
@@ -242,12 +265,17 @@ TEST(RunContextTest, EarlyReturnStillEmitsOnce) {
 }
 
 TEST(RunContextTest, UnwritableSidecarMakesFinishFail) {
-  const Argv args({"--metrics=/nonexistent-dir/x/run"});
+  const Argv args({"--metrics=/nonexistent-dir/x/run", "--trace=/nonexistent-dir/x/run"});
   core::RunContext run(args.argc(), args.argv(), "t");
   ::testing::internal::CaptureStderr();
   EXPECT_FALSE(run.finish());
-  EXPECT_NE(::testing::internal::GetCapturedStderr().find("metrics report failed"),
-            std::string::npos);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("metrics report failed: cannot open /nonexistent-dir/x/run.metrics.json"),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("trace report failed: cannot open /nonexistent-dir/x/run.trace.json"),
+            std::string::npos)
+      << err;
 }
 
 }  // namespace

@@ -1,15 +1,16 @@
-// Run-report JSON must be strict JSON whatever the labels hold: every
-// document written by core::write_run_report_json is parsed back with
+// The metrics report must be strict JSON whatever the labels hold: every
+// report core::RunContext writes for attached rows is parsed back with
 // util::json and its strings compared with what went in.  Quotes and
 // backslashes survive exactly; control characters are written as spaces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "issa/core/experiment.hpp"
+#include "issa/core/run_context.hpp"
 #include "issa/util/json.hpp"
 
 namespace issa::core {
@@ -37,30 +38,43 @@ ExperimentRow nasty_row(std::size_t quarantined) {
   return row;
 }
 
-util::json::Value write_and_parse(const std::string& name, std::string_view title,
-                                  const std::vector<ExperimentRow>& rows,
-                                  const util::RunInfo* run) {
-  const std::string path = ::testing::TempDir() + "/issa_run_report_" + name + ".json";
-  if (run != nullptr) {
-    write_run_report_json(path, title, rows, *run);
-  } else {
-    write_run_report_json(path, title, rows);
+struct Report {
+  std::string run_id;  // the RunContext's
+  util::json::Value doc;
+};
+
+// Runs a RunContext named `title` with --metrics, attaches `rows`, and parses
+// the report finish() writes.
+Report write_and_parse(const std::string& name, const std::string& title,
+                       std::vector<ExperimentRow> rows) {
+  const std::string stem = ::testing::TempDir() + "/issa_run_report_" + name;
+  const std::string arg = "--metrics=" + stem;
+  const char* argv[] = {"run_report_json_test", arg.c_str()};
+  Report report;
+  ::testing::internal::CaptureStdout();
+  {
+    RunContext run(2, argv, title);
+    report.run_id = run.run_id();
+    run.attach_rows(std::move(rows));
+    EXPECT_TRUE(run.finish());
   }
-  std::ifstream in(path);
+  ::testing::internal::GetCapturedStdout();
+  std::ifstream in(stem + ".metrics.json");
   std::ostringstream text;
   text << in.rdbuf();
-  return util::json::Value::parse(text.str());
+  report.doc = util::json::Value::parse(text.str());
+  return report;
 }
 
 TEST(RunReportJson, NastyLabelsRoundTrip) {
   const std::vector<ExperimentRow> rows = {nasty_row(1), nasty_row(0)};
-  const util::json::Value doc = write_and_parse("nasty", kNastyTitle, rows, nullptr);
+  const util::json::Value doc = write_and_parse("nasty", kNastyTitle, rows).doc;
 
   EXPECT_EQ(doc.at("title").as_string(), as_written(kNastyTitle));
   const auto& conditions = doc.at("conditions").as_array();
   ASSERT_EQ(conditions.size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(conditions[i].at("title").as_string(), as_written(rows[i].condition_label()));
+    EXPECT_EQ(conditions[i].at("condition").as_string(), as_written(rows[i].condition_label()));
     const auto& metric = conditions[i].at("metrics").at("sim.\"quoted\"\\name");
     EXPECT_EQ(metric.at("count").as_number(), 7.0);
   }
@@ -72,31 +86,30 @@ TEST(RunReportJson, NastyLabelsRoundTrip) {
 }
 
 TEST(RunReportJson, RunIdIsNeverEmpty) {
-  const std::vector<ExperimentRow> rows = {nasty_row(0)};
-  const util::json::Value without = write_and_parse("no_run", "t", rows, nullptr);
-  EXPECT_FALSE(without.at("run_id").as_string().empty());
-  // An empty RunInfo carries no provenance: a run id is still generated, but
-  // no wall-clock or RSS fields are claimed.
-  const util::RunInfo empty;
-  const util::json::Value blank = write_and_parse("empty_run", "t", rows, &empty);
-  EXPECT_FALSE(blank.at("run_id").as_string().empty());
-  EXPECT_EQ(blank.find("wall_clock_s"), nullptr);
+  const Report report = write_and_parse("run_id", "t", {nasty_row(0)});
+  EXPECT_FALSE(report.run_id.empty());
+  EXPECT_EQ(report.doc.at("run_id").as_string(), report.run_id);
 }
 
 TEST(RunReportJson, SuppliedRunIdAndProvenanceRoundTrip) {
-  util::RunInfo run;
-  run.run_id = "run \"7\"\\\n";
-  run.wall_clock_s = 1.5;
-  run.rss_peak_kb = 4096;
-  const util::json::Value doc = write_and_parse("supplied", kNastyTitle, {nasty_row(2)}, &run);
-  EXPECT_EQ(doc.at("run_id").as_string(), as_written(run.run_id));
-  EXPECT_EQ(doc.at("wall_clock_s").as_number(), 1.5);
-  EXPECT_EQ(doc.at("rss_peak_kb").as_number(), 4096.0);
+  // The report carries the run's id, wall clock and peak RSS, and the
+  // whole-run metrics object precedes the per-condition entries.
+  const Report report = write_and_parse("provenance", kNastyTitle, {nasty_row(2)});
+  const util::json::Value& doc = report.doc;
+  EXPECT_EQ(doc.at("run_id").as_string(), report.run_id);
+  EXPECT_GE(doc.at("wall_clock_s").as_number(), 0.0);
+  EXPECT_GT(doc.at("rss_peak_kb").as_number(), 0.0);
   EXPECT_EQ(doc.at("quarantined_samples").as_number(), 2.0);
+  ASSERT_TRUE(doc.at("metrics").is_object());
+  EXPECT_NE(doc.at("metrics").find("sim.newton_iterations"), nullptr);
+  std::vector<std::string> keys;
+  for (const auto& member : doc.as_object()) keys.push_back(member.first);
+  EXPECT_LT(std::find(keys.begin(), keys.end(), "metrics"),
+            std::find(keys.begin(), keys.end(), "conditions"));
 }
 
 TEST(RunReportJson, NoRowsIsStillAValidDocument) {
-  const util::json::Value doc = write_and_parse("no_rows", kNastyTitle, {}, nullptr);
+  const util::json::Value doc = write_and_parse("no_rows", kNastyTitle, {}).doc;
   EXPECT_TRUE(doc.at("conditions").as_array().empty());
   EXPECT_TRUE(doc.at("degraded_conditions").as_array().empty());
   EXPECT_FALSE(doc.at("run_id").as_string().empty());

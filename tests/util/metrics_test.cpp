@@ -9,11 +9,12 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "issa/core/run_context.hpp"
+#include "issa/util/json.hpp"
 #include "issa/util/trace.hpp"
 
 namespace issa::util::metrics {
@@ -109,40 +110,6 @@ TEST_F(MetricsTest, HistogramBucketsByLog2) {
   EXPECT_EQ(h.bucket(10), 1u);
 }
 
-TEST_F(MetricsTest, HistogramRecordDoubleRoundsSubUnitValues) {
-  Histogram& h = Registry::instance().histogram("test.hist_double_low");
-  h.record_double(0.4);  // rounds to 0 -> bucket 0
-  h.record_double(0.6);  // rounds to 1 -> bucket 1
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.bucket(0), 1u);
-  EXPECT_EQ(h.bucket(1), 1u);
-  EXPECT_EQ(h.total(), 1u);
-}
-
-TEST_F(MetricsTest, HistogramRecordDoubleClampsOverflowToLastBucket) {
-  Histogram& h = Registry::instance().histogram("test.hist_double_over");
-  h.record_double(1e30);                    // far beyond uint64
-  h.record_double(18446744073709549568.0);  // largest double below 2^64
-  EXPECT_EQ(h.count(), 2u);
-  EXPECT_EQ(h.bucket(Histogram::kBuckets - 1), 2u);
-  for (std::size_t b = 0; b + 1 < Histogram::kBuckets; ++b) {
-    EXPECT_EQ(h.bucket(b), 0u) << "bucket " << b;
-  }
-}
-
-TEST_F(MetricsTest, HistogramRecordDoubleDropsNaNAndNegatives) {
-  Histogram& h = Registry::instance().histogram("test.hist_double_nan");
-  h.record_double(std::numeric_limits<double>::quiet_NaN());
-  h.record_double(-std::numeric_limits<double>::quiet_NaN());
-  h.record_double(-1.0);
-  h.record_double(-std::numeric_limits<double>::infinity());
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.total(), 0u);
-  h.record_double(2.0);  // still usable after the dropped inputs
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_EQ(h.bucket(2), 1u);
-}
-
 TEST_F(MetricsTest, SnapshotMergesStripesExactly) {
   // More threads than stripes forces every cache-line cell to carry several
   // threads' contributions; the snapshot must still be the exact sum.
@@ -232,45 +199,44 @@ TEST_F(MetricsTest, RuntimeDisabledIsNoOp) {
 }
 
 TEST_F(MetricsTest, JsonReportIsWellFormed) {
-  Registry::instance().counter("test.json").add(2);
+  Registry::instance().counter("test.json \"quoted\"").add(2);
   const Snapshot snap = Registry::instance().snapshot();
-  const std::string json = to_json("unit \"quoted\" title", snap);
-  EXPECT_NE(json.find("\"title\": \"unit \\\"quoted\\\" title\""), std::string::npos);
-  // Balanced braces / brackets (cheap well-formedness proxy without a parser).
-  long braces = 0;
-  long brackets = 0;
-  for (const char ch : json) {
-    braces += ch == '{' ? 1 : ch == '}' ? -1 : 0;
-    brackets += ch == '[' ? 1 : ch == ']' ? -1 : 0;
-    EXPECT_GE(braces, 0);
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
-  EXPECT_NE(json.find("\"test.json\": {\"kind\": \"counter\", \"count\": 2}"),
-            std::string::npos);
+  // Nested at depth "  ": one metric per line, four spaces in, and the
+  // closing brace two spaces in.
+  const std::string json = to_json(snap, "  ");
+  EXPECT_NE(json.find("\n    \"test.json \\\"quoted\\\"\": {\"kind\": \"counter\", \"count\": 2}"),
+            std::string::npos)
+      << json;
+  EXPECT_EQ(json.substr(json.size() - 4), "\n  }");
+  const json::Value doc = json::Value::parse(json);
+  EXPECT_EQ(doc.at("test.json \"quoted\"").at("count").as_number(), 2.0);
+  EXPECT_EQ(doc.as_object().size(), snap.entries.size());
+  EXPECT_TRUE(json::Value::parse(to_json(Snapshot{})).as_object().empty());
 }
 
 TEST_F(MetricsTest, ReportFilesRoundTrip) {
-  Registry::instance().counter("test.file").add(9);
-  const Snapshot snap = Registry::instance().snapshot();
-  const std::string json_path = ::testing::TempDir() + "metrics_test_report.json";
-  write_report_json(json_path, "roundtrip", snap);
+  // The run's metrics report holds the whole-run object with one metric per
+  // line: scripts/check_cache_correctness.sh greps a counter out of this form.
+  const std::string stem = ::testing::TempDir() + "metrics_test_report";
+  const std::string arg = "--metrics=" + stem;
+  const char* argv[] = {"metrics_test", arg.c_str()};
+  ::testing::internal::CaptureStdout();
+  {
+    core::RunContext run(2, argv, "roundtrip");
+    Registry::instance().counter("test.file").add(9);
+  }
+  ::testing::internal::GetCapturedStdout();
 
-  std::ifstream json_in(json_path);
+  std::ifstream json_in(stem + ".metrics.json");
   std::stringstream json_text;
   json_text << json_in.rdbuf();
-  EXPECT_NE(json_text.str().find("\"title\": \"roundtrip\""), std::string::npos);
-  // One metric per line: scripts/check_cache_correctness.sh greps a counter
-  // out of this form.
   EXPECT_NE(json_text.str().find("\n    \"test.file\": {\"kind\": \"counter\", \"count\": 9}"),
             std::string::npos);
+  const json::Value doc = json::Value::parse(json_text.str());
+  EXPECT_EQ(doc.at("title").as_string(), "roundtrip");
+  EXPECT_EQ(doc.at("metrics").at("test.file").at("count").as_number(), 9.0);
 
-  std::remove(json_path.c_str());
-}
-
-TEST_F(MetricsTest, WriteToUnopenablePathThrows) {
-  EXPECT_THROW(write_report_json("/nonexistent-dir/x/y.json", "t", Snapshot{}),
-               std::runtime_error);
+  std::remove((stem + ".metrics.json").c_str());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the hierarchical span tracer: ring collection, nesting depth
-// under recursive parallel_for, forensic bundles with thread context, the
+// under recursive parallel_for, forensic bundles with open-span context, the
 // runtime-disabled no-op path, ring overflow accounting, agreement with the
 // span-fed metrics timers, and a Chrome trace-event JSON round trip through
 // the in-tree JSON parser.
@@ -165,8 +165,10 @@ TEST_F(TraceTest, RingOverflowKeepsNewestAndCountsDropped) {
 TEST_F(TraceTest, ForensicCapturesSpanPathAndThreadContext) {
   {
     Span outer("test.phase", "test");
-    ContextScope ctx({Attr::u64("sample", 7), Attr::str("kind", "NSSA")});
+    outer.attr_u64("sample", 3);
+    outer.attr_str("kind", "NSSA");
     Span inner("test.solve", "test");
+    inner.attr_u64("sample", 7);  // the inner span's value wins
     ForensicEvent event;
     event.kind = "newton_nonconvergence";
     event.attrs.push_back(Attr::str("reason", "unit"));
@@ -181,7 +183,8 @@ TEST_F(TraceTest, ForensicCapturesSpanPathAndThreadContext) {
   ASSERT_EQ(f.span_path.size(), 2u);
   EXPECT_EQ(f.span_path[0], "test.phase");
   EXPECT_EQ(f.span_path[1], "test.solve");
-  // Thread context first, caller extras after.
+  // Open-span attrs first, outermost span first, caller extras after; each
+  // key once.
   ASSERT_EQ(f.attrs.size(), 3u);
   EXPECT_STREQ(f.attrs[0].key, "sample");
   EXPECT_EQ(f.attrs[0].u, 7u);
@@ -207,7 +210,7 @@ TEST_F(TraceTest, TerminalDcFailureRecordsForensicBundle) {
   // End-to-end forensics through the real solver: an injected
   // non-convergence on every Newton solve defeats plain Newton, the gmin
   // homotopy, and source stepping alike, so solve_dc must throw and leave
-  // exactly one terminal bundle carrying the caller's thread context.
+  // exactly one terminal bundle carrying the caller's span context.
   circuit::Netlist net;
   const circuit::NodeId vdd = net.node("vdd");
   const circuit::NodeId in = net.node("in");
@@ -228,8 +231,12 @@ TEST_F(TraceTest, TerminalDcFailureRecordsForensicBundle) {
   circuit::Simulator sim(net, 298.15);
   faultpoint::configure("sim.newton_nonconvergence=always");
 
-  ContextScope ctx({Attr::u64("sample", 13), Attr::str("kind", "unit")});
-  EXPECT_THROW(sim.solve_dc(), circuit::ConvergenceError);
+  {
+    Span sample("test.sample", "test");
+    sample.attr_u64("sample", 13);
+    sample.attr_str("kind", "unit");
+    EXPECT_THROW(sim.solve_dc(), circuit::ConvergenceError);
+  }
   faultpoint::clear();
 
   set_enabled(false);
@@ -237,7 +244,7 @@ TEST_F(TraceTest, TerminalDcFailureRecordsForensicBundle) {
   ASSERT_EQ(data.forensics.size(), 1u);
   const ForensicEvent& f = data.forensics[0];
   EXPECT_EQ(f.kind, "newton_nonconvergence");
-  // Thread context first, then the solver's own attrs.
+  // Open-span context first, then the solver's own attrs.
   ASSERT_GE(f.attrs.size(), 3u);
   EXPECT_STREQ(f.attrs[0].key, "sample");
   EXPECT_EQ(f.attrs[0].u, 13u);
@@ -353,7 +360,7 @@ TEST_F(TraceTest, ChromeJsonRoundTripsThroughParser) {
     if (e.at("name").as_string() == "forensic.unit_kind") {
       found = true;
       EXPECT_EQ(e.at("args").at("span_path").as_string(), "test.rt_fail");
-      EXPECT_EQ(e.at("args").at("iterations").as_number(), 2.0);
+      EXPECT_EQ(e.at("args").at("residual_history").as_array().size(), 2u);
     }
   }
   EXPECT_TRUE(found);
@@ -367,22 +374,60 @@ TEST_F(TraceTest, ForensicsJsonParsesWithFullHistories) {
   event.node_voltages = {0.0, 1.0, 0.5};
   record_forensic(std::move(event));
   set_enabled(false);
-  const std::string text = forensics_to_json(collect(), "run-xyz");
-  const json::Value doc = json::Value::parse(text);
-  EXPECT_EQ(doc.at("run_id").as_string(), "run-xyz");
-  ASSERT_TRUE(doc.at("events").is_array());
-  ASSERT_EQ(doc.at("events").as_array().size(), 1u);
-  const json::Value& f = doc.at("events").as_array()[0];
-  EXPECT_EQ(f.at("kind").as_string(), "transient_step_collapse");
-  EXPECT_EQ(f.at("residual_history").as_array().size(), 3u);
-  EXPECT_DOUBLE_EQ(f.at("alpha_history").as_array()[1].as_number(), 0.5);
-  EXPECT_EQ(f.at("node_voltages").as_array().size(), 3u);
+  const json::Value doc = json::Value::parse(to_chrome_json(collect(), "run-xyz"));
+  EXPECT_EQ(doc.at("metadata").at("run_id").as_string(), "run-xyz");
+  std::vector<const json::Value*> instants;
+  for (const json::Value& e : doc.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() == "i") instants.push_back(&e);
+  }
+  ASSERT_EQ(instants.size(), 1u);
+  EXPECT_EQ(instants[0]->at("name").as_string(), "forensic.transient_step_collapse");
+  const json::Value& args = instants[0]->at("args");
+  EXPECT_EQ(args.at("residual_history").as_array().size(), 3u);
+  EXPECT_DOUBLE_EQ(args.at("alpha_history").as_array()[1].as_number(), 0.5);
+  EXPECT_EQ(args.at("node_voltages").as_array().size(), 3u);
 }
 
-TEST_F(TraceTest, WriteToUnopenablePathThrows) {
+TEST_F(TraceTest, QuarantineForensicNamesItsSampleOnce) {
+  // A sample quarantined on a pool worker: the bundle takes its context from
+  // the mc.sample span open on that thread, and carries each key once.
+  faultpoint::configure("sim.newton_nonconvergence=key1");
+  {
+    ThreadPool pool(2);
+    analysis::Condition condition;
+    condition.kind = sa::SenseAmpKind::kNssa;
+    condition.config = sa::nominal_config();
+    analysis::McConfig mc;
+    mc.iterations = 4;
+    mc.pool = &pool;
+    mc.max_quarantine_fraction = 1.0;
+    const analysis::OffsetDistribution dist = analysis::measure_offset_distribution(condition, mc);
+    ASSERT_EQ(dist.degradation.quarantined.size(), 1u);
+  }
+  faultpoint::clear();
   set_enabled(false);
-  EXPECT_THROW(write_chrome_json("/nonexistent-dir/x/y.json", TraceData{}),
-               std::runtime_error);
+  const json::Value doc = json::Value::parse(to_chrome_json(collect()));
+
+  std::size_t quarantined = 0;
+  for (const json::Value& e : doc.at("traceEvents").as_array()) {
+    if (e.at("name").as_string() != "forensic.mc_sample_quarantined") continue;
+    ++quarantined;
+    const json::Value& args = e.at("args");
+    std::map<std::string, int> seen;
+    for (const auto& member : args.as_object()) ++seen[member.first];
+    for (const auto& [key, count] : seen) EXPECT_EQ(count, 1) << key;
+    for (const char* key :
+         {"sample", "seed", "kind", "vdd", "temperature_c", "stress_time_s", "condition",
+          "run_id", "error", "residual_history", "alpha_history", "node_voltages"}) {
+      EXPECT_NE(args.find(key), nullptr) << key;
+    }
+    EXPECT_EQ(args.at("sample").as_number(), 1.0);
+    EXPECT_EQ(args.at("seed").as_number(), 42.0);
+    EXPECT_EQ(args.at("kind").as_string(), "NSSA");
+    EXPECT_EQ(args.at("vdd").as_number(), sa::nominal_config().vdd);
+    EXPECT_NE(args.at("span_path").as_string().find(spans::kMcSample), std::string::npos);
+  }
+  EXPECT_EQ(quarantined, 1u);
 }
 
 }  // namespace

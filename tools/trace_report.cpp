@@ -6,9 +6,12 @@
 // The full report shows where the run's wall clock went (per-span-name
 // breakdown), the shape of each span population (log2 duration histograms),
 // how busy each worker thread was (from pool.task spans), and any solver
-// forensic events.  Both modes read only the Chrome trace-event document
-// --trace writes (the format Perfetto and chrome://tracing load) and check
-// every event structurally; --check also fails a trace that dropped spans.
+// forensic events with every scalar arg.  Both modes read only the Chrome
+// trace-event document --trace writes (the format Perfetto and
+// chrome://tracing load) and check every event structurally: a forensic
+// instant event must carry its residual_history, alpha_history and
+// node_voltages arrays and no args key twice.  --check also fails a trace
+// that dropped spans.
 // Any malformation or loss exits non-zero, which is what the CI smoke job
 // gates on.
 #include <algorithm>
@@ -17,6 +20,7 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -42,7 +46,7 @@ struct ForensicRec {
   std::string name;  // "forensic.<kind>"
   std::uint32_t tid = 0;
   std::string span_path;
-  std::string detail;  // flattened selected attrs
+  std::string detail;  // flattened scalar args
 };
 
 struct Trace {
@@ -61,22 +65,33 @@ std::string read_file(const std::string& path) {
   return os.str();
 }
 
-std::string flatten_args(const Value& args, std::initializer_list<const char*> keys) {
+std::string format_number(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
+// "key=value" for every scalar arg but the span path, then the Newton
+// iteration count and final residual from a non-empty residual history.
+std::string flatten_forensic_args(const Value& args) {
   std::string out;
-  for (const char* key : keys) {
-    const Value* v = args.find(key);
-    if (v == nullptr) continue;
+  auto append = [&out](const std::string& key, const std::string& value) {
     if (!out.empty()) out += " ";
-    out += key;
-    out += "=";
-    if (v->is_string()) {
-      out += v->as_string();
-    } else if (v->is_number()) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.6g", v->as_number());
-      out += buf;
-    } else {
-      out += "?";
+    out += key + "=" + value;
+  };
+  for (const auto& [key, v] : args.as_object()) {
+    if (key == "span_path") continue;
+    if (v.is_string()) {
+      append(key, v.as_string());
+    } else if (v.is_number()) {
+      append(key, format_number(v.as_number()));
+    }
+  }
+  const std::vector<Value>& residuals = args.at("residual_history").as_array();
+  if (!residuals.empty()) {
+    append("iterations", std::to_string(residuals.size()));
+    if (residuals.back().is_number()) {
+      append("final_residual", format_number(residuals.back().as_number()));
     }
   }
   return out;
@@ -103,6 +118,20 @@ const char* check_chrome_event(const Value& e) {
     if (dur == nullptr || !dur->is_number()) return "complete event without numeric \"dur\"";
     if (dur->as_number() < 0) return "complete event with negative \"dur\"";
   }
+  if (phase == "i") {
+    const Value* args = e.find("args");
+    if (args == nullptr || !args->is_object()) return "forensic event without \"args\"";
+    for (const char* key : {"residual_history", "alpha_history", "node_voltages"}) {
+      const Value* series = args->find(key);
+      if (series == nullptr || !series->is_array()) {
+        return "forensic event without a residual_history, alpha_history or node_voltages array";
+      }
+    }
+    std::set<std::string> keys;
+    for (const auto& member : args->as_object()) {
+      if (!keys.insert(member.first).second) return "forensic event repeats an args key";
+    }
+  }
   return nullptr;
 }
 
@@ -124,12 +153,9 @@ Trace ingest_chrome(const Value& doc) {
       ForensicRec f;
       f.name = e.at("name").as_string();
       f.tid = static_cast<std::uint32_t>(e.at("tid").as_number());
-      if (const Value* args = e.find("args"); args != nullptr && args->is_object()) {
-        f.span_path = args->string_or("span_path", "");
-        f.detail = flatten_args(
-            *args, {"reason", "sample", "seed", "kind", "vdd", "temperature_c",
-                    "stress_time_s", "iterations", "final_residual", "t", "h_or_gmin"});
-      }
+      const Value& args = e.at("args");
+      f.span_path = args.string_or("span_path", "");
+      f.detail = flatten_forensic_args(args);
       trace.forensics.push_back(std::move(f));
     }
   }
