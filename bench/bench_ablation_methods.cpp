@@ -1,6 +1,7 @@
 // Ablations of the methodology choices DESIGN.md calls out:
 //  1. offset measurement: transient binary search (the paper's method) vs
-//     the first-order DC estimator — accuracy and cost;
+//     the first-order DC estimator and the linear offset model that
+//     warm-starts the search — accuracy and cost;
 //  2. transient integration: trapezoidal vs backward Euler — delay accuracy
 //     vs timestep;
 //  3. occupancy statistics: Bernoulli-sampled atomistic aging (the paper's
@@ -9,6 +10,7 @@
 // Usage: bench_ablation_methods [--mc=N] [--seed=S] [--cache[=dir]] [--shard=i/N]
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -37,7 +39,7 @@ int main(int argc, char** argv) {
   const std::size_t n = std::min<std::size_t>(mc.iterations, 100);
 
   // --- 1. offset search method ------------------------------------------------
-  std::cout << "### Ablation 1: transient binary search vs DC offset estimator (" << n
+  std::cout << "### Ablation 1: transient binary search vs offset estimators (" << n
             << " aged samples)\n\n";
   analysis::Condition cond;
   cond.kind = sa::SenseAmpKind::kNssa;
@@ -45,34 +47,54 @@ int main(int argc, char** argv) {
   cond.workload = workload::workload_from_name("80r0");
   cond.stress_time_s = 1e8;
 
-  util::RunningStats err;
-  util::RunningStats est_stats;
+  // The model is fitted once, outside the per-sample timings (the transient
+  // search would otherwise pay for it on its first sample).
+  const sa::OffsetModel& model = sa::offset_model(cond.kind, cond.config);
+  struct Estimator {
+    Estimator(const char* n, std::function<double(const sa::SenseAmpCircuit&)> f)
+        : name(n), estimate(std::move(f)) {}
+    const char* name;
+    std::function<double(const sa::SenseAmpCircuit&)> estimate;
+    util::RunningStats values, errors;
+    double seconds = 0.0;
+  };
+  Estimator estimators[] = {
+      {"DC first-order estimate", sa::estimate_offset_dc},
+      {"linear offset model (warm start)",
+       [&model](const sa::SenseAmpCircuit& c) { return model.predict(c); }}};
   util::RunningStats meas_stats;
   double t_transient = 0.0;
-  double t_estimate = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     auto circuit = analysis::build_sample(cond, mc, i);
     double t0 = now_seconds();
     const double measured = sa::measure_offset(circuit).offset;
     t_transient += now_seconds() - t0;
-    t0 = now_seconds();
-    const double estimated = sa::estimate_offset_dc(circuit);
-    t_estimate += now_seconds() - t0;
-    err.add((estimated - measured) * 1e3);
-    est_stats.add(estimated * 1e3);
     meas_stats.add(measured * 1e3);
+    for (Estimator& e : estimators) {
+      t0 = now_seconds();
+      const double estimated = e.estimate(circuit);
+      e.seconds += now_seconds() - t0;
+      e.values.add(estimated * 1e3);
+      e.errors.add((estimated - measured) * 1e3);
+    }
   }
   util::AsciiTable ab1({"method", "mu (mV)", "sigma (mV)", "time/sample (us)"});
   ab1.add_row({"transient bisection (paper)", util::AsciiTable::num(meas_stats.mean(), 2),
                util::AsciiTable::num(meas_stats.stddev(), 2),
                util::AsciiTable::num(1e6 * t_transient / static_cast<double>(n), 0)});
-  ab1.add_row({"DC first-order estimate", util::AsciiTable::num(est_stats.mean(), 2),
-               util::AsciiTable::num(est_stats.stddev(), 2),
-               util::AsciiTable::num(1e6 * t_estimate / static_cast<double>(n), 2)});
-  std::cout << ab1 << "\nestimator error vs transient: mean "
-            << util::AsciiTable::num(err.mean(), 2) << " mV, sigma "
-            << util::AsciiTable::num(err.stddev(), 2)
-            << " mV -> good for screening, not for the spec itself.\n\n";
+  for (const Estimator& e : estimators) {
+    ab1.add_row({e.name, util::AsciiTable::num(e.values.mean(), 2),
+                 util::AsciiTable::num(e.values.stddev(), 2),
+                 util::AsciiTable::num(1e6 * e.seconds / static_cast<double>(n), 2)});
+  }
+  std::cout << ab1 << "\n";
+  for (const Estimator& e : estimators) {
+    std::cout << e.name << " error vs transient: mean "
+              << util::AsciiTable::num(e.errors.mean(), 2) << " mV, sigma "
+              << util::AsciiTable::num(e.errors.stddev(), 2) << " mV\n";
+  }
+  std::cout << "-> estimates are good for screening and for placing the first probe, not "
+               "for the spec itself.\n\n";
 
   // --- 2. integration method ---------------------------------------------------
   std::cout << "### Ablation 2: trapezoidal vs backward Euler sensing delay\n\n";

@@ -54,8 +54,10 @@ namespace issa::analysis::mc_cache {
 /// computes: solver numerics, model equations, measurement profiles, or the
 /// cached record encoding.  Stale stores then miss cleanly and re-simulate.
 /// Version 2: the simulator solves only the unpinned node voltages, which
-/// moved sample values by up to about 0.01 mV.
-inline constexpr std::uint32_t kSchemaVersion = 2;
+/// moved sample values by up to about 0.01 mV.  Version 3: the offset
+/// search warm-starts from the linear offset model (sa::offset_model), which
+/// moves offsets by up to about one search tolerance (0.05 mV).
+inline constexpr std::uint32_t kSchemaVersion = 3;
 
 /// One cached per-sample result.  `status` carries the Monte-Carlo engine's
 /// outcome slot (ok / recovered / quarantined) so a warm rerun reproduces

@@ -48,6 +48,10 @@ util::metrics::Counter& m_jacobian_builds() {
   static util::metrics::Counter& c = metric(mnames::kJacobianBuilds);
   return c;
 }
+util::metrics::Counter& m_device_evaluations() {
+  static util::metrics::Counter& c = metric(mnames::kDeviceEvaluations);
+  return c;
+}
 util::metrics::Counter& m_step_rejections() {
   static util::metrics::Counter& c = metric(mnames::kStepRejections);
   return c;
@@ -346,6 +350,7 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, d
   // enabled() check, keeping the hot loop free of atomics when metrics are off.
   // These counters are the only record of work below the transient level.
   struct Telemetry {
+    std::uint64_t mosfets = 0;  // MOSFETs evaluated per assemble()
     std::uint64_t iterations = 0;
     std::uint64_t failures = 0;
     std::uint64_t builds = 0;          // assemble() calls, line-search trials included
@@ -355,9 +360,10 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, d
       if (iterations > 0) m_newton_iterations().add(iterations);
       if (failures > 0) m_newton_failures().add(failures);
       if (builds > 0) m_jacobian_builds().add(builds);
+      if (builds > 0 && mosfets > 0) m_device_evaluations().add(builds * mosfets);
       if (factorizations > 0) m_lu_factorizations().add(factorizations);
     }
-  } telemetry;
+  } telemetry{netlist_.mosfets().size()};
 
   assemble(x, t, transient, gmin, source_scale, jacobian, residual);
   ++telemetry.builds;

@@ -29,6 +29,8 @@ struct MosParams {
   double vth_tc = -0.8e-3;   ///< threshold temperature coefficient [V/K]
   double cj_per_width = 0.6e-9;   ///< junction cap per device width [F/m]
   double cov_per_width = 0.25e-9; ///< gate overlap cap per device width [F/m]
+
+  bool operator==(const MosParams&) const = default;
 };
 
 /// PTM-45HP-inspired NMOS card (calibrated; see DESIGN.md).

@@ -20,6 +20,8 @@ struct SenseAmpSizing {
   double mbottom_wl = 15.5;  ///< NMOS enable footer
   double out_n_wl = 2.5;     ///< output inverter NMOS
   double out_p_wl = 5.0;     ///< output inverter PMOS
+
+  bool operator==(const SenseAmpSizing&) const = default;
 };
 
 /// Timing of one sensing operation in the transient testbench.
@@ -28,6 +30,8 @@ struct SenseTiming {
   double t_rise = 2e-12;    ///< SAenable ramp time [s]
   double t_stop = 60e-12;   ///< simulation end [s]
   double dt = 0.1e-12;      ///< transient timestep [s]
+
+  bool operator==(const SenseTiming&) const = default;
 };
 
 struct SenseAmpConfig {
@@ -42,6 +46,8 @@ struct SenseAmpConfig {
   device::MosParams pmos = device::ptm45_pmos();
 
   double temperature_k() const { return util::celsius_to_kelvin(temperature_c); }
+
+  bool operator==(const SenseAmpConfig&) const = default;
 };
 
 /// The paper's nominal conditions: Vdd = 1.0 V, 25 C.

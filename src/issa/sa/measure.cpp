@@ -1,20 +1,33 @@
 #include "issa/sa/measure.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <deque>
+#include <mutex>
 #include <stdexcept>
 
 #include "issa/device/mosfet.hpp"
+#include "issa/util/faultpoint.hpp"
+#include "issa/util/trace.hpp"
 #include "issa/workload/device_names.hpp"
 
 namespace issa::sa {
 
 namespace {
 
-// First marching step of the warm start [V].  Of the order of the DC
-// estimator's typical error against the transient measurement, so one or two
-// marching probes usually bracket the flip.
-constexpr double kWarmStartHalfwidth = 2e-3;
+// First marching step of the warm start [V].  A few times the offset model's
+// typical error against the transient measurement (~0.15 mV), so one marching
+// probe usually brackets the flip.
+constexpr double kWarmStartStep = 0.5e-3;
+
+// Offset-model fit: the threshold shift of each sensitivity probe [V] and the
+// search tolerance of its offset searches [V], fine enough that the search's
+// quantisation stays well below the fit's own truncation error.
+constexpr double kFitShift = 5e-3;
+constexpr double kFitTolerance = 1e-5;
+
+std::atomic<std::uint64_t> g_offset_model_fits{0};
 
 circuit::TransientOptions transient_options(const SenseAmpCircuit& c, double vin) {
   circuit::TransientOptions opt;
@@ -131,10 +144,12 @@ SenseRunResult run_sense(SenseAmpCircuit& circuit, double vin) {
   return classify(circuit, tr);
 }
 
-OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions& options) {
-  if (!(options.vmax > 0.0) || !(options.tolerance > 0.0) || options.tolerance >= options.vmax) {
-    throw std::invalid_argument("measure_offset: bad search options");
-  }
+namespace {
+
+// The offset search behind measure_offset.  `predicted` is the warm start's
+// guess of the offset (empty: no warm start); the caller validated `options`.
+OffsetResult search_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions& options,
+                           std::optional<double> predicted) {
   OffsetResult result;
   double lo = -options.vmax;  // assumed to read 0
   double hi = options.vmax;   // assumed to read 1
@@ -162,28 +177,22 @@ OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions&
     return r.read_one;
   };
 
-  // Warm start: probe the first-order DC estimate of the flip, then march
-  // geometrically into the side the estimate leaves open until the flip is
-  // bracketed.  Only for the unswapped latch-type SAs — the estimator is not
-  // defined for the double-tail topologies, and swapping inverts the
-  // decision's monotonicity, which the probe updates above assume.
-  const double w0 = kWarmStartHalfwidth;
-  const bool estimable =
-      (circuit.kind() == SenseAmpKind::kNssa || circuit.kind() == SenseAmpKind::kIssa) &&
-      !circuit.swapped();
-  if (!options.robust && estimable && w0 > options.tolerance && 2.0 * w0 < hi - lo) {
-    // The flip point of vin is minus the offset estimate (sign convention of
+  // Warm start: probe the predicted flip, then march geometrically into the
+  // side the prediction leaves open until the flip is bracketed.
+  const double w0 = kWarmStartStep;
+  if (predicted && w0 > options.tolerance && 2.0 * w0 < hi - lo) {
+    // The flip point of vin is minus the offset (sign convention of
     // OffsetResult); clamp it inside the window.
-    const double center = std::clamp(-estimate_offset_dc(circuit), lo + options.tolerance,
-                                     hi - options.tolerance);
+    const double center =
+        std::clamp(-*predicted, lo + options.tolerance, hi - options.tolerance);
     const bool read_one = probe(center);
     for (double w = w0; hi - lo > options.tolerance; w *= 4.0) {
       const double x = read_one ? center - w : center + w;
       if (x <= lo || x >= hi) break;  // fell off the window: bisection takes over
       if (probe(x) != read_one) break;  // flip bracketed
     }
-    // Good estimate: the bracket is now O(w0) wide and the loop below
-    // finishes in a handful of runs.  Bad estimate: each marching probe
+    // Good prediction: the bracket is now O(w0) wide and the loop below
+    // finishes in a handful of runs.  Bad prediction: each marching probe
     // still narrowed the window one-sidedly, so nothing is lost.
   }
 
@@ -225,6 +234,88 @@ OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions&
   // outside [-vmax, vmax].
   result.saturated = (options.vmax - std::fabs(result.offset)) < 2.0 * options.tolerance;
   return result;
+}
+
+}  // namespace
+
+OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions& options) {
+  if (!(options.vmax > 0.0) || !(options.tolerance > 0.0) || options.tolerance >= options.vmax) {
+    throw std::invalid_argument("measure_offset: bad search options");
+  }
+  // Only the unswapped latch-type SAs are warm-started: the double-tail
+  // topologies have no model, and swapping inverts the decision's
+  // monotonicity, which the marching probes assume.
+  std::optional<double> predicted;
+  if (!options.robust && has_offset_model(circuit.kind()) && !circuit.swapped()) {
+    predicted = offset_model(circuit.kind(), circuit.config()).predict(circuit);
+  }
+  return search_offset(circuit, options, predicted);
+}
+
+double OffsetModel::predict(const SenseAmpCircuit& circuit) const {
+  const auto& mosfets = circuit.netlist().mosfets();
+  if (mosfets.size() != sensitivity.size()) {
+    throw std::logic_error("OffsetModel::predict: testbench has " +
+                           std::to_string(mosfets.size()) + " MOSFETs, model " +
+                           std::to_string(sensitivity.size()));
+  }
+  double offset = offset0;
+  for (std::size_t k = 0; k < mosfets.size(); ++k) {
+    offset += sensitivity[k] * mosfets[k].inst.delta_vth;
+  }
+  return offset;
+}
+
+OffsetModel fit_offset_model(SenseAmpKind kind, const SenseAmpConfig& config) {
+  if (!has_offset_model(kind)) {
+    throw std::logic_error("fit_offset_model: the linear offset model is defined for the "
+                           "latch-type SA only");
+  }
+  g_offset_model_fits.fetch_add(1, std::memory_order_relaxed);
+  util::trace::Span span(util::trace::spans::kSaOffsetModelFit, "sa");
+  if (span.traced()) {
+    span.attr_str("kind", kind == SenseAmpKind::kNssa ? "NSSA" : "ISSA");
+    span.attr_f64("vdd", config.vdd);
+    span.attr_f64("temperature_c", config.temperature_c);
+  }
+  // The model is shared by every sample of the condition: an injected fault
+  // belongs to one sample and must not reach it.
+  const util::faultpoint::SuspendScope no_faults;
+
+  SenseAmpCircuit circuit = build_sense_amp(kind, config);
+  const OffsetSearchOptions fine{.tolerance = kFitTolerance};
+  OffsetModel model;
+  model.offset0 = search_offset(circuit, fine, 0.0).offset;
+  for (std::size_t k = 0; k < circuit.netlist().mosfets().size(); ++k) {
+    double& delta_vth = circuit.netlist().mosfet(k).inst.delta_vth;
+    delta_vth = kFitShift;
+    const double shifted = search_offset(circuit, fine, model.offset0).offset;
+    delta_vth = 0.0;
+    model.sensitivity.push_back((shifted - model.offset0) / kFitShift);
+  }
+  return model;
+}
+
+const OffsetModel& offset_model(SenseAmpKind kind, const SenseAmpConfig& config) {
+  struct Entry {
+    SenseAmpKind kind;
+    SenseAmpConfig config;
+    OffsetModel model;
+  };
+  // A deque never moves its elements, so a published model stays put.  The
+  // lock is held through a fit: a second caller of the same key waits for
+  // it instead of fitting twice.
+  static std::mutex mutex;
+  static std::deque<Entry> memo;
+  const std::lock_guard<std::mutex> lock(mutex);
+  for (const Entry& e : memo) {
+    if (e.kind == kind && e.config == config) return e.model;
+  }
+  return memo.emplace_back(Entry{kind, config, fit_offset_model(kind, config)}).model;
+}
+
+std::uint64_t offset_model_fits() noexcept {
+  return g_offset_model_fits.load(std::memory_order_relaxed);
 }
 
 DelayPair measure_delay(SenseAmpCircuit& circuit, double vin_magnitude) {

@@ -4,7 +4,9 @@
 //  * sensing delay — SAenable reaching 50% Vdd to Out/OutBar reaching 50%.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "issa/circuit/simulator.hpp"
 #include "issa/sa/builder.hpp"
@@ -32,7 +34,7 @@ struct OffsetSearchOptions {
 
   /// Search profile.  false (the default) is the measurement fast path (see
   /// DESIGN.md "Measurement fast path"): the bracket is warm-started from
-  /// estimate_offset_dc, the endgame interpolates the final latch split,
+  /// offset_model(), the endgame interpolates the final latch split,
   /// every transient stops once regeneration has resolved, and one Simulator
   /// serves the whole search.  true is the paper's method: full-window
   /// bisection over full-length transients, a fresh simulator per probe.
@@ -54,8 +56,44 @@ struct OffsetResult {
 
 /// Measures the offset voltage of the SA instance currently described by the
 /// circuit's threshold shifts.  The sensing decision is monotone in vin, so
-/// bisection brackets the flip point.
+/// bisection brackets the flip point.  The fast path on an unswapped NSSA or
+/// ISSA first probes the prediction of offset_model(kind, config), fitting
+/// that model on first use.
 OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions& options = {});
+
+/// Linear model of the offset of one (kind, config) testbench in the
+/// threshold shifts of its MOSFETs, linearised at zero shift:
+/// offset ~= offset0 + sum_k sensitivity[k] * delta_vth_k.  It only chooses
+/// where the fast path probes first; no measured offset depends on its
+/// accuracy beyond the search tolerance.
+struct OffsetModel {
+  double offset0 = 0.0;             ///< offset of the unshifted testbench [V]
+  std::vector<double> sensitivity;  ///< d offset / d delta_vth, per netlist MOSFET
+
+  /// Predicted offset [V] of a testbench built from the same (kind, config).
+  double predict(const SenseAmpCircuit& circuit) const;
+};
+
+/// True for the kinds offset_model() fits: the latch-type NSSA and ISSA.
+constexpr bool has_offset_model(SenseAmpKind kind) noexcept {
+  return kind == SenseAmpKind::kNssa || kind == SenseAmpKind::kIssa;
+}
+
+/// Fits the model from the nominal testbench of (kind, config): one fast-path
+/// offset search of the unshifted circuit, then one per MOSFET with its
+/// threshold raised by 5 mV, all at a 1e-5 V tolerance and with fault
+/// injection suspended.  Throws std::logic_error for a kind without a model.
+/// Bypasses the memo; measurement code calls offset_model().
+OffsetModel fit_offset_model(SenseAmpKind kind, const SenseAmpConfig& config);
+
+/// The model of (kind, config), fitted on first use and memoised for the
+/// process.  Thread-safe; the returned model is immutable and lives until
+/// exit.
+const OffsetModel& offset_model(SenseAmpKind kind, const SenseAmpConfig& config);
+
+/// Cumulative number of fit_offset_model() runs in this process.  Test hook
+/// for the compute-once contract of offset_model().
+std::uint64_t offset_model_fits() noexcept;
 
 /// Sensing delays for both read directions at a given input magnitude.
 struct DelayPair {
@@ -80,7 +118,8 @@ DelayPair measure_delay(SenseAmpCircuit& circuit, double vin_magnitude = 0.2);
 /// Cheap first-order offset estimate from the accumulated threshold shifts
 /// (no transient): dVos ~= (dVth_Mdown - dVth_MdownBar) + k (dVth_MupBar -
 /// dVth_Mup), with k the PMOS/NMOS transconductance ratio at the trip point.
-/// Used by the estimator-vs-transient ablation bench.
+/// No measurement uses it: it survives only as the baseline of Ablation 1
+/// (bench_ablation_methods) and its two tests.
 double estimate_offset_dc(const SenseAmpCircuit& circuit);
 
 }  // namespace issa::sa

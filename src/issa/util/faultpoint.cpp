@@ -74,6 +74,7 @@ void publish(Config* next) {
 // attempt = retry depth).
 thread_local std::vector<std::uint64_t> t_key_stack;
 thread_local std::uint32_t t_attempt = 0;
+thread_local std::uint32_t t_suspended = 0;
 
 bool probability_fires(const Trigger& t, std::uint64_t site_hash, std::uint64_t key,
                        std::uint32_t attempt) noexcept {
@@ -193,7 +194,7 @@ bool armed() noexcept {
 bool should_fire(const char* site) noexcept {
   Config* config = g_config.load(std::memory_order_acquire);
   Site* s = find_site(config, site);
-  if (s == nullptr) return false;
+  if (s == nullptr || t_suspended > 0) return false;
   const std::uint64_t evaluation = s->evaluations.fetch_add(1, std::memory_order_relaxed) + 1;
 
   bool fire = false;
@@ -291,5 +292,9 @@ RetryScope::RetryScope() noexcept { ++t_attempt; }
 RetryScope::~RetryScope() {
   if (t_attempt > 0) --t_attempt;
 }
+
+SuspendScope::SuspendScope() noexcept { ++t_suspended; }
+
+SuspendScope::~SuspendScope() { --t_suspended; }
 
 }  // namespace issa::util::faultpoint

@@ -130,6 +130,19 @@ class RetryScope {
   RetryScope& operator=(const RetryScope&) = delete;
 };
 
+/// Suspends every site on the calling thread: inside the scope nothing
+/// fires and no evaluation is counted.  For work that is no unit of work the
+/// triggers model, such as a model fitted once and shared by every sample of
+/// a condition: it must not inherit one sample's injected pathology, and
+/// must come out the same wherever it runs.  Nests.
+class SuspendScope {
+ public:
+  SuspendScope() noexcept;
+  ~SuspendScope();
+  SuspendScope(const SuspendScope&) = delete;
+  SuspendScope& operator=(const SuspendScope&) = delete;
+};
+
 /// Throws FaultInjected(site) when the site fires.  Use at sites whose
 /// natural failure is an exception; sites whose failure is a status code
 /// branch on should_fire() instead.

@@ -154,8 +154,8 @@ Registry::Registry() : impl_(new Impl) {
   // some subsystem.
   for (const char* name :
        {names::kNewtonIterations, names::kNewtonFailures, names::kStepRejections,
-        names::kJacobianBuilds, names::kTransientSteps, names::kDcSolves,
-        names::kTransientEarlyExits,
+        names::kJacobianBuilds, names::kDeviceEvaluations, names::kTransientSteps,
+        names::kDcSolves, names::kTransientEarlyExits,
         names::kLuFactorizations, names::kPoolTasksEnqueued,
         names::kPoolTasksExecuted, names::kMcSamples, names::kMcSaturatedSamples,
         names::kMcCacheHits, names::kMcCacheMisses, names::kMcCacheStores}) {

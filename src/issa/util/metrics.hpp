@@ -151,6 +151,8 @@ inline constexpr const char* kNewtonIterations = "sim.newton_iterations";
 inline constexpr const char* kNewtonFailures = "sim.newton_failures";
 inline constexpr const char* kStepRejections = "sim.step_rejections";
 inline constexpr const char* kJacobianBuilds = "sim.jacobian_builds";
+/// MOSFET model evaluations: one per device per Jacobian build.
+inline constexpr const char* kDeviceEvaluations = "sim.device_evaluations";
 inline constexpr const char* kTransientSteps = "sim.transient_steps";
 inline constexpr const char* kDcSolves = "sim.dc_solves";
 inline constexpr const char* kTransientEarlyExits = "sim.transient_early_exits";

@@ -178,10 +178,11 @@ inline constexpr const char* kMcSample = "mc.sample";
 inline constexpr const char* kDcSolve = "sim.dc_solve";
 inline constexpr const char* kTransient = "sim.transient";
 inline constexpr const char* kPoolTask = "pool.task";
+inline constexpr const char* kSaOffsetModelFit = "sa.offset_model_fit";
 /// Every name above; util::metrics pre-registers a timer for each.
 inline constexpr std::array kAll = {kExperimentCell, kMcOffsetDistribution,
                                     kMcDelayDistribution, kMcSample, kDcSolve,
-                                    kTransient, kPoolTask};
+                                    kTransient, kPoolTask, kSaOffsetModelFit};
 }  // namespace spans
 
 }  // namespace issa::util::trace

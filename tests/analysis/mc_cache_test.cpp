@@ -241,15 +241,37 @@ TEST_F(McCacheTest, GrowingIterationCountReusesThePrefix) {
   EXPECT_EQ(grown.valid_count(), 12u);
 }
 
+TEST_F(McCacheTest, FullReplayFitsNoOffsetModel) {
+  // The warm-start model only serves simulated samples: a distribution the
+  // cache replays whole must not pay for a fit.  The supply is one no other
+  // test fits, and the records are planted, so no fit happened before.
+  Condition condition = fresh_condition();
+  condition.config.vdd = 0.93;
+  mc_cache::open(dir_);
+  const std::string fp = mc_cache::condition_fingerprint(condition, mc_with(4));
+  for (std::size_t i = 0; i < 4; ++i) {
+    const mc_cache::CachedSample planted{0, 1e-3 * static_cast<double>(i), false, ""};
+    mc_cache::insert(fp, "offset", i, planted);
+  }
+  const std::uint64_t before = sa::offset_model_fits();
+  const OffsetDistribution replayed = measure_offset_distribution(condition, mc_with(4));
+  EXPECT_EQ(sa::offset_model_fits() - before, 0u);
+  EXPECT_EQ(replayed.offsets, (std::vector<double>{0.0, 1e-3, 2e-3, 3e-3}));
+
+  // One sample to simulate: the model is fitted, before the sample loop.
+  measure_offset_distribution(condition, mc_with(5));
+  EXPECT_EQ(sa::offset_model_fits() - before, 1u);
+}
+
 TEST_F(McCacheTest, FingerprintSeparatesInputsAndIgnoresExecutionKnobs) {
   const Condition condition = fresh_condition();
   const McConfig mc = mc_with(8);
   const std::string base = mc_cache::condition_fingerprint(condition, mc);
   ASSERT_EQ(base.size(), 64u);
-  // Pinned: stores written since schema version 2 replay only while the
+  // Pinned: stores written since schema version 3 replay only while the
   // recipe hashes the same bytes.  A deliberate recipe change bumps
   // kSchemaVersion and this value together.
-  EXPECT_EQ(base, "6e96ce8a36033143f104b76ca4c6a3444570ddfbb98c52e9de38eda5ebd0111d");
+  EXPECT_EQ(base, "19dc692b0443ba317df1d7586b1dd02906eab78693aaa59a09b82785295ab66f");
 
   // Everything that changes what a sample computes must change the key.
   McConfig seed = mc;

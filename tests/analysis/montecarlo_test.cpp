@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "issa/util/thread_pool.hpp"
+
 namespace issa::analysis {
 namespace {
 
@@ -133,6 +135,42 @@ TEST(MonteCarlo, FreshConditionBuildsNoStressMap) {
   const std::uint64_t before = condition_stress_map_builds();
   measure_offset_distribution(fresh_nssa(), small_mc(4));
   EXPECT_EQ(condition_stress_map_builds() - before, 0u);
+}
+
+// The fast path's warm-start model is fitted once per (kind, config) and
+// process, before the sample loop: never per sample or per worker.  Each
+// test runs at a supply no other test of this file fits.
+TEST(MonteCarlo, OffsetModelFittedOncePerConfigSerial) {
+  Condition c = fresh_nssa();
+  c.config.vdd = 0.97;
+  McConfig mc = small_mc(4);
+  mc.parallel = false;
+  const std::uint64_t before = sa::offset_model_fits();
+  measure_offset_distribution(c, mc);
+  EXPECT_EQ(sa::offset_model_fits() - before, 1u);
+  measure_offset_distribution(c, mc);
+  EXPECT_EQ(sa::offset_model_fits() - before, 1u);
+}
+
+TEST(MonteCarlo, OffsetModelFittedOncePerConfigOnAPool) {
+  Condition c = fresh_nssa();
+  c.config.vdd = 0.96;
+  util::ThreadPool pool(4);
+  McConfig mc = small_mc(8);
+  mc.pool = &pool;
+  const std::uint64_t before = sa::offset_model_fits();
+  measure_offset_distribution(c, mc);
+  EXPECT_EQ(sa::offset_model_fits() - before, 1u);
+  measure_offset_distribution(c, mc);
+  EXPECT_EQ(sa::offset_model_fits() - before, 1u);
+}
+
+TEST(MonteCarlo, DelayDistributionFitsNoOffsetModel) {
+  Condition c = fresh_nssa();
+  c.config.vdd = 0.95;
+  const std::uint64_t before = sa::offset_model_fits();
+  measure_delay_distribution(c, small_mc(2));
+  EXPECT_EQ(sa::offset_model_fits() - before, 0u);
 }
 
 TEST(MonteCarlo, SharedStressMapMatchesPerSampleBuild) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "issa/circuit/simulator.hpp"
 #include "issa/device/mos_params.hpp"
@@ -172,6 +173,27 @@ TEST(SimulatorDc, StatsAreCounted) {
   EXPECT_GT(delta.value(util::metrics::names::kNewtonIterations), 0u);
   EXPECT_GT(delta.value(util::metrics::names::kJacobianBuilds), 0u);
   EXPECT_GT(delta.value(util::metrics::names::kLuFactorizations), 0u);
+}
+
+TEST(SimulatorDc, EveryJacobianBuildEvaluatesEveryMosfet) {
+  Netlist net;
+  const NodeId vdd = net.node("vdd");
+  const NodeId in = net.node("in");
+  const NodeId out = net.node("out");
+  net.add_vsource("Vdd", vdd, kGround, SourceWave::dc(1.0));
+  net.add_vsource("Vin", in, kGround, SourceWave::dc(0.5));
+  net.add_mosfet("MN", nmos(2.5), in, out, kGround, kGround);
+  net.add_mosfet("MP", pmos(5.0), in, out, vdd, vdd);
+  Simulator sim(net, kT);
+  util::metrics::Registry& registry = util::metrics::Registry::instance();
+  util::metrics::set_enabled(true);
+  const util::metrics::Snapshot before = registry.snapshot();
+  sim.solve_dc();
+  const util::metrics::Snapshot delta = registry.snapshot().delta_since(before);
+  util::metrics::set_enabled(false);
+  const std::uint64_t builds = delta.value(util::metrics::names::kJacobianBuilds);
+  EXPECT_GT(builds, 0u);
+  EXPECT_EQ(delta.value(util::metrics::names::kDeviceEvaluations), 2u * builds);
 }
 
 }  // namespace

@@ -4,9 +4,12 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string_view>
+#include <thread>
 
 #include "issa/analysis/montecarlo.hpp"
 #include "issa/util/metrics.hpp"
+#include "issa/util/trace.hpp"
 #include "issa/workload/device_names.hpp"
 
 namespace issa::sa {
@@ -191,11 +194,32 @@ struct SearchWork {
   std::uint64_t steps = 0;
   std::uint64_t newton_iterations = 0;
   std::uint64_t jacobian_builds = 0;
+  std::uint64_t device_evaluations = 0;
   std::uint64_t lu_factorizations = 0;
 };
 
-SearchWork offset_search_work(bool robust) {
+// Counts the solver work `run()` does.
+template <typename Run>
+SearchWork solver_work(Run&& run) {
   namespace mnames = util::metrics::names;
+  util::metrics::Registry& registry = util::metrics::Registry::instance();
+  const bool metrics_were_enabled = util::metrics::enabled();
+  util::metrics::set_enabled(true);
+  const util::metrics::Snapshot before = registry.snapshot();
+  run();
+  const util::metrics::Snapshot done = registry.snapshot().delta_since(before);
+  util::metrics::set_enabled(metrics_were_enabled);
+  SearchWork work;
+  work.transients = done.value(util::trace::spans::kTransient);
+  work.steps = done.value(mnames::kTransientSteps);
+  work.newton_iterations = done.value(mnames::kNewtonIterations);
+  work.jacobian_builds = done.value(mnames::kJacobianBuilds);
+  work.device_evaluations = done.value(mnames::kDeviceEvaluations);
+  work.lu_factorizations = done.value(mnames::kLuFactorizations);
+  return work;
+}
+
+SearchWork offset_search_work(bool robust) {
   auto condition = [](SenseAmpKind kind, double stress_time_s, double temperature_c) {
     analysis::Condition c;
     c.kind = kind;
@@ -212,25 +236,21 @@ SearchWork offset_search_work(bool robust) {
       condition(SenseAmpKind::kIssa, 1e8, 25.0), condition(SenseAmpKind::kNssa, 1e8, 125.0)};
   analysis::McConfig mc;
   mc.seed = 42;
+  // The warm start's models are fitted before counting, so the counts are
+  // the searches' alone, whichever test ran first in this process.
+  for (const analysis::Condition& c : conditions) offset_model(c.kind, c.config);
 
-  util::metrics::Registry& registry = util::metrics::Registry::instance();
-  const bool metrics_were_enabled = util::metrics::enabled();
-  util::metrics::set_enabled(true);
-  const util::metrics::Snapshot before = registry.snapshot();
-  SearchWork work;
-  for (const analysis::Condition& c : conditions) {
-    for (std::size_t i = 0; i < 8; ++i) {
-      SenseAmpCircuit circuit = analysis::build_sample(c, mc, i);
-      work.transients += static_cast<std::uint64_t>(
-          measure_offset(circuit, OffsetSearchOptions{.robust = robust}).transients);
+  std::uint64_t reported = 0;
+  const SearchWork work = solver_work([&] {
+    for (const analysis::Condition& c : conditions) {
+      for (std::size_t i = 0; i < 8; ++i) {
+        SenseAmpCircuit circuit = analysis::build_sample(c, mc, i);
+        reported += static_cast<std::uint64_t>(
+            measure_offset(circuit, OffsetSearchOptions{.robust = robust}).transients);
+      }
     }
-  }
-  const util::metrics::Snapshot done = registry.snapshot().delta_since(before);
-  util::metrics::set_enabled(metrics_were_enabled);
-  work.steps = done.value(mnames::kTransientSteps);
-  work.newton_iterations = done.value(mnames::kNewtonIterations);
-  work.jacobian_builds = done.value(mnames::kJacobianBuilds);
-  work.lu_factorizations = done.value(mnames::kLuFactorizations);
+  });
+  EXPECT_EQ(work.transients, reported);
   return work;
 }
 
@@ -240,11 +260,23 @@ TEST(Measure, WarmStartCutsTransientCount) {
   // guard was set.  The counts are deterministic, so a rise is a real
   // regression, never noise.  A change that cuts work lowers the ceilings.
   const SearchWork fast = offset_search_work(/*robust=*/false);
-  EXPECT_LE(fast.transients, 247u);
-  EXPECT_LE(fast.steps, 137138u);
-  EXPECT_LE(fast.newton_iterations, 287002u);
-  EXPECT_LE(fast.jacobian_builds, 301505u);
-  EXPECT_LE(fast.lu_factorizations, 164081u);
+  EXPECT_LE(fast.transients, 138u);
+  EXPECT_LE(fast.steps, 82800u);
+  EXPECT_LE(fast.newton_iterations, 170957u);
+  EXPECT_LE(fast.jacobian_builds, 176086u);
+  EXPECT_LE(fast.device_evaluations, 2194698u);
+  EXPECT_LE(fast.lu_factorizations, 93130u);
+
+  // The warm start's model costs one fit per (kind, config) and process; cap
+  // one NSSA fit too, so the fit cannot grow unseen.
+  const SearchWork fit =
+      solver_work([] { fit_offset_model(SenseAmpKind::kNssa, nominal_config()); });
+  EXPECT_LE(fit.transients, 57u);
+  EXPECT_LE(fit.steps, 33082u);
+  EXPECT_LE(fit.newton_iterations, 68368u);
+  EXPECT_LE(fit.jacobian_builds, 71348u);
+  EXPECT_LE(fit.device_evaluations, 856176u);
+  EXPECT_LE(fit.lu_factorizations, 38209u);
 
   // Full-window bisection needs ceil(log2(2 * 0.25 / 5e-5)) = 14 full-length
   // transients per search; the fast path must undercut it on every count.
@@ -282,6 +314,68 @@ TEST(Measure, WarmStartSkippedForSwappedIssa) {
   c.set_swapped(true);
   const OffsetResult r = measure_offset(c);
   EXPECT_LT(std::fabs(r.offset), 0.25);
+}
+
+std::size_t mosfet_index(const SenseAmpCircuit& c, std::string_view name) {
+  const auto& mosfets = c.netlist().mosfets();
+  for (std::size_t k = 0; k < mosfets.size(); ++k) {
+    if (mosfets[k].name == name) return k;
+  }
+  ADD_FAILURE() << "no MOSFET " << name;
+  return 0;
+}
+
+TEST(Measure, OffsetModelSeesTheCrossCoupledPairOneToOne) {
+  // A threshold shift on the NMOS latch pair moves the flip point one for
+  // one, with the sign of OffsetResult's read-0 convention.
+  for (const SenseAmpKind kind : {SenseAmpKind::kNssa, SenseAmpKind::kIssa}) {
+    const SenseAmpCircuit c = build_sense_amp(kind, nominal_config());
+    const OffsetModel& model = offset_model(kind, nominal_config());
+    ASSERT_EQ(model.sensitivity.size(), c.netlist().mosfets().size());
+    EXPECT_EQ(model.sensitivity.size(), kind == SenseAmpKind::kNssa ? 12u : 14u);
+    const double mdown = model.sensitivity[mosfet_index(c, nm::kMdown)];
+    const double mdownbar = model.sensitivity[mosfet_index(c, nm::kMdownBar)];
+    EXPECT_GE(mdown, 0.95);
+    EXPECT_LE(mdown, 1.05);
+    EXPECT_GE(mdownbar, -1.05);
+    EXPECT_LE(mdownbar, -0.95);
+    EXPECT_LT(std::fabs(model.offset0), OffsetSearchOptions{}.tolerance);
+  }
+}
+
+TEST(Measure, OffsetModelPredictsFreshSamplesToHalfAMillivolt) {
+  analysis::Condition fresh;
+  fresh.config = nominal_config();
+  analysis::McConfig mc;
+  mc.seed = 42;
+  const OffsetModel& model = offset_model(SenseAmpKind::kNssa, fresh.config);
+  for (std::size_t i = 0; i < 8; ++i) {
+    SenseAmpCircuit c = analysis::build_sample(fresh, mc, i);
+    const double predicted = model.predict(c);
+    EXPECT_LT(std::fabs(predicted - measure_offset(c).offset), 0.5e-3) << "sample " << i;
+  }
+}
+
+TEST(Measure, OffsetModelFittedOnceUnderConcurrentFirstUse) {
+  SenseAmpConfig config = nominal_config();
+  config.temperature_c = 40.0;  // fitted by no other test
+  const std::uint64_t before = offset_model_fits();
+  const OffsetModel* seen[2] = {nullptr, nullptr};
+  std::thread a([&] { seen[0] = &offset_model(SenseAmpKind::kIssa, config); });
+  std::thread b([&] { seen[1] = &offset_model(SenseAmpKind::kIssa, config); });
+  a.join();
+  b.join();
+  EXPECT_EQ(seen[0], seen[1]);
+  EXPECT_EQ(offset_model_fits() - before, 1u);
+  EXPECT_EQ(&offset_model(SenseAmpKind::kIssa, config), seen[0]);
+  // Another key is another model.
+  EXPECT_NE(&offset_model(SenseAmpKind::kIssa, nominal_config()), seen[0]);
+}
+
+TEST(Measure, OffsetModelOnlyForLatchTypeSenseAmps) {
+  EXPECT_THROW(fit_offset_model(SenseAmpKind::kDoubleTail, nominal_config()), std::logic_error);
+  const OffsetModel& nssa = offset_model(SenseAmpKind::kNssa, nominal_config());
+  EXPECT_THROW(nssa.predict(build_issa(nominal_config())), std::logic_error);
 }
 
 TEST(Measure, DcEstimateTracksTransientOffset) {

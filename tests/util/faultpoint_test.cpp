@@ -134,6 +134,20 @@ TEST_F(FaultpointTest, SampleScopesNestInnermostWins) {
   EXPECT_FALSE(should_fire("test.site"));
 }
 
+TEST_F(FaultpointTest, SuspendScopeSilencesEverySiteUncounted) {
+  configure("test.a=always;test.b=key4");
+  SampleScope scope(4);
+  {
+    SuspendScope outer;
+    SuspendScope inner;
+    EXPECT_FALSE(should_fire("test.a"));
+    EXPECT_FALSE(should_fire("test.b"));
+  }
+  EXPECT_TRUE(should_fire("test.a"));
+  EXPECT_TRUE(should_fire("test.b"));
+  for (const SiteReport& r : report()) EXPECT_EQ(r.evaluations, 1u) << r.site;
+}
+
 TEST_F(FaultpointTest, ScopedKeyIsPerThread) {
   configure("test.site=key3");
   SampleScope scope(3);

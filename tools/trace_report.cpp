@@ -5,6 +5,7 @@
 //
 // The full report shows where the run's wall clock went (per-span-name
 // breakdown), the shape of each span population (log2 duration histograms),
+// the slowest Monte-Carlo samples with their condition, sample and seed,
 // how busy each worker thread was (from pool.task spans), and any solver
 // forensic events with every scalar arg.  Both modes read only the Chrome
 // trace-event document --trace writes (the format Perfetto and
@@ -34,12 +35,20 @@ namespace {
 using issa::util::AsciiTable;
 using issa::util::json::Value;
 
+// Rows of the "Slowest samples" table.
+constexpr std::size_t kSlowestSamples = 10;
+
+// The args of an mc.sample span that name its sample, in table order.
+constexpr const char* kSampleArgs[] = {"kind",          "vdd",    "temperature_c",
+                                       "stress_time_s", "sample", "seed"};
+
 struct SpanRec {
   std::string name;
   std::string cat;
   double start_ns = 0.0;
   double dur_ns = 0.0;
   std::uint32_t tid = 0;
+  std::vector<std::string> sample_args;  // mc.sample only: kSampleArgs' values, "-" if absent
 };
 
 struct ForensicRec {
@@ -148,6 +157,19 @@ Trace ingest_chrome(const Value& doc) {
       s.start_ns = e.at("ts").as_number() * 1000.0;
       s.dur_ns = e.at("dur").as_number() * 1000.0;
       s.tid = static_cast<std::uint32_t>(e.at("tid").as_number());
+      if (s.name == "mc.sample") {
+        const Value* args = e.find("args");
+        for (const char* key : kSampleArgs) {
+          const Value* v = args != nullptr && args->is_object() ? args->find(key) : nullptr;
+          if (v != nullptr && v->is_string()) {
+            s.sample_args.push_back(v->as_string());
+          } else if (v != nullptr && v->is_number()) {
+            s.sample_args.push_back(format_number(v->as_number()));
+          } else {
+            s.sample_args.push_back("-");
+          }
+        }
+      }
       trace.spans.push_back(std::move(s));
     } else if (ph == "i") {
       ForensicRec f;
@@ -260,6 +282,28 @@ void print_report(const Trace& trace) {
     }
   }
   std::printf("\n");
+
+  // The slowest samples: which condition, sample and seed were hard.
+  std::vector<const SpanRec*> samples;
+  for (const auto& s : trace.spans) {
+    if (s.name == "mc.sample") samples.push_back(&s);
+  }
+  if (!samples.empty()) {
+    const std::size_t shown = std::min(samples.size(), kSlowestSamples);
+    std::partial_sort(samples.begin(), samples.begin() + static_cast<std::ptrdiff_t>(shown),
+                      samples.end(),
+                      [](const SpanRec* a, const SpanRec* b) { return a->dur_ns > b->dur_ns; });
+    std::printf("### Slowest samples (%zu of %zu mc.sample spans)\n\n", shown, samples.size());
+    AsciiTable slowest({"ms", "kind", "vdd", "T(C)", "stress(s)", "sample", "seed"});
+    for (std::size_t i = 0; i < shown; ++i) {
+      std::vector<std::string> row{fmt_ms(samples[i]->dur_ns)};
+      row.insert(row.end(), samples[i]->sample_args.begin(), samples[i]->sample_args.end());
+      slowest.add_row(std::move(row));
+    }
+    std::ostringstream sos;
+    sos << slowest;
+    std::printf("%s\n", sos.str().c_str());
+  }
 
   // Worker utilization: the pool.task spans cover the time each thread spent
   // executing queued work; everything else inside the window is idle/queue
