@@ -56,8 +56,11 @@ namespace issa::analysis::mc_cache {
 /// Version 2: the simulator solves only the unpinned node voltages, which
 /// moved sample values by up to about 0.01 mV.  Version 3: the offset
 /// search warm-starts from the linear offset model (sa::offset_model), which
-/// moves offsets by up to about one search tolerance (0.05 mV).
-inline constexpr std::uint32_t kSchemaVersion = 3;
+/// moves offsets by up to about one search tolerance (0.05 mV).  Version 4:
+/// transients start at the first source corner with a predicted Newton
+/// guess, and the offset model is fitted from interpolated flips, which moves
+/// offsets by up to one search tolerance.
+inline constexpr std::uint32_t kSchemaVersion = 4;
 
 /// One cached per-sample result.  `status` carries the Monte-Carlo engine's
 /// outcome slot (ok / recovered / quarantined) so a warm rerun reproduces

@@ -565,9 +565,6 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
     cap_state_[k].current = 0.0;
   }
 
-  TransientResult result(node_count_, options.probes);
-  result.append(0.0, v0);
-
   // Source breakpoints: steps land exactly on every PWL corner so the
   // companion integration never straddles a slope discontinuity.
   std::vector<double> breakpoints;
@@ -582,9 +579,29 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
   std::sort(breakpoints.begin(), breakpoints.end());
   std::size_t next_breakpoint = 0;
 
-  std::vector<double>& x_try = step_x_try_ws_;
-  std::vector<double>& node_v = node_v_ws_;
+  TransientResult result(node_count_, options.probes);
+  result.append(0.0, v0);
+
+  // Every source holds its first value up to its first corner, so without
+  // overrides the DC point IS the circuit's state up to the earliest corner
+  // t0: record it there and integrate from t0 instead of stepping through a
+  // quiescent lead-in.  An override leaves the circuit out of equilibrium,
+  // so that run integrates from 0.
   double t = 0.0;
+  std::vector<double>& node_v = node_v_ws_;
+  if (options.initial_overrides.empty() && !breakpoints.empty() && breakpoints.front() > 0.0 &&
+      breakpoints.front() < options.tstop) {
+    t = breakpoints.front();
+    result.append(t, v0);
+  }
+
+  // Predictor: after the first accepted step, each step's Newton solve
+  // starts from the linear extrapolation of the last two accepted states.
+  std::vector<double>& x_try = step_x_try_ws_;
+  std::vector<double>& x_prev = step_x_prev_ws_;
+  x_try.resize(x.size());
+  x_prev.assign(x.begin(), x.end());
+  double h_prev = 0.0;  // last accepted step size; 0 until the first step
   while (t < options.tstop - 1e-18) {
     double h = std::min(options.dt, options.tstop - t);
     while (next_breakpoint < breakpoints.size() && breakpoints[next_breakpoint] <= t + 1e-18) {
@@ -605,9 +622,12 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
         throw ConvergenceError("run_transient: Newton failed at t = " + std::to_string(t));
       }
       prepare_companions(h, options.method);
-      x_try.assign(x.begin(), x.end());
+      const double ratio = h_prev > 0.0 ? h / h_prev : 0.0;
+      for (std::size_t i = 0; i < x.size(); ++i) x_try[i] = x[i] + ratio * (x[i] - x_prev[i]);
       if (newton_solve(x_try, t + h, /*transient=*/true, kGmin, 1.0)) {
+        x_prev.swap(x);
         x.swap(x_try);
+        h_prev = h;
         t += h;
         fill_node_voltages(x, t, 1.0, node_v);
         accept_step(node_v);

@@ -20,8 +20,11 @@
 //
 // Transient integration replaces each capacitor with its companion model
 // (backward Euler or trapezoidal); the nonlinear solve at each timestep is
-// the same Newton loop, warm-started from the previous step.  Failed steps
-// are retried with a halved timestep a bounded number of times.
+// the same Newton loop, started from a predictor: the linear extrapolation
+// x_n + (h / h_prev) (x_n - x_{n-1}) of the last two accepted steps (the
+// previous state alone on the first step).  Integration starts at the first
+// source corner, since the circuit rests at its DC point until then.  Failed
+// steps are retried with a halved timestep a bounded number of times.
 //
 // Every per-iteration buffer (Jacobian, residuals, trial vectors, the LU
 // factorization and its scratch) lives on the Simulator and is reused across
@@ -76,9 +79,10 @@ struct TransientOptions {
   /// recording filter.
   std::vector<NodeId> probes;
   /// Early-exit observer, called after every accepted step with the step time
-  /// and the FULL node-voltage vector (index = NodeId).  Returning true stops
-  /// the transient; the triggering sample is the last one recorded.  The
-  /// integration up to that point is identical to an uninterrupted run.
+  /// and the FULL node-voltage vector (index = NodeId); the lead-in that
+  /// run_transient skips is not a step.  Returning true stops the transient;
+  /// the triggering sample is the last one recorded.  The integration up to
+  /// that point is identical to an uninterrupted run.
   std::function<bool(double t, const std::vector<double>& v)> stop_condition;
 };
 
@@ -172,7 +176,10 @@ class Simulator {
   std::vector<double> solve_dc(const DcOptions& options = {});
 
   /// Transient analysis starting from the DC operating point (plus any
-  /// initial overrides in the options).
+  /// initial overrides in the options).  Without overrides, the DC point is
+  /// recorded at 0 and again at t0, the earliest corner of any source, and
+  /// integration starts at t0 (when 0 < t0 < tstop): every source holds its
+  /// first value until its first corner, so the circuit rests at DC until t0.
   TransientResult run_transient(const TransientOptions& options);
 
   /// The node-voltage vector of the most recent DC solve (empty before the
@@ -249,6 +256,7 @@ class Simulator {
   std::vector<double> dx_ws_;
   linalg::LuFactorization lu_ws_;     // factors jacobian_ws_ in place
   std::vector<double> step_x_try_ws_; // transient per-step trial unknowns
+  std::vector<double> step_x_prev_ws_; // unknowns of the step before the last
   std::vector<double> node_v_ws_;     // full node voltages per accepted step
   std::vector<double> assemble_v_ws_; // full node voltages of assemble()'s x
   std::vector<double> last_dc_;       // most recent DC solution

@@ -81,8 +81,12 @@ constexpr bool has_offset_model(SenseAmpKind kind) noexcept {
 
 /// Fits the model from the nominal testbench of (kind, config): one fast-path
 /// offset search of the unshifted circuit, then one per MOSFET with its
-/// threshold raised by 5 mV, all at a 1e-5 V tolerance and with fault
-/// injection suspended.  Throws std::logic_error for a kind without a model.
+/// threshold raised by 20 mV, all with fault injection suspended.  Each
+/// search ends as soon as its bracket is linear (both final latch splits
+/// within 0.45 Vdd) and reads the flip interpolated between those splits, so
+/// the model moves continuously with the solver's solutions instead of in
+/// steps of a search tolerance.  Throws std::logic_error for a kind without
+/// a model.
 /// Bypasses the memo; measurement code calls offset_model().
 OffsetModel fit_offset_model(SenseAmpKind kind, const SenseAmpConfig& config);
 

@@ -268,10 +268,10 @@ TEST_F(McCacheTest, FingerprintSeparatesInputsAndIgnoresExecutionKnobs) {
   const McConfig mc = mc_with(8);
   const std::string base = mc_cache::condition_fingerprint(condition, mc);
   ASSERT_EQ(base.size(), 64u);
-  // Pinned: stores written since schema version 3 replay only while the
+  // Pinned: stores written since schema version 4 replay only while the
   // recipe hashes the same bytes.  A deliberate recipe change bumps
   // kSchemaVersion and this value together.
-  EXPECT_EQ(base, "19dc692b0443ba317df1d7586b1dd02906eab78693aaa59a09b82785295ab66f");
+  EXPECT_EQ(base, "b11e1797fbd2604c5fdc8c6353742f1db9281bbf99432a18a422d0e7b5d1a8b4");
 
   // Everything that changes what a sample computes must change the key.
   McConfig seed = mc;

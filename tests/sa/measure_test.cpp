@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 #include "issa/analysis/montecarlo.hpp"
 #include "issa/util/metrics.hpp"
@@ -219,7 +220,12 @@ SearchWork solver_work(Run&& run) {
   return work;
 }
 
-SearchWork offset_search_work(bool robust) {
+// The guards' sample set: samples 0-7 at seed 42 of four 80r0 conditions.
+// Fresh, aged, aged ISSA and aged hot: the offsets the fast path's warm start
+// predicts best and worst.  The warm start's models are fitted here, before
+// any counting, so the counts are the measurements' alone, whichever test
+// ran first in this process.
+std::vector<SenseAmpCircuit> guard_samples() {
   auto condition = [](SenseAmpKind kind, double stress_time_s, double temperature_c) {
     analysis::Condition c;
     c.kind = kind;
@@ -229,25 +235,26 @@ SearchWork offset_search_work(bool robust) {
     c.stress_time_s = stress_time_s;
     return c;
   };
-  // Fresh, aged, aged ISSA and aged hot: the offsets the fast path's warm
-  // start predicts best and worst.
   const analysis::Condition conditions[] = {
       condition(SenseAmpKind::kNssa, 0.0, 25.0), condition(SenseAmpKind::kNssa, 1e8, 25.0),
       condition(SenseAmpKind::kIssa, 1e8, 25.0), condition(SenseAmpKind::kNssa, 1e8, 125.0)};
   analysis::McConfig mc;
   mc.seed = 42;
-  // The warm start's models are fitted before counting, so the counts are
-  // the searches' alone, whichever test ran first in this process.
-  for (const analysis::Condition& c : conditions) offset_model(c.kind, c.config);
+  std::vector<SenseAmpCircuit> samples;
+  for (const analysis::Condition& c : conditions) {
+    offset_model(c.kind, c.config);
+    for (std::size_t i = 0; i < 8; ++i) samples.push_back(analysis::build_sample(c, mc, i));
+  }
+  return samples;
+}
 
+SearchWork offset_search_work(bool robust) {
+  std::vector<SenseAmpCircuit> samples = guard_samples();
   std::uint64_t reported = 0;
   const SearchWork work = solver_work([&] {
-    for (const analysis::Condition& c : conditions) {
-      for (std::size_t i = 0; i < 8; ++i) {
-        SenseAmpCircuit circuit = analysis::build_sample(c, mc, i);
-        reported += static_cast<std::uint64_t>(
-            measure_offset(circuit, OffsetSearchOptions{.robust = robust}).transients);
-      }
+    for (SenseAmpCircuit& circuit : samples) {
+      reported += static_cast<std::uint64_t>(
+          measure_offset(circuit, OffsetSearchOptions{.robust = robust}).transients);
     }
   });
   EXPECT_EQ(work.transients, reported);
@@ -260,23 +267,23 @@ TEST(Measure, WarmStartCutsTransientCount) {
   // guard was set.  The counts are deterministic, so a rise is a real
   // regression, never noise.  A change that cuts work lowers the ceilings.
   const SearchWork fast = offset_search_work(/*robust=*/false);
-  EXPECT_LE(fast.transients, 138u);
-  EXPECT_LE(fast.steps, 82800u);
-  EXPECT_LE(fast.newton_iterations, 170957u);
-  EXPECT_LE(fast.jacobian_builds, 176086u);
-  EXPECT_LE(fast.device_evaluations, 2194698u);
-  EXPECT_LE(fast.lu_factorizations, 93130u);
+  EXPECT_LE(fast.transients, 135u);
+  EXPECT_LE(fast.steps, 67500u);
+  EXPECT_LE(fast.newton_iterations, 138425u);
+  EXPECT_LE(fast.jacobian_builds, 138898u);
+  EXPECT_LE(fast.device_evaluations, 1724282u);
+  EXPECT_LE(fast.lu_factorizations, 71245u);
 
   // The warm start's model costs one fit per (kind, config) and process; cap
   // one NSSA fit too, so the fit cannot grow unseen.
   const SearchWork fit =
       solver_work([] { fit_offset_model(SenseAmpKind::kNssa, nominal_config()); });
-  EXPECT_LE(fit.transients, 57u);
-  EXPECT_LE(fit.steps, 33082u);
-  EXPECT_LE(fit.newton_iterations, 68368u);
-  EXPECT_LE(fit.jacobian_builds, 71348u);
-  EXPECT_LE(fit.device_evaluations, 856176u);
-  EXPECT_LE(fit.lu_factorizations, 38209u);
+  EXPECT_LE(fit.transients, 46u);
+  EXPECT_LE(fit.steps, 19702u);
+  EXPECT_LE(fit.newton_iterations, 40254u);
+  EXPECT_LE(fit.jacobian_builds, 40638u);
+  EXPECT_LE(fit.device_evaluations, 487656u);
+  EXPECT_LE(fit.lu_factorizations, 20890u);
 
   // Full-window bisection needs ceil(log2(2 * 0.25 / 5e-5)) = 14 full-length
   // transients per search; the fast path must undercut it on every count.
@@ -287,6 +294,21 @@ TEST(Measure, WarmStartCutsTransientCount) {
   EXPECT_LT(fast.newton_iterations, robust.newton_iterations);
   EXPECT_LT(fast.jacobian_builds, robust.jacobian_builds);
   EXPECT_LT(fast.lu_factorizations, robust.lu_factorizations);
+}
+
+TEST(Measure, DelayWorkCount) {
+  // The same guard for measure_delay, the layer of the Fig. 7 sweep: two
+  // early-exit transients per sample on the same 32 samples.
+  std::vector<SenseAmpCircuit> samples = guard_samples();
+  const SearchWork delay = solver_work([&] {
+    for (SenseAmpCircuit& circuit : samples) measure_delay(circuit);
+  });
+  EXPECT_LE(delay.transients, 64u);
+  EXPECT_LE(delay.steps, 16319u);
+  EXPECT_LE(delay.newton_iterations, 34954u);
+  EXPECT_LE(delay.jacobian_builds, 35610u);
+  EXPECT_LE(delay.device_evaluations, 442692u);
+  EXPECT_LE(delay.lu_factorizations, 18765u);
 }
 
 TEST(Measure, FastPathIsDeterministic) {
@@ -340,6 +362,23 @@ TEST(Measure, OffsetModelSeesTheCrossCoupledPairOneToOne) {
     EXPECT_GE(mdownbar, -1.05);
     EXPECT_LE(mdownbar, -0.95);
     EXPECT_LT(std::fabs(model.offset0), OffsetSearchOptions{}.tolerance);
+  }
+}
+
+TEST(Measure, NominalOffsetModelIsAntisymmetric) {
+  // The nominal testbench is mirror-symmetric, and a fit that reads
+  // interpolated flips inherits that symmetry to rounding: a bracket
+  // midpoint would carry the search's quantisation (about 1e-3 in each
+  // sensitivity) instead.
+  for (const SenseAmpKind kind : {SenseAmpKind::kNssa, SenseAmpKind::kIssa}) {
+    const SenseAmpCircuit c = build_sense_amp(kind, nominal_config());
+    const OffsetModel& model = offset_model(kind, nominal_config());
+    auto s = [&](std::string_view name) { return model.sensitivity[mosfet_index(c, name)]; };
+    EXPECT_LT(std::fabs(model.offset0), 1e-9);
+    EXPECT_NEAR(s(nm::kMdown) + s(nm::kMdownBar), 0.0, 1e-6);
+    EXPECT_NEAR(s(nm::kMup) + s(nm::kMupBar), 0.0, 1e-6);
+    EXPECT_LT(std::fabs(s(nm::kMtop)), 1e-6);
+    EXPECT_LT(std::fabs(s(nm::kMbottom)), 1e-6);
   }
 }
 
