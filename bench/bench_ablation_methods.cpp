@@ -7,7 +7,7 @@
 //  3. occupancy statistics: Bernoulli-sampled atomistic aging (the paper's
 //     model) vs expected-value aging — what the distribution loses.
 //
-// Usage: bench_ablation_methods [--mc=N] [--seed=S] [--cache[=dir]] [--shard=i/N]
+// Usage: bench_ablation_methods [--mc=N] [--seed=S] [--cache[=dir]]
 #include <chrono>
 #include <cmath>
 #include <functional>

@@ -7,7 +7,7 @@
 //  2. the aged offset mean that a residual imbalance would re-introduce,
 //     through the full stress-map -> BTI -> Monte-Carlo pipeline.
 //
-// Usage: bench_ablation_switch_period [--mc=N] [--seed=S] [--cache[=dir]] [--shard=i/N]
+// Usage: bench_ablation_switch_period [--mc=N] [--seed=S] [--cache[=dir]]
 #include <cmath>
 #include <iostream>
 

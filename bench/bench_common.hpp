@@ -61,20 +61,13 @@ inline void print_rows_with_reference(const std::string& title,
   // right under the data it degrades.
   std::size_t quarantined = 0;
   std::size_t recovered = 0;
-  std::size_t skipped = 0;
   for (const auto& r : rows) {
     quarantined += r.quarantined;
     recovered += r.recovered;
-    skipped += r.skipped;
   }
   if (quarantined > 0 || recovered > 0) {
     std::cout << "!!! DEGRADED RUN: " << quarantined << " quarantined sample(s), " << recovered
               << " recovered by retry; statistics cover valid samples only\n\n";
-  }
-  if (skipped > 0) {
-    std::cout << "!!! PARTIAL (SHARDED) RUN: " << skipped
-              << " sample(s) left to other shards; merge the shard caches and rerun unsharded "
-                 "with --cache for full statistics\n\n";
   }
 }
 

@@ -6,7 +6,7 @@
 // mu/sigma/spec and delay, fresh and after 1e8 s of the paper's workloads,
 // with and without input switching.
 //
-// Usage: bench_ext_double_tail [--mc=N] [--seed=S] [--cache[=dir]] [--shard=i/N]
+// Usage: bench_ext_double_tail [--mc=N] [--seed=S] [--cache[=dir]]
 #include <iostream>
 
 #include "bench_common.hpp"

@@ -5,7 +5,7 @@
 // NSSA-80r0 curve degrades fastest and ends ~10% slower than the ISSA at
 // t = 1e8 s, even though the ISSA starts slightly slower at t = 0.
 //
-// Usage: bench_fig7_delay_vs_aging [--mc=N] [--seed=S] [--csv=path] [--cache[=dir]] [--shard=i/N]
+// Usage: bench_fig7_delay_vs_aging [--mc=N] [--seed=S] [--csv=path] [--cache[=dir]]
 #include <iostream>
 
 #include "bench_common.hpp"

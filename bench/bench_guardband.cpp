@@ -3,7 +3,7 @@
 // time does the ISSA save over a worst-case-provisioned design, and how long
 // does an unmitigated SA take to burn through the mitigated design's budget?
 //
-// Usage: bench_guardband [--mc=N] [--seed=S] [--cache[=dir]] [--shard=i/N]
+// Usage: bench_guardband [--mc=N] [--seed=S] [--cache[=dir]]
 #include <iostream>
 
 #include "bench_common.hpp"

@@ -1,7 +1,7 @@
 // Quantifies the ISSA overhead discussion of Sec. IV-C: area, energy, and
 // the system-level read-time impact, across array geometries.
 //
-// Usage: bench_overheads [--mc=N] [--cache[=dir]] [--shard=i/N]
+// Usage: bench_overheads [--mc=N] [--cache[=dir]]
 #include <iostream>
 
 #include "bench_common.hpp"

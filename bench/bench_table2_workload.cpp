@@ -1,7 +1,7 @@
 // Reproduces Table II / Fig. 4: workload impact on offset voltage and delay
 // at nominal Vdd (1.0 V) and 25 C, t = 0 and t = 1e8 s.
 //
-// Usage: bench_table2_workload [--mc=N] [--seed=S] [--csv=path] [--cache[=dir]] [--shard=i/N]
+// Usage: bench_table2_workload [--mc=N] [--seed=S] [--csv=path] [--cache[=dir]]
 #include <iostream>
 
 #include "bench_common.hpp"

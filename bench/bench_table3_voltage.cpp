@@ -1,7 +1,7 @@
 // Reproduces Table III / Fig. 5: supply-voltage impact (+/-10% Vdd) on the
 // offset voltage and sensing delay at 25 C, t = 0 and t = 1e8 s.
 //
-// Usage: bench_table3_voltage [--mc=N] [--seed=S] [--csv=path] [--cache[=dir]] [--shard=i/N]
+// Usage: bench_table3_voltage [--mc=N] [--seed=S] [--csv=path] [--cache[=dir]]
 #include <cmath>
 #include <iostream>
 

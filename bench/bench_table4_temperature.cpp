@@ -1,7 +1,7 @@
 // Reproduces Table IV / Fig. 6: temperature impact (75 C, 125 C) on the
 // offset voltage and sensing delay at nominal Vdd, t = 0 and t = 1e8 s.
 //
-// Usage: bench_table4_temperature [--mc=N] [--seed=S] [--csv=path] [--cache[=dir]] [--shard=i/N]
+// Usage: bench_table4_temperature [--mc=N] [--seed=S] [--csv=path] [--cache[=dir]]
 #include <iostream>
 
 #include "bench_common.hpp"

@@ -6,6 +6,7 @@
 //   $ ./control_logic_demo [--bits=N] [--reads=K]
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "issa/digital/control.hpp"
 #include "issa/sa/builder.hpp"
@@ -17,11 +18,12 @@
 int main(int argc, char** argv) {
   using namespace issa;
   const util::Options options(argc, argv, {"bits=N", "reads=K"});
-  const auto bits = static_cast<unsigned>(options.get_long_or("bits", 3));
-  const auto reads = static_cast<std::size_t>(options.get_long_or("reads", 12));
+  const std::size_t bits = options.get_count_or("bits", 3);
+  if (bits > 63) options.fail("--bits must be 1..63: " + std::to_string(bits));
+  const std::size_t reads = options.get_count_or("reads", 12);
 
-  digital::IssaController controller(bits);
-  std::printf("ISSA control: %u-bit counter -> inputs swap every %llu reads\n\n", bits,
+  digital::IssaController controller(static_cast<unsigned>(bits));
+  std::printf("ISSA control: %zu-bit counter -> inputs swap every %llu reads\n\n", bits,
               static_cast<unsigned long long>(controller.switch_period()));
 
   // Table I, decoded through the event-driven gate simulation.

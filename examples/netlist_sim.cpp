@@ -32,6 +32,13 @@ int main(int argc, char** argv) {
   using namespace issa;
   const util::Options options(argc, argv,
                               {"file=path", "temp=C", "tstop=s", "dt=s", "csv=path"});
+  const double temp_c = options.get_double_or("temp", 25.0);
+  if (!(temp_c > -273.15)) {
+    options.fail("--temp must be above -273.15 C: " + *options.get_string("temp"));
+  }
+  const double tstop = options.get_double_or("tstop", 100e-12);
+  const double dt = options.get_double_or("dt", tstop / 1000.0);
+  if (tstop > 0.0 && !(dt > 0.0)) options.fail("--dt must be > 0: " + *options.get_string("dt"));
 
   circuit::Netlist netlist;
   try {
@@ -47,8 +54,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const double temperature_k = 273.15 + options.get_double_or("temp", 25.0);
-  circuit::Simulator sim(netlist, temperature_k);
+  circuit::Simulator sim(netlist, 273.15 + temp_c);
 
   const auto dc = sim.solve_dc();
   util::AsciiTable op({"node", "V(dc)"});
@@ -58,11 +64,10 @@ int main(int argc, char** argv) {
   }
   std::cout << "\nDC operating point:\n" << op;
 
-  const double tstop = options.get_double_or("tstop", 100e-12);
   if (tstop > 0.0) {
     circuit::TransientOptions tran;
     tran.tstop = tstop;
-    tran.dt = options.get_double_or("dt", tstop / 1000.0);
+    tran.dt = dt;
     const auto result = sim.run_transient(tran);
     std::printf("\ntransient: %zu steps to %.3g s\n", result.steps(), tstop);
 

@@ -8,8 +8,9 @@
 #   2. corruption: a truncated segment is detected (store_report --check
 #      fails), tolerated (the bench re-simulates the lost tail and still
 #      prints bit-identical results), and surfaced in the bench's output
-#   3. sharding: two --shard=i/2 stores merged with store_report --merge
-#      replay an unsharded rerun bit-identically
+#   3. concurrent writers: two runs writing one store directory at once (a
+#      segment per writer) leave a store that passes store_report --check
+#      and replays a warm rerun bit-identically with 100% hits
 #
 #   $ scripts/check_cache_correctness.sh
 #
@@ -102,21 +103,38 @@ if [[ "$(field "$line" 2)" == 0 ]]; then
 fi
 echo "ok: truncated store replayed $(field "$line" 1) and re-simulated $(field "$line" 2) sample(s), bit-identically"
 
-echo "== 3. sharded sweep merges into the unsharded statistics =="
-"$BENCH" --mc="$MC" --cache="$work/s0" --shard=0/2 >shard0.txt
-"$BENCH" --mc="$MC" --cache="$work/s1" --shard=1/2 >shard1.txt
-"$STORE_REPORT" --merge "$work/merged" "$work/s0" "$work/s1"
-"$BENCH" --mc="$MC" --cache="$work/merged" --metrics=run >merged.txt
-if ! diff <(results_of cold.txt) <(results_of merged.txt); then
-  echo "FAIL: merged-shard warm rerun differs from the unsharded run" >&2
+echo "== 3. two concurrent writers share one store =="
+# Each writer runs in its own directory so both write run.metrics.json and
+# print the same stdout as the cold run.
+mkdir w0 w1
+(cd w0 && "$BENCH" --mc="$MC" --cache="$work/shared" --metrics=run >../writer0.txt) &
+pid0=$!
+(cd w1 && "$BENCH" --mc="$MC" --cache="$work/shared" --metrics=run >../writer1.txt) &
+pid1=$!
+wait "$pid0"
+wait "$pid1"
+for out in writer0.txt writer1.txt; do
+  if ! diff <(results_of cold.txt) <(results_of "$out"); then
+    echo "FAIL: concurrent writer $out differs from the cold run" >&2
+    exit 1
+  fi
+done
+if ! "$STORE_REPORT" --check "$work/shared" >check-shared.txt 2>&1; then
+  echo "FAIL: store_report --check fails on the concurrently written store" >&2
+  cat check-shared.txt >&2
   exit 1
 fi
-line="$(cache_line merged.txt)"
+"$BENCH" --mc="$MC" --cache="$work/shared" --metrics=run >shared.txt
+if ! diff <(results_of cold.txt) <(results_of shared.txt); then
+  echo "FAIL: warm rerun over the shared store differs from the cold run" >&2
+  exit 1
+fi
+line="$(cache_line shared.txt)"
 if [[ "$(field "$line" 2)" != 0 ]]; then
-  echo "FAIL: merged store missed $(field "$line" 2) sample(s): $line" >&2
+  echo "FAIL: shared store missed $(field "$line" 2) sample(s): $line" >&2
   exit 1
 fi
-echo "ok: 2-shard merge replays the unsharded sweep bit-identically"
+echo "ok: two concurrent writers leave a valid store that replays at 100% hits"
 
 echo
 echo "OK: all cache correctness gates passed"

@@ -194,7 +194,7 @@ std::string condition_fingerprint(const Condition& condition, const McConfig& mc
   // constant it became so fingerprints written while it was a setting still
   // match.
   h.boolean(true);
-  // Iteration count, parallelism, pool, sharding, and run_id are
+  // Iteration count, parallelism, pool, and run_id are
   // deliberately excluded: none of them changes what sample i computes.
 
   const sa::SenseAmpCircuit base = sa::build_sense_amp(condition.kind, condition.config);

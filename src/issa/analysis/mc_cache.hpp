@@ -6,10 +6,8 @@
 // that purity into warm reruns: each per-sample offset/delay result (and
 // each quarantine verdict) is stored under a key derived from a SHA-256
 // fingerprint of EVERYTHING the sample depends on, so a rerun of the same
-// sweep replays solved samples from disk instead of re-simulating them, an
-// interrupted sweep resumes from the store's last fsync'd checkpoint, and N
-// shard processes can split one sweep and merge their stores into
-// bit-identical statistics.
+// sweep replays solved samples from disk instead of re-simulating them, and
+// an interrupted sweep resumes from the store's last fsync'd checkpoint.
 //
 // Fingerprint recipe (see DESIGN.md section 15 for the rationale):
 //   kSchemaVersion                       bump on any solver/model change that

@@ -145,7 +145,6 @@ enum : unsigned char {
   kSampleOk = 0,
   kSampleRecovered = 1,
   kSampleQuarantined = 2,
-  kSampleSkipped = 3,  // out-of-shard; never cached
 };
 
 // Puts the operating condition and seed on a traced span.
@@ -170,15 +169,13 @@ void attr_condition(util::trace::Span& span, const Condition& condition, const M
 // quarantined if the retry also fails.  logic_error and friends still
 // propagate: those are bugs, not sample pathologies.  Throws
 // McDegradationError after the full sweep when the quarantined fraction
-// exceeds mc.max_quarantine_fraction (of the samples this shard computes).
+// exceeds mc.max_quarantine_fraction.
 //
 // `replay(i, status, error)` short-circuits a sample from the cache: when it
 // returns true the body is skipped entirely — the replayer has written the
 // sample's value slot and outcome.  `persist(i, status, error)` is invoked
 // for every computed sample (ok, recovered, and quarantined alike) so the
-// cache captures the complete outcome record.  Samples outside the
-// McConfig shard are marked kSampleSkipped and neither replayed, computed,
-// nor persisted.
+// cache captures the complete outcome record.
 template <typename Body, typename Replay, typename Persist>
 McDegradation for_samples(const Condition& condition, const McConfig& mc,
                           const char* phase_name, Body&& body, Replay&& replay,
@@ -194,10 +191,6 @@ McDegradation for_samples(const Condition& condition, const McConfig& mc,
   const std::string run_id = effective_run_id(condition, mc);
 
   auto counted = [&](std::size_t i) {
-    if (!mc.in_shard(i)) {
-      status[i] = kSampleSkipped;
-      return;
-    }
     // Cache replay first: a hit costs a hash lookup, not a simulation.  The
     // replayed outcome (ok/recovered/quarantined) flows through the same
     // status slots, so degradation accounting is identical warm and cold.
@@ -274,16 +267,13 @@ McDegradation for_samples(const Condition& condition, const McConfig& mc,
                  static_cast<unsigned long long>(mc.seed));
   }
 
-  // The degradation threshold judges the work this run actually did: a
-  // shard's denominator is its own sample count, not the whole sweep's.
-  const std::size_t computed = mc.shard_iterations(mc.iterations);
   const double fraction =
-      computed == 0 ? 0.0
-                    : static_cast<double>(deg.quarantined.size()) /
-                          static_cast<double>(computed);
+      mc.iterations == 0 ? 0.0
+                         : static_cast<double>(deg.quarantined.size()) /
+                               static_cast<double>(mc.iterations);
   if (fraction > mc.max_quarantine_fraction) {
     std::ostringstream os;
-    os << phase_name << ": " << deg.quarantined.size() << "/" << computed
+    os << phase_name << ": " << deg.quarantined.size() << "/" << mc.iterations
        << " samples quarantined (" << fraction * 100.0 << "% > max "
        << mc.max_quarantine_fraction * 100.0 << "%) [" << condition_label(condition)
        << " seed=" << mc.seed << "]";
@@ -301,33 +291,30 @@ McDegradation for_samples(const Condition& condition, const McConfig& mc,
   return deg;
 }
 
-// Drops the quarantined slots (ascending-sorted in `quarantined`) and the
-// slots left to other shards, so the summary statistics see only valid
-// computed samples.
+// Drops the quarantined slots (ascending-sorted in `quarantined`), so the
+// summary statistics see only valid samples.
 std::vector<double> valid_samples(const std::vector<double>& values,
-                                  const std::vector<QuarantinedSample>& quarantined,
-                                  const McConfig& mc) {
+                                  const std::vector<QuarantinedSample>& quarantined) {
   std::vector<double> out;
   out.reserve(values.size() - quarantined.size());
   std::size_t qi = 0;
   for (std::size_t i = 0; i < values.size(); ++i) {
-    const bool is_quarantined = qi < quarantined.size() && quarantined[qi].sample == i;
-    if (is_quarantined) ++qi;
-    if (is_quarantined || !mc.in_shard(i)) continue;
+    if (qi < quarantined.size() && quarantined[qi].sample == i) {
+      ++qi;
+      continue;
+    }
     out.push_back(values[i]);
   }
   return out;
 }
 
-// True when the open sample cache holds a `kind` record for every sample of
-// this shard, so that the distribution replays them all.
-bool cache_holds_shard(const std::string& fingerprint, const char* kind, const McConfig& mc) {
+// True when the open sample cache holds a `kind` record for every sample, so
+// that the distribution replays them all.
+bool cache_holds_all(const std::string& fingerprint, const char* kind, const McConfig& mc) {
   const util::store::Store* store = mc_cache::store();
   if (fingerprint.empty() || store == nullptr) return false;
   for (std::size_t i = 0; i < mc.iterations; ++i) {
-    if (mc.in_shard(i) && !store->contains(mc_cache::sample_key(fingerprint, kind, i))) {
-      return false;
-    }
+    if (!store->contains(mc_cache::sample_key(fingerprint, kind, i))) return false;
   }
   return true;
 }
@@ -344,7 +331,6 @@ std::string condition_label(const Condition& condition) {
 OffsetDistribution measure_offset_distribution(const Condition& condition, const McConfig& mc) {
   OffsetDistribution dist;
   dist.offsets.assign(mc.iterations, std::numeric_limits<double>::quiet_NaN());
-  dist.skipped = mc.iterations - mc.shard_iterations(mc.iterations);
   std::vector<char> saturated(mc.iterations, 0);
 
   // One fingerprint per distribution call covers every per-condition cache
@@ -359,7 +345,7 @@ OffsetDistribution measure_offset_distribution(const Condition& condition, const
   // sample and nothing is simulated.
   std::optional<aging::DeviceStressMap> stress;
   if (condition.aged()) stress.emplace(condition_stress_map(condition));
-  if (sa::has_offset_model(condition.kind) && !cache_holds_shard(fp, "offset", mc)) {
+  if (sa::has_offset_model(condition.kind) && !cache_holds_all(fp, "offset", mc)) {
     sa::offset_model(condition.kind, condition.config);
   }
   dist.degradation = for_samples(
@@ -393,14 +379,13 @@ OffsetDistribution measure_offset_distribution(const Condition& condition, const
 
   for (const char s : saturated) dist.saturated_count += s;
   m_saturated().add(dist.saturated_count);
-  dist.summary = util::summarize(valid_samples(dist.offsets, dist.degradation.quarantined, mc));
+  dist.summary = util::summarize(valid_samples(dist.offsets, dist.degradation.quarantined));
   return dist;
 }
 
 DelayDistribution measure_delay_distribution(const Condition& condition, const McConfig& mc) {
   DelayDistribution dist;
   dist.delays.assign(mc.iterations, std::numeric_limits<double>::quiet_NaN());
-  dist.skipped = mc.iterations - mc.shard_iterations(mc.iterations);
   const std::string fp =
       mc_cache::enabled() ? mc_cache::condition_fingerprint(condition, mc) : std::string();
   std::optional<aging::DeviceStressMap> stress;
@@ -428,7 +413,7 @@ DelayDistribution measure_delay_distribution(const Condition& condition, const M
         mc_cache::insert(fp, "delay.worst", i,
                          mc_cache::CachedSample{status, dist.delays[i], false, error});
       });
-  dist.summary = util::summarize(valid_samples(dist.delays, dist.degradation.quarantined, mc));
+  dist.summary = util::summarize(valid_samples(dist.delays, dist.degradation.quarantined));
   return dist;
 }
 

@@ -22,9 +22,7 @@
 // benches wire it to --cache), every computed per-sample result
 // — including quarantine verdicts — is stored under a content fingerprint of
 // its inputs, and a rerun of the same sweep replays stored samples from disk
-// bit-identically instead of re-simulating them.  McConfig::shard_index/
-// shard_count split one sweep across processes that share (or later merge)
-// one store.
+// bit-identically instead of re-simulating them.
 #pragma once
 
 #include <cstdint>
@@ -112,27 +110,6 @@ struct McConfig {
   /// stamps a deterministic fallback derived from (condition, seed) — see
   /// effective_run_id() — so records are always joinable.
   std::string run_id;
-
-  /// Shard selector for multi-process sweeps: this run computes only the
-  /// samples with index % shard_count == shard_index; the others are
-  /// SKIPPED (NaN slots, excluded from the summary, not quarantined).  The
-  /// per-sample streams are keyed by (seed, index), so N shard processes
-  /// writing one sample cache produce exactly the records an unsharded run
-  /// would — merging their stores and rerunning unsharded replays every
-  /// sample and reproduces the unsharded statistics bit-identically.
-  std::size_t shard_index = 0;
-  std::size_t shard_count = 1;
-
-  bool in_shard(std::size_t sample) const noexcept {
-    return shard_count <= 1 || sample % shard_count == shard_index;
-  }
-  /// Number of samples this shard computes out of `iterations`.
-  std::size_t shard_iterations(std::size_t iterations) const noexcept {
-    if (shard_count <= 1) return iterations;
-    std::size_t n = 0;
-    for (std::size_t i = shard_index; i < iterations; i += shard_count) ++n;
-    return n;
-  }
 };
 
 /// The run id actually stamped into quarantine records and forensic events:
@@ -142,16 +119,14 @@ std::string effective_run_id(const Condition& condition, const McConfig& mc);
 
 /// Offset-distribution result of one condition.
 struct OffsetDistribution {
-  /// Per-sample offset voltages [V]; quarantined and shard-skipped slots
-  /// hold NaN.
+  /// Per-sample offset voltages [V]; quarantined slots hold NaN.
   std::vector<double> offsets;
-  util::DistributionSummary summary;  ///< over valid (computed, non-quarantined) samples
+  util::DistributionSummary summary;  ///< over valid (non-quarantined) samples
   std::size_t saturated_count = 0;  ///< samples whose flip left the window
-  std::size_t skipped = 0;          ///< samples left to other shards
   McDegradation degradation;
 
   std::size_t valid_count() const noexcept {
-    return offsets.size() - degradation.quarantined.size() - skipped;
+    return offsets.size() - degradation.quarantined.size();
   }
 
   /// Offset-voltage specification per Eq. 3 at the given failure rate.
@@ -160,15 +135,13 @@ struct OffsetDistribution {
 
 /// Delay-distribution result of one condition.
 struct DelayDistribution {
-  /// Per-sample sensing delays [s]; quarantined and shard-skipped slots
-  /// hold NaN.
+  /// Per-sample sensing delays [s]; quarantined slots hold NaN.
   std::vector<double> delays;
-  util::DistributionSummary summary;  ///< over valid (computed, non-quarantined) samples
-  std::size_t skipped = 0;            ///< samples left to other shards
+  util::DistributionSummary summary;  ///< over valid (non-quarantined) samples
   McDegradation degradation;
 
   std::size_t valid_count() const noexcept {
-    return delays.size() - degradation.quarantined.size() - skipped;
+    return delays.size() - degradation.quarantined.size();
   }
 };
 

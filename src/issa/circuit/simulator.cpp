@@ -537,27 +537,15 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
     span.attr_f64("dt", options.dt);
   }
 
-  // Starting point: DC at t = 0, then apply explicit overrides.
+  // Starting point: DC at t = 0.
   DcOptions dc_options;
   dc_options.initial_guess = options.dc_guess;
-  std::vector<double> v0 = solve_dc(dc_options);
-  for (const auto& [node, value] : options.initial_overrides) {
-    if (node == kGround) throw std::invalid_argument("run_transient: cannot override ground");
-    if (node < 0 || static_cast<std::size_t>(node) >= node_count_) {
-      throw std::invalid_argument("run_transient: override on unknown node");
-    }
-    if (row_[static_cast<std::size_t>(node)] < 0) {
-      throw std::invalid_argument("run_transient: cannot override node '" +
-                                  netlist_.node_name(node) +
-                                  "', which a grounded voltage source holds");
-    }
-    v0[static_cast<std::size_t>(node)] = value;
-  }
+  const std::vector<double> v0 = solve_dc(dc_options);
 
   std::vector<double> x(unknown_count(), 0.0);
   gather_unknowns(v0, x);
 
-  // Initialize capacitor state from the (possibly overridden) t = 0 solution.
+  // Initialize capacitor state from the t = 0 solution.
   auto v_of0 = [&](NodeId node) { return v0[static_cast<std::size_t>(node)]; };
   const auto& caps = netlist_.capacitors();
   for (std::size_t k = 0; k < caps.size(); ++k) {
@@ -582,15 +570,13 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
   TransientResult result(node_count_, options.probes);
   result.append(0.0, v0);
 
-  // Every source holds its first value up to its first corner, so without
-  // overrides the DC point IS the circuit's state up to the earliest corner
-  // t0: record it there and integrate from t0 instead of stepping through a
-  // quiescent lead-in.  An override leaves the circuit out of equilibrium,
-  // so that run integrates from 0.
+  // Every source holds its first value up to its first corner, so the DC
+  // point IS the circuit's state up to the earliest corner t0: record it
+  // there and integrate from t0 instead of stepping through a quiescent
+  // lead-in.
   double t = 0.0;
   std::vector<double>& node_v = node_v_ws_;
-  if (options.initial_overrides.empty() && !breakpoints.empty() && breakpoints.front() > 0.0 &&
-      breakpoints.front() < options.tstop) {
+  if (!breakpoints.empty() && breakpoints.front() > 0.0 && breakpoints.front() < options.tstop) {
     t = breakpoints.front();
     result.append(t, v0);
   }

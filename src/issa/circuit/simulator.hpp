@@ -65,11 +65,6 @@ struct TransientOptions {
   double tstop = 0.0;  ///< simulation end time [s]
   double dt = 1e-13;   ///< base timestep [s]
   IntegrationMethod method = IntegrationMethod::kTrapezoidal;
-  /// Node voltages forced at t = 0 instead of their DC solution (the DC
-  /// solve still provides every other node's starting point).  A node pinned
-  /// by a grounded voltage source cannot be overridden: run_transient throws
-  /// std::invalid_argument.
-  std::vector<std::pair<NodeId, double>> initial_overrides;
   /// Passed through to the t = 0 DC solve as its starting point.
   std::vector<double> dc_guess;
 
@@ -106,8 +101,8 @@ class TransientResult {
 
   /// First crossing of `level` on `node` in the given direction after `after`.
   /// A waveform departing from exactly `level` counts as crossing at the
-  /// departure sample (a node initial-overridden to precisely the level —
-  /// the precharge-equalize discipline — must still register).
+  /// departure sample (a node that starts at precisely the level, as an
+  /// equalized precharge node can, must still register).
   std::optional<double> crossing_time(NodeId node, double level, bool rising,
                                       double after = 0.0) const;
 
@@ -175,9 +170,8 @@ class Simulator {
   /// stepping; throws ConvergenceError when all three fail.
   std::vector<double> solve_dc(const DcOptions& options = {});
 
-  /// Transient analysis starting from the DC operating point (plus any
-  /// initial overrides in the options).  Without overrides, the DC point is
-  /// recorded at 0 and again at t0, the earliest corner of any source, and
+  /// Transient analysis starting from the DC operating point.  The DC point
+  /// is recorded at 0 and again at t0, the earliest corner of any source, and
   /// integration starts at t0 (when 0 < t0 < tstop): every source holds its
   /// first value until its first corner, so the circuit rests at DC until t0.
   TransientResult run_transient(const TransientOptions& options);

@@ -87,7 +87,6 @@ ExperimentRow ExperimentRunner::run_cell(sa::SenseAmpKind kind,
   row.quarantined =
       offsets.degradation.quarantined.size() + delays.degradation.quarantined.size();
   row.recovered = offsets.degradation.recovered + delays.degradation.recovered;
-  row.skipped = offsets.skipped + delays.skipped;
   return row;
 }
 

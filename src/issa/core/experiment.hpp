@@ -35,9 +35,6 @@ struct ExperimentRow {
   std::size_t quarantined = 0;
   /// Samples that failed once but were recovered by the retry.
   std::size_t recovered = 0;
-  /// Samples left to other shards (nonzero only for --shard runs, whose
-  /// statistics are partial by construction).
-  std::size_t skipped = 0;
   /// Solver/pool work spent on this cell (empty unless metrics are enabled).
   util::metrics::Snapshot metrics;
 

@@ -22,8 +22,8 @@ namespace {
 
 // The run flags (see run_context.hpp), in util::Options spec form.
 constexpr std::string_view kRunFlags[] = {
-    "mc=N",        "seed=S",         "quarantine-max=F", "shard=i/N",
-    "faults=spec", "cache[=dir]",    "metrics[=stem]",   "trace[=stem]"};
+    "mc=N",           "seed=S",         "quarantine-max=F", "faults=spec",
+    "cache[=dir]",    "metrics[=stem]", "trace[=stem]"};
 
 // The value of --name=value, or `fallback` when absent or bare.
 std::string value_or(const util::Options& options, std::string_view name,
@@ -50,25 +50,6 @@ std::uint64_t parse_seed(const std::string& v) {
   }
 }
 
-// Applies --shard=i/N (0 <= i < N) to `mc`; throws std::invalid_argument on a
-// malformed selector ("2/2", "a/b", "1", "0/-4", ...).
-void apply_shard(const std::string& v, analysis::McConfig& mc) {
-  const std::size_t slash = v.find('/');
-  try {
-    if (slash == std::string::npos || !digits(v.substr(0, slash)) ||
-        !digits(v.substr(slash + 1))) {
-      throw std::invalid_argument("want i/N");
-    }
-    mc.shard_index = static_cast<std::size_t>(std::stoul(v.substr(0, slash)));
-    mc.shard_count = static_cast<std::size_t>(std::stoul(v.substr(slash + 1)));
-  } catch (const std::exception&) {
-    throw std::invalid_argument("bad --shard value (want i/N, e.g. 0/4): " + v);
-  }
-  if (mc.shard_count == 0 || mc.shard_index >= mc.shard_count) {
-    throw std::invalid_argument("bad --shard value (need 0 <= i < N): " + v);
-  }
-}
-
 analysis::McConfig mc_config(const util::Options& options, std::string run_id) {
   analysis::McConfig mc;
   mc.iterations = options.get_count_or("mc", 400);
@@ -80,14 +61,10 @@ analysis::McConfig mc_config(const util::Options& options, std::string run_id) {
                                 *options.get_string("quarantine-max"));
   }
   mc.run_id = std::move(run_id);
-  const auto shard = options.get_string("shard");
-  if (shard) apply_shard(*shard, mc);
   // Every distribution reports a standard deviation, which takes two samples.
-  if (const std::size_t n = mc.shard_iterations(mc.iterations); n < 2) {
-    std::string run = "--mc=" + std::to_string(mc.iterations);
-    if (shard) run += " --shard=" + *shard;
-    throw std::invalid_argument(run + " computes " + std::to_string(n) +
-                                " sample(s); a run needs at least 2");
+  if (mc.iterations < 2) {
+    throw std::invalid_argument("--mc=" + std::to_string(mc.iterations) +
+                                ": a run needs at least 2 samples");
   }
   return mc;
 }
@@ -162,11 +139,6 @@ RunContext::RunContext(int argc, const char* const* argv, std::string_view name,
   }
   trace_ = options_.has_flag("trace");
   if (trace_) util::trace::set_enabled(true);
-  if (options_.get_string("shard")) {
-    std::cout << "shard " << mc_.shard_index << "/" << mc_.shard_count
-              << ": computing samples with index % " << mc_.shard_count
-              << " == " << mc_.shard_index << "\n";
-  }
 }
 
 RunContext::~RunContext() { finish(); }
@@ -205,11 +177,9 @@ void RunContext::write_metrics() {
   util::metrics::set_enabled(false);
   std::size_t quarantined = 0;
   std::size_t recovered = 0;
-  std::size_t skipped = 0;
   for (const ExperimentRow& row : rows_) {
     quarantined += row.quarantined;
     recovered += row.recovered;
-    skipped += row.skipped;
   }
 
   using util::json::escape;
@@ -222,7 +192,6 @@ void RunContext::write_metrics() {
   // degraded run shows at the top of the report.
   os << "  \"quarantined_samples\": " << quarantined << ",\n";
   os << "  \"recovered_samples\": " << recovered << ",\n";
-  os << "  \"skipped_samples\": " << skipped << ",\n";
   os << "  \"degraded_conditions\": [";
   bool first = true;
   for (const ExperimentRow& row : rows_) {

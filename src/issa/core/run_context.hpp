@@ -7,7 +7,6 @@
 //   --mc=N                    MC iterations (the paper's 400)
 //   --seed=S                  master seed (42)
 //   --quarantine-max=F        tolerated quarantined-sample fraction, in [0, 1]
-//   --shard=i/N               compute only samples with index % N == i
 //   --metrics[=stem]          <stem>.metrics.json: the whole-run metrics and
 //                             one entry per attached row
 //   --trace[=stem]            <stem>.trace.json: the spans and the solver

@@ -16,6 +16,11 @@ namespace issa::sa {
 
 namespace {
 
+// Offset search window [-kSearchWindow, +kSearchWindow] and the bracket width
+// at which a search stops [V].
+constexpr double kSearchWindow = 0.25;
+constexpr double kSearchTolerance = 5e-5;
+
 // First marching step of the warm start [V].  A few times the offset model's
 // typical error against the transient measurement (~0.15 mV), so one marching
 // probe usually brackets the flip.
@@ -27,6 +32,13 @@ constexpr double kWarmStartStep = 0.5e-3;
 // 5 mV shift to 20 mV and is flat beyond (DESIGN.md §12).
 constexpr double kFitShift = 20e-3;
 constexpr double kFitTolerance = 1e-5;
+
+// Bitline swing of a delay measurement [V]: provisioned comfortably above the
+// worst aged offsets, like a guardbanded memory would.  An aged sample then
+// pays for its offset through a reduced *effective* overdrive (swing minus
+// offset), which is exactly the mechanism behind the paper's Fig. 7 delay
+// blow-up of the unbalanced NSSA.
+constexpr double kDelaySwing = 0.2;
 
 std::atomic<std::uint64_t> g_offset_model_fits{0};
 
@@ -147,20 +159,21 @@ SenseRunResult run_sense(SenseAmpCircuit& circuit, double vin) {
 
 namespace {
 
-// The offset search behind measure_offset.  `predicted` is the warm start's
-// guess of the offset (empty: no warm start); the caller validated `options`.
+// The offset search behind measure_offset, stopping at a bracket of width
+// `tolerance`.  `predicted` is the warm start's guess of the offset (empty:
+// no warm start).
 // With `interpolate_flip` (the model fit) the search ends as soon as its
 // bracket is linear, and reports the flip interpolated between the final
 // latch splits at its ends instead of the bracket midpoint: that flip moves
 // continuously with the solution, so solver changes at the uV level move it
 // by as little, where a midpoint jumps by the tolerance.
-OffsetResult search_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions& options,
+OffsetResult search_offset(SenseAmpCircuit& circuit, bool robust, double tolerance,
                            std::optional<double> predicted, bool interpolate_flip = false) {
   OffsetResult result;
-  double lo = -options.vmax;  // assumed to read 0
-  double hi = options.vmax;   // assumed to read 1
+  double lo = -kSearchWindow;  // assumed to read 0
+  double hi = kSearchWindow;   // assumed to read 1
 
-  SenseSession session(circuit, options.robust, /*decision_only=*/true);
+  SenseSession session(circuit, robust, /*decision_only=*/true);
 
   // Final latch splits V(S) - V(SBar) at the bracket ends, once probed:
   // negative on the lo (read-0) side, positive on the hi side.  While both
@@ -185,21 +198,20 @@ OffsetResult search_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions& 
 
   // Warm start: probe the predicted flip, then march geometrically into the
   // side the prediction leaves open until the flip is bracketed.
-  const double w0 = kWarmStartStep;
-  if (predicted && w0 > options.tolerance && 2.0 * w0 < hi - lo) {
+  if (predicted) {
     // The flip point of vin is minus the offset (sign convention of
     // OffsetResult); clamp it inside the window.
-    const double center =
-        std::clamp(-*predicted, lo + options.tolerance, hi - options.tolerance);
+    const double center = std::clamp(-*predicted, lo + tolerance, hi - tolerance);
     const bool read_one = probe(center);
-    for (double w = w0; hi - lo > options.tolerance; w *= 4.0) {
+    for (double w = kWarmStartStep; hi - lo > tolerance; w *= 4.0) {
       const double x = read_one ? center - w : center + w;
       if (x <= lo || x >= hi) break;  // fell off the window: bisection takes over
       if (probe(x) != read_one) break;  // flip bracketed
     }
-    // Good prediction: the bracket is now O(w0) wide and the loop below
-    // finishes in a handful of runs.  Bad prediction: each marching probe
-    // still narrowed the window one-sidedly, so nothing is lost.
+    // Good prediction: the bracket is now O(kWarmStartStep) wide and the
+    // loop below finishes in a handful of runs.  Bad prediction: each
+    // marching probe still narrowed the window one-sidedly, so nothing is
+    // lost.
   }
 
   // Bisection, accelerated on the fast path by false position on the final
@@ -218,15 +230,15 @@ OffsetResult search_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions& 
   // A zero split (exactly balanced latch) puts the flip at that end.
   auto interpolated_flip = [&] { return lo + (hi - lo) * (-g_lo) / (g_hi - g_lo); };
   int secant_streak = 0;
-  while (hi - lo > options.tolerance && !(interpolate_flip && linear_bracket())) {
+  while (hi - lo > tolerance && !(interpolate_flip && linear_bracket())) {
     double x = 0.5 * (lo + hi);
     bool used_secant = false;
-    if (!options.robust && secant_streak < 2 && linear_bracket() && g_lo < 0.0) {
+    if (!robust && secant_streak < 2 && linear_bracket() && g_lo < 0.0) {
       // Brent-style minimum step: keep the proposal at least half a tolerance
       // off either end.  Once interpolation has pinned the flip at one end,
       // the next probe then closes the bracket to the tolerance in one run
       // instead of creeping toward it.
-      const double step = 0.49 * options.tolerance;
+      const double step = 0.49 * tolerance;
       const double xs = std::clamp(interpolated_flip(), lo + step, hi - step);
       if (xs > lo && xs < hi) {
         x = xs;
@@ -240,17 +252,14 @@ OffsetResult search_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions& 
   // Report in the paper's read-0-direction convention (see OffsetResult).
   result.offset = interpolate_flip && linear_bracket() ? -interpolated_flip() : -0.5 * (lo + hi);
   // If the bracket collapsed onto a window edge the true flip point lies
-  // outside [-vmax, vmax].
-  result.saturated = (options.vmax - std::fabs(result.offset)) < 2.0 * options.tolerance;
+  // outside the window.
+  result.saturated = (kSearchWindow - std::fabs(result.offset)) < 2.0 * tolerance;
   return result;
 }
 
 }  // namespace
 
 OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions& options) {
-  if (!(options.vmax > 0.0) || !(options.tolerance > 0.0) || options.tolerance >= options.vmax) {
-    throw std::invalid_argument("measure_offset: bad search options");
-  }
   // Only the unswapped latch-type SAs are warm-started: the double-tail
   // topologies have no model, and swapping inverts the decision's
   // monotonicity, which the marching probes assume.
@@ -258,7 +267,7 @@ OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions&
   if (!options.robust && has_offset_model(circuit.kind()) && !circuit.swapped()) {
     predicted = offset_model(circuit.kind(), circuit.config()).predict(circuit);
   }
-  return search_offset(circuit, options, predicted);
+  return search_offset(circuit, options.robust, kSearchTolerance, predicted);
 }
 
 double OffsetModel::predict(const SenseAmpCircuit& circuit) const {
@@ -292,13 +301,14 @@ OffsetModel fit_offset_model(SenseAmpKind kind, const SenseAmpConfig& config) {
   const util::faultpoint::SuspendScope no_faults;
 
   SenseAmpCircuit circuit = build_sense_amp(kind, config);
-  const OffsetSearchOptions fine{.tolerance = kFitTolerance};
   OffsetModel model;
-  model.offset0 = search_offset(circuit, fine, 0.0, /*interpolate_flip=*/true).offset;
+  model.offset0 = search_offset(circuit, /*robust=*/false, kFitTolerance, 0.0,
+                                /*interpolate_flip=*/true).offset;
   for (std::size_t k = 0; k < circuit.netlist().mosfets().size(); ++k) {
     double& delta_vth = circuit.netlist().mosfet(k).inst.delta_vth;
     delta_vth = kFitShift;
-    const double shifted = search_offset(circuit, fine, model.offset0, true).offset;
+    const double shifted =
+        search_offset(circuit, /*robust=*/false, kFitTolerance, model.offset0, true).offset;
     delta_vth = 0.0;
     model.sensitivity.push_back((shifted - model.offset0) / kFitShift);
   }
@@ -327,11 +337,10 @@ std::uint64_t offset_model_fits() noexcept {
   return g_offset_model_fits.load(std::memory_order_relaxed);
 }
 
-DelayPair measure_delay(SenseAmpCircuit& circuit, double vin_magnitude) {
-  if (!(vin_magnitude > 0.0)) throw std::invalid_argument("measure_delay: vin must be > 0");
+DelayPair measure_delay(SenseAmpCircuit& circuit) {
   SenseSession session(circuit, /*robust=*/false);
   for (int scale = 1; scale <= 4; ++scale) {
-    const double vin = vin_magnitude * scale;
+    const double vin = kDelaySwing * scale;
     const SenseRunResult one = session.run(vin);
     if (!one.delay || !one.read_one) continue;
     const SenseRunResult zero = session.run(-vin);
@@ -342,7 +351,7 @@ DelayPair measure_delay(SenseAmpCircuit& circuit, double vin_magnitude) {
     return d;
   }
   throw std::runtime_error("measure_delay: SA failed to resolve both directions up to " +
-                           std::to_string(4.0 * vin_magnitude) + " V of swing");
+                           std::to_string(4.0 * kDelaySwing) + " V of swing");
 }
 
 double estimate_offset_dc(const SenseAmpCircuit& circuit) {

@@ -28,10 +28,9 @@ SenseRunResult run_sense(SenseAmpCircuit& circuit, double vin);
 /// Same, but returns the full transient for waveform export.
 circuit::TransientResult run_sense_transient(SenseAmpCircuit& circuit, double vin);
 
+/// The search window is [-0.25 V, +0.25 V] and a search stops when its
+/// bracket is 50 uV wide.
 struct OffsetSearchOptions {
-  double vmax = 0.25;        ///< search window: [-vmax, +vmax] [V]
-  double tolerance = 5e-5;   ///< stop when the bracket is this narrow [V]
-
   /// Search profile.  false (the default) is the measurement fast path (see
   /// DESIGN.md "Measurement fast path"): the bracket is warm-started from
   /// offset_model(), the endgame interpolates the final latch split,
@@ -108,16 +107,12 @@ struct DelayPair {
   double worst() const { return read_one > read_zero ? read_one : read_zero; }
 };
 
-/// Measures both delays with |vin| = `vin_magnitude` of bitline swing.  The
-/// default of 200 mV is a swing provisioned comfortably above the worst aged
-/// offsets, like a guardbanded memory would: an aged sample then pays for its
-/// offset through a reduced *effective* overdrive (swing minus offset), which
-/// is exactly the mechanism behind the paper's Fig. 7 delay blow-up of the
-/// unbalanced NSSA.  A sample whose offset exceeds even this swing cannot
-/// read one direction; the swing is then escalated (2x, 3x, 4x, applied to
-/// both directions so the sample stays self-consistent).  Throws
-/// std::runtime_error when even the largest swing fails to resolve.
-DelayPair measure_delay(SenseAmpCircuit& circuit, double vin_magnitude = 0.2);
+/// Measures both delays with |vin| = 200 mV of bitline swing.  A sample whose
+/// offset exceeds that swing cannot read one direction; the swing is then
+/// escalated (2x, 3x, 4x, applied to both directions so the sample stays
+/// self-consistent).  Throws std::runtime_error when even the largest swing
+/// fails to resolve.
+DelayPair measure_delay(SenseAmpCircuit& circuit);
 
 /// Cheap first-order offset estimate from the accumulated threshold shifts
 /// (no transient): dVos ~= (dVth_Mdown - dVth_MdownBar) + k (dVth_MupBar -

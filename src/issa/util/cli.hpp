@@ -37,7 +37,7 @@ class Options {
   std::size_t get_count_or(std::string_view name, std::size_t fallback) const;
 
   /// Prints `message` and the usage line on stderr and exits 2: for values
-  /// the program rejects after parsing (a malformed --shard, say).
+  /// the program rejects after parsing (an out-of-range --bits, say).
   [[noreturn]] void fail(std::string_view message) const;
 
  private:

@@ -78,7 +78,7 @@ Store::Store(std::string directory, Options options) : directory_(std::move(dire
   for (const std::string& path : segments) load_segment(path);
 
   // This process appends to its own uniquely-named segment so concurrent
-  // shard processes never contend for a file.
+  // writer processes never contend for a file.
   write_path_ = (fs::path(directory_) / ("seg-" + generate_run_id() + kSegmentSuffix)).string();
 }
 
@@ -211,15 +211,6 @@ void Store::write_pending_locked() {
 std::size_t Store::size() const {
   const std::lock_guard<std::mutex> guard(lock_);
   return index_.size();
-}
-
-std::vector<std::string> Store::keys() const {
-  const std::lock_guard<std::mutex> guard(lock_);
-  std::vector<std::string> out;
-  out.reserve(index_.size());
-  for (const auto& [key, value] : index_) out.push_back(key);
-  std::sort(out.begin(), out.end());
-  return out;
 }
 
 void Store::for_each(

@@ -1,8 +1,8 @@
 // Append-only, crash-safe, content-addressed key/value store.
 //
 // A store is a DIRECTORY of segment files.  Every writer process appends to
-// its own segment (named after its run id), so any number of shard processes
-// can populate one store directory concurrently without coordination; a
+// its own segment (named after its run id), so any number of processes can
+// populate one store directory concurrently without coordination; a
 // reader simply loads every segment it finds.  Values are addressed by
 // content-derived keys (the Monte-Carlo cache uses SHA-256 fingerprints), so
 // two writers can only ever disagree about a key if one of them is buggy —
@@ -99,9 +99,6 @@ class Store {
 
   /// Number of distinct keys currently loaded/written.
   std::size_t size() const;
-
-  /// All keys, sorted, for deterministic iteration (store_report --merge).
-  std::vector<std::string> keys() const;
 
   /// Visits every (key, value) pair; do not call store methods re-entrantly.
   void for_each(const std::function<void(const std::string&, const std::string&)>& fn) const;

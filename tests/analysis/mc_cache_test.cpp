@@ -1,8 +1,8 @@
 // The content-addressed Monte-Carlo sample cache (analysis/mc_cache): warm
 // reruns must replay bit-identically from disk, fingerprints must separate
 // everything that changes a sample and ignore everything that does not,
-// quarantine verdicts must replay with their records, interrupted stores
-// must resume, and sharded sweeps must merge into the unsharded statistics.
+// quarantine verdicts must replay with their records, and interrupted stores
+// must resume.
 #include "issa/analysis/mc_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -76,47 +76,6 @@ TEST(EffectiveRunId, NonEmptyDeterministicFallback) {
   // Explicit run_id wins untouched.
   mc.run_id = "session-7";
   EXPECT_EQ(effective_run_id(condition, mc), "session-7");
-}
-
-TEST(ShardConfig, SelectorPartitionsSamples) {
-  McConfig mc = mc_with(10);
-  mc.shard_count = 3;
-  mc.shard_index = 1;
-  EXPECT_TRUE(mc.in_shard(1));
-  EXPECT_TRUE(mc.in_shard(4));
-  EXPECT_FALSE(mc.in_shard(0));
-  EXPECT_FALSE(mc.in_shard(2));
-  EXPECT_EQ(mc.shard_iterations(10), 3u);  // samples 1, 4, 7
-  mc.shard_index = 0;
-  EXPECT_EQ(mc.shard_iterations(10), 4u);  // samples 0, 3, 6, 9
-  // Unsharded accepts everything.
-  EXPECT_EQ(mc_with(10).shard_iterations(10), 10u);
-  EXPECT_TRUE(mc_with(10).in_shard(7));
-}
-
-TEST(ShardConfig, ShardsUnionToTheUnshardedDistribution) {
-  const Condition condition = fresh_condition();
-  const OffsetDistribution full = measure_offset_distribution(condition, mc_with(10));
-
-  McConfig mc0 = mc_with(10);
-  mc0.shard_count = 2;
-  mc0.shard_index = 0;
-  McConfig mc1 = mc_with(10);
-  mc1.shard_count = 2;
-  mc1.shard_index = 1;
-  const OffsetDistribution shard0 = measure_offset_distribution(condition, mc0);
-  const OffsetDistribution shard1 = measure_offset_distribution(condition, mc1);
-
-  EXPECT_EQ(shard0.skipped, 5u);
-  EXPECT_EQ(shard1.skipped, 5u);
-  EXPECT_EQ(shard0.valid_count(), 5u);
-  EXPECT_EQ(shard0.summary.count, 5u);
-  for (std::size_t i = 0; i < 10; ++i) {
-    const OffsetDistribution& owner = i % 2 == 0 ? shard0 : shard1;
-    const OffsetDistribution& other = i % 2 == 0 ? shard1 : shard0;
-    EXPECT_EQ(owner.offsets[i], full.offsets[i]) << "sample " << i;
-    EXPECT_TRUE(std::isnan(other.offsets[i])) << "sample " << i;
-  }
 }
 
 class McCacheTest : public ::testing::Test {
@@ -304,36 +263,8 @@ TEST_F(McCacheTest, FingerprintSeparatesInputsAndIgnoresExecutionKnobs) {
   knobs.iterations = 4000;
   knobs.parallel = true;
   knobs.run_id = "whatever";
-  knobs.shard_index = 1;
-  knobs.shard_count = 4;
   knobs.max_quarantine_fraction = 0.5;
   EXPECT_EQ(mc_cache::condition_fingerprint(condition, knobs), base);
-}
-
-TEST_F(McCacheTest, ShardedRunsFillOneStoreThatReplaysUnsharded) {
-  const Condition condition = fresh_condition();
-  const OffsetDistribution reference = measure_offset_distribution(condition, mc_with(10));
-
-  // Two shard "processes" populate the same store directory in turn.
-  for (std::size_t shard = 0; shard < 2; ++shard) {
-    McConfig mc = mc_with(10);
-    mc.shard_count = 2;
-    mc.shard_index = shard;
-    mc_cache::open(dir_);
-    const auto counts = delta([&] { measure_offset_distribution(condition, mc); });
-    EXPECT_EQ(counts.stores, 5u);
-    mc_cache::close();
-  }
-
-  // A warm unsharded rerun over the merged store replays every sample.
-  mc_cache::open(dir_);
-  OffsetDistribution merged;
-  const auto counts = delta([&] { merged = measure_offset_distribution(condition, mc_with(10)); });
-  EXPECT_EQ(counts.hits, 10u);
-  EXPECT_EQ(counts.misses, 0u);
-  EXPECT_TRUE(bit_exact(reference.offsets, merged.offsets));
-  EXPECT_EQ(reference.summary.mean, merged.summary.mean);
-  EXPECT_EQ(reference.summary.stddev, merged.summary.stddev);
 }
 
 TEST_F(McCacheTest, TruncatedStoreResumesWithPartialReplay) {

@@ -161,39 +161,6 @@ INSTANTIATE_TEST_SUITE_P(Testbenches, CompiledTopologyTest,
                            return info.param == sa::SenseAmpKind::kNssa ? "Nssa" : "Issa";
                          });
 
-// The old formulation let the source's KVL row silently overwrite such an
-// override in the first step; now it is rejected up front.
-TEST(CompiledTopology, OverrideOnPinnedNodeThrows) {
-  sa::SenseAmpCircuit c = sa::build_nssa(sa::nominal_config());
-  Simulator sim(c.netlist(), c.config().temperature_k());
-  TransientOptions opt;
-  opt.tstop = 1e-12;
-  opt.dt = 1e-13;
-  opt.dc_guess = c.dc_guess(0.0);
-  opt.initial_overrides = {{c.node_bl(), 0.5}};
-  EXPECT_THROW(sim.run_transient(opt), std::invalid_argument);
-  // An internal node is still free to override.
-  opt.initial_overrides = {{c.node_s(), 0.5}};
-  EXPECT_NO_THROW(sim.run_transient(opt));
-}
-
-TEST(CompiledTopology, OverrideOnUnpinnedFormOfSameNodeIsAllowed) {
-  // `V 0 n` keeps n an unknown, so overriding it is legal (the source's KVL
-  // row pulls it back in the first step, as before).
-  Netlist net;
-  const NodeId a = net.node("a");
-  net.add_vsource("V", kGround, a, SourceWave::dc(-1.0));
-  net.add_resistor("R", a, kGround, 1e3);
-  Simulator sim(net, 298.15);
-  TransientOptions opt;
-  opt.tstop = 1e-12;
-  opt.dt = 1e-13;
-  opt.initial_overrides = {{a, 0.25}};
-  const TransientResult tr = sim.run_transient(opt);
-  EXPECT_EQ(tr.node_wave(a).front(), 0.25);
-  EXPECT_NEAR(tr.node_wave(a).back(), 1.0, 1e-9);
-}
-
 TEST(CompiledTopology, FullyPinnedCircuitNeedsNoUnknowns) {
   // Every node held by a source: nothing to solve, yet DC and transient still
   // report the source values.

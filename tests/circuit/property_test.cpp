@@ -17,14 +17,15 @@ constexpr double kT = 298.15;
 
 // Builds a random connected resistor network: nodes chained to guarantee
 // connectivity, plus random extra edges, one voltage source at node 1.
-Netlist random_resistive_network(std::uint64_t seed, std::size_t nodes, double vsrc) {
+Netlist random_resistive_network(std::uint64_t seed, std::size_t nodes,
+                                 const SourceWave& source) {
   util::Xoshiro256 rng(seed);
   Netlist net;
   std::vector<NodeId> ids;
   ids.push_back(kGround);
   for (std::size_t i = 1; i <= nodes; ++i) ids.push_back(net.node("n" + std::to_string(i)));
 
-  net.add_vsource("V", ids[1], kGround, SourceWave::dc(vsrc));
+  net.add_vsource("V", ids[1], kGround, source);
   // Spanning chain.
   for (std::size_t i = 1; i < ids.size(); ++i) {
     net.add_resistor("Rc" + std::to_string(i), ids[i - 1], ids[i],
@@ -47,7 +48,7 @@ class ResistiveNetworkTest : public ::testing::TestWithParam<int> {};
 TEST_P(ResistiveNetworkTest, DcIsPassive) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
   const double vsrc = 1.2;
-  const Netlist net = random_resistive_network(seed, 8, vsrc);
+  const Netlist net = random_resistive_network(seed, 8, SourceWave::dc(vsrc));
   Simulator sim(net, kT);
   const auto v = sim.solve_dc();
   for (std::size_t n = 0; n < net.node_count(); ++n) {
@@ -58,7 +59,7 @@ TEST_P(ResistiveNetworkTest, DcIsPassive) {
 
 TEST_P(ResistiveNetworkTest, KclHoldsAtEveryInternalNode) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  const Netlist net = random_resistive_network(seed, 8, 1.0);
+  const Netlist net = random_resistive_network(seed, 8, SourceWave::dc(1.0));
   Simulator sim(net, kT);
   const auto v = sim.solve_dc();
   // Sum resistor currents into each node (excluding ground and the driven
@@ -83,27 +84,29 @@ class RcNetworkTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(RcNetworkTest, TransientSettlesToDc) {
   const auto seed = static_cast<std::uint64_t>(GetParam());
-  util::Xoshiro256 rng(seed * 977);
-  Netlist net = random_resistive_network(seed, 6, 1.0);
-  // Sprinkle capacitors on random nodes; time constants ~<= 1 ns.
-  for (std::size_t i = 0; i < 4; ++i) {
-    const auto node =
-        static_cast<NodeId>(1 + static_cast<std::size_t>(rng.uniform() * 6.0) % 6);
-    net.add_capacitor("Cp" + std::to_string(i), node, kGround, rng.uniform(1e-15, 50e-15));
-  }
-  Simulator dc_sim(net, kT);
+  // The same network under two sources: held at 1 V for the DC reference,
+  // and stepped 0 V -> 1 V so the transient starts with every node at 0 and
+  // must really settle.
+  auto network = [seed](const SourceWave& source) {
+    util::Xoshiro256 rng(seed * 977);
+    Netlist net = random_resistive_network(seed, 6, source);
+    // Sprinkle capacitors on random nodes; time constants ~<= 1 ns.
+    for (std::size_t i = 0; i < 4; ++i) {
+      const auto node =
+          static_cast<NodeId>(1 + static_cast<std::size_t>(rng.uniform() * 6.0) % 6);
+      net.add_capacitor("Cp" + std::to_string(i), node, kGround, rng.uniform(1e-15, 50e-15));
+    }
+    return net;
+  };
+  const Netlist held = network(SourceWave::dc(1.0));
+  const Netlist net = network(SourceWave::step(0.0, 1.0, 1e-12, 1e-12));
+  Simulator dc_sim(held, kT);
   const auto dc = dc_sim.solve_dc();
 
   Simulator tran_sim(net, kT);
   TransientOptions opt;
   opt.tstop = 10e-9;  // >> any tau in the network
   opt.dt = 5e-12;
-  // Start every internal node at 0 to force real settling.
-  for (std::size_t n = 1; n < net.node_count(); ++n) {
-    if (static_cast<NodeId>(n) != net.vsources()[0].pos) {
-      opt.initial_overrides.push_back({static_cast<NodeId>(n), 0.0});
-    }
-  }
   const auto tr = tran_sim.run_transient(opt);
   for (std::size_t n = 0; n < net.node_count(); ++n) {
     EXPECT_NEAR(tr.node_wave(static_cast<NodeId>(n)).back(), dc[n], 3e-3)

@@ -91,30 +91,21 @@ TEST(SimulatorTran, RcCrossingTime) {
   EXPECT_NEAR(*t50, f.r * f.c * std::log(2.0), 20e-12);
 }
 
-TEST(SimulatorTran, InitialOverrideDischarges) {
-  // Start the capacitor at 1 V with the source at 0: pure RC decay.
+TEST(SimulatorTran, SourceStepDischarges) {
+  // The capacitor rests at 1 V until the source steps to 0: pure RC decay.
+  constexpr double kStep = 100e-12;
   Netlist net;
+  const NodeId in = net.node("in");
   const NodeId out = net.node("out");
-  net.add_resistor("R", out, kGround, 1000.0);
+  net.add_vsource("V", in, kGround, SourceWave::step(1.0, 0.0, kStep, 1e-12));
+  net.add_resistor("R", in, out, 1000.0);
   net.add_capacitor("C", out, kGround, 1e-12);
   Simulator sim(net, kT);
   TransientOptions opt;
   opt.tstop = 3e-9;
   opt.dt = 5e-12;
-  opt.initial_overrides = {{out, 1.0}};
   const TransientResult tr = sim.run_transient(opt);
-  EXPECT_NEAR(tr.at(out, 1e-9), std::exp(-1.0), 5e-3);
-}
-
-TEST(SimulatorTran, OverridingGroundThrows) {
-  Netlist net;
-  net.add_resistor("R", net.node("a"), kGround, 1.0);
-  Simulator sim(net, kT);
-  TransientOptions opt;
-  opt.tstop = 1e-12;
-  opt.dt = 1e-13;
-  opt.initial_overrides = {{kGround, 1.0}};
-  EXPECT_THROW(sim.run_transient(opt), std::invalid_argument);
+  EXPECT_NEAR(tr.at(out, kStep + 1e-9), std::exp(-1.0), 5e-3);
 }
 
 TEST(SimulatorTran, RejectsBadOptions) {

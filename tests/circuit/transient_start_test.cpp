@@ -59,22 +59,6 @@ TEST(TransientStart, SenseTransientStartsAtTheFirstSourceCorner) {
   EXPECT_NEAR(tr.time().back(), timing.t_stop, 1e-18);
 }
 
-TEST(TransientStart, AnOverrideIntegratesFromZero) {
-  // Even an override to the DC value itself: the start is decided from the
-  // options, not from the state.
-  sa::SenseAmpCircuit c = sa::build_nssa(sa::nominal_config());
-  c.set_input_differential(0.01);
-  Simulator sim(c.netlist(), kT);
-  TransientOptions opt = sense_options(c, 0.01);
-  const std::vector<double> dc = sim.solve_dc({.initial_guess = opt.dc_guess});
-  opt.initial_overrides = {{c.node_s(), dc[static_cast<std::size_t>(c.node_s())]}};
-  TransientResult tr(0);
-  const std::uint64_t steps = counted_steps(sim, opt, &tr);
-  EXPECT_EQ(steps, 600u);
-  EXPECT_EQ(tr.steps(), 601u);
-  EXPECT_EQ(tr.time()[1], opt.dt);
-}
-
 TEST(TransientStart, ACornerAtZeroIntegratesFromZero) {
   Netlist net;
   const NodeId in = net.node("in");

@@ -63,13 +63,11 @@ std::size_t count_of(const std::string& haystack, const std::string& needle) {
 }
 
 TEST(RunContextTest, RunFlagsBuildTheMcConfig) {
-  const Argv args({"--mc=7", "--seed=9", "--quarantine-max=0.25", "--shard=1/4"});
+  const Argv args({"--mc=7", "--seed=9", "--quarantine-max=0.25"});
   core::RunContext run(args.argc(), args.argv(), "t");
   EXPECT_EQ(run.mc().iterations, 7u);
   EXPECT_EQ(run.mc().seed, 9u);
   EXPECT_DOUBLE_EQ(run.mc().max_quarantine_fraction, 0.25);
-  EXPECT_EQ(run.mc().shard_index, 1u);
-  EXPECT_EQ(run.mc().shard_count, 4u);
   EXPECT_FALSE(run.run_id().empty());
   EXPECT_EQ(run.mc().run_id, run.run_id());
 }
@@ -78,24 +76,6 @@ TEST(RunContextTest, SeedTakesTheWholeUint64Range) {
   const Argv args({"--seed=18446744073709551615"});
   core::RunContext run(args.argc(), args.argv(), "t");
   EXPECT_EQ(run.mc().seed, UINT64_MAX);
-}
-
-TEST(RunContextTest, NoShardMeansTheWholeSweep) {
-  const Argv args({});
-  core::RunContext run(args.argc(), args.argv(), "t");
-  EXPECT_EQ(run.mc().shard_index, 0u);
-  EXPECT_EQ(run.mc().shard_count, 1u);
-  EXPECT_EQ(run.mc().seed, 42u);
-}
-
-TEST(RunContextDeathTest, MalformedShardExitsTwo) {
-  // "0/-4" once slipped through: std::stoul wrapped the sign.
-  for (const char* bad : {"2/2", "0/0", "a/b", "1", "1/", "/4", "1/4x", "0/-4", "-0/4", "+1/4"}) {
-    const Argv args({std::string("--shard=") + bad});
-    EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t"), ::testing::ExitedWithCode(2),
-                "bad --shard value")
-        << bad;
-  }
 }
 
 TEST(RunContextDeathTest, BadSeedExitsTwo) {
@@ -113,16 +93,12 @@ TEST(RunContextDeathTest, BadSeedExitsTwo) {
 TEST(RunContextDeathTest, BadMcCountExitsTwo) {
   // Zero, negative, malformed and missing counts stop before any run; none
   // of them may fall back to the default 400-sample sweep.  Nor may a run
-  // whose shard computes fewer than the two samples a standard deviation
-  // needs.
-  const std::vector<std::vector<std::string>> bad = {
-      {"--mc=0"}, {"--mc=-5"}, {"--mc=abc"}, {"--mc=3x"},
-      {"--mc=1"}, {"--mc=4", "--shard=0/4"}, {"--mc"}};
-  for (const auto& flags : bad) {
-    const Argv args(flags);
+  // of fewer than the two samples a standard deviation needs.
+  for (const char* bad : {"--mc=0", "--mc=-5", "--mc=abc", "--mc=3x", "--mc=1", "--mc"}) {
+    const Argv args({bad});
     EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t"), ::testing::ExitedWithCode(2),
                 "--mc.*\nusage: run_context_test")
-        << flags.back();
+        << bad;
   }
 }
 
@@ -138,9 +114,12 @@ TEST(RunContextDeathTest, BadQuarantineMaxExitsTwo) {
 }
 
 TEST(RunContextDeathTest, UnknownOptionExitsTwoBeforeAnyWork) {
-  const Argv args({"--mcc=2", "--fats"});
-  EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t", {"csv=path"}),
-              ::testing::ExitedWithCode(2), "unknown option --mcc=2");
+  for (const char* bad : {"--mcc=2", "--fats", "--shard=0/2"}) {
+    const Argv args({bad});
+    EXPECT_EXIT(core::RunContext(args.argc(), args.argv(), "t", {"csv=path"}),
+                ::testing::ExitedWithCode(2), std::string("unknown option ") + bad)
+        << bad;
+  }
 }
 
 TEST(RunContextDeathTest, BadFaultSpecExitsTwo) {
@@ -191,6 +170,7 @@ TEST(RunContextTest, IgnoresTheEnvironment) {
     const Argv args({});
     core::RunContext run(args.argc(), args.argv(), "t");
     EXPECT_EQ(run.mc().iterations, 400u);
+    EXPECT_EQ(run.mc().seed, 42u);
     EXPECT_FALSE(analysis::mc_cache::enabled());
     EXPECT_FALSE(util::faultpoint::armed());
     EXPECT_TRUE(run.finish());

@@ -183,9 +183,9 @@ TEST(OptionsDeathTest, NamesMustMatchExactly) {
 
 TEST(OptionsDeathTest, FailPrintsMessageAndUsage) {
   const char* argv[] = {"prog"};
-  const Options opt(1, argv, {"shard=i/N"});
-  EXPECT_EXIT(opt.fail("bad --shard value"), ::testing::ExitedWithCode(2),
-              "bad --shard value\nusage: prog \\[--shard=i/N\\]\n");
+  const Options opt(1, argv, {"bits=N"});
+  EXPECT_EXIT(opt.fail("bad --bits value"), ::testing::ExitedWithCode(2),
+              "bad --bits value\nusage: prog \\[--bits=N\\]\n");
 }
 
 TEST(OptionsDeathTest, StrictMalformedNumberPrintsUsageAndExitsTwo) {

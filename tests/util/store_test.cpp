@@ -247,13 +247,12 @@ TEST(StoreTest, ConcurrentPutsFromManyThreads) {
   EXPECT_EQ(reopened.size(), 4u * 200u + 200u);
 }
 
-TEST(StoreTest, KeysAreSortedAndForEachVisitsAll) {
-  const std::string dir = fresh_dir("keys");
+TEST(StoreTest, ForEachVisitsEveryRecord) {
+  const std::string dir = fresh_dir("for_each");
   Store store(dir);
   store.put("b", "2");
   store.put("a", "1");
   store.put("c", "3");
-  EXPECT_EQ(store.keys(), (std::vector<std::string>{"a", "b", "c"}));
   std::vector<std::string> visited;
   store.for_each([&](const std::string& key, const std::string& value) {
     visited.push_back(key + "=" + value);

@@ -4,19 +4,11 @@
 //   store_report <dir>                      summary (segments, conditions, kinds)
 //   store_report --check <dir>              validate only (CI): exit non-zero on
 //                                           corrupt segments or undecodable records
-//   store_report --merge <out> <in>...      merge shard stores into one store;
-//                                           conflicting values for a key = error
 //
-// The summary groups records by condition fingerprint and kind so a sharded
-// sweep's coverage is visible at a glance ("offset: 400 records over 1
-// condition").  --merge is the join step of a sharded sweep: N processes run
-// `bench --cache=dir-i --shard=i/N`, then one merge produces the store a
-// single unsharded run would have written, and a warm unsharded rerun over it
-// replays every sample bit-identically.
-#include <algorithm>
+// The summary groups records by condition fingerprint and kind so a sweep's
+// coverage is visible at a glance ("offset: 400 records over 1 condition").
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -114,54 +106,10 @@ int check(const std::string& dir) {
   return healthy ? 0 : 1;
 }
 
-int merge(const std::string& out_dir, const std::vector<std::string>& in_dirs) {
-  // Load every input first so a conflict aborts before the output is touched.
-  std::vector<Store*> inputs;
-  std::vector<std::unique_ptr<Store>> owned;
-  for (const std::string& dir : in_dirs) {
-    Store::Options options;
-    options.must_exist = true;
-    owned.push_back(std::make_unique<Store>(dir, options));
-    inputs.push_back(owned.back().get());
-  }
-
-  // Content-addressed keys make a value conflict a hard error: two stores
-  // disagreeing about one key means one of them was written by a different
-  // (buggy or stale) binary, and merging would silently corrupt statistics.
-  std::map<std::string, std::string> merged;
-  std::size_t duplicates = 0;
-  for (std::size_t i = 0; i < inputs.size(); ++i) {
-    bool conflict = false;
-    inputs[i]->for_each([&](const std::string& key, const std::string& value) {
-      const auto [it, inserted] = merged.emplace(key, value);
-      if (inserted) return;
-      ++duplicates;
-      if (it->second != value) {
-        std::fprintf(stderr, "merge conflict in %s: key %s has a different value\n",
-                     in_dirs[i].c_str(), key.c_str());
-        conflict = true;
-      }
-    });
-    if (conflict) return 1;
-  }
-
-  Store out(out_dir);
-  std::size_t written = 0;
-  for (const auto& [key, value] : merged) {
-    if (out.put(key, value)) ++written;
-  }
-  out.flush();
-  std::printf("merged %zu store(s): %zu record(s) written to %s (%zu duplicate(s) across "
-              "inputs, %zu already present)\n",
-              in_dirs.size(), written, out_dir.c_str(), duplicates, merged.size() - written);
-  return 0;
-}
-
 int usage() {
   std::fprintf(stderr,
                "usage: store_report <dir>\n"
-               "       store_report --check <dir>\n"
-               "       store_report --merge <out-dir> <in-dir>...\n");
+               "       store_report --check <dir>\n");
   return 2;
 }
 
@@ -172,9 +120,6 @@ int main(int argc, char** argv) {
     const std::vector<std::string> args(argv + 1, argv + argc);
     if (args.size() == 1 && args[0].rfind("--", 0) != 0) return summarize(args[0]);
     if (args.size() == 2 && args[0] == "--check") return check(args[1]);
-    if (args.size() >= 3 && args[0] == "--merge") {
-      return merge(args[1], {args.begin() + 2, args.end()});
-    }
     return usage();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "store_report: %s\n", e.what());
