@@ -5,6 +5,7 @@
 //   $ ./aging_study [--mc=N] [--temp=C] [--csv=path]
 #include <cstdio>
 #include <iostream>
+#include <string>
 #include <vector>
 
 #include "issa/analysis/montecarlo.hpp"
@@ -19,7 +20,14 @@ int main(int argc, char** argv) {
 
   analysis::McConfig mc;
   mc.iterations = options.get_count_or("mc", 80);
+  // Every distribution reports a standard deviation, which takes two samples.
+  if (mc.iterations < 2) {
+    options.fail("--mc needs at least 2 samples: " + std::to_string(mc.iterations));
+  }
   const double temp_c = options.get_double_or("temp", 25.0);
+  if (!(temp_c > -273.15)) {
+    options.fail("--temp must be above -273.15 C: " + *options.get_string("temp"));
+  }
 
   analysis::Condition condition;
   condition.config = sa::nominal_config();

@@ -8,6 +8,7 @@
 //   $ ./memory_column [--mc=N] [--temp=C] [--rows=R]
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "issa/analysis/montecarlo.hpp"
 #include "issa/mem/column.hpp"
@@ -22,7 +23,14 @@ int main(int argc, char** argv) {
 
   analysis::McConfig mc;
   mc.iterations = options.get_count_or("mc", 60);
+  // Every distribution reports a standard deviation, which takes two samples.
+  if (mc.iterations < 2) {
+    options.fail("--mc needs at least 2 samples: " + std::to_string(mc.iterations));
+  }
   const double temp_c = options.get_double_or("temp", 125.0);
+  if (!(temp_c > -273.15)) {
+    options.fail("--temp must be above -273.15 C: " + *options.get_string("temp"));
+  }
 
   mem::ReadPathParams path_params;
   path_params.bitline.rows = options.get_count_or("rows", 256);

@@ -3,7 +3,9 @@
 // normal and a swapped ISSA read.
 //
 //   $ ./waveform_dump [--vin=mV] [--out=prefix]
+#include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "issa/sa/builder.hpp"
 #include "issa/sa/measure.hpp"
@@ -13,6 +15,12 @@ int main(int argc, char** argv) {
   using namespace issa;
   const util::Options options(argc, argv, {"vin=mV", "out=prefix"});
   const double vin = options.get_double_or("vin", 50.0) * 1e-3;
+  // A bitline swing beyond the supply leaves the testbench's operating range.
+  const double vdd = sa::nominal_config().vdd;
+  if (!(std::fabs(vin) <= vdd)) {
+    options.fail("--vin must be within +-" + std::to_string(static_cast<int>(vdd * 1e3)) +
+                 " mV (Vdd): " + *options.get_string("vin"));
+  }
   const std::string prefix = options.get_string("out").value_or("waves");
 
   auto dump = [&](sa::SenseAmpCircuit& circuit, const std::string& path) {

@@ -63,7 +63,7 @@ struct DcOptions {
 
 struct TransientOptions {
   double tstop = 0.0;  ///< simulation end time [s]
-  double dt = 1e-13;   ///< base timestep [s]
+  double dt = 0.0;     ///< base timestep [s]
   IntegrationMethod method = IntegrationMethod::kTrapezoidal;
   /// Passed through to the t = 0 DC solve as its starting point.
   std::vector<double> dc_guess;

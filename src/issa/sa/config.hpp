@@ -29,7 +29,7 @@ struct SenseTiming {
   double t_fire = 10e-12;   ///< SAenable starts rising [s]
   double t_rise = 2e-12;    ///< SAenable ramp time [s]
   double t_stop = 60e-12;   ///< simulation end [s]
-  double dt = 0.1e-12;      ///< transient timestep [s]
+  double dt = 0.2e-12;      ///< fixed transient timestep [s] (DESIGN.md §8.7)
 
   bool operator==(const SenseTiming&) const = default;
 };

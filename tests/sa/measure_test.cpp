@@ -196,13 +196,15 @@ SearchWork solver_work(Run&& run) {
 // Fresh, aged, aged ISSA and aged hot: the offsets the fast path's warm start
 // predicts best and worst.  The warm start's models are fitted here, before
 // any counting, so the counts are the measurements' alone, whichever test
-// ran first in this process.
-std::vector<SenseAmpCircuit> guard_samples() {
-  auto condition = [](SenseAmpKind kind, double stress_time_s, double temperature_c) {
+// ran first in this process.  `dt_scale` scales the sensing step of every
+// condition; the samples' mismatch and aging do not depend on it.
+std::vector<SenseAmpCircuit> guard_samples(double dt_scale = 1.0) {
+  auto condition = [dt_scale](SenseAmpKind kind, double stress_time_s, double temperature_c) {
     analysis::Condition c;
     c.kind = kind;
     c.config = nominal_config();
     c.config.temperature_c = temperature_c;
+    c.config.timing.dt *= dt_scale;
     c.workload = workload::workload_from_name("80r0");
     c.stress_time_s = stress_time_s;
     return c;
@@ -240,22 +242,22 @@ TEST(Measure, WarmStartCutsTransientCount) {
   // regression, never noise.  A change that cuts work lowers the ceilings.
   const SearchWork fast = offset_search_work(/*robust=*/false);
   EXPECT_LE(fast.transients, 135u);
-  EXPECT_LE(fast.steps, 67500u);
-  EXPECT_LE(fast.newton_iterations, 138425u);
-  EXPECT_LE(fast.jacobian_builds, 138898u);
-  EXPECT_LE(fast.device_evaluations, 1724282u);
-  EXPECT_LE(fast.lu_factorizations, 71245u);
+  EXPECT_LE(fast.steps, 33750u);
+  EXPECT_LE(fast.newton_iterations, 71274u);
+  EXPECT_LE(fast.jacobian_builds, 71776u);
+  EXPECT_LE(fast.device_evaluations, 890976u);
+  EXPECT_LE(fast.lu_factorizations, 37873u);
 
   // The warm start's model costs one fit per (kind, config) and process; cap
   // one NSSA fit too, so the fit cannot grow unseen.
   const SearchWork fit =
       solver_work([] { fit_offset_model(SenseAmpKind::kNssa, nominal_config()); });
   EXPECT_LE(fit.transients, 46u);
-  EXPECT_LE(fit.steps, 19702u);
-  EXPECT_LE(fit.newton_iterations, 40254u);
-  EXPECT_LE(fit.jacobian_builds, 40638u);
-  EXPECT_LE(fit.device_evaluations, 487656u);
-  EXPECT_LE(fit.lu_factorizations, 20890u);
+  EXPECT_LE(fit.steps, 9854u);
+  EXPECT_LE(fit.newton_iterations, 21038u);
+  EXPECT_LE(fit.jacobian_builds, 21266u);
+  EXPECT_LE(fit.device_evaluations, 255192u);
+  EXPECT_LE(fit.lu_factorizations, 11366u);
 
   // Full-window bisection needs ceil(log2(2 * 0.25 / 5e-5)) = 14 full-length
   // transients per search; the fast path must undercut it on every count.
@@ -276,11 +278,41 @@ TEST(Measure, DelayWorkCount) {
     for (SenseAmpCircuit& circuit : samples) measure_delay(circuit);
   });
   EXPECT_LE(delay.transients, 64u);
-  EXPECT_LE(delay.steps, 16319u);
-  EXPECT_LE(delay.newton_iterations, 34954u);
-  EXPECT_LE(delay.jacobian_builds, 35610u);
-  EXPECT_LE(delay.device_evaluations, 442692u);
-  EXPECT_LE(delay.lu_factorizations, 18765u);
+  EXPECT_LE(delay.steps, 8174u);
+  EXPECT_LE(delay.newton_iterations, 18368u);
+  EXPECT_LE(delay.jacobian_builds, 18882u);
+  EXPECT_LE(delay.device_evaluations, 234702u);
+  EXPECT_LE(delay.lu_factorizations, 10182u);
+}
+
+TEST(Measure, DefaultGridMatchesHalfStepOracle) {
+  // Every sensing transient runs on the fixed grid of SenseTiming::dt, and
+  // trapezoidal integration is second order: halving the step must move no
+  // result that the paper reports.  The same 32 samples are measured on the
+  // default grid and on the half-step oracle; the bounds sit at about twice
+  // the default grid's error and below that of a grid twice as coarse.
+  std::vector<SenseAmpCircuit> grid = guard_samples();
+  std::vector<SenseAmpCircuit> oracle = guard_samples(0.5);
+  ASSERT_EQ(grid.size(), oracle.size());
+  for (std::size_t i = 0; i < grid.size(); ++i) {
+    ASSERT_EQ(oracle[i].config().timing.dt, 0.5 * grid[i].config().timing.dt);
+    const DelayPair d = measure_delay(grid[i]);
+    const DelayPair d_oracle = measure_delay(oracle[i]);
+    EXPECT_NEAR(d.read_one, d_oracle.read_one, 10e-15) << "sample " << i;
+    EXPECT_NEAR(d.read_zero, d_oracle.read_zero, 10e-15) << "sample " << i;
+    EXPECT_NEAR(measure_offset(grid[i]).offset, measure_offset(oracle[i]).offset, 10e-6)
+        << "sample " << i;
+
+    // The warm start's model of each condition, fitted on either grid.
+    if (i % 8 != 0) continue;
+    const OffsetModel& model = offset_model(grid[i].kind(), grid[i].config());
+    const OffsetModel& model_oracle = offset_model(oracle[i].kind(), oracle[i].config());
+    ASSERT_EQ(model.sensitivity.size(), model_oracle.sensitivity.size());
+    for (std::size_t k = 0; k < model.sensitivity.size(); ++k) {
+      EXPECT_NEAR(model.sensitivity[k], model_oracle.sensitivity[k], 1.5e-4)
+          << "sample " << i << ", MOSFET " << k;
+    }
+  }
 }
 
 TEST(Measure, FastPathIsDeterministic) {

@@ -2,8 +2,11 @@
 // paper target.  Used when retuning the device cards (delay anchors), the
 // Pelgrom coefficients (t = 0 sigma), or the BTI parameters (aged mu/sigma).
 //
-//   $ ./issa_calibrate [samples]   (default 100; the paper uses 400)
+//   $ ./issa_calibrate [samples]   (default 100, at least 2; the paper uses 400)
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
+#include <string_view>
 #include <vector>
 #include "issa/sa/builder.hpp"
 #include "issa/sa/measure.hpp"
@@ -50,8 +53,28 @@ double delay_mean(sa::SenseAmpKind kind, sa::SenseAmpConfig cfg, const aging::De
   return rs.mean() * 1e12;
 }
 
+// The Monte-Carlo sample count: the one optional argument, a whole number of
+// at least 2 (a standard deviation takes two samples).  --help prints the
+// usage line and exits 0; anything else exits 2 with it on stderr.
+int sample_count(int argc, char** argv) {
+  constexpr const char* kUsage = "usage: issa_calibrate [samples]";
+  if (argc == 1) return 100;
+  const std::string_view arg = argv[1];
+  if (argc == 2 && arg == "--help") {
+    std::printf("%s\n", kUsage);
+    std::exit(0);
+  }
+  int n = 0;
+  const auto [end, ec] = std::from_chars(arg.data(), arg.data() + arg.size(), n);
+  if (argc > 2 || ec != std::errc() || end != arg.data() + arg.size() || n < 2) {
+    std::fprintf(stderr, "samples must be a whole number >= 2: %s\n%s\n", argv[argc - 1], kUsage);
+    std::exit(2);
+  }
+  return n;
+}
+
 int main(int argc, char** argv) {
-  const int N = argc > 1 ? atoi(argv[1]) : 100;
+  const int N = sample_count(argc, argv);
   auto cfg = sa::nominal_config();
 
   // t=0 anchors
