@@ -57,8 +57,10 @@ namespace issa::analysis::mc_cache {
 /// moves offsets by up to about one search tolerance (0.05 mV).  Version 4:
 /// transients start at the first source corner with a predicted Newton
 /// guess, and the offset model is fitted from interpolated flips, which moves
-/// offsets by up to one search tolerance.
-inline constexpr std::uint32_t kSchemaVersion = 4;
+/// offsets by up to one search tolerance.  Version 5: the fast-path offset
+/// search ends at its first linear bracket no wider than 2 mV and reports the
+/// interpolated flip, which moves offsets by up to about one search tolerance.
+inline constexpr std::uint32_t kSchemaVersion = 5;
 
 /// One cached per-sample result.  `status` carries the Monte-Carlo engine's
 /// outcome slot (ok / recovered / quarantined) so a warm rerun reproduces

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 
@@ -25,6 +26,12 @@ constexpr double kSearchTolerance = 5e-5;
 // typical error against the transient measurement (~0.15 mV), so one marching
 // probe usually brackets the flip.
 constexpr double kWarmStartStep = 0.5e-3;
+
+// Widest linear bracket across which the fast path reads the interpolated
+// flip [V].  Hot corners can march the warm start's bracket to several mV,
+// where the final split is no longer linear enough in vin to interpolate to
+// within the search tolerance; such a bracket narrows first (DESIGN.md §12).
+constexpr double kInterpolationCap = 2e-3;
 
 // Offset-model fit: the threshold shift of each sensitivity probe [V] and the
 // tolerance that bounds a fit search which never holds a linear bracket [V].
@@ -159,16 +166,18 @@ SenseRunResult run_sense(SenseAmpCircuit& circuit, double vin) {
 
 namespace {
 
-// The offset search behind measure_offset, stopping at a bracket of width
-// `tolerance`.  `predicted` is the warm start's guess of the offset (empty:
-// no warm start).
-// With `interpolate_flip` (the model fit) the search ends as soon as its
-// bracket is linear, and reports the flip interpolated between the final
-// latch splits at its ends instead of the bracket midpoint: that flip moves
-// continuously with the solution, so solver changes at the uV level move it
-// by as little, where a midpoint jumps by the tolerance.
+// The offset search behind measure_offset and the model fit, stopping at a
+// bracket of width `tolerance`.  `predicted` is the warm start's guess of the
+// offset (empty: no warm start).
+// The search also ends as soon as its bracket is linear and no wider than
+// `interpolate_below`, and then reports the flip interpolated between the
+// final latch splits at its ends instead of the bracket midpoint: that flip
+// moves continuously with the solution, so solver changes at the uV level
+// move it by as little, where a midpoint jumps by the tolerance.  The fit
+// passes +infinity, the fast path kInterpolationCap and the robust profile 0
+// (never interpolate: the midpoint-bisection oracle).
 OffsetResult search_offset(SenseAmpCircuit& circuit, bool robust, double tolerance,
-                           std::optional<double> predicted, bool interpolate_flip = false) {
+                           std::optional<double> predicted, double interpolate_below) {
   OffsetResult result;
   double lo = -kSearchWindow;  // assumed to read 0
   double hi = kSearchWindow;   // assumed to read 1
@@ -219,18 +228,19 @@ OffsetResult search_offset(SenseAmpCircuit& circuit, bool robust, double toleran
   // early-exit seal at Vdd/2, so early exit never truncates them): there the
   // split is near-linear in vin and interpolation lands next to the flip,
   // collapsing the bracket in 2-3 runs where bisection needs
-  // ~log2(width / tolerance).
-  // Correctness never depends on the interpolation — it only picks the query
-  // point inside the bracket — and a forced bisection after every two
-  // interpolation steps keeps the worst case bisection-like.
+  // ~log2(width / tolerance).  A linear bracket within `interpolate_below`
+  // ends the search instead; the loop only narrows wider ones.
+  // A forced bisection after every two interpolation steps keeps the worst
+  // case bisection-like.
   const double g_linear = 0.45 * circuit.config().vdd;
   auto linear_bracket = [&] {
     return have_lo && have_hi && g_lo > -g_linear && g_hi < g_linear;
   };
   // A zero split (exactly balanced latch) puts the flip at that end.
   auto interpolated_flip = [&] { return lo + (hi - lo) * (-g_lo) / (g_hi - g_lo); };
+  auto interpolable = [&] { return linear_bracket() && hi - lo <= interpolate_below; };
   int secant_streak = 0;
-  while (hi - lo > tolerance && !(interpolate_flip && linear_bracket())) {
+  while (hi - lo > tolerance && !interpolable()) {
     double x = 0.5 * (lo + hi);
     bool used_secant = false;
     if (!robust && secant_streak < 2 && linear_bracket() && g_lo < 0.0) {
@@ -250,7 +260,7 @@ OffsetResult search_offset(SenseAmpCircuit& circuit, bool robust, double toleran
   }
   result.transients = session.transients();
   // Report in the paper's read-0-direction convention (see OffsetResult).
-  result.offset = interpolate_flip && linear_bracket() ? -interpolated_flip() : -0.5 * (lo + hi);
+  result.offset = interpolable() ? -interpolated_flip() : -0.5 * (lo + hi);
   // If the bracket collapsed onto a window edge the true flip point lies
   // outside the window.
   result.saturated = (kSearchWindow - std::fabs(result.offset)) < 2.0 * tolerance;
@@ -267,7 +277,8 @@ OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions&
   if (!options.robust && has_offset_model(circuit.kind()) && !circuit.swapped()) {
     predicted = offset_model(circuit.kind(), circuit.config()).predict(circuit);
   }
-  return search_offset(circuit, options.robust, kSearchTolerance, predicted);
+  return search_offset(circuit, options.robust, kSearchTolerance, predicted,
+                       options.robust ? 0.0 : kInterpolationCap);
 }
 
 double OffsetModel::predict(const SenseAmpCircuit& circuit) const {
@@ -302,13 +313,15 @@ OffsetModel fit_offset_model(SenseAmpKind kind, const SenseAmpConfig& config) {
 
   SenseAmpCircuit circuit = build_sense_amp(kind, config);
   OffsetModel model;
-  model.offset0 = search_offset(circuit, /*robust=*/false, kFitTolerance, 0.0,
-                                /*interpolate_flip=*/true).offset;
+  // Every fit search reads the interpolated flip of its first linear bracket,
+  // however wide.
+  constexpr double kAnyWidth = std::numeric_limits<double>::infinity();
+  model.offset0 = search_offset(circuit, /*robust=*/false, kFitTolerance, 0.0, kAnyWidth).offset;
   for (std::size_t k = 0; k < circuit.netlist().mosfets().size(); ++k) {
     double& delta_vth = circuit.netlist().mosfet(k).inst.delta_vth;
     delta_vth = kFitShift;
     const double shifted =
-        search_offset(circuit, /*robust=*/false, kFitTolerance, model.offset0, true).offset;
+        search_offset(circuit, /*robust=*/false, kFitTolerance, model.offset0, kAnyWidth).offset;
     delta_vth = 0.0;
     model.sensitivity.push_back((shifted - model.offset0) / kFitShift);
   }

@@ -28,12 +28,15 @@ SenseRunResult run_sense(SenseAmpCircuit& circuit, double vin);
 /// Same, but returns the full transient for waveform export.
 circuit::TransientResult run_sense_transient(SenseAmpCircuit& circuit, double vin);
 
-/// The search window is [-0.25 V, +0.25 V] and a search stops when its
-/// bracket is 50 uV wide.
+/// The search window is [-0.25 V, +0.25 V].  A robust search stops when its
+/// bracket is 50 uV wide; a fast one stops there too, or earlier, as soon as
+/// its bracket is linear (both final latch splits within 0.45 Vdd) and at
+/// most 2 mV wide.
 struct OffsetSearchOptions {
   /// Search profile.  false (the default) is the measurement fast path (see
   /// DESIGN.md "Measurement fast path"): the bracket is warm-started from
-  /// offset_model(), the endgame interpolates the final latch split,
+  /// offset_model(), the search reads the flip interpolated between the
+  /// final latch splits at the ends of its first linear bracket under 2 mV,
   /// every transient stops once regeneration has resolved, and one Simulator
   /// serves the whole search.  true is the paper's method: full-window
   /// bisection over full-length transients, a fresh simulator per probe.
@@ -47,7 +50,8 @@ struct OffsetResult {
   /// offset means extra bitline swing is needed to read a 0 correctly —
   /// exactly the shift Fig. 4 shows after r0-heavy aging (Mdown/MupBar
   /// stressed).  Numerically this is the negated flip point of vin =
-  /// V(BL) - V(BLBar).
+  /// V(BL) - V(BLBar): the interpolated flip of the final bracket on the
+  /// fast path, the midpoint of the final bracket on the robust one.
   double offset = 0.0;
   bool saturated = false;  ///< true when the flip lies outside the window
   int transients = 0;      ///< number of transient simulations performed
@@ -82,10 +86,11 @@ constexpr bool has_offset_model(SenseAmpKind kind) noexcept {
 /// offset search of the unshifted circuit, then one per MOSFET with its
 /// threshold raised by 20 mV, all with fault injection suspended.  Each
 /// search ends as soon as its bracket is linear (both final latch splits
-/// within 0.45 Vdd) and reads the flip interpolated between those splits, so
-/// the model moves continuously with the solver's solutions instead of in
-/// steps of a search tolerance.  Throws std::logic_error for a kind without
-/// a model.
+/// within 0.45 Vdd), however wide, and reads the flip interpolated between
+/// those splits, so the model moves continuously with the solver's solutions
+/// instead of in steps of a search tolerance.  (measure_offset interpolates
+/// only across a linear bracket at most 2 mV wide.)  Throws std::logic_error
+/// for a kind without a model.
 /// Bypasses the memo; measurement code calls offset_model().
 OffsetModel fit_offset_model(SenseAmpKind kind, const SenseAmpConfig& config);
 

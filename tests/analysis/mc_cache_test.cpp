@@ -227,13 +227,13 @@ TEST_F(McCacheTest, FingerprintSeparatesInputsAndIgnoresExecutionKnobs) {
   const McConfig mc = mc_with(8);
   const std::string base = mc_cache::condition_fingerprint(condition, mc);
   ASSERT_EQ(base.size(), 64u);
-  // Pinned: stores written since schema version 4 replay only while the
+  // Pinned: stores written since schema version 5 replay only while the
   // recipe hashes the same bytes.  A deliberate recipe change bumps
   // kSchemaVersion and this value together.  A changed config default (the
   // sensing step SenseTiming::dt, say) changes the hashed config bytes
   // alone: stores of the old default miss instead of replaying, and only
   // this value moves.
-  EXPECT_EQ(base, "3463cfa4dafb26bd018c5c79c896eb99fc8f02b4651b85863936172441924eea");
+  EXPECT_EQ(base, "5feb326f2735fe822a50f712dedbc56b8fc78b9763680ee4afdaad8c01c262ba");
 
   // Everything that changes what a sample computes must change the key.
   McConfig seed = mc;

@@ -46,9 +46,12 @@ TEST(Measure, IssaSwappedReadsInvertedValue) {
 TEST(Measure, MismatchFreeOffsetIsNearZero) {
   auto c = build_nssa(nominal_config());
   const OffsetResult r = measure_offset(c);
-  EXPECT_LT(std::fabs(r.offset), 1e-3);
+  // The mirror-symmetric latch balances exactly at vin = 0, where the warm
+  // start probes first.  That end has a zero split, so one marching probe
+  // closes a linear bracket whose interpolated flip is exactly that end.
+  EXPECT_EQ(r.offset, 0.0);
   EXPECT_FALSE(r.saturated);
-  EXPECT_GE(r.transients, 3);  // a genuine search, however good the warm start
+  EXPECT_EQ(r.transients, 2);
 }
 
 TEST(Measure, WeakenedMdownShiftsOffsetPositive) {
@@ -153,8 +156,10 @@ TEST(Measure, FastPathMatchesLegacyWithinTolerance) {
     c.netlist().find_mosfet(nm::kMdown).inst.delta_vth = dvth;
     const OffsetResult robust = measure_offset(c, legacy);
     const OffsetResult fast = measure_offset(c);
-    // Both searches stop at a bracket of width `tolerance`; warm-start and
-    // DC-guess reuse may move the result within a couple of brackets only.
+    // The robust search reports the midpoint of a bracket of width
+    // `tolerance`, the fast path the interpolated flip of a linear bracket;
+    // warm-start and DC-guess reuse may move the result within a couple of
+    // tolerances only.
     EXPECT_NEAR(fast.offset, robust.offset, 3.0 * kSearchTolerance) << dvth;
     EXPECT_EQ(fast.saturated, robust.saturated);
   }
@@ -241,12 +246,12 @@ TEST(Measure, WarmStartCutsTransientCount) {
   // guard was set.  The counts are deterministic, so a rise is a real
   // regression, never noise.  A change that cuts work lowers the ceilings.
   const SearchWork fast = offset_search_work(/*robust=*/false);
-  EXPECT_LE(fast.transients, 135u);
-  EXPECT_LE(fast.steps, 33750u);
-  EXPECT_LE(fast.newton_iterations, 71274u);
-  EXPECT_LE(fast.jacobian_builds, 71776u);
-  EXPECT_LE(fast.device_evaluations, 890976u);
-  EXPECT_LE(fast.lu_factorizations, 37873u);
+  EXPECT_LE(fast.transients, 86u);
+  EXPECT_LE(fast.steps, 21500u);
+  EXPECT_LE(fast.newton_iterations, 45476u);
+  EXPECT_LE(fast.jacobian_builds, 45759u);
+  EXPECT_LE(fast.device_evaluations, 566080u);
+  EXPECT_LE(fast.lu_factorizations, 24161u);
 
   // The warm start's model costs one fit per (kind, config) and process; cap
   // one NSSA fit too, so the fit cannot grow unseen.
@@ -268,6 +273,19 @@ TEST(Measure, WarmStartCutsTransientCount) {
   EXPECT_LT(fast.newton_iterations, robust.newton_iterations);
   EXPECT_LT(fast.jacobian_builds, robust.jacobian_builds);
   EXPECT_LT(fast.lu_factorizations, robust.lu_factorizations);
+}
+
+TEST(Measure, ReportedOffsetBracketsTheFlip) {
+  // The fast path reports the flip interpolated across a linear bracket up to
+  // 2 mV wide, not the midpoint of a 50 uV one.  The paper's method (a fresh
+  // simulator, a full-length transient) must still read either side of the
+  // reported flip correctly at one search tolerance from it.
+  std::vector<SenseAmpCircuit> samples = guard_samples();
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const double flip = -measure_offset(samples[i]).offset;
+    EXPECT_FALSE(run_sense(samples[i], flip - kSearchTolerance).read_one) << "sample " << i;
+    EXPECT_TRUE(run_sense(samples[i], flip + kSearchTolerance).read_one) << "sample " << i;
+  }
 }
 
 TEST(Measure, DelayWorkCount) {
