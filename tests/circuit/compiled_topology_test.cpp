@@ -25,13 +25,15 @@ namespace {
 
 namespace nm = workload::names;
 
-// The two forms are the same equations, but Newton stops each step once its
-// update is below the solver's 1e-7 V step tolerance, and the two systems reach
-// that point along different iterates.  Largest deviations measured (x86-64,
-// GCC 13, RelWithDebInfo): warm DC 0 V; S/SBar/Out waveforms 1.7e-6 V, all
-// of it on the steep regeneration edge (1 uV there is a 1e-18 s shift);
-// delays 4.1e-17 s; offsets 5e-7 V (the search tolerance is 5e-5 V).  The
-// tolerances sit about 5x above those.
+// The two forms are the same equations, but Newton stops each step at the
+// first point inside its stopping rules -- a residual under the floor, or the
+// end of an update under kNewtonFinalStep (1e-4 V) -- and the two systems
+// reach that point along different iterates.  Largest deviations measured
+// (x86-64, GCC 12, RelWithDebInfo), the same with and without the
+// final-update rule: warm DC 0 V; S/SBar/Out waveforms 1.7e-9 V; delays
+// 3.1e-20 s; offsets 2.8e-8 V (the search tolerance is 5e-5 V).  The
+// tolerances were set 5x above the larger deviations of an earlier stopping
+// rule and are kept.
 constexpr double kDcTolV = 1e-9;     // 1 nV
 constexpr double kWaveTolV = 1e-5;   // 10 uV
 constexpr double kOffsetTolV = 5e-6; // 5 uV

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 
+#include "circuit/kcl_oracle.hpp"
+#include "issa/circuit/parser.hpp"
 #include "issa/circuit/simulator.hpp"
 #include "issa/device/mos_params.hpp"
 #include "issa/util/metrics.hpp"
@@ -339,6 +342,40 @@ TEST(SimulatorTran, WorkspaceReuseAcrossRunsIsBitExact) {
   Simulator fresh(f.net, kT);
   const TransientResult ref = fresh.run_transient(opt);
   EXPECT_EQ(second.node_wave(f.out), ref.node_wave(f.out));
+}
+
+TEST(SimulatorTran, EveryAcceptedStepMeetsKclOnWideDevices) {
+  // The KCL oracle on a circuit that is not a sense amplifier: a CMOS
+  // inverter driving an RC load, its devices and load scaled together up to
+  // W/L = 640/1280 (the DC solve of this circuit gives out above that).  A
+  // Newton update under the solver's final-update bound is returned without
+  // being assembled; its residual grows with the device beta, so wide
+  // devices are where it would first cross the acceptance floor,
+  // max(1e-9 A, 2 gmin) = 2e-9 A.
+  constexpr double kAcceptanceFloor = 2e-9;
+  for (const double scale : {1.0, 16.0, 256.0}) {
+    char text[512];
+    std::snprintf(text, sizeof text,
+                  "* inverter driving an RC load\n"
+                  ".model nch NMOS\n"
+                  ".model pch PMOS\n"
+                  "Vdd vdd 0 DC 1.0\n"
+                  "Vin in 0 STEP 0 1 20p 5p\n"
+                  "Mn out in 0 0 nch W/L=%g\n"
+                  "Mp out in vdd vdd pch W/L=%g\n"
+                  "Rw out load 500\n"
+                  "Cl load 0 %g\n",
+                  2.5 * scale, 5.0 * scale, 4e-15 * scale);
+    const Netlist net = parse_netlist(text);
+    Simulator sim(net, kT);
+    TransientOptions opt;
+    opt.tstop = 100e-12;
+    opt.dt = 0.1e-12;
+    const TransientResult tr = sim.run_transient(opt);  // every node recorded
+    const testing::KclWorst worst = testing::worst_kcl_residual(net, kT, tr);
+    EXPECT_LT(worst.residual, kAcceptanceFloor)
+        << "W/L x" << scale << ": node " << worst.node << " at t = " << worst.time;
+  }
 }
 
 }  // namespace

@@ -123,10 +123,11 @@ TEST(TransientStart, PredictedStepsOnAnAffineResponseTakeOneIteration) {
   // there the extrapolated guess x_n + (h / h_prev) (x_n - x_{n-1}) is the
   // next step's solution to within Newton's tolerances, so each of those
   // steps converges in one iteration: the guess meets the residual
-  // tolerance, or one update moving no node by more than the step tolerance
-  // finishes.  From the previous state, or with a wrong ratio, sign or
+  // tolerance, or its one update moves no node by 0.1 mV or more and is
+  // taken as final.  From the previous state, or with a wrong ratio, sign or
   // history, the first update moves the output by a fraction of the ramp's
-  // 5 mV per step and a second iteration is needed to confirm it.
+  // 5 mV per step, well above 0.1 mV, so a second iteration is needed to
+  // confirm it.
   const double t_a = 20e-12;
   const double t_b = 420e-12;
   Netlist net;

@@ -8,7 +8,9 @@
 #include <thread>
 #include <vector>
 
+#include "circuit/kcl_oracle.hpp"
 #include "issa/analysis/montecarlo.hpp"
+#include "issa/circuit/simulator.hpp"
 #include "issa/util/metrics.hpp"
 #include "issa/util/trace.hpp"
 #include "issa/workload/device_names.hpp"
@@ -248,9 +250,9 @@ TEST(Measure, WarmStartCutsTransientCount) {
   const SearchWork fast = offset_search_work(/*robust=*/false);
   EXPECT_LE(fast.transients, 86u);
   EXPECT_LE(fast.steps, 21500u);
-  EXPECT_LE(fast.newton_iterations, 45476u);
-  EXPECT_LE(fast.jacobian_builds, 45759u);
-  EXPECT_LE(fast.device_evaluations, 566080u);
+  EXPECT_LE(fast.newton_iterations, 27607u);
+  EXPECT_LE(fast.jacobian_builds, 27619u);
+  EXPECT_LE(fast.device_evaluations, 341660u);
   EXPECT_LE(fast.lu_factorizations, 24161u);
 
   // The warm start's model costs one fit per (kind, config) and process; cap
@@ -259,9 +261,9 @@ TEST(Measure, WarmStartCutsTransientCount) {
       solver_work([] { fit_offset_model(SenseAmpKind::kNssa, nominal_config()); });
   EXPECT_LE(fit.transients, 46u);
   EXPECT_LE(fit.steps, 9854u);
-  EXPECT_LE(fit.newton_iterations, 21038u);
-  EXPECT_LE(fit.jacobian_builds, 21266u);
-  EXPECT_LE(fit.device_evaluations, 255192u);
+  EXPECT_LE(fit.newton_iterations, 13689u);
+  EXPECT_LE(fit.jacobian_builds, 13689u);
+  EXPECT_LE(fit.device_evaluations, 164268u);
   EXPECT_LE(fit.lu_factorizations, 11366u);
 
   // Full-window bisection needs ceil(log2(2 * 0.25 / 5e-5)) = 14 full-length
@@ -288,6 +290,39 @@ TEST(Measure, ReportedOffsetBracketsTheFlip) {
   }
 }
 
+TEST(Measure, EveryAcceptedStepMeetsKcl) {
+  // The solver's results checked from the outside: at every recorded point
+  // of a full-length sensing transient, the KCL residual of each free node is
+  // rebuilt from the netlist alone and must stay below the solver's own
+  // acceptance floor.  The samples are the 32 guard samples, each at its
+  // predicted flip (the slowest, most marginal run) and at both full swings.
+  // The floor of a Newton solve, max(1e-9 A, 2 gmin) [A].  The solver accepts
+  // any point under it, so the worst point sits just below: 1.9998e-9 A, on a
+  // DC point.  A final-update bound of 3e-4 V reaches 2.34e-9 A.
+  constexpr double kAcceptanceFloor = 2e-9;
+  std::vector<SenseAmpCircuit> samples = guard_samples();
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    SenseAmpCircuit& circuit = samples[s];
+    const double predicted = offset_model(circuit.kind(), circuit.config()).predict(circuit);
+    for (const double vin : {-predicted, 0.2, -0.2}) {
+      circuit.set_input_differential(vin);
+      circuit::TransientOptions options;
+      options.tstop = circuit.config().timing.t_stop;
+      options.dt = circuit.config().timing.dt;
+      options.method = circuit::IntegrationMethod::kTrapezoidal;
+      options.dc_guess = circuit.dc_guess(vin);
+      const double temperature_k = circuit.config().temperature_k();
+      circuit::Simulator sim(circuit.netlist(), temperature_k);
+      const circuit::TransientResult tr = sim.run_transient(options);  // every node recorded
+      const circuit::testing::KclWorst worst =
+          circuit::testing::worst_kcl_residual(circuit.netlist(), temperature_k, tr);
+      EXPECT_LT(worst.residual, kAcceptanceFloor)
+          << "sample " << s << ", vin " << vin << " V: node " << worst.node
+          << " at t = " << worst.time;
+    }
+  }
+}
+
 TEST(Measure, DelayWorkCount) {
   // The same guard for measure_delay, the layer of the Fig. 7 sweep: two
   // early-exit transients per sample on the same 32 samples.
@@ -297,9 +332,9 @@ TEST(Measure, DelayWorkCount) {
   });
   EXPECT_LE(delay.transients, 64u);
   EXPECT_LE(delay.steps, 8174u);
-  EXPECT_LE(delay.newton_iterations, 18368u);
-  EXPECT_LE(delay.jacobian_builds, 18882u);
-  EXPECT_LE(delay.device_evaluations, 234702u);
+  EXPECT_LE(delay.newton_iterations, 15311u);
+  EXPECT_LE(delay.jacobian_builds, 15773u);
+  EXPECT_LE(delay.device_evaluations, 196596u);
   EXPECT_LE(delay.lu_factorizations, 10182u);
 }
 
