@@ -1,7 +1,8 @@
 // Ablations of the methodology choices DESIGN.md calls out:
 //  1. offset measurement: transient binary search (the paper's method) vs
-//     the first-order DC estimator and the linear offset model that
-//     warm-starts the search — accuracy and cost;
+//     the fast path's one probe with its split sensitivity, the first-order
+//     DC estimator and the linear offset model that warm-starts the fast
+//     path — accuracy and cost;
 //  2. transient integration: trapezoidal vs backward Euler — delay accuracy
 //     vs timestep, and the offset distribution on the default step against
 //     the half step;
@@ -9,6 +10,7 @@
 //     model) vs expected-value aging — what the distribution loses.
 //
 // Usage: bench_ablation_methods [--mc=N] [--seed=S] [--cache[=dir]]
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <functional>
@@ -63,14 +65,24 @@ int main(int argc, char** argv) {
       {"DC first-order estimate", sa::estimate_offset_dc},
       {"linear offset model (warm start)",
        [&model](const sa::SenseAmpCircuit& c) { return model.predict(c); }}};
-  util::RunningStats meas_stats;
+  // The paper's method is the robust profile's full-window bisection; the
+  // fast path reads the flip off one probe's split sensitivity.
+  util::RunningStats meas_stats, fast_stats, fast_errors;
   double t_transient = 0.0;
+  double t_fast = 0.0;
+  double fast_worst = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     auto circuit = analysis::build_sample(cond, mc, i);
     double t0 = now_seconds();
-    const double measured = sa::measure_offset(circuit).offset;
+    const double measured = sa::measure_offset(circuit, {.robust = true}).offset;
     t_transient += now_seconds() - t0;
     meas_stats.add(measured * 1e3);
+    t0 = now_seconds();
+    const double fast = sa::measure_offset(circuit).offset;
+    t_fast += now_seconds() - t0;
+    fast_stats.add(fast * 1e3);
+    fast_errors.add((fast - measured) * 1e3);
+    fast_worst = std::max(fast_worst, std::fabs(fast - measured) * 1e3);
     for (Estimator& e : estimators) {
       t0 = now_seconds();
       const double estimated = e.estimate(circuit);
@@ -83,12 +95,21 @@ int main(int argc, char** argv) {
   ab1.add_row({"transient bisection (paper)", util::AsciiTable::num(meas_stats.mean(), 2),
                util::AsciiTable::num(meas_stats.stddev(), 2),
                util::AsciiTable::num(1e6 * t_transient / static_cast<double>(n), 0)});
+  ab1.add_row({"one probe + sensitivity (fast path)", util::AsciiTable::num(fast_stats.mean(), 2),
+               util::AsciiTable::num(fast_stats.stddev(), 2),
+               util::AsciiTable::num(1e6 * t_fast / static_cast<double>(n), 0)});
   for (const Estimator& e : estimators) {
     ab1.add_row({e.name, util::AsciiTable::num(e.values.mean(), 2),
                  util::AsciiTable::num(e.values.stddev(), 2),
                  util::AsciiTable::num(1e6 * e.seconds / static_cast<double>(n), 2)});
   }
   std::cout << ab1 << "\n";
+  // The bisection reports the midpoint of a 50 uV bracket, so this error is
+  // mostly the bisection's own: uniform within +/-25 uV.
+  std::cout << "one probe + sensitivity error vs transient: mean "
+            << util::AsciiTable::num(fast_errors.mean(), 4) << " mV, sigma "
+            << util::AsciiTable::num(fast_errors.stddev(), 4) << " mV, worst "
+            << util::AsciiTable::num(fast_worst, 4) << " mV\n";
   for (const Estimator& e : estimators) {
     std::cout << e.name << " error vs transient: mean "
               << util::AsciiTable::num(e.errors.mean(), 2) << " mV, sigma "
@@ -140,7 +161,7 @@ int main(int argc, char** argv) {
                         util::AsciiTable::num(stats.mean(), 4),
                         util::AsciiTable::num(stats.stddev(), 4)});
   };
-  offset_row(cond.config, meas_stats);
+  offset_row(cond.config, fast_stats);
   offset_row(half_step.config, half_step_stats);
   std::cout << "Offsets of the " << n << " aged samples of Ablation 1:\n\n"
             << ab2_offset

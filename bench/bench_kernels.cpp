@@ -1,6 +1,7 @@
 // Micro-benchmarks of the simulator kernels (google-benchmark): MOSFET
 // evaluation, LU factorization at MNA sizes, DC solve, full sensing
-// transient, offset bisection, and trap-set construction.
+// transient with and without sensitivities, offset search, and trap-set
+// construction.
 #include <benchmark/benchmark.h>
 
 #include <string_view>
@@ -76,6 +77,24 @@ void BM_SenseTransient(benchmark::State& state) {
 }
 BENCHMARK(BM_SenseTransient)->Unit(benchmark::kMillisecond);
 
+// The same transient (a fresh simulator, every node recorded) also carrying
+// the sensitivities to V(BL) and V(BLBar) that each fast-path offset probe
+// carries; its excess over BM_SenseTransient is their cost.
+void BM_SenseTransientWithSensitivity(benchmark::State& state) {
+  auto circuit = sa::build_nssa(sa::nominal_config());
+  circuit.set_input_differential(0.05);
+  circuit::TransientOptions opt;
+  opt.tstop = circuit.config().timing.t_stop;
+  opt.dt = circuit.config().timing.dt;
+  opt.dc_guess = circuit.dc_guess(0.05);
+  opt.sensitivity_to = {circuit.node_bl(), circuit.node_blbar()};
+  for (auto _ : state) {
+    circuit::Simulator sim(circuit.netlist(), circuit.config().temperature_k());
+    benchmark::DoNotOptimize(sim.run_transient(opt).sensitivity(0));
+  }
+}
+BENCHMARK(BM_SenseTransientWithSensitivity)->Unit(benchmark::kMillisecond);
+
 // End-to-end offset search over a handful of mismatch samples — the same
 // workload the Monte-Carlo distribution loop runs per sample.  Several
 // samples per iteration so the measurement reflects the estimator's typical
@@ -91,9 +110,10 @@ std::vector<sa::SenseAmpCircuit> offset_search_samples() {
   return circuits;
 }
 
-// Fast path at default options (warm-started bracket, split interpolation,
-// early-exit transients, reused solver workspace).  Its work counts are
-// guarded deterministically by the Measure.WarmStartCutsTransientCount test.
+// Fast path at default options (a first probe at the offset model's
+// prediction that reads the flip off its split sensitivity, with the
+// bracket search behind it).  Its work counts are guarded deterministically
+// by the Measure.WarmStartCutsTransientCount test.
 void BM_OffsetSearchFast(benchmark::State& state) {
   auto circuits = offset_search_samples();
   for (auto _ : state) {

@@ -60,7 +60,10 @@ namespace issa::analysis::mc_cache {
 /// offsets by up to one search tolerance.  Version 5: the fast-path offset
 /// search ends at its first linear bracket no wider than 2 mV and reports the
 /// interpolated flip, which moves offsets by up to about one search tolerance.
-inline constexpr std::uint32_t kSchemaVersion = 5;
+/// Version 6: the fast-path offset search reads the flip extrapolated along
+/// the final split's sensitivity to the bitline drive, mostly after one
+/// transient, which moves offsets at the uV level.
+inline constexpr std::uint32_t kSchemaVersion = 6;
 
 /// One cached per-sample result.  `status` carries the Monte-Carlo engine's
 /// outcome slot (ok / recovered / quarantined) so a warm rerun reproduces

@@ -191,8 +191,25 @@ Simulator::Simulator(const Netlist& netlist, double temperature_k)
   for (const auto& m : netlist.mosfets()) {
     mos_thermal_.push_back(device::mos_thermal(m.inst.card, temperature_k));
   }
+  mos_eval_ws_.resize(netlist.mosfets().size());
 
   const std::size_t n = unknown_count();
+  // The capacitance matrix over the unknowns, as the sensitivities see it: a
+  // constant shift of a driven node moves no capacitor current, so a
+  // capacitor to a known node acts as one to ground.
+  cap_matrix_.resize(n, n);
+  for (const auto& cap : netlist.capacitors()) {
+    const long ra = row_[static_cast<std::size_t>(cap.a)];
+    const long rb = row_[static_cast<std::size_t>(cap.b)];
+    const auto a = static_cast<std::size_t>(ra);
+    const auto b = static_cast<std::size_t>(rb);
+    if (ra >= 0) cap_matrix_(a, a) += cap.capacitance;
+    if (rb >= 0) cap_matrix_(b, b) += cap.capacitance;
+    if (ra >= 0 && rb >= 0) {
+      cap_matrix_(a, b) -= cap.capacitance;
+      cap_matrix_(b, a) -= cap.capacitance;
+    }
+  }
   jacobian_ws_.resize(n, n);
   residual_ws_.resize(n);
   residual_try_ws_.resize(n);
@@ -224,6 +241,7 @@ void Simulator::assemble(const std::vector<double>& x, double t, bool transient,
                          std::vector<double>& residual) {
   jacobian.set_zero();
   std::fill(residual.begin(), residual.end(), 0.0);
+  jacobian_factored_ = false;
 
   // Every node's voltage, known ones included; only unknowns have a row.
   std::vector<double>& v = assemble_v_ws_;
@@ -281,6 +299,7 @@ void Simulator::assemble(const std::vector<double>& x, double t, bool transient,
     const auto& m = mosfets[k];
     const device::MosTerminals terms{volt(m.gate), volt(m.drain), volt(m.source), volt(m.bulk)};
     const device::MosEval e = device::evaluate_mosfet(m.inst, terms, mos_thermal_[k]);
+    if (!sens_.empty()) mos_eval_ws_[k] = e;
     add_current(m.drain, e.id);
     add_current(m.source, -e.id);
     add_jacobian(m.drain, m.gate, e.gm);
@@ -402,6 +421,7 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, d
     try {
       ++telemetry.factorizations;
       lu_ws_.factorize(jacobian);  // in place: jacobian now holds the factors
+      jacobian_factored_ = true;
       for (std::size_t i = 0; i < n; ++i) dx[i] = -residual[i];
       lu_ws_.solve_in_place(dx);
     } catch (const std::runtime_error&) {
@@ -540,6 +560,106 @@ void Simulator::accept_step(const std::vector<double>& node_v) {
   }
 }
 
+void Simulator::advance_sensitivities(bool transient, IntegrationMethod method, double h) {
+  if (!jacobian_factored_) {
+    m_lu_factorizations().add();
+    lu_ws_.factorize(jacobian_ws_);
+    jacobian_factored_ = true;
+  }
+  const std::size_t n = unknown_count();
+  const bool trapezoidal = method == IntegrationMethod::kTrapezoidal;
+  const double geq_per_farad = transient ? (trapezoidal ? 2.0 : 1.0) / h : 0.0;
+  const auto& mosfets = netlist_.mosfets();
+  std::vector<double>& rhs = sens_rhs_ws_;
+  for (Sensitivity& s : sens_) {
+    // -dF/dp.  A pinned driven node moves the current of every device on
+    // it; a driven node with a branch current moves its source's KVL row.
+    rhs.assign(n, 0.0);
+    auto on_pin = [&](NodeId node) { return node == s.node_id ? 1.0 : 0.0; };
+    auto add_current = [&](NodeId node, double di) {
+      const long r = row_[static_cast<std::size_t>(node)];
+      if (r >= 0) rhs[static_cast<std::size_t>(r)] -= di;
+    };
+    for (const std::size_t k : s.mosfets) {
+      const auto& m = mosfets[k];
+      const device::MosEval& e = mos_eval_ws_[k];
+      const double di = e.gm * on_pin(m.gate) + e.gds * on_pin(m.drain) +
+                        e.gms * on_pin(m.source) + e.gmb * on_pin(m.bulk);
+      add_current(m.drain, di);
+      add_current(m.source, -di);
+    }
+    for (const std::size_t k : s.resistors) {
+      const auto& r = netlist_.resistors()[k];
+      const double di = (on_pin(r.a) - on_pin(r.b)) / r.resistance;
+      add_current(r.a, di);
+      add_current(r.b, -di);
+    }
+    for (const auto& [row, value] : s.kvl) rhs[row] += value;
+    // The capacitors' history.  Per row, their charge is q = C x and their
+    // companion current geq dv + ieq, with ieq = -geq dv_n - i_n
+    // (trapezoidal) or -geq dv_n (backward Euler) and geq = 2C/h or C/h.
+    if (transient) {
+      for (std::size_t r = 0; r < n; ++r) {
+        rhs[r] += geq_per_farad * s.q[r] + (trapezoidal ? s.cap_i[r] : 0.0);
+      }
+    }
+    lu_ws_.solve_in_place(rhs);
+    for (std::size_t r = 0; r < n; ++r) {
+      double q = 0.0;
+      for (std::size_t c = 0; c < n; ++c) q += cap_matrix_(r, c) * rhs[c];
+      if (transient) {
+        s.cap_i[r] = geq_per_farad * (q - s.q[r]) - (trapezoidal ? s.cap_i[r] : 0.0);
+      }
+      s.q[r] = q;
+    }
+    s.x.swap(rhs);
+  }
+}
+
+Simulator::Sensitivity Simulator::make_sensitivity(NodeId node) const {
+  Sensitivity s;
+  s.node_id = node;
+  s.x.assign(unknown_count(), 0.0);
+  s.q.assign(unknown_count(), 0.0);
+  s.cap_i.assign(unknown_count(), 0.0);
+  s.pinned = std::any_of(pins_.begin(), pins_.end(),
+                         [&](const auto& pin) { return pin.first == node; });
+  if (s.pinned) {
+    const auto& mosfets = netlist_.mosfets();
+    for (std::size_t k = 0; k < mosfets.size(); ++k) {
+      const auto& m = mosfets[k];
+      if (m.gate == node || m.drain == node || m.source == node || m.bulk == node) {
+        s.mosfets.push_back(k);
+      }
+    }
+    const auto& resistors = netlist_.resistors();
+    for (std::size_t k = 0; k < resistors.size(); ++k) {
+      if (resistors[k].a == node || resistors[k].b == node) s.resistors.push_back(k);
+    }
+  }
+  const auto& vsrcs = netlist_.vsources();
+  for (std::size_t b = 0; b < branch_sources_.size(); ++b) {
+    const auto& src = vsrcs[branch_sources_[b]];
+    const std::size_t row = free_node_count_ + b;
+    if (s.pinned) {
+      // KVL row v_pos - v_neg - V = 0 across the pinned node.
+      const double d = (src.pos == node ? 1.0 : 0.0) - (src.neg == node ? 1.0 : 0.0);
+      if (d != 0.0) s.kvl.emplace_back(row, -d);
+    } else if (s.kvl.empty() && node != kGround &&
+               ((src.pos == node && src.neg == kGround) ||
+                (src.neg == node && src.pos == kGround))) {
+      // The source drives the node through its branch: its value moves by
+      // +1 (`V n 0`) or -1 (`V 0 n`) per volt on the node.
+      s.kvl.emplace_back(row, src.pos == node ? 1.0 : -1.0);
+    }
+  }
+  if (!s.pinned && s.kvl.empty()) {
+    throw std::invalid_argument(
+        "run_transient: sensitivity to a node no source holds against ground");
+  }
+  return s;
+}
+
 TransientResult Simulator::run_transient(const TransientOptions& options) {
   if (!(options.tstop > 0.0) || !(options.dt > 0.0)) {
     throw std::invalid_argument("run_transient: tstop and dt must be > 0");
@@ -550,10 +670,14 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
     span.attr_f64("dt", options.dt);
   }
 
+  sens_.clear();
+  for (const NodeId node : options.sensitivity_to) sens_.push_back(make_sensitivity(node));
+
   // Starting point: DC at t = 0.
   DcOptions dc_options;
   dc_options.initial_guess = options.dc_guess;
   const std::vector<double> v0 = solve_dc(dc_options);
+  if (!sens_.empty()) advance_sensitivities(/*transient=*/false, options.method, 0.0);
 
   std::vector<double> x(unknown_count(), 0.0);
   gather_unknowns(v0, x);
@@ -629,6 +753,7 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
         h_prev = h;
         t += h;
         fill_node_voltages(x, t, 1.0, node_v);
+        if (!sens_.empty()) advance_sensitivities(/*transient=*/true, options.method, h);
         accept_step(node_v);
         m_transient_steps().add();
         break;
@@ -654,6 +779,14 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
   if (span.traced()) {
     span.attr_u64("steps", result.steps());
     span.attr_f64("t_end", t);
+  }
+  for (const Sensitivity& s : sens_) {
+    std::vector<double>& v = result.sensitivity_.emplace_back(node_count_, 0.0);
+    for (std::size_t node = 0; node < node_count_; ++node) {
+      const long r = row_[node];
+      if (r >= 0) v[node] = s.x[static_cast<std::size_t>(r)];
+    }
+    if (s.pinned) v[static_cast<std::size_t>(s.node_id)] = 1.0;
   }
   return result;
 }

@@ -40,6 +40,20 @@
 // source corner, since the circuit rests at its DC point until then.  Failed
 // steps are retried with a halved timestep a bounded number of times.
 //
+// On request a transient also carries the forward sensitivity of every node
+// voltage to the value of named nodes that a source holds against ground
+// (the direct method of transient sensitivity analysis, DESIGN.md §16).  The
+// DC point seeds it from the DC Jacobian; after each accepted step it solves
+// J s = -dF/dp once per parameter with the LU factors that step's Newton
+// solve left behind (factoring the last assembly when that one was not
+// factored), where dF/dp is the MOSFETs' partials on a pinned node, kept
+// from the last assembly, or the driving source's KVL row, plus the
+// capacitor companions' history.  When the last update was final
+// without an assembly (case 2 above), the factors and partials are those of
+// the iterate before it, so the sensitivity is that of a point less than
+// 0.1 mV away.  It costs no device pass and leaves every waveform
+// bit-identical; on a linear circuit it is exact to rounding.
+//
 // Every per-iteration buffer (Jacobian, residuals, trial vectors, the LU
 // factorization and its scratch) lives on the Simulator and is reused across
 // iterations, steps, and runs: a transient performs zero heap allocations in
@@ -50,6 +64,7 @@
 #include <functional>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "issa/circuit/netlist.hpp"
@@ -93,6 +108,12 @@ struct TransientOptions {
   /// the triggering sample is the last one recorded.  The integration up to
   /// that point is identical to an uninterrupted run.
   std::function<bool(double t, const std::vector<double>& v)> stop_condition;
+  /// Nodes a voltage source holds against ground (`V n 0` or `V 0 n`).  For
+  /// each, the run carries d v / d V(node): the sensitivity of every node
+  /// voltage to a constant shift of that node's drive (see the file
+  /// comment).  The result holds it at the last recorded sample.  Any other
+  /// node is rejected with std::invalid_argument.
+  std::vector<NodeId> sensitivity_to;
 };
 
 /// Sampled node voltages over a transient run.  With a probe list, only the
@@ -125,11 +146,19 @@ class TransientResult {
 
   std::size_t steps() const noexcept { return time_.size(); }
 
+  /// d v / d V(sensitivity_to[k]) at the last recorded sample, one entry per
+  /// node (index = NodeId).  Throws std::out_of_range for k past the
+  /// requested parameters.
+  const std::vector<double>& sensitivity(std::size_t k) const { return sensitivity_.at(k); }
+
  private:
+  friend class Simulator;
+
   std::vector<NodeId> recorded_;   // the nodes waves_ holds, in order
   std::vector<long> wave_index_;   // [node] -> index into waves_, -1 if absent
   std::vector<double> time_;
   std::vector<std::vector<double>> waves_;  // [recorded node][sample]
+  std::vector<std::vector<double>> sensitivity_;  // [parameter][node]
 };
 
 namespace detail {
@@ -224,6 +253,27 @@ class Simulator {
   void record_solver_forensic(const char* kind, const char* reason,
                               const std::vector<double>& x, double t, double h_or_gmin);
 
+  // Forward sensitivity of the circuit to the value of one source-driven
+  // node.
+  struct Sensitivity {
+    NodeId node_id = kGround;  // the driven node
+    bool pinned = false;       // its source pins it (else: drives its branch)
+    std::vector<std::size_t> mosfets;    // pinned: devices with a terminal on it
+    std::vector<std::size_t> resistors;  // pinned: resistors on it
+    std::vector<std::pair<std::size_t, double>> kvl;  // (KVL row, -dF/dp there)
+    std::vector<double> x;      // d unknowns / d V(node_id)
+    std::vector<double> q;      // d capacitor charge, per row: cap_matrix_ x
+    std::vector<double> cap_i;  // d capacitor current, per row
+  };
+
+  // The sensitivity to `node`'s value, zeroed; throws std::invalid_argument
+  // when no source holds `node` against ground.
+  Sensitivity make_sensitivity(NodeId node) const;
+  // Brings every sensitivity to the point newton_solve just returned, a
+  // step of size h (see the file comment).  `transient` false is the DC
+  // seed: capacitors open, their current history zero.
+  void advance_sensitivities(bool transient, IntegrationMethod method, double h);
+
   // Prepares each capacitor's companion (geq/ieq) for a step of size h.
   void prepare_companions(double h, IntegrationMethod method);
   // Accepts the step: refreshes stored capacitor voltage/current from the
@@ -254,6 +304,7 @@ class Simulator {
   std::vector<std::pair<NodeId, std::size_t>> pins_;  // (pinned node, vsource index)
   std::vector<std::size_t> branch_sources_;  // vsource indices with a branch current
   std::vector<device::MosThermal> mos_thermal_;  // [mosfet] -> card constants at T
+  linalg::Matrix cap_matrix_;  // capacitance over the unknowns (sensitivities)
 
   // Reusable solver workspace (see file comment): sized once in the
   // constructor, written every Newton iteration, never reallocated.
@@ -263,6 +314,11 @@ class Simulator {
   std::vector<double> x_try_ws_;
   std::vector<double> dx_ws_;
   linalg::LuFactorization lu_ws_;     // factors jacobian_ws_ in place
+  bool jacobian_factored_ = false;    // jacobian_ws_ holds lu_ws_'s factors
+  std::vector<device::MosEval> mos_eval_ws_;  // [mosfet] at the last assembly,
+                                              // kept only for sensitivities
+  std::vector<Sensitivity> sens_;     // the running transient's sensitivities
+  std::vector<double> sens_rhs_ws_;
   std::vector<double> step_x_try_ws_; // transient per-step trial unknowns
   std::vector<double> step_x_prev_ws_; // unknowns of the step before the last
   std::vector<double> node_v_ws_;     // full node voltages per accepted step

@@ -1,6 +1,7 @@
 #include "issa/sa/measure.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <deque>
@@ -32,6 +33,17 @@ constexpr double kWarmStartStep = 0.5e-3;
 // where the final split is no longer linear enough in vin to interpolate to
 // within the search tolerance; such a bracket narrows first (DESIGN.md §12).
 constexpr double kInterpolationCap = 2e-3;
+
+// One-probe flip (DESIGN.md §12): a fast-path probe also carries the final
+// split's sensitivity to the bitline drive, and the flip extrapolated from it
+// is reported when the step to it is within kFlipArea / |split| [V^2].  The
+// split saturates as it grows, so the extrapolation overshoots by about
+// kappa |split| |step|, with kappa at most 0.6 / V (median 0.27) over the
+// corners of Tables II-IV: about 10 uV at most.  A farther flip is probed
+// in turn, up to kFlipProbes probes in all, before the bracket search takes
+// over.
+constexpr double kFlipArea = 2e-5;
+constexpr int kFlipProbes = 3;
 
 // Offset-model fit: the threshold shift of each sensitivity probe [V] and the
 // tolerance that bounds a fit search which never holds a linear bracket [V].
@@ -94,9 +106,13 @@ class SenseSession {
   SenseSession(SenseAmpCircuit& circuit, bool robust, bool decision_only = false)
       : circuit_(circuit), robust_(robust), decision_only_(decision_only) {}
 
-  SenseRunResult run(double vin) {
+  // With `slope`, the run also carries the final split's sensitivities to
+  // V(BL) and V(BLBar) (split_slope() reads them) and starts its DC solve
+  // from the circuit's own guess, as a fresh simulator would.
+  SenseRunResult run(double vin, bool slope = false) {
     circuit_.set_input_differential(vin);
     circuit::TransientOptions opt = transient_options(circuit_, vin);
+    if (slope) opt.sensitivity_to = {circuit_.node_bl(), circuit_.node_blbar()};
     if (!robust_) {
       // Record only what classify() reads.
       for (const circuit::NodeId node : {circuit_.node_s(), circuit_.node_sbar(),
@@ -133,15 +149,27 @@ class SenseSession {
     if (!robust_ && sim_.has_value()) {
       // Consecutive runs differ only in the bitline drive: the previous DC
       // operating point is a near-exact starting guess for this one.
-      if (!sim_->last_dc_solution().empty()) opt.dc_guess = sim_->last_dc_solution();
+      if (!slope && !sim_->last_dc_solution().empty()) opt.dc_guess = sim_->last_dc_solution();
     } else {
       sim_.emplace(circuit_.netlist(), circuit_.config().temperature_k());
     }
     ++transients_;
-    return classify(circuit_, sim_->run_transient(opt));
+    const circuit::TransientResult tr = sim_->run_transient(opt);
+    if (slope) {
+      const auto s = static_cast<std::size_t>(circuit_.node_s());
+      const auto sbar = static_cast<std::size_t>(circuit_.node_sbar());
+      for (std::size_t k = 0; k < 2; ++k) {
+        split_slope_[k] = tr.sensitivity(k)[s] - tr.sensitivity(k)[sbar];
+      }
+    }
+    return classify(circuit_, tr);
   }
 
   int transients() const noexcept { return transients_; }
+
+  // d split / d V(BL) and d split / d V(BLBar) of the last run with `slope`,
+  // the split being V(S) - V(SBar) at its last sample.
+  const std::array<double, 2>& split_slope() const noexcept { return split_slope_; }
 
  private:
   SenseAmpCircuit& circuit_;
@@ -149,6 +177,7 @@ class SenseSession {
   bool decision_only_;
   std::optional<circuit::Simulator> sim_;
   int transients_ = 0;
+  std::array<double, 2> split_slope_{};
 };
 
 }  // namespace
@@ -175,14 +204,26 @@ namespace {
 // moves continuously with the solution, so solver changes at the uV level
 // move it by as little, where a midpoint jumps by the tolerance.  The fit
 // passes +infinity, the fast path kInterpolationCap and the robust profile 0
-// (never interpolate: the midpoint-bisection oracle).
+// (never interpolate: the midpoint-bisection oracle).  With `extrapolate`
+// (the fast path only), the warm start first reads the flip off its probes'
+// split sensitivities (the one-probe flip, DESIGN.md §12).
 OffsetResult search_offset(SenseAmpCircuit& circuit, bool robust, double tolerance,
-                           std::optional<double> predicted, double interpolate_below) {
+                           std::optional<double> predicted, double interpolate_below,
+                           bool extrapolate = false) {
   OffsetResult result;
   double lo = -kSearchWindow;  // assumed to read 0
   double hi = kSearchWindow;   // assumed to read 1
 
   SenseSession session(circuit, robust, /*decision_only=*/true);
+  // Reports the flip `flip` of vin in the paper's read-0-direction
+  // convention (see OffsetResult).  If the bracket collapsed onto a window
+  // edge the true flip point lies outside the window.
+  auto finish = [&](double flip) {
+    result.transients = session.transients();
+    result.offset = -flip;
+    result.saturated = (kSearchWindow - std::fabs(result.offset)) < 2.0 * tolerance;
+    return result;
+  };
 
   // Final latch splits V(S) - V(SBar) at the bracket ends, once probed:
   // negative on the lo (read-0) side, positive on the hi side.  While both
@@ -190,8 +231,8 @@ OffsetResult search_offset(SenseAmpCircuit& circuit, bool robust, double toleran
   // flip point, which the interpolation step below exploits.
   double g_lo = 0.0, g_hi = 0.0;
   bool have_lo = false, have_hi = false;
-  auto probe = [&](double x) {
-    const SenseRunResult r = session.run(x);
+  auto probe = [&](double x, bool slope = false) {
+    const SenseRunResult r = session.run(x, slope);
     const double g = r.s_final - r.sbar_final;
     if (r.read_one) {
       hi = x;
@@ -205,14 +246,35 @@ OffsetResult search_offset(SenseAmpCircuit& circuit, bool robust, double toleran
     return r.read_one;
   };
 
-  // Warm start: probe the predicted flip, then march geometrically into the
-  // side the prediction leaves open until the flip is bracketed.
+  const double g_linear = 0.45 * circuit.config().vdd;
+
+  // Warm start: probe the predicted flip (reading the flip off it, with
+  // `extrapolate`), then march geometrically into the side the last probe
+  // leaves open until the flip is bracketed.
   if (predicted) {
     // The flip point of vin is minus the offset (sign convention of
     // OffsetResult); clamp it inside the window.
-    const double center = std::clamp(-*predicted, lo + tolerance, hi - tolerance);
-    const bool read_one = probe(center);
-    for (double w = kWarmStartStep; hi - lo > tolerance; w *= 4.0) {
+    double center = std::clamp(-*predicted, lo + tolerance, hi - tolerance);
+    bool read_one = false;
+    if (extrapolate) {
+      // One-probe flip: extrapolate along the split's slope from each probe,
+      // and report a flip close enough to a probe with a linear split.
+      for (int k = 0;; ++k) {
+        read_one = probe(center, /*slope=*/true);
+        const double g = read_one ? g_hi : g_lo;
+        const auto& [d_bl, d_blbar] = session.split_slope();
+        const std::optional<double> flip = detail::extrapolated_flip(center, g, d_bl, d_blbar);
+        if (!flip || *flip < lo || *flip > hi) break;
+        if (std::fabs(g) < g_linear && std::fabs(g * (*flip - center)) <= kFlipArea) {
+          return finish(*flip);
+        }
+        if (k + 1 == kFlipProbes) break;
+        center = *flip;
+      }
+    } else {
+      read_one = probe(center);
+    }
+    for (double w = kWarmStartStep; hi - lo > tolerance && !(have_lo && have_hi); w *= 4.0) {
       const double x = read_one ? center - w : center + w;
       if (x <= lo || x >= hi) break;  // fell off the window: bisection takes over
       if (probe(x) != read_one) break;  // flip bracketed
@@ -232,7 +294,6 @@ OffsetResult search_offset(SenseAmpCircuit& circuit, bool robust, double toleran
   // ends the search instead; the loop only narrows wider ones.
   // A forced bisection after every two interpolation steps keeps the worst
   // case bisection-like.
-  const double g_linear = 0.45 * circuit.config().vdd;
   auto linear_bracket = [&] {
     return have_lo && have_hi && g_lo > -g_linear && g_hi < g_linear;
   };
@@ -258,13 +319,7 @@ OffsetResult search_offset(SenseAmpCircuit& circuit, bool robust, double toleran
     secant_streak = used_secant ? secant_streak + 1 : 0;
     probe(x);
   }
-  result.transients = session.transients();
-  // Report in the paper's read-0-direction convention (see OffsetResult).
-  result.offset = interpolable() ? -interpolated_flip() : -0.5 * (lo + hi);
-  // If the bracket collapsed onto a window edge the true flip point lies
-  // outside the window.
-  result.saturated = (kSearchWindow - std::fabs(result.offset)) < 2.0 * tolerance;
-  return result;
+  return finish(interpolable() ? interpolated_flip() : 0.5 * (lo + hi));
 }
 
 }  // namespace
@@ -278,8 +333,27 @@ OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions&
     predicted = offset_model(circuit.kind(), circuit.config()).predict(circuit);
   }
   return search_offset(circuit, options.robust, kSearchTolerance, predicted,
-                       options.robust ? 0.0 : kInterpolationCap);
+                       options.robust ? 0.0 : kInterpolationCap,
+                       /*extrapolate=*/!options.robust);
 }
+
+namespace detail {
+
+std::optional<double> extrapolated_flip(double x, double g, double d_bl, double d_blbar) {
+  const double below = d_bl;
+  const double above = -d_blbar;
+  if (!(below > 0.0 && above > 0.0)) return std::nullopt;
+  if (g > 0.0) {  // the flip lies below x
+    if (x <= 0.0) return x - g / below;
+    const double flip = x - g / above;
+    return flip >= 0.0 ? flip : -(g - above * x) / below;
+  }
+  if (x >= 0.0) return x - g / above;
+  const double flip = x - g / below;
+  return flip <= 0.0 ? flip : -(g - below * x) / above;
+}
+
+}  // namespace detail
 
 double OffsetModel::predict(const SenseAmpCircuit& circuit) const {
   const auto& mosfets = circuit.netlist().mosfets();

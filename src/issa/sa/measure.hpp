@@ -29,18 +29,23 @@ SenseRunResult run_sense(SenseAmpCircuit& circuit, double vin);
 circuit::TransientResult run_sense_transient(SenseAmpCircuit& circuit, double vin);
 
 /// The search window is [-0.25 V, +0.25 V].  A robust search stops when its
-/// bracket is 50 uV wide; a fast one stops there too, or earlier, as soon as
-/// its bracket is linear (both final latch splits within 0.45 Vdd) and at
-/// most 2 mV wide.
+/// bracket is 50 uV wide.  A fast one mostly stops after its first probe,
+/// reading the flip off that probe's split sensitivity; otherwise it stops
+/// at 50 uV too, or earlier, as soon as its bracket is linear (both final
+/// latch splits within 0.45 Vdd) and at most 2 mV wide.
 struct OffsetSearchOptions {
   /// Search profile.  false (the default) is the measurement fast path (see
-  /// DESIGN.md "Measurement fast path"): the bracket is warm-started from
-  /// offset_model(), the search reads the flip interpolated between the
-  /// final latch splits at the ends of its first linear bracket under 2 mV,
-  /// every transient stops once regeneration has resolved, and one Simulator
-  /// serves the whole search.  true is the paper's method: full-window
-  /// bisection over full-length transients, a fresh simulator per probe.
-  /// The Monte-Carlo engine retries a failed sample with it.
+  /// DESIGN.md "Measurement fast path"): the first probe sits at the
+  /// prediction of offset_model() and carries the final split's sensitivity
+  /// to both bitlines, and the flip extrapolated from it is reported when
+  /// the split is linear and the step to the flip short; failing that, a
+  /// re-probe or the bracket search, which reads the flip interpolated
+  /// between the final latch splits at the ends of its first linear
+  /// bracket under 2 mV.  A transient without sensitivities stops once
+  /// regeneration has resolved, and one Simulator serves the whole search.
+  /// true is the paper's method: full-window bisection over full-length
+  /// transients, a fresh simulator per probe.  The Monte-Carlo engine
+  /// retries a failed sample with it.
   bool robust = false;
 };
 
@@ -50,8 +55,9 @@ struct OffsetResult {
   /// offset means extra bitline swing is needed to read a 0 correctly —
   /// exactly the shift Fig. 4 shows after r0-heavy aging (Mdown/MupBar
   /// stressed).  Numerically this is the negated flip point of vin =
-  /// V(BL) - V(BLBar): the interpolated flip of the final bracket on the
-  /// fast path, the midpoint of the final bracket on the robust one.
+  /// V(BL) - V(BLBar): the flip extrapolated from a probe's split
+  /// sensitivity, or the interpolated flip of the final bracket, on the fast
+  /// path, the midpoint of the final bracket on the robust one.
   double offset = 0.0;
   bool saturated = false;  ///< true when the flip lies outside the window
   int transients = 0;      ///< number of transient simulations performed
@@ -118,6 +124,20 @@ struct DelayPair {
 /// self-consistent).  Throws std::runtime_error when even the largest swing
 /// fails to resolve.
 DelayPair measure_delay(SenseAmpCircuit& circuit);
+
+namespace detail {
+
+/// The flip of vin extrapolated from a probe at `x` with final split `g` =
+/// V(S) - V(SBar) and split sensitivities `d_bl`, `d_blbar` to V(BL) and
+/// V(BLBar).  vin drives V(BL) = Vdd + min(vin, 0) and V(BLBar) = Vdd -
+/// max(vin, 0), so the split's slope in vin is d_bl below vin = 0 and
+/// -d_blbar above it: the input path has a kink at 0, and an extrapolation
+/// across it continues from the split at 0 with the other side's slope.
+/// Empty when either slope is not positive (no latch gain to extrapolate
+/// along).  The fast path of measure_offset reads its flip from this.
+std::optional<double> extrapolated_flip(double x, double g, double d_bl, double d_blbar);
+
+}  // namespace detail
 
 /// Cheap first-order offset estimate from the accumulated threshold shifts
 /// (no transient): dVos ~= (dVth_Mdown - dVth_MdownBar) + k (dVth_MupBar -

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
+#include <utility>
+#include <vector>
 
 #include "circuit/kcl_oracle.hpp"
 #include "issa/circuit/parser.hpp"
@@ -375,6 +379,135 @@ TEST(SimulatorTran, EveryAcceptedStepMeetsKclOnWideDevices) {
     const testing::KclWorst worst = testing::worst_kcl_residual(net, kT, tr);
     EXPECT_LT(worst.residual, kAcceptanceFloor)
         << "W/L x" << scale << ": node " << worst.node << " at t = " << worst.time;
+  }
+}
+
+// The node a grounded voltage source drives, and d(source value) / d V(node).
+std::pair<NodeId, double> driven_node(const Netlist& net, std::size_t source) {
+  const VoltageSource& src = net.vsources()[source];
+  return src.pos == kGround ? std::pair{src.neg, -1.0} : std::pair{src.pos, 1.0};
+}
+
+// The central difference of every node's final voltage in a constant shift
+// of the node `source` drives, at step `dv` [V].
+std::vector<double> final_voltage_difference(Netlist& net, std::size_t source, double dv,
+                                             const TransientOptions& opt) {
+  const double sign = driven_node(net, source).second;
+  auto final_voltages = [&](double shift) {
+    net.vsource(source).wave.offset_by(sign * shift);
+    const TransientResult tr = Simulator(net, kT).run_transient(opt);
+    net.vsource(source).wave.offset_by(-sign * shift);
+    std::vector<double> v(net.node_count());
+    for (std::size_t n = 0; n < v.size(); ++n) v[n] = tr.node_wave(static_cast<NodeId>(n)).back();
+    return v;
+  };
+  const std::vector<double> up = final_voltages(dv);
+  const std::vector<double> down = final_voltages(-dv);
+  std::vector<double> d(up.size());
+  for (std::size_t n = 0; n < d.size(); ++n) d[n] = (up[n] - down[n]) / (2.0 * dv);
+  return d;
+}
+
+TEST(SimulatorTran, SensitivityIsExactOnALinearNetwork) {
+  // A linear circuit's discrete solution is linear in its sources, so the
+  // forward sensitivity must match a central difference to rounding, on
+  // both integration methods.  A constant shift of a source moves a linear
+  // circuit by its DC sensitivity at every step, so this holds the DC seed
+  // and the capacitors' charge history; their current history acts only on
+  // a nonlinear circuit, and Measure.SplitSensitivityMatchesFiniteDifference
+  // holds it on the sense amplifier.  The ladder is fed by two DC sources and a PWL
+  // step, couples a capacitor straight onto the stepped node and carries a
+  // floating source, so every term of the sensitivity's right-hand side is
+  // exercised: resistors, capacitors and the KVL row on a pinned node.  Vb
+  // is written the other way round, so it drives b through a branch current
+  // rather than pinning it.
+  Netlist net = parse_netlist(
+      "Va a 0 DC 0.7\n"
+      "Vb 0 b DC -0.3\n"
+      "Vc c 0 PWL 10p 0 15p 1 40p 0.4\n"
+      "R1 a n1 2k\n"
+      "C1 n1 0 3f\n"
+      "R2 n1 n2 1k\n"
+      "C2 n2 0 2f\n"
+      "R3 b n2 4k\n"
+      "C3 n2 c 1f\n"
+      "R4 n2 n3 3k\n"
+      "C4 n3 0 2f\n"
+      "Vf n4 n3 DC 0.1\n"
+      "R5 n4 c 2k\n"
+      "C5 n4 b 1f\n");
+  const std::size_t sources[] = {0, 1, 2};  // Va, Vb, Vc
+  for (const IntegrationMethod method :
+       {IntegrationMethod::kTrapezoidal, IntegrationMethod::kBackwardEuler}) {
+    TransientOptions opt;
+    opt.tstop = 50e-12;
+    opt.dt = 0.5e-12;
+    opt.method = method;
+    TransientOptions with = opt;
+    for (const std::size_t k : sources) with.sensitivity_to.push_back(driven_node(net, k).first);
+    const TransientResult tr = Simulator(net, kT).run_transient(with);
+    for (std::size_t p = 0; p < std::size(sources); ++p) {
+      const std::vector<double> fd = final_voltage_difference(net, sources[p], 1e-3, opt);
+      const std::vector<double>& s = tr.sensitivity(p);
+      ASSERT_EQ(s.size(), net.node_count());
+      for (std::size_t n = 1; n < s.size(); ++n) {
+        EXPECT_NEAR(s[n], fd[n], 1e-6 * std::max(1.0, std::fabs(fd[n])))
+            << "source " << sources[p] << ", node " << n << ", BE "
+            << (method == IntegrationMethod::kBackwardEuler);
+      }
+    }
+  }
+  // A node no grounded source drives has no parameter to take.
+  TransientOptions bad;
+  bad.tstop = 50e-12;
+  bad.dt = 0.5e-12;
+  bad.sensitivity_to = {net.find_node("n1")};
+  EXPECT_THROW(Simulator(net, kT).run_transient(bad), std::invalid_argument);
+}
+
+TEST(SimulatorTran, SensitivitiesLeaveTheTransientUnchanged) {
+  // The sensitivities ride on the Newton solve's factors and device
+  // evaluations but feed nothing back: every recorded waveform is
+  // bit-identical with and without them.  The circuit is a cross-coupled
+  // latch fired by a PWL enable from two slightly unequal inputs, on both
+  // sides of its flip, and the same simulator serves every run.
+  Netlist net = parse_netlist(
+      ".model nch NMOS\n"
+      ".model pch PMOS\n"
+      "Vdd vdd 0 DC 1.0\n"
+      "Vl inl 0 DC 1.0\n"
+      "Vr inr 0 DC 0.99\n"
+      "Ven en 0 PWL 10p 0 12p 1\n"
+      "Mpl s en inl vdd pch W/L=10\n"
+      "Mpr sb en inr vdd pch W/L=10\n"
+      "Mnl s sb tail 0 nch W/L=17.8\n"
+      "Mnr sb s tail 0 nch W/L=17.8\n"
+      "Mul s sb vdd vdd pch W/L=5\n"
+      "Mur sb s vdd vdd pch W/L=5\n"
+      "Mt tail en 0 0 nch W/L=15.5\n"
+      "Cs s 0 1f\n"
+      "Csb sb 0 1f\n"
+      "Cx s sb 0.2f\n");
+  const NodeId inl = net.find_node("inl");
+  const NodeId inr = net.find_node("inr");
+  Simulator sim(net, kT);
+  for (const double right : {0.99, 1.0, 0.999999}) {
+    net.find_vsource("Vr").wave = SourceWave::dc(right);
+    for (const IntegrationMethod method :
+         {IntegrationMethod::kTrapezoidal, IntegrationMethod::kBackwardEuler}) {
+      TransientOptions opt;
+      opt.tstop = 60e-12;
+      opt.dt = 0.2e-12;
+      opt.method = method;
+      const TransientResult plain = sim.run_transient(opt);
+      opt.sensitivity_to = {inl, inr};
+      const TransientResult sensed = sim.run_transient(opt);
+      ASSERT_EQ(plain.time(), sensed.time());
+      for (std::size_t n = 0; n < net.node_count(); ++n) {
+        EXPECT_EQ(plain.node_wave(static_cast<NodeId>(n)), sensed.node_wave(static_cast<NodeId>(n)))
+            << "node " << n << ", right input " << right;
+      }
+    }
   }
 }
 
