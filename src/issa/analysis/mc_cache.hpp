@@ -62,8 +62,11 @@ namespace issa::analysis::mc_cache {
 /// interpolated flip, which moves offsets by up to about one search tolerance.
 /// Version 6: the fast-path offset search reads the flip extrapolated along
 /// the final split's sensitivity to the bitline drive, mostly after one
-/// transient, which moves offsets at the uV level.
-inline constexpr std::uint32_t kSchemaVersion = 6;
+/// transient, which moves offsets at the uV level.  Version 7: one search
+/// for every kind (the double-tail SAs get an offset model too), every probe
+/// starts its DC solve from the circuit's guess, and the model fit reads
+/// extrapolated flips, which moves offsets at the uV level.
+inline constexpr std::uint32_t kSchemaVersion = 7;
 
 /// One cached per-sample result.  `status` carries the Monte-Carlo engine's
 /// outcome slot (ok / recovered / quarantined) so a warm rerun reproduces

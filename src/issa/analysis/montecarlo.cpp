@@ -122,20 +122,6 @@ sa::SenseAmpCircuit build_sample(const Condition& condition, const McConfig& mc,
 
 namespace {
 
-const char* kind_name(sa::SenseAmpKind kind) {
-  switch (kind) {
-    case sa::SenseAmpKind::kNssa:
-      return "NSSA";
-    case sa::SenseAmpKind::kIssa:
-      return "ISSA";
-    case sa::SenseAmpKind::kDoubleTail:
-      return "DT";
-    case sa::SenseAmpKind::kDoubleTailSwitching:
-      return "DT-SW";
-  }
-  return "?";
-}
-
 // Per-sample outcome slots.  Index-addressed (one slot per sample, no locks)
 // so recording an outcome is scheduling-free: the quarantine list assembled
 // from the slots afterwards is bit-identical for every thread count.  The
@@ -150,7 +136,7 @@ enum : unsigned char {
 // Puts the operating condition and seed on a traced span.
 void attr_condition(util::trace::Span& span, const Condition& condition, const McConfig& mc) {
   span.attr_u64("seed", mc.seed);
-  span.attr_str("kind", kind_name(condition.kind));
+  span.attr_str("kind", sa::kind_name(condition.kind));
   span.attr_f64("vdd", condition.config.vdd);
   span.attr_f64("temperature_c", condition.config.temperature_c);
   span.attr_f64("stress_time_s", condition.stress_time_s);
@@ -323,8 +309,9 @@ bool cache_holds_all(const std::string& fingerprint, const char* kind, const McC
 
 std::string condition_label(const Condition& condition) {
   char buf[96];
-  std::snprintf(buf, sizeof buf, "%s vdd=%.2fV T=%.1fC stress=%gs", kind_name(condition.kind),
-                condition.config.vdd, condition.config.temperature_c, condition.stress_time_s);
+  std::snprintf(buf, sizeof buf, "%s vdd=%.2fV T=%.1fC stress=%gs",
+                sa::kind_name(condition.kind), condition.config.vdd,
+                condition.config.temperature_c, condition.stress_time_s);
   return buf;
 }
 
@@ -345,9 +332,7 @@ OffsetDistribution measure_offset_distribution(const Condition& condition, const
   // sample and nothing is simulated.
   std::optional<aging::DeviceStressMap> stress;
   if (condition.aged()) stress.emplace(condition_stress_map(condition));
-  if (sa::has_offset_model(condition.kind) && !cache_holds_all(fp, "offset", mc)) {
-    sa::offset_model(condition.kind, condition.config);
-  }
+  if (!cache_holds_all(fp, "offset", mc)) sa::offset_model(condition.kind, condition.config);
   dist.degradation = for_samples(
       condition, mc, util::trace::spans::kMcOffsetDistribution,
       [&](std::size_t i, int attempt) {

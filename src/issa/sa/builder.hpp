@@ -24,6 +24,21 @@ constexpr bool is_switching_kind(SenseAmpKind kind) noexcept {
   return kind == SenseAmpKind::kIssa || kind == SenseAmpKind::kDoubleTailSwitching;
 }
 
+/// Short name of a kind, as condition labels and trace spans print it.
+constexpr const char* kind_name(SenseAmpKind kind) noexcept {
+  switch (kind) {
+    case SenseAmpKind::kNssa:
+      return "NSSA";
+    case SenseAmpKind::kIssa:
+      return "ISSA";
+    case SenseAmpKind::kDoubleTail:
+      return "DT";
+    case SenseAmpKind::kDoubleTailSwitching:
+      return "DT-SW";
+  }
+  return "?";
+}
+
 /// A built sense-amplifier testbench: the netlist plus handles to the nodes
 /// and sources the measurement code manipulates.
 class SenseAmpCircuit {

@@ -23,15 +23,10 @@ namespace {
 constexpr double kSearchWindow = 0.25;
 constexpr double kSearchTolerance = 5e-5;
 
-// First marching step of the warm start [V].  A few times the offset model's
-// typical error against the transient measurement (~0.15 mV), so one marching
-// probe usually brackets the flip.
-constexpr double kWarmStartStep = 0.5e-3;
-
 // Widest linear bracket across which the fast path reads the interpolated
-// flip [V].  Hot corners can march the warm start's bracket to several mV,
-// where the final split is no longer linear enough in vin to interpolate to
-// within the search tolerance; such a bracket narrows first (DESIGN.md §12).
+// flip [V].  A wider bracket is no longer linear enough in vin to
+// interpolate to within the search tolerance at the hot corners; it narrows
+// first (DESIGN.md §12).
 constexpr double kInterpolationCap = 2e-3;
 
 // One-probe flip (DESIGN.md §12): a fast-path probe also carries the final
@@ -40,17 +35,18 @@ constexpr double kInterpolationCap = 2e-3;
 // split saturates as it grows, so the extrapolation overshoots by about
 // kappa |split| |step|, with kappa at most 0.6 / V (median 0.27) over the
 // corners of Tables II-IV: about 10 uV at most.  A farther flip is probed
-// in turn, up to kFlipProbes probes in all, before the bracket search takes
-// over.
+// in turn, up to kFlipProbes probes in all, before bisection takes over.
 constexpr double kFlipArea = 2e-5;
 constexpr int kFlipProbes = 3;
 
-// Offset-model fit: the threshold shift of each sensitivity probe [V] and the
-// tolerance that bounds a fit search which never holds a linear bracket [V].
-// The model's prediction error on the aged Table II conditions falls from a
-// 5 mV shift to 20 mV and is flat beyond (DESIGN.md §12).
+// Offset-model fit: the threshold shift of each sensitivity probe [V], and
+// the step to the extrapolated flip at which a fit search reports it [V].
+// A fit search re-probes the extrapolated flip up to kFitProbes times, then
+// bisects.  The model's prediction error on the aged Table II conditions
+// falls from a 5 mV shift to 20 mV and is flat beyond (DESIGN.md §12).
 constexpr double kFitShift = 20e-3;
 constexpr double kFitTolerance = 1e-5;
+constexpr int kFitProbes = 8;
 
 // Bitline swing of a delay measurement [V]: provisioned comfortably above the
 // worst aged offsets, like a guardbanded memory would.  An aged sample then
@@ -94,10 +90,11 @@ SenseRunResult classify(const SenseAmpCircuit& c, const circuit::TransientResult
 }
 
 // One measurement campaign over a single testbench: a sequence of sensing
-// runs at different input differentials.  Unless robust, owns the fast-path
-// state — the reused Simulator (with its Newton workspace) and the previous
-// run's DC solution — and applies the early-exit/probe configuration per run.
-// A robust session integrates every run to t_stop on a fresh Simulator.
+// runs at different input differentials, each starting its DC solve from the
+// circuit's own guess.  Unless robust, reuses one Simulator (with its Newton
+// workspace) for every run and applies the early-exit/probe configuration
+// per run.  A robust session integrates every run to t_stop on a fresh
+// Simulator.
 class SenseSession {
  public:
   // `decision_only` relaxes the early-exit condition to the read decision
@@ -107,8 +104,7 @@ class SenseSession {
       : circuit_(circuit), robust_(robust), decision_only_(decision_only) {}
 
   // With `slope`, the run also carries the final split's sensitivities to
-  // V(BL) and V(BLBar) (split_slope() reads them) and starts its DC solve
-  // from the circuit's own guess, as a fresh simulator would.
+  // V(BL) and V(BLBar) (split_slope() reads them).
   SenseRunResult run(double vin, bool slope = false) {
     circuit_.set_input_differential(vin);
     circuit::TransientOptions opt = transient_options(circuit_, vin);
@@ -146,11 +142,7 @@ class SenseSession {
         };
       }
     }
-    if (!robust_ && sim_.has_value()) {
-      // Consecutive runs differ only in the bitline drive: the previous DC
-      // operating point is a near-exact starting guess for this one.
-      if (!slope && !sim_->last_dc_solution().empty()) opt.dc_guess = sim_->last_dc_solution();
-    } else {
+    if (robust_ || !sim_.has_value()) {
       sim_.emplace(circuit_.netlist(), circuit_.config().temperature_k());
     }
     ++transients_;
@@ -195,21 +187,33 @@ SenseRunResult run_sense(SenseAmpCircuit& circuit, double vin) {
 
 namespace {
 
-// The offset search behind measure_offset and the model fit, stopping at a
-// bracket of width `tolerance`.  `predicted` is the warm start's guess of the
-// offset (empty: no warm start).
-// The search also ends as soon as its bracket is linear and no wider than
-// `interpolate_below`, and then reports the flip interpolated between the
-// final latch splits at its ends instead of the bracket midpoint: that flip
-// moves continuously with the solution, so solver changes at the uV level
-// move it by as little, where a midpoint jumps by the tolerance.  The fit
-// passes +infinity, the fast path kInterpolationCap and the robust profile 0
-// (never interpolate: the midpoint-bisection oracle).  With `extrapolate`
-// (the fast path only), the warm start first reads the flip off its probes'
-// split sensitivities (the one-probe flip, DESIGN.md §12).
-OffsetResult search_offset(SenseAmpCircuit& circuit, bool robust, double tolerance,
-                           std::optional<double> predicted, double interpolate_below,
-                           bool extrapolate = false) {
+// The three offset searches of this file.
+enum class Search {
+  kRobust,  // the paper's method: midpoint bisection of the full window
+  kFast,    // measure_offset's fast path
+  kFit,     // one search of fit_offset_model
+};
+
+// Searches the flip of vin, starting (unless robust) at the flip of the
+// `predicted` offset.  A fast or fit search first reads the flip off its
+// probes' split sensitivities (the one-probe flip, DESIGN.md §12): it reports
+// the flip extrapolated from a probe with a linear split once the step to it
+// is short (within kFlipArea / |split| on the fast path, kFitTolerance in a
+// fit), and otherwise probes that flip in turn, up to kFlipProbes or
+// kFitProbes probes.  Then it bisects, to a bracket of kSearchTolerance (a
+// fit: kFitTolerance), and ends as soon as its bracket is linear and no
+// wider than kInterpolationCap (a fit: any width), reporting the flip
+// interpolated between the final latch splits at its ends instead of the
+// bracket midpoint: that flip moves continuously with the solution, so
+// solver changes at the uV level move it by as little, where a midpoint
+// jumps by the tolerance.  A robust search never interpolates: it is the
+// midpoint-bisection oracle.
+OffsetResult search_offset(SenseAmpCircuit& circuit, Search search, double predicted = 0.0) {
+  const bool robust = search == Search::kRobust;
+  const bool fit = search == Search::kFit;
+  const double tolerance = fit ? kFitTolerance : kSearchTolerance;
+  const double interpolate_below =
+      robust ? 0.0 : fit ? std::numeric_limits<double>::infinity() : kInterpolationCap;
   OffsetResult result;
   double lo = -kSearchWindow;  // assumed to read 0
   double hi = kSearchWindow;   // assumed to read 1
@@ -228,7 +232,7 @@ OffsetResult search_offset(SenseAmpCircuit& circuit, bool robust, double toleran
   // Final latch splits V(S) - V(SBar) at the bracket ends, once probed:
   // negative on the lo (read-0) side, positive on the hi side.  While both
   // stay in the linear regime the split is ~proportional to vin minus the
-  // flip point, which the interpolation step below exploits.
+  // flip point, which the interpolated finish exploits.
   double g_lo = 0.0, g_hi = 0.0;
   bool have_lo = false, have_hi = false;
   auto probe = [&](double x, bool slope = false) {
@@ -243,98 +247,53 @@ OffsetResult search_offset(SenseAmpCircuit& circuit, bool robust, double toleran
       g_lo = g;
       have_lo = true;
     }
-    return r.read_one;
+    return g;
   };
 
   const double g_linear = 0.45 * circuit.config().vdd;
 
-  // Warm start: probe the predicted flip (reading the flip off it, with
-  // `extrapolate`), then march geometrically into the side the last probe
-  // leaves open until the flip is bracketed.
-  if (predicted) {
+  if (!robust) {
     // The flip point of vin is minus the offset (sign convention of
     // OffsetResult); clamp it inside the window.
-    double center = std::clamp(-*predicted, lo + tolerance, hi - tolerance);
-    bool read_one = false;
-    if (extrapolate) {
-      // One-probe flip: extrapolate along the split's slope from each probe,
-      // and report a flip close enough to a probe with a linear split.
-      for (int k = 0;; ++k) {
-        read_one = probe(center, /*slope=*/true);
-        const double g = read_one ? g_hi : g_lo;
-        const auto& [d_bl, d_blbar] = session.split_slope();
-        const std::optional<double> flip = detail::extrapolated_flip(center, g, d_bl, d_blbar);
-        if (!flip || *flip < lo || *flip > hi) break;
-        if (std::fabs(g) < g_linear && std::fabs(g * (*flip - center)) <= kFlipArea) {
-          return finish(*flip);
-        }
-        if (k + 1 == kFlipProbes) break;
-        center = *flip;
+    double x = std::clamp(-predicted, lo + tolerance, hi - tolerance);
+    for (int k = 0; k < (fit ? kFitProbes : kFlipProbes); ++k) {
+      const double g = probe(x, /*slope=*/true);
+      const auto& [d_bl, d_blbar] = session.split_slope();
+      const std::optional<double> flip = detail::extrapolated_flip(x, g, d_bl, d_blbar);
+      if (!flip || *flip < lo || *flip > hi) break;
+      const double step = std::fabs(*flip - x);
+      if (std::fabs(g) < g_linear &&
+          (fit ? step <= tolerance : std::fabs(g) * step <= kFlipArea)) {
+        return finish(*flip);
       }
-    } else {
-      read_one = probe(center);
+      x = *flip;
     }
-    for (double w = kWarmStartStep; hi - lo > tolerance && !(have_lo && have_hi); w *= 4.0) {
-      const double x = read_one ? center - w : center + w;
-      if (x <= lo || x >= hi) break;  // fell off the window: bisection takes over
-      if (probe(x) != read_one) break;  // flip bracketed
-    }
-    // Good prediction: the bracket is now O(kWarmStartStep) wide and the
-    // loop below finishes in a handful of runs.  Bad prediction: each
-    // marching probe still narrowed the window one-sidedly, so nothing is
-    // lost.
   }
 
-  // Bisection, accelerated on the fast path by false position on the final
-  // latch splits when both bracket ends are unresolved (|split| below the
-  // early-exit seal at Vdd/2, so early exit never truncates them): there the
-  // split is near-linear in vin and interpolation lands next to the flip,
-  // collapsing the bracket in 2-3 runs where bisection needs
-  // ~log2(width / tolerance).  A linear bracket within `interpolate_below`
-  // ends the search instead; the loop only narrows wider ones.
-  // A forced bisection after every two interpolation steps keeps the worst
-  // case bisection-like.
-  auto linear_bracket = [&] {
-    return have_lo && have_hi && g_lo > -g_linear && g_hi < g_linear;
+  // Both final latch splits unresolved (|split| below the early-exit seal at
+  // Vdd/2, so early exit never truncates them): the split is near-linear in
+  // vin across the bracket.
+  auto interpolable = [&] {
+    return have_lo && have_hi && g_lo > -g_linear && g_hi < g_linear &&
+           hi - lo <= interpolate_below;
   };
+  while (hi - lo > tolerance && !interpolable()) probe(0.5 * (lo + hi));
   // A zero split (exactly balanced latch) puts the flip at that end.
-  auto interpolated_flip = [&] { return lo + (hi - lo) * (-g_lo) / (g_hi - g_lo); };
-  auto interpolable = [&] { return linear_bracket() && hi - lo <= interpolate_below; };
-  int secant_streak = 0;
-  while (hi - lo > tolerance && !interpolable()) {
-    double x = 0.5 * (lo + hi);
-    bool used_secant = false;
-    if (!robust && secant_streak < 2 && linear_bracket() && g_lo < 0.0) {
-      // Brent-style minimum step: keep the proposal at least half a tolerance
-      // off either end.  Once interpolation has pinned the flip at one end,
-      // the next probe then closes the bracket to the tolerance in one run
-      // instead of creeping toward it.
-      const double step = 0.49 * tolerance;
-      const double xs = std::clamp(interpolated_flip(), lo + step, hi - step);
-      if (xs > lo && xs < hi) {
-        x = xs;
-        used_secant = true;
-      }
-    }
-    secant_streak = used_secant ? secant_streak + 1 : 0;
-    probe(x);
-  }
-  return finish(interpolable() ? interpolated_flip() : 0.5 * (lo + hi));
+  return finish(interpolable() ? lo + (hi - lo) * (-g_lo) / (g_hi - g_lo) : 0.5 * (lo + hi));
 }
 
 }  // namespace
 
 OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions& options) {
-  // Only the unswapped latch-type SAs are warm-started: the double-tail
-  // topologies have no model, and swapping inverts the decision's
-  // monotonicity, which the marching probes assume.
-  std::optional<double> predicted;
-  if (!options.robust && has_offset_model(circuit.kind()) && !circuit.swapped()) {
-    predicted = offset_model(circuit.kind(), circuit.config()).predict(circuit);
+  // Swapping inverts the decision's monotonicity in vin, which every search
+  // assumes; the paper measures the unswapped orientation.
+  if (circuit.swapped()) {
+    throw std::invalid_argument("measure_offset: the circuit's inputs are swapped; measure the "
+                                "unswapped orientation");
   }
-  return search_offset(circuit, options.robust, kSearchTolerance, predicted,
-                       options.robust ? 0.0 : kInterpolationCap,
-                       /*extrapolate=*/!options.robust);
+  if (options.robust) return search_offset(circuit, Search::kRobust);
+  return search_offset(circuit, Search::kFast,
+                       offset_model(circuit.kind(), circuit.config()).predict(circuit));
 }
 
 namespace detail {
@@ -370,14 +329,10 @@ double OffsetModel::predict(const SenseAmpCircuit& circuit) const {
 }
 
 OffsetModel fit_offset_model(SenseAmpKind kind, const SenseAmpConfig& config) {
-  if (!has_offset_model(kind)) {
-    throw std::logic_error("fit_offset_model: the linear offset model is defined for the "
-                           "latch-type SA only");
-  }
   g_offset_model_fits.fetch_add(1, std::memory_order_relaxed);
   util::trace::Span span(util::trace::spans::kSaOffsetModelFit, "sa");
   if (span.traced()) {
-    span.attr_str("kind", kind == SenseAmpKind::kNssa ? "NSSA" : "ISSA");
+    span.attr_str("kind", kind_name(kind));
     span.attr_f64("vdd", config.vdd);
     span.attr_f64("temperature_c", config.temperature_c);
   }
@@ -387,15 +342,11 @@ OffsetModel fit_offset_model(SenseAmpKind kind, const SenseAmpConfig& config) {
 
   SenseAmpCircuit circuit = build_sense_amp(kind, config);
   OffsetModel model;
-  // Every fit search reads the interpolated flip of its first linear bracket,
-  // however wide.
-  constexpr double kAnyWidth = std::numeric_limits<double>::infinity();
-  model.offset0 = search_offset(circuit, /*robust=*/false, kFitTolerance, 0.0, kAnyWidth).offset;
+  model.offset0 = search_offset(circuit, Search::kFit).offset;
   for (std::size_t k = 0; k < circuit.netlist().mosfets().size(); ++k) {
     double& delta_vth = circuit.netlist().mosfet(k).inst.delta_vth;
     delta_vth = kFitShift;
-    const double shifted =
-        search_offset(circuit, /*robust=*/false, kFitTolerance, model.offset0, kAnyWidth).offset;
+    const double shifted = search_offset(circuit, Search::kFit, model.offset0).offset;
     delta_vth = 0.0;
     model.sensitivity.push_back((shifted - model.offset0) / kFitShift);
   }

@@ -38,14 +38,15 @@ struct OffsetSearchOptions {
   /// DESIGN.md "Measurement fast path"): the first probe sits at the
   /// prediction of offset_model() and carries the final split's sensitivity
   /// to both bitlines, and the flip extrapolated from it is reported when
-  /// the split is linear and the step to the flip short; failing that, a
-  /// re-probe or the bracket search, which reads the flip interpolated
-  /// between the final latch splits at the ends of its first linear
-  /// bracket under 2 mV.  A transient without sensitivities stops once
-  /// regeneration has resolved, and one Simulator serves the whole search.
-  /// true is the paper's method: full-window bisection over full-length
-  /// transients, a fresh simulator per probe.  The Monte-Carlo engine
-  /// retries a failed sample with it.
+  /// the split is linear and the step to the flip short; failing that, up
+  /// to two re-probes at the extrapolated flip, then bisection, which reads
+  /// the flip interpolated between the final latch splits at the ends of
+  /// its first linear bracket under 2 mV.  A transient without
+  /// sensitivities stops once regeneration has resolved, and one Simulator
+  /// serves the whole search.  true is the paper's method: full-window
+  /// bisection over full-length transients, a fresh simulator per probe.
+  /// The Monte-Carlo engine retries a failed sample with it.  Every probe of
+  /// either profile starts its DC solve from SenseAmpCircuit::dc_guess().
   bool robust = false;
 };
 
@@ -57,7 +58,8 @@ struct OffsetResult {
   /// stressed).  Numerically this is the negated flip point of vin =
   /// V(BL) - V(BLBar): the flip extrapolated from a probe's split
   /// sensitivity, or the interpolated flip of the final bracket, on the fast
-  /// path, the midpoint of the final bracket on the robust one.
+  /// path (the midpoint of a bracket that closed to 50 uV before it was
+  /// linear), the midpoint of the final bracket on the robust one.
   double offset = 0.0;
   bool saturated = false;  ///< true when the flip lies outside the window
   int transients = 0;      ///< number of transient simulations performed
@@ -65,9 +67,10 @@ struct OffsetResult {
 
 /// Measures the offset voltage of the SA instance currently described by the
 /// circuit's threshold shifts.  The sensing decision is monotone in vin, so
-/// bisection brackets the flip point.  The fast path on an unswapped NSSA or
-/// ISSA first probes the prediction of offset_model(kind, config), fitting
-/// that model on first use.
+/// bisection brackets the flip point.  The fast path, for every kind, first
+/// probes the prediction of offset_model(kind, config), fitting that model
+/// on first use.  Throws std::invalid_argument for a swapped circuit, whose
+/// decision is inverted: the offset is defined in the unswapped orientation.
 OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions& options = {});
 
 /// Linear model of the offset of one (kind, config) testbench in the
@@ -83,20 +86,17 @@ struct OffsetModel {
   double predict(const SenseAmpCircuit& circuit) const;
 };
 
-/// True for the kinds offset_model() fits: the latch-type NSSA and ISSA.
-constexpr bool has_offset_model(SenseAmpKind kind) noexcept {
-  return kind == SenseAmpKind::kNssa || kind == SenseAmpKind::kIssa;
-}
-
-/// Fits the model from the nominal testbench of (kind, config): one fast-path
-/// offset search of the unshifted circuit, then one per MOSFET with its
-/// threshold raised by 20 mV, all with fault injection suspended.  Each
-/// search ends as soon as its bracket is linear (both final latch splits
-/// within 0.45 Vdd), however wide, and reads the flip interpolated between
-/// those splits, so the model moves continuously with the solver's solutions
-/// instead of in steps of a search tolerance.  (measure_offset interpolates
-/// only across a linear bracket at most 2 mV wide.)  Throws std::logic_error
-/// for a kind without a model.
+/// Fits the model from the nominal testbench of (kind, config), for any
+/// kind: one offset search of the unshifted circuit, then one per MOSFET
+/// with its threshold raised by 20 mV, all with fault injection suspended.
+/// Each search starts at vin = 0 (a shifted one at the flip of the model's
+/// offset0) and re-probes the flip extrapolated along the final split's
+/// sensitivity to the bitline drive until the step to it is at most 10 uV
+/// (with a linear split), then reports that flip; after 8 probes it bisects
+/// instead, ending at its first linear bracket however wide with the flip
+/// interpolated between the final latch splits.  Either flip moves
+/// continuously with the solver's solutions instead of in steps of a search
+/// tolerance.
 /// Bypasses the memo; measurement code calls offset_model().
 OffsetModel fit_offset_model(SenseAmpKind kind, const SenseAmpConfig& config);
 

@@ -227,13 +227,13 @@ TEST_F(McCacheTest, FingerprintSeparatesInputsAndIgnoresExecutionKnobs) {
   const McConfig mc = mc_with(8);
   const std::string base = mc_cache::condition_fingerprint(condition, mc);
   ASSERT_EQ(base.size(), 64u);
-  // Pinned: stores written since schema version 6 replay only while the
+  // Pinned: stores written since schema version 7 replay only while the
   // recipe hashes the same bytes.  A deliberate recipe change bumps
   // kSchemaVersion and this value together.  A changed config default (the
   // sensing step SenseTiming::dt, say) changes the hashed config bytes
   // alone: stores of the old default miss instead of replaying, and only
   // this value moves.
-  EXPECT_EQ(base, "46a11c11a5f27bb89a1ca6a3911443dca0fecf5a733c31303264719d68e378d7");
+  EXPECT_EQ(base, "405fc77711c2035c409bcc5074a64dbf22a662fc43da56f2d8234043888691af");
 
   // Everything that changes what a sample computes must change the key.
   McConfig seed = mc;

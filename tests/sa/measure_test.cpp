@@ -4,13 +4,16 @@
 
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "circuit/kcl_oracle.hpp"
 #include "issa/analysis/montecarlo.hpp"
 #include "issa/circuit/simulator.hpp"
+#include "issa/sa/double_tail.hpp"
 #include "issa/util/metrics.hpp"
 #include "issa/util/trace.hpp"
 #include "issa/workload/device_names.hpp"
@@ -152,18 +155,26 @@ TEST(Measure, RunSenseTransientExposesWaveforms) {
 TEST(Measure, FastPathMatchesLegacyWithinTolerance) {
   // The robust profile is the pre-fast-path behaviour: full-window
   // bisection, every transient integrated to t_stop, a fresh simulator per run.
+  // Inputs: a threshold shift on one input-side device of the NSSA and of
+  // both double-tail kinds.
   const OffsetSearchOptions legacy{.robust = true};
-  for (const double dvth : {0.0, 0.02, -0.015}) {
-    auto c = build_nssa(nominal_config());
-    c.netlist().find_mosfet(nm::kMdown).inst.delta_vth = dvth;
-    const OffsetResult robust = measure_offset(c, legacy);
-    const OffsetResult fast = measure_offset(c);
-    // The robust search reports the midpoint of a bracket of width
-    // `tolerance`, the fast path the interpolated flip of a linear bracket;
-    // warm-start and DC-guess reuse may move the result within a couple of
-    // tolerances only.
-    EXPECT_NEAR(fast.offset, robust.offset, 3.0 * kSearchTolerance) << dvth;
-    EXPECT_EQ(fast.saturated, robust.saturated);
+  const std::pair<SenseAmpKind, std::string_view> inputs[] = {
+      {SenseAmpKind::kNssa, nm::kMdown},
+      {SenseAmpKind::kDoubleTail, dt_names::kMin},
+      {SenseAmpKind::kDoubleTailSwitching, dt_names::kMin}};
+  for (const auto& [kind, device] : inputs) {
+    for (const double dvth : {0.0, 0.02, -0.015}) {
+      auto c = build_sense_amp(kind, nominal_config());
+      c.netlist().find_mosfet(device).inst.delta_vth = dvth;
+      const OffsetResult robust = measure_offset(c, legacy);
+      const OffsetResult fast = measure_offset(c);
+      // The robust search reports the midpoint of a bracket of width
+      // `tolerance`, the fast path an extrapolated or interpolated flip,
+      // which may move the result within a couple of tolerances only.
+      EXPECT_NEAR(fast.offset, robust.offset, 3.0 * kSearchTolerance)
+          << kind_name(kind) << ", " << dvth;
+      EXPECT_EQ(fast.saturated, robust.saturated) << kind_name(kind) << ", " << dvth;
+    }
   }
 }
 
@@ -259,12 +270,12 @@ TEST(Measure, WarmStartCutsTransientCount) {
   // one NSSA fit too, so the fit cannot grow unseen.
   const SearchWork fit =
       solver_work([] { fit_offset_model(SenseAmpKind::kNssa, nominal_config()); });
-  EXPECT_LE(fit.transients, 46u);
-  EXPECT_LE(fit.steps, 9854u);
-  EXPECT_LE(fit.newton_iterations, 13689u);
-  EXPECT_LE(fit.jacobian_builds, 13689u);
-  EXPECT_LE(fit.device_evaluations, 164268u);
-  EXPECT_LE(fit.lu_factorizations, 11366u);
+  EXPECT_LE(fit.transients, 31u);
+  EXPECT_LE(fit.steps, 7192u);
+  EXPECT_LE(fit.newton_iterations, 9603u);
+  EXPECT_LE(fit.jacobian_builds, 9603u);
+  EXPECT_LE(fit.device_evaluations, 115236u);
+  EXPECT_LE(fit.lu_factorizations, 9603u);
 
   // Full-window bisection needs ceil(log2(2 * 0.25 / 5e-5)) = 14 full-length
   // transients per search; the fast path must undercut it on every count.
@@ -286,16 +297,26 @@ TEST(Measure, ReportedOffsetBracketsTheFlip) {
   // of NSSA 80r0 at +10% Vdd: the highest latch gain of the paper's corners,
   // where the split saturates soonest and an extrapolation overshoots most
   // (accepting every linear split's step under 0.5 mV misses sample 20 by
-  // 56 uV).
+  // 56 uV).  And samples 0-11 of both aged double-tail kinds at 80r0, whose
+  // searches leave the one-probe loop most often (DT-SW sample 8 failed
+  // while a search reused the previous probe's DC point).
   std::vector<SenseAmpCircuit> samples = guard_samples();
-  analysis::Condition high_vdd;
-  high_vdd.kind = SenseAmpKind::kNssa;
-  high_vdd.config = config_with_vdd_scale(1.1);
-  high_vdd.workload = workload::workload_from_name("80r0");
-  high_vdd.stress_time_s = 1e8;
+  auto aged = [](SenseAmpKind kind, const SenseAmpConfig& config) {
+    analysis::Condition c;
+    c.kind = kind;
+    c.config = config;
+    c.workload = workload::workload_from_name("80r0");
+    c.stress_time_s = 1e8;
+    return c;
+  };
   analysis::McConfig mc;
   mc.seed = 42;
+  const analysis::Condition high_vdd = aged(SenseAmpKind::kNssa, config_with_vdd_scale(1.1));
   for (std::size_t i = 0; i < 24; ++i) samples.push_back(analysis::build_sample(high_vdd, mc, i));
+  for (const SenseAmpKind kind : {SenseAmpKind::kDoubleTail, SenseAmpKind::kDoubleTailSwitching}) {
+    const analysis::Condition c = aged(kind, nominal_config());
+    for (std::size_t i = 0; i < 12; ++i) samples.push_back(analysis::build_sample(c, mc, i));
+  }
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const double flip = -measure_offset(samples[i]).offset;
     EXPECT_FALSE(run_sense(samples[i], flip - kSearchTolerance).read_one) << "sample " << i;
@@ -405,11 +426,11 @@ TEST(Measure, DelayWorkCount) {
     for (SenseAmpCircuit& circuit : samples) measure_delay(circuit);
   });
   EXPECT_LE(delay.transients, 64u);
-  EXPECT_LE(delay.steps, 8174u);
-  EXPECT_LE(delay.newton_iterations, 15311u);
-  EXPECT_LE(delay.jacobian_builds, 15773u);
-  EXPECT_LE(delay.device_evaluations, 196596u);
-  EXPECT_LE(delay.lu_factorizations, 10182u);
+  EXPECT_LE(delay.steps, 8173u);
+  EXPECT_LE(delay.newton_iterations, 15132u);
+  EXPECT_LE(delay.jacobian_builds, 15385u);
+  EXPECT_LE(delay.device_evaluations, 191700u);
+  EXPECT_LE(delay.lu_factorizations, 10005u);
 }
 
 TEST(Measure, DefaultGridMatchesHalfStepOracle) {
@@ -457,14 +478,14 @@ TEST(Measure, SaturationIsFlaggedOnFastPath) {
   EXPECT_TRUE(measure_offset(c).saturated);  // fast path on
 }
 
-TEST(Measure, WarmStartSkippedForSwappedIssa) {
-  // Swapping inverts the decision's monotonicity; the warm start must not
-  // poison the bracket.  (The paper's convention measures the unswapped
-  // orientation; this guards the API against misuse.)
+TEST(Measure, SwappedCircuitOffsetIsRejected) {
+  // Swapping inverts the decision's monotonicity in vin, which every search
+  // assumes: both profiles would report a saturated offset whatever the
+  // mismatch.  The paper's convention measures the unswapped orientation.
   auto c = build_issa(nominal_config());
   c.set_swapped(true);
-  const OffsetResult r = measure_offset(c);
-  EXPECT_LT(std::fabs(r.offset), 0.25);
+  EXPECT_THROW(measure_offset(c), std::invalid_argument);
+  EXPECT_THROW(measure_offset(c, {.robust = true}), std::invalid_argument);
 }
 
 std::size_t mosfet_index(const SenseAmpCircuit& c, std::string_view name) {
@@ -540,8 +561,14 @@ TEST(Measure, OffsetModelFittedOnceUnderConcurrentFirstUse) {
   EXPECT_NE(&offset_model(SenseAmpKind::kIssa, nominal_config()), seen[0]);
 }
 
-TEST(Measure, OffsetModelOnlyForLatchTypeSenseAmps) {
-  EXPECT_THROW(fit_offset_model(SenseAmpKind::kDoubleTail, nominal_config()), std::logic_error);
+TEST(Measure, OffsetModelFitsEveryKind) {
+  // The double-tail kinds get a model like the latch SAs, with one
+  // sensitivity per MOSFET; a model only predicts its own kind's testbench.
+  for (const SenseAmpKind kind : {SenseAmpKind::kDoubleTail, SenseAmpKind::kDoubleTailSwitching}) {
+    const OffsetModel& model = offset_model(kind, nominal_config());
+    EXPECT_EQ(model.sensitivity.size(),
+              build_sense_amp(kind, nominal_config()).netlist().mosfets().size());
+  }
   const OffsetModel& nssa = offset_model(SenseAmpKind::kNssa, nominal_config());
   EXPECT_THROW(nssa.predict(build_issa(nominal_config())), std::logic_error);
 }
