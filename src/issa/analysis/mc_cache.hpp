@@ -65,8 +65,11 @@ namespace issa::analysis::mc_cache {
 /// transient, which moves offsets at the uV level.  Version 7: one search
 /// for every kind (the double-tail SAs get an offset model too), every probe
 /// starts its DC solve from the circuit's guess, and the model fit reads
-/// extrapolated flips, which moves offsets at the uV level.
-inline constexpr std::uint32_t kSchemaVersion = 7;
+/// extrapolated flips, which moves offsets at the uV level.  Version 8: the
+/// model fit runs measure_offset's own fast search, which moves offsets at
+/// the sub-uV level, and a delay measurement no longer escalates its swing
+/// past 2x.
+inline constexpr std::uint32_t kSchemaVersion = 8;
 
 /// One cached per-sample result.  `status` carries the Monte-Carlo engine's
 /// outcome slot (ok / recovered / quarantined) so a warm rerun reproduces

@@ -337,9 +337,10 @@ OffsetDistribution measure_offset_distribution(const Condition& condition, const
       condition, mc, util::trace::spans::kMcOffsetDistribution,
       [&](std::size_t i, int attempt) {
         sa::SenseAmpCircuit circuit = build_sample(condition, mc, i, stress ? &*stress : nullptr);
-        // The retry runs the robust profile: a fresh simulator with cold
-        // bracketing approaches the flip from different operating points —
-        // the "perturbed initial guess".
+        // The retry runs the robust profile: full-window bisection over
+        // full-length transients approaches the flip from different
+        // operating points than the model-started fast path — the
+        // "perturbed initial guess".
         sa::OffsetSearchOptions search;
         search.robust = attempt > 0;
         const sa::OffsetResult r = sa::measure_offset(circuit, search);

@@ -201,10 +201,9 @@ class Simulator {
   /// The netlist must outlive the simulator, and its topology and MOSFET
   /// cards must not change after construction (source waves and delta_vth
   /// may; see the file comment).  `temperature_k` applies to all MOSFET
-  /// evaluations.  A Simulator may be reused across runs (the measurement
-  /// fast path reuses one instance for a whole offset search to amortize its
-  /// workspace); each run_transient re-derives every piece of run state from
-  /// its own DC solve.
+  /// evaluations.  A Simulator may be reused across runs: each run_transient
+  /// re-derives every piece of run state from its own DC solve, so a reused
+  /// instance reproduces a fresh one bit for bit.
   Simulator(const Netlist& netlist, double temperature_k);
 
   /// DC operating point with sources evaluated at t = 0.  Returns the full
@@ -220,9 +219,7 @@ class Simulator {
   TransientResult run_transient(const TransientOptions& options);
 
   /// The node-voltage vector of the most recent DC solve (empty before the
-  /// first).  The offset search feeds this back as the next run's dc_guess:
-  /// consecutive bisection probes differ only in the bitline drive, so the
-  /// previous operating point converges in a couple of Newton iterations.
+  /// first).
   const std::vector<double>& last_dc_solution() const noexcept { return last_dc_; }
 
   double temperature() const noexcept { return temperature_k_; }

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cmath>
 #include <deque>
-#include <limits>
 #include <mutex>
 #include <stdexcept>
 
@@ -39,14 +38,10 @@ constexpr double kInterpolationCap = 2e-3;
 constexpr double kFlipArea = 2e-5;
 constexpr int kFlipProbes = 3;
 
-// Offset-model fit: the threshold shift of each sensitivity probe [V], and
-// the step to the extrapolated flip at which a fit search reports it [V].
-// A fit search re-probes the extrapolated flip up to kFitProbes times, then
-// bisects.  The model's prediction error on the aged Table II conditions
-// falls from a 5 mV shift to 20 mV and is flat beyond (DESIGN.md §12).
+// Threshold shift of each sensitivity probe of the offset-model fit [V].
+// The model's prediction error on the aged Table II conditions falls from a
+// 5 mV shift to 20 mV and is flat beyond (DESIGN.md §12).
 constexpr double kFitShift = 20e-3;
-constexpr double kFitTolerance = 1e-5;
-constexpr int kFitProbes = 8;
 
 // Bitline swing of a delay measurement [V]: provisioned comfortably above the
 // worst aged offsets, like a guardbanded memory would.  An aged sample then
@@ -54,6 +49,11 @@ constexpr int kFitProbes = 8;
 // offset), which is exactly the mechanism behind the paper's Fig. 7 delay
 // blow-up of the unbalanced NSSA.
 constexpr double kDelaySwing = 0.2;
+
+// Largest multiple of kDelaySwing a delay measurement escalates to.  At 3x
+// (0.6 V) the latch SAs' DC solve fails to converge, so a wider ladder would
+// end in a solver error instead of this file's own diagnostic.
+constexpr int kDelayEscalation = 2;
 
 std::atomic<std::uint64_t> g_offset_model_fits{0};
 
@@ -89,143 +89,80 @@ SenseRunResult classify(const SenseAmpCircuit& c, const circuit::TransientResult
   return r;
 }
 
-// One measurement campaign over a single testbench: a sequence of sensing
-// runs at different input differentials, each starting its DC solve from the
-// circuit's own guess.  Unless robust, reuses one Simulator (with its Newton
-// workspace) for every run and applies the early-exit/probe configuration
-// per run.  A robust session integrates every run to t_stop on a fresh
-// Simulator.
-class SenseSession {
- public:
-  // `decision_only` relaxes the early-exit condition to the read decision
-  // alone (offset search ignores the delay); delay measurements must leave it
-  // false so the output crossing is always in the record.
-  SenseSession(SenseAmpCircuit& circuit, bool robust, bool decision_only = false)
-      : circuit_(circuit), robust_(robust), decision_only_(decision_only) {}
-
-  // With `slope`, the run also carries the final split's sensitivities to
-  // V(BL) and V(BLBar) (split_slope() reads them).
-  SenseRunResult run(double vin, bool slope = false) {
-    circuit_.set_input_differential(vin);
-    circuit::TransientOptions opt = transient_options(circuit_, vin);
-    if (slope) opt.sensitivity_to = {circuit_.node_bl(), circuit_.node_blbar()};
-    if (!robust_) {
-      // Record only what classify() reads.
-      for (const circuit::NodeId node : {circuit_.node_s(), circuit_.node_sbar(),
-                                         circuit_.node_out(), circuit_.node_outbar()}) {
-        if (std::find(opt.probes.begin(), opt.probes.end(), node) == opt.probes.end()) {
-          opt.probes.push_back(node);
-        }
-      }
-      // Stop once the sensing operation has irreversibly resolved: the latch
-      // split exceeds Vdd/2 — past that point the positive feedback cannot
-      // reverse, so the read decision is sealed.  A delay measurement must
-      // additionally wait until the outputs split past 80% of Vdd, which
-      // implies the Vdd/2 output crossing that defines the delay is already
-      // in the record.  Runs that never resolve (the marginal bisection
-      // probes) never trigger and integrate to t_stop exactly as without
-      // early exit.
-      const auto s = static_cast<std::size_t>(circuit_.node_s());
-      const auto sbar = static_cast<std::size_t>(circuit_.node_sbar());
-      const auto out = static_cast<std::size_t>(circuit_.node_out());
-      const auto outbar = static_cast<std::size_t>(circuit_.node_outbar());
-      const double vdd = circuit_.config().vdd;
-      const double t_settled = circuit_.config().timing.t_fire + circuit_.config().timing.t_rise;
-      if (decision_only_) {
-        opt.stop_condition = [=](double t, const std::vector<double>& v) {
-          return t > t_settled && std::fabs(v[s] - v[sbar]) > 0.5 * vdd;
-        };
-      } else {
-        opt.stop_condition = [=](double t, const std::vector<double>& v) {
-          return t > t_settled && std::fabs(v[s] - v[sbar]) > 0.5 * vdd &&
-                 std::fabs(v[out] - v[outbar]) > 0.8 * vdd;
-        };
-      }
-    }
-    if (robust_ || !sim_.has_value()) {
-      sim_.emplace(circuit_.netlist(), circuit_.config().temperature_k());
-    }
-    ++transients_;
-    const circuit::TransientResult tr = sim_->run_transient(opt);
-    if (slope) {
-      const auto s = static_cast<std::size_t>(circuit_.node_s());
-      const auto sbar = static_cast<std::size_t>(circuit_.node_sbar());
-      for (std::size_t k = 0; k < 2; ++k) {
-        split_slope_[k] = tr.sensitivity(k)[s] - tr.sensitivity(k)[sbar];
-      }
-    }
-    return classify(circuit_, tr);
-  }
-
-  int transients() const noexcept { return transients_; }
-
-  // d split / d V(BL) and d split / d V(BLBar) of the last run with `slope`,
-  // the split being V(S) - V(SBar) at its last sample.
-  const std::array<double, 2>& split_slope() const noexcept { return split_slope_; }
-
- private:
-  SenseAmpCircuit& circuit_;
-  bool robust_;
-  bool decision_only_;
-  std::optional<circuit::Simulator> sim_;
-  int transients_ = 0;
-  std::array<double, 2> split_slope_{};
+// When a sensing run may stop before t_stop.
+enum class Seal {
+  kNever,     // integrate to t_stop: the paper's method
+  kDecision,  // once the read decision is sealed (an offset probe)
+  kDelay,     // once the delay is in the record too
 };
 
-}  // namespace
-
-circuit::TransientResult run_sense_transient(SenseAmpCircuit& circuit, double vin) {
+// One sensing run with input differential `vin` on a fresh Simulator, its DC
+// solve starting from the circuit's own guess.  With `split_slope`, the run
+// also carries the final split's sensitivities to V(BL) and V(BLBar) and
+// stores d split / d V(BL) and d split / d V(BLBar) there, the split being
+// V(S) - V(SBar) at the last sample.
+SenseRunResult sense(SenseAmpCircuit& circuit, double vin, Seal seal,
+                     std::array<double, 2>* split_slope = nullptr) {
   circuit.set_input_differential(vin);
-  issa::circuit::Simulator sim(circuit.netlist(), circuit.config().temperature_k());
-  return sim.run_transient(transient_options(circuit, vin));
-}
-
-SenseRunResult run_sense(SenseAmpCircuit& circuit, double vin) {
-  const auto tr = run_sense_transient(circuit, vin);
+  circuit::TransientOptions opt = transient_options(circuit, vin);
+  const auto s = static_cast<std::size_t>(circuit.node_s());
+  const auto sbar = static_cast<std::size_t>(circuit.node_sbar());
+  // Record only what classify() reads.
+  opt.probes = {circuit.node_s(), circuit.node_sbar(), circuit.node_out(), circuit.node_outbar()};
+  if (split_slope != nullptr) opt.sensitivity_to = {circuit.node_bl(), circuit.node_blbar()};
+  // Stop once the sensing operation has irreversibly resolved: the latch
+  // split exceeds Vdd/2 — past that point the positive feedback cannot
+  // reverse, so the read decision is sealed.  A delay measurement must
+  // additionally wait until the outputs split past 80% of Vdd, which implies
+  // the Vdd/2 output crossing that defines the delay is already in the
+  // record.  Runs that never resolve (the marginal bisection probes) never
+  // trigger and integrate to t_stop exactly as without early exit.
+  if (seal != Seal::kNever) {
+    const auto out = static_cast<std::size_t>(circuit.node_out());
+    const auto outbar = static_cast<std::size_t>(circuit.node_outbar());
+    const double vdd = circuit.config().vdd;
+    const double t_settled = circuit.config().timing.t_fire + circuit.config().timing.t_rise;
+    const bool delay = seal == Seal::kDelay;
+    opt.stop_condition = [=](double t, const std::vector<double>& v) {
+      return t > t_settled && std::fabs(v[s] - v[sbar]) > 0.5 * vdd &&
+             (!delay || std::fabs(v[out] - v[outbar]) > 0.8 * vdd);
+    };
+  }
+  circuit::Simulator sim(circuit.netlist(), circuit.config().temperature_k());
+  const circuit::TransientResult tr = sim.run_transient(opt);
+  if (split_slope != nullptr) {
+    for (std::size_t k = 0; k < 2; ++k) {
+      (*split_slope)[k] = tr.sensitivity(k)[s] - tr.sensitivity(k)[sbar];
+    }
+  }
   return classify(circuit, tr);
 }
 
-namespace {
-
-// The three offset searches of this file.
-enum class Search {
-  kRobust,  // the paper's method: midpoint bisection of the full window
-  kFast,    // measure_offset's fast path
-  kFit,     // one search of fit_offset_model
-};
-
 // Searches the flip of vin, starting (unless robust) at the flip of the
-// `predicted` offset.  A fast or fit search first reads the flip off its
-// probes' split sensitivities (the one-probe flip, DESIGN.md §12): it reports
-// the flip extrapolated from a probe with a linear split once the step to it
-// is short (within kFlipArea / |split| on the fast path, kFitTolerance in a
-// fit), and otherwise probes that flip in turn, up to kFlipProbes or
-// kFitProbes probes.  Then it bisects, to a bracket of kSearchTolerance (a
-// fit: kFitTolerance), and ends as soon as its bracket is linear and no
-// wider than kInterpolationCap (a fit: any width), reporting the flip
-// interpolated between the final latch splits at its ends instead of the
-// bracket midpoint: that flip moves continuously with the solution, so
-// solver changes at the uV level move it by as little, where a midpoint
-// jumps by the tolerance.  A robust search never interpolates: it is the
-// midpoint-bisection oracle.
-OffsetResult search_offset(SenseAmpCircuit& circuit, Search search, double predicted = 0.0) {
-  const bool robust = search == Search::kRobust;
-  const bool fit = search == Search::kFit;
-  const double tolerance = fit ? kFitTolerance : kSearchTolerance;
-  const double interpolate_below =
-      robust ? 0.0 : fit ? std::numeric_limits<double>::infinity() : kInterpolationCap;
+// `predicted` offset.  A fast search first reads the flip off its probes'
+// split sensitivities (the one-probe flip, DESIGN.md §12): it reports the
+// flip extrapolated from a probe with a linear split once the step to it is
+// within kFlipArea / |split|, and otherwise probes that flip in turn, up to
+// kFlipProbes probes.  Then it bisects to a bracket of kSearchTolerance, and
+// ends as soon as its bracket is linear and no wider than kInterpolationCap,
+// reporting the flip interpolated between the final latch splits at its ends
+// instead of the bracket midpoint: that flip moves continuously with the
+// solution, so solver changes at the uV level move it by as little, where a
+// midpoint jumps by the tolerance.  A robust search never interpolates: it is
+// the midpoint-bisection oracle, over full-length transients.
+OffsetResult search_offset(SenseAmpCircuit& circuit, bool robust, double predicted = 0.0) {
+  const Seal seal = robust ? Seal::kNever : Seal::kDecision;
+  const double interpolate_below = robust ? 0.0 : kInterpolationCap;
   OffsetResult result;
   double lo = -kSearchWindow;  // assumed to read 0
   double hi = kSearchWindow;   // assumed to read 1
 
-  SenseSession session(circuit, robust, /*decision_only=*/true);
   // Reports the flip `flip` of vin in the paper's read-0-direction
   // convention (see OffsetResult).  If the bracket collapsed onto a window
   // edge the true flip point lies outside the window.
   auto finish = [&](double flip) {
-    result.transients = session.transients();
     result.offset = -flip;
-    result.saturated = (kSearchWindow - std::fabs(result.offset)) < 2.0 * tolerance;
+    result.saturated = (kSearchWindow - std::fabs(result.offset)) < 2.0 * kSearchTolerance;
     return result;
   };
 
@@ -235,8 +172,9 @@ OffsetResult search_offset(SenseAmpCircuit& circuit, Search search, double predi
   // flip point, which the interpolated finish exploits.
   double g_lo = 0.0, g_hi = 0.0;
   bool have_lo = false, have_hi = false;
-  auto probe = [&](double x, bool slope = false) {
-    const SenseRunResult r = session.run(x, slope);
+  auto probe = [&](double x, std::array<double, 2>* split_slope = nullptr) {
+    ++result.transients;
+    const SenseRunResult r = sense(circuit, x, seal, split_slope);
     const double g = r.s_final - r.sbar_final;
     if (r.read_one) {
       hi = x;
@@ -255,15 +193,13 @@ OffsetResult search_offset(SenseAmpCircuit& circuit, Search search, double predi
   if (!robust) {
     // The flip point of vin is minus the offset (sign convention of
     // OffsetResult); clamp it inside the window.
-    double x = std::clamp(-predicted, lo + tolerance, hi - tolerance);
-    for (int k = 0; k < (fit ? kFitProbes : kFlipProbes); ++k) {
-      const double g = probe(x, /*slope=*/true);
-      const auto& [d_bl, d_blbar] = session.split_slope();
-      const std::optional<double> flip = detail::extrapolated_flip(x, g, d_bl, d_blbar);
+    double x = std::clamp(-predicted, lo + kSearchTolerance, hi - kSearchTolerance);
+    for (int k = 0; k < kFlipProbes; ++k) {
+      std::array<double, 2> slope{};
+      const double g = probe(x, &slope);
+      const std::optional<double> flip = detail::extrapolated_flip(x, g, slope[0], slope[1]);
       if (!flip || *flip < lo || *flip > hi) break;
-      const double step = std::fabs(*flip - x);
-      if (std::fabs(g) < g_linear &&
-          (fit ? step <= tolerance : std::fabs(g) * step <= kFlipArea)) {
+      if (std::fabs(g) < g_linear && std::fabs(g) * std::fabs(*flip - x) <= kFlipArea) {
         return finish(*flip);
       }
       x = *flip;
@@ -277,12 +213,22 @@ OffsetResult search_offset(SenseAmpCircuit& circuit, Search search, double predi
     return have_lo && have_hi && g_lo > -g_linear && g_hi < g_linear &&
            hi - lo <= interpolate_below;
   };
-  while (hi - lo > tolerance && !interpolable()) probe(0.5 * (lo + hi));
+  while (hi - lo > kSearchTolerance && !interpolable()) probe(0.5 * (lo + hi));
   // A zero split (exactly balanced latch) puts the flip at that end.
   return finish(interpolable() ? lo + (hi - lo) * (-g_lo) / (g_hi - g_lo) : 0.5 * (lo + hi));
 }
 
 }  // namespace
+
+circuit::TransientResult run_sense_transient(SenseAmpCircuit& circuit, double vin) {
+  circuit.set_input_differential(vin);
+  issa::circuit::Simulator sim(circuit.netlist(), circuit.config().temperature_k());
+  return sim.run_transient(transient_options(circuit, vin));
+}
+
+SenseRunResult run_sense(SenseAmpCircuit& circuit, double vin) {
+  return sense(circuit, vin, Seal::kNever);
+}
 
 OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions& options) {
   // Swapping inverts the decision's monotonicity in vin, which every search
@@ -291,8 +237,8 @@ OffsetResult measure_offset(SenseAmpCircuit& circuit, const OffsetSearchOptions&
     throw std::invalid_argument("measure_offset: the circuit's inputs are swapped; measure the "
                                 "unswapped orientation");
   }
-  if (options.robust) return search_offset(circuit, Search::kRobust);
-  return search_offset(circuit, Search::kFast,
+  if (options.robust) return search_offset(circuit, /*robust=*/true);
+  return search_offset(circuit, /*robust=*/false,
                        offset_model(circuit.kind(), circuit.config()).predict(circuit));
 }
 
@@ -342,11 +288,11 @@ OffsetModel fit_offset_model(SenseAmpKind kind, const SenseAmpConfig& config) {
 
   SenseAmpCircuit circuit = build_sense_amp(kind, config);
   OffsetModel model;
-  model.offset0 = search_offset(circuit, Search::kFit).offset;
+  model.offset0 = search_offset(circuit, /*robust=*/false).offset;
   for (std::size_t k = 0; k < circuit.netlist().mosfets().size(); ++k) {
     double& delta_vth = circuit.netlist().mosfet(k).inst.delta_vth;
     delta_vth = kFitShift;
-    const double shifted = search_offset(circuit, Search::kFit, model.offset0).offset;
+    const double shifted = search_offset(circuit, /*robust=*/false, model.offset0).offset;
     delta_vth = 0.0;
     model.sensitivity.push_back((shifted - model.offset0) / kFitShift);
   }
@@ -376,12 +322,11 @@ std::uint64_t offset_model_fits() noexcept {
 }
 
 DelayPair measure_delay(SenseAmpCircuit& circuit) {
-  SenseSession session(circuit, /*robust=*/false);
-  for (int scale = 1; scale <= 4; ++scale) {
+  for (int scale = 1; scale <= kDelayEscalation; ++scale) {
     const double vin = kDelaySwing * scale;
-    const SenseRunResult one = session.run(vin);
+    const SenseRunResult one = sense(circuit, vin, Seal::kDelay);
     if (!one.delay || !one.read_one) continue;
-    const SenseRunResult zero = session.run(-vin);
+    const SenseRunResult zero = sense(circuit, -vin, Seal::kDelay);
     if (!zero.delay || zero.read_one) continue;
     DelayPair d;
     d.read_one = *one.delay;
@@ -389,7 +334,7 @@ DelayPair measure_delay(SenseAmpCircuit& circuit) {
     return d;
   }
   throw std::runtime_error("measure_delay: SA failed to resolve both directions up to " +
-                           std::to_string(4.0 * kDelaySwing) + " V of swing");
+                           std::to_string(kDelayEscalation * kDelaySwing) + " V of swing");
 }
 
 double estimate_offset_dc(const SenseAmpCircuit& circuit) {

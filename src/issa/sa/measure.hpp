@@ -42,11 +42,11 @@ struct OffsetSearchOptions {
   /// to two re-probes at the extrapolated flip, then bisection, which reads
   /// the flip interpolated between the final latch splits at the ends of
   /// its first linear bracket under 2 mV.  A transient without
-  /// sensitivities stops once regeneration has resolved, and one Simulator
-  /// serves the whole search.  true is the paper's method: full-window
-  /// bisection over full-length transients, a fresh simulator per probe.
+  /// sensitivities stops once regeneration has resolved.  true is the
+  /// paper's method: full-window bisection over full-length transients.
   /// The Monte-Carlo engine retries a failed sample with it.  Every probe of
-  /// either profile starts its DC solve from SenseAmpCircuit::dc_guess().
+  /// either profile runs on a fresh Simulator and starts its DC solve from
+  /// SenseAmpCircuit::dc_guess().
   bool robust = false;
 };
 
@@ -89,14 +89,10 @@ struct OffsetModel {
 /// Fits the model from the nominal testbench of (kind, config), for any
 /// kind: one offset search of the unshifted circuit, then one per MOSFET
 /// with its threshold raised by 20 mV, all with fault injection suspended.
-/// Each search starts at vin = 0 (a shifted one at the flip of the model's
-/// offset0) and re-probes the flip extrapolated along the final split's
-/// sensitivity to the bitline drive until the step to it is at most 10 uV
-/// (with a linear split), then reports that flip; after 8 probes it bisects
-/// instead, ending at its first linear bracket however wide with the flip
-/// interpolated between the final latch splits.  Either flip moves
-/// continuously with the solver's solutions instead of in steps of a search
-/// tolerance.
+/// Each is measure_offset's fast search, started at vin = 0 (a shifted one at
+/// the flip of the model's offset0), so it reports an extrapolated or
+/// interpolated flip, which moves continuously with the solver's solutions
+/// instead of in steps of the search tolerance.
 /// Bypasses the memo; measurement code calls offset_model().
 OffsetModel fit_offset_model(SenseAmpKind kind, const SenseAmpConfig& config);
 
@@ -120,9 +116,9 @@ struct DelayPair {
 
 /// Measures both delays with |vin| = 200 mV of bitline swing.  A sample whose
 /// offset exceeds that swing cannot read one direction; the swing is then
-/// escalated (2x, 3x, 4x, applied to both directions so the sample stays
-/// self-consistent).  Throws std::runtime_error when even the largest swing
-/// fails to resolve.
+/// doubled (applied to both directions so the sample stays self-consistent).
+/// Throws std::runtime_error when the doubled swing fails to resolve too.
+/// Each run stops once its delay is in the record.
 DelayPair measure_delay(SenseAmpCircuit& circuit);
 
 namespace detail {

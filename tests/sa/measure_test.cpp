@@ -142,6 +142,25 @@ TEST(Measure, IssaDelayOverheadIsSmall) {
   EXPECT_LT(di, dn * 1.10);     // ... but stays marginal (paper: ~2%)
 }
 
+TEST(Measure, DelayLadderFailsWithItsOwnError) {
+  // A latch sample whose offset exceeds the doubled 0.4 V swing cannot read
+  // one direction.  measure_delay must say so itself, not fail in a DC solve
+  // at a wider swing (at 0.6 V the latch SAs' DC solve does not converge).
+  for (const SenseAmpKind kind : {SenseAmpKind::kNssa, SenseAmpKind::kIssa}) {
+    auto c = build_sense_amp(kind, nominal_config());
+    c.netlist().find_mosfet(nm::kMdown).inst.delta_vth = 0.4;
+    try {
+      measure_delay(c);
+      ADD_FAILURE() << kind_name(kind) << ": measure_delay did not throw";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(dynamic_cast<const circuit::ConvergenceError*>(&e), nullptr)
+          << kind_name(kind) << ": " << e.what();
+      EXPECT_EQ(std::string_view(e.what()).rfind("measure_delay:", 0), 0u)
+          << kind_name(kind) << ": " << e.what();
+    }
+  }
+}
+
 TEST(Measure, RunSenseTransientExposesWaveforms) {
   auto c = build_nssa(nominal_config());
   const auto tr = run_sense_transient(c, 0.05);
@@ -270,12 +289,12 @@ TEST(Measure, WarmStartCutsTransientCount) {
   // one NSSA fit too, so the fit cannot grow unseen.
   const SearchWork fit =
       solver_work([] { fit_offset_model(SenseAmpKind::kNssa, nominal_config()); });
-  EXPECT_LE(fit.transients, 31u);
-  EXPECT_LE(fit.steps, 7192u);
-  EXPECT_LE(fit.newton_iterations, 9603u);
-  EXPECT_LE(fit.jacobian_builds, 9603u);
-  EXPECT_LE(fit.device_evaluations, 115236u);
-  EXPECT_LE(fit.lu_factorizations, 9603u);
+  EXPECT_LE(fit.transients, 27u);
+  EXPECT_LE(fit.steps, 6102u);
+  EXPECT_LE(fit.newton_iterations, 8329u);
+  EXPECT_LE(fit.jacobian_builds, 8329u);
+  EXPECT_LE(fit.device_evaluations, 99948u);
+  EXPECT_LE(fit.lu_factorizations, 8015u);
 
   // Full-window bisection needs ceil(log2(2 * 0.25 / 5e-5)) = 14 full-length
   // transients per search; the fast path must undercut it on every count.
@@ -431,6 +450,20 @@ TEST(Measure, DelayWorkCount) {
   EXPECT_LE(delay.jacobian_builds, 15385u);
   EXPECT_LE(delay.device_evaluations, 191700u);
   EXPECT_LE(delay.lu_factorizations, 10005u);
+}
+
+TEST(Measure, SealedDelayRunMatchesFullRun) {
+  // measure_delay stops each run once its delay is in the record; the full
+  // run to t_stop (the paper's method) must read the same delay, to the bit.
+  std::vector<SenseAmpCircuit> samples = guard_samples();
+  for (std::size_t i = 0; i < samples.size(); ++i) {
+    const DelayPair d = measure_delay(samples[i]);
+    const SenseRunResult one = run_sense(samples[i], 0.2);
+    const SenseRunResult zero = run_sense(samples[i], -0.2);
+    ASSERT_TRUE(one.delay && zero.delay) << "sample " << i;
+    EXPECT_EQ(d.read_one, *one.delay) << "sample " << i;
+    EXPECT_EQ(d.read_zero, *zero.delay) << "sample " << i;
+  }
 }
 
 TEST(Measure, DefaultGridMatchesHalfStepOracle) {
