@@ -34,10 +34,7 @@ double now_seconds() {
       .count();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  core::RunContext run(argc, argv, "bench_ablation_methods");
+void reproduce(core::RunContext& run) {
   const analysis::McConfig mc = run.mc();
   const std::size_t n = std::min<std::size_t>(mc.iterations, 100);
 
@@ -226,5 +223,11 @@ int main(int argc, char** argv) {
   std::cout << ab4 << "\nHCI switches symmetrically on both latch sides: it adds a little delay\n"
                "but leaves the offset mean nearly untouched — supporting the paper's choice\n"
                "to model BTI as the dominant SA aging mechanism.\n";
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  core::RunContext run(argc, argv, "bench_ablation_methods");
+  return run.guard([&] { reproduce(run); });
 }

@@ -19,8 +19,9 @@
 
 using namespace issa;
 
-int main(int argc, char** argv) {
-  core::RunContext run(argc, argv, "bench_ablation_switch_period");
+namespace {
+
+void reproduce(core::RunContext& run) {
   const analysis::McConfig mc = run.mc();
   const std::size_t stream_len = 1 << 16;
 
@@ -90,5 +91,11 @@ int main(int argc, char** argv) {
   std::cout << "Imbalance 0 is the ideal ISSA; imbalance 1 recovers the NSSA-80r0 row of\n"
                "Table II.  The offset cost is strongly sublinear, so even a crude balancer\n"
                "recovers most of the benefit.\n";
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  core::RunContext run(argc, argv, "bench_ablation_switch_period");
+  return run.guard([&] { reproduce(run); });
 }

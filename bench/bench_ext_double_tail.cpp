@@ -15,8 +15,9 @@
 
 using namespace issa;
 
-int main(int argc, char** argv) {
-  core::RunContext run(argc, argv, "bench_ext_double_tail");
+namespace {
+
+void reproduce(core::RunContext& run) {
   const analysis::McConfig mc = run.mc();
 
   std::cout << "Extension: input switching on the double-tail SA (paper ref. [23]), MC = "
@@ -31,8 +32,7 @@ int main(int argc, char** argv) {
     c.config = sa::nominal_config();
     c.workload = workload::workload_from_name(wl);
     c.stress_time_s = t;
-    const auto offsets = analysis::measure_offset_distribution(c, mc);
-    const auto delays = analysis::measure_delay_distribution(c, mc);
+    const auto [offsets, delays] = analysis::measure_cell(c, mc);
     const bool switching = kind == sa::SenseAmpKind::kDoubleTailSwitching;
     table.add_row({switching ? "DT-ISSA" : "DT-NSSA", t > 0 ? "1e8" : "0",
                    t > 0 ? (switching ? "80%" : wl) : "-",
@@ -55,5 +55,11 @@ int main(int argc, char** argv) {
             << util::AsciiTable::num(100.0 * (1.0 - sw_spec / plain_spec), 1)
             << "% on the double-tail topology — the scheme generalizes beyond Fig. 1.\n"
             << "(No paper reference values exist for this table; it is an extension.)\n";
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  core::RunContext run(argc, argv, "bench_ext_double_tail");
+  return run.guard([&] { reproduce(run); });
 }

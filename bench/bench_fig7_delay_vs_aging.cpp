@@ -13,8 +13,9 @@
 
 using namespace issa;
 
-int main(int argc, char** argv) {
-  core::RunContext run(argc, argv, "bench_fig7_delay_vs_aging", {"csv=path"});
+namespace {
+
+void reproduce(core::RunContext& run) {
   core::ExperimentRunner runner(run.mc());
 
   std::cout << "Reproducing Fig. 7 (delay vs aging at 125 C), MC = " << runner.mc().iterations
@@ -55,5 +56,11 @@ int main(int argc, char** argv) {
             << util::AsciiTable::num(
                    100.0 * (issa.delays_ps.front() / nssa_r0.delays_ps.front() - 1.0), 1)
             << "% (paper: ~2%)\n";
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  core::RunContext run(argc, argv, "bench_fig7_delay_vs_aging", {"csv=path"});
+  return run.guard([&] { reproduce(run); });
 }

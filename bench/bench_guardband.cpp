@@ -12,8 +12,9 @@
 
 using namespace issa;
 
-int main(int argc, char** argv) {
-  core::RunContext run(argc, argv, "bench_guardband");
+namespace {
+
+void reproduce(core::RunContext& run) {
   analysis::McConfig mc = run.mc();
   // The lifetime-extension search runs ~10 extra Monte-Carlo cells; shrink
   // its sample count so the bench stays affordable at the default 400.
@@ -44,5 +45,11 @@ int main(int argc, char** argv) {
             << "% of the lifetime) — input switching effectively extends the device\n"
                "lifetime by the remaining factor (paper Sec. V: 'can even extend the\n"
                "lifetime of the devices').\n";
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  core::RunContext run(argc, argv, "bench_guardband");
+  return run.guard([&] { reproduce(run); });
 }

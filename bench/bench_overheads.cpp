@@ -11,9 +11,9 @@
 
 using namespace issa;
 
-int main(int argc, char** argv) {
-  core::RunContext run(argc, argv, "bench_overheads");
+namespace {
 
+void reproduce() {
   std::cout << "Reproducing Sec. IV-C overhead discussion\n\n";
 
   const auto counts = mem::transistor_counts(8);
@@ -71,5 +71,11 @@ int main(int argc, char** argv) {
   }
   std::cout << "### Read-path timing with the paper's specs (the 'faster memory' claim)\n\n"
             << read << "\n";
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  core::RunContext run(argc, argv, "bench_overheads");
+  return run.guard(reproduce);
 }

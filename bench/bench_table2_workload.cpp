@@ -9,8 +9,9 @@
 
 using namespace issa;
 
-int main(int argc, char** argv) {
-  core::RunContext run(argc, argv, "bench_table2_workload", {"csv=path"});
+namespace {
+
+void reproduce(core::RunContext& run) {
   core::ExperimentRunner runner(run.mc());
 
   std::cout << "Reproducing Table II / Fig. 4 (workload impact), MC = "
@@ -68,5 +69,11 @@ int main(int argc, char** argv) {
   std::cout << "ISSA spec reduction vs NSSA 80r0: "
             << util::AsciiTable::num(100.0 * (1.0 - issa_80_spec / nssa_80r0_spec), 1)
             << "% (paper: ~12%)\n";
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  core::RunContext run(argc, argv, "bench_table2_workload", {"csv=path"});
+  return run.guard([&] { reproduce(run); });
 }

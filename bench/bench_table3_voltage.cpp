@@ -10,8 +10,9 @@
 
 using namespace issa;
 
-int main(int argc, char** argv) {
-  core::RunContext run(argc, argv, "bench_table3_voltage", {"csv=path"});
+namespace {
+
+void reproduce(core::RunContext& run) {
   core::ExperimentRunner runner(run.mc());
 
   std::cout << "Reproducing Table III / Fig. 5 (supply-voltage impact), MC = "
@@ -70,5 +71,11 @@ int main(int argc, char** argv) {
   std::cout << "ISSA 80% spec growth:  " << util::AsciiTable::num(100 * issa_grow_low, 1)
             << "% @ -10% Vdd, " << util::AsciiTable::num(100 * issa_grow_high, 1)
             << "% @ +10% Vdd (paper: ~0.5% / ~10%)\n";
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  core::RunContext run(argc, argv, "bench_table3_voltage", {"csv=path"});
+  return run.guard([&] { reproduce(run); });
 }

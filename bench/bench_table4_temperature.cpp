@@ -9,8 +9,9 @@
 
 using namespace issa;
 
-int main(int argc, char** argv) {
-  core::RunContext run(argc, argv, "bench_table4_temperature", {"csv=path"});
+namespace {
+
+void reproduce(core::RunContext& run) {
   core::ExperimentRunner runner(run.mc());
 
   std::cout << "Reproducing Table IV / Fig. 6 (temperature impact), MC = "
@@ -63,5 +64,11 @@ int main(int argc, char** argv) {
   const double growth_125 = rows[5].spec_mv / rows[1].spec_mv - 1.0;
   std::cout << "NSSA 80r0 spec growth at 125C over its t=0: "
             << util::AsciiTable::num(100.0 * growth_125, 1) << "% (paper: ~99%)\n";
-  return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  core::RunContext run(argc, argv, "bench_table4_temperature", {"csv=path"});
+  return run.guard([&] { reproduce(run); });
 }

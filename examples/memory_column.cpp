@@ -52,8 +52,7 @@ int main(int argc, char** argv) {
     for (const auto kind : {sa::SenseAmpKind::kNssa, sa::SenseAmpKind::kIssa}) {
       condition.kind = kind;
       condition.stress_time_s = t;
-      const auto offsets = analysis::measure_offset_distribution(condition, mc);
-      const auto delays = analysis::measure_delay_distribution(condition, mc);
+      const auto [offsets, delays] = analysis::measure_cell(condition, mc);
       const auto timing =
           path.timing(offsets.spec(), delays.summary.mean, condition.config.vdd, temperature_k);
       table.add_row({kind == sa::SenseAmpKind::kNssa ? "NSSA" : "ISSA",

@@ -5,6 +5,7 @@
 //   $ ./waveform_dump [--vin=mV] [--out=prefix]
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "issa/sa/builder.hpp"
@@ -37,14 +38,21 @@ int main(int argc, char** argv) {
     std::printf("wrote %s (%zu samples)\n", path.c_str(), tr.steps());
   };
 
-  auto nssa = sa::build_nssa(sa::nominal_config());
-  dump(nssa, prefix + "_nssa.csv");
+  try {
+    auto nssa = sa::build_nssa(sa::nominal_config());
+    dump(nssa, prefix + "_nssa.csv");
 
-  auto issa = sa::build_issa(sa::nominal_config());
-  dump(issa, prefix + "_issa.csv");
+    auto issa = sa::build_issa(sa::nominal_config());
+    dump(issa, prefix + "_issa.csv");
 
-  issa.set_swapped(true);
-  dump(issa, prefix + "_issa_swapped.csv");
+    issa.set_swapped(true);
+    dump(issa, prefix + "_issa_swapped.csv");
+  } catch (const std::exception& e) {
+    // A swing the solver cannot start from (a DC solve that does not
+    // converge) is a failed run, not a crash.
+    std::fprintf(stderr, "waveform_dump: %s\n", e.what());
+    return 1;
+  }
   std::printf(
       "Note how the swapped ISSA resolves the *opposite* internal polarity for the\n"
       "same bitline input — the control logic inverts the final value to compensate.\n");

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <initializer_list>
 #include <limits>
 #include <optional>
 #include <sstream>
@@ -22,28 +23,18 @@ namespace {
 
 namespace mnames = util::metrics::names;
 
-util::metrics::Counter& m_samples() {
-  static util::metrics::Counter& c = util::metrics::Registry::instance().counter(mnames::kMcSamples);
-  return c;
-}
-util::metrics::Counter& m_saturated() {
-  static util::metrics::Counter& c =
-      util::metrics::Registry::instance().counter(mnames::kMcSaturatedSamples);
-  return c;
-}
-util::metrics::Counter& m_sample_failures() {
-  static util::metrics::Counter& c =
-      util::metrics::Registry::instance().counter(mnames::kMcSampleFailures);
-  return c;
-}
-util::metrics::Counter& m_sample_retries() {
-  static util::metrics::Counter& c =
-      util::metrics::Registry::instance().counter(mnames::kMcSampleRetries);
-  return c;
-}
-util::metrics::Counter& m_quarantined() {
-  static util::metrics::Counter& c =
-      util::metrics::Registry::instance().counter(mnames::kMcQuarantinedSamples);
+// The engine's counters, looked up in the registry once.
+struct Counters {
+  util::metrics::Registry& registry = util::metrics::Registry::instance();
+  util::metrics::Counter& samples = registry.counter(mnames::kMcSamples);
+  util::metrics::Counter& saturated = registry.counter(mnames::kMcSaturatedSamples);
+  util::metrics::Counter& failures = registry.counter(mnames::kMcSampleFailures);
+  util::metrics::Counter& retries = registry.counter(mnames::kMcSampleRetries);
+  util::metrics::Counter& quarantined = registry.counter(mnames::kMcQuarantinedSamples);
+};
+
+Counters& counters() {
+  static Counters c;
   return c;
 }
 
@@ -99,11 +90,6 @@ aging::DeviceStressMap condition_stress_map(const Condition& condition) {
 }
 
 sa::SenseAmpCircuit build_sample(const Condition& condition, const McConfig& mc,
-                                 std::size_t sample_index) {
-  return build_sample(condition, mc, sample_index, nullptr);
-}
-
-sa::SenseAmpCircuit build_sample(const Condition& condition, const McConfig& mc,
                                  std::size_t sample_index,
                                  const aging::DeviceStressMap* stress) {
   sa::SenseAmpCircuit circuit = sa::build_sense_amp(condition.kind, condition.config);
@@ -122,11 +108,8 @@ sa::SenseAmpCircuit build_sample(const Condition& condition, const McConfig& mc,
 
 namespace {
 
-// Per-sample outcome slots.  Index-addressed (one slot per sample, no locks)
-// so recording an outcome is scheduling-free: the quarantine list assembled
-// from the slots afterwards is bit-identical for every thread count.  The
-// ok/recovered/quarantined values are also what the sample cache persists in
-// CachedSample::status, so a warm rerun replays the full outcome record.
+// Per-sample outcomes, as CachedSample::status persists them: a warm rerun
+// replays the full outcome record.
 enum : unsigned char {
   kSampleOk = 0,
   kSampleRecovered = 1,
@@ -142,113 +125,103 @@ void attr_condition(util::trace::Span& span, const Condition& condition, const M
   span.attr_f64("stress_time_s", condition.stress_time_s);
 }
 
-// Runs `body(i, attempt)` over the sample indices, in parallel when
-// requested, with per-sample work accounting and fault tolerance.  Each
-// sample gets a trace span carrying its index, seed and operating condition
-// — a forensic bundle recorded by a solver failure deep inside a transient
-// takes them as context, so it names the exact (condition, seed, sample)
-// that produced it.
-//
-// A body that throws std::runtime_error (solver failures: ConvergenceError,
-// singular LU, unresolvable delay, injected faults) is retried once with
-// attempt = 1 — the body selects a perturbed/robust strategy — and
-// quarantined if the retry also fails.  logic_error and friends still
-// propagate: those are bugs, not sample pathologies.  Throws
-// McDegradationError after the full sweep when the quarantined fraction
-// exceeds mc.max_quarantine_fraction.
-//
-// `replay(i, status, error)` short-circuits a sample from the cache: when it
-// returns true the body is skipped entirely — the replayer has written the
-// sample's value slot and outcome.  `persist(i, status, error)` is invoked
-// for every computed sample (ok, recovered, and quarantined alike) so the
-// cache captures the complete outcome record.
-template <typename Body, typename Replay, typename Persist>
-McDegradation for_samples(const Condition& condition, const McConfig& mc,
-                          const char* phase_name, Body&& body, Replay&& replay,
-                          Persist&& persist) {
-  util::trace::Span phase(phase_name, "mc");
-  if (phase.traced()) {
-    phase.attr_u64("iterations", mc.iterations);
-    attr_condition(phase, condition, mc);
+enum class Quantity { kOffset, kDelay };
+
+// One quantity a pass measures on every sample, and its per-sample outcomes
+// in the form the sample cache stores them.  The slots are index-addressed
+// (one per sample, no locks), so recording an outcome is scheduling-free and
+// the quarantine list assembled from them is bit-identical for every thread
+// count.
+struct Measurement {
+  Quantity quantity;
+  const char* key;  // the mc_cache record kind; names the measurement in reports
+  std::vector<mc_cache::CachedSample> slots;
+};
+
+// Measures a built sample into its slot.  The offset's retry (attempt 1) runs
+// the robust profile: full-window bisection over full-length transients
+// approaches the flip from different operating points than the model-started
+// fast path — the "perturbed initial guess".  The delay has no search
+// profile; its retry draws fresh injected-fault decisions only.
+void measure(Quantity quantity, sa::SenseAmpCircuit& circuit, mc_cache::CachedSample& slot,
+             int attempt) {
+  if (quantity == Quantity::kDelay) {
+    slot.value = sa::measure_delay(circuit).worst();
+    return;
   }
+  sa::OffsetSearchOptions search;
+  search.robust = attempt > 0;
+  const sa::OffsetResult r = sa::measure_offset(circuit, search);
+  slot.value = r.offset;
+  slot.saturated = r.saturated;
+}
 
-  std::vector<unsigned char> status(mc.iterations, kSampleOk);
-  std::vector<std::string> errors(mc.iterations);
-  const std::string run_id = effective_run_id(condition, mc);
-
-  auto counted = [&](std::size_t i) {
-    // Cache replay first: a hit costs a hash lookup, not a simulation.  The
-    // replayed outcome (ok/recovered/quarantined) flows through the same
-    // status slots, so degradation accounting is identical warm and cold.
-    if (replay(i, status[i], errors[i])) {
-      // Keep the quarantine counter honest on warm reruns: the report lists
-      // the replayed quarantine, so the metric must account for it too.
-      if (status[i] == kSampleQuarantined) m_quarantined().add();
-      m_samples().add();
-      return;
-    }
-    util::trace::Span span(util::trace::spans::kMcSample, "mc");
-    if (span.traced()) {
-      span.attr_u64("sample", i);
-      attr_condition(span, condition, mc);
-    }
-    // Scope the deterministic fault-trigger key to this sample: an armed
-    // key/probability trigger decides by sample index, never by schedule.
-    util::faultpoint::SampleScope fault_key(i);
+// Runs one measurement of sample i on its build.  A measurement that throws
+// std::runtime_error (solver failures: ConvergenceError, singular LU,
+// unresolvable delay, injected faults) is retried once on the same build
+// under its own fault draws (attempt = 1), and quarantined if the retry
+// fails too.  Reusing the build is exact: every run re-drives the bitlines
+// and no measurement touches a threshold shift.  logic_error and friends
+// still propagate: those are bugs, not sample pathologies.
+void measure_with_retry(Measurement& m, sa::SenseAmpCircuit& circuit, std::size_t i,
+                        const Condition& condition, const std::string& run_id) {
+  mc_cache::CachedSample& slot = m.slots[i];
+  try {
+    measure(m.quantity, circuit, slot, 0);
+  } catch (const std::runtime_error&) {
+    counters().failures.add();
+    counters().retries.add();
     try {
-      body(i, 0);
-    } catch (const std::runtime_error&) {
-      m_sample_failures().add();
-      m_sample_retries().add();
-      try {
-        // The retry draws its own injected-fault decisions (attempt = 1)
-        // and the body switches to its robust profile — together the
-        // deterministic analog of "retry from a perturbed initial guess".
-        util::faultpoint::RetryScope retry;
-        body(i, 1);
-        status[i] = kSampleRecovered;
-      } catch (const std::runtime_error& second) {
-        status[i] = kSampleQuarantined;
-        errors[i] = second.what();
-      }
-      if (status[i] == kSampleQuarantined) {
-        m_quarantined().add();
-        if (util::trace::enabled()) {
-          util::trace::ForensicEvent event;
-          event.kind = "mc_sample_quarantined";
-          event.attrs.push_back(util::trace::Attr::str("condition", condition_label(condition)));
-          event.attrs.push_back(util::trace::Attr::str("run_id", run_id));
-          event.attrs.push_back(util::trace::Attr::str("error", errors[i]));
-          util::trace::record_forensic(std::move(event));
-        }
+      util::faultpoint::RetryScope retry;
+      measure(m.quantity, circuit, slot, 1);
+      slot.status = kSampleRecovered;
+    } catch (const std::runtime_error& second) {
+      slot.status = kSampleQuarantined;
+      slot.error = second.what();
+      counters().quarantined.add();
+      if (util::trace::enabled()) {
+        util::trace::ForensicEvent event;
+        event.kind = "mc_sample_quarantined";
+        event.attrs.push_back(util::trace::Attr::str("measurement", m.key));
+        event.attrs.push_back(util::trace::Attr::str("condition", condition_label(condition)));
+        event.attrs.push_back(util::trace::Attr::str("run_id", run_id));
+        event.attrs.push_back(util::trace::Attr::str("error", slot.error));
+        util::trace::record_forensic(std::move(event));
       }
     }
-    persist(i, status[i], errors[i]);
-    m_samples().add();
-  };
-  if (mc.parallel) {
-    util::ThreadPool& pool = mc.pool != nullptr ? *mc.pool : util::ThreadPool::global();
-    pool.parallel_for(0, mc.iterations, counted);
-  } else {
-    for (std::size_t i = 0; i < mc.iterations; ++i) counted(i);
   }
+}
 
-  McDegradation deg;
-  for (std::size_t i = 0; i < mc.iterations; ++i) {
-    if (status[i] == kSampleRecovered) {
-      ++deg.recovered;
-    } else if (status[i] == kSampleQuarantined) {
+// One measurement's distribution: its per-sample values (NaN where
+// quarantined), the summary over the valid ones and the degradation record,
+// in an OffsetDistribution (a delay's saturated count stays 0).  Says so on
+// stderr when it is degraded, and throws McDegradationError when the
+// quarantined fraction exceeds mc.max_quarantine_fraction.
+OffsetDistribution assemble(Measurement& m, const Condition& condition, const McConfig& mc,
+                            const std::string& run_id) {
+  OffsetDistribution dist;
+  McDegradation& deg = dist.degradation;
+  std::vector<double> valid;
+  for (std::size_t i = 0; i < m.slots.size(); ++i) {
+    mc_cache::CachedSample& slot = m.slots[i];
+    dist.offsets.push_back(slot.value);
+    dist.saturated_count += slot.saturated ? 1 : 0;
+    if (slot.status == kSampleQuarantined) {
       deg.quarantined.push_back(QuarantinedSample{i, mc.seed, condition_label(condition),
-                                                  run_id, std::move(errors[i])});
+                                                  run_id, std::move(slot.error)});
+      continue;
     }
+    valid.push_back(slot.value);
+    if (slot.status == kSampleRecovered) ++deg.recovered;
   }
+  dist.summary = util::summarize(valid);
 
   if (deg.degraded()) {
     // Loud by design: a degraded distribution must never pass silently.
     std::fprintf(stderr,
                  "[issa] DEGRADED MC RUN %s: %zu/%zu sample(s) quarantined, %zu recovered "
                  "by retry [%s seed=%llu]\n",
-                 phase_name, deg.quarantined.size(), mc.iterations, deg.recovered,
+                 m.key, deg.quarantined.size(), mc.iterations, deg.recovered,
                  condition_label(condition).c_str(),
                  static_cast<unsigned long long>(mc.seed));
   }
@@ -259,7 +232,7 @@ McDegradation for_samples(const Condition& condition, const McConfig& mc,
                                static_cast<double>(mc.iterations);
   if (fraction > mc.max_quarantine_fraction) {
     std::ostringstream os;
-    os << phase_name << ": " << deg.quarantined.size() << "/" << mc.iterations
+    os << m.key << ": " << deg.quarantined.size() << "/" << mc.iterations
        << " samples quarantined (" << fraction * 100.0 << "% > max "
        << mc.max_quarantine_fraction * 100.0 << "%) [" << condition_label(condition)
        << " seed=" << mc.seed << "]";
@@ -274,24 +247,7 @@ McDegradation for_samples(const Condition& condition, const McConfig& mc,
     }
     throw McDegradationError(os.str(), std::move(deg));
   }
-  return deg;
-}
-
-// Drops the quarantined slots (ascending-sorted in `quarantined`), so the
-// summary statistics see only valid samples.
-std::vector<double> valid_samples(const std::vector<double>& values,
-                                  const std::vector<QuarantinedSample>& quarantined) {
-  std::vector<double> out;
-  out.reserve(values.size() - quarantined.size());
-  std::size_t qi = 0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (qi < quarantined.size() && quarantined[qi].sample == i) {
-      ++qi;
-      continue;
-    }
-    out.push_back(values[i]);
-  }
-  return out;
+  return dist;
 }
 
 // True when the open sample cache holds a `kind` record for every sample, so
@@ -305,6 +261,95 @@ bool cache_holds_all(const std::string& fingerprint, const char* kind, const McC
   return true;
 }
 
+// The one Monte-Carlo pass over a condition's samples, measuring each of
+// `quantities` on every sample; the distributions of the others stay empty.
+//
+// What depends on the condition alone is done once, before the samples: the
+// cache fingerprint, the aged stress map (shared read-only across the pool)
+// and, unless the cache replays every offset, the fast path's offset model,
+// fitted outside every sample's span and fault scope.  Then each sample
+// replays every measurement the cache holds.  If one is missing, the sample
+// is built once and each missing measurement runs on that build, under a
+// trace span carrying the sample's index, seed and operating condition (a
+// forensic bundle recorded by a solver failure deep inside a transient takes
+// them as context) and under the sample's fault key, so that an armed trigger
+// decides by sample index, never by schedule.  Every computed outcome is
+// persisted: ok, recovered and quarantined alike.
+CellDistributions run_pass(const Condition& condition, const McConfig& mc,
+                           std::initializer_list<Quantity> quantities) {
+  util::trace::Span phase(util::trace::spans::kMcDistribution, "mc");
+  if (phase.traced()) {
+    phase.attr_u64("iterations", mc.iterations);
+    attr_condition(phase, condition, mc);
+  }
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<Measurement> measurements;
+  for (const Quantity q : quantities) {
+    measurements.push_back({q, q == Quantity::kOffset ? "offset" : "delay.worst",
+                            std::vector<mc_cache::CachedSample>(
+                                mc.iterations, {kSampleOk, kNaN, false, {}})});
+  }
+  // One fingerprint covers every per-condition cache input; samples then key
+  // off (fingerprint, kind, index).
+  const std::string fp =
+      mc_cache::enabled() ? mc_cache::condition_fingerprint(condition, mc) : std::string();
+  std::optional<aging::DeviceStressMap> stress;
+  if (condition.aged()) stress.emplace(condition_stress_map(condition));
+  for (const Measurement& m : measurements) {
+    if (m.quantity == Quantity::kOffset && !cache_holds_all(fp, m.key, mc)) {
+      sa::offset_model(condition.kind, condition.config);
+    }
+  }
+  const std::string run_id = effective_run_id(condition, mc);
+
+  auto visit = [&](std::size_t i) {
+    counters().samples.add();
+    std::vector<Measurement*> missing;
+    for (Measurement& m : measurements) {
+      mc_cache::CachedSample cached;
+      if (fp.empty() || !mc_cache::lookup(fp, m.key, i, cached)) {
+        missing.push_back(&m);
+        continue;
+      }
+      // The report lists a replayed quarantine, so the metric counts it.
+      if (cached.status == kSampleQuarantined) counters().quarantined.add();
+      m.slots[i] = std::move(cached);
+    }
+    if (missing.empty()) return;
+    util::trace::Span span(util::trace::spans::kMcSample, "mc");
+    if (span.traced()) {
+      span.attr_u64("sample", i);
+      attr_condition(span, condition, mc);
+    }
+    util::faultpoint::SampleScope fault_key(i);
+    sa::SenseAmpCircuit circuit = build_sample(condition, mc, i, stress ? &*stress : nullptr);
+    for (Measurement* m : missing) {
+      measure_with_retry(*m, circuit, i, condition, run_id);
+      if (!fp.empty()) mc_cache::insert(fp, m->key, i, m->slots[i]);
+    }
+  };
+  if (mc.parallel) {
+    util::ThreadPool& pool = mc.pool != nullptr ? *mc.pool : util::ThreadPool::global();
+    pool.parallel_for(0, mc.iterations, visit);
+  } else {
+    for (std::size_t i = 0; i < mc.iterations; ++i) visit(i);
+  }
+
+  CellDistributions cell;
+  for (Measurement& m : measurements) {
+    OffsetDistribution dist = assemble(m, condition, mc, run_id);
+    if (m.quantity == Quantity::kOffset) {
+      counters().saturated.add(dist.saturated_count);
+      cell.offset = std::move(dist);
+    } else {
+      cell.delay.delays = std::move(dist.offsets);
+      cell.delay.summary = dist.summary;
+      cell.delay.degradation = std::move(dist.degradation);
+    }
+  }
+  return cell;
+}
+
 }  // namespace
 
 std::string condition_label(const Condition& condition) {
@@ -315,92 +360,16 @@ std::string condition_label(const Condition& condition) {
   return buf;
 }
 
+CellDistributions measure_cell(const Condition& condition, const McConfig& mc) {
+  return run_pass(condition, mc, {Quantity::kOffset, Quantity::kDelay});
+}
+
 OffsetDistribution measure_offset_distribution(const Condition& condition, const McConfig& mc) {
-  OffsetDistribution dist;
-  dist.offsets.assign(mc.iterations, std::numeric_limits<double>::quiet_NaN());
-  std::vector<char> saturated(mc.iterations, 0);
-
-  // One fingerprint per distribution call covers every per-condition cache
-  // input; samples then key off (fingerprint, kind, index).
-  const std::string fp =
-      mc_cache::enabled() ? mc_cache::condition_fingerprint(condition, mc) : std::string();
-
-  // Aged stress maps are identical across samples: compute once, share
-  // read-only across the pool.  So is the fast path's warm-start model, which
-  // depends only on (kind, config): fit it here (once per process), outside
-  // every sample's span and fault scope, unless the cache replays every
-  // sample and nothing is simulated.
-  std::optional<aging::DeviceStressMap> stress;
-  if (condition.aged()) stress.emplace(condition_stress_map(condition));
-  if (!cache_holds_all(fp, "offset", mc)) sa::offset_model(condition.kind, condition.config);
-  dist.degradation = for_samples(
-      condition, mc, util::trace::spans::kMcOffsetDistribution,
-      [&](std::size_t i, int attempt) {
-        sa::SenseAmpCircuit circuit = build_sample(condition, mc, i, stress ? &*stress : nullptr);
-        // The retry runs the robust profile: full-window bisection over
-        // full-length transients approaches the flip from different
-        // operating points than the model-started fast path — the
-        // "perturbed initial guess".
-        sa::OffsetSearchOptions search;
-        search.robust = attempt > 0;
-        const sa::OffsetResult r = sa::measure_offset(circuit, search);
-        dist.offsets[i] = r.offset;
-        saturated[i] = r.saturated ? 1 : 0;
-      },
-      [&](std::size_t i, unsigned char& status, std::string& error) {
-        if (fp.empty()) return false;
-        mc_cache::CachedSample cached;
-        if (!mc_cache::lookup(fp, "offset", i, cached)) return false;
-        dist.offsets[i] = cached.value;
-        saturated[i] = cached.saturated ? 1 : 0;
-        status = cached.status;
-        error = cached.error;
-        return true;
-      },
-      [&](std::size_t i, unsigned char status, const std::string& error) {
-        if (fp.empty()) return;
-        mc_cache::insert(fp, "offset", i,
-                         mc_cache::CachedSample{status, dist.offsets[i], saturated[i] != 0, error});
-      });
-
-  for (const char s : saturated) dist.saturated_count += s;
-  m_saturated().add(dist.saturated_count);
-  dist.summary = util::summarize(valid_samples(dist.offsets, dist.degradation.quarantined));
-  return dist;
+  return run_pass(condition, mc, {Quantity::kOffset}).offset;
 }
 
 DelayDistribution measure_delay_distribution(const Condition& condition, const McConfig& mc) {
-  DelayDistribution dist;
-  dist.delays.assign(mc.iterations, std::numeric_limits<double>::quiet_NaN());
-  const std::string fp =
-      mc_cache::enabled() ? mc_cache::condition_fingerprint(condition, mc) : std::string();
-  std::optional<aging::DeviceStressMap> stress;
-  if (condition.aged()) stress.emplace(condition_stress_map(condition));
-  dist.degradation = for_samples(
-      condition, mc, util::trace::spans::kMcDelayDistribution,
-      [&](std::size_t i, int) {
-        // The delay measurement has no tunable search profile; the retry
-        // still re-runs from a fresh build and draws fresh injected-fault
-        // decisions (attempt = 1).
-        sa::SenseAmpCircuit circuit = build_sample(condition, mc, i, stress ? &*stress : nullptr);
-        dist.delays[i] = sa::measure_delay(circuit).worst();
-      },
-      [&](std::size_t i, unsigned char& status, std::string& error) {
-        if (fp.empty()) return false;
-        mc_cache::CachedSample cached;
-        if (!mc_cache::lookup(fp, "delay.worst", i, cached)) return false;
-        dist.delays[i] = cached.value;
-        status = cached.status;
-        error = cached.error;
-        return true;
-      },
-      [&](std::size_t i, unsigned char status, const std::string& error) {
-        if (fp.empty()) return;
-        mc_cache::insert(fp, "delay.worst", i,
-                         mc_cache::CachedSample{status, dist.delays[i], false, error});
-      });
-  dist.summary = util::summarize(valid_samples(dist.delays, dist.degradation.quarantined));
-  return dist;
+  return run_pass(condition, mc, {Quantity::kDelay}).delay;
 }
 
 }  // namespace issa::analysis

@@ -1,28 +1,30 @@
 // Monte-Carlo evaluation of a sense amplifier under one experimental
 // condition (scheme x workload x supply x temperature x stress time).
 //
-// Every sample i builds a fresh testbench, draws its process variation and
-// BTI trap sets from streams keyed by (seed, i, device name), and measures
-// the offset voltage and/or sensing delay by transient simulation.  Samples
-// are independent, so they run on the global thread pool; results are
-// deterministic in (condition, mc config) regardless of thread count.
+// One pass visits every sample i: it builds a fresh testbench once, draws its
+// process variation and BTI trap sets from streams keyed by (seed, i, device
+// name), and measures the offset voltage and/or the sensing delay on that
+// build by transient simulation.  Samples are independent, so they run on
+// the global thread pool; results are deterministic in (condition, mc
+// config) regardless of thread count.
 //
-// Fault tolerance: a per-sample solver failure (ConvergenceError, singular
-// LU, unresolvable delay, injected fault) no longer destroys the whole
-// distribution.  The failed sample is retried once from a perturbed
-// (cold-start, robust-profile) initial guess; if that also fails the sample
-// is QUARANTINED — recorded with its index/seed/condition/run id, its slot
-// holding NaN — and the summary is computed over the valid samples.  The run
-// itself only fails (McDegradationError) when the quarantined fraction
-// exceeds McConfig::max_quarantine_fraction.  The quarantine decision is a
-// pure function of (condition, mc config, fault spec), never of scheduling,
-// so the quarantine list is bit-identical across thread counts.
+// Fault tolerance, per measurement: a solver failure (ConvergenceError,
+// singular LU, unresolvable delay, injected fault) is retried once on the
+// sample's build (the offset with its robust search profile); if that also
+// fails the sample is QUARANTINED from that distribution — recorded with its
+// index/seed/condition/run id, its slot holding NaN — and the summary is
+// computed over the valid samples.  The run itself only fails
+// (McDegradationError) when a distribution's quarantined fraction exceeds
+// McConfig::max_quarantine_fraction.  The quarantine decision is a pure
+// function of (condition, mc config, fault spec), never of scheduling, so
+// the quarantine list is bit-identical across thread counts.
 //
 // Persistence: when the Monte-Carlo sample cache is open (analysis/mc_cache,
 // benches wire it to --cache), every computed per-sample result
 // — including quarantine verdicts — is stored under a content fingerprint of
-// its inputs, and a rerun of the same sweep replays stored samples from disk
-// bit-identically instead of re-simulating them.
+// its inputs and its measurement ("offset", "delay.worst"), and a rerun of
+// the same sweep replays stored samples from disk bit-identically instead of
+// re-simulating them.
 #pragma once
 
 #include <cstdint>
@@ -147,21 +149,28 @@ struct DelayDistribution {
 
 /// Builds one sample's testbench: fresh circuit + mismatch (+ BTI when the
 /// condition is aged).  Exposed so examples/tests can inspect single samples.
-sa::SenseAmpCircuit build_sample(const Condition& condition, const McConfig& mc,
-                                 std::size_t sample_index);
-
-/// Same, but with a caller-provided stress map for aged conditions (pass
-/// nullptr for the self-computing behaviour above).  The map depends only on
-/// the condition, never the sample, so the distribution loops compute it
-/// once and share it across all samples and threads (read-only).
+/// An aged build computes the condition's stress map unless `stress` passes
+/// it in: the map depends only on the condition, never the sample, so the
+/// Monte-Carlo pass computes it once and shares it (read-only).
 sa::SenseAmpCircuit build_sample(const Condition& condition, const McConfig& mc,
                                  std::size_t sample_index,
-                                 const aging::DeviceStressMap* stress);
+                                 const aging::DeviceStressMap* stress = nullptr);
 
 /// Cumulative number of condition_stress_map() evaluations in this process.
-/// Test hook for the compute-once contract: a distribution call over an aged
-/// condition must advance this by exactly 1 regardless of sample count.
+/// Test hook for the compute-once contract: one pass over an aged condition
+/// must advance this by exactly 1 regardless of sample count.
 std::uint64_t condition_stress_map_builds() noexcept;
+
+/// Both distributions of one condition, measured on the same samples.
+struct CellDistributions {
+  OffsetDistribution offset;
+  DelayDistribution delay;
+};
+
+/// Measures both distributions of a condition in one pass that builds each
+/// sample once: bit for bit what separate measure_offset_distribution() and
+/// measure_delay_distribution() calls return.
+CellDistributions measure_cell(const Condition& condition, const McConfig& mc);
 
 /// Measures the offset distribution of a condition.
 OffsetDistribution measure_offset_distribution(const Condition& condition, const McConfig& mc);

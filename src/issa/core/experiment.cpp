@@ -66,9 +66,7 @@ ExperimentRow ExperimentRunner::run_cell(sa::SenseAmpKind kind,
       util::metrics::enabled() ? util::metrics::Registry::instance().snapshot()
                                : util::metrics::Snapshot{};
 
-  const analysis::OffsetDistribution offsets =
-      analysis::measure_offset_distribution(condition, mc_);
-  const analysis::DelayDistribution delays = analysis::measure_delay_distribution(condition, mc_);
+  const auto [offsets, delays] = analysis::measure_cell(condition, mc_);
 
   ExperimentRow row;
   if (util::metrics::enabled()) {

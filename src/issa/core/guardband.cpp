@@ -33,29 +33,27 @@ GuardbandComparison compare_guardband_vs_mitigation(double temperature_c,
                                                     double lifetime_s) {
   GuardbandComparison result;
   result.corner_temperature_c = temperature_c;
-  result.nssa_fresh_spec =
-      spec_at(sa::SenseAmpKind::kNssa, temperature_c, worst_workload, 0.0, mc);
-  result.nssa_aged_spec =
-      spec_at(sa::SenseAmpKind::kNssa, temperature_c, worst_workload, lifetime_s, mc);
-  result.issa_aged_spec =
-      spec_at(sa::SenseAmpKind::kIssa, temperature_c, worst_workload, lifetime_s, mc);
-
-  const auto delays_nssa = analysis::measure_delay_distribution(
-      corner_condition(sa::SenseAmpKind::kNssa, temperature_c, worst_workload, lifetime_s), mc);
-  const auto delays_issa = analysis::measure_delay_distribution(
-      corner_condition(sa::SenseAmpKind::kIssa, temperature_c, worst_workload, lifetime_s), mc);
-  const auto delays_fresh = analysis::measure_delay_distribution(
-      corner_condition(sa::SenseAmpKind::kNssa, temperature_c, worst_workload, 0.0), mc);
+  // Each corner's spec and delay come from one pass over its samples.
+  auto cell = [&](sa::SenseAmpKind kind, double time_s) {
+    return analysis::measure_cell(
+        corner_condition(kind, temperature_c, worst_workload, time_s), mc);
+  };
+  const analysis::CellDistributions nssa_fresh = cell(sa::SenseAmpKind::kNssa, 0.0);
+  const analysis::CellDistributions nssa_aged = cell(sa::SenseAmpKind::kNssa, lifetime_s);
+  const analysis::CellDistributions issa_aged = cell(sa::SenseAmpKind::kIssa, lifetime_s);
+  result.nssa_fresh_spec = nssa_fresh.offset.spec();
+  result.nssa_aged_spec = nssa_aged.offset.spec();
+  result.issa_aged_spec = issa_aged.offset.spec();
 
   const mem::ColumnReadPath path(read_path);
   const double vdd = sa::nominal_config().vdd;
   const double temp_k = util::celsius_to_kelvin(temperature_c);
   result.nssa_read_time =
-      path.timing(result.nssa_aged_spec, delays_nssa.summary.mean, vdd, temp_k).total();
+      path.timing(result.nssa_aged_spec, nssa_aged.delay.summary.mean, vdd, temp_k).total();
   result.issa_read_time =
-      path.timing(result.issa_aged_spec, delays_issa.summary.mean, vdd, temp_k).total();
+      path.timing(result.issa_aged_spec, issa_aged.delay.summary.mean, vdd, temp_k).total();
   result.fresh_read_time =
-      path.timing(result.nssa_fresh_spec, delays_fresh.summary.mean, vdd, temp_k).total();
+      path.timing(result.nssa_fresh_spec, nssa_fresh.delay.summary.mean, vdd, temp_k).total();
   return result;
 }
 

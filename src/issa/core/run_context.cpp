@@ -143,6 +143,17 @@ RunContext::RunContext(int argc, const char* const* argv, std::string_view name,
 
 RunContext::~RunContext() { finish(); }
 
+int RunContext::guard(const std::function<void()>& work) {
+  try {
+    work();
+    return 0;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", name_.c_str(), e.what());
+    finish();
+    return 1;
+  }
+}
+
 bool RunContext::finish() {
   if (finished_) return ok_;
   finished_ = true;

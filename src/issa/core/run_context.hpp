@@ -20,12 +20,14 @@
 // Construction validates all arguments before any work starts (--help exits
 // 0; an unknown option or a malformed value exits 2, see util::Options).  The
 // sidecars are written and the cache closed exactly once — by finish(), or
-// else by the destructor, so an early return still reports.  Closing the
-// cache prints the summary line scripts/check_cache_*.sh parse:
+// else by the destructor, so an early return still reports, and by guard()
+// when the work throws.  Closing the cache prints the summary line
+// scripts/check_cache_*.sh parse:
 //   cache: hits=<h> misses=<m> stores=<s> dir=<directory>
 #pragma once
 
 #include <chrono>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -55,6 +57,11 @@ class RunContext {
 
   /// Per-condition rows for the metrics report's "conditions" breakdown.
   void attach_rows(std::vector<ExperimentRow> rows) { rows_ = std::move(rows); }
+
+  /// Runs the program's work and returns main()'s exit status: 0, or 1 after
+  /// printing "<name>: <what()>" and finish() when it throws std::exception
+  /// (a degraded Monte-Carlo run, say: its trace holds the forensic events).
+  int guard(const std::function<void()>& work);
 
   /// Writes the requested sidecars and closes the cache.  Returns false when
   /// something could not be written (the reason goes to stderr).  Only the

@@ -185,6 +185,27 @@ TEST_F(McCacheTest, WarmDelayRerunReplaysBothMetricsIndependently) {
   EXPECT_TRUE(bit_exact(cold_offset.offsets, warm_offset.offsets));
 }
 
+TEST_F(McCacheTest, HalfCachedCellSimulatesOnlyItsMissingMeasurement) {
+  // A cell whose offsets are cached replays them and builds each sample only
+  // for its delay; both distributions equal a cold, cache-less run's.
+  const Condition condition = fresh_condition();
+  const McConfig mc = mc_with(6);
+  const CellDistributions cold = measure_cell(condition, mc);
+
+  mc_cache::open(dir_);
+  measure_offset_distribution(condition, mc);
+  CellDistributions warm;
+  const auto counts = delta([&] { warm = measure_cell(condition, mc); });
+  EXPECT_EQ(counts.hits, 6u);    // the offsets
+  EXPECT_EQ(counts.misses, 6u);  // the delays
+  EXPECT_EQ(counts.stores, 6u);
+
+  EXPECT_TRUE(bit_exact(cold.offset.offsets, warm.offset.offsets));
+  EXPECT_EQ(cold.offset.saturated_count, warm.offset.saturated_count);
+  EXPECT_TRUE(bit_exact(cold.delay.delays, warm.delay.delays));
+  EXPECT_EQ(cold.delay.summary.mean, warm.delay.summary.mean);
+}
+
 TEST_F(McCacheTest, GrowingIterationCountReusesThePrefix) {
   // Iteration count is excluded from the fingerprint: growing 8 -> 12
   // replays the first 8 samples and simulates only the 4 new ones.

@@ -267,6 +267,73 @@ TEST_F(McDegradationTest, PoolTaskThrowStillFailsTheRun) {
   EXPECT_THROW(measure_offset_distribution(fresh_condition(), mc), fp::FaultInjected);
 }
 
+// Field-by-field equality of two degradation records.
+void expect_same_degradation(const McDegradation& a, const McDegradation& b, const char* what) {
+  EXPECT_EQ(a.recovered, b.recovered) << what;
+  ASSERT_EQ(a.quarantined.size(), b.quarantined.size()) << what;
+  for (std::size_t q = 0; q < a.quarantined.size(); ++q) {
+    EXPECT_EQ(a.quarantined[q].sample, b.quarantined[q].sample) << what;
+    EXPECT_EQ(a.quarantined[q].seed, b.quarantined[q].seed) << what;
+    EXPECT_EQ(a.quarantined[q].condition, b.quarantined[q].condition) << what;
+    EXPECT_EQ(a.quarantined[q].run_id, b.quarantined[q].run_id) << what;
+    EXPECT_EQ(a.quarantined[q].error, b.quarantined[q].error) << what;
+  }
+}
+
+TEST_F(McDegradationTest, MeasureCellMatchesSeparateDistributions) {
+  // One pass measures each sample's offset and delay on one build, with a
+  // retry and quarantine per measurement.  Under a p-trigger that both
+  // recovers and quarantines samples, it must reproduce separate offset and
+  // delay calls bit for bit, serially and on a pool, on aged cells of both
+  // schemes: every injected fault fires as it does there, and a retry on the
+  // reused build measures what a retry on a fresh build does.
+  const char* spec = "sim.newton_nonconvergence=p0.3@4";
+  fp::configure(spec);
+  const std::size_t n = 24;
+  std::size_t recovers = 0;
+  std::size_t quarantines = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool first = fp::would_fire(fp::sites::kNewtonNonconvergence, i, 0);
+    const bool second = fp::would_fire(fp::sites::kNewtonNonconvergence, i, 1);
+    recovers += first && !second;
+    quarantines += first && second;
+  }
+  ASSERT_GT(recovers, 0u) << spec << " recovers no sample; pick another";
+  ASSERT_GT(quarantines, 0u) << spec << " quarantines no sample; pick another";
+
+  util::ThreadPool pool(3);
+  for (const sa::SenseAmpKind kind : {sa::SenseAmpKind::kNssa, sa::SenseAmpKind::kIssa}) {
+    Condition c = fresh_condition();
+    c.kind = kind;
+    c.stress_time_s = 1e8;
+    McConfig serial = mc_with(n, false);
+    serial.max_quarantine_fraction = 1.0;
+    const OffsetDistribution offset = measure_offset_distribution(c, serial);
+    const DelayDistribution delay = measure_delay_distribution(c, serial);
+    EXPECT_FALSE(offset.degradation.quarantined.empty()) << sa::kind_name(kind);
+    EXPECT_GT(offset.degradation.recovered, 0u) << sa::kind_name(kind);
+    EXPECT_FALSE(delay.degradation.quarantined.empty()) << sa::kind_name(kind);
+    EXPECT_GT(delay.degradation.recovered, 0u) << sa::kind_name(kind);
+
+    McConfig pooled = serial;
+    pooled.parallel = true;
+    pooled.pool = &pool;
+    for (const McConfig& mc : {serial, pooled}) {
+      const std::string what =
+          std::string(sa::kind_name(kind)) + (mc.parallel ? " on a pool" : " serial");
+      const CellDistributions cell = measure_cell(c, mc);
+      EXPECT_TRUE(bit_exact(cell.offset.offsets, offset.offsets)) << what;
+      EXPECT_EQ(cell.offset.saturated_count, offset.saturated_count) << what;
+      EXPECT_EQ(cell.offset.summary.mean, offset.summary.mean) << what;
+      EXPECT_EQ(cell.offset.summary.stddev, offset.summary.stddev) << what;
+      expect_same_degradation(cell.offset.degradation, offset.degradation, what.c_str());
+      EXPECT_TRUE(bit_exact(cell.delay.delays, delay.delays)) << what;
+      EXPECT_EQ(cell.delay.summary.mean, delay.summary.mean) << what;
+      expect_same_degradation(cell.delay.degradation, delay.degradation, what.c_str());
+    }
+  }
+}
+
 TEST(McDegradationApi, ConditionStressMapNamesUnknownKind) {
   Condition c = fresh_condition();
   c.stress_time_s = 1e8;

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+
+#include "issa/util/metrics.hpp"
+#include "issa/util/trace.hpp"
 
 namespace issa::core {
 namespace {
@@ -45,6 +49,24 @@ TEST(Experiment, AgedUnbalancedCellShiftsMean) {
   EXPECT_GT(row.mu_mv, 5.0);
   EXPECT_EQ(row.workload_label, "80r0");
   EXPECT_DOUBLE_EQ(row.stress_time_s, 1e8);
+}
+
+TEST(Experiment, RunCellVisitsEachSampleOnce) {
+  // A cell's offset and delay come from one pass over its samples: one
+  // stress map, one visit (and so at most one build) per sample.
+  namespace metrics = util::metrics;
+  ExperimentRunner runner(tiny_mc());
+  metrics::set_enabled(true);
+  const metrics::Snapshot before = metrics::Registry::instance().snapshot();
+  const std::uint64_t maps = analysis::condition_stress_map_builds();
+  runner.run_cell(sa::SenseAmpKind::kIssa, workload::workload_from_name("80r0"), 1e8, 1.0, 25.0);
+  const metrics::Snapshot delta = metrics::Registry::instance().snapshot().delta_since(before);
+  metrics::set_enabled(false);
+  EXPECT_EQ(analysis::condition_stress_map_builds() - maps, 1u);
+  EXPECT_EQ(delta.value(metrics::names::kMcSamples), 16u);
+  const metrics::SnapshotEntry* samples = delta.find(util::trace::spans::kMcSample);
+  ASSERT_NE(samples, nullptr);
+  EXPECT_EQ(samples->count, 16u);
 }
 
 TEST(Experiment, VddScaleAndTemperatureLand) {

@@ -1,6 +1,6 @@
 // Tests for core::RunContext: run flags into the McConfig, strict option
 // handling, sidecars joined by one run id, the cache summary line, and the
-// emit-exactly-once contract.
+// emit-exactly-once contract, also for a run that throws.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -9,6 +9,7 @@
 #include <set>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -241,6 +242,24 @@ TEST(RunContextTest, EarlyReturnStillEmitsOnce) {
   EXPECT_TRUE(fs::exists(stem + ".metrics.json"));
   EXPECT_TRUE(fs::exists(stem + ".trace.json"));
   EXPECT_EQ(count_of(out, "wrote " + stem + ".metrics.json"), 1u) << out;
+  EXPECT_EQ(count_of(out, "wrote " + stem + ".trace.json"), 1u) << out;
+}
+
+TEST(RunContextTest, GuardReportsAThrowAndStillEmits) {
+  // A run that throws (a Monte-Carlo run over its quarantine bound, say)
+  // prints the error, writes its sidecars and ends with exit status 1.
+  const std::string stem = fresh_dir("guard") + "/run";
+  const Argv args({"--metrics=" + stem, "--trace=" + stem});
+  core::RunContext run(args.argc(), args.argv(), "t");
+  EXPECT_EQ(run.guard([] {}), 0);
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(run.guard([] { throw std::runtime_error("3/8 samples quarantined"); }), 1);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  const std::string out = ::testing::internal::GetCapturedStdout();
+  EXPECT_EQ(err, "t: 3/8 samples quarantined\n");
+  EXPECT_TRUE(fs::exists(stem + ".metrics.json"));
+  EXPECT_TRUE(fs::exists(stem + ".trace.json"));
   EXPECT_EQ(count_of(out, "wrote " + stem + ".trace.json"), 1u) << out;
 }
 
