@@ -21,6 +21,7 @@
 #include "issa/aging/hci.hpp"
 #include "issa/util/statistics.hpp"
 #include "issa/util/table.hpp"
+#include "issa/util/units.hpp"
 #include "issa/workload/hci_map.hpp"
 #include "issa/workload/stress_map.hpp"
 
@@ -147,19 +148,18 @@ void reproduce(core::RunContext& run) {
   // default grid there, against the half-step grid.
   analysis::Condition half_step = cond;
   half_step.config.timing.dt *= 0.5;
-  util::RunningStats half_step_stats;
-  for (std::size_t i = 0; i < n; ++i) {
-    auto circuit = analysis::build_sample(half_step, mc, i);
-    half_step_stats.add(sa::measure_offset(circuit).offset * 1e3);
-  }
+  analysis::McConfig mc_n = mc;
+  mc_n.iterations = n;
+  const analysis::OffsetDistribution half_step_offsets =
+      analysis::measure_offset_distribution(half_step, mc_n);
   util::AsciiTable ab2_offset({"trapezoidal dt (ps)", "offset mu (mV)", "offset sigma (mV)"});
-  auto offset_row = [&](const sa::SenseAmpConfig& config, const util::RunningStats& stats) {
+  auto offset_row = [&](const sa::SenseAmpConfig& config, double mu_mv, double sigma_mv) {
     ab2_offset.add_row({util::AsciiTable::num(config.timing.dt * 1e12, 2),
-                        util::AsciiTable::num(stats.mean(), 4),
-                        util::AsciiTable::num(stats.stddev(), 4)});
+                        util::AsciiTable::num(mu_mv, 4), util::AsciiTable::num(sigma_mv, 4)});
   };
-  offset_row(cond.config, fast_stats);
-  offset_row(half_step.config, half_step_stats);
+  offset_row(cond.config, fast_stats.mean(), fast_stats.stddev());
+  offset_row(half_step.config, util::to_mV(half_step_offsets.summary.mean),
+             util::to_mV(half_step_offsets.summary.stddev));
   std::cout << "Offsets of the " << n << " aged samples of Ablation 1:\n\n"
             << ab2_offset
             << "\nTrapezoidal is converged at the default dt = 0.2 ps: halving the step moves\n"

@@ -16,6 +16,7 @@
 #include "issa/workload/bitstream.hpp"
 #include "issa/workload/stress_map.hpp"
 #include "issa/util/table.hpp"
+#include "issa/util/units.hpp"
 
 using namespace issa;
 
@@ -59,33 +60,21 @@ void reproduce(core::RunContext& run) {
   std::cout << "### Aged offset mean vs residual internal imbalance (80% rate, 1e8 s, 25 C,\n"
             << "    MC = " << mc.iterations << ")\n\n";
   util::AsciiTable cost({"internal zero fraction", "imbalance", "mu (mV)", "spec (mV)"});
+  analysis::Condition c;
+  c.kind = sa::SenseAmpKind::kIssa;
+  c.config = sa::nominal_config();
+  c.workload = workload::workload_from_name("80r0");
+  c.stress_time_s = 1e8;
   for (const double zero_fraction : {0.5, 0.55, 0.625, 0.75, 1.0}) {
-    analysis::Condition c;
-    c.kind = sa::SenseAmpKind::kIssa;
-    c.config = sa::nominal_config();
-    c.workload = workload::workload_from_name("80r0");
-    c.stress_time_s = 1e8;
-    // Route the skewed map through the measurement by overriding the stress
-    // map: rebuild per sample with the explicit internal balance.
-    analysis::McConfig cfg = mc;
-    // measure via the generic pipeline on a synthetic condition: use the
-    // NSSA path with an equivalent workload when fully unbalanced, otherwise
-    // sample manually.
+    // The ISSA ages under the map of a controller that leaves this residual
+    // imbalance; 0.5 is the ideal ISSA's own map.
     const auto map = workload::issa_stress_map_with_internal_balance(c.workload, c.config.vdd,
                                                                      zero_fraction);
-    util::RunningStats stats;
-    for (std::size_t i = 0; i < cfg.iterations; ++i) {
-      auto circuit = sa::build_issa(c.config);
-      variation::apply_process_variation(circuit.netlist(), cfg.mismatch, cfg.seed, i);
-      aging::apply_bti_aging(circuit.netlist(), cfg.bti, map, c.stress_time_s,
-                             c.config.temperature_k(), cfg.seed, i);
-      stats.add(sa::measure_offset(circuit).offset);
-    }
-    const double spec = analysis::offset_voltage_spec(stats.mean(), stats.stddev());
+    const analysis::OffsetDistribution dist = analysis::measure_offset_distribution(c, mc, &map);
     cost.add_row({util::AsciiTable::num(zero_fraction, 3),
                   util::AsciiTable::num(std::fabs(2.0 * zero_fraction - 1.0), 2),
-                  util::AsciiTable::num(stats.mean() * 1e3, 2),
-                  util::AsciiTable::num(spec * 1e3, 1)});
+                  util::AsciiTable::num(util::to_mV(dist.summary.mean), 2),
+                  util::AsciiTable::num(util::to_mV(dist.spec()), 1)});
   }
   std::cout << cost << "\n";
   std::cout << "Imbalance 0 is the ideal ISSA; imbalance 1 recovers the NSSA-80r0 row of\n"

@@ -9,6 +9,7 @@
 
 #include "issa/core/experiment.hpp"
 #include "issa/core/run_context.hpp"
+#include "issa/util/csv.hpp"
 #include "issa/util/table.hpp"
 
 namespace issa::bench {
@@ -69,6 +70,29 @@ inline void print_rows_with_reference(const std::string& title,
     std::cout << "!!! DEGRADED RUN: " << quarantined << " quarantined sample(s), " << recovered
               << " recovered by retry; statistics cover valid samples only\n\n";
   }
+}
+
+/// Writes `rows` to the CSV file at `path` and says so on stdout.  Columns:
+/// scheme, time_s, workload, then `extra_name` holding each row's `extra`
+/// field when one is given (Table III's vdd, Table IV's temp_c), then mu_mv,
+/// sigma_mv, spec_mv, delay_ps.
+inline void write_rows_csv(const std::string& path, const std::vector<core::ExperimentRow>& rows,
+                           const char* extra_name = nullptr,
+                           double core::ExperimentRow::*extra = nullptr) {
+  std::vector<std::string> columns = {"scheme", "time_s", "workload"};
+  if (extra != nullptr) columns.emplace_back(extra_name);
+  columns.insert(columns.end(), {"mu_mv", "sigma_mv", "spec_mv", "delay_ps"});
+  util::CsvWriter csv(path, std::move(columns));
+  for (const auto& r : rows) {
+    std::vector<std::string> cells = {r.scheme, std::to_string(r.stress_time_s),
+                                      r.workload_label};
+    if (extra != nullptr) cells.push_back(std::to_string(r.*extra));
+    for (const double v : {r.mu_mv, r.sigma_mv, r.spec_mv, r.delay_ps}) {
+      cells.push_back(std::to_string(v));
+    }
+    csv.add_row(cells);
+  }
+  std::cout << "wrote " << path << "\n";
 }
 
 }  // namespace issa::bench

@@ -5,7 +5,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "issa/util/csv.hpp"
 
 using namespace issa;
 
@@ -45,15 +44,7 @@ void reproduce(core::RunContext& run) {
                                    {"Temp"}, rows, extra, paper);
 
   if (const auto csv_path = run.options().get_string("csv")) {
-    util::CsvWriter csv(*csv_path, {"scheme", "time_s", "workload", "temp_c", "mu_mv",
-                                    "sigma_mv", "spec_mv", "delay_ps"});
-    for (const auto& r : rows) {
-      csv.add_row(std::vector<std::string>{
-          r.scheme, std::to_string(r.stress_time_s), r.workload_label,
-          std::to_string(r.temperature_c), std::to_string(r.mu_mv), std::to_string(r.sigma_mv),
-          std::to_string(r.spec_mv), std::to_string(r.delay_ps)});
-    }
-    std::cout << "wrote " << *csv_path << "\n";
+    bench::write_rows_csv(*csv_path, rows, "temp_c", &core::ExperimentRow::temperature_c);
   }
 
   // Paper headline: at 125 C / 80r0 / 1e8 s the ISSA reduces the offset spec

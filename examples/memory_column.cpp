@@ -5,77 +5,73 @@
 // (aged offset spec -> required swing -> bitline discharge time -> total read
 // time) for the standard SA and the ISSA at a hot, read-heavy corner.
 //
-//   $ ./memory_column [--mc=N] [--temp=C] [--rows=R]
+//   $ ./memory_column [--temp=C] [--rows=R] [--mc=N] [--seed=S] ...   (the run flags)
 #include <cstdio>
 #include <iostream>
 #include <string>
 
 #include "issa/analysis/montecarlo.hpp"
+#include "issa/core/run_context.hpp"
 #include "issa/mem/column.hpp"
 #include "issa/mem/overhead.hpp"
-#include "issa/util/cli.hpp"
 #include "issa/util/table.hpp"
 #include "issa/util/units.hpp"
 
 int main(int argc, char** argv) {
   using namespace issa;
-  const util::Options options(argc, argv, {"mc=N", "temp=C", "rows=R"});
-
-  analysis::McConfig mc;
-  mc.iterations = options.get_count_or("mc", 60);
-  // Every distribution reports a standard deviation, which takes two samples.
-  if (mc.iterations < 2) {
-    options.fail("--mc needs at least 2 samples: " + std::to_string(mc.iterations));
-  }
+  core::RunContext run(argc, argv, "memory_column", {"temp=C", "rows=R"});
+  const util::Options& options = run.options();
+  const analysis::McConfig& mc = run.mc();
   const double temp_c = options.get_double_or("temp", 125.0);
   if (!(temp_c > -273.15)) {
     options.fail("--temp must be above -273.15 C: " + *options.get_string("temp"));
   }
-
   mem::ReadPathParams path_params;
   path_params.bitline.rows = options.get_count_or("rows", 256);
-  const mem::ColumnReadPath path(path_params);
 
-  analysis::Condition condition;
-  condition.config = sa::nominal_config();
-  condition.config.temperature_c = temp_c;
-  condition.workload = workload::workload_from_name("80r0");
+  return run.guard([&] {
+    const mem::ColumnReadPath path(path_params);
 
-  std::printf("SRAM column read path: %zu rows, %.0f C, workload 80r0, MC = %zu\n\n",
-              path_params.bitline.rows, temp_c, mc.iterations);
+    analysis::Condition condition;
+    condition.config = sa::nominal_config();
+    condition.config.temperature_c = temp_c;
+    condition.workload = workload::workload_from_name("80r0");
 
-  util::AsciiTable table({"scheme", "time (s)", "spec (mV)", "SA delay (ps)",
-                          "bitline develop (ps)", "total read (ps)"});
-  const double temperature_k = condition.config.temperature_k();
+    std::printf("SRAM column read path: %zu rows, %.0f C, workload 80r0, MC = %zu\n\n",
+                path_params.bitline.rows, temp_c, mc.iterations);
 
-  for (const double t : {0.0, 1e8}) {
-    for (const auto kind : {sa::SenseAmpKind::kNssa, sa::SenseAmpKind::kIssa}) {
-      condition.kind = kind;
-      condition.stress_time_s = t;
-      const auto [offsets, delays] = analysis::measure_cell(condition, mc);
-      const auto timing =
-          path.timing(offsets.spec(), delays.summary.mean, condition.config.vdd, temperature_k);
-      table.add_row({kind == sa::SenseAmpKind::kNssa ? "NSSA" : "ISSA",
-                     t == 0.0 ? "0" : "1e8",
-                     util::AsciiTable::num(util::to_mV(offsets.spec()), 1),
-                     util::AsciiTable::num(util::to_ps(delays.summary.mean), 1),
-                     util::AsciiTable::num(util::to_ps(timing.bitline_develop), 1),
-                     util::AsciiTable::num(util::to_ps(timing.total()), 1)});
+    util::AsciiTable table({"scheme", "time (s)", "spec (mV)", "SA delay (ps)",
+                            "bitline develop (ps)", "total read (ps)"});
+    const double temperature_k = condition.config.temperature_k();
+
+    for (const double t : {0.0, 1e8}) {
+      for (const auto kind : {sa::SenseAmpKind::kNssa, sa::SenseAmpKind::kIssa}) {
+        condition.kind = kind;
+        condition.stress_time_s = t;
+        const auto [offsets, delays] = analysis::measure_cell(condition, mc);
+        const auto timing =
+            path.timing(offsets.spec(), delays.summary.mean, condition.config.vdd, temperature_k);
+        table.add_row({kind == sa::SenseAmpKind::kNssa ? "NSSA" : "ISSA",
+                       t == 0.0 ? "0" : "1e8",
+                       util::AsciiTable::num(util::to_mV(offsets.spec()), 1),
+                       util::AsciiTable::num(util::to_ps(delays.summary.mean), 1),
+                       util::AsciiTable::num(util::to_ps(timing.bitline_develop), 1),
+                       util::AsciiTable::num(util::to_ps(timing.total()), 1)});
+      }
     }
-  }
-  table.print(std::cout);
+    table.print(std::cout);
 
-  // What does the mitigation cost?  Area and energy, per Sec. IV-C.
-  mem::ArrayGeometry geometry;
-  geometry.rows = path_params.bitline.rows;
-  const auto area = mem::area_breakdown(geometry, sa::SenseAmpSizing{});
-  const auto energy = mem::energy_breakdown(geometry, condition.config.vdd, 0.1,
-                                            path_params.bitline.total_cap());
-  std::printf("\nISSA cost: %.2f%% array area, %.3f%% read energy (shared %u-bit counter)\n",
-              100.0 * area.overhead_fraction(), 100.0 * energy.overhead_fraction(),
-              geometry.counter_bits);
-  std::printf(
-      "The guardbanded alternative would provision the aged NSSA's swing for the\n"
-      "whole lifetime; the ISSA keeps the read path near its fresh timing instead.\n");
-  return 0;
+    // What does the mitigation cost?  Area and energy, per Sec. IV-C.
+    mem::ArrayGeometry geometry;
+    geometry.rows = path_params.bitline.rows;
+    const auto area = mem::area_breakdown(geometry, sa::SenseAmpSizing{});
+    const auto energy = mem::energy_breakdown(geometry, condition.config.vdd, 0.1,
+                                              path_params.bitline.total_cap());
+    std::printf("\nISSA cost: %.2f%% array area, %.3f%% read energy (shared %u-bit counter)\n",
+                100.0 * area.overhead_fraction(), 100.0 * energy.overhead_fraction(),
+                geometry.counter_bits);
+    std::printf(
+        "The guardbanded alternative would provision the aged NSSA's swing for the\n"
+        "whole lifetime; the ISSA keeps the read path near its fresh timing instead.\n");
+  });
 }

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Checks that the working tree reproduces a git revision's results byte for
-# byte: the stdout of the five paper benches at --mc=40 --seed=42 and the
-# "perfbench-results" line of each perfbench workload at --seed 42
-# --seconds 1.  For refactors and speedups that claim bit-identical outputs.
+# byte: the stdout of the five paper benches, the switch-period ablation, the
+# guardband comparison and the overheads bench at --mc=40 --seed=42, the
+# --csv files of Tables II-IV and Fig. 7, and the "perfbench-results" line of
+# each perfbench workload at --seed 42 --seconds 1.  For refactors and
+# speedups that claim bit-identical outputs.
 # Both trees are built in Release under a temporary directory; the revision
 # comes from `git archive`, so the checkout itself is left as it is.
 #
@@ -29,7 +31,11 @@ mkdir -p "$work/base"
 git -C "$ROOT" archive "$rev" | tar -x -C "$work/base"
 
 benches=(bench_table2_workload bench_table3_voltage bench_table4_temperature
-         bench_fig7_delay_vs_aging bench_ext_double_tail)
+         bench_fig7_delay_vs_aging bench_ext_double_tail bench_ablation_switch_period
+         bench_guardband bench_overheads)
+# The benches whose --csv file is compared as well.
+csv_benches=(bench_table2_workload bench_table3_voltage bench_table4_temperature
+             bench_fig7_delay_vs_aging)
 workloads=(offset_table2 delay_fig7 sweep_grow_cached)
 jobs="$(( $(nproc) < 4 ? $(nproc) : 4 ))"
 
@@ -52,7 +58,9 @@ run_side() {
   # all the same, so nothing lands in the checkout.
   for bench in "${benches[@]}"; do
     echo "   $side: $bench"
-    (cd "$out" && "$build/bench/$bench" --mc=40 --seed=42 > "$bench.txt")
+    local args=(--mc=40 --seed=42)
+    if [[ " ${csv_benches[*]} " == *" $bench "* ]]; then args+=("--csv=$bench.csv"); fi
+    (cd "$out" && "$build/bench/$bench" "${args[@]}" > "$bench.txt")
   done
   for workload in "${workloads[@]}"; do
     echo "   $side: perfbench $workload"
@@ -65,8 +73,9 @@ run_side base "$work/base"
 run_side change "$ROOT"
 
 status=0
-for name in "${benches[@]}" "${workloads[@]/#/perfbench_}"; do
-  if diff -u "$work/out-base/$name.txt" "$work/out-change/$name.txt"; then
+workload_files=("${workloads[@]/#/perfbench_}")
+for name in "${benches[@]/%/.txt}" "${csv_benches[@]/%/.csv}" "${workload_files[@]/%/.txt}"; do
+  if diff -u "$work/out-base/$name" "$work/out-change/$name"; then
     echo "identical: $name"
   else
     echo "DIFFERS: $name" >&2

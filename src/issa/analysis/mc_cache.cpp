@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <memory>
 
 #include "issa/circuit/netlist.hpp"
@@ -144,7 +145,8 @@ CacheCounts counts() noexcept {
           g_stores.load(std::memory_order_relaxed)};
 }
 
-std::string condition_fingerprint(const Condition& condition, const McConfig& mc) {
+std::string condition_fingerprint(const Condition& condition, const McConfig& mc,
+                                  const aging::DeviceStressMap* stress) {
   util::store::Hasher h;
   h.u32(kSchemaVersion);
 
@@ -199,6 +201,18 @@ std::string condition_fingerprint(const Condition& condition, const McConfig& mc
 
   const sa::SenseAmpCircuit base = sa::build_sense_amp(condition.kind, condition.config);
   hash_netlist(h, base.netlist());
+
+  // Appended only when given, so every standard fingerprint keeps its bytes.
+  if (stress != nullptr) {
+    const std::map<std::string, aging::StressProfile> sorted(stress->begin(), stress->end());
+    h.u64(sorted.size());
+    for (const auto& [name, profile] : sorted) {
+      h.str(name).u64(profile.phases().size());
+      for (const aging::StressPhase& phase : profile.phases()) {
+        h.f64(phase.fraction).f64(phase.vstress);
+      }
+    }
+  }
 
   return h.finish().hex();
 }

@@ -28,6 +28,10 @@
 //                                        deliberately excluded: growing a
 //                                        sweep from 400 to 4000 samples
 //                                        reuses the first 400
+//   a given stress map (only when one    device names in sorted order, each
+//   replaces condition_stress_map)       phase's fraction and vstress, so a
+//                                        custom-map pass never shares the
+//                                        standard condition's keys
 //
 // Cache keys are "<fingerprint-hex>:<kind>:<sample>" with kind one of
 // "offset" or "delay.worst" — human-greppable in store_report.
@@ -110,8 +114,10 @@ CacheCounts counts() noexcept;
 
 /// Condition-level half of every key: hex SHA-256 over the fingerprint
 /// recipe above.  Computed once per distribution call, shared by all its
-/// samples.
-std::string condition_fingerprint(const Condition& condition, const McConfig& mc);
+/// samples.  `stress` is the map a pass ages under instead of the
+/// condition's own (nullptr: the condition's, and the recipe hashes no map).
+std::string condition_fingerprint(const Condition& condition, const McConfig& mc,
+                                  const aging::DeviceStressMap* stress = nullptr);
 
 /// Full key of one sample's record.
 std::string sample_key(const std::string& fingerprint, const char* kind, std::size_t sample);

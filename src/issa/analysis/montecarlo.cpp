@@ -29,7 +29,6 @@ struct Counters {
   util::metrics::Counter& samples = registry.counter(mnames::kMcSamples);
   util::metrics::Counter& saturated = registry.counter(mnames::kMcSaturatedSamples);
   util::metrics::Counter& failures = registry.counter(mnames::kMcSampleFailures);
-  util::metrics::Counter& retries = registry.counter(mnames::kMcSampleRetries);
   util::metrics::Counter& quarantined = registry.counter(mnames::kMcQuarantinedSamples);
 };
 
@@ -38,9 +37,9 @@ Counters& counters() {
   return c;
 }
 
-// FNV-1a, for the deterministic auto run id.  Quarantine records carry that
-// id and warm reruns replay them from the sample cache, so the hash must not
-// change: a different one would rename every auto id already in a store.
+// FNV-1a, for the deterministic auto run id.  The id is stamped into a
+// quarantine record when the distribution is assembled, never stored with a
+// cached sample, so changing it renames future records only.
 std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t h) noexcept {
   const unsigned char* bytes = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < size; ++i) {
@@ -170,7 +169,6 @@ void measure_with_retry(Measurement& m, sa::SenseAmpCircuit& circuit, std::size_
     measure(m.quantity, circuit, slot, 0);
   } catch (const std::runtime_error&) {
     counters().failures.add();
-    counters().retries.add();
     try {
       util::faultpoint::RetryScope retry;
       measure(m.quantity, circuit, slot, 1);
@@ -195,8 +193,7 @@ void measure_with_retry(Measurement& m, sa::SenseAmpCircuit& circuit, std::size_
 // One measurement's distribution: its per-sample values (NaN where
 // quarantined), the summary over the valid ones and the degradation record,
 // in an OffsetDistribution (a delay's saturated count stays 0).  Says so on
-// stderr when it is degraded, and throws McDegradationError when the
-// quarantined fraction exceeds mc.max_quarantine_fraction.
+// stderr when it is degraded.
 OffsetDistribution assemble(Measurement& m, const Condition& condition, const McConfig& mc,
                             const std::string& run_id) {
   OffsetDistribution dist;
@@ -225,14 +222,21 @@ OffsetDistribution assemble(Measurement& m, const Condition& condition, const Mc
                  condition_label(condition).c_str(),
                  static_cast<unsigned long long>(mc.seed));
   }
+  return dist;
+}
 
+// Throws McDegradationError, with the degradation record moved into it, when
+// the quarantined fraction of a distribution exceeds
+// mc.max_quarantine_fraction.
+void check_bound(const char* key, McDegradation& deg, const Condition& condition,
+                 const McConfig& mc) {
   const double fraction =
       mc.iterations == 0 ? 0.0
                          : static_cast<double>(deg.quarantined.size()) /
                                static_cast<double>(mc.iterations);
   if (fraction > mc.max_quarantine_fraction) {
     std::ostringstream os;
-    os << m.key << ": " << deg.quarantined.size() << "/" << mc.iterations
+    os << key << ": " << deg.quarantined.size() << "/" << mc.iterations
        << " samples quarantined (" << fraction * 100.0 << "% > max "
        << mc.max_quarantine_fraction * 100.0 << "%) [" << condition_label(condition)
        << " seed=" << mc.seed << "]";
@@ -247,7 +251,6 @@ OffsetDistribution assemble(Measurement& m, const Condition& condition, const Mc
     }
     throw McDegradationError(os.str(), std::move(deg));
   }
-  return dist;
 }
 
 // True when the open sample cache holds a `kind` record for every sample, so
@@ -263,6 +266,8 @@ bool cache_holds_all(const std::string& fingerprint, const char* kind, const McC
 
 // The one Monte-Carlo pass over a condition's samples, measuring each of
 // `quantities` on every sample; the distributions of the others stay empty.
+// An aged condition ages under `stress` when it is given, else under its own
+// condition_stress_map().
 //
 // What depends on the condition alone is done once, before the samples: the
 // cache fingerprint, the aged stress map (shared read-only across the pool)
@@ -274,9 +279,12 @@ bool cache_holds_all(const std::string& fingerprint, const char* kind, const McC
 // forensic bundle recorded by a solver failure deep inside a transient takes
 // them as context) and under the sample's fault key, so that an armed trigger
 // decides by sample index, never by schedule.  Every computed outcome is
-// persisted: ok, recovered and quarantined alike.
+// persisted: ok, recovered and quarantined alike.  Every distribution is
+// assembled, and announced when degraded, before the first one over its
+// quarantine bound throws.
 CellDistributions run_pass(const Condition& condition, const McConfig& mc,
-                           std::initializer_list<Quantity> quantities) {
+                           std::initializer_list<Quantity> quantities,
+                           const aging::DeviceStressMap* stress = nullptr) {
   util::trace::Span phase(util::trace::spans::kMcDistribution, "mc");
   if (phase.traced()) {
     phase.attr_u64("iterations", mc.iterations);
@@ -291,10 +299,13 @@ CellDistributions run_pass(const Condition& condition, const McConfig& mc,
   }
   // One fingerprint covers every per-condition cache input; samples then key
   // off (fingerprint, kind, index).
-  const std::string fp =
-      mc_cache::enabled() ? mc_cache::condition_fingerprint(condition, mc) : std::string();
-  std::optional<aging::DeviceStressMap> stress;
-  if (condition.aged()) stress.emplace(condition_stress_map(condition));
+  const std::string fp = mc_cache::enabled()
+                             ? mc_cache::condition_fingerprint(condition, mc, stress)
+                             : std::string();
+  std::optional<aging::DeviceStressMap> own_stress;
+  if (condition.aged() && stress == nullptr) {
+    stress = &own_stress.emplace(condition_stress_map(condition));
+  }
   for (const Measurement& m : measurements) {
     if (m.quantity == Quantity::kOffset && !cache_holds_all(fp, m.key, mc)) {
       sa::offset_model(condition.kind, condition.config);
@@ -322,7 +333,7 @@ CellDistributions run_pass(const Condition& condition, const McConfig& mc,
       attr_condition(span, condition, mc);
     }
     util::faultpoint::SampleScope fault_key(i);
-    sa::SenseAmpCircuit circuit = build_sample(condition, mc, i, stress ? &*stress : nullptr);
+    sa::SenseAmpCircuit circuit = build_sample(condition, mc, i, stress);
     for (Measurement* m : missing) {
       measure_with_retry(*m, circuit, i, condition, run_id);
       if (!fp.empty()) mc_cache::insert(fp, m->key, i, m->slots[i]);
@@ -335,10 +346,13 @@ CellDistributions run_pass(const Condition& condition, const McConfig& mc,
     for (std::size_t i = 0; i < mc.iterations; ++i) visit(i);
   }
 
+  std::vector<OffsetDistribution> dists;
+  for (Measurement& m : measurements) dists.push_back(assemble(m, condition, mc, run_id));
   CellDistributions cell;
-  for (Measurement& m : measurements) {
-    OffsetDistribution dist = assemble(m, condition, mc, run_id);
-    if (m.quantity == Quantity::kOffset) {
+  for (std::size_t k = 0; k < measurements.size(); ++k) {
+    OffsetDistribution& dist = dists[k];
+    check_bound(measurements[k].key, dist.degradation, condition, mc);
+    if (measurements[k].quantity == Quantity::kOffset) {
       counters().saturated.add(dist.saturated_count);
       cell.offset = std::move(dist);
     } else {
@@ -353,10 +367,12 @@ CellDistributions run_pass(const Condition& condition, const McConfig& mc,
 }  // namespace
 
 std::string condition_label(const Condition& condition) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%s vdd=%.2fV T=%.1fC stress=%gs",
-                sa::kind_name(condition.kind), condition.config.vdd,
-                condition.config.temperature_c, condition.stress_time_s);
+  // A fresh cell has seen no workload, so only an aged one names it.
+  const std::string workload = condition.aged() ? condition.workload.name() : "";
+  char buf[128];
+  std::snprintf(buf, sizeof buf, "%s%s%s vdd=%.2fV T=%.1fC stress=%gs",
+                sa::kind_name(condition.kind), workload.empty() ? "" : " ", workload.c_str(),
+                condition.config.vdd, condition.config.temperature_c, condition.stress_time_s);
   return buf;
 }
 
@@ -364,8 +380,9 @@ CellDistributions measure_cell(const Condition& condition, const McConfig& mc) {
   return run_pass(condition, mc, {Quantity::kOffset, Quantity::kDelay});
 }
 
-OffsetDistribution measure_offset_distribution(const Condition& condition, const McConfig& mc) {
-  return run_pass(condition, mc, {Quantity::kOffset}).offset;
+OffsetDistribution measure_offset_distribution(const Condition& condition, const McConfig& mc,
+                                               const aging::DeviceStressMap* stress) {
+  return run_pass(condition, mc, {Quantity::kOffset}, stress).offset;
 }
 
 DelayDistribution measure_delay_distribution(const Condition& condition, const McConfig& mc) {

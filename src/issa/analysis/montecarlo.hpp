@@ -58,7 +58,8 @@ struct Condition {
 };
 
 /// Human-readable cell label used in quarantine records and error messages:
-/// "NSSA vdd=1.00V T=25.0C stress=1e+08s".
+/// "NSSA vdd=1.00V T=25.0C stress=0s" for a fresh cell and, with the
+/// workload that aged it, "NSSA 80r0 vdd=1.00V T=25.0C stress=1e+08s".
 std::string condition_label(const Condition& condition);
 
 /// One sample excluded from a distribution: its solver failed on the first
@@ -172,8 +173,13 @@ struct CellDistributions {
 /// measure_delay_distribution() calls return.
 CellDistributions measure_cell(const Condition& condition, const McConfig& mc);
 
-/// Measures the offset distribution of a condition.
-OffsetDistribution measure_offset_distribution(const Condition& condition, const McConfig& mc);
+/// Measures the offset distribution of a condition.  An aged condition ages
+/// under `stress` when it is given, instead of condition_stress_map(): a
+/// study of a stress map no workload produces (a residual internal
+/// imbalance, say) keeps the engine's retry, quarantine and cache.  The
+/// sample cache keys such a pass by its map, apart from the condition's own.
+OffsetDistribution measure_offset_distribution(const Condition& condition, const McConfig& mc,
+                                               const aging::DeviceStressMap* stress = nullptr);
 
 /// Measures the sensing-delay distribution of a condition.  Each sample
 /// contributes its slower read direction (DelayPair::worst()): a memory's

@@ -104,44 +104,27 @@ std::vector<ExperimentRow> ExperimentRunner::table2_workload() {
 }
 
 std::vector<ExperimentRow> ExperimentRunner::table3_voltage() {
-  std::vector<ExperimentRow> rows;
-  const auto fresh = workload::workload_from_name("80r0r1");
-  for (const double scale : {0.9, 1.1}) {
-    rows.push_back(run_cell(sa::SenseAmpKind::kNssa, fresh, 0.0, scale, 25.0));
-  }
-  for (const auto& w : workload::paper_workloads_80()) {
-    for (const double scale : {0.9, 1.1}) {
-      rows.push_back(run_cell(sa::SenseAmpKind::kNssa, w, kLifetime, scale, 25.0));
-    }
-  }
-  for (const double scale : {0.9, 1.1}) {
-    rows.push_back(run_cell(sa::SenseAmpKind::kIssa, fresh, 0.0, scale, 25.0));
-  }
-  for (const double scale : {0.9, 1.1}) {
-    rows.push_back(run_cell(sa::SenseAmpKind::kIssa, workload::workload_from_name("80r0"),
-                            kLifetime, scale, 25.0));
-  }
-  return rows;
+  return corner_sweep({{0.9, 25.0}, {1.1, 25.0}});
 }
 
 std::vector<ExperimentRow> ExperimentRunner::table4_temperature() {
+  return corner_sweep({{1.0, 75.0}, {1.0, 125.0}});
+}
+
+std::vector<ExperimentRow> ExperimentRunner::corner_sweep(const std::vector<Corner>& corners) {
   std::vector<ExperimentRow> rows;
-  const auto fresh = workload::workload_from_name("80r0r1");
-  for (const double temp : {75.0, 125.0}) {
-    rows.push_back(run_cell(sa::SenseAmpKind::kNssa, fresh, 0.0, 1.0, temp));
-  }
-  for (const auto& w : workload::paper_workloads_80()) {
-    for (const double temp : {75.0, 125.0}) {
-      rows.push_back(run_cell(sa::SenseAmpKind::kNssa, w, kLifetime, 1.0, temp));
+  auto sweep = [&](sa::SenseAmpKind kind, const workload::Workload& w, double stress_time_s) {
+    for (const Corner& c : corners) {
+      rows.push_back(run_cell(kind, w, stress_time_s, c.vdd_scale, c.temperature_c));
     }
+  };
+  const auto fresh = workload::workload_from_name("80r0r1");
+  sweep(sa::SenseAmpKind::kNssa, fresh, 0.0);
+  for (const auto& w : workload::paper_workloads_80()) {
+    sweep(sa::SenseAmpKind::kNssa, w, kLifetime);
   }
-  for (const double temp : {75.0, 125.0}) {
-    rows.push_back(run_cell(sa::SenseAmpKind::kIssa, fresh, 0.0, 1.0, temp));
-  }
-  for (const double temp : {75.0, 125.0}) {
-    rows.push_back(run_cell(sa::SenseAmpKind::kIssa, workload::workload_from_name("80r0"),
-                            kLifetime, 1.0, temp));
-  }
+  sweep(sa::SenseAmpKind::kIssa, fresh, 0.0);
+  sweep(sa::SenseAmpKind::kIssa, workload::workload_from_name("80r0"), kLifetime);
   return rows;
 }
 

@@ -84,6 +84,15 @@ class ExperimentRunner {
                                     double stress_time_s);
 
  private:
+  /// One supply/temperature corner of Tables III and IV.
+  struct Corner {
+    double vdd_scale;
+    double temperature_c;
+  };
+  /// The grid Tables III and IV share: NSSA fresh, NSSA aged under each 80%
+  /// workload, ISSA fresh and ISSA 80% aged, each at every corner in turn.
+  std::vector<ExperimentRow> corner_sweep(const std::vector<Corner>& corners);
+
   analysis::Condition make_condition(sa::SenseAmpKind kind, const workload::Workload& workload,
                                      double stress_time_s, double vdd_scale,
                                      double temperature_c) const;

@@ -163,7 +163,6 @@ inline constexpr const char* kPoolQueueLatency = "pool.queue_latency";
 inline constexpr const char* kMcSamples = "mc.samples";
 inline constexpr const char* kMcSaturatedSamples = "mc.saturated_samples";
 inline constexpr const char* kMcSampleFailures = "mc.sample_failures";
-inline constexpr const char* kMcSampleRetries = "mc.sample_retries";
 inline constexpr const char* kMcQuarantinedSamples = "mc.quarantined_samples";
 inline constexpr const char* kMcCacheHits = "mc.cache_hits";
 inline constexpr const char* kMcCacheMisses = "mc.cache_misses";

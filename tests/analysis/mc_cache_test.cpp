@@ -16,6 +16,7 @@
 
 #include "issa/analysis/montecarlo.hpp"
 #include "issa/util/faultpoint.hpp"
+#include "issa/workload/stress_map.hpp"
 
 namespace issa::analysis {
 namespace {
@@ -73,6 +74,13 @@ TEST(EffectiveRunId, NonEmptyDeterministicFallback) {
   Condition other = condition;
   other.config.vdd *= 1.1;
   EXPECT_NE(effective_run_id(other, mc), fallback);
+  // Two aged cells that differ only in their workload (two rows of Table II)
+  // get different ids.
+  Condition aged_80r0 = condition;
+  aged_80r0.stress_time_s = 1e8;
+  Condition aged_20r0 = aged_80r0;
+  aged_20r0.workload = workload::workload_from_name("20r0");
+  EXPECT_NE(effective_run_id(aged_80r0, mc), effective_run_id(aged_20r0, mc));
   // Explicit run_id wins untouched.
   mc.run_id = "session-7";
   EXPECT_EQ(effective_run_id(condition, mc), "session-7");
@@ -204,6 +212,46 @@ TEST_F(McCacheTest, HalfCachedCellSimulatesOnlyItsMissingMeasurement) {
   EXPECT_EQ(cold.offset.saturated_count, warm.offset.saturated_count);
   EXPECT_TRUE(bit_exact(cold.delay.delays, warm.delay.delays));
   EXPECT_EQ(cold.delay.summary.mean, warm.delay.summary.mean);
+}
+
+TEST_F(McCacheTest, GivenStressMapPassIsKeyedApartFromTheCondition) {
+  // The ISSA's own map is the balanced one, so a pass under the balanced map
+  // given explicitly measures the standard cell bit for bit; it keys its
+  // samples by that map all the same, so it neither replays nor overwrites
+  // the standard cell's records.
+  Condition condition = fresh_condition();
+  condition.kind = sa::SenseAmpKind::kIssa;
+  condition.stress_time_s = 1e8;
+  const McConfig mc = mc_with(6);
+  const aging::DeviceStressMap balanced = workload::issa_stress_map_with_internal_balance(
+      condition.workload, condition.config.vdd, 0.5);
+  const aging::DeviceStressMap skewed = workload::issa_stress_map_with_internal_balance(
+      condition.workload, condition.config.vdd, 0.75);
+
+  const std::string standard_fp = mc_cache::condition_fingerprint(condition, mc);
+  const std::string balanced_fp = mc_cache::condition_fingerprint(condition, mc, &balanced);
+  EXPECT_NE(balanced_fp, standard_fp);
+  EXPECT_NE(mc_cache::condition_fingerprint(condition, mc, &skewed), balanced_fp);
+  EXPECT_EQ(mc_cache::condition_fingerprint(condition, mc, &balanced), balanced_fp);
+  EXPECT_NE(mc_cache::sample_key(balanced_fp, "offset", 0),
+            mc_cache::sample_key(standard_fp, "offset", 0));
+
+  mc_cache::open(dir_);
+  const OffsetDistribution standard = measure_offset_distribution(condition, mc);
+  OffsetDistribution given;
+  const auto counts =
+      delta([&] { given = measure_offset_distribution(condition, mc, &balanced); });
+  EXPECT_EQ(counts.hits, 0u);
+  EXPECT_EQ(counts.misses, 6u);
+  EXPECT_EQ(counts.stores, 6u);
+  EXPECT_TRUE(bit_exact(given.offsets, standard.offsets));
+  EXPECT_EQ(given.summary.mean, standard.summary.mean);
+  EXPECT_EQ(given.summary.stddev, standard.summary.stddev);
+
+  // The skewed map ages the sample differently.
+  mc_cache::close();
+  const OffsetDistribution unbalanced = measure_offset_distribution(condition, mc, &skewed);
+  EXPECT_NE(unbalanced.summary.mean, standard.summary.mean);
 }
 
 TEST_F(McCacheTest, GrowingIterationCountReusesThePrefix) {

@@ -334,6 +334,18 @@ TEST_F(McDegradationTest, MeasureCellMatchesSeparateDistributions) {
   }
 }
 
+TEST_F(McDegradationTest, CellOverItsBoundAnnouncesBothMeasurementsBeforeThrowing) {
+  // Every transient collapses, so both of the cell's distributions lose all
+  // their samples: the offset's error is thrown, and only once the delay's
+  // notice has reached stderr too.
+  fp::configure("sim.transient_step_collapse=always");
+  ::testing::internal::CaptureStderr();
+  EXPECT_THROW(measure_cell(fresh_condition(), mc_with(4, false)), McDegradationError);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("[issa] DEGRADED MC RUN offset: 4/4"), std::string::npos) << err;
+  EXPECT_NE(err.find("[issa] DEGRADED MC RUN delay.worst: 4/4"), std::string::npos) << err;
+}
+
 TEST(McDegradationApi, ConditionStressMapNamesUnknownKind) {
   Condition c = fresh_condition();
   c.stress_time_s = 1e8;
@@ -352,6 +364,11 @@ TEST(McDegradationApi, ConditionLabelNamesTheCell) {
   EXPECT_NE(label.find("NSSA"), std::string::npos);
   EXPECT_NE(label.find("vdd="), std::string::npos);
   EXPECT_NE(label.find("T="), std::string::npos);
+  // An aged cell names the workload that aged it; a fresh one has none.
+  EXPECT_EQ(label.find("80r0"), std::string::npos) << label;
+  Condition aged = fresh_condition();
+  aged.stress_time_s = 1e8;
+  EXPECT_EQ(condition_label(aged), "NSSA 80r0 vdd=1.00V T=25.0C stress=1e+08s");
 }
 
 }  // namespace

@@ -1,133 +1,92 @@
 // Calibration harness: prints every DESIGN.md section-5 anchor next to its
 // paper target.  Used when retuning the device cards (delay anchors), the
 // Pelgrom coefficients (t = 0 sigma), or the BTI parameters (aged mu/sigma).
+// Each anchor is one Monte-Carlo distribution of the engine the benches use;
+// a delay anchor is the mean of each sample's slower read direction, the
+// delay of Tables II-IV.
 //
-//   $ ./issa_calibrate [samples]   (default 100, at least 2; the paper uses 400)
-#include <charconv>
+//   $ ./issa_calibrate [--mc=N] [--seed=S] [--cache[=dir]] ...   (the run flags)
 #include <cstdio>
-#include <cstdlib>
-#include <string_view>
-#include <vector>
-#include "issa/sa/builder.hpp"
-#include "issa/sa/measure.hpp"
-#include "issa/variation/mismatch.hpp"
-#include "issa/aging/bti_model.hpp"
-#include "issa/workload/stress_map.hpp"
-#include "issa/util/statistics.hpp"
-#include "issa/util/thread_pool.hpp"
+
+#include "issa/analysis/montecarlo.hpp"
+#include "issa/core/run_context.hpp"
 #include "issa/util/units.hpp"
 
 using namespace issa;
 
-struct McOut { double mu, sigma; };
+namespace {
 
-McOut offset_mc(sa::SenseAmpKind kind, sa::SenseAmpConfig cfg, const aging::DeviceStressMap* stress,
-                double time_s, int n) {
-  std::vector<double> offs(n);
-  util::ThreadPool::global().parallel_for(0, n, [&](std::size_t i) {
-    auto c = sa::build_sense_amp(kind, cfg);
-    variation::apply_process_variation(c.netlist(), variation::default_mismatch(), 42, i);
-    if (stress && time_s > 0)
-      aging::apply_bti_aging(c.netlist(), aging::default_bti(), *stress, time_s,
-                             cfg.temperature_k(), 42, i);
-    offs[i] = sa::measure_offset(c).offset;
-  });
-  util::RunningStats rs;
-  for (double o : offs) rs.add(o);
-  return {rs.mean() * 1e3, rs.stddev() * 1e3};
-}
+using sa::SenseAmpKind;
 
-double delay_mean(sa::SenseAmpKind kind, sa::SenseAmpConfig cfg, const aging::DeviceStressMap* stress,
-                  double time_s, int n) {
-  std::vector<double> ds(n);
-  util::ThreadPool::global().parallel_for(0, n, [&](std::size_t i) {
-    auto c = sa::build_sense_amp(kind, cfg);
-    variation::apply_process_variation(c.netlist(), variation::default_mismatch(), 42, i);
-    if (stress && time_s > 0)
-      aging::apply_bti_aging(c.netlist(), aging::default_bti(), *stress, time_s,
-                             cfg.temperature_k(), 42, i);
-    ds[i] = sa::measure_delay(c).mean();
-  });
-  util::RunningStats rs;
-  for (double d : ds) rs.add(d);
-  return rs.mean() * 1e12;
-}
-
-// The Monte-Carlo sample count: the one optional argument, a whole number of
-// at least 2 (a standard deviation takes two samples).  --help prints the
-// usage line and exits 0; anything else exits 2 with it on stderr.
-int sample_count(int argc, char** argv) {
-  constexpr const char* kUsage = "usage: issa_calibrate [samples]";
-  if (argc == 1) return 100;
-  const std::string_view arg = argv[1];
-  if (argc == 2 && arg == "--help") {
-    std::printf("%s\n", kUsage);
-    std::exit(0);
+// One anchor's cell at `vdd` and `temperature_c`: aged for the paper's 1e8 s
+// under `workload`, or fresh when it is null.
+analysis::Condition anchor(SenseAmpKind kind, const char* workload = nullptr, double vdd = 1.0,
+                           double temperature_c = 25.0) {
+  analysis::Condition c;
+  c.kind = kind;
+  c.config = sa::nominal_config();
+  c.config.vdd = vdd;
+  c.config.temperature_c = temperature_c;
+  if (workload != nullptr) {
+    c.workload = workload::workload_from_name(workload);
+    c.stress_time_s = 1e8;
   }
-  int n = 0;
-  const auto [end, ec] = std::from_chars(arg.data(), arg.data() + arg.size(), n);
-  if (argc > 2 || ec != std::errc() || end != arg.data() + arg.size() || n < 2) {
-    std::fprintf(stderr, "samples must be a whole number >= 2: %s\n%s\n", argv[argc - 1], kUsage);
-    std::exit(2);
-  }
-  return n;
+  return c;
 }
+
+void print_offset(const char* label, const analysis::OffsetDistribution& d, const char* paper) {
+  std::printf("%s: mu=%.2f sigma=%.2f mV (paper %s)\n", label, util::to_mV(d.summary.mean),
+              util::to_mV(d.summary.stddev), paper);
+}
+
+void print_delay(const char* label, const analysis::DelayDistribution& d, double paper_ps) {
+  std::printf("%s: %.2f ps (paper %.1f)\n", label, util::to_ps(d.summary.mean), paper_ps);
+}
+
+void calibrate(const analysis::McConfig& mc) {
+  std::printf("Calibration anchors, MC = %zu\n\n", mc.iterations);
+
+  // t = 0: the Pelgrom coefficients and the device cards.
+  const auto nssa = analysis::measure_cell(anchor(SenseAmpKind::kNssa), mc);
+  print_offset("NSSA t=0 offset", nssa.offset, "0.1 / 14.8");
+  print_delay("NSSA t=0 delay 1.0V/25C", nssa.delay, 13.6);
+  const struct {
+    const char* label;
+    double vdd, temperature_c, paper_ps;
+  } corners[] = {{"NSSA t=0 delay 0.9V", 0.9, 25.0, 17.2},
+                 {"NSSA t=0 delay 1.1V", 1.1, 25.0, 11.3},
+                 {"NSSA t=0 delay 75C", 1.0, 75.0, 17.1},
+                 {"NSSA t=0 delay 125C", 1.0, 125.0, 21.3}};
+  for (const auto& c : corners) {
+    const analysis::Condition cell = anchor(SenseAmpKind::kNssa, nullptr, c.vdd, c.temperature_c);
+    print_delay(c.label, analysis::measure_delay_distribution(cell, mc), c.paper_ps);
+  }
+  const auto issa = analysis::measure_cell(anchor(SenseAmpKind::kIssa), mc);
+  print_offset("ISSA t=0 offset", issa.offset, "0.1 / 14.7");
+  print_delay("ISSA t=0 delay", issa.delay, 13.9);
+
+  // 1e8 s: the BTI parameters.
+  const struct {
+    const char* label;
+    SenseAmpKind kind;
+    const char* workload;
+    double vdd, temperature_c;
+    const char* paper;
+  } aged[] = {{"NSSA 80r0 25C", SenseAmpKind::kNssa, "80r0", 1.0, 25.0, "17.3 / 15.7"},
+              {"NSSA 80r0r1 25C", SenseAmpKind::kNssa, "80r0r1", 1.0, 25.0, "-0.2 / 16.2"},
+              {"NSSA 20r0 25C", SenseAmpKind::kNssa, "20r0", 1.0, 25.0, "12.8 / 15.6"},
+              {"NSSA 80r0 125C", SenseAmpKind::kNssa, "80r0", 1.0, 125.0, "79.1 / 17.9"},
+              {"NSSA 80r0 +10% Vdd", SenseAmpKind::kNssa, "80r0", 1.1, 25.0, "27.3 / 16.2"},
+              {"ISSA 80% 25C", SenseAmpKind::kIssa, "80r0", 1.0, 25.0, "-0.2 / 16.1"}};
+  for (const auto& a : aged) {
+    const analysis::Condition cell = anchor(a.kind, a.workload, a.vdd, a.temperature_c);
+    print_offset(a.label, analysis::measure_offset_distribution(cell, mc), a.paper);
+  }
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
-  const int N = sample_count(argc, argv);
-  auto cfg = sa::nominal_config();
-
-  // t=0 anchors
-  auto o0 = offset_mc(sa::SenseAmpKind::kNssa, cfg, nullptr, 0, N);
-  std::printf("NSSA t=0 offset: mu=%.2f sigma=%.2f mV   (paper 0.1 / 14.8)\n", o0.mu, o0.sigma);
-  std::printf("NSSA t=0 delay 1.0V/25C: %.2f ps (paper 13.6)\n",
-              delay_mean(sa::SenseAmpKind::kNssa, cfg, nullptr, 0, 16));
-  { auto c=cfg; c.vdd=0.9; std::printf("  0.9V: %.2f ps (paper 17.2)\n", delay_mean(sa::SenseAmpKind::kNssa,c,nullptr,0,16)); }
-  { auto c=cfg; c.vdd=1.1; std::printf("  1.1V: %.2f ps (paper 11.3)\n", delay_mean(sa::SenseAmpKind::kNssa,c,nullptr,0,16)); }
-  { auto c=cfg; c.temperature_c=75; std::printf("  75C: %.2f ps (paper 17.1)\n", delay_mean(sa::SenseAmpKind::kNssa,c,nullptr,0,16)); }
-  { auto c=cfg; c.temperature_c=125; std::printf("  125C: %.2f ps (paper 21.3)\n", delay_mean(sa::SenseAmpKind::kNssa,c,nullptr,0,16)); }
-  std::printf("ISSA t=0 delay: %.2f ps (paper 13.9)\n",
-              delay_mean(sa::SenseAmpKind::kIssa, cfg, nullptr, 0, 16));
-  { auto c = sa::build_issa(cfg);
-    auto oi = offset_mc(sa::SenseAmpKind::kIssa, cfg, nullptr, 0, N);
-    std::printf("ISSA t=0 offset: mu=%.2f sigma=%.2f mV (paper 0.1 / 14.7)\n", oi.mu, oi.sigma); }
-
-  // aged anchors @ 1e8s
-  const double T = 1e8;
-  auto w80r0 = workload::workload_from_name("80r0");
-  auto w80bal = workload::workload_from_name("80r0r1");
-  auto w20r0 = workload::workload_from_name("20r0");
-  {
-    auto sm = workload::nssa_stress_map(w80r0, cfg.vdd);
-    auto o = offset_mc(sa::SenseAmpKind::kNssa, cfg, &sm, T, N);
-    std::printf("NSSA 80r0 25C: mu=%.2f sigma=%.2f (paper 17.3 / 15.7)\n", o.mu, o.sigma);
-  }
-  {
-    auto sm = workload::nssa_stress_map(w80bal, cfg.vdd);
-    auto o = offset_mc(sa::SenseAmpKind::kNssa, cfg, &sm, T, N);
-    std::printf("NSSA 80r0r1 25C: mu=%.2f sigma=%.2f (paper -0.2 / 16.2)\n", o.mu, o.sigma);
-  }
-  {
-    auto sm = workload::nssa_stress_map(w20r0, cfg.vdd);
-    auto o = offset_mc(sa::SenseAmpKind::kNssa, cfg, &sm, T, N);
-    std::printf("NSSA 20r0 25C: mu=%.2f sigma=%.2f (paper 12.8 / 15.6)\n", o.mu, o.sigma);
-  }
-  {
-    auto c = cfg; c.temperature_c = 125;
-    auto sm = workload::nssa_stress_map(w80r0, c.vdd);
-    auto o = offset_mc(sa::SenseAmpKind::kNssa, c, &sm, T, N);
-    std::printf("NSSA 80r0 125C: mu=%.2f sigma=%.2f (paper 79.1 / 17.9)\n", o.mu, o.sigma);
-  }
-  {
-    auto c = cfg; c.vdd = 1.1;
-    auto sm = workload::nssa_stress_map(w80r0, c.vdd);
-    auto o = offset_mc(sa::SenseAmpKind::kNssa, c, &sm, T, N);
-    std::printf("NSSA 80r0 +10%%Vdd: mu=%.2f sigma=%.2f (paper 27.3 / 16.2)\n", o.mu, o.sigma);
-  }
-  {
-    auto sm = workload::issa_stress_map(w80r0, cfg.vdd);
-    auto o = offset_mc(sa::SenseAmpKind::kIssa, cfg, &sm, T, N);
-    std::printf("ISSA 80%% 25C: mu=%.2f sigma=%.2f (paper -0.2 / 16.1)\n", o.mu, o.sigma);
-  }
-  return 0;
+  core::RunContext run(argc, argv, "issa_calibrate");
+  return run.guard([&] { calibrate(run.mc()); });
 }
