@@ -42,11 +42,8 @@ void reproduce(core::RunContext& run) {
   // --- 1. offset search method ------------------------------------------------
   std::cout << "### Ablation 1: transient binary search vs offset estimators (" << n
             << " aged samples)\n\n";
-  analysis::Condition cond;
-  cond.kind = sa::SenseAmpKind::kNssa;
-  cond.config = sa::nominal_config();
-  cond.workload = workload::workload_from_name("80r0");
-  cond.stress_time_s = 1e8;
+  const analysis::Condition cond = analysis::make_condition(
+      sa::SenseAmpKind::kNssa, workload::workload_from_name("80r0"), 1e8);
 
   // The model is fitted once, outside the per-sample timings (the transient
   // search would otherwise pay for it on its first sample).

@@ -60,11 +60,8 @@ void reproduce(core::RunContext& run) {
   std::cout << "### Aged offset mean vs residual internal imbalance (80% rate, 1e8 s, 25 C,\n"
             << "    MC = " << mc.iterations << ")\n\n";
   util::AsciiTable cost({"internal zero fraction", "imbalance", "mu (mV)", "spec (mV)"});
-  analysis::Condition c;
-  c.kind = sa::SenseAmpKind::kIssa;
-  c.config = sa::nominal_config();
-  c.workload = workload::workload_from_name("80r0");
-  c.stress_time_s = 1e8;
+  const analysis::Condition c = analysis::make_condition(
+      sa::SenseAmpKind::kIssa, workload::workload_from_name("80r0"), 1e8);
   for (const double zero_fraction : {0.5, 0.55, 0.625, 0.75, 1.0}) {
     // The ISSA ages under the map of a controller that leaves this residual
     // imbalance; 0.5 is the ideal ISSA's own map.

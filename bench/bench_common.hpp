@@ -39,8 +39,8 @@ inline void print_rows_with_reference(const std::string& title,
   util::AsciiTable table(std::move(headers));
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
-    std::vector<std::string> cells = {
-        r.scheme, r.stress_time_s > 0 ? "1e8" : "0", r.workload_label};
+    std::vector<std::string> cells = {sa::kind_name(r.condition.kind),
+                                      r.condition.aged() ? "1e8" : "0", r.workload_label};
     cells.insert(cells.end(), extra_cells[i].begin(), extra_cells[i].end());
     cells.push_back(util::AsciiTable::num(r.mu_mv, 2));
     cells.push_back(util::AsciiTable::num(r.sigma_mv, 1));
@@ -73,20 +73,21 @@ inline void print_rows_with_reference(const std::string& title,
 }
 
 /// Writes `rows` to the CSV file at `path` and says so on stdout.  Columns:
-/// scheme, time_s, workload, then `extra_name` holding each row's `extra`
-/// field when one is given (Table III's vdd, Table IV's temp_c), then mu_mv,
-/// sigma_mv, spec_mv, delay_ps.
+/// scheme, time_s, workload, then `extra_name` holding the `extra` field of
+/// each row's SA config when one is given (Table III's vdd, Table IV's
+/// temp_c), then mu_mv, sigma_mv, spec_mv, delay_ps.
 inline void write_rows_csv(const std::string& path, const std::vector<core::ExperimentRow>& rows,
                            const char* extra_name = nullptr,
-                           double core::ExperimentRow::*extra = nullptr) {
+                           double sa::SenseAmpConfig::*extra = nullptr) {
   std::vector<std::string> columns = {"scheme", "time_s", "workload"};
   if (extra != nullptr) columns.emplace_back(extra_name);
   columns.insert(columns.end(), {"mu_mv", "sigma_mv", "spec_mv", "delay_ps"});
   util::CsvWriter csv(path, std::move(columns));
   for (const auto& r : rows) {
-    std::vector<std::string> cells = {r.scheme, std::to_string(r.stress_time_s),
+    std::vector<std::string> cells = {sa::kind_name(r.condition.kind),
+                                      std::to_string(r.condition.stress_time_s),
                                       r.workload_label};
-    if (extra != nullptr) cells.push_back(std::to_string(r.*extra));
+    if (extra != nullptr) cells.push_back(std::to_string(r.condition.config.*extra));
     for (const double v : {r.mu_mv, r.sigma_mv, r.spec_mv, r.delay_ps}) {
       cells.push_back(std::to_string(v));
     }

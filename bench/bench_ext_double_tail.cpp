@@ -27,15 +27,10 @@ void reproduce(core::RunContext& run) {
                           "delay(ps)"});
 
   auto measure = [&](sa::SenseAmpKind kind, const char* wl, double t) {
-    analysis::Condition c;
-    c.kind = kind;
-    c.config = sa::nominal_config();
-    c.workload = workload::workload_from_name(wl);
-    c.stress_time_s = t;
-    const auto [offsets, delays] = analysis::measure_cell(c, mc);
-    const bool switching = kind == sa::SenseAmpKind::kDoubleTailSwitching;
-    table.add_row({switching ? "DT-ISSA" : "DT-NSSA", t > 0 ? "1e8" : "0",
-                   t > 0 ? (switching ? "80%" : wl) : "-",
+    const workload::Workload w = workload::workload_from_name(wl);
+    const auto [offsets, delays] = analysis::measure_cell(analysis::make_condition(kind, w, t), mc);
+    table.add_row({sa::is_switching_kind(kind) ? "DT-ISSA" : "DT-NSSA", t > 0 ? "1e8" : "0",
+                   core::ExperimentRunner::workload_label(kind, w, t),
                    util::AsciiTable::num(offsets.summary.mean * 1e3, 2),
                    util::AsciiTable::num(offsets.summary.stddev * 1e3, 1),
                    util::AsciiTable::num(offsets.spec() * 1e3, 1),

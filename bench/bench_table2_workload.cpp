@@ -40,8 +40,8 @@ void reproduce(core::RunContext& run) {
   std::cout << "### Fig. 4 series (x = workload, mean and +/-6.1 sigma whiskers, mV)\n\n";
   util::AsciiTable fig({"Label", "mean", "low", "high"});
   for (const auto& r : rows) {
-    const std::string label = r.scheme + "/" + r.workload_label +
-                              (r.stress_time_s > 0 ? "@1e8s" : "@0s");
+    const std::string label = std::string(sa::kind_name(r.condition.kind)) + "/" +
+                              r.workload_label + (r.condition.aged() ? "@1e8s" : "@0s");
     const double whisker = 6.1 * r.sigma_mv;
     fig.add_row({label, util::AsciiTable::num(r.mu_mv, 2),
                  util::AsciiTable::num(r.mu_mv - whisker, 1),

@@ -39,14 +39,14 @@ void reproduce(core::RunContext& run) {
   std::vector<std::vector<std::string>> extra;
   extra.reserve(rows.size());
   for (const auto& r : rows) {
-    const int pct = static_cast<int>(std::lround((r.vdd - 1.0) * 100.0));
+    const int pct = static_cast<int>(std::lround((r.condition.config.vdd - 1.0) * 100.0));
     extra.push_back({(pct > 0 ? "+" : "") + std::to_string(pct) + "%"});
   }
   bench::print_rows_with_reference("Table III: voltage impact on offset voltage and delay",
                                    {"Supply"}, rows, extra, paper);
 
   if (const auto csv_path = run.options().get_string("csv")) {
-    bench::write_rows_csv(*csv_path, rows, "vdd", &core::ExperimentRow::vdd);
+    bench::write_rows_csv(*csv_path, rows, "vdd", &sa::SenseAmpConfig::vdd);
   }
 
   // Paper text: at +10% Vdd the aged unbalanced NSSA spec grows up to ~35%

@@ -38,13 +38,13 @@ void reproduce(core::RunContext& run) {
   std::vector<std::vector<std::string>> extra;
   extra.reserve(rows.size());
   for (const auto& r : rows) {
-    extra.push_back({std::to_string(static_cast<int>(r.temperature_c)) + "C"});
+    extra.push_back({std::to_string(static_cast<int>(r.condition.config.temperature_c)) + "C"});
   }
   bench::print_rows_with_reference("Table IV: temperature impact on offset voltage and delay",
                                    {"Temp"}, rows, extra, paper);
 
   if (const auto csv_path = run.options().get_string("csv")) {
-    bench::write_rows_csv(*csv_path, rows, "temp_c", &core::ExperimentRow::temperature_c);
+    bench::write_rows_csv(*csv_path, rows, "temp_c", &sa::SenseAmpConfig::temperature_c);
   }
 
   // Paper headline: at 125 C / 80r0 / 1e8 s the ISSA reduces the offset spec

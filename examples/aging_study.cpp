@@ -25,11 +25,7 @@ int main(int argc, char** argv) {
   }
 
   return run.guard([&] {
-    analysis::Condition condition;
-    condition.config = sa::nominal_config();
-    condition.config.temperature_c = temp_c;
-    condition.workload = workload::workload_from_name("80r0");
-
+    const workload::Workload w80r0 = workload::workload_from_name("80r0");
     std::printf("Aging study: 80r0 workload at %.0f C, %zu Monte-Carlo samples per point\n\n",
                 temp_c, mc.iterations);
 
@@ -39,11 +35,10 @@ int main(int argc, char** argv) {
 
     std::vector<std::vector<double>> csv_rows;
     for (const double t : times) {
-      condition.stress_time_s = t;
-      condition.kind = sa::SenseAmpKind::kNssa;
-      const auto nssa = analysis::measure_offset_distribution(condition, mc);
-      condition.kind = sa::SenseAmpKind::kIssa;
-      const auto issa = analysis::measure_offset_distribution(condition, mc);
+      const auto nssa = analysis::measure_offset_distribution(
+          analysis::make_condition(sa::SenseAmpKind::kNssa, w80r0, t, 1.0, temp_c), mc);
+      const auto issa = analysis::measure_offset_distribution(
+          analysis::make_condition(sa::SenseAmpKind::kIssa, w80r0, t, 1.0, temp_c), mc);
       const double reduction = 1.0 - issa.spec() / nssa.spec();
       table.add_row({t == 0.0 ? "0" : util::AsciiTable::num(t, 0),
                      util::AsciiTable::num(util::to_mV(nssa.summary.mean), 2),

@@ -32,26 +32,21 @@ int main(int argc, char** argv) {
   return run.guard([&] {
     const mem::ColumnReadPath path(path_params);
 
-    analysis::Condition condition;
-    condition.config = sa::nominal_config();
-    condition.config.temperature_c = temp_c;
-    condition.workload = workload::workload_from_name("80r0");
-
+    const workload::Workload w80r0 = workload::workload_from_name("80r0");
     std::printf("SRAM column read path: %zu rows, %.0f C, workload 80r0, MC = %zu\n\n",
                 path_params.bitline.rows, temp_c, mc.iterations);
 
     util::AsciiTable table({"scheme", "time (s)", "spec (mV)", "SA delay (ps)",
                             "bitline develop (ps)", "total read (ps)"});
-    const double temperature_k = condition.config.temperature_k();
+    const double temperature_k = util::celsius_to_kelvin(temp_c);
+    const double vdd = sa::nominal_config().vdd;
 
     for (const double t : {0.0, 1e8}) {
       for (const auto kind : {sa::SenseAmpKind::kNssa, sa::SenseAmpKind::kIssa}) {
-        condition.kind = kind;
-        condition.stress_time_s = t;
-        const auto [offsets, delays] = analysis::measure_cell(condition, mc);
-        const auto timing =
-            path.timing(offsets.spec(), delays.summary.mean, condition.config.vdd, temperature_k);
-        table.add_row({kind == sa::SenseAmpKind::kNssa ? "NSSA" : "ISSA",
+        const auto [offsets, delays] =
+            analysis::measure_cell(analysis::make_condition(kind, w80r0, t, 1.0, temp_c), mc);
+        const auto timing = path.timing(offsets.spec(), delays.summary.mean, vdd, temperature_k);
+        table.add_row({sa::kind_name(kind),
                        t == 0.0 ? "0" : "1e8",
                        util::AsciiTable::num(util::to_mV(offsets.spec()), 1),
                        util::AsciiTable::num(util::to_ps(delays.summary.mean), 1),
@@ -65,7 +60,7 @@ int main(int argc, char** argv) {
     mem::ArrayGeometry geometry;
     geometry.rows = path_params.bitline.rows;
     const auto area = mem::area_breakdown(geometry, sa::SenseAmpSizing{});
-    const auto energy = mem::energy_breakdown(geometry, condition.config.vdd, 0.1,
+    const auto energy = mem::energy_breakdown(geometry, vdd, 0.1,
                                               path_params.bitline.total_cap());
     std::printf("\nISSA cost: %.2f%% array area, %.3f%% read energy (shared %u-bit counter)\n",
                 100.0 * area.overhead_fraction(), 100.0 * energy.overhead_fraction(),

@@ -58,13 +58,10 @@ int main(int argc, char** argv) {
   //    same command again and the samples replay from disk as cache hits,
   //    bit-identically.
   if (analysis::mc_cache::enabled()) {
-    analysis::Condition condition;
-    condition.kind = sa::SenseAmpKind::kNssa;
-    condition.config = config;
     analysis::McConfig mc = run.mc();
     if (!run.options().get_long("mc")) mc.iterations = 16;
-    const analysis::OffsetDistribution dist =
-        analysis::measure_offset_distribution(condition, mc);
+    const analysis::OffsetDistribution dist = analysis::measure_offset_distribution(
+        analysis::make_condition(sa::SenseAmpKind::kNssa, workload::Workload{}, 0.0), mc);
     const analysis::mc_cache::CacheCounts counts = analysis::mc_cache::counts();
     std::printf("cached MC      : sigma %.1f mV over %zu samples (hits=%llu misses=%llu"
                 " stores=%llu)\n",

@@ -2,9 +2,12 @@
 # Checks that the working tree reproduces a git revision's results byte for
 # byte: the stdout of the five paper benches, the switch-period ablation, the
 # guardband comparison and the overheads bench at --mc=40 --seed=42, the
-# --csv files of Tables II-IV and Fig. 7, and the "perfbench-results" line of
-# each perfbench workload at --seed 42 --seconds 1.  For refactors and
-# speedups that claim bit-identical outputs.
+# --csv files of Tables II-IV and Fig. 7, the stdout of issa_calibrate,
+# aging_study and memory_column at --mc=40 --seed=42 and of quickstart, and
+# the "perfbench-results" line of each perfbench workload at --seed 42
+# --seconds 1.  For refactors and speedups that claim bit-identical outputs.
+# A program whose stdout carries a timing (bench_ablation_methods) is left
+# out.
 # Both trees are built in Release under a temporary directory; the revision
 # comes from `git archive`, so the checkout itself is left as it is.
 #
@@ -36,6 +39,9 @@ benches=(bench_table2_workload bench_table3_voltage bench_table4_temperature
 # The benches whose --csv file is compared as well.
 csv_benches=(bench_table2_workload bench_table3_voltage bench_table4_temperature
              bench_fig7_delay_vs_aging)
+# The other Monte-Carlo programs, as <build subdirectory>/<target>, all but
+# quickstart run at --mc=40 --seed=42.
+programs=(tools/issa_calibrate examples/aging_study examples/memory_column examples/quickstart)
 workloads=(offset_table2 delay_fig7 sweep_grow_cached)
 jobs="$(( $(nproc) < 4 ? $(nproc) : 4 ))"
 
@@ -46,7 +52,7 @@ run_side() {
   local log="$work/$side.log"
   echo "== $side: building $tree (log: $log)"
   if ! { cmake -S "$tree" -B "$build" -DCMAKE_BUILD_TYPE=Release &&
-         cmake --build "$build" -j "$jobs" --target "${benches[@]}" &&
+         cmake --build "$build" -j "$jobs" --target "${benches[@]}" "${programs[@]##*/}" &&
          cmake -S "$tree/perfbench" -B "$build/perfbench" -DCMAKE_BUILD_TYPE=Release &&
          cmake --build "$build/perfbench" -j "$jobs"; } > "$log" 2>&1; then
     cat "$log" >&2
@@ -62,6 +68,12 @@ run_side() {
     if [[ " ${csv_benches[*]} " == *" $bench "* ]]; then args+=("--csv=$bench.csv"); fi
     (cd "$out" && "$build/bench/$bench" "${args[@]}" > "$bench.txt")
   done
+  for program in "${programs[@]}"; do
+    echo "   $side: $program"
+    local args=(--mc=40 --seed=42)
+    if [[ "$program" == */quickstart ]]; then args=(); fi
+    (cd "$out" && "$build/$program" "${args[@]}" > "${program##*/}.txt")
+  done
   for workload in "${workloads[@]}"; do
     echo "   $side: perfbench $workload"
     (cd "$out" && "$build/perfbench/perfbench" --workload "$workload" --seed 42 --seconds 1 |
@@ -74,7 +86,9 @@ run_side change "$ROOT"
 
 status=0
 workload_files=("${workloads[@]/#/perfbench_}")
-for name in "${benches[@]/%/.txt}" "${csv_benches[@]/%/.csv}" "${workload_files[@]/%/.txt}"; do
+program_files=("${programs[@]##*/}")
+for name in "${benches[@]/%/.txt}" "${csv_benches[@]/%/.csv}" "${program_files[@]/%/.txt}" \
+            "${workload_files[@]/%/.txt}"; do
   if diff -u "$work/out-base/$name" "$work/out-change/$name"; then
     echo "identical: $name"
   else

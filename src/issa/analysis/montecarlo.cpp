@@ -51,6 +51,16 @@ std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t h) noexcep
 
 std::atomic<std::uint64_t> g_stress_map_builds{0};
 
+// effective_run_id() of a condition labelled `label`.
+std::string run_id_for(const std::string& label, const McConfig& mc) {
+  if (!mc.run_id.empty()) return mc.run_id;
+  std::uint64_t h = fnv1a(label.data(), label.size(), 1469598103934665603ull);
+  h = fnv1a(&mc.seed, sizeof mc.seed, h);
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "auto-%016llx", static_cast<unsigned long long>(h));
+  return buf;
+}
+
 }  // namespace
 
 double OffsetDistribution::spec(double failure_rate) const {
@@ -62,13 +72,7 @@ std::uint64_t condition_stress_map_builds() noexcept {
 }
 
 std::string effective_run_id(const Condition& condition, const McConfig& mc) {
-  if (!mc.run_id.empty()) return mc.run_id;
-  const std::string label = condition_label(condition);
-  std::uint64_t h = fnv1a(label.data(), label.size(), 1469598103934665603ull);
-  h = fnv1a(&mc.seed, sizeof mc.seed, h);
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "auto-%016llx", static_cast<unsigned long long>(h));
-  return buf;
+  return run_id_for(condition_label(condition), mc);
 }
 
 aging::DeviceStressMap condition_stress_map(const Condition& condition) {
@@ -115,13 +119,10 @@ enum : unsigned char {
   kSampleQuarantined = 2,
 };
 
-// Puts the operating condition and seed on a traced span.
-void attr_condition(util::trace::Span& span, const Condition& condition, const McConfig& mc) {
+// Puts the cell's label and the seed on a traced span.
+void attr_condition(util::trace::Span& span, const std::string& label, const McConfig& mc) {
+  span.attr_str("condition", label);
   span.attr_u64("seed", mc.seed);
-  span.attr_str("kind", sa::kind_name(condition.kind));
-  span.attr_f64("vdd", condition.config.vdd);
-  span.attr_f64("temperature_c", condition.config.temperature_c);
-  span.attr_f64("stress_time_s", condition.stress_time_s);
 }
 
 enum class Quantity { kOffset, kDelay };
@@ -159,11 +160,13 @@ void measure(Quantity quantity, sa::SenseAmpCircuit& circuit, mc_cache::CachedSa
 // std::runtime_error (solver failures: ConvergenceError, singular LU,
 // unresolvable delay, injected faults) is retried once on the same build
 // under its own fault draws (attempt = 1), and quarantined if the retry
-// fails too.  Reusing the build is exact: every run re-drives the bitlines
-// and no measurement touches a threshold shift.  logic_error and friends
-// still propagate: those are bugs, not sample pathologies.
+// fails too; the quarantine's forensic event takes the sample, seed and
+// condition of the open mc.sample span.  Reusing the build is exact: every
+// run re-drives the bitlines and no measurement touches a threshold shift.
+// logic_error and friends still propagate: those are bugs, not sample
+// pathologies.
 void measure_with_retry(Measurement& m, sa::SenseAmpCircuit& circuit, std::size_t i,
-                        const Condition& condition, const std::string& run_id) {
+                        const std::string& run_id) {
   mc_cache::CachedSample& slot = m.slots[i];
   try {
     measure(m.quantity, circuit, slot, 0);
@@ -181,7 +184,6 @@ void measure_with_retry(Measurement& m, sa::SenseAmpCircuit& circuit, std::size_
         util::trace::ForensicEvent event;
         event.kind = "mc_sample_quarantined";
         event.attrs.push_back(util::trace::Attr::str("measurement", m.key));
-        event.attrs.push_back(util::trace::Attr::str("condition", condition_label(condition)));
         event.attrs.push_back(util::trace::Attr::str("run_id", run_id));
         event.attrs.push_back(util::trace::Attr::str("error", slot.error));
         util::trace::record_forensic(std::move(event));
@@ -194,7 +196,7 @@ void measure_with_retry(Measurement& m, sa::SenseAmpCircuit& circuit, std::size_
 // quarantined), the summary over the valid ones and the degradation record,
 // in an OffsetDistribution (a delay's saturated count stays 0).  Says so on
 // stderr when it is degraded.
-OffsetDistribution assemble(Measurement& m, const Condition& condition, const McConfig& mc,
+OffsetDistribution assemble(Measurement& m, const std::string& label, const McConfig& mc,
                             const std::string& run_id) {
   OffsetDistribution dist;
   McDegradation& deg = dist.degradation;
@@ -204,8 +206,8 @@ OffsetDistribution assemble(Measurement& m, const Condition& condition, const Mc
     dist.offsets.push_back(slot.value);
     dist.saturated_count += slot.saturated ? 1 : 0;
     if (slot.status == kSampleQuarantined) {
-      deg.quarantined.push_back(QuarantinedSample{i, mc.seed, condition_label(condition),
-                                                  run_id, std::move(slot.error)});
+      deg.quarantined.push_back(
+          QuarantinedSample{i, mc.seed, label, run_id, std::move(slot.error)});
       continue;
     }
     valid.push_back(slot.value);
@@ -218,8 +220,7 @@ OffsetDistribution assemble(Measurement& m, const Condition& condition, const Mc
     std::fprintf(stderr,
                  "[issa] DEGRADED MC RUN %s: %zu/%zu sample(s) quarantined, %zu recovered "
                  "by retry [%s seed=%llu]\n",
-                 m.key, deg.quarantined.size(), mc.iterations, deg.recovered,
-                 condition_label(condition).c_str(),
+                 m.key, deg.quarantined.size(), mc.iterations, deg.recovered, label.c_str(),
                  static_cast<unsigned long long>(mc.seed));
   }
   return dist;
@@ -228,7 +229,7 @@ OffsetDistribution assemble(Measurement& m, const Condition& condition, const Mc
 // Throws McDegradationError, with the degradation record moved into it, when
 // the quarantined fraction of a distribution exceeds
 // mc.max_quarantine_fraction.
-void check_bound(const char* key, McDegradation& deg, const Condition& condition,
+void check_bound(const char* key, McDegradation& deg, const std::string& label,
                  const McConfig& mc) {
   const double fraction =
       mc.iterations == 0 ? 0.0
@@ -238,7 +239,7 @@ void check_bound(const char* key, McDegradation& deg, const Condition& condition
     std::ostringstream os;
     os << key << ": " << deg.quarantined.size() << "/" << mc.iterations
        << " samples quarantined (" << fraction * 100.0 << "% > max "
-       << mc.max_quarantine_fraction * 100.0 << "%) [" << condition_label(condition)
+       << mc.max_quarantine_fraction * 100.0 << "%) [" << label
        << " seed=" << mc.seed << "]";
     constexpr std::size_t kListed = 8;
     os << "; quarantined:";
@@ -275,7 +276,7 @@ bool cache_holds_all(const std::string& fingerprint, const char* kind, const McC
 // fitted outside every sample's span and fault scope.  Then each sample
 // replays every measurement the cache holds.  If one is missing, the sample
 // is built once and each missing measurement runs on that build, under a
-// trace span carrying the sample's index, seed and operating condition (a
+// trace span carrying the sample's index, the seed and the cell's label (a
 // forensic bundle recorded by a solver failure deep inside a transient takes
 // them as context) and under the sample's fault key, so that an armed trigger
 // decides by sample index, never by schedule.  Every computed outcome is
@@ -285,10 +286,12 @@ bool cache_holds_all(const std::string& fingerprint, const char* kind, const McC
 CellDistributions run_pass(const Condition& condition, const McConfig& mc,
                            std::initializer_list<Quantity> quantities,
                            const aging::DeviceStressMap* stress = nullptr) {
+  // The cell's one label, for its spans, notices and quarantine records.
+  const std::string label = condition_label(condition);
   util::trace::Span phase(util::trace::spans::kMcDistribution, "mc");
   if (phase.traced()) {
+    attr_condition(phase, label, mc);
     phase.attr_u64("iterations", mc.iterations);
-    attr_condition(phase, condition, mc);
   }
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   std::vector<Measurement> measurements;
@@ -311,7 +314,7 @@ CellDistributions run_pass(const Condition& condition, const McConfig& mc,
       sa::offset_model(condition.kind, condition.config);
     }
   }
-  const std::string run_id = effective_run_id(condition, mc);
+  const std::string run_id = run_id_for(label, mc);
 
   auto visit = [&](std::size_t i) {
     counters().samples.add();
@@ -329,13 +332,13 @@ CellDistributions run_pass(const Condition& condition, const McConfig& mc,
     if (missing.empty()) return;
     util::trace::Span span(util::trace::spans::kMcSample, "mc");
     if (span.traced()) {
+      attr_condition(span, label, mc);
       span.attr_u64("sample", i);
-      attr_condition(span, condition, mc);
     }
     util::faultpoint::SampleScope fault_key(i);
     sa::SenseAmpCircuit circuit = build_sample(condition, mc, i, stress);
     for (Measurement* m : missing) {
-      measure_with_retry(*m, circuit, i, condition, run_id);
+      measure_with_retry(*m, circuit, i, run_id);
       if (!fp.empty()) mc_cache::insert(fp, m->key, i, m->slots[i]);
     }
   };
@@ -347,11 +350,11 @@ CellDistributions run_pass(const Condition& condition, const McConfig& mc,
   }
 
   std::vector<OffsetDistribution> dists;
-  for (Measurement& m : measurements) dists.push_back(assemble(m, condition, mc, run_id));
+  for (Measurement& m : measurements) dists.push_back(assemble(m, label, mc, run_id));
   CellDistributions cell;
   for (std::size_t k = 0; k < measurements.size(); ++k) {
     OffsetDistribution& dist = dists[k];
-    check_bound(measurements[k].key, dist.degradation, condition, mc);
+    check_bound(measurements[k].key, dist.degradation, label, mc);
     if (measurements[k].quantity == Quantity::kOffset) {
       counters().saturated.add(dist.saturated_count);
       cell.offset = std::move(dist);
@@ -365,6 +368,17 @@ CellDistributions run_pass(const Condition& condition, const McConfig& mc,
 }
 
 }  // namespace
+
+Condition make_condition(sa::SenseAmpKind kind, const workload::Workload& workload,
+                         double stress_time_s, double vdd_scale, double temperature_c) {
+  Condition c{.kind = kind,
+              .config = sa::nominal_config(),
+              .workload = workload,
+              .stress_time_s = stress_time_s};
+  c.config.vdd *= vdd_scale;
+  c.config.temperature_c = temperature_c;
+  return c;
+}
 
 std::string condition_label(const Condition& condition) {
   // A fresh cell has seen no workload, so only an aged one names it.

@@ -1,6 +1,12 @@
 // Monte-Carlo evaluation of a sense amplifier under one experimental
 // condition (scheme x workload x supply x temperature x stress time).
 //
+// Identity: a cell is a Condition, built by make_condition() and named by
+// condition_label() — one label in the stderr notices, the quarantine
+// records, the metrics report and the trace (the experiment.cell,
+// mc.distribution and mc.sample spans carry it as `condition`, and a
+// forensic bundle inherits it from the open mc.sample span).
+//
 // One pass visits every sample i: it builds a fresh testbench once, draws its
 // process variation and BTI trap sets from streams keyed by (seed, i, device
 // name), and measures the offset voltage and/or the sensing delay on that
@@ -57,9 +63,17 @@ struct Condition {
   bool aged() const noexcept { return stress_time_s > 0.0; }
 };
 
-/// Human-readable cell label used in quarantine records and error messages:
-/// "NSSA vdd=1.00V T=25.0C stress=0s" for a fresh cell and, with the
-/// workload that aged it, "NSSA 80r0 vdd=1.00V T=25.0C stress=1e+08s".
+/// The cell at `kind` x `workload` x `stress_time_s` on the nominal SA
+/// (sa::nominal_config()) with its supply scaled by `vdd_scale` and its die at
+/// `temperature_c`: the one way every table, example and tool builds a cell.
+Condition make_condition(sa::SenseAmpKind kind, const workload::Workload& workload,
+                         double stress_time_s, double vdd_scale = 1.0,
+                         double temperature_c = 25.0);
+
+/// The one name of a cell, in every report and sidecar (stderr notices,
+/// quarantine records, trace spans and forensic events, the metrics report's
+/// conditions): "NSSA vdd=1.00V T=25.0C stress=0s" for a fresh cell and, with
+/// the workload that aged it, "NSSA 80r0 vdd=1.00V T=25.0C stress=1e+08s".
 std::string condition_label(const Condition& condition);
 
 /// One sample excluded from a distribution: its solver failed on the first

@@ -153,13 +153,6 @@ std::optional<double> TransientResult::crossing_time(NodeId node, double level, 
   return std::nullopt;
 }
 
-Waveform TransientResult::waveform(NodeId node) const {
-  Waveform w;
-  w.time = time_;
-  w.value = node_wave(node);
-  return w;
-}
-
 Simulator::Simulator(const Netlist& netlist, double temperature_k)
     : netlist_(netlist),
       temperature_k_(temperature_k),

@@ -141,9 +141,6 @@ class TransientResult {
   std::optional<double> crossing_time(NodeId node, double level, bool rising,
                                       double after = 0.0) const;
 
-  /// Copies one node into a standalone Waveform.
-  Waveform waveform(NodeId node) const;
-
   std::size_t steps() const noexcept { return time_.size(); }
 
   /// d v / d V(sensitivity_to[k]) at the last recorded sample, one entry per

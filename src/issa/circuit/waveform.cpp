@@ -58,40 +58,6 @@ std::vector<double> SourceWave::corner_times() const {
   return times;
 }
 
-double Waveform::at(double t) const {
-  if (time.empty()) throw std::logic_error("Waveform::at: empty waveform");
-  if (t <= time.front()) return value.front();
-  if (t >= time.back()) return value.back();
-  const auto it = std::upper_bound(time.begin(), time.end(), t);
-  const auto idx = static_cast<std::size_t>(it - time.begin());
-  const double t0 = time[idx - 1];
-  const double t1 = time[idx];
-  const double frac = (t - t0) / (t1 - t0);
-  return value[idx - 1] + frac * (value[idx] - value[idx - 1]);
-}
-
-std::optional<double> Waveform::crossing_time(double level, bool rising, double after) const {
-  for (std::size_t i = 1; i < time.size(); ++i) {
-    if (time[i] < after) continue;
-    const double v0 = value[i - 1];
-    const double v1 = value[i];
-    const bool crossed = rising ? (v0 < level && v1 >= level) : (v0 > level && v1 <= level);
-    if (!crossed) continue;
-    const double frac = (level - v0) / (v1 - v0);
-    const double t = time[i - 1] + frac * (time[i] - time[i - 1]);
-    if (t >= after) return t;
-  }
-  return std::nullopt;
-}
-
-double Waveform::max_value() const {
-  return value.empty() ? 0.0 : *std::max_element(value.begin(), value.end());
-}
-
-double Waveform::min_value() const {
-  return value.empty() ? 0.0 : *std::min_element(value.begin(), value.end());
-}
-
 void write_waveforms_csv(
     const std::string& path, const std::vector<double>& time,
     const std::vector<std::pair<std::string, const std::vector<double>*>>& waves) {

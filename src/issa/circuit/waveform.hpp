@@ -1,8 +1,7 @@
-// Source waveforms (inputs to the simulator) and sampled waveforms (outputs).
+// Source waveforms (inputs to the simulator) and the CSV writer for sampled
+// ones (a transient's node waveforms live in circuit::TransientResult).
 #pragma once
 
-#include <cstddef>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,25 +42,6 @@ class SourceWave {
  private:
   explicit SourceWave(std::vector<std::pair<double, double>> points);
   std::vector<std::pair<double, double>> points_;
-};
-
-/// A sampled waveform: time axis plus one value per sample.
-struct Waveform {
-  std::vector<double> time;
-  std::vector<double> value;
-
-  std::size_t size() const noexcept { return time.size(); }
-
-  /// Linear interpolation; clamps outside the sampled range.
-  double at(double t) const;
-
-  /// First time the waveform crosses `level` in the given direction at or
-  /// after `after`; nullopt when it never does.
-  std::optional<double> crossing_time(double level, bool rising, double after = 0.0) const;
-
-  double final_value() const { return value.empty() ? 0.0 : value.back(); }
-  double max_value() const;
-  double min_value() const;
 };
 
 /// Writes a set of named waveforms sharing a time axis to a CSV file.

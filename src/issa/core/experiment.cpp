@@ -1,20 +1,11 @@
 #include "issa/core/experiment.hpp"
 
 #include <cmath>
-#include <sstream>
 
 #include "issa/util/trace.hpp"
 #include "issa/util/units.hpp"
 
 namespace issa::core {
-
-std::string ExperimentRow::condition_label() const {
-  std::ostringstream os;
-  os << scheme << "/" << workload_label << (stress_time_s > 0 ? "@1e8s" : "@0s");
-  os.precision(2);
-  os << std::fixed << " vdd=" << vdd << " T=" << static_cast<int>(temperature_c);
-  return os.str();
-}
 
 ExperimentRunner::ExperimentRunner(analysis::McConfig mc) : mc_(std::move(mc)) {}
 
@@ -22,43 +13,28 @@ std::string ExperimentRunner::workload_label(sa::SenseAmpKind kind,
                                              const workload::Workload& workload,
                                              double stress_time_s) {
   if (stress_time_s <= 0.0) return "-";
-  if (kind == sa::SenseAmpKind::kIssa) {
-    // The ISSA compiles all sequences of one activation rate into the same
-    // balanced internal workload, so the paper reports just the rate.
+  if (sa::is_switching_kind(kind)) {
+    // An input-switching SA compiles all sequences of one activation rate
+    // into the same balanced internal workload, so the paper reports just
+    // the rate.
     const int rate = static_cast<int>(std::lround(workload.activation_rate * 100.0));
     return std::to_string(rate) + "%";
   }
   return workload.name();
 }
 
-analysis::Condition ExperimentRunner::make_condition(sa::SenseAmpKind kind,
-                                                     const workload::Workload& workload,
-                                                     double stress_time_s, double vdd_scale,
-                                                     double temperature_c) const {
-  analysis::Condition c;
-  c.kind = kind;
-  c.config = sa::nominal_config();
-  c.config.vdd *= vdd_scale;
-  c.config.temperature_c = temperature_c;
-  c.workload = workload;
-  c.stress_time_s = stress_time_s;
-  return c;
-}
-
 ExperimentRow ExperimentRunner::run_cell(sa::SenseAmpKind kind,
                                          const workload::Workload& workload,
                                          double stress_time_s, double vdd_scale,
                                          double temperature_c) {
-  const analysis::Condition condition =
-      make_condition(kind, workload, stress_time_s, vdd_scale, temperature_c);
+  ExperimentRow row;
+  row.condition =
+      analysis::make_condition(kind, workload, stress_time_s, vdd_scale, temperature_c);
 
   util::trace::Span span(util::trace::spans::kExperimentCell, "experiment");
   if (span.traced()) {
-    span.attr_str("scheme", kind == sa::SenseAmpKind::kNssa ? "NSSA" : "ISSA");
-    span.attr_str("workload", workload_label(kind, workload, stress_time_s));
-    span.attr_f64("vdd", condition.config.vdd);
-    span.attr_f64("temperature_c", temperature_c);
-    span.attr_f64("stress_time_s", stress_time_s);
+    span.attr_str("condition", analysis::condition_label(row.condition));
+    span.attr_u64("seed", mc_.seed);
   }
 
   // Scoped snapshot: the cell's report shows only the work this cell did.
@@ -66,17 +42,12 @@ ExperimentRow ExperimentRunner::run_cell(sa::SenseAmpKind kind,
       util::metrics::enabled() ? util::metrics::Registry::instance().snapshot()
                                : util::metrics::Snapshot{};
 
-  const auto [offsets, delays] = analysis::measure_cell(condition, mc_);
+  const auto [offsets, delays] = analysis::measure_cell(row.condition, mc_);
 
-  ExperimentRow row;
   if (util::metrics::enabled()) {
     row.metrics = util::metrics::Registry::instance().snapshot().delta_since(before);
   }
-  row.scheme = kind == sa::SenseAmpKind::kNssa ? "NSSA" : "ISSA";
-  row.stress_time_s = stress_time_s;
   row.workload_label = workload_label(kind, workload, stress_time_s);
-  row.vdd = condition.config.vdd;
-  row.temperature_c = temperature_c;
   row.mu_mv = util::to_mV(offsets.summary.mean);
   row.sigma_mv = util::to_mV(offsets.summary.stddev);
   row.spec_mv = util::to_mV(offsets.spec());
@@ -150,9 +121,8 @@ std::vector<DelayAgingSeries> ExperimentRunner::fig7_delay_vs_aging(
     series.label = def.label;
     const auto w = workload::workload_from_name(def.workload);
     for (const double t : times) {
-      const analysis::Condition condition = make_condition(def.kind, w, t, 1.0, 125.0);
-      const analysis::DelayDistribution delays =
-          analysis::measure_delay_distribution(condition, mc_);
+      const analysis::DelayDistribution delays = analysis::measure_delay_distribution(
+          analysis::make_condition(def.kind, w, t, 1.0, 125.0), mc_);
       series.times_s.push_back(t);
       series.delays_ps.push_back(util::to_ps(delays.summary.mean));
     }

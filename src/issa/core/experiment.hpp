@@ -5,7 +5,10 @@
 // NSSA/ISSA across workloads (Table II / Fig. 4), supply corners (Table III /
 // Fig. 5), temperature corners (Table IV / Fig. 6), and delay-versus-aging
 // (Fig. 7).  Bench binaries print these rows; examples and tests reuse the
-// same entry points.
+// same entry points.  Each cell is built by analysis::make_condition and
+// each row carries that analysis::Condition: the metrics report names a row
+// by analysis::condition_label(row.condition), the label its stderr notices,
+// quarantine records and trace spans carry.
 #pragma once
 
 #include <optional>
@@ -19,11 +22,8 @@ namespace issa::core {
 
 /// One row of the paper's result tables.
 struct ExperimentRow {
-  std::string scheme;          ///< "NSSA" or "ISSA"
-  double stress_time_s = 0.0;  ///< 0 or 1e8
-  std::string workload_label;  ///< "80r0", "-" (fresh), "80%" (ISSA), ...
-  double vdd = 1.0;            ///< [V]
-  double temperature_c = 25.0;
+  analysis::Condition condition;  ///< the cell: kind, supply, temperature, workload, stress
+  std::string workload_label;     ///< the paper's column: "80r0", "-" (fresh), "80%" (ISSA)
   double mu_mv = 0.0;          ///< offset mean [mV]
   double sigma_mv = 0.0;       ///< offset std dev [mV]
   double spec_mv = 0.0;        ///< offset-voltage spec at fr = 1e-9 [mV]
@@ -39,9 +39,6 @@ struct ExperimentRow {
   util::metrics::Snapshot metrics;
 
   bool degraded() const noexcept { return quarantined > 0; }
-
-  /// Condition label for reports: "NSSA/80r0@1e8s vdd=1.00 T=25".
-  std::string condition_label() const;
 };
 
 /// A (time, delay) series for Fig. 7.
@@ -79,7 +76,8 @@ class ExperimentRunner {
 
   const analysis::McConfig& mc() const noexcept { return mc_; }
 
-  /// Label the paper uses for a row's workload column.
+  /// Label the paper uses for a row's workload column: "-" when fresh, the
+  /// activation rate ("80%") for an input-switching kind, else the workload.
   static std::string workload_label(sa::SenseAmpKind kind, const workload::Workload& workload,
                                     double stress_time_s);
 
@@ -92,10 +90,6 @@ class ExperimentRunner {
   /// The grid Tables III and IV share: NSSA fresh, NSSA aged under each 80%
   /// workload, ISSA fresh and ISSA 80% aged, each at every corner in turn.
   std::vector<ExperimentRow> corner_sweep(const std::vector<Corner>& corners);
-
-  analysis::Condition make_condition(sa::SenseAmpKind kind, const workload::Workload& workload,
-                                     double stress_time_s, double vdd_scale,
-                                     double temperature_c) const;
 
   analysis::McConfig mc_;
 };

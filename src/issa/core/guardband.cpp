@@ -6,22 +6,11 @@ namespace issa::core {
 
 namespace {
 
-analysis::Condition corner_condition(sa::SenseAmpKind kind, double temperature_c,
-                                     const workload::Workload& workload, double time_s) {
-  analysis::Condition c;
-  c.kind = kind;
-  c.config = sa::nominal_config();
-  c.config.temperature_c = temperature_c;
-  c.workload = workload;
-  c.stress_time_s = time_s;
-  return c;
-}
-
 double spec_at(sa::SenseAmpKind kind, double temperature_c, const workload::Workload& workload,
                double time_s, const analysis::McConfig& mc) {
-  const auto dist =
-      analysis::measure_offset_distribution(corner_condition(kind, temperature_c, workload, time_s), mc);
-  return dist.spec();
+  return analysis::measure_offset_distribution(
+             analysis::make_condition(kind, workload, time_s, 1.0, temperature_c), mc)
+      .spec();
 }
 
 }  // namespace
@@ -36,7 +25,7 @@ GuardbandComparison compare_guardband_vs_mitigation(double temperature_c,
   // Each corner's spec and delay come from one pass over its samples.
   auto cell = [&](sa::SenseAmpKind kind, double time_s) {
     return analysis::measure_cell(
-        corner_condition(kind, temperature_c, worst_workload, time_s), mc);
+        analysis::make_condition(kind, worst_workload, time_s, 1.0, temperature_c), mc);
   };
   const analysis::CellDistributions nssa_fresh = cell(sa::SenseAmpKind::kNssa, 0.0);
   const analysis::CellDistributions nssa_aged = cell(sa::SenseAmpKind::kNssa, lifetime_s);

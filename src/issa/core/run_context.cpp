@@ -207,7 +207,7 @@ void RunContext::write_metrics() {
   bool first = true;
   for (const ExperimentRow& row : rows_) {
     if (!row.degraded() && row.recovered == 0) continue;
-    os << (first ? "\n" : ",\n") << "    {\"condition\": \"" << escape(row.condition_label())
+    os << (first ? "\n" : ",\n") << "    {\"condition\": \"" << escape(analysis::condition_label(row.condition))
        << "\", \"quarantined\": " << row.quarantined << ", \"recovered\": " << row.recovered
        << "}";
     first = false;
@@ -217,7 +217,7 @@ void RunContext::write_metrics() {
   os << "  \"conditions\": [";
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     os << (i == 0 ? "\n" : ",\n") << "    {\"condition\": \""
-       << escape(rows_[i].condition_label())
+       << escape(analysis::condition_label(rows_[i].condition))
        << "\", \"metrics\": " << util::metrics::to_json(rows_[i].metrics, "    ") << "}";
   }
   os << (rows_.empty() ? "]\n}\n" : "\n  ]\n}\n");

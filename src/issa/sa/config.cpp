@@ -4,16 +4,4 @@ namespace issa::sa {
 
 SenseAmpConfig nominal_config() { return SenseAmpConfig{}; }
 
-SenseAmpConfig config_with_vdd_scale(double scale) {
-  SenseAmpConfig c;
-  c.vdd *= scale;
-  return c;
-}
-
-SenseAmpConfig config_with_temperature(double celsius) {
-  SenseAmpConfig c;
-  c.temperature_c = celsius;
-  return c;
-}
-
 }  // namespace issa::sa

@@ -50,11 +50,9 @@ struct SenseAmpConfig {
   bool operator==(const SenseAmpConfig&) const = default;
 };
 
-/// The paper's nominal conditions: Vdd = 1.0 V, 25 C.
+/// The paper's nominal conditions: Vdd = 1.0 V, 25 C.  The corners of the
+/// paper's sweeps are cells built by analysis::make_condition, which scales
+/// this config's supply and sets its temperature.
 SenseAmpConfig nominal_config();
-
-/// Convenience variants for the paper's corner sweeps.
-SenseAmpConfig config_with_vdd_scale(double scale);       // e.g. 0.9, 1.1
-SenseAmpConfig config_with_temperature(double celsius);   // e.g. 75, 125
 
 }  // namespace issa::sa

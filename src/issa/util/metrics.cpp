@@ -155,8 +155,7 @@ Registry::Registry() : impl_(new Impl) {
   for (const char* name :
        {names::kNewtonIterations, names::kNewtonFailures, names::kStepRejections,
         names::kJacobianBuilds, names::kDeviceEvaluations, names::kTransientSteps,
-        names::kDcSolves, names::kTransientEarlyExits,
-        names::kLuFactorizations, names::kPoolTasksEnqueued,
+        names::kDcSolves, names::kTransientEarlyExits, names::kLuFactorizations,
         names::kPoolTasksExecuted, names::kMcSamples, names::kMcSaturatedSamples,
         names::kMcCacheHits, names::kMcCacheMisses, names::kMcCacheStores}) {
     counter(name);

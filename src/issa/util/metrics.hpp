@@ -157,7 +157,6 @@ inline constexpr const char* kTransientSteps = "sim.transient_steps";
 inline constexpr const char* kDcSolves = "sim.dc_solves";
 inline constexpr const char* kTransientEarlyExits = "sim.transient_early_exits";
 inline constexpr const char* kLuFactorizations = "lu.factorizations";
-inline constexpr const char* kPoolTasksEnqueued = "pool.tasks_enqueued";
 inline constexpr const char* kPoolTasksExecuted = "pool.tasks_executed";
 inline constexpr const char* kPoolQueueLatency = "pool.queue_latency";
 inline constexpr const char* kMcSamples = "mc.samples";

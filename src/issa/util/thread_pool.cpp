@@ -12,12 +12,6 @@ namespace issa::util {
 
 namespace {
 
-metrics::Counter& tasks_enqueued() {
-  static metrics::Counter& c =
-      metrics::Registry::instance().counter(metrics::names::kPoolTasksEnqueued);
-  return c;
-}
-
 metrics::Counter& tasks_executed() {
   static metrics::Counter& c =
       metrics::Registry::instance().counter(metrics::names::kPoolTasksExecuted);
@@ -93,7 +87,6 @@ void ThreadPool::enqueue(std::function<void()> fn) {
   Task task;
   task.fn = std::move(fn);
   if (metrics::enabled()) task.enqueue_ns = metrics::monotonic_ns();
-  tasks_enqueued().add();
   {
     std::lock_guard lock(mutex_);
     tasks_.push(std::move(task));

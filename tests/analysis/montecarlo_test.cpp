@@ -32,6 +32,24 @@ McConfig small_mc(std::size_t n = 24) {
   return mc;
 }
 
+TEST(MonteCarlo, MakeConditionAppliesCorners) {
+  const workload::Workload w = workload::workload_from_name("20r1");
+  const Condition hot = make_condition(sa::SenseAmpKind::kIssa, w, 1e8, 0.9, 125.0);
+  EXPECT_EQ(hot.kind, sa::SenseAmpKind::kIssa);
+  EXPECT_EQ(hot.workload, w);
+  EXPECT_DOUBLE_EQ(hot.stress_time_s, 1e8);
+  EXPECT_DOUBLE_EQ(hot.config.vdd, 0.9);
+  EXPECT_DOUBLE_EQ(hot.config.temperature_c, 125.0);
+  EXPECT_NEAR(hot.config.temperature_k(), 398.15, 1e-9);
+  // Everything else is the nominal SA, and the defaults are its corner.
+  sa::SenseAmpConfig rest = hot.config;
+  rest.vdd = sa::nominal_config().vdd;
+  rest.temperature_c = sa::nominal_config().temperature_c;
+  EXPECT_EQ(rest, sa::nominal_config());
+  EXPECT_EQ(make_condition(sa::SenseAmpKind::kNssa, w, 0.0).config, sa::nominal_config());
+  EXPECT_EQ(condition_label(hot), "ISSA 20r1 vdd=0.90V T=125.0C stress=1e+08s");
+}
+
 TEST(MonteCarlo, OffsetDistributionShape) {
   const OffsetDistribution d = measure_offset_distribution(fresh_nssa(), small_mc());
   EXPECT_EQ(d.offsets.size(), 24u);

@@ -209,6 +209,48 @@ TEST(SimulatorTran, StepCountAndTimeAxis) {
   EXPECT_NEAR(tr.time().back(), 1e-9, 1e-15);
 }
 
+// The queries on one recorded node waveform (node 1 of a two-node result:
+// ground, then the node), on synthetic samples.
+TransientResult node_waveform(const std::vector<double>& time, const std::vector<double>& value) {
+  TransientResult tr(2);
+  for (std::size_t i = 0; i < time.size(); ++i) tr.append(time[i], {0.0, value[i]});
+  return tr;
+}
+
+TEST(Waveform, InterpolationAndClamp) {
+  const TransientResult w = node_waveform({0.0, 1.0, 2.0}, {0.0, 10.0, 0.0});
+  EXPECT_DOUBLE_EQ(w.at(1, 0.5), 5.0);
+  EXPECT_DOUBLE_EQ(w.at(1, 1.5), 5.0);
+  EXPECT_DOUBLE_EQ(w.at(1, -1.0), 0.0);
+  EXPECT_DOUBLE_EQ(w.at(1, 5.0), 0.0);
+}
+
+TEST(Waveform, CrossingTimeRising) {
+  const TransientResult w = node_waveform({0.0, 1.0, 2.0}, {0.0, 10.0, 0.0});
+  const auto t = w.crossing_time(1, 5.0, true);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_DOUBLE_EQ(*t, 0.5);
+}
+
+TEST(Waveform, CrossingTimeFalling) {
+  const TransientResult w = node_waveform({0.0, 1.0, 2.0}, {0.0, 10.0, 0.0});
+  const auto t = w.crossing_time(1, 5.0, false);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_DOUBLE_EQ(*t, 1.5);
+}
+
+TEST(Waveform, CrossingAfterSkipsEarlyCrossings) {
+  const TransientResult w = node_waveform({0.0, 1.0, 2.0, 3.0}, {0.0, 10.0, 0.0, 10.0});
+  const auto t = w.crossing_time(1, 5.0, true, 1.2);
+  ASSERT_TRUE(t.has_value());
+  EXPECT_DOUBLE_EQ(*t, 2.5);
+}
+
+TEST(Waveform, NoCrossingReturnsNullopt) {
+  const TransientResult w = node_waveform({0.0, 1.0}, {0.0, 1.0});
+  EXPECT_FALSE(w.crossing_time(1, 5.0, true).has_value());
+}
+
 // Regression: a waveform departing upward from exactly `level` (a node
 // initial-overridden to precisely Vdd/2, the precharge-equalize discipline)
 // must register a crossing at the departure sample.  The old strict

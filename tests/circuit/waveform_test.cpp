@@ -55,59 +55,6 @@ TEST(SourceWave, OffsetBy) {
   EXPECT_DOUBLE_EQ(w.value(1.0), 2.5);
 }
 
-TEST(Waveform, InterpolationAndClamp) {
-  Waveform w;
-  w.time = {0.0, 1.0, 2.0};
-  w.value = {0.0, 10.0, 0.0};
-  EXPECT_DOUBLE_EQ(w.at(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(w.at(1.5), 5.0);
-  EXPECT_DOUBLE_EQ(w.at(-1.0), 0.0);
-  EXPECT_DOUBLE_EQ(w.at(5.0), 0.0);
-}
-
-TEST(Waveform, CrossingTimeRising) {
-  Waveform w;
-  w.time = {0.0, 1.0, 2.0};
-  w.value = {0.0, 10.0, 0.0};
-  const auto t = w.crossing_time(5.0, true);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_DOUBLE_EQ(*t, 0.5);
-}
-
-TEST(Waveform, CrossingTimeFalling) {
-  Waveform w;
-  w.time = {0.0, 1.0, 2.0};
-  w.value = {0.0, 10.0, 0.0};
-  const auto t = w.crossing_time(5.0, false);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_DOUBLE_EQ(*t, 1.5);
-}
-
-TEST(Waveform, CrossingAfterSkipsEarlyCrossings) {
-  Waveform w;
-  w.time = {0.0, 1.0, 2.0, 3.0};
-  w.value = {0.0, 10.0, 0.0, 10.0};
-  const auto t = w.crossing_time(5.0, true, 1.2);
-  ASSERT_TRUE(t.has_value());
-  EXPECT_DOUBLE_EQ(*t, 2.5);
-}
-
-TEST(Waveform, NoCrossingReturnsNullopt) {
-  Waveform w;
-  w.time = {0.0, 1.0};
-  w.value = {0.0, 1.0};
-  EXPECT_FALSE(w.crossing_time(5.0, true).has_value());
-}
-
-TEST(Waveform, MinMaxFinal) {
-  Waveform w;
-  w.time = {0.0, 1.0, 2.0};
-  w.value = {3.0, -2.0, 1.0};
-  EXPECT_DOUBLE_EQ(w.max_value(), 3.0);
-  EXPECT_DOUBLE_EQ(w.min_value(), -2.0);
-  EXPECT_DOUBLE_EQ(w.final_value(), 1.0);
-}
-
 TEST(WriteWaveformsCsv, RoundTrip) {
   const std::string path = ::testing::TempDir() + "/issa_waves.csv";
   const std::vector<double> time = {0.0, 1e-12};

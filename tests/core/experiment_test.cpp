@@ -25,13 +25,17 @@ TEST(Experiment, WorkloadLabels) {
   EXPECT_EQ(ExperimentRunner::workload_label(sa::SenseAmpKind::kNssa, w80r0, 1e8), "80r0");
   EXPECT_EQ(ExperimentRunner::workload_label(sa::SenseAmpKind::kIssa, w80r0, 1e8), "80%");
   EXPECT_EQ(ExperimentRunner::workload_label(sa::SenseAmpKind::kIssa, w20, 1e8), "20%");
+  // The double-tail SAs follow the same rule: the switching one reports the rate.
+  EXPECT_EQ(ExperimentRunner::workload_label(sa::SenseAmpKind::kDoubleTail, w80r0, 1e8), "80r0");
+  EXPECT_EQ(ExperimentRunner::workload_label(sa::SenseAmpKind::kDoubleTailSwitching, w80r0, 1e8),
+            "80%");
 }
 
 TEST(Experiment, FreshCellMatchesCalibration) {
   ExperimentRunner runner(tiny_mc());
   const ExperimentRow row = runner.run_cell(
       sa::SenseAmpKind::kNssa, workload::workload_from_name("80r0r1"), 0.0, 1.0, 25.0);
-  EXPECT_EQ(row.scheme, "NSSA");
+  EXPECT_EQ(row.condition.kind, sa::SenseAmpKind::kNssa);
   EXPECT_EQ(row.workload_label, "-");
   EXPECT_EQ(row.mc_iterations, 16u);
   // Loose bands (16 samples): sigma near 14.8 mV, delay near 13.9 ps.
@@ -48,7 +52,8 @@ TEST(Experiment, AgedUnbalancedCellShiftsMean) {
       sa::SenseAmpKind::kNssa, workload::workload_from_name("80r0"), 1e8, 1.0, 25.0);
   EXPECT_GT(row.mu_mv, 5.0);
   EXPECT_EQ(row.workload_label, "80r0");
-  EXPECT_DOUBLE_EQ(row.stress_time_s, 1e8);
+  EXPECT_DOUBLE_EQ(row.condition.stress_time_s, 1e8);
+  EXPECT_EQ(row.condition.workload, workload::workload_from_name("80r0"));
 }
 
 TEST(Experiment, RunCellVisitsEachSampleOnce) {
@@ -73,9 +78,9 @@ TEST(Experiment, VddScaleAndTemperatureLand) {
   ExperimentRunner runner(tiny_mc());
   const ExperimentRow row = runner.run_cell(
       sa::SenseAmpKind::kIssa, workload::workload_from_name("80r0"), 0.0, 1.1, 75.0);
-  EXPECT_DOUBLE_EQ(row.vdd, 1.1);
-  EXPECT_DOUBLE_EQ(row.temperature_c, 75.0);
-  EXPECT_EQ(row.scheme, "ISSA");
+  EXPECT_DOUBLE_EQ(row.condition.config.vdd, 1.1);
+  EXPECT_DOUBLE_EQ(row.condition.config.temperature_c, 75.0);
+  EXPECT_EQ(row.condition.kind, sa::SenseAmpKind::kIssa);
 }
 
 TEST(Experiment, Fig7SeriesShape) {

@@ -1,6 +1,7 @@
 // Tests for core::RunContext: run flags into the McConfig, strict option
-// handling, sidecars joined by one run id, the cache summary line, and the
-// emit-exactly-once contract, also for a run that throws.
+// handling, sidecars joined by one run id and by one cell label, the cache
+// summary line, and the emit-exactly-once contract, also for a run that
+// throws.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "issa/analysis/mc_cache.hpp"
+#include "issa/core/experiment.hpp"
 #include "issa/core/run_context.hpp"
 #include "issa/sa/config.hpp"
 #include "issa/util/faultpoint.hpp"
@@ -138,7 +140,6 @@ TEST(RunContextTest, SidecarsShareOneRunId) {
     run_id = run.run_id();
     { util::trace::Span span("test.span", "test"); }
     core::ExperimentRow row;
-    row.scheme = "NSSA";
     row.workload_label = "-";
     run.attach_rows({row});
   }
@@ -153,6 +154,57 @@ TEST(RunContextTest, SidecarsShareOneRunId) {
     written.insert(entry.path().filename().string());
   }
   EXPECT_EQ(written, (std::set<std::string>{"run.metrics.json", "run.trace.json"}));
+}
+
+TEST(RunContextTest, DegradedCellsJoinTheTraceByTheirLabel) {
+  // Two aged cells that differ only in their kind, each with one sample
+  // quarantined: the metrics report's degraded_conditions, the trace's
+  // quarantine events and its mc.sample spans all name a cell by the same
+  // label, and that label names the workload that aged it.
+  const std::string stem = fresh_dir("join") + "/run";
+  const Argv args({"--mc=4", "--metrics=" + stem, "--trace=" + stem,
+                   "--faults=sim.newton_nonconvergence=key3", "--quarantine-max=1"});
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  {
+    core::RunContext run(args.argc(), args.argv(), "t");
+    core::ExperimentRunner runner(run.mc());
+    const workload::Workload w = workload::workload_from_name("80r0");
+    run.attach_rows({runner.run_cell(sa::SenseAmpKind::kNssa, w, 1e8, 1.0, 25.0),
+                     runner.run_cell(sa::SenseAmpKind::kIssa, w, 1e8, 1.0, 25.0)});
+  }
+  util::faultpoint::clear();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ::testing::internal::GetCapturedStdout();
+
+  const util::json::Value metrics = read_json(stem + ".metrics.json");
+  const util::json::Value trace = read_json(stem + ".trace.json");
+  std::set<std::string> degraded;
+  for (const util::json::Value& cell : metrics.at("degraded_conditions").as_array()) {
+    const std::string& label = cell.at("condition").as_string();
+    EXPECT_NE(label.find(" 80r0 "), std::string::npos) << label;
+    EXPECT_NE(err.find("[" + label + " seed=42]"), std::string::npos) << label << "\n" << err;
+    degraded.insert(label);
+  }
+  EXPECT_EQ(degraded.size(), 2u);
+
+  std::set<std::string> quarantined;
+  std::set<std::string> sampled;
+  for (const util::json::Value& e : trace.at("traceEvents").as_array()) {
+    const util::json::Value* args_of = e.find("args");
+    const util::json::Value* condition =
+        args_of != nullptr && args_of->is_object() ? args_of->find("condition") : nullptr;
+    const std::string& name = e.at("name").as_string();
+    if (name == "forensic.mc_sample_quarantined") {
+      ASSERT_NE(condition, nullptr);
+      quarantined.insert(condition->as_string());
+    } else if (name == util::trace::spans::kMcSample) {
+      ASSERT_NE(condition, nullptr);
+      sampled.insert(condition->as_string());
+    }
+  }
+  EXPECT_EQ(quarantined, degraded);
+  EXPECT_EQ(sampled, degraded);
 }
 
 TEST(RunContextTest, IgnoresTheEnvironment) {
@@ -192,10 +244,8 @@ TEST(RunContextTest, CacheSummaryLineKeepsItsFormat) {
   {
     core::RunContext run(args.argc(), args.argv(), "t");
     EXPECT_TRUE(analysis::mc_cache::enabled());
-    analysis::Condition condition;
-    condition.kind = sa::SenseAmpKind::kNssa;
-    condition.config = sa::nominal_config();
-    analysis::measure_offset_distribution(condition, run.mc());
+    analysis::measure_offset_distribution(
+        analysis::make_condition(sa::SenseAmpKind::kNssa, workload::Workload{}, 0.0), run.mc());
   }
   const std::string out = ::testing::internal::GetCapturedStdout();
   EXPECT_FALSE(analysis::mc_cache::enabled());

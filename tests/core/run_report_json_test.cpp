@@ -1,6 +1,8 @@
-// The metrics report must be strict JSON whatever the labels hold: every
+// The metrics report must be strict JSON whatever its strings hold: every
 // report core::RunContext writes for attached rows is parsed back with
-// util::json and its strings compared with what went in.  Quotes and
+// util::json and its strings compared with what went in.  The run title
+// carries the hostile characters (a cell's label is
+// analysis::condition_label's, with no room for them): quotes and
 // backslashes survive exactly; control characters are written as spaces.
 #include <gtest/gtest.h>
 
@@ -30,9 +32,9 @@ std::string as_written(std::string s) {
 
 ExperimentRow nasty_row(std::size_t quarantined) {
   ExperimentRow row;
-  row.scheme = "NS\"SA\\";
-  row.workload_label = "80\"r0\\r1\b\f\r\n\t\x02";
-  row.stress_time_s = 1e8;
+  row.condition = analysis::make_condition(sa::SenseAmpKind::kNssa,
+                                           workload::workload_from_name("80r0"), 1e8);
+  row.workload_label = "80r0";
   row.quarantined = quarantined;
   row.metrics.entries.push_back({"sim.\"quoted\"\\name", util::metrics::Kind::kCounter, 7, 0, {}});
   return row;
@@ -74,14 +76,15 @@ TEST(RunReportJson, NastyLabelsRoundTrip) {
   const auto& conditions = doc.at("conditions").as_array();
   ASSERT_EQ(conditions.size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(conditions[i].at("condition").as_string(), as_written(rows[i].condition_label()));
+    EXPECT_EQ(conditions[i].at("condition").as_string(),
+              analysis::condition_label(rows[i].condition));
     const auto& metric = conditions[i].at("metrics").at("sim.\"quoted\"\\name");
     EXPECT_EQ(metric.at("count").as_number(), 7.0);
   }
   // Only the quarantined row is listed as degraded, under its exact label.
   const auto& degraded = doc.at("degraded_conditions").as_array();
   ASSERT_EQ(degraded.size(), 1u);
-  EXPECT_EQ(degraded[0].at("condition").as_string(), as_written(rows[0].condition_label()));
+  EXPECT_EQ(degraded[0].at("condition").as_string(), analysis::condition_label(rows[0].condition));
   EXPECT_EQ(doc.at("quarantined_samples").as_number(), 1.0);
 }
 

@@ -134,12 +134,6 @@ TEST(Builder, DcGuessFollowsSwap) {
   EXPECT_NEAR(guess[static_cast<std::size_t>(c.node_sbar())], 0.9, 1e-12);
 }
 
-TEST(Builder, ConfigCornersApply) {
-  EXPECT_DOUBLE_EQ(config_with_vdd_scale(0.9).vdd, 0.9);
-  EXPECT_DOUBLE_EQ(config_with_temperature(125.0).temperature_c, 125.0);
-  EXPECT_NEAR(config_with_temperature(125.0).temperature_k(), 398.15, 1e-9);
-}
-
 TEST(Builder, BuildSenseAmpDispatches) {
   EXPECT_EQ(build_sense_amp(SenseAmpKind::kNssa, nominal_config()).kind(), SenseAmpKind::kNssa);
   EXPECT_EQ(build_sense_amp(SenseAmpKind::kIssa, nominal_config()).kind(), SenseAmpKind::kIssa);

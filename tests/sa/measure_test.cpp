@@ -320,20 +320,15 @@ TEST(Measure, ReportedOffsetBracketsTheFlip) {
   // searches leave the one-probe loop most often (DT-SW sample 8 failed
   // while a search reused the previous probe's DC point).
   std::vector<SenseAmpCircuit> samples = guard_samples();
-  auto aged = [](SenseAmpKind kind, const SenseAmpConfig& config) {
-    analysis::Condition c;
-    c.kind = kind;
-    c.config = config;
-    c.workload = workload::workload_from_name("80r0");
-    c.stress_time_s = 1e8;
-    return c;
+  auto aged = [](SenseAmpKind kind, double vdd_scale) {
+    return analysis::make_condition(kind, workload::workload_from_name("80r0"), 1e8, vdd_scale);
   };
   analysis::McConfig mc;
   mc.seed = 42;
-  const analysis::Condition high_vdd = aged(SenseAmpKind::kNssa, config_with_vdd_scale(1.1));
+  const analysis::Condition high_vdd = aged(SenseAmpKind::kNssa, 1.1);
   for (std::size_t i = 0; i < 24; ++i) samples.push_back(analysis::build_sample(high_vdd, mc, i));
   for (const SenseAmpKind kind : {SenseAmpKind::kDoubleTail, SenseAmpKind::kDoubleTailSwitching}) {
-    const analysis::Condition c = aged(kind, nominal_config());
+    const analysis::Condition c = aged(kind, 1.0);
     for (std::size_t i = 0; i < 12; ++i) samples.push_back(analysis::build_sample(c, mc, i));
   }
   for (std::size_t i = 0; i < samples.size(); ++i) {

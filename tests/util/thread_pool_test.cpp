@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "issa/util/metrics.hpp"
+#include "issa/util/trace.hpp"
 
 namespace issa::util {
 namespace {
@@ -158,10 +159,13 @@ TEST(ThreadPool, CountsTasksWhenMetricsEnabled) {
   pool.parallel_for(0, 64, [](std::size_t) {});
   metrics::set_enabled(false);
   const metrics::Snapshot snap = metrics::Registry::instance().snapshot();
-  const std::uint64_t enqueued = snap.value(metrics::names::kPoolTasksEnqueued);
+  // Every queued task runs once under its own pool.task span and records its
+  // queue latency once.
   const std::uint64_t executed = snap.value(metrics::names::kPoolTasksExecuted);
-  EXPECT_GT(enqueued, 0u);
-  EXPECT_EQ(enqueued, executed);
+  EXPECT_GT(executed, 0u);
+  const metrics::SnapshotEntry* task = snap.find(trace::spans::kPoolTask);
+  ASSERT_NE(task, nullptr);
+  EXPECT_EQ(task->count, executed);
   const metrics::SnapshotEntry* latency = snap.find(metrics::names::kPoolQueueLatency);
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->count, executed);

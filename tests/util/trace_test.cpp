@@ -392,11 +392,10 @@ TEST_F(TraceTest, QuarantineForensicNamesItsSampleOnce) {
   // A sample quarantined on a pool worker: the bundle takes its context from
   // the mc.sample span open on that thread, and carries each key once.
   faultpoint::configure("sim.newton_nonconvergence=key1");
+  const analysis::Condition condition = analysis::make_condition(
+      sa::SenseAmpKind::kNssa, workload::workload_from_name("80r0"), 1e8);
   {
     ThreadPool pool(2);
-    analysis::Condition condition;
-    condition.kind = sa::SenseAmpKind::kNssa;
-    condition.config = sa::nominal_config();
     analysis::McConfig mc;
     mc.iterations = 4;
     mc.pool = &pool;
@@ -416,15 +415,13 @@ TEST_F(TraceTest, QuarantineForensicNamesItsSampleOnce) {
     std::map<std::string, int> seen;
     for (const auto& member : args.as_object()) ++seen[member.first];
     for (const auto& [key, count] : seen) EXPECT_EQ(count, 1) << key;
-    for (const char* key :
-         {"sample", "seed", "kind", "vdd", "temperature_c", "stress_time_s", "condition",
-          "run_id", "error", "residual_history", "alpha_history", "node_voltages"}) {
+    for (const char* key : {"condition", "seed", "sample", "measurement", "run_id", "error",
+                            "residual_history", "alpha_history", "node_voltages"}) {
       EXPECT_NE(args.find(key), nullptr) << key;
     }
     EXPECT_EQ(args.at("sample").as_number(), 1.0);
     EXPECT_EQ(args.at("seed").as_number(), 42.0);
-    EXPECT_EQ(args.at("kind").as_string(), "NSSA");
-    EXPECT_EQ(args.at("vdd").as_number(), sa::nominal_config().vdd);
+    EXPECT_EQ(args.at("condition").as_string(), analysis::condition_label(condition));
     EXPECT_NE(args.at("span_path").as_string().find(spans::kMcSample), std::string::npos);
   }
   EXPECT_EQ(quarantined, 1u);

@@ -39,8 +39,7 @@ using issa::util::json::Value;
 constexpr std::size_t kSlowestSamples = 10;
 
 // The args of an mc.sample span that name its sample, in table order.
-constexpr const char* kSampleArgs[] = {"kind",          "vdd",    "temperature_c",
-                                       "stress_time_s", "sample", "seed"};
+constexpr const char* kSampleArgs[] = {"condition", "sample", "seed"};
 
 struct SpanRec {
   std::string name;
@@ -294,7 +293,7 @@ void print_report(const Trace& trace) {
                       samples.end(),
                       [](const SpanRec* a, const SpanRec* b) { return a->dur_ns > b->dur_ns; });
     std::printf("### Slowest samples (%zu of %zu mc.sample spans)\n\n", shown, samples.size());
-    AsciiTable slowest({"ms", "kind", "vdd", "T(C)", "stress(s)", "sample", "seed"});
+    AsciiTable slowest({"ms", "condition", "sample", "seed"});
     for (std::size_t i = 0; i < shown; ++i) {
       std::vector<std::string> row{fmt_ms(samples[i]->dur_ns)};
       row.insert(row.end(), samples[i]->sample_args.begin(), samples[i]->sample_args.end());
