@@ -13,10 +13,11 @@ double sample_bti_shift(const BtiParams& params, const device::MosInstance& inst
                         std::uint64_t seed) {
   if (time_s <= 0.0) return 0.0;
   const TrapSet set = sample_trap_set(params, inst, seed);
+  const OccupancyKernel kernel(params, profile, temperature_k);
   util::Xoshiro256 occupancy_rng(util::derive_seed(seed, 0x0CCC));
   double shift = 0.0;
   for (const auto& trap : set.traps) {
-    const double p = trap_occupancy(params, trap, profile, time_s, temperature_k);
+    const double p = kernel.occupancy(trap, time_s);
     if (occupancy_rng.bernoulli(p)) shift += trap.delta_vth;
   }
   return shift;
@@ -40,6 +41,7 @@ OccupancyMoments occupancy_moments(const BtiParams& params, const StressProfile&
   const double hi_a = std::pow(params.tau_c_max, a);
   const double log_ratio_lo = std::log(params.tau_e_ratio_min);
   const double log_ratio_hi = std::log(params.tau_e_ratio_max);
+  const OccupancyKernel kernel(params, profile, temperature_k);
 
   OccupancyMoments m;
   for (int i = 0; i < kTauCells; ++i) {
@@ -50,7 +52,7 @@ OccupancyMoments occupancy_moments(const BtiParams& params, const StressProfile&
     for (int j = 0; j < kRatioCells; ++j) {
       const double w = (j + 0.5) / kRatioCells;
       trap.tau_e_ref = trap.tau_c_ref * std::exp(log_ratio_lo + w * (log_ratio_hi - log_ratio_lo));
-      const double p = trap_occupancy(params, trap, profile, time_s, temperature_k);
+      const double p = kernel.occupancy(trap, time_s);
       m.mean_p += p;
       m.mean_p2 += p * p;
     }

@@ -26,12 +26,16 @@ TrapSet sample_trap_set(const BtiParams& params, const device::MosInstance& inst
   const double a = params.tau_alpha;
   const double lo_a = std::pow(params.tau_c_min, a);
   const double hi_a = std::pow(params.tau_c_max, a);
+  // tau_e = tau_c * ratio, the ratio log-uniform on [ratio_min, ratio_max].
+  const double log_ratio_lo = std::log(params.tau_e_ratio_min);
+  const double log_ratio_hi = std::log(params.tau_e_ratio_max);
 
   for (unsigned i = 0; i < count; ++i) {
     Trap t;
     const double u = rng.uniform();
     t.tau_c_ref = std::pow(lo_a + u * (hi_a - lo_a), 1.0 / a);
-    t.tau_e_ref = t.tau_c_ref * rng.log_uniform(params.tau_e_ratio_min, params.tau_e_ratio_max);
+    t.tau_e_ref =
+        t.tau_c_ref * std::exp(log_ratio_lo + (log_ratio_hi - log_ratio_lo) * rng.uniform());
     t.delta_vth = rng.exponential(eta_mean);
     set.traps.push_back(t);
   }
@@ -43,36 +47,28 @@ double arrhenius_factor(double ea_ev, double temperature_k, double temp_ref_k) n
   return std::exp(ea_ev / kBoltzmannEv * (1.0 / temperature_k - 1.0 / temp_ref_k));
 }
 
-double capture_rate(const BtiParams& params, const Trap& trap, const StressProfile& profile,
-                    double temperature_k) noexcept {
-  const double temp_factor = arrhenius_factor(params.ea_capture, temperature_k, params.temp_ref);
-  double rate = 0.0;
+OccupancyKernel::OccupancyKernel(const BtiParams& params, const StressProfile& profile,
+                                 double temperature_k)
+    : capture_temp_factor_(arrhenius_factor(params.ea_capture, temperature_k, params.temp_ref)),
+      emission_temp_factor_(arrhenius_factor(params.ea_emission, temperature_k, params.temp_ref)) {
   for (const auto& phase : profile.phases()) {
+    if (phase.vstress <= 0.0) relax_fraction_ += phase.fraction;
     if (phase.vstress <= 0.0 || phase.fraction <= 0.0) continue;
-    const double field_factor = std::exp(-params.gamma_field * (phase.vstress - params.vdd_ref));
-    const double tau_c = trap.tau_c_ref * temp_factor * field_factor;
-    rate += phase.fraction / tau_c;
+    stressed_.push_back(
+        {phase.fraction, std::exp(-params.gamma_field * (phase.vstress - params.vdd_ref))});
   }
-  return rate;
 }
 
-double emission_rate(const BtiParams& params, const Trap& trap, const StressProfile& profile,
-                     double temperature_k) noexcept {
-  const double temp_factor = arrhenius_factor(params.ea_emission, temperature_k, params.temp_ref);
-  const double tau_e = trap.tau_e_ref * temp_factor;
-  double relax_fraction = 0.0;
-  for (const auto& phase : profile.phases()) {
-    if (phase.vstress <= 0.0) relax_fraction += phase.fraction;
-  }
-  return relax_fraction / tau_e;
-}
-
-double trap_occupancy(const BtiParams& params, const Trap& trap, const StressProfile& profile,
-                      double time_s, double temperature_k) noexcept {
+double OccupancyKernel::occupancy(const Trap& trap, double time_s) const noexcept {
   if (time_s <= 0.0) return 0.0;
-  const double lc = capture_rate(params, trap, profile, temperature_k);
+  double lc = 0.0;
+  for (const StressedPhase& phase : stressed_) {
+    const double tau_c = trap.tau_c_ref * capture_temp_factor_ * phase.field_factor;
+    lc += phase.fraction / tau_c;
+  }
   if (lc <= 0.0) return 0.0;
-  const double le = emission_rate(params, trap, profile, temperature_k);
+  const double tau_e = trap.tau_e_ref * emission_temp_factor_;
+  const double le = relax_fraction_ / tau_e;
   const double lambda = lc + le;
   const double p_inf = lc / lambda;
   const double x = lambda * time_s;

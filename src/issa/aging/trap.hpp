@@ -32,20 +32,34 @@ TrapSet sample_trap_set(const BtiParams& params, const device::MosInstance& inst
 /// process speeds up at higher T.
 double arrhenius_factor(double ea_ev, double temperature_k, double temp_ref_k) noexcept;
 
-/// Mean capture rate of a trap under the given stress profile [1/s].
-double capture_rate(const BtiParams& params, const Trap& trap, const StressProfile& profile,
-                    double temperature_k) noexcept;
+/// The occupancy of any trap of one device under one stress profile at one
+/// temperature.  What does not depend on the trap (both Arrhenius factors,
+/// the field factor of each stressed phase and the relaxed fraction of the
+/// period) is computed once at construction, so a trap costs only its own
+/// arithmetic.
+class OccupancyKernel {
+ public:
+  OccupancyKernel(const BtiParams& params, const StressProfile& profile, double temperature_k);
 
-/// Mean emission rate of a trap under the given stress profile [1/s].
-double emission_rate(const BtiParams& params, const Trap& trap, const StressProfile& profile,
-                     double temperature_k) noexcept;
+  /// Occupancy probability after `time` seconds of the periodic workload,
+  /// starting from an empty trap:
+  ///   P(t) = lc / (lc + le) * (1 - exp(-(lc + le) t)),
+  /// with the mean capture rate lc summed over the stressed phases and the
+  /// mean emission rate le active in the relaxed ones.  For DC stress this
+  /// reduces exactly to the paper's Eq. (1); for DC relaxation of an
+  /// initially-occupied trap Eq. (2) is the complement.
+  double occupancy(const Trap& trap, double time_s) const noexcept;
 
-/// Occupancy probability after `time` seconds of the periodic workload,
-/// starting from an empty trap:
-///   P(t) = lc / (lc + le) * (1 - exp(-(lc + le) t)).
-/// For DC stress this reduces exactly to the paper's Eq. (1); for DC
-/// relaxation of an initially-occupied trap Eq. (2) is the complement.
-double trap_occupancy(const BtiParams& params, const Trap& trap, const StressProfile& profile,
-                      double time_s, double temperature_k) noexcept;
+ private:
+  struct StressedPhase {
+    double fraction = 0.0;      ///< share of the period
+    double field_factor = 0.0;  ///< capture acceleration by the phase's stress voltage
+  };
+
+  double capture_temp_factor_ = 0.0;
+  double emission_temp_factor_ = 0.0;
+  double relax_fraction_ = 0.0;
+  std::vector<StressedPhase> stressed_;
+};
 
 }  // namespace issa::aging

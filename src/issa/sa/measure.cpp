@@ -93,7 +93,7 @@ SenseRunResult classify(const SenseAmpCircuit& c, const circuit::TransientResult
 enum class Seal {
   kNever,     // integrate to t_stop: the paper's method
   kDecision,  // once the read decision is sealed (an offset probe)
-  kDelay,     // once the delay is in the record too
+  kDelay,     // once the decision is sealed and one output is on each side of Vdd/2
 };
 
 // One sensing run with input differential `vin` on a fresh Simulator, its DC
@@ -113,10 +113,14 @@ SenseRunResult sense(SenseAmpCircuit& circuit, double vin, Seal seal,
   // Stop once the sensing operation has irreversibly resolved: the latch
   // split exceeds Vdd/2 — past that point the positive feedback cannot
   // reverse, so the read decision is sealed.  A delay measurement must
-  // additionally wait until the outputs split past 80% of Vdd, which implies
-  // the Vdd/2 output crossing that defines the delay is already in the
-  // record.  Runs that never resolve (the marginal bisection probes) never
-  // trigger and integrate to t_stop exactly as without early exit.
+  // additionally wait until one output is above Vdd/2 and the other below
+  // it.  Both outputs start on the same side of Vdd/2 (low on the latch
+  // SAs, precharged high on the double-tail ones), so that step holds the
+  // first Vdd/2 output crossing, the one that defines the delay.  The
+  // output difference alone is no such witness: an output that undershoots
+  // while its twin rises can put them Vdd/2 apart before either crosses.
+  // Runs that never resolve (the marginal bisection probes) never trigger
+  // and integrate to t_stop exactly as without early exit.
   if (seal != Seal::kNever) {
     const auto out = static_cast<std::size_t>(circuit.node_out());
     const auto outbar = static_cast<std::size_t>(circuit.node_outbar());
@@ -125,7 +129,8 @@ SenseRunResult sense(SenseAmpCircuit& circuit, double vin, Seal seal,
     const bool delay = seal == Seal::kDelay;
     opt.stop_condition = [=](double t, const std::vector<double>& v) {
       return t > t_settled && std::fabs(v[s] - v[sbar]) > 0.5 * vdd &&
-             (!delay || std::fabs(v[out] - v[outbar]) > 0.8 * vdd);
+             (!delay || (std::max(v[out], v[outbar]) > 0.5 * vdd &&
+                         std::min(v[out], v[outbar]) < 0.5 * vdd));
     };
   }
   circuit::Simulator sim(circuit.netlist(), circuit.config().temperature_k());

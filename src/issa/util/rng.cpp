@@ -21,12 +21,6 @@ double Xoshiro256::exponential(double mean) noexcept {
   return -mean * std::log(u);
 }
 
-double Xoshiro256::log_uniform(double lo, double hi) noexcept {
-  const double llo = std::log(lo);
-  const double lhi = std::log(hi);
-  return std::exp(llo + (lhi - llo) * uniform());
-}
-
 unsigned Xoshiro256::poisson(double mean) noexcept {
   if (mean <= 0.0) return 0;
   if (mean < 64.0) {

@@ -72,9 +72,6 @@ class Xoshiro256 {
   /// Exponential deviate with the given mean (mean > 0).
   double exponential(double mean) noexcept;
 
-  /// Log-uniform deviate over [lo, hi] (both > 0).
-  double log_uniform(double lo, double hi) noexcept;
-
   /// Poisson deviate with the given mean (mean >= 0).  Uses Knuth's method for
   /// small means and normal approximation above 64 (trap counts never need
   /// exact tails there).

@@ -3,9 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <string>
 
+#include "issa/aging/trap.hpp"
 #include "issa/util/statistics.hpp"
 #include "issa/workload/device_names.hpp"
+#include "issa/workload/stress_map.hpp"
+#include "issa/workload/workload.hpp"
 
 namespace issa::aging {
 namespace {
@@ -167,6 +173,86 @@ TEST(BtiModel, CalibratedMagnitudeMatchesPaperAnchor) {
       expected_bti_shift(p, nmos(17.8), StressProfile::duty_cycle(0.4, 1.0), kLifetime, kT25);
   EXPECT_GT(shift, 8e-3);
   EXPECT_LT(shift, 28e-3);
+}
+
+TEST(BtiModel, DrawMatchesRecordedBits) {
+  // The exact bits of the BTI draw, recorded from the model's original
+  // per-trap arithmetic (every rate factor recomputed for every trap).  The
+  // aged tables depend on these bits, so a change to the draw's arithmetic
+  // that moves any of them fails here rather than in a paper artefact.
+  // NMOS and PMOS; a single-phase profile and the NSSA's three-phase 80r0
+  // profiles of Mdown and MupBar; 25 C and 125 C; three seeds.
+  const BtiParams p = default_bti();
+  device::MosInstance pmos = nmos();
+  pmos.card = device::ptm45_pmos();
+  pmos.type = device::MosType::kPmos;
+  pmos.w_over_l = 8.0;
+  const device::MosInstance devices[2] = {nmos(), pmos};
+  const auto map = workload::nssa_stress_map(workload::workload_from_name("80r0"), 1.0);
+  const StressProfile duty = StressProfile::duty_cycle(0.4, 1.0);
+  const StressProfile* profiles[2][2] = {{&duty, &map.at(std::string(workload::names::kMdown))},
+                                         {&duty, &map.at(std::string(workload::names::kMupBar))}};
+  const double temperatures[2] = {kT25, kT125};
+  const std::uint64_t seeds[3] = {1, 42, 7777};
+
+  // [device][profile][temperature][seed]
+  const double shift[2][2][2][3] = {
+      {{{0x1.3583da5541882p-7, 0x1.70e1d8a8ebd5cp-8, 0x1.875377ec9f79p-7},
+        {0x1.562506278c6dp-4, 0x1.4a8728356d4fp-4, 0x1.96e4f1da686d6p-4}},
+       {{0x1.6e85d181b4d0ep-7, 0x1.52ab9b0ec2324p-7, 0x1.4bab0f6db4bdbp-6},
+        {0x1.61f13754687ccp-4, 0x1.54971ac8c842ap-4, 0x1.b5f6c2afa65bap-4}}},
+      {{{0x1.cfb02cc680bd5p-7, 0x1.6e83ab746acf4p-7, 0x1.0c01d35d03aeep-6},
+        {0x1.d7df3616c7669p-4, 0x1.cd3ce8faaf176p-4, 0x1.e6ce347cd1b53p-4}},
+       {{0x1.0e839b74e3496p-6, 0x1.fb492047b6937p-7, 0x1.b7ffc8c4cd6bep-6},
+        {0x1.ecb8e5bd8429cp-4, 0x1.e3a064b5bfdbdp-4, 0x1.15f7b8f870f3bp-3}}}};
+  // [device][profile][temperature]
+  const double expected[2][2][2] = {
+      {{0x1.75f345d8e6eeep-7, 0x1.558200febac29p-4}, {0x1.184705bb22a39p-6, 0x1.6915bcda5396bp-4}},
+      {{0x1.05c3e417d4da6p-6, 0x1.de1c67cb0576cp-4}, {0x1.88636e6c63b1cp-6, 0x1.f984d531a8395p-4}}};
+  for (int d = 0; d < 2; ++d) {
+    for (int k = 0; k < 2; ++k) {
+      for (int t = 0; t < 2; ++t) {
+        const StressProfile& profile = *profiles[d][k];
+        for (int s = 0; s < 3; ++s) {
+          EXPECT_EQ(sample_bti_shift(p, devices[d], profile, kLifetime, temperatures[t], seeds[s]),
+                    shift[d][k][t][s])
+              << "device " << d << ", profile " << k << ", T " << temperatures[t] << ", seed "
+              << seeds[s];
+        }
+        EXPECT_EQ(expected_bti_shift(p, devices[d], profile, kLifetime, temperatures[t]),
+                  expected[d][k][t])
+            << "device " << d << ", profile " << k << ", T " << temperatures[t];
+      }
+    }
+  }
+
+  // The trap sets behind the draws: count, then the first two traps'
+  // {tau_c_ref, tau_e_ref, delta_vth}.  [device][seed]
+  const std::size_t counts[2][3] = {{176, 165, 193}, {109, 100, 123}};
+  const Trap first[2][3][2] = {
+      {{{0x1.2bd674a5658e5p+36, 0x1.4e1007b29295bp+37, 0x1.0f56a21192456p-12},
+        {0x1.1f8a7d615a34bp+27, 0x1.eb141f60aa0c3p+21, 0x1.6ac01d62e3fdfp-11}},
+       {{0x1.435fcd3f0328dp+37, 0x1.16ef60f3dbd3p+49, 0x1.8c34a7b6b53d1p-18},
+        {0x1.1bc6082dbd67ap+38, 0x1.ca78ff5a22744p+45, 0x1.e8f9581e0621bp-14}},
+       {{0x1.8d5c06de3be5dp+39, 0x1.8396cc90f1dfp+50, 0x1.365d70edc71bfp-12},
+        {0x1.df35debecb386p+38, 0x1.bbb48a0f892cdp+51, 0x1.08a36d035e532p-13}}},
+      {{{0x1.2bd674a5658e5p+36, 0x1.4e1007b29295bp+37, 0x1.2ddd2de6bf86ep-11},
+        {0x1.1f8a7d615a34bp+27, 0x1.eb141f60aa0c3p+21, 0x1.938f53e46a71p-10}},
+       {{0x1.435fcd3f0328dp+37, 0x1.16ef60f3dbd3p+49, 0x1.b8c760fb433a6p-17},
+        {0x1.1bc6082dbd67ap+38, 0x1.ca78ff5a22744p+45, 0x1.0ffde5d0b3693p-12}},
+       {{0x1.8d5c06de3be5dp+39, 0x1.8396cc90f1dfp+50, 0x1.5947f408871bfp-11},
+        {0x1.df35debecb386p+38, 0x1.bbb48a0f892cdp+51, 0x1.266902e08c22fp-12}}}};
+  for (int d = 0; d < 2; ++d) {
+    for (int s = 0; s < 3; ++s) {
+      const TrapSet set = sample_trap_set(p, devices[d], seeds[s]);
+      ASSERT_EQ(set.traps.size(), counts[d][s]) << "device " << d << ", seed " << seeds[s];
+      for (int i = 0; i < 2; ++i) {
+        EXPECT_EQ(set.traps[i].tau_c_ref, first[d][s][i].tau_c_ref) << d << "/" << s << "/" << i;
+        EXPECT_EQ(set.traps[i].tau_e_ref, first[d][s][i].tau_e_ref) << d << "/" << s << "/" << i;
+        EXPECT_EQ(set.traps[i].delta_vth, first[d][s][i].delta_vth) << d << "/" << s << "/" << i;
+      }
+    }
+  }
 }
 
 }  // namespace

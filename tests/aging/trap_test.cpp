@@ -25,6 +25,11 @@ Trap make_trap(double tau_c, double tau_e, double dvth = 1e-3) {
   return Trap{tau_c, tau_e, dvth};
 }
 
+double trap_occupancy(const BtiParams& p, const Trap& trap, const StressProfile& profile,
+                      double time_s, double temperature_k) {
+  return OccupancyKernel(p, profile, temperature_k).occupancy(trap, time_s);
+}
+
 TEST(Arrhenius, ReferenceTemperatureIsUnity) {
   EXPECT_DOUBLE_EQ(arrhenius_factor(0.7, 300.0, 300.0), 1.0);
 }
@@ -173,6 +178,40 @@ TEST(SampleTrapSet, TauWithinConfiguredRange) {
     EXPECT_LE(t.tau_e_ref / t.tau_c_ref, p.tau_e_ratio_max * (1 + 1e-9));
     EXPECT_GT(t.delta_vth, 0.0);
   }
+}
+
+TEST(SampleTrapSet, EmissionRatioWithinConfiguredRange) {
+  // tau_e / tau_c is drawn log-uniform on [tau_e_ratio_min, tau_e_ratio_max];
+  // over many traps and a wide range, no ratio may leave it.
+  BtiParams p = default_bti();
+  p.tau_e_ratio_min = 1e-6;
+  p.tau_e_ratio_max = 1e9;
+  std::size_t traps = 0;
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    for (const auto& t : sample_trap_set(p, nmos(), seed).traps) {
+      const double ratio = t.tau_e_ref / t.tau_c_ref;
+      EXPECT_GE(ratio, p.tau_e_ratio_min * (1 - 1e-12));
+      EXPECT_LE(ratio, p.tau_e_ratio_max * (1 + 1e-12));
+      ++traps;
+    }
+  }
+  EXPECT_GT(traps, 10000u);
+}
+
+TEST(SampleTrapSet, EmissionRatioLogMeanIsGeometricMean) {
+  // Log-uniform: the mean of log10(tau_e / tau_c) sits at the log of the
+  // range's geometric mean, here 0 (ratios in [1e-3, 1e3]).
+  BtiParams p = default_bti();
+  p.tau_e_ratio_min = 1e-3;
+  p.tau_e_ratio_max = 1e3;
+  util::RunningStats log_ratio;
+  for (std::uint64_t seed = 0; seed < 300; ++seed) {
+    for (const auto& t : sample_trap_set(p, nmos(), seed).traps) {
+      log_ratio.add(std::log10(t.tau_e_ref / t.tau_c_ref));
+    }
+  }
+  EXPECT_GT(log_ratio.count(), 50000u);
+  EXPECT_NEAR(log_ratio.mean(), 0.0, 0.02);
 }
 
 TEST(SampleTrapSet, MeanImpactMatchesEtaFactor) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <thread>
@@ -434,31 +435,62 @@ TEST(Measure, EveryAcceptedStepMeetsKcl) {
 
 TEST(Measure, DelayWorkCount) {
   // The same guard for measure_delay, the layer of the Fig. 7 sweep: two
-  // early-exit transients per sample on the same 32 samples.
+  // early-exit transients per sample on the same 32 samples, each sealed at
+  // the first Vdd/2 output crossing.
   std::vector<SenseAmpCircuit> samples = guard_samples();
   const SearchWork delay = solver_work([&] {
     for (SenseAmpCircuit& circuit : samples) measure_delay(circuit);
   });
   EXPECT_LE(delay.transients, 64u);
-  EXPECT_LE(delay.steps, 8173u);
-  EXPECT_LE(delay.newton_iterations, 15132u);
-  EXPECT_LE(delay.jacobian_builds, 15385u);
-  EXPECT_LE(delay.device_evaluations, 191700u);
-  EXPECT_LE(delay.lu_factorizations, 10005u);
+  EXPECT_LE(delay.steps, 6038u);
+  EXPECT_LE(delay.newton_iterations, 11601u);
+  EXPECT_LE(delay.jacobian_builds, 11854u);
+  EXPECT_LE(delay.device_evaluations, 147576u);
+  EXPECT_LE(delay.lu_factorizations, 7870u);
 }
 
 TEST(Measure, SealedDelayRunMatchesFullRun) {
   // measure_delay stops each run once its delay is in the record; the full
-  // run to t_stop (the paper's method) must read the same delay, to the bit.
+  // run to t_stop (the paper's method) at the swing measure_delay settled on
+  // must read the same delay, to the bit.  That swing is found on full runs
+  // the way measure_delay finds it: the first of 0.2 V and 0.4 V at which
+  // both directions read right and resolve.  Besides the guard samples:
+  // NSSA 80r0 aged at 0.9 and 1.1 Vdd, Fig. 7's fresh NSSA at 125 C, and
+  // both double-tail kinds aged under 80r0 at 25 C and 125 C.  The
+  // double-tail outputs precharge high, so their first crossing falls, and
+  // two hot DT samples (20 and 29) need the 0.4 V swing.
   std::vector<SenseAmpCircuit> samples = guard_samples();
+  analysis::McConfig mc;
+  mc.seed = 42;
+  const workload::Workload r0 = workload::workload_from_name("80r0");
+  auto add = [&](const analysis::Condition& c, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) samples.push_back(analysis::build_sample(c, mc, i));
+  };
+  add(analysis::make_condition(SenseAmpKind::kNssa, r0, 1e8, 0.9), 16);
+  add(analysis::make_condition(SenseAmpKind::kNssa, r0, 1e8, 1.1), 16);
+  add(analysis::make_condition(SenseAmpKind::kNssa, r0, 0.0, 1.0, 125.0), 16);
+  for (const SenseAmpKind kind : {SenseAmpKind::kDoubleTail, SenseAmpKind::kDoubleTailSwitching}) {
+    add(analysis::make_condition(kind, r0, 1e8), 8);
+    add(analysis::make_condition(kind, r0, 1e8, 1.0, 125.0), 32);
+  }
+  int escalated = 0;
   for (std::size_t i = 0; i < samples.size(); ++i) {
     const DelayPair d = measure_delay(samples[i]);
-    const SenseRunResult one = run_sense(samples[i], 0.2);
-    const SenseRunResult zero = run_sense(samples[i], -0.2);
-    ASSERT_TRUE(one.delay && zero.delay) << "sample " << i;
-    EXPECT_EQ(d.read_one, *one.delay) << "sample " << i;
-    EXPECT_EQ(d.read_zero, *zero.delay) << "sample " << i;
+    std::optional<DelayPair> full;
+    for (const double swing : {0.2, 0.4}) {
+      const SenseRunResult one = run_sense(samples[i], swing);
+      const SenseRunResult zero = run_sense(samples[i], -swing);
+      if (one.delay && one.read_one && zero.delay && !zero.read_one) {
+        full = DelayPair{*one.delay, *zero.delay};
+        if (swing > 0.2) ++escalated;
+        break;
+      }
+    }
+    ASSERT_TRUE(full) << "sample " << i;
+    EXPECT_EQ(d.read_one, full->read_one) << "sample " << i;
+    EXPECT_EQ(d.read_zero, full->read_zero) << "sample " << i;
   }
+  EXPECT_GE(escalated, 2);
 }
 
 TEST(Measure, DefaultGridMatchesHalfStepOracle) {

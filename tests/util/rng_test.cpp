@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <set>
-#include <vector>
 
 #include "issa/util/statistics.hpp"
 
@@ -90,25 +89,6 @@ TEST(Xoshiro256, ExponentialMean) {
 TEST(Xoshiro256, ExponentialIsPositive) {
   Xoshiro256 rng(23);
   for (int i = 0; i < 10000; ++i) EXPECT_GT(rng.exponential(1.0), 0.0);
-}
-
-TEST(Xoshiro256, LogUniformWithinBounds) {
-  Xoshiro256 rng(29);
-  for (int i = 0; i < 10000; ++i) {
-    const double v = rng.log_uniform(1e-6, 1e9);
-    EXPECT_GE(v, 1e-6 * (1 - 1e-12));
-    EXPECT_LE(v, 1e9 * (1 + 1e-12));
-  }
-}
-
-TEST(Xoshiro256, LogUniformMedianIsGeometricMean) {
-  Xoshiro256 rng(31);
-  std::vector<double> samples;
-  for (int i = 0; i < 50000; ++i) samples.push_back(rng.log_uniform(1e-3, 1e3));
-  // log-median should be ~0 (geometric mean 1).
-  double log_sum = 0.0;
-  for (const double s : samples) log_sum += std::log10(s);
-  EXPECT_NEAR(log_sum / static_cast<double>(samples.size()), 0.0, 0.02);
 }
 
 TEST(Xoshiro256, PoissonZeroMean) {
