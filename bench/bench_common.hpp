@@ -57,9 +57,12 @@ inline void print_rows_with_reference(const std::string& title,
     table.add_row(std::move(cells));
   }
   std::cout << table << "\n";
+}
 
-  // A degraded table must never look like a clean reproduction: flag it
-  // right under the data it degrades.
+/// Flags a degraded run right under its table, so that it never looks like a
+/// clean reproduction.  `rows`: ExperimentRows or DelayAgingSeries.
+template <typename Rows>
+void print_degraded_footer(const Rows& rows) {
   std::size_t quarantined = 0;
   std::size_t recovered = 0;
   for (const auto& r : rows) {

@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "bench_common.hpp"
-#include "issa/sa/double_tail.hpp"
 #include "issa/util/table.hpp"
 
 using namespace issa;
@@ -18,36 +17,37 @@ using namespace issa;
 namespace {
 
 void reproduce(core::RunContext& run) {
-  const analysis::McConfig mc = run.mc();
+  core::ExperimentRunner runner(run.mc());
 
   std::cout << "Extension: input switching on the double-tail SA (paper ref. [23]), MC = "
-            << mc.iterations << "\n\n";
+            << runner.mc().iterations << "\n\n";
+
+  const auto cell = [&](sa::SenseAmpKind kind, const char* wl, double t) {
+    return runner.run_cell(kind, workload::workload_from_name(wl), t, 1.0, 25.0);
+  };
+  const std::vector<core::ExperimentRow> rows = {
+      cell(sa::SenseAmpKind::kDoubleTail, "80r0r1", 0.0),
+      cell(sa::SenseAmpKind::kDoubleTail, "80r0r1", 1e8),
+      cell(sa::SenseAmpKind::kDoubleTail, "80r0", 1e8),
+      cell(sa::SenseAmpKind::kDoubleTail, "80r1", 1e8),
+      cell(sa::SenseAmpKind::kDoubleTailSwitching, "80r0r1", 0.0),
+      cell(sa::SenseAmpKind::kDoubleTailSwitching, "80r0", 1e8),
+  };
 
   util::AsciiTable table({"Scheme", "Time(s)", "Workload", "mu(mV)", "sigma(mV)", "spec(mV)",
                           "delay(ps)"});
-
-  auto measure = [&](sa::SenseAmpKind kind, const char* wl, double t) {
-    const workload::Workload w = workload::workload_from_name(wl);
-    const auto [offsets, delays] = analysis::measure_cell(analysis::make_condition(kind, w, t), mc);
-    table.add_row({sa::is_switching_kind(kind) ? "DT-ISSA" : "DT-NSSA", t > 0 ? "1e8" : "0",
-                   core::ExperimentRunner::workload_label(kind, w, t),
-                   util::AsciiTable::num(offsets.summary.mean * 1e3, 2),
-                   util::AsciiTable::num(offsets.summary.stddev * 1e3, 1),
-                   util::AsciiTable::num(offsets.spec() * 1e3, 1),
-                   util::AsciiTable::num(delays.summary.mean * 1e12, 1)});
-    return offsets.spec();
-  };
-
-  measure(sa::SenseAmpKind::kDoubleTail, "80r0r1", 0.0);
-  measure(sa::SenseAmpKind::kDoubleTail, "80r0r1", 1e8);
-  const double plain_spec = measure(sa::SenseAmpKind::kDoubleTail, "80r0", 1e8);
-  measure(sa::SenseAmpKind::kDoubleTail, "80r1", 1e8);
-  measure(sa::SenseAmpKind::kDoubleTailSwitching, "80r0r1", 0.0);
-  const double sw_spec = measure(sa::SenseAmpKind::kDoubleTailSwitching, "80r0", 1e8);
-
+  for (const core::ExperimentRow& r : rows) {
+    table.add_row({sa::is_switching_kind(r.condition.kind) ? "DT-ISSA" : "DT-NSSA",
+                   r.condition.aged() ? "1e8" : "0", r.workload_label,
+                   util::AsciiTable::num(r.mu_mv, 2), util::AsciiTable::num(r.sigma_mv, 1),
+                   util::AsciiTable::num(r.spec_mv, 1), util::AsciiTable::num(r.delay_ps, 1)});
+  }
   std::cout << table << "\n";
+  bench::print_degraded_footer(rows);
+
+  // The aged 80r0 rows: rows[2] without input switching, rows[5] with it.
   std::cout << "Input switching reduces the aged 80r0 spec by "
-            << util::AsciiTable::num(100.0 * (1.0 - sw_spec / plain_spec), 1)
+            << util::AsciiTable::num(100.0 * (1.0 - rows[5].spec_mv / rows[2].spec_mv), 1)
             << "% on the double-tail topology — the scheme generalizes beyond Fig. 1.\n"
             << "(No paper reference values exist for this table; it is an extension.)\n";
 }

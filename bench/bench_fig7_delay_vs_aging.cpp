@@ -33,6 +33,7 @@ void reproduce(core::RunContext& run) {
     table.add_row(std::move(row));
   }
   std::cout << table << "\n";
+  bench::print_degraded_footer(series);
 
   if (const auto csv_path = run.options().get_string("csv")) {
     std::vector<std::string> cols = {"time_s"};

@@ -17,7 +17,6 @@ void reproduce(core::RunContext& run) {
             << runner.mc().iterations << " iterations\n\n";
 
   const auto rows = runner.table2_workload();
-  run.attach_rows(rows);
 
   // Paper Table II reference values in the same row order.
   const std::vector<std::optional<bench::PaperRow>> paper = {
@@ -35,6 +34,7 @@ void reproduce(core::RunContext& run) {
   std::vector<std::vector<std::string>> extra(rows.size());
   bench::print_rows_with_reference("Table II: workload impact on offset voltage and delay", {},
                                    rows, extra, paper);
+  bench::print_degraded_footer(rows);
 
   // Fig. 4 series: mean and +/- 6.1 sigma whiskers per workload.
   std::cout << "### Fig. 4 series (x = workload, mean and +/-6.1 sigma whiskers, mV)\n\n";

@@ -18,7 +18,6 @@ void reproduce(core::RunContext& run) {
             << runner.mc().iterations << " iterations\n\n";
 
   const auto rows = runner.table3_voltage();
-  run.attach_rows(rows);
 
   // Paper Table III reference values in row order (supply column added).
   const std::vector<std::optional<bench::PaperRow>> paper = {
@@ -44,6 +43,7 @@ void reproduce(core::RunContext& run) {
   }
   bench::print_rows_with_reference("Table III: voltage impact on offset voltage and delay",
                                    {"Supply"}, rows, extra, paper);
+  bench::print_degraded_footer(rows);
 
   if (const auto csv_path = run.options().get_string("csv")) {
     bench::write_rows_csv(*csv_path, rows, "vdd", &sa::SenseAmpConfig::vdd);

@@ -17,7 +17,6 @@ void reproduce(core::RunContext& run) {
             << runner.mc().iterations << " iterations\n\n";
 
   const auto rows = runner.table4_temperature();
-  run.attach_rows(rows);
 
   // Paper Table IV reference values in row order (temperature column added).
   const std::vector<std::optional<bench::PaperRow>> paper = {
@@ -42,6 +41,7 @@ void reproduce(core::RunContext& run) {
   }
   bench::print_rows_with_reference("Table IV: temperature impact on offset voltage and delay",
                                    {"Temp"}, rows, extra, paper);
+  bench::print_degraded_footer(rows);
 
   if (const auto csv_path = run.options().get_string("csv")) {
     bench::write_rows_csv(*csv_path, rows, "temp_c", &sa::SenseAmpConfig::temperature_c);

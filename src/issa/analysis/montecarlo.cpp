@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <initializer_list>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <sstream>
 
@@ -50,6 +51,10 @@ std::uint64_t fnv1a(const void* data, std::size_t size, std::uint64_t h) noexcep
 }
 
 std::atomic<std::uint64_t> g_stress_map_builds{0};
+
+// The passes' reports since the last take_pass_reports(), in run order.
+std::mutex g_pass_mutex;
+std::vector<PassReport> g_passes;
 
 // effective_run_id() of a condition labelled `label`.
 std::string run_id_for(const std::string& label, const McConfig& mc) {
@@ -194,8 +199,8 @@ void measure_with_retry(Measurement& m, sa::SenseAmpCircuit& circuit, std::size_
 
 // One measurement's distribution: its per-sample values (NaN where
 // quarantined), the summary over the valid ones and the degradation record,
-// in an OffsetDistribution (a delay's saturated count stays 0).  Says so on
-// stderr when it is degraded.
+// in an OffsetDistribution (a delay's saturated count stays 0).  Counts its
+// saturated samples, and says so on stderr when it is degraded.
 OffsetDistribution assemble(Measurement& m, const std::string& label, const McConfig& mc,
                             const std::string& run_id) {
   OffsetDistribution dist;
@@ -214,6 +219,7 @@ OffsetDistribution assemble(Measurement& m, const std::string& label, const McCo
     if (slot.status == kSampleRecovered) ++deg.recovered;
   }
   dist.summary = util::summarize(valid);
+  counters().saturated.add(dist.saturated_count);
 
   if (deg.degraded()) {
     // Loud by design: a degraded distribution must never pass silently.
@@ -281,17 +287,20 @@ bool cache_holds_all(const std::string& fingerprint, const char* kind, const McC
 // them as context) and under the sample's fault key, so that an armed trigger
 // decides by sample index, never by schedule.  Every computed outcome is
 // persisted: ok, recovered and quarantined alike.  Every distribution is
-// assembled, and announced when degraded, before the first one over its
-// quarantine bound throws.
+// assembled, announced when degraded and, with metrics on, reported (the
+// whole pass's work), before the first one over its quarantine bound throws.
 CellDistributions run_pass(const Condition& condition, const McConfig& mc,
                            std::initializer_list<Quantity> quantities,
                            const aging::DeviceStressMap* stress = nullptr) {
-  // The cell's one label, for its spans, notices and quarantine records.
+  // The cell's one label, for its spans, notices, quarantine records and report.
   const std::string label = condition_label(condition);
-  util::trace::Span phase(util::trace::spans::kMcDistribution, "mc");
-  if (phase.traced()) {
-    attr_condition(phase, label, mc);
-    phase.attr_u64("iterations", mc.iterations);
+  const bool report = util::metrics::enabled();
+  util::metrics::Snapshot before;
+  if (report) before = counters().registry.snapshot();
+  std::optional<util::trace::Span> phase(std::in_place, util::trace::spans::kMcDistribution, "mc");
+  if (phase->traced()) {
+    attr_condition(*phase, label, mc);
+    phase->attr_u64("iterations", mc.iterations);
   }
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   std::vector<Measurement> measurements;
@@ -351,12 +360,21 @@ CellDistributions run_pass(const Condition& condition, const McConfig& mc,
 
   std::vector<OffsetDistribution> dists;
   for (Measurement& m : measurements) dists.push_back(assemble(m, label, mc, run_id));
+  phase.reset();  // the report holds its mc.distribution timer
+  if (report) {
+    PassReport pass{label, 0, 0, counters().registry.snapshot().delta_since(before)};
+    for (const OffsetDistribution& dist : dists) {
+      pass.quarantined += dist.degradation.quarantined.size();
+      pass.recovered += dist.degradation.recovered;
+    }
+    const std::lock_guard<std::mutex> lock(g_pass_mutex);
+    g_passes.push_back(std::move(pass));
+  }
   CellDistributions cell;
   for (std::size_t k = 0; k < measurements.size(); ++k) {
     OffsetDistribution& dist = dists[k];
     check_bound(measurements[k].key, dist.degradation, label, mc);
     if (measurements[k].quantity == Quantity::kOffset) {
-      counters().saturated.add(dist.saturated_count);
       cell.offset = std::move(dist);
     } else {
       cell.delay.delays = std::move(dist.offsets);
@@ -368,6 +386,11 @@ CellDistributions run_pass(const Condition& condition, const McConfig& mc,
 }
 
 }  // namespace
+
+std::vector<PassReport> take_pass_reports() {
+  const std::lock_guard<std::mutex> lock(g_pass_mutex);
+  return std::exchange(g_passes, {});
+}
 
 Condition make_condition(sa::SenseAmpKind kind, const workload::Workload& workload,
                          double stress_time_s, double vdd_scale, double temperature_c) {

@@ -3,9 +3,10 @@
 //
 // Identity: a cell is a Condition, built by make_condition() and named by
 // condition_label() — one label in the stderr notices, the quarantine
-// records, the metrics report and the trace (the experiment.cell,
-// mc.distribution and mc.sample spans carry it as `condition`, and a
-// forensic bundle inherits it from the open mc.sample span).
+// records, the metrics report and the trace (the mc.distribution and
+// mc.sample spans carry it as `condition`, and a forensic bundle inherits it
+// from the open mc.sample span).  While util::metrics is enabled each pass
+// records its PassReport, also when it then fails the run.
 //
 // One pass visits every sample i: it builds a fresh testbench once, draws its
 // process variation and BTI trap sets from streams keyed by (seed, i, device
@@ -43,6 +44,7 @@
 #include "issa/analysis/spec.hpp"
 #include "issa/sa/builder.hpp"
 #include "issa/sa/measure.hpp"
+#include "issa/util/metrics.hpp"
 #include "issa/util/statistics.hpp"
 #include "issa/variation/mismatch.hpp"
 #include "issa/workload/workload.hpp"
@@ -93,6 +95,17 @@ struct McDegradation {
 
   bool degraded() const noexcept { return !quarantined.empty() || recovered > 0; }
 };
+
+/// What one Monte-Carlo pass did: one entry of the metrics report's conditions.
+struct PassReport {
+  std::string condition;            ///< condition_label() of the pass's cell
+  std::size_t quarantined = 0;      ///< summed over the pass's distributions
+  std::size_t recovered = 0;        ///< summed over the pass's distributions
+  util::metrics::Snapshot metrics;  ///< the work of the whole pass, model fit included
+};
+
+/// Takes the reports recorded since the last call, in run order.
+std::vector<PassReport> take_pass_reports();
 
 /// Thrown when quarantined samples exceed McConfig::max_quarantine_fraction.
 /// what() carries the per-sample quarantine summary; degradation() the

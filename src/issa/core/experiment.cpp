@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "issa/util/trace.hpp"
 #include "issa/util/units.hpp"
 
 namespace issa::core {
@@ -30,23 +29,7 @@ ExperimentRow ExperimentRunner::run_cell(sa::SenseAmpKind kind,
   ExperimentRow row;
   row.condition =
       analysis::make_condition(kind, workload, stress_time_s, vdd_scale, temperature_c);
-
-  util::trace::Span span(util::trace::spans::kExperimentCell, "experiment");
-  if (span.traced()) {
-    span.attr_str("condition", analysis::condition_label(row.condition));
-    span.attr_u64("seed", mc_.seed);
-  }
-
-  // Scoped snapshot: the cell's report shows only the work this cell did.
-  const util::metrics::Snapshot before =
-      util::metrics::enabled() ? util::metrics::Registry::instance().snapshot()
-                               : util::metrics::Snapshot{};
-
   const auto [offsets, delays] = analysis::measure_cell(row.condition, mc_);
-
-  if (util::metrics::enabled()) {
-    row.metrics = util::metrics::Registry::instance().snapshot().delta_since(before);
-  }
   row.workload_label = workload_label(kind, workload, stress_time_s);
   row.mu_mv = util::to_mV(offsets.summary.mean);
   row.sigma_mv = util::to_mV(offsets.summary.stddev);
@@ -125,6 +108,8 @@ std::vector<DelayAgingSeries> ExperimentRunner::fig7_delay_vs_aging(
           analysis::make_condition(def.kind, w, t, 1.0, 125.0), mc_);
       series.times_s.push_back(t);
       series.delays_ps.push_back(util::to_ps(delays.summary.mean));
+      series.quarantined += delays.degradation.quarantined.size();
+      series.recovered += delays.degradation.recovered;
     }
     result.push_back(std::move(series));
   }

@@ -5,18 +5,14 @@
 // NSSA/ISSA across workloads (Table II / Fig. 4), supply corners (Table III /
 // Fig. 5), temperature corners (Table IV / Fig. 6), and delay-versus-aging
 // (Fig. 7).  Bench binaries print these rows; examples and tests reuse the
-// same entry points.  Each cell is built by analysis::make_condition and
-// each row carries that analysis::Condition: the metrics report names a row
-// by analysis::condition_label(row.condition), the label its stderr notices,
-// quarantine records and trace spans carry.
+// same entry points.  Each cell is built by analysis::make_condition, and
+// each row carries that analysis::Condition; its pass reports itself.
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "issa/analysis/montecarlo.hpp"
-#include "issa/util/metrics.hpp"
 
 namespace issa::core {
 
@@ -35,10 +31,6 @@ struct ExperimentRow {
   std::size_t quarantined = 0;
   /// Samples that failed once but were recovered by the retry.
   std::size_t recovered = 0;
-  /// Solver/pool work spent on this cell (empty unless metrics are enabled).
-  util::metrics::Snapshot metrics;
-
-  bool degraded() const noexcept { return quarantined > 0; }
 };
 
 /// A (time, delay) series for Fig. 7.
@@ -46,6 +38,8 @@ struct DelayAgingSeries {
   std::string label;
   std::vector<double> times_s;
   std::vector<double> delays_ps;
+  std::size_t quarantined = 0;  ///< samples quarantined across the series' cells
+  std::size_t recovered = 0;    ///< samples recovered by the retry across them
 };
 
 class ExperimentRunner {

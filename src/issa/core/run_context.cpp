@@ -121,6 +121,7 @@ RunContext::RunContext(int argc, const char* const* argv, std::string_view name,
     }
   }
 
+  analysis::take_pass_reports();  // drop an earlier run's passes
   metrics_ = options_.has_flag("metrics");
   if (metrics_) util::metrics::set_enabled(true);
   if (options_.has_flag("cache")) {
@@ -186,41 +187,35 @@ void RunContext::write_metrics() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
   const util::metrics::Snapshot snapshot = util::metrics::Registry::instance().snapshot();
   util::metrics::set_enabled(false);
+  // One entry per Monte-Carlo pass, in run order; the degraded ones also
+  // head the report, so a degraded run shows at the top.
+  using util::json::escape;
   std::size_t quarantined = 0;
   std::size_t recovered = 0;
-  for (const ExperimentRow& row : rows_) {
-    quarantined += row.quarantined;
-    recovered += row.recovered;
+  std::string degraded;
+  std::string conditions;
+  for (const analysis::PassReport& pass : analysis::take_pass_reports()) {
+    const std::string entry = "    {\"condition\": \"" + escape(pass.condition) + "\", ";
+    conditions += (conditions.empty() ? "\n" : ",\n") + entry +
+                  "\"metrics\": " + util::metrics::to_json(pass.metrics, "    ") + "}";
+    if (pass.quarantined == 0 && pass.recovered == 0) continue;
+    quarantined += pass.quarantined;
+    recovered += pass.recovered;
+    degraded += (degraded.empty() ? "\n" : ",\n") + entry +
+                "\"quarantined\": " + std::to_string(pass.quarantined) +
+                ", \"recovered\": " + std::to_string(pass.recovered) + "}";
   }
 
-  using util::json::escape;
   std::ostringstream os;
   os << "{\n  \"title\": \"" << escape(name_) << "\",\n";
   os << "  \"run_id\": \"" << escape(run_id_) << "\",\n";
   os << "  \"wall_clock_s\": " << wall_clock_s << ",\n";
   os << "  \"rss_peak_kb\": " << util::rss_peak_kb() << ",\n";
-  // The degradation summary of the attached conditions comes first, so a
-  // degraded run shows at the top of the report.
   os << "  \"quarantined_samples\": " << quarantined << ",\n";
   os << "  \"recovered_samples\": " << recovered << ",\n";
-  os << "  \"degraded_conditions\": [";
-  bool first = true;
-  for (const ExperimentRow& row : rows_) {
-    if (!row.degraded() && row.recovered == 0) continue;
-    os << (first ? "\n" : ",\n") << "    {\"condition\": \"" << escape(analysis::condition_label(row.condition))
-       << "\", \"quarantined\": " << row.quarantined << ", \"recovered\": " << row.recovered
-       << "}";
-    first = false;
-  }
-  os << (first ? "],\n" : "\n  ],\n");
+  os << "  \"degraded_conditions\": [" << degraded << (degraded.empty() ? "],\n" : "\n  ],\n");
   os << "  \"metrics\": " << util::metrics::to_json(snapshot, "  ") << ",\n";
-  os << "  \"conditions\": [";
-  for (std::size_t i = 0; i < rows_.size(); ++i) {
-    os << (i == 0 ? "\n" : ",\n") << "    {\"condition\": \""
-       << escape(analysis::condition_label(rows_[i].condition))
-       << "\", \"metrics\": " << util::metrics::to_json(rows_[i].metrics, "    ") << "}";
-  }
-  os << (rows_.empty() ? "]\n}\n" : "\n  ]\n}\n");
+  os << "  \"conditions\": [" << conditions << (conditions.empty() ? "]\n}\n" : "\n  ]\n}\n");
   write_sidecar(value_or(options_, "metrics", name_) + ".metrics.json", os.str());
 }
 

@@ -8,7 +8,7 @@
 //   --seed=S                  master seed (42)
 //   --quarantine-max=F        tolerated quarantined-sample fraction, in [0, 1]
 //   --metrics[=stem]          <stem>.metrics.json: the whole-run metrics and
-//                             one entry per attached row
+//                             one entry per Monte-Carlo pass
 //   --trace[=stem]            <stem>.trace.json: the spans and the solver
 //                             forensic bundles
 //   --faults=spec             arms util::faultpoint
@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "issa/analysis/montecarlo.hpp"
-#include "issa/core/experiment.hpp"
 #include "issa/util/cli.hpp"
 
 namespace issa::core {
@@ -54,9 +53,6 @@ class RunContext {
   /// Monte-Carlo config from the run flags, stamped with run_id() so
   /// quarantine records join the run's sidecars.
   const analysis::McConfig& mc() const noexcept { return mc_; }
-
-  /// Per-condition rows for the metrics report's "conditions" breakdown.
-  void attach_rows(std::vector<ExperimentRow> rows) { rows_ = std::move(rows); }
 
   /// Runs the program's work and returns main()'s exit status: 0, or 1 after
   /// printing "<name>: <what()>" and finish() when it throws std::exception
@@ -81,7 +77,6 @@ class RunContext {
   bool metrics_ = false;
   bool trace_ = false;
   std::string cache_dir_;  // empty unless the cache is open
-  std::vector<ExperimentRow> rows_;
   bool finished_ = false;
   bool ok_ = true;
 };

@@ -171,7 +171,6 @@ std::string to_chrome_json(const TraceData& data, std::string_view run_id = {});
 
 /// Well-known span names (one taxonomy across the stack; see DESIGN.md §13).
 namespace spans {
-inline constexpr const char* kExperimentCell = "experiment.cell";
 inline constexpr const char* kMcDistribution = "mc.distribution";
 inline constexpr const char* kMcSample = "mc.sample";
 inline constexpr const char* kDcSolve = "sim.dc_solve";
@@ -179,8 +178,8 @@ inline constexpr const char* kTransient = "sim.transient";
 inline constexpr const char* kPoolTask = "pool.task";
 inline constexpr const char* kSaOffsetModelFit = "sa.offset_model_fit";
 /// Every name above; util::metrics pre-registers a timer for each.
-inline constexpr std::array kAll = {kExperimentCell, kMcDistribution, kMcSample, kDcSolve,
-                                    kTransient, kPoolTask, kSaOffsetModelFit};
+inline constexpr std::array kAll = {kMcDistribution, kMcSample, kDcSolve, kTransient,
+                                    kPoolTask, kSaOffsetModelFit};
 }  // namespace spans
 
 }  // namespace issa::util::trace

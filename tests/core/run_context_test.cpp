@@ -1,7 +1,7 @@
 // Tests for core::RunContext: run flags into the McConfig, strict option
-// handling, sidecars joined by one run id and by one cell label, the cache
-// summary line, and the emit-exactly-once contract, also for a run that
-// throws.
+// handling, sidecars joined by one run id and by one cell label, one report
+// entry per Monte-Carlo pass, the cache summary line, and the
+// emit-exactly-once contract, also for a run that throws.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,7 +20,9 @@
 #include "issa/sa/config.hpp"
 #include "issa/util/faultpoint.hpp"
 #include "issa/util/json.hpp"
+#include "issa/util/metrics.hpp"
 #include "issa/util/trace.hpp"
+#include "issa/workload/stress_map.hpp"
 
 namespace {
 
@@ -133,16 +135,15 @@ TEST(RunContextDeathTest, BadFaultSpecExitsTwo) {
 
 TEST(RunContextTest, SidecarsShareOneRunId) {
   const std::string stem = fresh_dir("sidecars") + "/run";
-  const Argv args({"--metrics=" + stem, "--trace=" + stem});
+  const Argv args({"--mc=2", "--metrics=" + stem, "--trace=" + stem});
   std::string run_id;
   {
     core::RunContext run(args.argc(), args.argv(), "t");
     run_id = run.run_id();
-    { util::trace::Span span("test.span", "test"); }
-    core::ExperimentRow row;
-    row.workload_label = "-";
-    run.attach_rows({row});
+    analysis::measure_delay_distribution(
+        analysis::make_condition(sa::SenseAmpKind::kNssa, workload::Workload{}, 0.0), run.mc());
   }
+  util::trace::clear();  // collect() leaves the pass's spans for the next traced test
   ASSERT_FALSE(run_id.empty());
   const util::json::Value metrics = read_json(stem + ".metrics.json");
   EXPECT_EQ(metrics.at("run_id").as_string(), run_id);
@@ -170,8 +171,8 @@ TEST(RunContextTest, DegradedCellsJoinTheTraceByTheirLabel) {
     core::RunContext run(args.argc(), args.argv(), "t");
     core::ExperimentRunner runner(run.mc());
     const workload::Workload w = workload::workload_from_name("80r0");
-    run.attach_rows({runner.run_cell(sa::SenseAmpKind::kNssa, w, 1e8, 1.0, 25.0),
-                     runner.run_cell(sa::SenseAmpKind::kIssa, w, 1e8, 1.0, 25.0)});
+    runner.run_cell(sa::SenseAmpKind::kNssa, w, 1e8, 1.0, 25.0);
+    runner.run_cell(sa::SenseAmpKind::kIssa, w, 1e8, 1.0, 25.0);
   }
   util::faultpoint::clear();
   const std::string err = ::testing::internal::GetCapturedStderr();
@@ -205,6 +206,86 @@ TEST(RunContextTest, DegradedCellsJoinTheTraceByTheirLabel) {
   }
   EXPECT_EQ(quarantined, degraded);
   EXPECT_EQ(sampled, degraded);
+}
+
+TEST(RunContextTest, EveryPassReportsItsCell) {
+  // A delay-only pass, an offset-only pass and one condition run twice under
+  // two stress maps: one entry per pass, in run order, the repeated label
+  // listed twice (two runs, not one), and the entries' work adds up to the
+  // run's.
+  util::metrics::Registry::instance().reset();
+  const std::string stem = fresh_dir("passes") + "/run";
+  const Argv args({"--mc=3", "--metrics=" + stem});
+  const analysis::Condition fresh =
+      analysis::make_condition(sa::SenseAmpKind::kNssa, workload::Workload{}, 0.0);
+  const analysis::Condition aged = analysis::make_condition(
+      sa::SenseAmpKind::kNssa, workload::workload_from_name("80r0"), 1e8);
+  ::testing::internal::CaptureStdout();
+  {
+    core::RunContext run(args.argc(), args.argv(), "t");
+    analysis::measure_delay_distribution(fresh, run.mc());
+    analysis::measure_offset_distribution(fresh, run.mc());
+    for (const char* w : {"80r0", "80r1"}) {
+      const aging::DeviceStressMap map =
+          workload::nssa_stress_map(workload::workload_from_name(w), aged.config.vdd);
+      analysis::measure_offset_distribution(aged, run.mc(), &map);
+    }
+  }
+  ::testing::internal::GetCapturedStdout();
+
+  const util::json::Value report = read_json(stem + ".metrics.json");
+  const auto& conditions = report.at("conditions").as_array();
+  const std::vector<std::string> expected = {
+      analysis::condition_label(fresh), analysis::condition_label(fresh),
+      analysis::condition_label(aged), analysis::condition_label(aged)};
+  ASSERT_EQ(conditions.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(conditions[i].at("condition").as_string(), expected[i]) << i;
+  }
+  for (const char* name : {util::trace::spans::kTransient, util::metrics::names::kMcSamples,
+                           util::trace::spans::kMcDistribution}) {
+    double sum = 0.0;
+    for (const util::json::Value& cell : conditions) {
+      sum += cell.at("metrics").at(name).at("count").as_number();
+    }
+    EXPECT_EQ(sum, report.at("metrics").at(name).at("count").as_number()) << name;
+  }
+  EXPECT_EQ(report.at("metrics").at(util::metrics::names::kMcSamples).at("count").as_number(),
+            4 * 3.0);
+  EXPECT_GT(report.at("metrics").at(util::trace::spans::kTransient).at("count").as_number(), 0.0);
+}
+
+TEST(RunContextTest, FailedRunReportsTheCellThatBrokeItsBound) {
+  // Every transient fails, so the first cell quarantines all its samples and
+  // throws McDegradationError: the report still names that cell and counts
+  // its quarantined offsets and delays.
+  util::metrics::Registry::instance().reset();
+  const std::string stem = fresh_dir("failed") + "/run";
+  const Argv args({"--mc=4", "--metrics=" + stem, "--faults=sim.transient_step_collapse=always"});
+  const analysis::Condition fresh =
+      analysis::make_condition(sa::SenseAmpKind::kNssa, workload::Workload{}, 0.0);
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  {
+    core::RunContext run(args.argc(), args.argv(), "t");
+    core::ExperimentRunner runner(run.mc());
+    EXPECT_EQ(run.guard([&] {
+      runner.run_cell(fresh.kind, fresh.workload, fresh.stress_time_s, 1.0, 25.0);
+    }), 1);
+  }
+  util::faultpoint::clear();
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  ::testing::internal::GetCapturedStdout();
+  EXPECT_NE(err.find("samples quarantined"), std::string::npos) << err;
+
+  const util::json::Value report = read_json(stem + ".metrics.json");
+  const auto& degraded = report.at("degraded_conditions").as_array();
+  ASSERT_EQ(degraded.size(), 1u);
+  EXPECT_EQ(degraded[0].at("condition").as_string(), analysis::condition_label(fresh));
+  const double quarantined =
+      report.at("metrics").at(util::metrics::names::kMcQuarantinedSamples).at("count").as_number();
+  EXPECT_EQ(report.at("quarantined_samples").as_number(), quarantined);
+  EXPECT_EQ(quarantined, 2 * 4.0);
 }
 
 TEST(RunContextTest, IgnoresTheEnvironment) {
