@@ -139,7 +139,10 @@ RunContext::RunContext(int argc, const char* const* argv, std::string_view name,
     std::cout << "\n";
   }
   trace_ = options_.has_flag("trace");
-  if (trace_) util::trace::set_enabled(true);
+  if (trace_) {
+    util::trace::clear();  // drop an earlier run's spans
+    util::trace::set_enabled(true);
+  }
 }
 
 RunContext::~RunContext() { finish(); }

@@ -31,23 +31,6 @@ void IssaController::reset() {
   stats_ = ReadStreamStats{};
 }
 
-EnablePair IssaController::simulate_decode(bool saenable_bar, bool switch_signal,
-                                           double gate_delay) {
-  EventSimulator sim;
-  const SignalId bar = sim.add_input("saenable_bar");
-  const SignalId sw = sim.add_input("switch");
-  const SignalId sw_bar = sim.add_not("switch_bar", sw, gate_delay);
-  const SignalId a = sim.add_nand("saenable_a", bar, sw_bar, gate_delay);
-  const SignalId b = sim.add_nand("saenable_b", bar, sw, gate_delay);
-  sim.set_input(bar, to_logic(saenable_bar), 0.0);
-  sim.set_input(sw, to_logic(switch_signal), 0.0);
-  sim.run_until(10.0 * gate_delay + 1e-12);
-  EnablePair p;
-  p.a = is_high(sim.value(a));
-  p.b = is_high(sim.value(b));
-  return p;
-}
-
 IssaController::EnableWaves IssaController::make_enable_waves(double vdd, double t_fire,
                                                               double t_rise, bool swapped) {
   EnableWaves w;

@@ -1,8 +1,8 @@
 // The ISSA control block of Fig. 3: read counter + two NANDs + inverter.
 //
 // Responsibilities:
-//  * decode SAenableA / SAenableB from (SAenableBar, Switch) per Table I,
-//    both as a pure function and as a gate-level event simulation;
+//  * decode SAenableA / SAenableB from (SAenableBar, Switch) per Table I
+//    (a pure function of the two NANDs and the inverter);
 //  * process a stream of read operations, tracking which reads occur with
 //    swapped inputs, and report the *internal* read-value balance (this is
 //    the mechanism that converts an unbalanced external workload into a
@@ -10,12 +10,12 @@
 //  * emit PWL control waveforms for the analog simulator.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "issa/circuit/waveform.hpp"
 #include "issa/digital/counter.hpp"
-#include "issa/digital/event_sim.hpp"
 
 namespace issa::digital {
 
@@ -72,12 +72,6 @@ class IssaController {
   /// The output-inversion flag for the current read: when inputs are
   /// swapped the final read value must be inverted (paper Sec. III-A).
   bool output_invert() const noexcept { return switch_signal(); }
-
-  // --- gate-level view ------------------------------------------------------
-  /// Runs the NAND/inverter decode through the event-driven simulator for one
-  /// SAenable pulse and returns the settled (A, B) pair.  `gate_delay` models
-  /// each gate's propagation delay.
-  EnablePair simulate_decode(bool saenable_bar, bool switch_signal, double gate_delay = 5e-12);
 
   // --- analog interface -----------------------------------------------------
   /// Control waves for one sensing operation: SAenable rises at `t_fire` with

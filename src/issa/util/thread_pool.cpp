@@ -51,10 +51,15 @@ void ThreadPool::run_task(Task task) {
     queue_latency().record(metrics::monotonic_ns() - task.enqueue_ns);
   }
   tasks_executed().add();
-  // Task spans make worker utilization visible in the trace timeline: the
-  // gap between pool.task spans on a tid is idle/queueing time.
-  const trace::Span span(trace::spans::kPoolTask, "pool");
-  task.fn();
+  {
+    // Task spans make worker utilization visible in the trace timeline: the
+    // gap between pool.task spans on a tid is idle/queueing time.
+    const trace::Span span(trace::spans::kPoolTask, "pool");
+    task.fn();
+  }
+  // A parallel_for chunk signals its caller only here, so the caller never
+  // returns before the chunk's span is recorded.
+  if (task.done) task.done();
 }
 
 void ThreadPool::worker_loop() {
@@ -84,8 +89,10 @@ bool ThreadPool::try_run_one() {
 }
 
 void ThreadPool::enqueue(std::function<void()> fn) {
-  Task task;
-  task.fn = std::move(fn);
+  push(Task{.fn = std::move(fn), .done = nullptr});
+}
+
+void ThreadPool::push(Task task) {
   if (metrics::enabled()) task.enqueue_ns = metrics::monotonic_ns();
   {
     std::lock_guard lock(mutex_);
@@ -123,7 +130,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   for (std::size_t c = 0; c < chunks; ++c) {
     const std::size_t lo = begin + c * chunk_size;
     const std::size_t hi = std::min(end, lo + chunk_size);
-    enqueue([sync, &body, lo, hi] {
+    auto chunk = [sync, &body, lo, hi] {
       try {
         // Inside the try so an injected throw exercises the first-error
         // capture + rethrow-at-join contract below, not worker_loop.
@@ -136,11 +143,14 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
         std::lock_guard lock(sync->error_mutex);
         if (!sync->failed.exchange(true)) sync->first_error = std::current_exception();
       }
+    };
+    auto signal = [sync] {
       if (sync->remaining.fetch_sub(1) == 1) {
         std::lock_guard lock(sync->done_mutex);
         sync->done_cv.notify_all();
       }
-    });
+    };
+    push(Task{.fn = std::move(chunk), .done = std::move(signal)});
   }
 
   // Help drain the queue while waiting.  Once the queue is empty every chunk

@@ -50,9 +50,11 @@ class ThreadPool {
  private:
   struct Task {
     std::function<void()> fn;
+    std::function<void()> done;    // runs after fn's pool.task span has closed
     std::uint64_t enqueue_ns = 0;  // set only while metrics are enabled
   };
 
+  void push(Task task);
   void worker_loop();
   void run_task(Task task);
   /// Pops one queued task if any and runs it; returns false when idle.

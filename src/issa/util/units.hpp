@@ -1,8 +1,7 @@
 // Physical constants and unit helpers used throughout the simulator.
 //
-// All internal quantities are SI: volts, amperes, seconds, farads, kelvin.
-// The helpers below exist so that call sites can write `25.0_mV` style values
-// without sprinkling 1e-3 factors around.
+// All internal quantities are SI: volts, amperes, seconds, farads, kelvin;
+// to_mV and to_ps convert to the units the reports print.
 #pragma once
 
 namespace issa::util {
@@ -28,25 +27,6 @@ constexpr double celsius_to_kelvin(double celsius) noexcept {
 constexpr double thermal_voltage(double temperature_k) noexcept {
   return kBoltzmann * temperature_k / kElementaryCharge;
 }
-
-namespace literals {
-
-constexpr double operator""_mV(long double v) noexcept { return static_cast<double>(v) * 1e-3; }
-constexpr double operator""_mV(unsigned long long v) noexcept { return static_cast<double>(v) * 1e-3; }
-constexpr double operator""_V(long double v) noexcept { return static_cast<double>(v); }
-constexpr double operator""_V(unsigned long long v) noexcept { return static_cast<double>(v); }
-constexpr double operator""_ps(long double v) noexcept { return static_cast<double>(v) * 1e-12; }
-constexpr double operator""_ps(unsigned long long v) noexcept { return static_cast<double>(v) * 1e-12; }
-constexpr double operator""_ns(long double v) noexcept { return static_cast<double>(v) * 1e-9; }
-constexpr double operator""_ns(unsigned long long v) noexcept { return static_cast<double>(v) * 1e-9; }
-constexpr double operator""_fF(long double v) noexcept { return static_cast<double>(v) * 1e-15; }
-constexpr double operator""_fF(unsigned long long v) noexcept { return static_cast<double>(v) * 1e-15; }
-constexpr double operator""_um(long double v) noexcept { return static_cast<double>(v) * 1e-6; }
-constexpr double operator""_um(unsigned long long v) noexcept { return static_cast<double>(v) * 1e-6; }
-constexpr double operator""_nm(long double v) noexcept { return static_cast<double>(v) * 1e-9; }
-constexpr double operator""_nm(unsigned long long v) noexcept { return static_cast<double>(v) * 1e-9; }
-
-}  // namespace literals
 
 /// Converts volts to millivolts (for reporting).
 constexpr double to_mV(double volts) noexcept { return volts * 1e3; }

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "issa/analysis/montecarlo.hpp"
 #include "issa/util/normal.hpp"
+#include "issa/util/rng.hpp"
 
 namespace issa::analysis {
 namespace {
@@ -115,6 +119,42 @@ TEST(Spec, InputValidation) {
   EXPECT_THROW(offset_voltage_spec(0.0, 1.0, 1.0), std::invalid_argument);
   EXPECT_THROW(spec_sigma_multiplier(0.0), std::invalid_argument);
   EXPECT_THROW(failure_rate_of_spec(0.0, 0.0, 1.0), std::invalid_argument);
+}
+
+// The fraction of `offsets` outside the window [-swing, +swing].
+double fraction_outside(const std::vector<double>& offsets, double swing) {
+  const auto outside = std::count_if(offsets.begin(), offsets.end(),
+                                     [swing](double o) { return std::fabs(o) > swing; });
+  return static_cast<double>(outside) / static_cast<double>(offsets.size());
+}
+
+TEST(Spec, FailureRateMatchesSyntheticNormalAtRelaxedRate) {
+  // Draw a large synthetic normal population and compare the analytic
+  // failure rate against the empirical fraction at ~1% rates.
+  util::Xoshiro256 rng(7);
+  const double mu = 8e-3;
+  const double sigma = 15e-3;
+  std::vector<double> samples(200000);
+  for (auto& s : samples) s = rng.normal(mu, sigma);
+  const double swing = offset_voltage_spec(mu, sigma, 1e-2);
+  const double analytic = failure_rate_of_spec(mu, sigma, swing);
+  EXPECT_NEAR(fraction_outside(samples, swing) / analytic, 1.0, 0.1);
+}
+
+TEST(Spec, MeasuredOffsetsBehaveGaussian) {
+  // End-to-end sanity: the simulated offset population's empirical tail at a
+  // relaxed rate is consistent with the fitted normal (validates using
+  // N(mu, sigma) inside Eq. 3 for the simulated SA).
+  const Condition c =
+      make_condition(sa::SenseAmpKind::kNssa, workload::workload_from_name("80r0r1"), 0.0);
+  McConfig mc;
+  mc.iterations = 60;
+  const OffsetDistribution dist = measure_offset_distribution(c, mc);
+  // ~10% two-sided rate -> expect ~6 of 60 outside; allow broad Poisson slack.
+  const double swing = offset_voltage_spec(dist.summary.mean, dist.summary.stddev, 0.10);
+  const double frac = fraction_outside(dist.offsets, swing);
+  EXPECT_GT(frac, 0.0);
+  EXPECT_LT(frac, 0.30);
 }
 
 }  // namespace

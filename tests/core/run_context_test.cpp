@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "issa/analysis/mc_cache.hpp"
@@ -143,7 +144,6 @@ TEST(RunContextTest, SidecarsShareOneRunId) {
     analysis::measure_delay_distribution(
         analysis::make_condition(sa::SenseAmpKind::kNssa, workload::Workload{}, 0.0), run.mc());
   }
-  util::trace::clear();  // collect() leaves the pass's spans for the next traced test
   ASSERT_FALSE(run_id.empty());
   const util::json::Value metrics = read_json(stem + ".metrics.json");
   EXPECT_EQ(metrics.at("run_id").as_string(), run_id);
@@ -155,6 +155,37 @@ TEST(RunContextTest, SidecarsShareOneRunId) {
     written.insert(entry.path().filename().string());
   }
   EXPECT_EQ(written, (std::set<std::string>{"run.metrics.json", "run.trace.json"}));
+}
+
+TEST(RunContextTest, SecondTracedRunHoldsOnlyItsOwnSpans) {
+  // Two traced runs in one process, each on its own cell: the second run's
+  // trace names only the second cell, none of the first run's spans.
+  const std::string dir = fresh_dir("second_trace");
+  const analysis::Condition first =
+      analysis::make_condition(sa::SenseAmpKind::kNssa, workload::Workload{}, 0.0);
+  const analysis::Condition second =
+      analysis::make_condition(sa::SenseAmpKind::kIssa, workload::Workload{}, 0.0);
+  for (const auto& [stem, condition] : {std::pair{dir + "/first", first},
+                                        std::pair{dir + "/second", second}}) {
+    const Argv args({"--mc=2", "--trace=" + stem});
+    ::testing::internal::CaptureStdout();
+    {
+      core::RunContext run(args.argc(), args.argv(), "t");
+      analysis::measure_delay_distribution(condition, run.mc());
+    }
+    ::testing::internal::GetCapturedStdout();
+  }
+
+  const util::json::Value trace = read_json(dir + "/second.trace.json");
+  std::set<std::string> named;
+  for (const util::json::Value& e : trace.at("traceEvents").as_array()) {
+    const util::json::Value* args_of = e.find("args");
+    if (args_of == nullptr || !args_of->is_object()) continue;
+    if (const util::json::Value* condition = args_of->find("condition")) {
+      named.insert(condition->as_string());
+    }
+  }
+  EXPECT_EQ(named, std::set<std::string>{analysis::condition_label(second)});
 }
 
 TEST(RunContextTest, DegradedCellsJoinTheTraceByTheirLabel) {

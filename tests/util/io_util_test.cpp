@@ -220,10 +220,6 @@ TEST(OptionsDeathTest, StrictNonPositiveCountExitsTwo) {
 }
 
 TEST(Units, Conversions) {
-  using namespace literals;
-  EXPECT_DOUBLE_EQ(5_mV, 0.005);
-  EXPECT_DOUBLE_EQ(2.5_ps, 2.5e-12);
-  EXPECT_DOUBLE_EQ(1_fF, 1e-15);
   EXPECT_DOUBLE_EQ(to_mV(0.0148), 14.8);
   EXPECT_DOUBLE_EQ(to_ps(13.6e-12), 13.6);
   EXPECT_DOUBLE_EQ(celsius_to_kelvin(25.0), 298.15);
