@@ -1,7 +1,7 @@
 // Micro-benchmarks of the simulator kernels (google-benchmark): MOSFET
-// evaluation, LU factorization at MNA sizes, DC solve, full sensing
-// transient with and without sensitivities, offset search, and trap-set
-// construction.
+// evaluation one device at a time and as a testbench batch, LU
+// factorization at MNA sizes, DC solve, full sensing transient with and
+// without sensitivities, offset search, and trap-set construction.
 #include <benchmark/benchmark.h>
 
 #include <string_view>
@@ -39,6 +39,45 @@ void BM_MosfetEval(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MosfetEval)->Arg(0)->Arg(1);
+
+// One batch call over every MOSFET of a testbench, as each Newton assembly
+// makes it, at the node voltages 6 ps into a resolving NSSA (arg 0) or ISSA
+// (arg 1) transient at vin = 20 mV.  The per_device counter is the time per
+// device, to set beside BM_MosfetEval's time per iteration.
+void BM_MosfetBatch(benchmark::State& state) {
+  const sa::SenseAmpKind kind =
+      state.range(0) == 0 ? sa::SenseAmpKind::kNssa : sa::SenseAmpKind::kIssa;
+  auto circuit = sa::build_sense_amp(kind, sa::nominal_config());
+  circuit.set_input_differential(0.02);
+  const double temperature_k = circuit.config().temperature_k();
+  circuit::TransientOptions opt;
+  opt.tstop = circuit.config().timing.t_fire + 6e-12;
+  opt.dt = circuit.config().timing.dt;
+  opt.dc_guess = circuit.dc_guess(0.02);
+  const circuit::TransientResult run =
+      circuit::Simulator(circuit.netlist(), temperature_k).run_transient(opt);
+  auto at = [&](circuit::NodeId node) { return run.node_wave(node).back(); };
+
+  std::vector<device::MosConstants> devices;
+  std::vector<device::MosTerminals> terminals;
+  for (const circuit::Mosfet& m : circuit.netlist().mosfets()) {
+    devices.push_back(
+        device::pack_mosfet(m.inst, device::mos_thermal(m.inst.card, temperature_k)));
+    terminals.push_back({at(m.gate), at(m.drain), at(m.source), at(m.bulk)});
+  }
+  std::vector<device::MosEval> out(devices.size());
+  for (auto _ : state) {
+    terminals[0].vg += 1e-12;  // defeat constant folding
+    device::evaluate_mosfets(devices, terminals, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["devices"] = static_cast<double>(devices.size());
+  state.counters["per_device"] = benchmark::Counter(
+      static_cast<double>(devices.size()),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_MosfetBatch)->Arg(0)->Arg(1);
 
 void BM_LuFactorizeSolve(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

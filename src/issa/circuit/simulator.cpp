@@ -180,10 +180,12 @@ Simulator::Simulator(const Netlist& netlist, double temperature_k)
     if (!pinned[node]) row_[node] = static_cast<long>(free_node_count_++);
   }
 
-  mos_thermal_.reserve(netlist.mosfets().size());
+  mos_constants_.reserve(netlist.mosfets().size());
   for (const auto& m : netlist.mosfets()) {
-    mos_thermal_.push_back(device::mos_thermal(m.inst.card, temperature_k));
+    mos_constants_.push_back(
+        device::pack_mosfet(m.inst, device::mos_thermal(m.inst.card, temperature_k)));
   }
+  mos_terminals_ws_.resize(netlist.mosfets().size());
   mos_eval_ws_.resize(netlist.mosfets().size());
 
   const std::size_t n = unknown_count();
@@ -287,12 +289,17 @@ void Simulator::assemble(const std::vector<double>& x, double t, bool transient,
     }
   }
 
+  // Every MOSFET in one batch: gather the terminal voltages, evaluate, then
+  // stamp in device order.
   const auto& mosfets = netlist_.mosfets();
   for (std::size_t k = 0; k < mosfets.size(); ++k) {
     const auto& m = mosfets[k];
-    const device::MosTerminals terms{volt(m.gate), volt(m.drain), volt(m.source), volt(m.bulk)};
-    const device::MosEval e = device::evaluate_mosfet(m.inst, terms, mos_thermal_[k]);
-    if (!sens_.empty()) mos_eval_ws_[k] = e;
+    mos_terminals_ws_[k] = {volt(m.gate), volt(m.drain), volt(m.source), volt(m.bulk)};
+  }
+  device::evaluate_mosfets(mos_constants_, mos_terminals_ws_, mos_eval_ws_);
+  for (std::size_t k = 0; k < mosfets.size(); ++k) {
+    const auto& m = mosfets[k];
+    const device::MosEval& e = mos_eval_ws_[k];
     add_current(m.drain, e.id);
     add_current(m.source, -e.id);
     add_jacobian(m.drain, m.gate, e.gm);
@@ -468,8 +475,16 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, d
   return false;
 }
 
+void Simulator::refresh_delta_vth() {
+  const auto& mosfets = netlist_.mosfets();
+  for (std::size_t k = 0; k < mosfets.size(); ++k) {
+    mos_constants_[k].delta_vth = mosfets[k].inst.delta_vth;
+  }
+}
+
 std::vector<double> Simulator::solve_dc(const DcOptions& options) {
   m_dc_solves().add();
+  refresh_delta_vth();
   util::trace::Span span(util::trace::spans::kDcSolve, "sim");
   if (span.traced()) {
     span.attr_u64("unknowns", unknown_count());

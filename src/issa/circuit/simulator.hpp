@@ -22,15 +22,20 @@
 // W/L = 640/1280 (DESIGN.md §16).  (3) Otherwise a backtracking line search
 // on the residual norm picks the step, and the next pass tests the new point.
 // Each update costs one LU factorisation; each assembly, the first one
-// included, one pass over the MOSFETs.  A singular Jacobian, a run of failed
-// line searches or 120 iterations fail the solve, and the caller falls back
-// (gmin or source stepping at DC, step halving in a transient).
+// included, one batch evaluation of every MOSFET: assemble gathers each
+// device's terminal voltages, makes one device::evaluate_mosfets call and
+// stamps the results in device order, so the stamps and their sums are
+// those of a device-at-a-time loop, bit for bit.  A singular Jacobian, a
+// run of failed line searches or 120 iterations fail the solve, and the
+// caller falls back (gmin or source stepping at DC, step halving in a
+// transient).
 //
-// What may change between runs: source waves and each MOSFET's delta_vth,
-// both read live from the netlist.  What is fixed at construction: the
-// topology (which nodes every device touches, which sources pin a node) and
-// the MOSFET cards, whose temperature constants (device::MosThermal) are
-// computed once per device.
+// What may change between runs: source waves, read live from the netlist at
+// every assembly, and each MOSFET's delta_vth, read from the netlist at the
+// start of every solve_dc and so of every run_transient.  What is fixed at
+// construction: the topology (which nodes every device touches, which
+// sources pin a node) and the MOSFET cards, polarities and W/L, packed once
+// per device with their temperature constants (device::MosConstants).
 //
 // Transient integration replaces each capacitor with its companion model
 // (backward Euler or trapezoidal); the nonlinear solve at each timestep is
@@ -196,11 +201,12 @@ LineSearchOutcome backtracking_line_search(int max_trials, double fnorm0, double
 class Simulator {
  public:
   /// The netlist must outlive the simulator, and its topology and MOSFET
-  /// cards must not change after construction (source waves and delta_vth
-  /// may; see the file comment).  `temperature_k` applies to all MOSFET
-  /// evaluations.  A Simulator may be reused across runs: each run_transient
-  /// re-derives every piece of run state from its own DC solve, so a reused
-  /// instance reproduces a fresh one bit for bit.
+  /// cards, polarities and W/L must not change after construction (source
+  /// waves and delta_vth may between runs; see the file comment).
+  /// `temperature_k` applies to all MOSFET evaluations.  A Simulator may be
+  /// reused across runs: each run_transient re-derives every piece of run
+  /// state from its own DC solve, so a reused instance reproduces a fresh one
+  /// bit for bit.
   Simulator(const Netlist& netlist, double temperature_k);
 
   /// DC operating point with sources evaluated at t = 0.  Returns the full
@@ -274,6 +280,11 @@ class Simulator {
   // step's full node voltages.
   void accept_step(const std::vector<double>& node_v);
 
+  // Copies each MOSFET's delta_vth from the netlist into mos_constants_.
+  // solve_dc calls it first, so every run (run_transient starts with a DC
+  // solve) sees the netlist's values at its start.
+  void refresh_delta_vth();
+
   // Writes the full node-voltage vector implied by x into `v` (resized
   // once, then reused): unknowns from x, pinned nodes from their sources at
   // time t scaled by source_scale, ground 0.
@@ -297,7 +308,9 @@ class Simulator {
   std::size_t free_node_count_ = 0;          // unknowns 0 .. free_node_count_-1
   std::vector<std::pair<NodeId, std::size_t>> pins_;  // (pinned node, vsource index)
   std::vector<std::size_t> branch_sources_;  // vsource indices with a branch current
-  std::vector<device::MosThermal> mos_thermal_;  // [mosfet] -> card constants at T
+  // [mosfet] -> what the device kernel reads of it (card constants at T,
+  // geometry, polarity); delta_vth is refreshed from the netlist per run.
+  std::vector<device::MosConstants> mos_constants_;
   linalg::Matrix cap_matrix_;  // capacitance over the unknowns (sensitivities)
 
   // Reusable solver workspace (see file comment): sized once in the
@@ -309,8 +322,9 @@ class Simulator {
   std::vector<double> dx_ws_;
   linalg::LuFactorization lu_ws_;     // factors jacobian_ws_ in place
   bool jacobian_factored_ = false;    // jacobian_ws_ holds lu_ws_'s factors
-  std::vector<device::MosEval> mos_eval_ws_;  // [mosfet] at the last assembly,
-                                              // kept only for sensitivities
+  std::vector<device::MosTerminals> mos_terminals_ws_;  // [mosfet] assemble()'s batch input
+  std::vector<device::MosEval> mos_eval_ws_;  // [mosfet] at the last assembly; the
+                                              // sensitivities read it too
   std::vector<Sensitivity> sens_;     // the running transient's sensitivities
   std::vector<double> sens_rhs_ws_;
   std::vector<double> step_x_try_ws_; // transient per-step trial unknowns

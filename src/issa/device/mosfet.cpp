@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <stdexcept>
 
 #include "issa/util/units.hpp"
 
@@ -18,87 +20,137 @@ double smooth_positive(double x, double* dydx) {
   return 0.5 * (x + r);
 }
 
-// Core evaluation in the NMOS frame, requiring vd >= vs.
-// Returns partials with respect to (vg, vd, vs, vb) as independent variables.
-MosEval eval_ordered(const MosInstance& inst, double vg, double vd, double vs, double vb,
-                     const MosThermal& th) {
-  const MosParams& p = inst.card;
-  const double vgs = vg - vs;
-  const double vds = vd - vs;
-  const double vsb = vs - vb;
+// Devices per chunk: the stage loops' temporaries are arrays of this many
+// lanes on the stack.  One chunk holds an NSSA (12) or ISSA (14) testbench.
+constexpr std::size_t kChunk = 16;
 
-  // Threshold with body effect, temperature shift, and mismatch/aging delta.
-  double dvsb_eff;
-  const double vsb_eff = smooth_positive(vsb, &dvsb_eff);
-  const double sqrt_term = std::sqrt(p.phi + vsb_eff);
-  const double vth = th.vth + p.gamma * (sqrt_term - th.sqrt_phi) + inst.delta_vth;
-  const double dvth_dvsb = p.gamma * 0.5 / sqrt_term * dvsb_eff;
+// What one stage of a chunk hands to the next, one array per quantity.
+// Lane i is written by its stage before a later stage reads it; lanes past
+// the chunk's device count are never touched, so nothing is zeroed (zeroing
+// cost up to a third of a batch's time).
+struct Lanes {
+  bool swapped[kChunk];
+  double vgs[kChunk], vds[kChunk], vth[kChunk], dvth_dvsb[kChunk], u[kChunk];
+  double e[kChunk], softplus[kChunk], x[kChunk], t[kChunk];
+  double sig[kChunk], vdsat[kChunk], dvdsat_dveff[kChunk], isat[kChunk], disat_dveff[kChunk];
+};
 
-  // Smooth effective overdrive.
-  const double two_n_vt = th.two_n_vt;
-  const double u = (vgs - vth) / two_n_vt;
-  double veff;
-  double sig;  // dVeff/dVov
-  if (u > 40.0) {
-    veff = vgs - vth;
-    sig = 1.0;
-  } else if (u < -40.0) {
-    veff = two_n_vt * std::exp(-40.0);  // floor far below any observable current
-    sig = 0.0;
-  } else {
-    const double e = std::exp(u);
-    veff = two_n_vt * std::log1p(e);
-    sig = e / (1.0 + e);
+// Evaluates n <= kChunk devices.  Per lane this is the scalar model in the
+// NMOS frame: reflect a PMOS's terminals, swap drain and source when
+// vd < vs (or either is NaN), evaluate with vd >= vs, then map the partials
+// back.  Every operation and its order are those of a one-device
+// evaluation; the branches are per-lane selects.  Inlined into each caller,
+// so evaluate_mosfet's one-device call compiles with n = 1 and costs what a
+// scalar kernel would.
+[[gnu::always_inline]] inline void evaluate_chunk(std::size_t n, const MosConstants* dev,
+                                                  const MosTerminals* v, MosEval* out) {
+  Lanes lane;
+
+  // Orientation, then the threshold with body effect, temperature shift, and
+  // mismatch/aging delta.
+  for (std::size_t i = 0; i < n; ++i) {
+    const MosConstants& c = dev[i];
+    // PMOS: reflect every node voltage and evaluate as NMOS.
+    const double vg = c.pmos ? -v[i].vg : v[i].vg;
+    const double vd_in = c.pmos ? -v[i].vd : v[i].vd;
+    const double vs_in = c.pmos ? -v[i].vs : v[i].vs;
+    const double vb = c.pmos ? -v[i].vb : v[i].vb;
+    const bool swapped = !(vd_in >= vs_in);
+    const double vd = swapped ? vs_in : vd_in;
+    const double vs = swapped ? vd_in : vs_in;
+    const double vgs = vg - vs;
+    const double vds = vd - vs;
+    const double vsb = vs - vb;
+
+    double dvsb_eff;
+    const double vsb_eff = smooth_positive(vsb, &dvsb_eff);
+    const double sqrt_term = std::sqrt(c.phi + vsb_eff);
+    const double vth = c.thermal.vth + c.gamma * (sqrt_term - c.thermal.sqrt_phi) + c.delta_vth;
+    lane.swapped[i] = swapped;
+    lane.vgs[i] = vgs;
+    lane.vds[i] = vds;
+    lane.vth[i] = vth;
+    lane.dvth_dvsb[i] = c.gamma * 0.5 / sqrt_term * dvsb_eff;
+    lane.u[i] = (vgs - vth) / c.thermal.two_n_vt;
   }
-  veff = std::max(veff, 1e-12);
+
+  // Smooth effective overdrive.  The libm calls run lane after lane with no
+  // dependence between lanes; a lane beyond |u| > 40 discards its results.
+  for (std::size_t i = 0; i < n; ++i) lane.e[i] = std::exp(lane.u[i]);
+  for (std::size_t i = 0; i < n; ++i) lane.softplus[i] = std::log1p(lane.e[i]);
 
   // Mobility degradation and velocity saturation.
-  const double mu = th.mu;
-  const double theta_denom = 1.0 + p.theta * veff;
-  const double mu_eff = mu / theta_denom;
-  const double dmu_dveff = -mu * p.theta / (theta_denom * theta_denom);
-  const double esat = p.esat_l;
-  const double vdsat = veff * esat / (veff + esat);
-  const double dvdsat_dveff = (esat / (veff + esat)) * (esat / (veff + esat));
+  for (std::size_t i = 0; i < n; ++i) {
+    const MosConstants& c = dev[i];
+    const double two_n_vt = c.thermal.two_n_vt;
+    const double u = lane.u[i];
+    const double e = lane.e[i];
+    // veff, and sig = dVeff/dVov; the floor is far below any observable
+    // current.
+    double veff = u > 40.0    ? lane.vgs[i] - lane.vth[i]
+                  : u < -40.0 ? two_n_vt * std::exp(-40.0)
+                              : two_n_vt * lane.softplus[i];
+    lane.sig[i] = u > 40.0 ? 1.0 : u < -40.0 ? 0.0 : e / (1.0 + e);
+    veff = std::max(veff, 1e-12);
 
-  const double beta = p.cox * inst.w_over_l;
-  const double isat = 0.5 * beta * mu_eff * veff * vdsat;
-  const double disat_dveff =
-      0.5 * beta * (dmu_dveff * veff * vdsat + mu_eff * vdsat + mu_eff * veff * dvdsat_dveff);
+    const double mu = c.thermal.mu;
+    const double theta_denom = 1.0 + c.theta * veff;
+    const double mu_eff = mu / theta_denom;
+    const double dmu_dveff = -mu * c.theta / (theta_denom * theta_denom);
+    const double esat = c.esat_l;
+    const double vdsat = veff * esat / (veff + esat);
+    const double dvdsat_dveff = (esat / (veff + esat)) * (esat / (veff + esat));
 
-  // Drain-voltage dependence: smooth saturation plus channel-length modulation.
-  const double x = vds / vdsat;
-  const double t = std::tanh(x);
-  const double sech2 = 1.0 - t * t;
-  const double clm = 1.0 + p.lambda * vds;
+    const double beta = c.beta;
+    lane.isat[i] = 0.5 * beta * mu_eff * veff * vdsat;
+    lane.disat_dveff[i] =
+        0.5 * beta * (dmu_dveff * veff * vdsat + mu_eff * vdsat + mu_eff * veff * dvdsat_dveff);
+    lane.vdsat[i] = vdsat;
+    lane.dvdsat_dveff[i] = dvdsat_dveff;
+    lane.x[i] = lane.vds[i] / vdsat;
+  }
 
-  const double id = isat * t * clm;
-  const double did_dvds = isat * (sech2 / vdsat * clm + t * p.lambda);
-  const double did_dveff =
-      disat_dveff * t * clm + isat * sech2 * (-vds / (vdsat * vdsat)) * dvdsat_dveff * clm;
+  for (std::size_t i = 0; i < n; ++i) lane.t[i] = std::tanh(lane.x[i]);
 
-  MosEval e;
-  e.id = id;
-  e.gm = did_dveff * sig;           // dVov/dVg = 1
-  e.gds = did_dvds;                 // dVds/dVd = 1
-  e.gmb = did_dveff * sig * dvth_dvsb;  // vb up -> vsb down -> vth down -> veff up
-  // Translation invariance: shifting every terminal equally changes nothing.
-  e.gms = -(e.gm + e.gds + e.gmb);
-  return e;
-}
+  // Drain-voltage dependence: smooth saturation plus channel-length
+  // modulation; then the partials back to the device's own terminals.
+  for (std::size_t i = 0; i < n; ++i) {
+    const double lambda = dev[i].lambda;
+    const double vds = lane.vds[i];
+    const double vdsat = lane.vdsat[i];
+    const double isat = lane.isat[i];
+    const double t = lane.t[i];
+    const double sig = lane.sig[i];
+    const double sech2 = 1.0 - t * t;
+    const double clm = 1.0 + lambda * vds;
 
-// NMOS frame with automatic drain/source swap for vds < 0.
-MosEval eval_nmos_frame(const MosInstance& inst, double vg, double vd, double vs, double vb,
-                        const MosThermal& th) {
-  if (vd >= vs) return eval_ordered(inst, vg, vd, vs, vb, th);
-  const MosEval r = eval_ordered(inst, vg, vs, vd, vb, th);
-  MosEval e;
-  e.id = -r.id;
-  e.gm = -r.gm;
-  e.gds = -r.gms;  // actual drain plays the source role in the swapped eval
-  e.gms = -r.gds;
-  e.gmb = -r.gmb;
-  return e;
+    const double id = isat * t * clm;
+    const double did_dvds = isat * (sech2 / vdsat * clm + t * lambda);
+    const double did_dveff = lane.disat_dveff[i] * t * clm +
+                             isat * sech2 * (-vds / (vdsat * vdsat)) * lane.dvdsat_dveff[i] * clm;
+
+    MosEval r;
+    r.id = id;
+    r.gm = did_dveff * sig;                     // dVov/dVg = 1
+    r.gds = did_dvds;                           // dVds/dVd = 1
+    r.gmb = did_dveff * sig * lane.dvth_dvsb[i];  // vb up -> vsb down -> vth down -> veff up
+    // Translation invariance: shifting every terminal equally changes nothing.
+    r.gms = -(r.gm + r.gds + r.gmb);
+
+    // Swapped: the actual drain played the source role.
+    const bool swapped = lane.swapped[i];
+    MosEval f;
+    f.id = swapped ? -r.id : r.id;
+    f.gm = swapped ? -r.gm : r.gm;
+    f.gds = swapped ? -r.gms : r.gds;
+    f.gms = swapped ? -r.gds : r.gms;
+    f.gmb = swapped ? -r.gmb : r.gmb;
+    // PMOS: the drain current and all derivatives transform as id -> -id,
+    // g -> +g (chain rule through the sign flip of both the function value
+    // and each argument).
+    if (dev[i].pmos) f.id = -f.id;
+    out[i] = f;
+  }
 }
 
 }  // namespace
@@ -112,20 +164,36 @@ MosThermal mos_thermal(const MosParams& card, double temperature_k) {
   return th;
 }
 
-MosEval evaluate_mosfet(const MosInstance& inst, const MosTerminals& v, const MosThermal& th) {
-  if (inst.type == MosType::kNmos) {
-    return eval_nmos_frame(inst, v.vg, v.vd, v.vs, v.vb, th);
+MosConstants pack_mosfet(const MosInstance& inst, const MosThermal& thermal) {
+  const MosParams& p = inst.card;
+  MosConstants c;
+  c.pmos = inst.type == MosType::kPmos;
+  c.thermal = thermal;
+  c.gamma = p.gamma;
+  c.phi = p.phi;
+  c.theta = p.theta;
+  c.esat_l = p.esat_l;
+  c.beta = p.cox * inst.w_over_l;
+  c.lambda = p.lambda;
+  c.delta_vth = inst.delta_vth;
+  return c;
+}
+
+void evaluate_mosfets(std::span<const MosConstants> devices,
+                      std::span<const MosTerminals> terminals, std::span<MosEval> out) {
+  if (terminals.size() != devices.size() || out.size() != devices.size()) {
+    throw std::invalid_argument("evaluate_mosfets: devices, terminals and out differ in size");
   }
-  // PMOS: reflect every node voltage and evaluate as NMOS; the drain current
-  // and all derivatives transform as id -> -id, g -> +g (chain rule through
-  // the sign flip of both the function value and each argument).
-  const MosEval r = eval_nmos_frame(inst, -v.vg, -v.vd, -v.vs, -v.vb, th);
+  for (std::size_t begin = 0; begin < devices.size(); begin += kChunk) {
+    const std::size_t n = std::min(kChunk, devices.size() - begin);
+    evaluate_chunk(n, &devices[begin], &terminals[begin], &out[begin]);
+  }
+}
+
+MosEval evaluate_mosfet(const MosInstance& inst, const MosTerminals& v, const MosThermal& th) {
+  const MosConstants device = pack_mosfet(inst, th);
   MosEval e;
-  e.id = -r.id;
-  e.gm = r.gm;
-  e.gds = r.gds;
-  e.gms = r.gms;
-  e.gmb = r.gmb;
+  evaluate_chunk(1, &device, &v, &e);
   return e;
 }
 

@@ -21,7 +21,21 @@
 // Veff -> 2 n vT exp((Vgs-Vth)/(2 n vT)) gives an exponential with slope
 // n vT ln 10 per decade.  Drain/source are swapped internally when Vds < 0 so
 // the expression is always evaluated with the conducting polarity.
+//
+// The expression lives in one place, evaluate_mosfets, which evaluates a
+// batch of devices: per chunk of devices it runs the model as a sequence of
+// stage loops over structure-of-arrays temporaries (orientation and
+// threshold, exp, log1p, overdrive and velocity saturation, tanh, outputs).
+// Each lane performs exactly the scalar operations of a one-device
+// evaluation, in the same order and with the same libm calls, and every
+// branch of the model (PMOS reflection, drain/source swap, the |u| > 40
+// overdrive limits) is a per-lane select, so a device's result does not
+// depend on the batch it is evaluated in.  What the batch buys is
+// independence: a lane's libm calls do not wait on the previous lane's, so
+// the core overlaps their latencies.  evaluate_mosfet is a batch of one.
 #pragma once
+
+#include <span>
 
 #include "issa/device/mos_params.hpp"
 
@@ -58,10 +72,37 @@ struct MosThermal {
 /// Evaluates the temperature constants of `card` at `temperature_k`.
 MosThermal mos_thermal(const MosParams& card, double temperature_k);
 
+/// Everything the model reads of one device besides its terminal voltages:
+/// polarity, temperature constants, the card values the expression uses,
+/// Cox W/L and the threshold shift.  The circuit simulator packs one per
+/// MOSFET when it is constructed and refreshes delta_vth before each run.
+struct MosConstants {
+  bool pmos = false;
+  MosThermal thermal;
+  double gamma = 0.0;
+  double phi = 0.0;
+  double theta = 0.0;
+  double esat_l = 0.0;
+  double beta = 0.0;  ///< cox * w_over_l
+  double lambda = 0.0;
+  double delta_vth = 0.0;
+};
+
+/// Packs `inst` with temperature constants from mos_thermal(inst.card, T).
+MosConstants pack_mosfet(const MosInstance& inst, const MosThermal& thermal);
+
+/// Evaluates devices[k] at terminals[k] into out[k] for every k; the three
+/// spans must have one size, which may be anything (the kernel works
+/// through fixed-size chunks on the stack and allocates nothing).  Each
+/// result is bit-identical to evaluating its device alone.
+void evaluate_mosfets(std::span<const MosConstants> devices,
+                      std::span<const MosTerminals> terminals, std::span<MosEval> out);
+
 /// Evaluates the instance at the given terminal voltages with precomputed
 /// temperature constants, which must come from mos_thermal(inst.card, T).
 /// The returned derivatives are exact for the model expression (verified
-/// against finite differences in tests/device/mosfet_test.cpp).
+/// against finite differences in tests/device/mosfet_test.cpp).  A batch of
+/// one device.
 MosEval evaluate_mosfet(const MosInstance& inst, const MosTerminals& v, const MosThermal& thermal);
 
 /// Same as above with the constants computed on the spot; bit-identical.

@@ -35,6 +35,28 @@ struct RcFixture {
   }
 };
 
+// A cross-coupled latch fired by a PWL enable from two slightly unequal
+// inputs (`Vl`, `Vr`); its outputs are `s` and `sb`.
+Netlist latch_netlist() {
+  return parse_netlist(
+      ".model nch NMOS\n"
+      ".model pch PMOS\n"
+      "Vdd vdd 0 DC 1.0\n"
+      "Vl inl 0 DC 1.0\n"
+      "Vr inr 0 DC 0.99\n"
+      "Ven en 0 PWL 10p 0 12p 1\n"
+      "Mpl s en inl vdd pch W/L=10\n"
+      "Mpr sb en inr vdd pch W/L=10\n"
+      "Mnl s sb tail 0 nch W/L=17.8\n"
+      "Mnr sb s tail 0 nch W/L=17.8\n"
+      "Mul s sb vdd vdd pch W/L=5\n"
+      "Mur sb s vdd vdd pch W/L=5\n"
+      "Mt tail en 0 0 nch W/L=15.5\n"
+      "Cs s 0 1f\n"
+      "Csb sb 0 1f\n"
+      "Cx s sb 0.2f\n");
+}
+
 TEST(SimulatorTran, RcStepMatchesAnalyticTrapezoidal) {
   RcFixture f;
   Simulator sim(f.net, kT);
@@ -388,6 +410,27 @@ TEST(SimulatorTran, WorkspaceReuseAcrossRunsIsBitExact) {
   Simulator fresh(f.net, kT);
   const TransientResult ref = fresh.run_transient(opt);
   EXPECT_EQ(second.node_wave(f.out), ref.node_wave(f.out));
+
+  // A threshold shift edited between runs reaches the next run: the
+  // simulator packs its devices' constants once but reads delta_vth from the
+  // netlist at the start of every run.  The latch resolves the other way
+  // once its right pull-down is 50 mV weaker.
+  Netlist latch = latch_netlist();
+  const NodeId s = latch.find_node("s");
+  TransientOptions latch_opt;
+  latch_opt.tstop = 60e-12;
+  latch_opt.dt = 0.2e-12;
+  Simulator reused_latch(latch, kT);
+  const TransientResult before = reused_latch.run_transient(latch_opt);
+  latch.find_mosfet("Mnr").inst.delta_vth = 0.05;
+  const TransientResult after = reused_latch.run_transient(latch_opt);
+  const TransientResult fresh_after = Simulator(latch, kT).run_transient(latch_opt);
+  EXPECT_NE(before.node_wave(s).back() > 0.5, after.node_wave(s).back() > 0.5);
+  ASSERT_EQ(after.time(), fresh_after.time());
+  for (std::size_t n = 0; n < latch.node_count(); ++n) {
+    const auto node = static_cast<NodeId>(n);
+    EXPECT_EQ(after.node_wave(node), fresh_after.node_wave(node)) << "node " << n;
+  }
 }
 
 TEST(SimulatorTran, EveryAcceptedStepMeetsKclOnWideDevices) {
@@ -513,23 +556,7 @@ TEST(SimulatorTran, SensitivitiesLeaveTheTransientUnchanged) {
   // bit-identical with and without them.  The circuit is a cross-coupled
   // latch fired by a PWL enable from two slightly unequal inputs, on both
   // sides of its flip, and the same simulator serves every run.
-  Netlist net = parse_netlist(
-      ".model nch NMOS\n"
-      ".model pch PMOS\n"
-      "Vdd vdd 0 DC 1.0\n"
-      "Vl inl 0 DC 1.0\n"
-      "Vr inr 0 DC 0.99\n"
-      "Ven en 0 PWL 10p 0 12p 1\n"
-      "Mpl s en inl vdd pch W/L=10\n"
-      "Mpr sb en inr vdd pch W/L=10\n"
-      "Mnl s sb tail 0 nch W/L=17.8\n"
-      "Mnr sb s tail 0 nch W/L=17.8\n"
-      "Mul s sb vdd vdd pch W/L=5\n"
-      "Mur sb s vdd vdd pch W/L=5\n"
-      "Mt tail en 0 0 nch W/L=15.5\n"
-      "Cs s 0 1f\n"
-      "Csb sb 0 1f\n"
-      "Cx s sb 0.2f\n");
+  Netlist net = latch_netlist();
   const NodeId inl = net.find_node("inl");
   const NodeId inr = net.find_node("inr");
   Simulator sim(net, kT);

@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <iterator>
+#include <limits>
+#include <stdexcept>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "issa/device/mos_params.hpp"
 #include "issa/util/units.hpp"
@@ -28,6 +36,122 @@ MosInstance pmos(double wl = 5.0) {
 }
 
 constexpr double kT = 298.15;
+
+// --- the scalar kernel: the batch kernel's oracle ------------------------
+//
+// The device-at-a-time kernel that evaluate_mosfets replaced, verbatim.  The
+// batch must reproduce it bit for bit.
+
+namespace oracle {
+
+// Smoothly clamps vsb to non-negative values so sqrt(phi + vsb) stays real
+// when a source transiently dips below the bulk.
+double smooth_positive(double x, double* dydx) {
+  constexpr double kEps = 1e-4;  // [V^2] rounding of the corner at 0
+  const double r = std::sqrt(x * x + kEps);
+  *dydx = 0.5 * (1.0 + x / r);
+  return 0.5 * (x + r);
+}
+
+// Core evaluation in the NMOS frame, requiring vd >= vs.
+// Returns partials with respect to (vg, vd, vs, vb) as independent variables.
+MosEval eval_ordered(const MosInstance& inst, double vg, double vd, double vs, double vb,
+                     const MosThermal& th) {
+  const MosParams& p = inst.card;
+  const double vgs = vg - vs;
+  const double vds = vd - vs;
+  const double vsb = vs - vb;
+
+  // Threshold with body effect, temperature shift, and mismatch/aging delta.
+  double dvsb_eff;
+  const double vsb_eff = smooth_positive(vsb, &dvsb_eff);
+  const double sqrt_term = std::sqrt(p.phi + vsb_eff);
+  const double vth = th.vth + p.gamma * (sqrt_term - th.sqrt_phi) + inst.delta_vth;
+  const double dvth_dvsb = p.gamma * 0.5 / sqrt_term * dvsb_eff;
+
+  // Smooth effective overdrive.
+  const double two_n_vt = th.two_n_vt;
+  const double u = (vgs - vth) / two_n_vt;
+  double veff;
+  double sig;  // dVeff/dVov
+  if (u > 40.0) {
+    veff = vgs - vth;
+    sig = 1.0;
+  } else if (u < -40.0) {
+    veff = two_n_vt * std::exp(-40.0);  // floor far below any observable current
+    sig = 0.0;
+  } else {
+    const double e = std::exp(u);
+    veff = two_n_vt * std::log1p(e);
+    sig = e / (1.0 + e);
+  }
+  veff = std::max(veff, 1e-12);
+
+  // Mobility degradation and velocity saturation.
+  const double mu = th.mu;
+  const double theta_denom = 1.0 + p.theta * veff;
+  const double mu_eff = mu / theta_denom;
+  const double dmu_dveff = -mu * p.theta / (theta_denom * theta_denom);
+  const double esat = p.esat_l;
+  const double vdsat = veff * esat / (veff + esat);
+  const double dvdsat_dveff = (esat / (veff + esat)) * (esat / (veff + esat));
+
+  const double beta = p.cox * inst.w_over_l;
+  const double isat = 0.5 * beta * mu_eff * veff * vdsat;
+  const double disat_dveff =
+      0.5 * beta * (dmu_dveff * veff * vdsat + mu_eff * vdsat + mu_eff * veff * dvdsat_dveff);
+
+  // Drain-voltage dependence: smooth saturation plus channel-length modulation.
+  const double x = vds / vdsat;
+  const double t = std::tanh(x);
+  const double sech2 = 1.0 - t * t;
+  const double clm = 1.0 + p.lambda * vds;
+
+  const double id = isat * t * clm;
+  const double did_dvds = isat * (sech2 / vdsat * clm + t * p.lambda);
+  const double did_dveff =
+      disat_dveff * t * clm + isat * sech2 * (-vds / (vdsat * vdsat)) * dvdsat_dveff * clm;
+
+  MosEval e;
+  e.id = id;
+  e.gm = did_dveff * sig;           // dVov/dVg = 1
+  e.gds = did_dvds;                 // dVds/dVd = 1
+  e.gmb = did_dveff * sig * dvth_dvsb;  // vb up -> vsb down -> vth down -> veff up
+  // Translation invariance: shifting every terminal equally changes nothing.
+  e.gms = -(e.gm + e.gds + e.gmb);
+  return e;
+}
+
+// NMOS frame with automatic drain/source swap for vds < 0.
+MosEval eval_nmos_frame(const MosInstance& inst, double vg, double vd, double vs, double vb,
+                        const MosThermal& th) {
+  if (vd >= vs) return eval_ordered(inst, vg, vd, vs, vb, th);
+  const MosEval r = eval_ordered(inst, vg, vs, vd, vb, th);
+  MosEval e;
+  e.id = -r.id;
+  e.gm = -r.gm;
+  e.gds = -r.gms;  // actual drain plays the source role in the swapped eval
+  e.gms = -r.gds;
+  e.gmb = -r.gmb;
+  return e;
+}
+
+// The PMOS reflection of the replaced evaluate_mosfet.
+MosEval evaluate(const MosInstance& inst, const MosTerminals& v, const MosThermal& th) {
+  if (inst.type == MosType::kNmos) {
+    return eval_nmos_frame(inst, v.vg, v.vd, v.vs, v.vb, th);
+  }
+  const MosEval r = eval_nmos_frame(inst, -v.vg, -v.vd, -v.vs, -v.vb, th);
+  MosEval e;
+  e.id = -r.id;
+  e.gm = r.gm;
+  e.gds = r.gds;
+  e.gms = r.gms;
+  e.gmb = r.gmb;
+  return e;
+}
+
+}  // namespace oracle
 
 TEST(Mosfet, NmosOffBelowThreshold) {
   const MosEval e = evaluate_mosfet(nmos(), {0.0, 1.0, 0.0, 0.0}, kT);
@@ -249,6 +373,150 @@ TEST(Mosfet, TranslationInvariance) {
   EXPECT_NEAR(a.id, b.id, std::fabs(a.id) * 1e-9);
   // And the derivative identity gms = -(gm + gds + gmb) holds.
   EXPECT_NEAR(a.gms, -(a.gm + a.gds + a.gmb), std::fabs(a.gm) * 1e-9 + 1e-15);
+}
+
+// The grid every batch test sweeps: each polarity at two widths and three
+// threshold shifts, at every combination of terminal voltages from a set
+// that gives vd < vs, vsb < 0, vds = 0 and both |u| > 40 limits, plus a NaN
+// on each terminal in turn.
+struct GridCase {
+  MosInstance inst;
+  MosTerminals v;
+};
+
+std::vector<GridCase> batch_grid() {
+  std::vector<MosInstance> devices;
+  for (const double wl : {1.0, 17.8}) {
+    for (const double dvth : {-0.03, 0.0, 0.05}) {
+      MosInstance n = nmos(wl);
+      n.delta_vth = dvth;
+      MosInstance p = pmos(wl);
+      p.delta_vth = dvth;
+      devices.push_back(n);
+      devices.push_back(p);
+    }
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double levels[] = {-6.0, -0.3, 0.0, 0.2, 0.45, 1.0, 1.1, 6.0};
+  std::vector<GridCase> grid;
+  // Devices vary fastest, so every batch mixes polarities and branches.
+  for (const double vg : levels) {
+    for (const double vd : levels) {
+      for (const double vs : levels) {
+        for (const double vb : {-0.3, 0.0, 1.0}) {
+          for (const MosInstance& inst : devices) grid.push_back({inst, {vg, vd, vs, vb}});
+        }
+      }
+    }
+  }
+  for (const MosInstance& inst : devices) {
+    grid.push_back({inst, {nan, 1.0, 0.0, 0.0}});
+    grid.push_back({inst, {1.0, nan, 0.0, 0.0}});
+    grid.push_back({inst, {1.0, 1.0, nan, 0.0}});
+    grid.push_back({inst, {1.0, 1.0, 0.0, nan}});
+    grid.push_back({inst, {nan, nan, nan, nan}});
+  }
+  return grid;
+}
+
+// Bitwise equality of every output, except that a NaN matches any NaN.
+// IEEE arithmetic fixes a NaN's presence but not its sign or payload, and
+// the compiler may commute the operands of x + y or x * y, which decides
+// the sign of the NaN that survives; so those bits differ between two
+// compilations of one expression.  Which outputs are NaN must still match.
+bool same_bits(const MosEval& a, const MosEval& b) {
+  const double got[] = {a.id, a.gm, a.gds, a.gms, a.gmb};
+  const double want[] = {b.id, b.gm, b.gds, b.gms, b.gmb};
+  for (std::size_t k = 0; k < std::size(got); ++k) {
+    if (std::isnan(got[k]) && std::isnan(want[k])) continue;
+    if (std::memcmp(&got[k], &want[k], sizeof(double)) != 0) return false;
+  }
+  return true;
+}
+
+std::string describe(const GridCase& c, const MosEval& got, const MosEval& want) {
+  char text[512];
+  std::snprintf(text, sizeof text,
+                "%s W/L=%g dvth=%g at (%g, %g, %g, %g): got id=%a gm=%a gds=%a gms=%a gmb=%a, "
+                "want id=%a gm=%a gds=%a gms=%a gmb=%a",
+                c.inst.type == MosType::kNmos ? "NMOS" : "PMOS", c.inst.w_over_l,
+                c.inst.delta_vth, c.v.vg, c.v.vd, c.v.vs, c.v.vb, got.id, got.gm, got.gds,
+                got.gms, got.gmb, want.id, want.gm, want.gds, want.gms, want.gmb);
+  return text;
+}
+
+TEST(MosfetBatch, GridCoversEveryBranch) {
+  // The grid must actually reach the cases it is for.
+  const std::vector<GridCase> grid = batch_grid();
+  bool swapped = false, negative_vsb = false, zero_vds = false, above = false, below = false;
+  bool nan_out = false;
+  for (const GridCase& c : grid) {
+    const double s = c.inst.type == MosType::kNmos ? 1.0 : -1.0;
+    const double vd = s * c.v.vd, vs = s * c.v.vs, vb = s * c.v.vb, vg = s * c.v.vg;
+    swapped |= vd < vs;
+    negative_vsb |= std::min(vd, vs) - vb < 0.0;
+    zero_vds |= vd == vs;
+    const MosThermal th = mos_thermal(c.inst.card, kT);
+    const double u = (vg - std::min(vd, vs) - th.vth) / th.two_n_vt;
+    above |= u > 40.0;
+    below |= u < -40.0;
+    nan_out |= std::isnan(oracle::evaluate(c.inst, c.v, th).id);
+  }
+  EXPECT_TRUE(swapped && negative_vsb && zero_vds && above && below && nan_out);
+}
+
+TEST(MosfetBatch, MatchesScalarKernelBitForBit) {
+  // Batch sizes below, at and across the kernel's 16-device chunks.
+  const std::vector<GridCase> grid = batch_grid();
+  for (const double temperature_k : {kT, 398.15}) {
+    std::vector<MosEval> want;
+    for (const GridCase& c : grid) {
+      want.push_back(oracle::evaluate(c.inst, c.v, mos_thermal(c.inst.card, temperature_k)));
+    }
+    for (const std::size_t size : {1, 3, 12, 14, 16, 17, 40}) {
+      std::size_t mismatches = 0;
+      for (std::size_t begin = 0; begin < grid.size(); begin += size) {
+        const std::size_t n = std::min(size, grid.size() - begin);
+        std::vector<MosConstants> devices;
+        std::vector<MosTerminals> terminals;
+        for (std::size_t k = begin; k < begin + n; ++k) {
+          const MosInstance& inst = grid[k].inst;
+          devices.push_back(pack_mosfet(inst, mos_thermal(inst.card, temperature_k)));
+          terminals.push_back(grid[k].v);
+        }
+        std::vector<MosEval> out(n);
+        evaluate_mosfets(devices, terminals, out);
+        for (std::size_t i = 0; i < n; ++i) {
+          if (same_bits(out[i], want[begin + i])) continue;
+          if (++mismatches <= 5) {
+            ADD_FAILURE() << "batch of " << size << ", T=" << temperature_k << ": "
+                          << describe(grid[begin + i], out[i], want[begin + i]);
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0u) << "batch of " << size << ", T=" << temperature_k;
+    }
+  }
+}
+
+TEST(MosfetBatch, OneDeviceOverloadsMatchScalarKernel) {
+  for (const GridCase& c : batch_grid()) {
+    const MosEval want = oracle::evaluate(c.inst, c.v, mos_thermal(c.inst.card, kT));
+    const MosEval by_thermal = evaluate_mosfet(c.inst, c.v, mos_thermal(c.inst.card, kT));
+    const MosEval by_temperature = evaluate_mosfet(c.inst, c.v, kT);
+    ASSERT_TRUE(same_bits(by_thermal, want)) << describe(c, by_thermal, want);
+    ASSERT_TRUE(same_bits(by_temperature, want)) << describe(c, by_temperature, want);
+  }
+}
+
+TEST(MosfetBatch, RejectsMismatchedSpans) {
+  const std::vector<MosConstants> devices(3, pack_mosfet(nmos(), mos_thermal(ptm45_nmos(), kT)));
+  std::vector<MosTerminals> terminals(3);
+  std::vector<MosEval> out(2);
+  EXPECT_THROW(evaluate_mosfets(devices, terminals, out), std::invalid_argument);
+  out.resize(3);
+  terminals.resize(4);
+  EXPECT_THROW(evaluate_mosfets(devices, terminals, out), std::invalid_argument);
 }
 
 }  // namespace
