@@ -18,6 +18,7 @@
 
 #include "bench_common.hpp"
 #include "issa/aging/bti_model.hpp"
+#include "issa/aging/bti_params.hpp"
 #include "issa/aging/hci.hpp"
 #include "issa/util/statistics.hpp"
 #include "issa/util/table.hpp"
@@ -174,15 +175,16 @@ void reproduce(core::RunContext& run) {
   inst.type = device::MosType::kNmos;
   inst.w_over_l = cond.config.sizing.mdown_wl;
   const auto& profile = map.at("Mdown");
+  const aging::BtiParams bti = aging::default_bti();
   util::RunningStats sampled;
   for (std::size_t i = 0; i < n * 10; ++i) {
     sampled.add(
-        aging::sample_bti_shift(mc.bti, inst, profile, 1e8, cond.config.temperature_k(), i) * 1e3);
+        aging::sample_bti_shift(bti, inst, profile, 1e8, cond.config.temperature_k(), i) * 1e3);
   }
   const double expected =
-      aging::expected_bti_shift(mc.bti, inst, profile, 1e8, cond.config.temperature_k()) * 1e3;
+      aging::expected_bti_shift(bti, inst, profile, 1e8, cond.config.temperature_k()) * 1e3;
   const double pred_sd =
-      aging::bti_shift_stddev(mc.bti, inst, profile, 1e8, cond.config.temperature_k()) * 1e3;
+      aging::bti_shift_stddev(bti, inst, profile, 1e8, cond.config.temperature_k()) * 1e3;
   util::AsciiTable ab3({"statistic", "sampled", "expected-value model"});
   ab3.add_row({"Mdown mean shift (mV)", util::AsciiTable::num(sampled.mean(), 2),
                util::AsciiTable::num(expected, 2)});

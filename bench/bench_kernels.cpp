@@ -87,10 +87,19 @@ void BM_LuFactorizeSolve(benchmark::State& state) {
     for (std::size_t c = 0; c < n; ++c) a(r, c) = rng.normal();
     a(r, r) += static_cast<double>(n);
   }
-  std::vector<double> b(n, 1.0);
+  const std::vector<double> b0(n, 1.0);
+  // As each Newton iteration does: factorize a fresh copy of the matrix in
+  // place, then solve in place (the copies reuse their storage).
+  linalg::Matrix factors;
+  std::vector<double> b;
+  linalg::LuFactorization lu;
   for (auto _ : state) {
-    linalg::LuFactorization lu(a);
-    benchmark::DoNotOptimize(lu.solve(b));
+    factors = a;
+    b = b0;
+    lu.factorize(factors);
+    lu.solve_in_place(b);
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
   }
 }
 // 6 is the compiled NSSA/ISSA unknown count (DESIGN.md §16).

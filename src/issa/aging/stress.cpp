@@ -32,18 +32,6 @@ double StressProfile::duty() const noexcept {
   return d;
 }
 
-double StressProfile::mean_stress_voltage() const noexcept {
-  double v = 0.0;
-  double d = 0.0;
-  for (const auto& p : phases_) {
-    if (p.vstress > 0.0) {
-      v += p.fraction * p.vstress;
-      d += p.fraction;
-    }
-  }
-  return d > 0.0 ? v / d : 0.0;
-}
-
 void StressProfile::append(const StressProfile& other, double weight) {
   for (const auto& p : other.phases_) {
     phases_.push_back({p.fraction * weight, p.vstress});

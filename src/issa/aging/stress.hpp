@@ -34,9 +34,6 @@ class StressProfile {
   /// Total stressed fraction of the period.
   double duty() const noexcept;
 
-  /// Time-average of vstress over stressed phases (0 when never stressed).
-  double mean_stress_voltage() const noexcept;
-
   /// Merges another profile scaled by `weight` into this one (used to
   /// compose per-workload phase lists).
   void append(const StressProfile& other, double weight);

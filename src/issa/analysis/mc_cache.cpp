@@ -5,12 +5,14 @@
 #include <map>
 #include <memory>
 
+#include "issa/aging/bti_params.hpp"
 #include "issa/circuit/netlist.hpp"
 #include "issa/sa/builder.hpp"
 #include "issa/util/faultpoint.hpp"
 #include "issa/util/metrics.hpp"
 #include "issa/util/store/fingerprint.hpp"
 #include "issa/util/store/store.hpp"
+#include "issa/variation/mismatch.hpp"
 
 namespace issa::analysis::mc_cache {
 
@@ -159,7 +161,9 @@ std::string condition_fingerprint(const Condition& condition, const McConfig& mc
   h.u32(static_cast<std::uint32_t>(condition.kind));
   const sa::SenseAmpConfig& cfg = condition.config;
   h.f64(cfg.vdd).f64(cfg.temperature_c).f64(cfg.node_cap).f64(cfg.out_load_cap);
-  h.boolean(cfg.with_parasitics);
+  // Per-device parasitics are always built; hashed as the constant they
+  // became so fingerprints written while they were a setting still match.
+  h.boolean(true);
   h.f64(cfg.sizing.pass_wl)
       .f64(cfg.sizing.mdown_wl)
       .f64(cfg.sizing.mup_wl)
@@ -175,8 +179,11 @@ std::string condition_fingerprint(const Condition& condition, const McConfig& mc
   h.u32(static_cast<std::uint32_t>(condition.workload.sequence));
   h.f64(condition.stress_time_s);
 
-  h.f64(mc.mismatch.avt_nmos).f64(mc.mismatch.avt_pmos);
-  const aging::BtiParams& bti = mc.bti;
+  // Mismatch and BTI parameters: hashed as the calibrated constants they
+  // became so fingerprints written while they were settings still match.
+  const variation::MismatchParams mismatch = variation::default_mismatch();
+  h.f64(mismatch.avt_nmos).f64(mismatch.avt_pmos);
+  const aging::BtiParams bti = aging::default_bti();
   h.f64(bti.trap_areal_density)
       .f64(bti.eta_factor)
       .f64(bti.tau_c_min)

@@ -22,7 +22,9 @@
 //                                        the testbench the builder actually
 //                                        produced (catches builder changes
 //                                        that the config alone would miss)
-//   mismatch + BTI parameters            every field
+//   mismatch + BTI parameters            every field of the calibrated
+//                                        defaults (constants since they
+//                                        stopped being settings)
 //   mc seed (+ the constant retry flag)  sample streams are keyed by (seed,
 //                                        index), so ITERATION COUNT is
 //                                        deliberately excluded: growing a

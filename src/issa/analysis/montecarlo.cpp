@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "issa/aging/bti_model.hpp"
+#include "issa/aging/bti_params.hpp"
 #include "issa/analysis/mc_cache.hpp"
 #include "issa/sa/double_tail.hpp"
 #include "issa/util/faultpoint.hpp"
@@ -16,6 +17,7 @@
 #include "issa/util/store/store.hpp"
 #include "issa/util/thread_pool.hpp"
 #include "issa/util/trace.hpp"
+#include "issa/variation/mismatch.hpp"
 #include "issa/workload/stress_map.hpp"
 
 namespace issa::analysis {
@@ -68,8 +70,8 @@ std::string run_id_for(const std::string& label, const McConfig& mc) {
 
 }  // namespace
 
-double OffsetDistribution::spec(double failure_rate) const {
-  return offset_voltage_spec(summary.mean, summary.stddev, failure_rate);
+double OffsetDistribution::spec() const {
+  return offset_voltage_spec(summary.mean, summary.stddev);
 }
 
 std::uint64_t condition_stress_map_builds() noexcept {
@@ -101,15 +103,17 @@ sa::SenseAmpCircuit build_sample(const Condition& condition, const McConfig& mc,
                                  std::size_t sample_index,
                                  const aging::DeviceStressMap* stress) {
   sa::SenseAmpCircuit circuit = sa::build_sense_amp(condition.kind, condition.config);
-  variation::apply_process_variation(circuit.netlist(), mc.mismatch, mc.seed, sample_index);
+  variation::apply_process_variation(circuit.netlist(), variation::default_mismatch(), mc.seed,
+                                     sample_index);
   if (condition.aged()) {
     aging::DeviceStressMap local;
     if (stress == nullptr) {
       local = condition_stress_map(condition);
       stress = &local;
     }
-    aging::apply_bti_aging(circuit.netlist(), mc.bti, *stress, condition.stress_time_s,
-                           condition.config.temperature_k(), mc.seed, sample_index);
+    aging::apply_bti_aging(circuit.netlist(), aging::default_bti(), *stress,
+                           condition.stress_time_s, condition.config.temperature_k(), mc.seed,
+                           sample_index);
   }
   return circuit;
 }

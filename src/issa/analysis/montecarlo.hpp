@@ -40,13 +40,11 @@
 #include <vector>
 
 #include "issa/aging/bti_model.hpp"
-#include "issa/aging/bti_params.hpp"
 #include "issa/analysis/spec.hpp"
 #include "issa/sa/builder.hpp"
 #include "issa/sa/measure.hpp"
 #include "issa/util/metrics.hpp"
 #include "issa/util/statistics.hpp"
-#include "issa/variation/mismatch.hpp"
 #include "issa/workload/workload.hpp"
 
 namespace issa::util {
@@ -128,8 +126,6 @@ struct McConfig {
   /// Pool for parallel runs (non-owning; nullptr = the global pool).  Results
   /// are identical for every pool size, including serial (parallel = false).
   util::ThreadPool* pool = nullptr;
-  variation::MismatchParams mismatch = variation::default_mismatch();
-  aging::BtiParams bti = aging::default_bti();
 
   /// The run throws McDegradationError when strictly more than this fraction
   /// of iterations ends up quarantined (1% of samples exactly still passes).
@@ -159,8 +155,8 @@ struct OffsetDistribution {
     return offsets.size() - degradation.quarantined.size();
   }
 
-  /// Offset-voltage specification per Eq. 3 at the given failure rate.
-  double spec(double failure_rate = kPaperFailureRate) const;
+  /// Offset-voltage specification per Eq. 3 at the paper's failure rate.
+  double spec() const;
 };
 
 /// Delay-distribution result of one condition.
@@ -176,7 +172,9 @@ struct DelayDistribution {
 };
 
 /// Builds one sample's testbench: fresh circuit + mismatch (+ BTI when the
-/// condition is aged).  Exposed so examples/tests can inspect single samples.
+/// condition is aged), both at their calibrated defaults
+/// (variation::default_mismatch(), aging::default_bti()).  Exposed so
+/// examples/tests can inspect single samples.
 /// An aged build computes the condition's stress map unless `stress` passes
 /// it in: the map depends only on the condition, never the sample, so the
 /// Monte-Carlo pass computes it once and shares it (read-only).

@@ -25,8 +25,6 @@ class SourceWave {
 
   double value(double time) const;
 
-  bool is_dc() const noexcept { return points_.size() == 1; }
-
   /// Shifts every value by `dv` (used to re-bias a source between runs).
   void offset_by(double dv);
 

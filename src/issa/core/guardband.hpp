@@ -11,7 +11,6 @@
 #pragma once
 
 #include "issa/analysis/montecarlo.hpp"
-#include "issa/mem/column.hpp"
 
 namespace issa::core {
 
@@ -36,21 +35,16 @@ struct GuardbandComparison {
 };
 
 /// Runs the comparison at one corner: measures both schemes' offset
-/// distributions fresh and aged (worst unbalanced workload, the paper's
-/// 1e8 s lifetime) and routes the specs through the column read path.
-GuardbandComparison compare_guardband_vs_mitigation(
-    double temperature_c, const analysis::McConfig& mc,
-    const mem::ReadPathParams& read_path = {},
-    const workload::Workload& worst_workload = workload::workload_from_name("80r0"),
-    double lifetime_s = 1e8);
+/// distributions fresh and aged (worst unbalanced workload 80r0, the paper's
+/// 1e8 s lifetime) and routes the specs through the default column read path
+/// (mem::ReadPathParams{}).
+GuardbandComparison compare_guardband_vs_mitigation(double temperature_c,
+                                                    const analysis::McConfig& mc);
 
-/// Lifetime-extension view: earliest stress time at which the NSSA's
-/// worst-workload spec exceeds the ISSA's end-of-life spec (bisection over
-/// the aging model; returns lifetime_s when it never does — i.e. the NSSA
-/// survives the whole lifetime inside the mitigated budget).
-double nssa_time_to_reach_issa_spec(double temperature_c, const analysis::McConfig& mc,
-                                    const workload::Workload& worst_workload =
-                                        workload::workload_from_name("80r0"),
-                                    double lifetime_s = 1e8);
+/// Lifetime-extension view: earliest stress time at which the NSSA's 80r0
+/// spec exceeds the ISSA's end-of-life spec (bisection over the aging model;
+/// returns the 1e8 s lifetime when it never does — i.e. the NSSA survives the
+/// whole lifetime inside the mitigated budget).
+double nssa_time_to_reach_issa_spec(double temperature_c, const analysis::McConfig& mc);
 
 }  // namespace issa::core

@@ -1,18 +1,14 @@
 #include "issa/linalg/lu.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "issa/util/faultpoint.hpp"
 
 namespace issa::linalg {
 
-LuFactorization::LuFactorization(const Matrix& a, double min_pivot) : owned_(a) {
-  factorize(owned_, min_pivot);
-}
-
-void LuFactorization::factorize(Matrix& a, double min_pivot) {
+void LuFactorization::factorize(Matrix& a) {
   if (a.rows() != a.cols()) throw std::invalid_argument("LuFactorization: matrix not square");
   // Injected stand-in for the singular-pivot throw below: same type, same
   // catch paths, but on demand (see util/faultpoint.hpp).
@@ -22,7 +18,6 @@ void LuFactorization::factorize(Matrix& a, double min_pivot) {
   const std::size_t n = a.rows();
   perm_.resize(n);
   for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
-  min_pivot_seen_ = std::numeric_limits<double>::infinity();
 
   for (std::size_t k = 0; k < n; ++k) {
     // Partial pivot: largest magnitude in column k at or below the diagonal.
@@ -35,11 +30,10 @@ void LuFactorization::factorize(Matrix& a, double min_pivot) {
         pivot_row = r;
       }
     }
-    if (pivot_mag < min_pivot) {
+    if (pivot_mag < kMinPivot) {
       throw std::runtime_error("LuFactorization: singular matrix (pivot " +
                                std::to_string(pivot_mag) + ")");
     }
-    min_pivot_seen_ = std::min(min_pivot_seen_, pivot_mag);
     if (pivot_row != k) {
       std::swap(perm_[k], perm_[pivot_row]);
       for (std::size_t c = 0; c < n; ++c) std::swap(lu(k, c), lu(pivot_row, c));
@@ -80,16 +74,6 @@ void LuFactorization::solve_in_place(std::span<double> b) const {
     y[ii] = acc / lu(ii, ii);
   }
   for (std::size_t i = 0; i < n; ++i) b[i] = y[i];
-}
-
-std::vector<double> LuFactorization::solve(std::span<const double> b) const {
-  std::vector<double> x(b.begin(), b.end());
-  solve_in_place(x);
-  return x;
-}
-
-std::vector<double> solve_linear_system(const Matrix& a, std::span<const double> b) {
-  return LuFactorization(a).solve(b);
 }
 
 }  // namespace issa::linalg

@@ -9,24 +9,20 @@
 
 namespace issa::linalg {
 
-/// LU factorization of a square matrix with row pivoting.
-/// Reusable across solves with different right-hand sides.
-///
-/// Two modes:
-///  * the constructor factorizes a private copy of `a` (convenient one-shots);
-///  * factorize() factorizes caller-owned storage IN PLACE — no allocation
-///    beyond the first call's permutation/scratch vectors, which is what lets
-///    the circuit solver's Newton loop run without per-iteration heap traffic.
+/// LU factorization of a square matrix with row pivoting, computed in the
+/// caller's storage and reusable across solves with different right-hand
+/// sides.  After the first call at a size no call allocates, which is what
+/// lets the circuit solver's Newton loop run without per-iteration heap
+/// traffic.
 class LuFactorization {
  public:
+  /// Smallest pivot magnitude factorize() accepts.
+  static constexpr double kMinPivot = 1e-14;
+
   /// Empty factorization; call factorize() before solving.
   LuFactorization() = default;
 
-  /// Factorizes a copy of `a`.  Throws std::runtime_error when the matrix is
-  /// numerically singular (pivot below `min_pivot`).
-  explicit LuFactorization(const Matrix& a, double min_pivot = 1e-14);
-
-  // The factorization may point into caller-owned storage; copying it would
+  // The factorization points into caller-owned storage; copying it would
   // silently alias the other instance's matrix.
   LuFactorization(const LuFactorization&) = delete;
   LuFactorization& operator=(const LuFactorization&) = delete;
@@ -35,31 +31,20 @@ class LuFactorization {
   /// factors and must stay alive and untouched until the next factorize()
   /// call (or destruction).  Reuses the permutation/scratch buffers, so a
   /// repeat call at the same size performs zero allocations.  Throws
-  /// std::runtime_error on a singular matrix; the factorization is then
+  /// std::invalid_argument on a non-square matrix and std::runtime_error on
+  /// a singular one (pivot below kMinPivot); the factorization is then
   /// unusable until the next successful factorize().
-  void factorize(Matrix& a, double min_pivot = 1e-14);
+  void factorize(Matrix& a);
 
   std::size_t size() const noexcept { return lu_ == nullptr ? 0 : lu_->rows(); }
 
-  /// Solves A x = b; returns x.
-  std::vector<double> solve(std::span<const double> b) const;
-
-  /// Solves in place: b is replaced by x.
+  /// Solves A x = b in place: b is replaced by x.
   void solve_in_place(std::span<double> b) const;
 
-  /// |det(A)| growth indicator: product of pivot magnitudes (log-scaled
-  /// externally when needed).
-  double min_pivot_magnitude() const noexcept { return min_pivot_seen_; }
-
  private:
-  Matrix owned_;         // backing storage for the copying constructor
-  Matrix* lu_ = nullptr; // the factored matrix (owned_ or caller storage)
+  Matrix* lu_ = nullptr;  // the factored caller storage
   std::vector<std::size_t> perm_;
   mutable std::vector<double> y_;  // solve scratch, reused across solves
-  double min_pivot_seen_ = 0.0;
 };
-
-/// Convenience one-shot solve.
-std::vector<double> solve_linear_system(const Matrix& a, std::span<const double> b);
 
 }  // namespace issa::linalg

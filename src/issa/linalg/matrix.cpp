@@ -1,16 +1,8 @@
 #include "issa/linalg/matrix.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <stdexcept>
 
 namespace issa::linalg {
-
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
 
 void Matrix::set_zero() noexcept { std::fill(data_.begin(), data_.end(), 0.0); }
 
@@ -18,24 +10,6 @@ void Matrix::resize(std::size_t rows, std::size_t cols) {
   rows_ = rows;
   cols_ = cols;
   data_.assign(rows * cols, 0.0);
-}
-
-std::vector<double> Matrix::multiply(std::span<const double> x) const {
-  if (x.size() != cols_) throw std::invalid_argument("Matrix::multiply: size mismatch");
-  std::vector<double> y(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    const double* row_ptr = data_.data() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) acc += row_ptr[c] * x[c];
-    y[r] = acc;
-  }
-  return y;
-}
-
-double Matrix::max_abs() const noexcept {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::fabs(v));
-  return m;
 }
 
 }  // namespace issa::linalg

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
 namespace issa::linalg {
@@ -11,8 +10,6 @@ class Matrix {
  public:
   Matrix() = default;
   Matrix(std::size_t rows, std::size_t cols) : rows_(rows), cols_(cols), data_(rows * cols, 0.0) {}
-
-  static Matrix identity(std::size_t n);
 
   std::size_t rows() const noexcept { return rows_; }
   std::size_t cols() const noexcept { return cols_; }
@@ -25,17 +22,6 @@ class Matrix {
 
   /// Resizes (content becomes all-zero).
   void resize(std::size_t rows, std::size_t cols);
-
-  std::span<double> row(std::size_t r) noexcept { return {data_.data() + r * cols_, cols_}; }
-  std::span<const double> row(std::size_t r) const noexcept {
-    return {data_.data() + r * cols_, cols_};
-  }
-
-  /// y = A * x (sizes must match).
-  std::vector<double> multiply(std::span<const double> x) const;
-
-  /// Max-abs entry; used by convergence diagnostics.
-  double max_abs() const noexcept;
 
  private:
   std::size_t rows_ = 0;

@@ -18,22 +18,4 @@ double Bitline::discharge_time(double delta_v, double vdd, double temperature_k)
   return params_.total_cap() * delta_v / i_eff;
 }
 
-double Bitline::swing_after(double time_s, double vdd, double temperature_k) const {
-  if (!(time_s >= 0.0)) throw std::invalid_argument("swing_after: negative time");
-  if (time_s == 0.0) return 0.0;
-  double lo = 0.0;
-  double hi = 0.95 * vdd;
-  if (discharge_time(hi, vdd, temperature_k) < time_s) return hi;
-  for (int iter = 0; iter < 80; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (mid <= 0.0) break;
-    if (discharge_time(mid, vdd, temperature_k) < time_s) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return 0.5 * (lo + hi);
-}
-
 }  // namespace issa::mem

@@ -27,10 +27,6 @@ class Bitline {
   /// bitline [s]: C_bl * delta_v / I_eff(delta_v).
   double discharge_time(double delta_v, double vdd, double temperature_k) const;
 
-  /// Differential developed after `time` seconds (inverse of the above,
-  /// solved by bisection).
-  double swing_after(double time_s, double vdd, double temperature_k) const;
-
   const BitlineParams& params() const noexcept { return params_; }
   const SramCell& cell() const noexcept { return cell_; }
 

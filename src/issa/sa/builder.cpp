@@ -95,11 +95,9 @@ CoreNodes build_core(circuit::Netlist& net, const SenseAmpConfig& cfg, std::size
   net.add_capacitor("Cout", n.out, circuit::kGround, cfg.out_load_cap);
   net.add_capacitor("Coutbar", n.outbar, circuit::kGround, cfg.out_load_cap);
 
-  if (cfg.with_parasitics) {
-    for (const std::size_t idx :
-         {mdown, mdownbar, mup, mupbar, mtop, mbottom, moutp, moutn, moutpbar, moutnbar}) {
-      net.add_mosfet_parasitics(idx);
-    }
+  for (const std::size_t idx :
+       {mdown, mdownbar, mup, mupbar, mtop, mbottom, moutp, moutn, moutpbar, moutnbar}) {
+    net.add_mosfet_parasitics(idx);
   }
   return n;
 }
@@ -223,10 +221,8 @@ SenseAmpCircuit build_nssa(const SenseAmpConfig& config) {
   const std::size_t mpassbar = net.add_mosfet(std::string(names::kMpassBar),
                                               pmos_of(config, config.sizing.pass_wl), n.saen,
                                               n.sbar, n.blbar, n.vdd);
-  if (config.with_parasitics) {
-    net.add_mosfet_parasitics(mpass);
-    net.add_mosfet_parasitics(mpassbar);
-  }
+  net.add_mosfet_parasitics(mpass);
+  net.add_mosfet_parasitics(mpassbar);
 
   c.bl_ = n.bl;
   c.blbar_ = n.blbar;
@@ -265,9 +261,7 @@ SenseAmpCircuit build_issa(const SenseAmpConfig& config) {
   const std::size_t m4 = net.add_mosfet(std::string(names::kM4),
                                         pmos_of(config, config.sizing.pass_wl), saen_b, n.sbar,
                                         n.bl, n.vdd);
-  if (config.with_parasitics) {
-    for (const std::size_t idx : {m1, m2, m3, m4}) net.add_mosfet_parasitics(idx);
-  }
+  for (const std::size_t idx : {m1, m2, m3, m4}) net.add_mosfet_parasitics(idx);
 
   c.bl_ = n.bl;
   c.blbar_ = n.blbar;

@@ -39,7 +39,6 @@ struct SenseAmpConfig {
   double temperature_c = 25.0;    ///< die temperature [C]
   double node_cap = 1e-15;        ///< explicit 1 fF caps on S and SBar (Fig. 1)
   double out_load_cap = 3.2e-15;  ///< load on Out/OutBar [F]
-  bool with_parasitics = true;    ///< add per-device Cgs/Cgd/Cdb
   SenseAmpSizing sizing;
   SenseTiming timing;
   device::MosParams nmos = device::ptm45_nmos();

@@ -134,15 +134,13 @@ class DoubleTailBuilder {
     net.add_capacitor("Cout", out, circuit::kGround, config.out_load_cap);
     net.add_capacitor("Coutbar", outbar, circuit::kGround, config.out_load_cap);
 
-    if (config.with_parasitics) {
-      for (const std::size_t idx :
-           {min_idx, minbar_idx, tail1_idx, pre_idx, prebar_idx, inj_idx, injbar_idx, latchn_idx,
-            latchnbar_idx, latchp_idx, latchpbar_idx, tail2_idx, outp_idx, outn_idx, outpbar_idx,
-            outnbar_idx}) {
-        net.add_mosfet_parasitics(idx);
-      }
-      for (const std::size_t idx : mux_devices) net.add_mosfet_parasitics(idx);
+    for (const std::size_t idx :
+         {min_idx, minbar_idx, tail1_idx, pre_idx, prebar_idx, inj_idx, injbar_idx, latchn_idx,
+          latchnbar_idx, latchp_idx, latchpbar_idx, tail2_idx, outp_idx, outn_idx, outpbar_idx,
+          outnbar_idx}) {
+      net.add_mosfet_parasitics(idx);
     }
+    for (const std::size_t idx : mux_devices) net.add_mosfet_parasitics(idx);
 
     c.bl_ = bl;
     c.blbar_ = blbar;

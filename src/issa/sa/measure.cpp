@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <deque>
 #include <mutex>
@@ -54,8 +53,6 @@ constexpr double kDelaySwing = 0.2;
 // (0.6 V) the latch SAs' DC solve fails to converge, so a wider ladder would
 // end in a solver error instead of this file's own diagnostic.
 constexpr int kDelayEscalation = 2;
-
-std::atomic<std::uint64_t> g_offset_model_fits{0};
 
 circuit::TransientOptions transient_options(const SenseAmpCircuit& c, double vin) {
   circuit::TransientOptions opt;
@@ -280,7 +277,6 @@ double OffsetModel::predict(const SenseAmpCircuit& circuit) const {
 }
 
 OffsetModel fit_offset_model(SenseAmpKind kind, const SenseAmpConfig& config) {
-  g_offset_model_fits.fetch_add(1, std::memory_order_relaxed);
   util::trace::Span span(util::trace::spans::kSaOffsetModelFit, "sa");
   if (span.traced()) {
     span.attr_str("kind", kind_name(kind));
@@ -320,10 +316,6 @@ const OffsetModel& offset_model(SenseAmpKind kind, const SenseAmpConfig& config)
     if (e.kind == kind && e.config == config) return e.model;
   }
   return memo.emplace_back(Entry{kind, config, fit_offset_model(kind, config)}).model;
-}
-
-std::uint64_t offset_model_fits() noexcept {
-  return g_offset_model_fits.load(std::memory_order_relaxed);
 }
 
 DelayPair measure_delay(SenseAmpCircuit& circuit) {

@@ -4,7 +4,6 @@
 //  * sensing delay — SAenable reaching 50% Vdd to Out/OutBar reaching 50%.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -98,12 +97,9 @@ OffsetModel fit_offset_model(SenseAmpKind kind, const SenseAmpConfig& config);
 
 /// The model of (kind, config), fitted on first use and memoised for the
 /// process.  Thread-safe; the returned model is immutable and lives until
-/// exit.
+/// exit.  Each fit runs inside an sa.offset_model_fit trace span, so
+/// the span's util::metrics timer counts the fits.
 const OffsetModel& offset_model(SenseAmpKind kind, const SenseAmpConfig& config);
-
-/// Cumulative number of fit_offset_model() runs in this process.  Test hook
-/// for the compute-once contract of offset_model().
-std::uint64_t offset_model_fits() noexcept;
 
 /// Sensing delays for both read directions at a given input magnitude.
 struct DelayPair {

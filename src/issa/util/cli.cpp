@@ -122,10 +122,6 @@ double Options::get_double_or(std::string_view name, double fallback) const {
   return get_double(name).value_or(fallback);
 }
 
-long Options::get_long_or(std::string_view name, long fallback) const {
-  return get_long(name).value_or(fallback);
-}
-
 std::size_t Options::get_count_or(std::string_view name, std::size_t fallback) const {
   const auto v = get_long(name);
   if (!v) return fallback;

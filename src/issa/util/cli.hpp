@@ -32,7 +32,6 @@ class Options {
   std::optional<long> get_long(std::string_view name) const;
 
   double get_double_or(std::string_view name, double fallback) const;
-  long get_long_or(std::string_view name, long fallback) const;
   /// A positive integer such as --mc=N or --rows=R.
   std::size_t get_count_or(std::string_view name, std::size_t fallback) const;
 

@@ -34,9 +34,7 @@ class Xoshiro256 {
   using result_type = std::uint64_t;
 
   /// Seeds the full 256-bit state from a 64-bit seed via SplitMix64.
-  explicit Xoshiro256(std::uint64_t seed = 0x853C49E6748FEA9BULL) noexcept { reseed(seed); }
-
-  void reseed(std::uint64_t seed) noexcept {
+  explicit Xoshiro256(std::uint64_t seed = 0x853C49E6748FEA9BULL) noexcept {
     SplitMix64 sm(seed);
     for (auto& word : state_) word = sm.next();
   }

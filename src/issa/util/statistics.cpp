@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 namespace issa::util {
 
@@ -66,19 +67,6 @@ double percentile(std::span<const double> samples, double p) {
   const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
   const double frac = pos - static_cast<double>(lo);
   return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
-}
-
-std::vector<std::size_t> histogram(std::span<const double> samples, double lo, double hi,
-                                   std::size_t bins) {
-  if (bins == 0 || !(hi > lo)) throw std::invalid_argument("histogram: bad range or bins");
-  std::vector<std::size_t> counts(bins, 0);
-  const double width = (hi - lo) / static_cast<double>(bins);
-  for (double x : samples) {
-    auto idx = static_cast<long>(std::floor((x - lo) / width));
-    idx = std::clamp<long>(idx, 0, static_cast<long>(bins) - 1);
-    ++counts[static_cast<std::size_t>(idx)];
-  }
-  return counts;
 }
 
 }  // namespace issa::util

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <span>
-#include <vector>
 
 namespace issa::util {
 
@@ -46,10 +45,5 @@ DistributionSummary summarize(std::span<const double> samples);
 
 /// Linear-interpolated percentile, p in [0, 100].  Sorts a copy.
 double percentile(std::span<const double> samples, double p);
-
-/// Fixed-width histogram over [lo, hi] with `bins` buckets; out-of-range
-/// samples are clamped into the edge buckets.
-std::vector<std::size_t> histogram(std::span<const double> samples, double lo, double hi,
-                                   std::size_t bins);
 
 }  // namespace issa::util

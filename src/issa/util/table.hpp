@@ -23,8 +23,6 @@ class AsciiTable {
   /// Convenience: formats a double with the given precision.
   static std::string num(double value, int precision = 2);
 
-  std::size_t row_count() const noexcept { return rows_.size(); }
-
   /// Renders the table with a header rule and column padding.
   void print(std::ostream& os) const;
   std::string to_string() const;

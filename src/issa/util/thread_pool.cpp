@@ -59,7 +59,7 @@ void ThreadPool::run_task(Task task) {
   }
   // A parallel_for chunk signals its caller only here, so the caller never
   // returns before the chunk's span is recorded.
-  if (task.done) task.done();
+  task.done();
 }
 
 void ThreadPool::worker_loop() {
@@ -86,10 +86,6 @@ bool ThreadPool::try_run_one() {
   }
   run_task(std::move(task));
   return true;
-}
-
-void ThreadPool::enqueue(std::function<void()> fn) {
-  push(Task{.fn = std::move(fn), .done = nullptr});
 }
 
 void ThreadPool::push(Task task) {

@@ -1,7 +1,10 @@
-// A small fixed-size thread pool with a parallel_for convenience wrapper.
+// A small fixed-size thread pool whose one entry point is parallel_for.
 //
 // Monte-Carlo loops dominate the runtime of every bench; each iteration is an
 // independent transient simulation, so a static block partition is enough.
+// Every queued task is a chunk of some parallel_for call, and that call
+// returns only after all of its chunks have run, so the queue is empty
+// whenever no call is in flight (in particular when the pool is destroyed).
 //
 // parallel_for's caller participates in draining the task queue while it
 // waits, which (a) uses the calling thread as one more worker and (b) makes
@@ -30,8 +33,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t thread_count() const noexcept { return workers_.size(); }
-
   /// Runs body(i) for i in [begin, end), partitioned across workers, and
   /// blocks until every index has completed.  body must be thread-safe across
   /// distinct indices.  Exceptions thrown by body propagate to the caller
@@ -39,10 +40,6 @@ class ThreadPool {
   /// (nested chunks are drained by the waiting threads themselves).
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
-
-  /// Submits fire-and-forget work.  The destructor drains every task still
-  /// queued before joining, so enqueued work is never silently dropped.
-  void enqueue(std::function<void()> fn);
 
   /// Process-wide default pool (lazily constructed, sized to the machine).
   static ThreadPool& global();

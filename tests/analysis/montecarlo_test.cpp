@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "issa/util/thread_pool.hpp"
+#include "sa/offset_model_fits.hpp"
 
 namespace issa::analysis {
 namespace {
@@ -163,11 +164,8 @@ TEST(MonteCarlo, OffsetModelFittedOncePerConfigSerial) {
   c.config.vdd = 0.97;
   McConfig mc = small_mc(4);
   mc.parallel = false;
-  const std::uint64_t before = sa::offset_model_fits();
-  measure_offset_distribution(c, mc);
-  EXPECT_EQ(sa::offset_model_fits() - before, 1u);
-  measure_offset_distribution(c, mc);
-  EXPECT_EQ(sa::offset_model_fits() - before, 1u);
+  EXPECT_EQ(sa::testing::offset_model_fits([&] { measure_offset_distribution(c, mc); }), 1u);
+  EXPECT_EQ(sa::testing::offset_model_fits([&] { measure_offset_distribution(c, mc); }), 0u);
 }
 
 TEST(MonteCarlo, OffsetModelFittedOncePerConfigOnAPool) {
@@ -176,19 +174,15 @@ TEST(MonteCarlo, OffsetModelFittedOncePerConfigOnAPool) {
   util::ThreadPool pool(4);
   McConfig mc = small_mc(8);
   mc.pool = &pool;
-  const std::uint64_t before = sa::offset_model_fits();
-  measure_offset_distribution(c, mc);
-  EXPECT_EQ(sa::offset_model_fits() - before, 1u);
-  measure_offset_distribution(c, mc);
-  EXPECT_EQ(sa::offset_model_fits() - before, 1u);
+  EXPECT_EQ(sa::testing::offset_model_fits([&] { measure_offset_distribution(c, mc); }), 1u);
+  EXPECT_EQ(sa::testing::offset_model_fits([&] { measure_offset_distribution(c, mc); }), 0u);
 }
 
 TEST(MonteCarlo, DelayDistributionFitsNoOffsetModel) {
   Condition c = fresh_nssa();
   c.config.vdd = 0.95;
-  const std::uint64_t before = sa::offset_model_fits();
-  measure_delay_distribution(c, small_mc(2));
-  EXPECT_EQ(sa::offset_model_fits() - before, 0u);
+  EXPECT_EQ(sa::testing::offset_model_fits([&] { measure_delay_distribution(c, small_mc(2)); }),
+            0u);
 }
 
 TEST(MonteCarlo, SharedStressMapMatchesPerSampleBuild) {

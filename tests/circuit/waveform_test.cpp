@@ -13,7 +13,6 @@ TEST(SourceWave, DcIsConstant) {
   EXPECT_DOUBLE_EQ(w.value(-1.0), 1.5);
   EXPECT_DOUBLE_EQ(w.value(0.0), 1.5);
   EXPECT_DOUBLE_EQ(w.value(1e9), 1.5);
-  EXPECT_TRUE(w.is_dc());
 }
 
 TEST(SourceWave, PwlInterpolates) {

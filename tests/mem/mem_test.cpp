@@ -79,23 +79,10 @@ TEST(Bitline, MoreRowsSlowBitline) {
             Bitline(small).discharge_time(0.1, 1.0, kT25));
 }
 
-TEST(Bitline, SwingAfterInvertsDischargeTime) {
-  const Bitline bl;
-  const double dv = 0.12;
-  const double t = bl.discharge_time(dv, 1.0, kT25);
-  EXPECT_NEAR(bl.swing_after(t, 1.0, kT25), dv, 2e-3);
-}
-
-TEST(Bitline, SwingAtZeroTimeIsZero) {
-  const Bitline bl;
-  EXPECT_DOUBLE_EQ(bl.swing_after(0.0, 1.0, kT25), 0.0);
-}
-
 TEST(Bitline, InputValidation) {
   const Bitline bl;
   EXPECT_THROW(bl.discharge_time(0.0, 1.0, kT25), std::invalid_argument);
   EXPECT_THROW(bl.discharge_time(1.0, 1.0, kT25), std::invalid_argument);
-  EXPECT_THROW(bl.swing_after(-1.0, 1.0, kT25), std::invalid_argument);
   BitlineParams p;
   p.rows = 0;
   EXPECT_THROW(Bitline{p}, std::invalid_argument);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "issa/workload/device_names.hpp"
 
 namespace issa::sa {
@@ -69,20 +72,54 @@ TEST(Builder, CrossCouplingIsCorrect) {
   EXPECT_EQ(mdownbar.drain, c.node_sbar());
 }
 
+// The capacitor of `net` named `name`, or nullptr.
+const circuit::Capacitor* find_capacitor(const circuit::Netlist& net, const std::string& name) {
+  for (const circuit::Capacitor& cap : net.capacitors()) {
+    if (cap.name == name) return &cap;
+  }
+  return nullptr;
+}
+
 TEST(Builder, ExplicitNodeCapsPresent) {
-  SenseAmpConfig cfg = nominal_config();
-  cfg.with_parasitics = false;
-  auto c = build_nssa(cfg);
-  // Cs, Csbar, Cout, Coutbar only.
-  EXPECT_EQ(c.netlist().capacitors().size(), 4u);
+  // The four named caps of Fig. 1: 1 fF on S and SBar, the loads on Out/OutBar.
+  const auto c = build_nssa(nominal_config());
+  const SenseAmpConfig& cfg = c.config();
+  const struct {
+    const char* name;
+    circuit::NodeId node;
+    double capacitance;
+  } explicit_caps[] = {{"Cs", c.node_s(), cfg.node_cap},
+                       {"Csbar", c.node_sbar(), cfg.node_cap},
+                       {"Cout", c.node_out(), cfg.out_load_cap},
+                       {"Coutbar", c.node_outbar(), cfg.out_load_cap}};
+  for (const auto& expected : explicit_caps) {
+    const circuit::Capacitor* cap = find_capacitor(c.netlist(), expected.name);
+    ASSERT_NE(cap, nullptr) << expected.name;
+    EXPECT_EQ(cap->a, expected.node) << expected.name;
+    EXPECT_EQ(cap->b, circuit::kGround) << expected.name;
+    EXPECT_EQ(cap->capacitance, expected.capacitance) << expected.name;
+  }
 }
 
 TEST(Builder, ParasiticsAddCapacitors) {
-  SenseAmpConfig with = nominal_config();
-  SenseAmpConfig without = nominal_config();
-  without.with_parasitics = false;
-  EXPECT_GT(build_nssa(with).netlist().capacitors().size(),
-            build_nssa(without).netlist().capacitors().size());
+  // Besides the four explicit caps, the NSSA netlist holds the parasitic
+  // Cgs/Cgd/Cdb of every MOSFET, one per pair of distinct terminals.
+  const auto c = build_nssa(nominal_config());
+  const auto& net = c.netlist();
+  std::size_t parasitics = 0;
+  for (const circuit::Mosfet& m : net.mosfets()) {
+    const std::pair<const char*, bool> terminals[] = {
+        {".cgs", m.gate != m.source}, {".cgd", m.gate != m.drain}, {".cdb", m.drain != m.bulk}};
+    for (const auto& [suffix, distinct] : terminals) {
+      if (!distinct) continue;
+      ++parasitics;
+      const circuit::Capacitor* cap = find_capacitor(net, m.name + suffix);
+      ASSERT_NE(cap, nullptr) << m.name << suffix;
+      EXPECT_GT(cap->capacitance, 0.0) << m.name << suffix;
+    }
+  }
+  EXPECT_GT(parasitics, 0u);
+  EXPECT_EQ(net.capacitors().size(), 4u + parasitics);
 }
 
 TEST(Builder, SetInputDifferentialKeepsBitlinesAtOrBelowVdd) {

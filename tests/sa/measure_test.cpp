@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "circuit/kcl_oracle.hpp"
+#include "sa/offset_model_fits.hpp"
 #include "issa/analysis/montecarlo.hpp"
 #include "issa/circuit/simulator.hpp"
 #include "issa/sa/double_tail.hpp"
@@ -608,14 +609,15 @@ TEST(Measure, OffsetModelPredictsFreshSamplesToHalfAMillivolt) {
 TEST(Measure, OffsetModelFittedOnceUnderConcurrentFirstUse) {
   SenseAmpConfig config = nominal_config();
   config.temperature_c = 40.0;  // fitted by no other test
-  const std::uint64_t before = offset_model_fits();
   const OffsetModel* seen[2] = {nullptr, nullptr};
-  std::thread a([&] { seen[0] = &offset_model(SenseAmpKind::kIssa, config); });
-  std::thread b([&] { seen[1] = &offset_model(SenseAmpKind::kIssa, config); });
-  a.join();
-  b.join();
+  const std::uint64_t fits = testing::offset_model_fits([&] {
+    std::thread a([&] { seen[0] = &offset_model(SenseAmpKind::kIssa, config); });
+    std::thread b([&] { seen[1] = &offset_model(SenseAmpKind::kIssa, config); });
+    a.join();
+    b.join();
+  });
   EXPECT_EQ(seen[0], seen[1]);
-  EXPECT_EQ(offset_model_fits() - before, 1u);
+  EXPECT_EQ(fits, 1u);
   EXPECT_EQ(&offset_model(SenseAmpKind::kIssa, config), seen[0]);
   // Another key is another model.
   EXPECT_NE(&offset_model(SenseAmpKind::kIssa, nominal_config()), seen[0]);

@@ -25,7 +25,6 @@ TEST(AsciiTable, RendersHeaderRuleAndRows) {
   EXPECT_NE(out.find("---"), std::string::npos);
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("22.50"), std::string::npos);
-  EXPECT_EQ(t.row_count(), 2u);
 }
 
 TEST(AsciiTable, ColumnsAlign) {
@@ -81,7 +80,7 @@ TEST(Options, ParsesFlagsAndValues) {
   const Options opt(5, argv, {"fast", "slow", "mc=N", "name=s", "x=F"});
   EXPECT_TRUE(opt.has_flag("fast"));
   EXPECT_FALSE(opt.has_flag("slow"));
-  EXPECT_EQ(opt.get_long_or("mc", 0), 250);
+  EXPECT_EQ(opt.get_long("mc").value_or(0), 250);
   EXPECT_EQ(*opt.get_string("name"), "hello");
   EXPECT_DOUBLE_EQ(*opt.get_double("x"), -1.5);
 }
@@ -90,7 +89,7 @@ TEST(Options, DefaultsWhenAbsent) {
   const char* argv[] = {"prog"};
   const Options opt(1, argv, {"x=F", "n=N", "missing=s"});
   EXPECT_DOUBLE_EQ(opt.get_double_or("x", 2.5), 2.5);
-  EXPECT_EQ(opt.get_long_or("n", 7), 7);
+  EXPECT_FALSE(opt.get_long("n").has_value());
   EXPECT_FALSE(opt.get_string("missing").has_value());
 }
 
@@ -191,7 +190,7 @@ TEST(OptionsDeathTest, FailPrintsMessageAndUsage) {
 TEST(OptionsDeathTest, StrictMalformedNumberPrintsUsageAndExitsTwo) {
   const char* argv[] = {"prog", "--mc=abc", "--vin=x"};
   const Options opt(3, argv, {"mc=N", "vin=mV"});
-  EXPECT_EXIT(opt.get_long_or("mc", 80), ::testing::ExitedWithCode(2),
+  EXPECT_EXIT(opt.get_long("mc"), ::testing::ExitedWithCode(2),
               "bad integer value for --mc: abc\nusage: prog \\[--mc=N\\] \\[--vin=mV\\]\n");
   EXPECT_EXIT(opt.get_double_or("vin", 50.0), ::testing::ExitedWithCode(2),
               "bad numeric value for --vin: x\nusage: prog");

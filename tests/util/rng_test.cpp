@@ -28,13 +28,6 @@ TEST(Xoshiro256, SameSeedSameStream) {
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a(), b());
 }
 
-TEST(Xoshiro256, ReseedRestartsStream) {
-  Xoshiro256 a(42);
-  const auto first = a();
-  a.reseed(42);
-  EXPECT_EQ(a(), first);
-}
-
 TEST(Xoshiro256, UniformInUnitInterval) {
   Xoshiro256 rng(7);
   for (int i = 0; i < 10000; ++i) {

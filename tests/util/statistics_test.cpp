@@ -109,20 +109,5 @@ TEST(Summarize, FullSummary) {
   EXPECT_DOUBLE_EQ(s.median, 5.0);
 }
 
-TEST(Histogram, CountsAndClamping) {
-  const std::vector<double> xs = {-10.0, 0.1, 0.5, 0.9, 10.0};
-  const auto h = histogram(xs, 0.0, 1.0, 2);
-  ASSERT_EQ(h.size(), 2u);
-  // -10 clamps into bucket 0; 10 clamps into bucket 1.
-  EXPECT_EQ(h[0], 2u);  // -10, 0.1
-  EXPECT_EQ(h[1], 3u);  // 0.5, 0.9, 10
-}
-
-TEST(Histogram, ThrowsOnBadArgs) {
-  const std::vector<double> xs = {1.0};
-  EXPECT_THROW(histogram(xs, 0.0, 1.0, 0), std::invalid_argument);
-  EXPECT_THROW(histogram(xs, 1.0, 0.0, 4), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace issa::util

@@ -3,11 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
-#include <memory>
-#include <numeric>
+#include <functional>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "issa/util/metrics.hpp"
@@ -79,7 +76,9 @@ TEST(ThreadPool, SequentialFallbackForTinyRanges) {
 
 TEST(ThreadPool, GlobalPoolIsSingleton) {
   EXPECT_EQ(&ThreadPool::global(), &ThreadPool::global());
-  EXPECT_GT(ThreadPool::global().thread_count(), 0u);
+  std::atomic<int> count{0};
+  ThreadPool::global().parallel_for(0, 16, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 16);
 }
 
 TEST(ThreadPool, NestedUseFromManyCallers) {
@@ -133,23 +132,6 @@ TEST(ThreadPool, ExceptionFromRecursiveSubmissionPropagates) {
   std::atomic<int> count{0};
   pool.parallel_for(0, 10, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 10);
-}
-
-TEST(ThreadPool, ShutdownWhileBusyDrainsAllTasks) {
-  // Destroying the pool while workers are busy must drain every queued task
-  // (no lost work) and join cleanly instead of crashing.  Enqueue directly so
-  // pool lifetime stays owned by this thread: destroying the pool while
-  // another thread is inside a member call is not part of the contract.
-  auto pool = std::make_unique<ThreadPool>(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 32; ++i) {
-    pool->enqueue([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      done.fetch_add(1);
-    });
-  }
-  pool.reset();  // shutdown while workers are busy; queue is still deep
-  EXPECT_EQ(done.load(), 32);
 }
 
 TEST(ThreadPool, CountsTasksWhenMetricsEnabled) {
