@@ -355,12 +355,8 @@ CellDistributions run_pass(const Condition& condition, const McConfig& mc,
       if (!fp.empty()) mc_cache::insert(fp, m->key, i, m->slots[i]);
     }
   };
-  if (mc.parallel) {
-    util::ThreadPool& pool = mc.pool != nullptr ? *mc.pool : util::ThreadPool::global();
-    pool.parallel_for(0, mc.iterations, visit);
-  } else {
-    for (std::size_t i = 0; i < mc.iterations; ++i) visit(i);
-  }
+  util::ThreadPool& pool = mc.pool != nullptr ? *mc.pool : util::ThreadPool::global();
+  pool.parallel_for(0, mc.iterations, visit);
 
   std::vector<OffsetDistribution> dists;
   for (Measurement& m : measurements) dists.push_back(assemble(m, label, mc, run_id));

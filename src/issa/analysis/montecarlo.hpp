@@ -12,8 +12,8 @@
 // process variation and BTI trap sets from streams keyed by (seed, i, device
 // name), and measures the offset voltage and/or the sensing delay on that
 // build by transient simulation.  Samples are independent, so they run on
-// the global thread pool; results are deterministic in (condition, mc
-// config) regardless of thread count.
+// McConfig::pool (the global pool by default); results are deterministic in
+// (condition, mc config) regardless of thread count.
 //
 // Fault tolerance, per measurement: a solver failure (ConvergenceError,
 // singular LU, unresolvable delay, injected fault) is retried once on the
@@ -122,9 +122,9 @@ class McDegradationError : public std::runtime_error {
 struct McConfig {
   std::size_t iterations = 400;  ///< the paper's Monte-Carlo count
   std::uint64_t seed = 42;
-  bool parallel = true;
-  /// Pool for parallel runs (non-owning; nullptr = the global pool).  Results
-  /// are identical for every pool size, including serial (parallel = false).
+  /// Pool that runs the samples (non-owning; nullptr = the global pool).
+  /// Results are identical for every pool size; a pool of 0 workers runs the
+  /// samples serially on the calling thread.
   util::ThreadPool* pool = nullptr;
 
   /// The run throws McDegradationError when strictly more than this fraction

@@ -13,13 +13,26 @@ using circuit::NodeId;
 using circuit::SourceWave;
 namespace dn = dt_names;
 
+// W/L ratios, chosen for balanced regeneration at the Fig. 1 testbench
+// conditions (no paper reference exists for these).
+constexpr double kInputWl = 10.0;     // input pair NMOS
+constexpr double kTail1Wl = 2.5;      // input-stage tail NMOS (limits the current to
+                                      // stretch the integration window -> gain)
+constexpr double kPrechargeWl = 4.0;  // Di precharge PMOS
+constexpr double kInjectorWl = 8.0;   // latch injector NMOS
+constexpr double kLatchNWl = 10.0;    // latch cross-coupled NMOS
+constexpr double kLatchPWl = 10.0;    // latch cross-coupled PMOS
+constexpr double kTail2Wl = 16.0;     // latch-stage tail PMOS
+constexpr double kMuxWl = 10.0;       // input mux pass PMOS (switching variant)
+constexpr double kOutNWl = 2.5;       // output inverter NMOS
+constexpr double kOutPWl = 5.0;       // output inverter PMOS
+
 }  // namespace
 
 // Friend of SenseAmpCircuit: assembles both double-tail variants.
 class DoubleTailBuilder {
  public:
-  static SenseAmpCircuit build(const SenseAmpConfig& config, const DoubleTailSizing& sizing,
-                               bool switching) {
+  static SenseAmpCircuit build(const SenseAmpConfig& config, bool switching) {
     SenseAmpCircuit c;
     c.kind_ = switching ? SenseAmpKind::kDoubleTailSwitching : SenseAmpKind::kDoubleTail;
     c.config_ = config;
@@ -65,67 +78,60 @@ class DoubleTailBuilder {
       c.src_saen_a_ = net.add_vsource("Vsel_a", sel_a, circuit::kGround, SourceWave::dc(0.0));
       c.src_saen_b_ =
           net.add_vsource("Vsel_b", sel_b, circuit::kGround, SourceWave::dc(config.vdd));
-      mux_devices.push_back(net.add_mosfet(std::string(dn::kMux1),
-                                           pmos_of(config, sizing.mux_wl), sel_a, g, bl, vdd));
-      mux_devices.push_back(net.add_mosfet(std::string(dn::kMux2), pmos_of(config, sizing.mux_wl),
+      mux_devices.push_back(
+          net.add_mosfet(std::string(dn::kMux1), pmos_of(config, kMuxWl), sel_a, g, bl, vdd));
+      mux_devices.push_back(net.add_mosfet(std::string(dn::kMux2), pmos_of(config, kMuxWl),
                                            sel_a, gbar, blbar, vdd));
-      mux_devices.push_back(net.add_mosfet(std::string(dn::kMux3), pmos_of(config, sizing.mux_wl),
-                                           sel_b, g, blbar, vdd));
-      mux_devices.push_back(net.add_mosfet(std::string(dn::kMux4),
-                                           pmos_of(config, sizing.mux_wl), sel_b, gbar, bl, vdd));
+      mux_devices.push_back(
+          net.add_mosfet(std::string(dn::kMux3), pmos_of(config, kMuxWl), sel_b, g, blbar, vdd));
+      mux_devices.push_back(
+          net.add_mosfet(std::string(dn::kMux4), pmos_of(config, kMuxWl), sel_b, gbar, bl, vdd));
     }
 
     // Input stage: pair over a clocked tail; drains are cross-assigned so a
     // high BL (reading 1) discharges DiBar first.
-    const std::size_t min_idx = net.add_mosfet(std::string(dn::kMin),
-                                               nmos_of(config, sizing.input_wl), g, dibar, ntail1,
-                                               circuit::kGround);
-    const std::size_t minbar_idx = net.add_mosfet(std::string(dn::kMinBar),
-                                                  nmos_of(config, sizing.input_wl), gbar, di,
-                                                  ntail1, circuit::kGround);
-    const std::size_t tail1_idx = net.add_mosfet(std::string(dn::kTail1),
-                                                 nmos_of(config, sizing.tail1_wl), saen, ntail1,
-                                                 circuit::kGround, circuit::kGround);
+    const std::size_t min_idx = net.add_mosfet(std::string(dn::kMin), nmos_of(config, kInputWl),
+                                               g, dibar, ntail1, circuit::kGround);
+    const std::size_t minbar_idx = net.add_mosfet(
+        std::string(dn::kMinBar), nmos_of(config, kInputWl), gbar, di, ntail1, circuit::kGround);
+    const std::size_t tail1_idx =
+        net.add_mosfet(std::string(dn::kTail1), nmos_of(config, kTail1Wl), saen, ntail1,
+                       circuit::kGround, circuit::kGround);
     const std::size_t pre_idx = net.add_mosfet(std::string(dn::kPre),
-                                               pmos_of(config, sizing.precharge_wl), saen, di,
-                                               vdd, vdd);
-    const std::size_t prebar_idx = net.add_mosfet(std::string(dn::kPreBar),
-                                                  pmos_of(config, sizing.precharge_wl), saen,
-                                                  dibar, vdd, vdd);
+                                               pmos_of(config, kPrechargeWl), saen, di, vdd, vdd);
+    const std::size_t prebar_idx = net.add_mosfet(
+        std::string(dn::kPreBar), pmos_of(config, kPrechargeWl), saen, dibar, vdd, vdd);
 
     // Latch stage: injectors convert the Di differential into latch
     // imbalance; cross-coupled inverters regenerate under the PMOS tail.
-    const std::size_t inj_idx = net.add_mosfet(std::string(dn::kInj),
-                                               nmos_of(config, sizing.injector_wl), di, lbar,
-                                               circuit::kGround, circuit::kGround);
-    const std::size_t injbar_idx = net.add_mosfet(std::string(dn::kInjBar),
-                                                  nmos_of(config, sizing.injector_wl), dibar, l,
-                                                  circuit::kGround, circuit::kGround);
-    const std::size_t latchn_idx = net.add_mosfet(std::string(dn::kLatchN),
-                                                  nmos_of(config, sizing.latch_n_wl), lbar, l,
-                                                  circuit::kGround, circuit::kGround);
-    const std::size_t latchnbar_idx = net.add_mosfet(std::string(dn::kLatchNBar),
-                                                     nmos_of(config, sizing.latch_n_wl), l, lbar,
-                                                     circuit::kGround, circuit::kGround);
-    const std::size_t latchp_idx = net.add_mosfet(std::string(dn::kLatchP),
-                                                  pmos_of(config, sizing.latch_p_wl), lbar, l,
-                                                  ptail2, vdd);
-    const std::size_t latchpbar_idx = net.add_mosfet(std::string(dn::kLatchPBar),
-                                                     pmos_of(config, sizing.latch_p_wl), l, lbar,
-                                                     ptail2, vdd);
-    const std::size_t tail2_idx = net.add_mosfet(std::string(dn::kTail2),
-                                                 pmos_of(config, sizing.tail2_wl), saenbar,
-                                                 ptail2, vdd, vdd);
+    const std::size_t inj_idx =
+        net.add_mosfet(std::string(dn::kInj), nmos_of(config, kInjectorWl), di, lbar,
+                       circuit::kGround, circuit::kGround);
+    const std::size_t injbar_idx =
+        net.add_mosfet(std::string(dn::kInjBar), nmos_of(config, kInjectorWl), dibar, l,
+                       circuit::kGround, circuit::kGround);
+    const std::size_t latchn_idx =
+        net.add_mosfet(std::string(dn::kLatchN), nmos_of(config, kLatchNWl), lbar, l,
+                       circuit::kGround, circuit::kGround);
+    const std::size_t latchnbar_idx =
+        net.add_mosfet(std::string(dn::kLatchNBar), nmos_of(config, kLatchNWl), l, lbar,
+                       circuit::kGround, circuit::kGround);
+    const std::size_t latchp_idx = net.add_mosfet(
+        std::string(dn::kLatchP), pmos_of(config, kLatchPWl), lbar, l, ptail2, vdd);
+    const std::size_t latchpbar_idx = net.add_mosfet(
+        std::string(dn::kLatchPBar), pmos_of(config, kLatchPWl), l, lbar, ptail2, vdd);
+    const std::size_t tail2_idx = net.add_mosfet(
+        std::string(dn::kTail2), pmos_of(config, kTail2Wl), saenbar, ptail2, vdd, vdd);
 
     // Output buffers: Out = INV(LBar), OutBar = INV(L).
-    const std::size_t outp_idx = net.add_mosfet("DtOutP", pmos_of(config, sizing.out_p_wl), lbar,
-                                                out, vdd, vdd);
-    const std::size_t outn_idx = net.add_mosfet("DtOutN", nmos_of(config, sizing.out_n_wl), lbar,
-                                                out, circuit::kGround, circuit::kGround);
-    const std::size_t outpbar_idx = net.add_mosfet("DtOutPBar", pmos_of(config, sizing.out_p_wl),
-                                                   l, outbar, vdd, vdd);
-    const std::size_t outnbar_idx = net.add_mosfet("DtOutNBar", nmos_of(config, sizing.out_n_wl),
-                                                   l, outbar, circuit::kGround, circuit::kGround);
+    const std::size_t outp_idx =
+        net.add_mosfet("DtOutP", pmos_of(config, kOutPWl), lbar, out, vdd, vdd);
+    const std::size_t outn_idx = net.add_mosfet("DtOutN", nmos_of(config, kOutNWl), lbar, out,
+                                                circuit::kGround, circuit::kGround);
+    const std::size_t outpbar_idx =
+        net.add_mosfet("DtOutPBar", pmos_of(config, kOutPWl), l, outbar, vdd, vdd);
+    const std::size_t outnbar_idx = net.add_mosfet("DtOutNBar", nmos_of(config, kOutNWl), l,
+                                                   outbar, circuit::kGround, circuit::kGround);
 
     net.add_capacitor("Cdi", di, circuit::kGround, config.node_cap);
     net.add_capacitor("Cdibar", dibar, circuit::kGround, config.node_cap);
@@ -155,13 +161,12 @@ class DoubleTailBuilder {
   }
 };
 
-SenseAmpCircuit build_double_tail(const SenseAmpConfig& config, const DoubleTailSizing& sizing) {
-  return DoubleTailBuilder::build(config, sizing, /*switching=*/false);
+SenseAmpCircuit build_double_tail(const SenseAmpConfig& config) {
+  return DoubleTailBuilder::build(config, /*switching=*/false);
 }
 
-SenseAmpCircuit build_double_tail_switching(const SenseAmpConfig& config,
-                                            const DoubleTailSizing& sizing) {
-  return DoubleTailBuilder::build(config, sizing, /*switching=*/true);
+SenseAmpCircuit build_double_tail_switching(const SenseAmpConfig& config) {
+  return DoubleTailBuilder::build(config, /*switching=*/true);
 }
 
 namespace {

@@ -27,22 +27,6 @@
 
 namespace issa::sa {
 
-/// W/L ratios for the double-tail SA (chosen for balanced regeneration at
-/// the Fig. 1 testbench conditions; no paper reference exists for these).
-struct DoubleTailSizing {
-  double input_wl = 10.0;     ///< input pair NMOS
-  double tail1_wl = 2.5;      ///< input-stage tail NMOS (limits the current to
-                              ///< stretch the integration window -> gain)
-  double precharge_wl = 4.0;  ///< Di precharge PMOS
-  double injector_wl = 8.0;   ///< latch injector NMOS
-  double latch_n_wl = 10.0;   ///< latch cross-coupled NMOS
-  double latch_p_wl = 10.0;   ///< latch cross-coupled PMOS
-  double tail2_wl = 16.0;     ///< latch-stage tail PMOS
-  double mux_wl = 10.0;       ///< input mux pass PMOS (switching variant)
-  double out_n_wl = 2.5;      ///< output inverter NMOS
-  double out_p_wl = 5.0;      ///< output inverter PMOS
-};
-
 /// Device names (for the stress maps and tests).
 namespace dt_names {
 inline constexpr std::string_view kMin = "DtMin";            // input NMOS, gate from BL
@@ -66,13 +50,11 @@ inline constexpr std::string_view kMux4 = "DtMux4";  // BL    -> GBar  (swapped)
 /// Builds the plain double-tail SA testbench.  The returned circuit's
 /// "s"/"sbar" handles point at the latch nodes L / LBar (the decision
 /// nodes), so measure_offset / measure_delay work unchanged.
-SenseAmpCircuit build_double_tail(const SenseAmpConfig& config,
-                                  const DoubleTailSizing& sizing = {});
+SenseAmpCircuit build_double_tail(const SenseAmpConfig& config);
 
 /// Builds the input-switching double-tail SA (static input mux).  Use
 /// SenseAmpCircuit::set_swapped() to select the crossed mux pair.
-SenseAmpCircuit build_double_tail_switching(const SenseAmpConfig& config,
-                                            const DoubleTailSizing& sizing = {});
+SenseAmpCircuit build_double_tail_switching(const SenseAmpConfig& config);
 
 /// Stress maps for the double-tail devices under a workload (the analogue of
 /// workload::nssa_stress_map / issa_stress_map for this topology).

@@ -73,8 +73,9 @@ inline constexpr const char* kNewtonNonconvergence = "sim.newton_nonconvergence"
 inline constexpr const char* kGminStageFail = "sim.gmin_stage_fail";
 /// The transient step-size control collapses (terminal ConvergenceError).
 inline constexpr const char* kTransientStepCollapse = "sim.transient_step_collapse";
-/// A thread-pool parallel_for task body throws (exercises the first-error
-/// capture + rethrow-at-join contract).
+/// A participant's turn at a thread-pool parallel_for job throws before it
+/// claims an index (exercises the first-error capture + rethrow-at-join
+/// contract).
 inline constexpr const char* kPoolTaskThrow = "pool.task_throw";
 }  // namespace sites
 

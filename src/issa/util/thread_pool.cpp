@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <exception>
-#include <memory>
 
 #include "issa/util/faultpoint.hpp"
 #include "issa/util/metrics.hpp"
@@ -26,13 +25,48 @@ metrics::Histogram& queue_latency() {
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    threads = hw == 0 ? 4 : hw;
+struct ThreadPool::Job {
+  Job(const std::function<void(std::size_t)>& body, std::size_t begin, std::size_t end)
+      : body(body),
+        next(begin),
+        end(end),
+        post_ns(metrics::enabled() ? metrics::monotonic_ns() : 0) {}
+
+  const std::function<void(std::size_t)>& body;
+  std::atomic<std::size_t> next;
+  const std::size_t end;
+  const std::uint64_t post_ns;  // 0 unless metrics were enabled at the post
+  std::atomic<bool> failed{false};
+  std::exception_ptr first_error;  // written only by the participant that set failed
+
+  // One participant's turn: claims indices until none is left or a body
+  // threw.  The turn's pool.task span closes before it returns, and so
+  // before a worker reports that it left.
+  void take_part() {
+    if (post_ns != 0 && metrics::enabled()) {
+      queue_latency().record(metrics::monotonic_ns() - post_ns);
+    }
+    tasks_executed().add();
+    // The gap between pool.task spans on a tid is the time its thread idled.
+    const trace::Span span(trace::spans::kPoolTask, "pool");
+    try {
+      // Inside the try so an injected throw exercises the first-error
+      // capture and the rethrow at the join.
+      faultpoint::maybe_fail(faultpoint::sites::kPoolTaskThrow);
+      while (!failed.load()) {
+        const std::size_t i = next.fetch_add(1);
+        if (i >= end) break;
+        body(i);
+      }
+    } catch (...) {
+      if (!failed.exchange(true)) first_error = std::current_exception();
+    }
   }
-  workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
+};
+
+ThreadPool::ThreadPool(std::size_t workers) {
+  workers_.reserve(workers);
+  for (std::size_t i = 0; i < workers; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
 }
@@ -42,128 +76,58 @@ ThreadPool::~ThreadPool() {
     std::lock_guard lock(mutex_);
     stop_ = true;
   }
-  cv_.notify_all();
+  posted_.notify_all();
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::run_task(Task task) {
-  if (task.enqueue_ns != 0 && metrics::enabled()) {
-    queue_latency().record(metrics::monotonic_ns() - task.enqueue_ns);
-  }
-  tasks_executed().add();
-  {
-    // Task spans make worker utilization visible in the trace timeline: the
-    // gap between pool.task spans on a tid is idle/queueing time.
-    const trace::Span span(trace::spans::kPoolTask, "pool");
-    task.fn();
-  }
-  // A parallel_for chunk signals its caller only here, so the caller never
-  // returns before the chunk's span is recorded.
-  task.done();
-}
-
 void ThreadPool::worker_loop() {
+  std::uint64_t seen = 0;  // the last job this worker joined
+  std::unique_lock lock(mutex_);
   for (;;) {
-    Task task;
-    {
-      std::unique_lock lock(mutex_);
-      cv_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
-      if (stop_ && tasks_.empty()) return;
-      task = std::move(tasks_.front());
-      tasks_.pop();
-    }
-    run_task(std::move(task));
+    posted_.wait(lock, [&] { return stop_ || (job_ != nullptr && posts_ != seen); });
+    if (stop_) return;
+    seen = posts_;
+    Job& job = *job_;
+    ++joined_;
+    lock.unlock();
+    job.take_part();
+    lock.lock();
+    if (--joined_ == 0) left_.notify_all();
   }
-}
-
-bool ThreadPool::try_run_one() {
-  Task task;
-  {
-    std::lock_guard lock(mutex_);
-    if (tasks_.empty()) return false;
-    task = std::move(tasks_.front());
-    tasks_.pop();
-  }
-  run_task(std::move(task));
-  return true;
-}
-
-void ThreadPool::push(Task task) {
-  if (metrics::enabled()) task.enqueue_ns = metrics::monotonic_ns();
-  {
-    std::lock_guard lock(mutex_);
-    tasks_.push(std::move(task));
-  }
-  cv_.notify_one();
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& body) {
   if (begin >= end) return;
-  const std::size_t n = end - begin;
-  const std::size_t chunks = std::min(n, workers_.size() * 4);
-  if (chunks <= 1) {
+  std::unique_lock lock(mutex_);
+  // The slot stays taken until the last worker of the previous job has left.
+  if (end - begin == 1 || workers_.empty() || job_ != nullptr || joined_ != 0) {
+    lock.unlock();
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
+  Job job(body, begin, end);
+  job_ = &job;
+  ++posts_;
+  lock.unlock();
+  posted_.notify_all();
 
-  // The completion state is shared with every chunk task, not stack-local:
-  // the caller may observe remaining == 0 through the atomic and return
-  // while the finishing worker is still inside notify_all, so the cv/mutex
-  // must outlive that call — the last shared_ptr to die keeps them alive.
-  struct Sync {
-    std::atomic<std::size_t> remaining;
-    std::atomic<bool> failed{false};
-    std::exception_ptr first_error;
-    std::mutex error_mutex;
-    std::mutex done_mutex;
-    std::condition_variable done_cv;
-  };
-  auto sync = std::make_shared<Sync>();
-  sync->remaining.store(chunks, std::memory_order_relaxed);
+  job.take_part();
 
-  const std::size_t chunk_size = (n + chunks - 1) / chunks;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    auto chunk = [sync, &body, lo, hi] {
-      try {
-        // Inside the try so an injected throw exercises the first-error
-        // capture + rethrow-at-join contract below, not worker_loop.
-        faultpoint::maybe_fail(faultpoint::sites::kPoolTaskThrow);
-        for (std::size_t i = lo; i < hi && !sync->failed.load(std::memory_order_relaxed);
-             ++i) {
-          body(i);
-        }
-      } catch (...) {
-        std::lock_guard lock(sync->error_mutex);
-        if (!sync->failed.exchange(true)) sync->first_error = std::current_exception();
-      }
-    };
-    auto signal = [sync] {
-      if (sync->remaining.fetch_sub(1) == 1) {
-        std::lock_guard lock(sync->done_mutex);
-        sync->done_cv.notify_all();
-      }
-    };
-    push(Task{.fn = std::move(chunk), .done = std::move(signal)});
-  }
-
-  // Help drain the queue while waiting.  Once the queue is empty every chunk
-  // of THIS call is either finished or running on another thread, so blocking
-  // on done_cv cannot deadlock: the predicate re-check under done_mutex
-  // catches a completion that slipped in between the pop attempt and the wait.
-  while (sync->remaining.load(std::memory_order_acquire) != 0) {
-    if (try_run_one()) continue;
-    std::unique_lock lock(sync->done_mutex);
-    sync->done_cv.wait(
-        lock, [&] { return sync->remaining.load(std::memory_order_acquire) == 0; });
-  }
-  if (sync->first_error) std::rethrow_exception(sync->first_error);
+  // Every index has been claimed (or a body threw): close the job to late
+  // workers and wait for those still inside it.
+  lock.lock();
+  job_ = nullptr;
+  left_.wait(lock, [this] { return joined_ == 0; });
+  lock.unlock();
+  if (job.first_error) std::rethrow_exception(job.first_error);
 }
 
 ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
+  static ThreadPool pool([] {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 4u : hw;
+  }());
   return pool;
 }
 

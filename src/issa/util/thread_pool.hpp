@@ -1,16 +1,16 @@
-// A small fixed-size thread pool whose one entry point is parallel_for.
+// A fixed set of worker threads that runs one parallel_for job at a time.
 //
-// Monte-Carlo loops dominate the runtime of every bench; each iteration is an
-// independent transient simulation, so a static block partition is enough.
-// Every queued task is a chunk of some parallel_for call, and that call
-// returns only after all of its chunks have run, so the queue is empty
-// whenever no call is in flight (in particular when the pool is destroyed).
+// Every Monte-Carlo pass is one parallel_for over sample indices, each an
+// independent transient simulation whose result lands in its own slot.  The
+// caller posts the job into the pool's single slot; the workers and the
+// caller then claim indices one at a time from the job's atomic counter
+// until the range runs out, so a slow sample never holds back the indices
+// behind it.  Which thread runs an index never changes what it computes.
 //
-// parallel_for's caller participates in draining the task queue while it
-// waits, which (a) uses the calling thread as one more worker and (b) makes
-// nested parallel_for calls issued from inside pool tasks deadlock-free: any
-// thread blocked on completion keeps executing queued chunks, so some thread
-// always makes progress.
+// A parallel_for issued while the slot is taken (from inside a body, or by a
+// second caller) runs its range serially on its own thread, as do a range of
+// one index and a pool without workers: nesting needs no queue and cannot
+// deadlock.
 #pragma once
 
 #include <condition_variable>
@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -26,42 +25,36 @@ namespace issa::util {
 
 class ThreadPool {
  public:
-  /// Creates a pool with `threads` workers (0 = hardware concurrency).
-  explicit ThreadPool(std::size_t threads = 0);
+  /// Starts exactly `workers` threads; with 0 the caller runs every job alone.
+  explicit ThreadPool(std::size_t workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Runs body(i) for i in [begin, end), partitioned across workers, and
-  /// blocks until every index has completed.  body must be thread-safe across
-  /// distinct indices.  Exceptions thrown by body propagate to the caller
-  /// (the first one encountered).  Safe to call from inside a pool task
-  /// (nested chunks are drained by the waiting threads themselves).
+  /// Runs body(i) for every i in [begin, end) and returns once all have run
+  /// and every worker that joined has left.  body must be thread-safe across
+  /// distinct indices.  After a body throws no further index starts, and the
+  /// first exception is rethrown here.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
 
-  /// Process-wide default pool (lazily constructed, sized to the machine).
+  /// Process-wide pool with one worker per hardware thread.
   static ThreadPool& global();
 
  private:
-  struct Task {
-    std::function<void()> fn;
-    std::function<void()> done;    // runs after fn's pool.task span has closed
-    std::uint64_t enqueue_ns = 0;  // set only while metrics are enabled
-  };
+  struct Job;
 
-  void push(Task task);
   void worker_loop();
-  void run_task(Task task);
-  /// Pops one queued task if any and runs it; returns false when idle.
-  bool try_run_one();
 
-  std::vector<std::thread> workers_;
-  std::queue<Task> tasks_;
   std::mutex mutex_;
-  std::condition_variable cv_;
+  std::condition_variable posted_;  // a job was posted, or the pool stops
+  std::condition_variable left_;    // the last joined worker left its job
+  Job* job_ = nullptr;              // the job in flight, open to workers
+  std::uint64_t posts_ = 0;         // jobs posted so far
+  std::size_t joined_ = 0;          // workers inside a job
   bool stop_ = false;
+  std::vector<std::thread> workers_;  // last: the threads use every member above
 };
 
 }  // namespace issa::util

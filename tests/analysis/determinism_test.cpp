@@ -51,12 +51,13 @@ Condition aged_condition() {
   return c;
 }
 
-McConfig mc_with(std::size_t iterations, bool parallel,
-                 util::ThreadPool* pool = nullptr) {
+// A pool without workers: its caller runs every sample in order.
+util::ThreadPool g_serial(0);
+
+McConfig mc_with(std::size_t iterations, util::ThreadPool* pool) {
   McConfig mc;
   mc.iterations = iterations;
   mc.seed = 42;
-  mc.parallel = parallel;
   mc.pool = pool;
   return mc;
 }
@@ -65,9 +66,9 @@ TEST(Determinism, OffsetParallelMatchesSerialAtPaperScale) {
   // The paper's full 400-sample Monte-Carlo, run both ways.
   const Condition c = aged_condition();
   const OffsetDistribution serial =
-      measure_offset_distribution(c, mc_with(400, /*parallel=*/false));
+      measure_offset_distribution(c, mc_with(400, &g_serial));
   const OffsetDistribution parallel =
-      measure_offset_distribution(c, mc_with(400, /*parallel=*/true));
+      measure_offset_distribution(c, mc_with(400, &util::ThreadPool::global()));
   EXPECT_TRUE(bit_exact(serial.offsets, parallel.offsets));
   EXPECT_EQ(serial.saturated_count, parallel.saturated_count);
   EXPECT_EQ(serial.summary.count, parallel.summary.count);
@@ -78,9 +79,9 @@ TEST(Determinism, OffsetParallelMatchesSerialAtPaperScale) {
 TEST(Determinism, DelayParallelMatchesSerialAtPaperScale) {
   const Condition c = aged_condition();
   const DelayDistribution serial =
-      measure_delay_distribution(c, mc_with(400, /*parallel=*/false));
+      measure_delay_distribution(c, mc_with(400, &g_serial));
   const DelayDistribution parallel =
-      measure_delay_distribution(c, mc_with(400, /*parallel=*/true));
+      measure_delay_distribution(c, mc_with(400, &util::ThreadPool::global()));
   EXPECT_TRUE(bit_exact(serial.delays, parallel.delays));
   EXPECT_EQ(serial.summary.mean, parallel.summary.mean);
   EXPECT_EQ(serial.summary.stddev, parallel.summary.stddev);
@@ -90,11 +91,11 @@ TEST(Determinism, OffsetIdenticalAcrossPoolSizes) {
   // Pool sizes 1, 2, 8 must all reproduce the serial result bit-for-bit.
   const Condition c = aged_condition();
   const OffsetDistribution reference =
-      measure_offset_distribution(c, mc_with(48, /*parallel=*/false));
+      measure_offset_distribution(c, mc_with(48, &g_serial));
   for (const std::size_t threads : {1u, 2u, 8u}) {
     util::ThreadPool pool(threads);
     const OffsetDistribution d =
-        measure_offset_distribution(c, mc_with(48, /*parallel=*/true, &pool));
+        measure_offset_distribution(c, mc_with(48, &pool));
     EXPECT_TRUE(bit_exact(reference.offsets, d.offsets)) << threads << " threads";
     EXPECT_EQ(reference.saturated_count, d.saturated_count) << threads << " threads";
   }
@@ -103,11 +104,11 @@ TEST(Determinism, OffsetIdenticalAcrossPoolSizes) {
 TEST(Determinism, DelayIdenticalAcrossPoolSizes) {
   const Condition c = aged_condition();
   const DelayDistribution reference =
-      measure_delay_distribution(c, mc_with(48, /*parallel=*/false));
+      measure_delay_distribution(c, mc_with(48, &g_serial));
   for (const std::size_t threads : {1u, 2u, 8u}) {
     util::ThreadPool pool(threads);
     const DelayDistribution d =
-        measure_delay_distribution(c, mc_with(48, /*parallel=*/true, &pool));
+        measure_delay_distribution(c, mc_with(48, &pool));
     EXPECT_TRUE(bit_exact(reference.delays, d.delays)) << threads << " threads";
   }
 }
@@ -118,9 +119,9 @@ TEST(Determinism, RepeatedParallelRunsAgree) {
   const Condition c = aged_condition();
   util::ThreadPool pool(4);
   const OffsetDistribution a =
-      measure_offset_distribution(c, mc_with(32, /*parallel=*/true, &pool));
+      measure_offset_distribution(c, mc_with(32, &pool));
   const OffsetDistribution b =
-      measure_offset_distribution(c, mc_with(32, /*parallel=*/true, &pool));
+      measure_offset_distribution(c, mc_with(32, &pool));
   EXPECT_TRUE(bit_exact(a.offsets, b.offsets));
 }
 

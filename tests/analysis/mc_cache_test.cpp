@@ -17,6 +17,7 @@
 #include "issa/analysis/montecarlo.hpp"
 #include "sa/offset_model_fits.hpp"
 #include "issa/util/faultpoint.hpp"
+#include "issa/util/thread_pool.hpp"
 #include "issa/workload/stress_map.hpp"
 
 namespace issa::analysis {
@@ -52,11 +53,14 @@ Condition fresh_condition() {
   return c;
 }
 
+// A pool without workers: its caller runs every sample in order.
+util::ThreadPool g_serial(0);
+
 McConfig mc_with(std::size_t iterations) {
   McConfig mc;
   mc.iterations = iterations;
   mc.seed = 42;
-  mc.parallel = false;
+  mc.pool = &g_serial;
   return mc;
 }
 
@@ -330,7 +334,8 @@ TEST_F(McCacheTest, FingerprintSeparatesInputsAndIgnoresExecutionKnobs) {
   // Execution knobs that cannot change sample values must NOT change it.
   McConfig knobs = mc;
   knobs.iterations = 4000;
-  knobs.parallel = true;
+  util::ThreadPool pool(1);
+  knobs.pool = &pool;
   knobs.run_id = "whatever";
   knobs.max_quarantine_fraction = 0.5;
   EXPECT_EQ(mc_cache::condition_fingerprint(condition, knobs), base);

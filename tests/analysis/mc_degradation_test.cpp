@@ -52,11 +52,13 @@ Condition fresh_condition() {
   return c;
 }
 
-McConfig mc_with(std::size_t iterations, bool parallel, util::ThreadPool* pool = nullptr) {
+// A pool without workers: its caller runs every sample in order.
+util::ThreadPool g_serial(0);
+
+McConfig mc_with(std::size_t iterations, util::ThreadPool* pool = &g_serial) {
   McConfig mc;
   mc.iterations = iterations;
   mc.seed = 42;
-  mc.parallel = parallel;
   mc.pool = pool;
   return mc;
 }
@@ -74,7 +76,7 @@ class McDegradationTest : public ::testing::Test {
 
 TEST_F(McDegradationTest, CleanRunHasNoDegradation) {
   const OffsetDistribution dist =
-      measure_offset_distribution(fresh_condition(), mc_with(20, false));
+      measure_offset_distribution(fresh_condition(), mc_with(20));
   EXPECT_TRUE(dist.degradation.quarantined.empty());
   EXPECT_EQ(dist.degradation.recovered, 0u);
   EXPECT_FALSE(dist.degradation.degraded());
@@ -85,11 +87,11 @@ TEST_F(McDegradationTest, CleanRunHasNoDegradation) {
 TEST_F(McDegradationTest, KeyedLuFaultQuarantinesExactlyThoseSamples) {
   // Key-list triggers ignore the retry attempt: samples 3 and 11 are doomed
   // and must land in quarantine; everything else must be untouched.
-  const McConfig clean_mc = mc_with(16, false);
+  const McConfig clean_mc = mc_with(16);
   const OffsetDistribution clean = measure_offset_distribution(fresh_condition(), clean_mc);
 
   fp::configure("lu.singular_pivot=key3|11");
-  McConfig mc = mc_with(16, false);
+  McConfig mc = mc_with(16);
   mc.max_quarantine_fraction = 0.5;
   const OffsetDistribution dist = measure_offset_distribution(fresh_condition(), mc);
 
@@ -120,17 +122,16 @@ TEST_F(McDegradationTest, QuarantineListIsIdenticalAcrossThreadCounts) {
   // seed; measure_offset_distribution must complete and report the exact
   // same quarantined sample set for 1, 4, and 8 threads.
   fp::configure("sim.newton_nonconvergence=key7|23|61|88");
-  auto run = [&](bool parallel, std::size_t threads) {
-    McConfig mc = mc_with(100, parallel);
-    mc.max_quarantine_fraction = 0.05;
+  auto run = [&](std::size_t threads) {
     util::ThreadPool pool(threads);
-    mc.pool = parallel ? &pool : nullptr;
+    McConfig mc = mc_with(100, &pool);
+    mc.max_quarantine_fraction = 0.05;
     return measure_offset_distribution(fresh_condition(), mc);
   };
-  const OffsetDistribution serial = run(false, 1);
-  const OffsetDistribution pool1 = run(true, 1);
-  const OffsetDistribution pool4 = run(true, 4);
-  const OffsetDistribution pool8 = run(true, 8);
+  const OffsetDistribution serial = run(0);
+  const OffsetDistribution pool1 = run(1);
+  const OffsetDistribution pool4 = run(4);
+  const OffsetDistribution pool8 = run(8);
 
   const std::vector<std::size_t> expected{7, 23, 61, 88};
   EXPECT_EQ(quarantined_indices(serial.degradation), expected);
@@ -163,7 +164,7 @@ TEST_F(McDegradationTest, ProbabilisticFaultRecoversViaRetryDeterministically) {
   }
   ASSERT_GT(expect_recovered, 0u) << "seed produced no recoverable samples; pick another";
 
-  McConfig mc = mc_with(n, true);
+  McConfig mc = mc_with(n, &util::ThreadPool::global());
   mc.max_quarantine_fraction = 1.0;
   const OffsetDistribution dist = measure_offset_distribution(fresh_condition(), mc);
   EXPECT_EQ(quarantined_indices(dist.degradation), expect_quarantined);
@@ -171,7 +172,7 @@ TEST_F(McDegradationTest, ProbabilisticFaultRecoversViaRetryDeterministically) {
 
   const OffsetDistribution serial =
       measure_offset_distribution(fresh_condition(), [&] {
-        McConfig m = mc_with(n, false);
+        McConfig m = mc_with(n);
         m.max_quarantine_fraction = 1.0;
         return m;
       }());
@@ -181,7 +182,7 @@ TEST_F(McDegradationTest, ProbabilisticFaultRecoversViaRetryDeterministically) {
 
 TEST_F(McDegradationTest, ThresholdExceededThrowsWithQuarantineSummary) {
   fp::configure("sim.transient_step_collapse=key0|1|2|3");
-  McConfig mc = mc_with(16, false);
+  McConfig mc = mc_with(16);
   mc.max_quarantine_fraction = 0.01;  // 4/16 = 25% >> 1%
   try {
     measure_offset_distribution(fresh_condition(), mc);
@@ -198,14 +199,14 @@ TEST_F(McDegradationTest, ThresholdExceededThrowsWithQuarantineSummary) {
 TEST_F(McDegradationTest, ThresholdIsStrictlyGreater) {
   // Exactly at the threshold still completes: 1 of 100 = 1% == max 1%.
   fp::configure("sim.newton_nonconvergence=key50");
-  const McConfig mc = mc_with(100, false);  // default max_quarantine_fraction = 0.01
+  const McConfig mc = mc_with(100);  // default max_quarantine_fraction = 0.01
   const OffsetDistribution dist = measure_offset_distribution(fresh_condition(), mc);
   EXPECT_EQ(quarantined_indices(dist.degradation), (std::vector<std::size_t>{50}));
 }
 
 TEST_F(McDegradationTest, DelayDistributionQuarantinesToo) {
   fp::configure("sim.newton_nonconvergence=key2");
-  McConfig mc = mc_with(10, false);
+  McConfig mc = mc_with(10);
   mc.max_quarantine_fraction = 0.5;
   const DelayDistribution dist = measure_delay_distribution(fresh_condition(), mc);
   EXPECT_EQ(quarantined_indices(dist.degradation), (std::vector<std::size_t>{2}));
@@ -220,17 +221,17 @@ TEST_F(McDegradationTest, GminStageFaultIsAbsorbedByFallbacks) {
   // path only runs when the plain solve already failed — so injecting it
   // alone must leave the distribution clean and bit-identical.
   const OffsetDistribution clean =
-      measure_offset_distribution(fresh_condition(), mc_with(8, false));
+      measure_offset_distribution(fresh_condition(), mc_with(8));
   fp::configure("sim.gmin_stage_fail=always");
   const OffsetDistribution dist =
-      measure_offset_distribution(fresh_condition(), mc_with(8, false));
+      measure_offset_distribution(fresh_condition(), mc_with(8));
   EXPECT_TRUE(dist.degradation.quarantined.empty());
   EXPECT_TRUE(bit_exact(clean.offsets, dist.offsets));
 }
 
 TEST_F(McDegradationTest, RunIdFlowsIntoQuarantineRecords) {
   fp::configure("lu.singular_pivot=key1");
-  McConfig mc = mc_with(4, false);
+  McConfig mc = mc_with(4);
   mc.max_quarantine_fraction = 1.0;
   mc.run_id = "test-run-17";
   const OffsetDistribution dist = measure_offset_distribution(fresh_condition(), mc);
@@ -244,7 +245,7 @@ TEST_F(McDegradationTest, UnsetRunIdGetsDeterministicFallbackInRecords) {
   // report.  The engine now stamps effective_run_id()'s deterministic
   // fallback instead.
   fp::configure("lu.singular_pivot=key2");
-  McConfig mc = mc_with(4, false);
+  McConfig mc = mc_with(4);
   mc.max_quarantine_fraction = 1.0;
   ASSERT_TRUE(mc.run_id.empty());
   const OffsetDistribution dist = measure_offset_distribution(fresh_condition(), mc);
@@ -263,7 +264,7 @@ TEST_F(McDegradationTest, PoolTaskThrowStillFailsTheRun) {
   // deliberately NOT absorbed by sample quarantine.
   fp::configure("pool.task_throw=always");
   util::ThreadPool pool(2);
-  McConfig mc = mc_with(16, true, &pool);
+  McConfig mc = mc_with(16, &pool);
   EXPECT_THROW(measure_offset_distribution(fresh_condition(), mc), fp::FaultInjected);
 }
 
@@ -306,7 +307,7 @@ TEST_F(McDegradationTest, MeasureCellMatchesSeparateDistributions) {
     Condition c = fresh_condition();
     c.kind = kind;
     c.stress_time_s = 1e8;
-    McConfig serial = mc_with(n, false);
+    McConfig serial = mc_with(n);
     serial.max_quarantine_fraction = 1.0;
     const OffsetDistribution offset = measure_offset_distribution(c, serial);
     const DelayDistribution delay = measure_delay_distribution(c, serial);
@@ -316,11 +317,10 @@ TEST_F(McDegradationTest, MeasureCellMatchesSeparateDistributions) {
     EXPECT_GT(delay.degradation.recovered, 0u) << sa::kind_name(kind);
 
     McConfig pooled = serial;
-    pooled.parallel = true;
     pooled.pool = &pool;
     for (const McConfig& mc : {serial, pooled}) {
       const std::string what =
-          std::string(sa::kind_name(kind)) + (mc.parallel ? " on a pool" : " serial");
+          std::string(sa::kind_name(kind)) + (mc.pool == &pool ? " on a pool" : " serial");
       const CellDistributions cell = measure_cell(c, mc);
       EXPECT_TRUE(bit_exact(cell.offset.offsets, offset.offsets)) << what;
       EXPECT_EQ(cell.offset.saturated_count, offset.saturated_count) << what;
@@ -340,7 +340,7 @@ TEST_F(McDegradationTest, CellOverItsBoundAnnouncesBothMeasurementsBeforeThrowin
   // notice has reached stderr too.
   fp::configure("sim.transient_step_collapse=always");
   ::testing::internal::CaptureStderr();
-  EXPECT_THROW(measure_cell(fresh_condition(), mc_with(4, false)), McDegradationError);
+  EXPECT_THROW(measure_cell(fresh_condition(), mc_with(4)), McDegradationError);
   const std::string err = ::testing::internal::GetCapturedStderr();
   EXPECT_NE(err.find("[issa] DEGRADED MC RUN offset: 4/4"), std::string::npos) << err;
   EXPECT_NE(err.find("[issa] DEGRADED MC RUN delay.worst: 4/4"), std::string::npos) << err;

@@ -69,10 +69,10 @@ TEST(MonteCarlo, DeterministicAcrossRuns) {
 }
 
 TEST(MonteCarlo, ParallelMatchesSerial) {
+  util::ThreadPool no_workers(0);
   McConfig serial = small_mc(12);
-  serial.parallel = false;
-  McConfig parallel = small_mc(12);
-  parallel.parallel = true;
+  serial.pool = &no_workers;
+  const McConfig parallel = small_mc(12);
   const OffsetDistribution a = measure_offset_distribution(fresh_nssa(), serial);
   const OffsetDistribution b = measure_offset_distribution(fresh_nssa(), parallel);
   for (std::size_t i = 0; i < a.offsets.size(); ++i) EXPECT_EQ(a.offsets[i], b.offsets[i]);
@@ -162,8 +162,9 @@ TEST(MonteCarlo, FreshConditionBuildsNoStressMap) {
 TEST(MonteCarlo, OffsetModelFittedOncePerConfigSerial) {
   Condition c = fresh_nssa();
   c.config.vdd = 0.97;
+  util::ThreadPool no_workers(0);
   McConfig mc = small_mc(4);
-  mc.parallel = false;
+  mc.pool = &no_workers;
   EXPECT_EQ(sa::testing::offset_model_fits([&] { measure_offset_distribution(c, mc); }), 1u);
   EXPECT_EQ(sa::testing::offset_model_fits([&] { measure_offset_distribution(c, mc); }), 0u);
 }

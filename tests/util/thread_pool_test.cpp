@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "issa/util/metrics.hpp"
@@ -92,15 +94,63 @@ TEST(ThreadPool, NestedUseFromManyCallers) {
 }
 
 TEST(ThreadPool, RecursiveSubmissionDoesNotDeadlock) {
-  // A task body issuing its own parallel_for on the same pool used to
-  // deadlock once every worker blocked waiting for inner chunks nobody was
-  // left to run; waiters now drain the queue themselves.
+  // A body issuing its own parallel_for on the same pool finds the job slot
+  // taken and runs the inner range itself.
   ThreadPool pool(2);
   std::atomic<int> inner_count{0};
   pool.parallel_for(0, 8, [&](std::size_t) {
     pool.parallel_for(0, 16, [&](std::size_t) { inner_count.fetch_add(1); });
   });
   EXPECT_EQ(inner_count.load(), 8 * 16);
+}
+
+TEST(ThreadPool, NestedCallRunsOnItsCaller) {
+  ThreadPool pool(2);
+  std::atomic<int> foreign{0};
+  pool.parallel_for(0, 8, [&](std::size_t) {
+    const std::thread::id outer = std::this_thread::get_id();
+    pool.parallel_for(0, 4, [&](std::size_t) {
+      if (std::this_thread::get_id() != outer) foreign.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(foreign.load(), 0);
+}
+
+TEST(ThreadPool, ZeroWorkersRunEveryIndexOnTheCaller) {
+  ThreadPool pool(0);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  pool.parallel_for(0, 16, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  std::vector<std::size_t> expected(16);
+  for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = i;
+  EXPECT_EQ(order, expected);
+}
+
+TEST(ThreadPool, SlowIndexDoesNotHoldBackTheRest) {
+  // Indices are dealt one at a time: while one participant is stuck in
+  // body(0), the other runs every remaining index.
+  ThreadPool pool(1);
+  std::atomic<int> others{0};
+  std::atomic<bool> timed_out{false};
+  pool.parallel_for(0, 8, [&](std::size_t i) {
+    if (i != 0) {
+      others.fetch_add(1);
+      return;
+    }
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (others.load() < 7) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        timed_out = true;
+        return;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  EXPECT_FALSE(timed_out.load());
+  EXPECT_EQ(others.load(), 7);
 }
 
 TEST(ThreadPool, DeeplyNestedRecursionCompletes) {
@@ -141,10 +191,11 @@ TEST(ThreadPool, CountsTasksWhenMetricsEnabled) {
   pool.parallel_for(0, 64, [](std::size_t) {});
   metrics::set_enabled(false);
   const metrics::Snapshot snap = metrics::Registry::instance().snapshot();
-  // Every queued task runs once under its own pool.task span and records its
-  // queue latency once.
+  // Each participant (the caller and every worker that joined) takes one
+  // turn: one count, one pool.task span and one queue latency.
   const std::uint64_t executed = snap.value(metrics::names::kPoolTasksExecuted);
-  EXPECT_GT(executed, 0u);
+  EXPECT_GE(executed, 1u);
+  EXPECT_LE(executed, 3u);
   const metrics::SnapshotEntry* task = snap.find(trace::spans::kPoolTask);
   ASSERT_NE(task, nullptr);
   EXPECT_EQ(task->count, executed);

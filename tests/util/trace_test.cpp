@@ -85,20 +85,16 @@ TEST_F(TraceTest, NestedSpansCarryDepthAndContainment) {
 }
 
 TEST_F(TraceTest, NestingHoldsUnderRecursiveParallelFor) {
-  // Recursive parallel_for is the hardest nesting case: the caller-helps
-  // drain means one thread can execute a nested task in the middle of its
-  // own outer task.  The per-thread stack must still pair up: within each
-  // tid, spans at depth d+1 open while exactly one depth-d span is open.
+  // Recursive parallel_for: a nested call runs its range inside the outer
+  // body, under the outer span and the thread's pool.task span.  The
+  // per-thread stack must pair up: within each tid, spans at depth d+1 open
+  // while exactly one depth-d span is open.
   {
     ThreadPool pool(4);
     pool.parallel_for(0, 8, [&pool](std::size_t) {
       Span outer("test.outer", "test");
       pool.parallel_for(0, 4, [](std::size_t) { Span inner("test.inner", "test"); });
     });
-    // parallel_for returns when every body() has run, but the finishing
-    // worker may still be closing its pool.task span; destroy the pool
-    // (joining the workers) to quiesce before draining the rings, or that
-    // span can be missing from the collected stream.
   }
   set_enabled(false);
   const TraceData data = collect();
