@@ -206,6 +206,8 @@ Simulator::Simulator(const Netlist& netlist, double temperature_k)
     }
   }
   jacobian_ws_.resize(n, n);
+  linear_jacobian_.resize(n, n);
+  pinned_v_ws_.resize(pins_.size());
   residual_ws_.resize(n);
   residual_try_ws_.resize(n);
   x_try_ws_.resize(n);
@@ -213,15 +215,23 @@ Simulator::Simulator(const Netlist& netlist, double temperature_k)
 }
 
 void Simulator::fill_node_voltages(const std::vector<double>& x, double t, double source_scale,
-                                   std::vector<double>& v) const {
+                                   std::vector<double>& v) {
   v.resize(node_count_);
   v[0] = 0.0;
   for (std::size_t n = 1; n < node_count_; ++n) {
     if (row_[n] >= 0) v[n] = x[static_cast<std::size_t>(row_[n])];
   }
-  const auto& vsrcs = netlist_.vsources();
-  for (const auto& [node, k] : pins_) {
-    v[static_cast<std::size_t>(node)] = source_scale * vsrcs[k].wave.value(t);
+  if (!pinned_valid_ || t != pinned_t_ || source_scale != pinned_scale_) {
+    const auto& vsrcs = netlist_.vsources();
+    for (std::size_t p = 0; p < pins_.size(); ++p) {
+      pinned_v_ws_[p] = source_scale * vsrcs[pins_[p].second].wave.value(t);
+    }
+    pinned_valid_ = true;
+    pinned_t_ = t;
+    pinned_scale_ = source_scale;
+  }
+  for (std::size_t p = 0; p < pins_.size(); ++p) {
+    v[static_cast<std::size_t>(pins_[p].first)] = pinned_v_ws_[p];
   }
 }
 
@@ -231,10 +241,56 @@ void Simulator::gather_unknowns(const std::vector<double>& v, std::vector<double
   }
 }
 
+void Simulator::build_linear_jacobian(bool transient, double gmin) {
+  linalg::Matrix& jacobian = linear_jacobian_;
+  jacobian.set_zero();
+  auto stamp_g = [&](NodeId a, NodeId b, double g) {
+    const long ra = row_[static_cast<std::size_t>(a)];
+    const long rb = row_[static_cast<std::size_t>(b)];
+    if (ra >= 0) jacobian(static_cast<std::size_t>(ra), static_cast<std::size_t>(ra)) += g;
+    if (rb >= 0) jacobian(static_cast<std::size_t>(rb), static_cast<std::size_t>(rb)) += g;
+    if (ra >= 0 && rb >= 0) {
+      jacobian(static_cast<std::size_t>(ra), static_cast<std::size_t>(rb)) -= g;
+      jacobian(static_cast<std::size_t>(rb), static_cast<std::size_t>(ra)) -= g;
+    }
+  };
+
+  // gmin to ground on every unknown node keeps floating nodes solvable.
+  for (std::size_t i = 0; i < free_node_count_; ++i) jacobian(i, i) += gmin;
+  for (const auto& r : netlist_.resistors()) stamp_g(r.a, r.b, 1.0 / r.resistance);
+  if (transient) {
+    const auto& caps = netlist_.capacitors();
+    for (std::size_t k = 0; k < caps.size(); ++k) stamp_g(caps[k].a, caps[k].b, cap_state_[k].geq);
+  }
+
+  // Floating voltage sources: one extra unknown (branch current) and one KVL
+  // row each.  Pinning sources need neither: their node is already known.
+  const auto& vsrcs = netlist_.vsources();
+  for (std::size_t b = 0; b < branch_sources_.size(); ++b) {
+    const auto& src = vsrcs[branch_sources_[b]];
+    const std::size_t branch = free_node_count_ + b;
+    const long rp = row_[static_cast<std::size_t>(src.pos)];
+    const long rn = row_[static_cast<std::size_t>(src.neg)];
+    if (rp >= 0) jacobian(static_cast<std::size_t>(rp), branch) += 1.0;
+    if (rn >= 0) jacobian(static_cast<std::size_t>(rn), branch) -= 1.0;
+    if (rp >= 0) jacobian(branch, static_cast<std::size_t>(rp)) += 1.0;
+    if (rn >= 0) jacobian(branch, static_cast<std::size_t>(rn)) -= 1.0;
+  }
+  linear_valid_ = true;
+  linear_transient_ = transient;
+  linear_gmin_ = gmin;
+}
+
 void Simulator::assemble(const std::vector<double>& x, double t, bool transient, double gmin,
                          double source_scale, linalg::Matrix& jacobian,
                          std::vector<double>& residual) {
-  jacobian.set_zero();
+  // The linear part first: the MOSFETs stamp only node rows and columns, the
+  // branch incidence only branch ones, so adding the devices onto the copy
+  // sums every entry in the order a stamp-everything loop would.
+  if (!linear_valid_ || transient != linear_transient_ || gmin != linear_gmin_) {
+    build_linear_jacobian(transient, gmin);
+  }
+  jacobian = linear_jacobian_;
   std::fill(residual.begin(), residual.end(), 0.0);
   jacobian_factored_ = false;
 
@@ -243,16 +299,6 @@ void Simulator::assemble(const std::vector<double>& x, double t, bool transient,
   fill_node_voltages(x, t, source_scale, v);
   auto volt = [&](NodeId node) { return v[static_cast<std::size_t>(node)]; };
   auto row = [&](NodeId node) { return row_[static_cast<std::size_t>(node)]; };
-  auto stamp_g = [&](NodeId a, NodeId b, double g) {
-    const long ra = row(a);
-    const long rb = row(b);
-    if (ra >= 0) jacobian(static_cast<std::size_t>(ra), static_cast<std::size_t>(ra)) += g;
-    if (rb >= 0) jacobian(static_cast<std::size_t>(rb), static_cast<std::size_t>(rb)) += g;
-    if (ra >= 0 && rb >= 0) {
-      jacobian(static_cast<std::size_t>(ra), static_cast<std::size_t>(rb)) -= g;
-      jacobian(static_cast<std::size_t>(rb), static_cast<std::size_t>(ra)) -= g;
-    }
-  };
   auto add_current = [&](NodeId node, double i) {  // current flowing OUT of node
     const long r = row(node);
     if (r >= 0) residual[static_cast<std::size_t>(r)] += i;
@@ -263,18 +309,12 @@ void Simulator::assemble(const std::vector<double>& x, double t, bool transient,
     if (r >= 0 && c >= 0) jacobian(static_cast<std::size_t>(r), static_cast<std::size_t>(c)) += g;
   };
 
-  // gmin to ground on every unknown node keeps floating nodes solvable.
-  for (std::size_t i = 0; i < free_node_count_; ++i) {
-    jacobian(i, i) += gmin;
-    residual[i] += gmin * x[i];
-  }
+  for (std::size_t i = 0; i < free_node_count_; ++i) residual[i] += gmin * x[i];
 
   for (const auto& r : netlist_.resistors()) {
-    const double g = 1.0 / r.resistance;
-    const double i = g * (volt(r.a) - volt(r.b));
+    const double i = (1.0 / r.resistance) * (volt(r.a) - volt(r.b));
     add_current(r.a, i);
     add_current(r.b, -i);
-    stamp_g(r.a, r.b, g);
   }
 
   if (transient) {
@@ -285,7 +325,6 @@ void Simulator::assemble(const std::vector<double>& x, double t, bool transient,
       const double i = st.geq * (volt(c.a) - volt(c.b)) + st.ieq;
       add_current(c.a, i);
       add_current(c.b, -i);
-      stamp_g(c.a, c.b, st.geq);
     }
   }
 
@@ -318,8 +357,8 @@ void Simulator::assemble(const std::vector<double>& x, double t, bool transient,
     add_current(src.neg, -i);
   }
 
-  // Floating voltage sources: one extra unknown (branch current) and one KVL
-  // row each.  Pinning sources need neither: their node is already known.
+  // Each floating source's branch current leaves its pos terminal; its KVL
+  // row is v_pos - v_neg - V(t) = 0.
   const auto& vsrcs = netlist_.vsources();
   for (std::size_t b = 0; b < branch_sources_.size(); ++b) {
     const auto& src = vsrcs[branch_sources_[b]];
@@ -327,14 +366,7 @@ void Simulator::assemble(const std::vector<double>& x, double t, bool transient,
     const double i_branch = x[branch];
     add_current(src.pos, i_branch);
     add_current(src.neg, -i_branch);
-    const long rp = row(src.pos);
-    const long rn = row(src.neg);
-    if (rp >= 0) jacobian(static_cast<std::size_t>(rp), branch) += 1.0;
-    if (rn >= 0) jacobian(static_cast<std::size_t>(rn), branch) -= 1.0;
-    // KVL row: v_pos - v_neg - V(t) = 0.
     residual[branch] = volt(src.pos) - volt(src.neg) - source_scale * src.wave.value(t);
-    if (rp >= 0) jacobian(branch, static_cast<std::size_t>(rp)) += 1.0;
-    if (rn >= 0) jacobian(branch, static_cast<std::size_t>(rn)) -= 1.0;
   }
 }
 
@@ -357,6 +389,7 @@ void Simulator::record_solver_forensic(const char* kind, const char* reason,
 bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, double gmin,
                              double source_scale) {
   const std::size_t n = unknown_count();
+  pinned_valid_ = false;  // source waves may have changed since the last solve
   const bool forensic = util::trace::enabled();
   if (forensic) {
     fnorm_hist_ws_.clear();
@@ -547,13 +580,11 @@ void Simulator::prepare_companions(double h, IntegrationMethod method) {
   for (std::size_t k = 0; k < caps.size(); ++k) {
     auto& st = cap_state_[k];
     const double c = caps[k].capacitance;
-    if (method == IntegrationMethod::kBackwardEuler) {
-      st.geq = c / h;
-      st.ieq = -st.geq * st.voltage;
-    } else {
-      st.geq = 2.0 * c / h;
-      st.ieq = -st.geq * st.voltage - st.current;
-    }
+    const double geq = method == IntegrationMethod::kBackwardEuler ? c / h : 2.0 * c / h;
+    if (geq != st.geq) linear_valid_ = false;
+    st.geq = geq;
+    st.ieq = method == IntegrationMethod::kBackwardEuler ? -geq * st.voltage
+                                                         : -geq * st.voltage - st.current;
   }
 }
 

@@ -10,7 +10,11 @@
 // assembles the residual F(x) (KCL per unpinned node, KVL per floating
 // source) and its Jacobian, then solves J dx = -F with dense LU.  On the
 // sense-amplifier testbenches this leaves 6 unknowns instead of 16 (NSSA) or
-// 20 (ISSA).
+// 20 (ISSA).  The Jacobian's linear part (gmin, resistors, capacitor
+// companions, branch incidence) is kept as one matrix, rebuilt only when
+// gmin, the DC/transient mode or a companion conductance changes; each
+// assembly starts from a copy of it and adds the MOSFETs, which gives the
+// sums of stamping everything, bit for bit.
 //
 // Each pass of the Newton loop does the first of three things.  (1) The
 // residual's largest entry is below the floor max(1e-9 A, 2 gmin): the
@@ -30,9 +34,10 @@
 // caller falls back (gmin or source stepping at DC, step halving in a
 // transient).
 //
-// What may change between runs: source waves, read live from the netlist at
-// every assembly, and each MOSFET's delta_vth, read from the netlist at the
-// start of every solve_dc and so of every run_transient.  What is fixed at
+// What may change between runs: source waves, read from the netlist once
+// per time point and source scale of each Newton solve, and each MOSFET's
+// delta_vth, read from the netlist at the start of every solve_dc and so of
+// every run_transient.  What is fixed at
 // construction: the topology (which nodes every device touches, which
 // sources pin a node) and the MOSFET cards, polarities and W/L, packed once
 // per device with their temperature constants (device::MosConstants).
@@ -236,7 +241,9 @@ class Simulator {
   };
 
   // Assembles F(x) and J(x) at time `t`.  `transient` selects whether the
-  // capacitor companions participate (DC leaves capacitors open).
+  // capacitor companions participate (DC leaves capacitors open).  J starts
+  // as a copy of linear_jacobian_, rebuilt first when gmin, the mode or a
+  // companion conductance has changed since it was built.
   void assemble(const std::vector<double>& x, double t, bool transient, double gmin,
                 double source_scale, linalg::Matrix& jacobian, std::vector<double>& residual);
 
@@ -274,7 +281,13 @@ class Simulator {
   // seed: capacitors open, their current history zero.
   void advance_sensitivities(bool transient, IntegrationMethod method, double h);
 
-  // Prepares each capacitor's companion (geq/ieq) for a step of size h.
+  // The Jacobian's linear part: gmin on every free node, the resistors, the
+  // capacitor companions' geq (transient only) and the floating sources'
+  // branch incidence, summed in assemble's stamping order.
+  void build_linear_jacobian(bool transient, double gmin);
+
+  // Prepares each capacitor's companion (geq/ieq) for a step of size h; a
+  // changed geq invalidates linear_jacobian_.
   void prepare_companions(double h, IntegrationMethod method);
   // Accepts the step: refreshes stored capacitor voltage/current from the
   // step's full node voltages.
@@ -287,9 +300,11 @@ class Simulator {
 
   // Writes the full node-voltage vector implied by x into `v` (resized
   // once, then reused): unknowns from x, pinned nodes from their sources at
-  // time t scaled by source_scale, ground 0.
+  // time t scaled by source_scale, ground 0.  The pinned values are read
+  // from the sources once per (t, source_scale) and kept until the next
+  // newton_solve starts.
   void fill_node_voltages(const std::vector<double>& x, double t, double source_scale,
-                          std::vector<double>& v) const;
+                          std::vector<double>& v);
   // The inverse for the unknown nodes: copies their voltages from a full
   // node-voltage vector into x (other entries of x are left alone).
   void gather_unknowns(const std::vector<double>& v, std::vector<double>& x) const;
@@ -332,6 +347,17 @@ class Simulator {
   std::vector<double> node_v_ws_;     // full node voltages per accepted step
   std::vector<double> assemble_v_ws_; // full node voltages of assemble()'s x
   std::vector<double> last_dc_;       // most recent DC solution
+  // The Jacobian's linear part (build_linear_jacobian) and what it was built
+  // for.
+  linalg::Matrix linear_jacobian_;
+  bool linear_valid_ = false;
+  bool linear_transient_ = false;
+  double linear_gmin_ = 0.0;
+  // [pin] the pinned nodes' voltages at (pinned_t_, pinned_scale_).
+  std::vector<double> pinned_v_ws_;
+  bool pinned_valid_ = false;
+  double pinned_t_ = 0.0;
+  double pinned_scale_ = 0.0;
 
   // Forensic history workspace: filled by newton_solve only while
   // trace::enabled(), read by record_solver_forensic.  Reused

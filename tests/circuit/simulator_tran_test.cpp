@@ -431,6 +431,21 @@ TEST(SimulatorTran, WorkspaceReuseAcrossRunsIsBitExact) {
     const auto node = static_cast<NodeId>(n);
     EXPECT_EQ(after.node_wave(node), fresh_after.node_wave(node)) << "node " << n;
   }
+
+  // So does a source wave edited between runs, as set_input_differential
+  // edits the bitlines: a solve reads each pinned node's source once per
+  // time point and drops those values when the next solve starts, even one
+  // at the same time point (the DC solve at t = 0 here).
+  reused_latch.solve_dc();
+  latch.find_vsource("Vr").wave = SourceWave::dc(0.9);
+  const TransientResult edited = reused_latch.run_transient(latch_opt);
+  const TransientResult fresh_edited = Simulator(latch, kT).run_transient(latch_opt);
+  EXPECT_NE(edited.node_wave(s), after.node_wave(s));
+  ASSERT_EQ(edited.time(), fresh_edited.time());
+  for (std::size_t n = 0; n < latch.node_count(); ++n) {
+    const auto node = static_cast<NodeId>(n);
+    EXPECT_EQ(edited.node_wave(node), fresh_edited.node_wave(node)) << "node " << n;
+  }
 }
 
 TEST(SimulatorTran, EveryAcceptedStepMeetsKclOnWideDevices) {
