@@ -74,8 +74,10 @@ namespace issa::analysis::mc_cache {
 /// extrapolated flips, which moves offsets at the uV level.  Version 8: the
 /// model fit runs measure_offset's own fast search, which moves offsets at
 /// the sub-uV level, and a delay measurement no longer escalates its swing
-/// past 2x.
-inline constexpr std::uint32_t kSchemaVersion = 8;
+/// past 2x.  Version 9: each transient step's Newton solve starts from the
+/// quadratic through the last three accepted states, which moves sample
+/// values below the displayed digits.
+inline constexpr std::uint32_t kSchemaVersion = 9;
 
 /// One cached per-sample result.  `status` carries the Monte-Carlo engine's
 /// outcome slot (ok / recovered / quarantined) so a warm rerun reproduces

@@ -757,13 +757,17 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
     result.append(t, v0);
   }
 
-  // Predictor: after the first accepted step, each step's Newton solve
-  // starts from the linear extrapolation of the last two accepted states.
+  // Predictor: each step's Newton solve starts from the quadratic through
+  // the last three accepted states, the line through the last two on the
+  // second step, and the DC point on the first.
   std::vector<double>& x_try = step_x_try_ws_;
   std::vector<double>& x_prev = step_x_prev_ws_;
+  std::vector<double>& x_prev2 = step_x_prev2_ws_;
   x_try.resize(x.size());
   x_prev.assign(x.begin(), x.end());
-  double h_prev = 0.0;  // last accepted step size; 0 until the first step
+  x_prev2.assign(x.begin(), x.end());
+  double h_prev = 0.0;   // t_n - t_{n-1}; 0 until the first step
+  double h_prev2 = 0.0;  // t_{n-1} - t_{n-2}; 0 until the second step
   while (t < options.tstop - 1e-18) {
     double h = std::min(options.dt, options.tstop - t);
     while (next_breakpoint < breakpoints.size() && breakpoints[next_breakpoint] <= t + 1e-18) {
@@ -784,11 +788,25 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
         throw ConvergenceError("run_transient: Newton failed at t = " + std::to_string(t));
       }
       prepare_companions(h, options.method);
-      const double ratio = h_prev > 0.0 ? h / h_prev : 0.0;
-      for (std::size_t i = 0; i < x.size(); ++i) x_try[i] = x[i] + ratio * (x[i] - x_prev[i]);
+      if (h_prev2 > 0.0) {
+        // Lagrange weights of x_n, x_{n-1}, x_{n-2} at t_n + h.
+        const double to_prev = h + h_prev;          // t_n + h - t_{n-1}
+        const double to_prev2 = to_prev + h_prev2;  // t_n + h - t_{n-2}
+        const double w0 = to_prev * to_prev2 / (h_prev * (h_prev + h_prev2));
+        const double w1 = -h * to_prev2 / (h_prev * h_prev2);
+        const double w2 = h * to_prev / (h_prev2 * (h_prev + h_prev2));
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          x_try[i] = w0 * x[i] + w1 * x_prev[i] + w2 * x_prev2[i];
+        }
+      } else {
+        const double ratio = h_prev > 0.0 ? h / h_prev : 0.0;
+        for (std::size_t i = 0; i < x.size(); ++i) x_try[i] = x[i] + ratio * (x[i] - x_prev[i]);
+      }
       if (newton_solve(x_try, t + h, /*transient=*/true, kGmin, 1.0)) {
+        x_prev2.swap(x_prev);
         x_prev.swap(x);
         x.swap(x_try);
+        h_prev2 = h_prev;
         h_prev = h;
         t += h;
         fill_node_voltages(x, t, 1.0, node_v);

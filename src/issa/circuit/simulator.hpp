@@ -344,6 +344,7 @@ class Simulator {
   std::vector<double> sens_rhs_ws_;
   std::vector<double> step_x_try_ws_; // transient per-step trial unknowns
   std::vector<double> step_x_prev_ws_; // unknowns of the step before the last
+  std::vector<double> step_x_prev2_ws_; // unknowns two steps before the last
   std::vector<double> node_v_ws_;     // full node voltages per accepted step
   std::vector<double> assemble_v_ws_; // full node voltages of assemble()'s x
   std::vector<double> last_dc_;       // most recent DC solution

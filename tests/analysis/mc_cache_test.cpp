@@ -303,13 +303,13 @@ TEST_F(McCacheTest, FingerprintSeparatesInputsAndIgnoresExecutionKnobs) {
   const McConfig mc = mc_with(8);
   const std::string base = mc_cache::condition_fingerprint(condition, mc);
   ASSERT_EQ(base.size(), 64u);
-  // Pinned: stores written since schema version 8 replay only while the
+  // Pinned: stores written since schema version 9 replay only while the
   // recipe hashes the same bytes.  A deliberate recipe change bumps
   // kSchemaVersion and this value together.  A changed config default (the
   // sensing step SenseTiming::dt, say) changes the hashed config bytes
   // alone: stores of the old default miss instead of replaying, and only
   // this value moves.
-  EXPECT_EQ(base, "45e693c1808a8f37e54ae477d0e53697d12fefa967ebc65140d44de9e333962b");
+  EXPECT_EQ(base, "dd3edee201ba698f43360b94188321c009a7737600dd738c88234ca36cdc4caa");
 
   // Everything that changes what a sample computes must change the key.
   McConfig seed = mc;

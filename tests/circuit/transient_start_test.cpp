@@ -28,6 +28,28 @@ std::uint64_t counted_steps(Simulator& sim, const TransientOptions& opt, Transie
   return delta.value(util::metrics::names::kTransientSteps);
 }
 
+// Newton iterations of each accepted step of one run_transient, from the
+// sim.newton_iterations counter (Newton flushes it before the step is
+// accepted and the stop condition sees it).
+std::vector<std::uint64_t> iterations_per_step(Simulator& sim, TransientOptions opt,
+                                               TransientResult* out = nullptr) {
+  const bool were_enabled = util::metrics::enabled();
+  util::metrics::set_enabled(true);
+  util::metrics::Counter& counter =
+      util::metrics::Registry::instance().counter(util::metrics::names::kNewtonIterations);
+  std::uint64_t last = counter.value();
+  std::vector<std::uint64_t> per_step;
+  opt.stop_condition = [&](double, const std::vector<double>&) {
+    per_step.push_back(counter.value() - last);
+    last = counter.value();
+    return false;
+  };
+  TransientResult tr = sim.run_transient(opt);
+  util::metrics::set_enabled(were_enabled);
+  if (out != nullptr) *out = std::move(tr);
+  return per_step;
+}
+
 TransientOptions sense_options(const sa::SenseAmpCircuit& c, double vin) {
   TransientOptions opt;
   opt.tstop = c.config().timing.t_stop;
@@ -120,14 +142,17 @@ TEST(TransientStart, StepsFromTheCornerFollowTheTrapezoidalRecurrence) {
 TEST(TransientStart, PredictedStepsOnAnAffineResponseTakeOneIteration) {
   // An RC low-pass under a long ramp settles into an affine response within a
   // few tau (tau = dt, so the start-up mode decays by 3x per step).  From
-  // there the extrapolated guess x_n + (h / h_prev) (x_n - x_{n-1}) is the
-  // next step's solution to within Newton's tolerances, so each of those
-  // steps converges in one iteration: the guess meets the residual
-  // tolerance, or its one update moves no node by 0.1 mV or more and is
-  // taken as final.  From the previous state, or with a wrong ratio, sign or
-  // history, the first update moves the output by a fraction of the ramp's
-  // 5 mV per step, well above 0.1 mV, so a second iteration is needed to
-  // confirm it.
+  // there the quadratic through the last three accepted states,
+  //   x_n + h (x_n - x_{n-1}) / h_1
+  //       + h (h + h_1) ((x_n - x_{n-1}) / h_1 - (x_{n-1} - x_{n-2}) / h_2) / (h_1 + h_2)
+  // with h_1 = t_n - t_{n-1} and h_2 = t_{n-1} - t_{n-2}, is the line through
+  // them and the next step's solution to within Newton's tolerances, so
+  // each of those steps converges in one iteration: the guess meets the
+  // residual tolerance, or its one update moves no node by 0.1 mV or more
+  // and is taken as final.  From the previous state, or with a wrong ratio,
+  // sign or history, the first update moves the output by a fraction of the
+  // ramp's 5 mV per step, well above 0.1 mV, so a second iteration is needed
+  // to confirm it.
   const double t_a = 20e-12;
   const double t_b = 420e-12;
   Netlist net;
@@ -141,25 +166,48 @@ TEST(TransientStart, PredictedStepsOnAnAffineResponseTakeOneIteration) {
   opt.tstop = t_b;
   opt.dt = 2e-12;
 
-  util::metrics::Registry& registry = util::metrics::Registry::instance();
-  const bool were_enabled = util::metrics::enabled();
-  util::metrics::set_enabled(true);
-  util::metrics::Counter& iterations = registry.counter(util::metrics::names::kNewtonIterations);
-  // The counter after every accepted step; Newton flushes its count before
-  // the step is accepted.
-  std::vector<std::uint64_t> iter_after{iterations.value()};
-  opt.stop_condition = [&](double, const std::vector<double>&) {
-    iter_after.push_back(iterations.value());
-    return false;
-  };
-  sim.run_transient(opt);
-  util::metrics::set_enabled(were_enabled);
-
-  ASSERT_EQ(iter_after.size(), 201u);  // 200 steps of dt over the ramp
+  const std::vector<std::uint64_t> iterations = iterations_per_step(sim, opt);
+  ASSERT_EQ(iterations.size(), 200u);  // 200 steps of dt over the ramp
   // The first step has no history and starts from the DC point.
-  EXPECT_GE(iter_after[1] - iter_after[0], 2u);
-  for (std::size_t n = 30; n < iter_after.size(); ++n) {
-    EXPECT_EQ(iter_after[n] - iter_after[n - 1], 1u) << "step " << n;
+  EXPECT_GE(iterations[0], 2u);
+  for (std::size_t n = 29; n < iterations.size(); ++n) {
+    EXPECT_EQ(iterations[n], 1u) << "step " << n + 1;
+  }
+}
+
+TEST(TransientStart, PredictedStepsOnAQuadraticResponseTakeOneIteration) {
+  // A current ramp into a capacitor: C dv/dt = k (t - t_a).  The trapezoidal
+  // rule integrates a linear current exactly, so the accepted states lie on
+  // the parabola v = k (t - t_a)^2 / (2 C) (the 1 nS gmin leaks a part in
+  // 1e9 per step).  Once a step has three accepted states behind it, the
+  // quadratic predictor lands on its solution to rounding and the step
+  // takes one iteration.  The line through the last two misses it by
+  // k h^2 / C = 2 mV on the 2 ps grid, so that predictor needs two, as does
+  // a quadratic weighted as if every step had the same size: the ramp has a
+  // second corner at 51 ps, on its line but off the grid, so one step is
+  // 1 ps and the grid after it is shifted by half a step.
+  const double t_a = 20e-12;
+  const double t_b = 120e-12;
+  const double k = 5e8;  // [A/s]
+  Netlist net;
+  const NodeId out = net.node("out");
+  const double t_mid = 51e-12;
+  net.add_isource("I", kGround, out,
+                  SourceWave::pwl({{t_a, 0.0}, {t_mid, k * (t_mid - t_a)}, {t_b, k * (t_b - t_a)}}));
+  net.add_capacitor("C", out, kGround, 1e-12);
+  Simulator sim(net, kT);
+  TransientOptions opt;
+  opt.tstop = t_b;
+  opt.dt = 2e-12;
+
+  TransientResult tr(0);
+  const std::vector<std::uint64_t> iterations = iterations_per_step(sim, opt, &tr);
+  ASSERT_EQ(iterations.size(), 51u);  // 15 steps to t_mid, one of 1 ps, 34, one of 1 ps
+  EXPECT_NEAR(tr.node_wave(out).back(), 2.5, 1e-6);
+  EXPECT_GE(iterations[0], 2u);  // from the DC point
+  EXPECT_GE(iterations[1], 2u);  // from the line through two states
+  for (std::size_t n = 2; n < iterations.size(); ++n) {
+    EXPECT_EQ(iterations[n], 1u) << "step " << n + 1 << " t = " << tr.time()[n + 2];
   }
 }
 

@@ -282,10 +282,10 @@ TEST(Measure, WarmStartCutsTransientCount) {
   const SearchWork fast = offset_search_work(/*robust=*/false);
   EXPECT_LE(fast.transients, 40u);
   EXPECT_LE(fast.steps, 10000u);
-  EXPECT_LE(fast.newton_iterations, 12902u);
-  EXPECT_LE(fast.jacobian_builds, 12904u);
-  EXPECT_LE(fast.device_evaluations, 159986u);
-  EXPECT_LE(fast.lu_factorizations, 12902u);
+  EXPECT_LE(fast.newton_iterations, 11511u);
+  EXPECT_LE(fast.jacobian_builds, 11513u);
+  EXPECT_LE(fast.device_evaluations, 142748u);
+  EXPECT_LE(fast.lu_factorizations, 11511u);
 
   // The warm start's model costs one fit per (kind, config) and process; cap
   // one NSSA fit too, so the fit cannot grow unseen.
@@ -293,10 +293,10 @@ TEST(Measure, WarmStartCutsTransientCount) {
       solver_work([] { fit_offset_model(SenseAmpKind::kNssa, nominal_config()); });
   EXPECT_LE(fit.transients, 27u);
   EXPECT_LE(fit.steps, 6102u);
-  EXPECT_LE(fit.newton_iterations, 8329u);
-  EXPECT_LE(fit.jacobian_builds, 8329u);
-  EXPECT_LE(fit.device_evaluations, 99948u);
-  EXPECT_LE(fit.lu_factorizations, 8015u);
+  EXPECT_LE(fit.newton_iterations, 7113u);
+  EXPECT_LE(fit.jacobian_builds, 7113u);
+  EXPECT_LE(fit.device_evaluations, 85356u);
+  EXPECT_LE(fit.lu_factorizations, 7001u);
 
   // Full-window bisection needs ceil(log2(2 * 0.25 / 5e-5)) = 14 full-length
   // transients per search; the fast path must undercut it on every count.
@@ -444,10 +444,10 @@ TEST(Measure, DelayWorkCount) {
   });
   EXPECT_LE(delay.transients, 64u);
   EXPECT_LE(delay.steps, 6038u);
-  EXPECT_LE(delay.newton_iterations, 11601u);
-  EXPECT_LE(delay.jacobian_builds, 11854u);
-  EXPECT_LE(delay.device_evaluations, 147576u);
-  EXPECT_LE(delay.lu_factorizations, 7870u);
+  EXPECT_LE(delay.newton_iterations, 8277u);
+  EXPECT_LE(delay.jacobian_builds, 8530u);
+  EXPECT_LE(delay.device_evaluations, 106036u);
+  EXPECT_LE(delay.lu_factorizations, 7484u);
 }
 
 TEST(Measure, SealedDelayRunMatchesFullRun) {
