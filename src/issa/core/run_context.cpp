@@ -107,7 +107,8 @@ RunContext::RunContext(int argc, const char* const* argv, std::string_view name,
     : options_(argc, argv, with_run_flags(extra_flags)),
       name_(name),
       run_id_(util::generate_run_id()),
-      start_(std::chrono::steady_clock::now()) {
+      start_(std::chrono::steady_clock::now()),
+      usage_at_start_(util::process_usage()) {
   try {
     mc_ = mc_config(options_, run_id_);
   } catch (const std::invalid_argument& e) {
@@ -188,6 +189,12 @@ void RunContext::close_cache() {
 void RunContext::write_metrics() {
   const double wall_clock_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+  // CPU time over wall time tells a host that ran the run's threads slowly
+  // from slower code: the same work then shows the same CPU time.
+  const util::ProcessUsage usage = util::process_usage();
+  const double cpu_s = usage.cpu_s - usage_at_start_.cpu_s;
+  const long involuntary_switches =
+      usage.involuntary_context_switches - usage_at_start_.involuntary_context_switches;
   const util::metrics::Snapshot snapshot = util::metrics::Registry::instance().snapshot();
   util::metrics::set_enabled(false);
   // One entry per Monte-Carlo pass, in run order; the degraded ones also
@@ -213,6 +220,9 @@ void RunContext::write_metrics() {
   os << "{\n  \"title\": \"" << escape(name_) << "\",\n";
   os << "  \"run_id\": \"" << escape(run_id_) << "\",\n";
   os << "  \"wall_clock_s\": " << wall_clock_s << ",\n";
+  os << "  \"cpu_s\": " << cpu_s << ",\n";
+  os << "  \"cpu_over_wall\": " << (wall_clock_s > 0.0 ? cpu_s / wall_clock_s : 0.0) << ",\n";
+  os << "  \"involuntary_context_switches\": " << involuntary_switches << ",\n";
   os << "  \"rss_peak_kb\": " << util::rss_peak_kb() << ",\n";
   os << "  \"quarantined_samples\": " << quarantined << ",\n";
   os << "  \"recovered_samples\": " << recovered << ",\n";

@@ -34,6 +34,7 @@
 
 #include "issa/analysis/montecarlo.hpp"
 #include "issa/util/cli.hpp"
+#include "issa/util/runinfo.hpp"
 
 namespace issa::core {
 
@@ -73,6 +74,7 @@ class RunContext {
   std::string name_;
   std::string run_id_;
   std::chrono::steady_clock::time_point start_;
+  util::ProcessUsage usage_at_start_;
   analysis::McConfig mc_;
   bool metrics_ = false;
   bool trace_ = false;

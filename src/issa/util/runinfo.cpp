@@ -36,4 +36,18 @@ long rss_peak_kb() noexcept {
 #endif
 }
 
+ProcessUsage process_usage() noexcept {
+  ProcessUsage out;
+#if defined(__unix__) || defined(__APPLE__)
+  struct rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return out;
+  auto seconds = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) + 1e-6 * static_cast<double>(tv.tv_usec);
+  };
+  out.cpu_s = seconds(usage.ru_utime) + seconds(usage.ru_stime);
+  out.involuntary_context_switches = static_cast<long>(usage.ru_nivcsw);
+#endif
+  return out;
+}
+
 }  // namespace issa::util

@@ -123,7 +123,7 @@ TEST(RunReportJson, RunIdIsNeverEmpty) {
 }
 
 TEST(RunReportJson, SuppliedRunIdAndProvenanceRoundTrip) {
-  // The report carries the run's id, wall clock and peak RSS, and the
+  // The report carries the run's id, wall clock, CPU time and peak RSS, and the
   // whole-run metrics object precedes the per-condition entries.  The
   // cell's offset and its delay each quarantine sample 3.
   const Report report =
@@ -133,6 +133,14 @@ TEST(RunReportJson, SuppliedRunIdAndProvenanceRoundTrip) {
   const util::json::Value& doc = report.doc;
   EXPECT_EQ(doc.at("run_id").as_string(), report.run_id);
   EXPECT_GE(doc.at("wall_clock_s").as_number(), 0.0);
+  // The run's own CPU time and preemptions, counted from the RunContext's
+  // start: the cell's transients take CPU time, and CPU over wall is their
+  // ratio.
+  const double cpu_s = doc.at("cpu_s").as_number();
+  EXPECT_GT(cpu_s, 0.0);
+  EXPECT_NEAR(doc.at("cpu_over_wall").as_number(), cpu_s / doc.at("wall_clock_s").as_number(),
+              1e-3 * doc.at("cpu_over_wall").as_number());
+  EXPECT_GE(doc.at("involuntary_context_switches").as_number(), 0.0);
   EXPECT_GT(doc.at("rss_peak_kb").as_number(), 0.0);
   EXPECT_EQ(doc.at("quarantined_samples").as_number(), 2.0);
   ASSERT_TRUE(doc.at("metrics").is_object());
