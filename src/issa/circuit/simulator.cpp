@@ -25,14 +25,15 @@ constexpr double kNewtonMaxStep = 0.3;  // damping: per-iteration voltage-step c
 // Final-update bound [V]: a Newton update that moves every free node by less
 // than this is final, and its end point is returned without being assembled.
 // Newton converges quadratically there, so that point's residual is about
-// c * |dx|^2 with c ~ 2.7e-2 A/V^2 on the sense amplifiers: at most 2.65e-10 A
-// (0.13 of the 2e-9 A floor) over the paper's sweeps, below the half floor at
-// which the line search accepts a full step outright.  The skipped assembly
-// could only confirm the same point, so every result is bit-identical
-// (DESIGN.md §16).  At 3e-4 V accepted points exceed the floor and results move.
-// c grows with the beta of the devices on a node: the margin was measured on
-// the SA sizing (W/L <= 17.8) and on an inverter up to W/L = 640/1280, where
-// the worst skipped residual was 0.31 of the floor.
+// c * |dx|^2 with c ~ 2.7e-2 A/V^2 on the sense amplifiers: at most 2.73e-10 A
+// (0.14 of the 2e-9 A floor) over the paper's sweeps and the benchmark
+// workloads, below the half floor at which the line search accepts a full
+// step outright.  The skipped assembly could only confirm the same point, so
+// every result is bit-identical (DESIGN.md §16).  At 3e-4 V accepted points
+// exceed the floor and results move.  c grows with the beta of the devices
+// on a node: the margin was measured on the SA sizing (W/L <= 17.8) and on an
+// inverter up to W/L = 640/1280, where the worst skipped residual was 0.15
+// of the floor.
 constexpr double kNewtonFinalStep = 1e-4;
 // Conductance from every node to ground [S].  1 nS is far below every
 // on-conductance in the SA yet large enough to dominate the subthreshold
@@ -577,14 +578,18 @@ std::vector<double> Simulator::solve_dc(const DcOptions& options) {
 
 void Simulator::prepare_companions(double h, IntegrationMethod method) {
   const auto& caps = netlist_.capacitors();
-  for (std::size_t k = 0; k < caps.size(); ++k) {
-    auto& st = cap_state_[k];
-    const double c = caps[k].capacitance;
-    const double geq = method == IntegrationMethod::kBackwardEuler ? c / h : 2.0 * c / h;
-    if (geq != st.geq) linear_valid_ = false;
-    st.geq = geq;
-    st.ieq = method == IntegrationMethod::kBackwardEuler ? -geq * st.voltage
-                                                         : -geq * st.voltage - st.current;
+  const bool trapezoidal = method == IntegrationMethod::kTrapezoidal;
+  if (h != companion_h_ || method != companion_method_) {
+    for (std::size_t k = 0; k < caps.size(); ++k) {
+      const double c = caps[k].capacitance;
+      cap_state_[k].geq = trapezoidal ? 2.0 * c / h : c / h;
+    }
+    companion_h_ = h;
+    companion_method_ = method;
+    linear_valid_ = false;
+  }
+  for (auto& st : cap_state_) {
+    st.ieq = trapezoidal ? -st.geq * st.voltage - st.current : -st.geq * st.voltage;
   }
 }
 
@@ -728,6 +733,7 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
     cap_state_[k].voltage = v_of0(caps[k].a) - v_of0(caps[k].b);
     cap_state_[k].current = 0.0;
   }
+  companion_h_ = 0.0;  // the first step computes every geq afresh
 
   // Source breakpoints: steps land exactly on every PWL corner so the
   // companion integration never straddles a slope discontinuity.

@@ -21,8 +21,8 @@
 // current point is returned.  (2) The update, clamped to 0.3 V per node,
 // moves every free node by less than 0.1 mV: x + dx is returned without
 // being assembled.  Its residual is about c |dx|^2, where c grows with the
-// beta (mu Cox W/L) of the devices on a node; it was measured at most 0.13
-// of the floor on the sense amplifiers and 0.31 on an inverter with
+// beta (mu Cox W/L) of the devices on a node; it was measured at most 0.14
+// of the floor on the sense amplifiers and 0.15 on an inverter with
 // W/L = 640/1280 (DESIGN.md §16).  (3) Otherwise a backtracking line search
 // on the residual norm picks the step, and the next pass tests the new point.
 // Each update costs one LU factorisation; each assembly, the first one
@@ -44,9 +44,12 @@
 //
 // Transient integration replaces each capacitor with its companion model
 // (backward Euler or trapezoidal); the nonlinear solve at each timestep is
-// the same Newton loop, started from a predictor: the linear extrapolation
-// x_n + (h / h_prev) (x_n - x_{n-1}) of the last two accepted steps (the
-// previous state alone on the first step).  Integration starts at the first
+// the same Newton loop, started from a predictor: the quadratic through the
+// last three accepted states, evaluated at the new time with Lagrange
+// weights from the actual step sizes (the line through the last two on the
+// second step, the DC point on the first).  A regenerating latch curves
+// within a step, so the line missed its solution by more than the final-
+// update bound and cost a second assembly.  Integration starts at the first
 // source corner, since the circuit rests at its DC point until then.  Failed
 // steps are retried with a halved timestep a bounded number of times.
 //
@@ -286,8 +289,9 @@ class Simulator {
   // branch incidence, summed in assemble's stamping order.
   void build_linear_jacobian(bool transient, double gmin);
 
-  // Prepares each capacitor's companion (geq/ieq) for a step of size h; a
-  // changed geq invalidates linear_jacobian_.
+  // Prepares each capacitor's companion (geq/ieq) for a step of size h.  geq
+  // depends only on h and the method, so it is recomputed, and
+  // linear_jacobian_ invalidated, only when either changed.
   void prepare_companions(double h, IntegrationMethod method);
   // Accepts the step: refreshes stored capacitor voltage/current from the
   // step's full node voltages.
@@ -317,6 +321,8 @@ class Simulator {
   double temperature_k_;
   std::size_t node_count_;
   std::vector<CapacitorState> cap_state_;
+  double companion_h_ = 0.0;  // the step size cap_state_'s geq were computed for
+  IntegrationMethod companion_method_ = IntegrationMethod::kTrapezoidal;
 
   // Compiled topology (see file comment), built by the constructor.
   std::vector<long> row_;  // [node] -> its unknown's index; -1 for ground and pinned nodes
