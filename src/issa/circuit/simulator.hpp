@@ -37,10 +37,10 @@
 // What may change between runs: source waves, read from the netlist once
 // per time point and source scale of each Newton solve, and each MOSFET's
 // delta_vth, read from the netlist at the start of every solve_dc and so of
-// every run_transient.  What is fixed at
-// construction: the topology (which nodes every device touches, which
-// sources pin a node) and the MOSFET cards, polarities and W/L, packed once
-// per device with their temperature constants (device::MosConstants).
+// every run_transient.  What is fixed at construction: the topology (which
+// nodes every device touches, which sources pin a node) and the MOSFET
+// cards, polarities and W/L, packed once per device with their temperature
+// constants (device::MosConstants).
 //
 // Transient integration replaces each capacitor with its companion model
 // (backward Euler or trapezoidal); the nonlinear solve at each timestep is
@@ -48,8 +48,9 @@
 // last three accepted states, evaluated at the new time with Lagrange
 // weights from the actual step sizes (the line through the last two on the
 // second step, the DC point on the first).  A regenerating latch curves
-// within a step, so the line missed its solution by more than the final-
-// update bound and cost a second assembly.  Integration starts at the first
+// within a step, and the line through two states misses such a step's
+// solution by more than the final-update bound, which costs a second
+// iteration.  Integration starts at the first
 // source corner, since the circuit rests at its DC point until then.  Failed
 // steps are retried with a halved timestep a bounded number of times.
 //

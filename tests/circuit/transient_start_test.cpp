@@ -178,8 +178,8 @@ TEST(TransientStart, PredictedStepsOnAnAffineResponseTakeOneIteration) {
 TEST(TransientStart, PredictedStepsOnAQuadraticResponseTakeOneIteration) {
   // A current ramp into a capacitor: C dv/dt = k (t - t_a).  The trapezoidal
   // rule integrates a linear current exactly, so the accepted states lie on
-  // the parabola v = k (t - t_a)^2 / (2 C) (the 1 nS gmin leaks a part in
-  // 1e9 per step).  Once a step has three accepted states behind it, the
+  // the parabola v = k (t - t_a)^2 / (2 C) (the 1 nS gmin leaks 2e-9 of the
+  // voltage per step).  Once a step has three accepted states behind it, the
   // quadratic predictor lands on its solution to rounding and the step
   // takes one iteration.  The line through the last two misses it by
   // k h^2 / C = 2 mV on the 2 ps grid, so that predictor needs two, as does
