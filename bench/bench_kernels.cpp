@@ -1,9 +1,12 @@
 // Micro-benchmarks of the simulator kernels (google-benchmark): MOSFET
 // evaluation one device at a time and as a testbench batch, LU
-// factorization at MNA sizes, DC solve, full sensing transient with and
-// without sensitivities, offset search, and trap-set construction.
+// factorization at MNA sizes, multi-column solves, DC solve, full sensing
+// transient with and without sensitivities, offset search, trap-set
+// construction and one device's BTI draw.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -105,6 +108,31 @@ void BM_LuFactorizeSolve(benchmark::State& state) {
 // 6 is the compiled NSSA/ISSA unknown count (DESIGN.md §16).
 BENCHMARK(BM_LuFactorizeSolve)->Arg(6)->Arg(8)->Arg(16)->Arg(32);
 
+// One solve pass over 1, 2 or 3 right-hand sides with the factors of a 6 x 6
+// system: a transient step that carries two sensitivities solves its update
+// and both parameter columns in one 3-column pass.
+void BM_LuSolveColumns(benchmark::State& state) {
+  constexpr std::size_t n = linalg::LuFactorization::kCompiledSize;
+  const auto count = static_cast<std::size_t>(state.range(0));
+  util::Xoshiro256 rng(1);
+  linalg::Matrix factors(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) factors(r, c) = rng.normal();
+    factors(r, r) += static_cast<double>(n);
+  }
+  linalg::LuFactorization lu;
+  lu.factorize(factors);
+  std::vector<std::vector<double>> b(count, std::vector<double>(n, 1.0));
+  std::vector<std::span<double>> columns(b.begin(), b.end());
+  for (auto _ : state) {
+    for (auto& column : b) std::fill(column.begin(), column.end(), 1.0);
+    lu.solve_in_place(columns);
+    benchmark::DoNotOptimize(b.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_LuSolveColumns)->Arg(1)->Arg(2)->Arg(3);
+
 void BM_SenseAmpDcSolve(benchmark::State& state) {
   auto circuit = sa::build_nssa(sa::nominal_config());
   circuit.set_input_differential(0.05);
@@ -184,6 +212,8 @@ void BM_TrapSetSampling(benchmark::State& state) {
 }
 BENCHMARK(BM_TrapSetSampling);
 
+// One device's draw after 1e8 s of 80r0 at 25 or 125 C (the argument):
+// hot, fewer traps are screened out as certainly empty.
 void BM_BtiSampleShift(benchmark::State& state) {
   device::MosInstance inst;
   inst.card = device::ptm45_nmos();
@@ -191,13 +221,14 @@ void BM_BtiSampleShift(benchmark::State& state) {
   inst.w_over_l = 17.8;
   const auto map = workload::nssa_stress_map(workload::workload_from_name("80r0"), 1.0);
   const auto& profile = map.at("Mdown");
+  const double temperature_k = 273.15 + static_cast<double>(state.range(0));
   std::uint64_t seed = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        aging::sample_bti_shift(aging::default_bti(), inst, profile, 1e8, 298.15, seed++));
+        aging::sample_bti_shift(aging::default_bti(), inst, profile, 1e8, temperature_k, seed++));
   }
 }
-BENCHMARK(BM_BtiSampleShift);
+BENCHMARK(BM_BtiSampleShift)->Arg(25)->Arg(125);
 
 }  // namespace
 

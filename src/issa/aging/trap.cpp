@@ -2,41 +2,36 @@
 
 #include <cmath>
 
-#include "issa/util/rng.hpp"
 #include "issa/util/units.hpp"
 
 namespace issa::aging {
 
+TrapDistribution::TrapDistribution(const BtiParams& params, const device::MosInstance& inst) {
+  const double area = inst.width() * inst.card.length;
+  mean_count_ = params.trap_areal_density * area;
+  if (inst.type == device::MosType::kPmos) mean_count_ *= params.pmos_density_factor;
+  eta_mean_ = params.eta_factor * util::kElementaryCharge / (inst.card.cox * area);
+  const double a = params.tau_alpha;
+  lo_a_ = std::pow(params.tau_c_min, a);
+  hi_a_ = std::pow(params.tau_c_max, a);
+  inv_a_ = 1.0 / a;
+  log_ratio_lo_ = std::log(params.tau_e_ratio_min);
+  log_ratio_hi_ = std::log(params.tau_e_ratio_max);
+}
+
 TrapSet sample_trap_set(const BtiParams& params, const device::MosInstance& inst,
                         std::uint64_t seed) {
+  const TrapDistribution dist(params, inst);
   util::Xoshiro256 rng(seed);
-  const double area = inst.width() * inst.card.length;
-  double mean_count = params.trap_areal_density * area;
-  if (inst.type == device::MosType::kPmos) mean_count *= params.pmos_density_factor;
-
-  const double eta_mean =
-      params.eta_factor * util::kElementaryCharge / (inst.card.cox * area);
-
   TrapSet set;
-  const unsigned count = rng.poisson(mean_count);
+  const unsigned count = dist.draw_count(rng);
   set.traps.reserve(count);
-
-  // Power-law inverse-CDF sampling for tau_c: pdf ~ tau^(alpha - 1) on
-  // [tau_min, tau_max]  <=>  tau = (lo^a + u (hi^a - lo^a))^(1/a).
-  const double a = params.tau_alpha;
-  const double lo_a = std::pow(params.tau_c_min, a);
-  const double hi_a = std::pow(params.tau_c_max, a);
-  // tau_e = tau_c * ratio, the ratio log-uniform on [ratio_min, ratio_max].
-  const double log_ratio_lo = std::log(params.tau_e_ratio_min);
-  const double log_ratio_hi = std::log(params.tau_e_ratio_max);
-
   for (unsigned i = 0; i < count; ++i) {
+    const TrapDistribution::Uniforms u = TrapDistribution::draw_uniforms(rng);
     Trap t;
-    const double u = rng.uniform();
-    t.tau_c_ref = std::pow(lo_a + u * (hi_a - lo_a), 1.0 / a);
-    t.tau_e_ref =
-        t.tau_c_ref * std::exp(log_ratio_lo + (log_ratio_hi - log_ratio_lo) * rng.uniform());
-    t.delta_vth = rng.exponential(eta_mean);
+    t.tau_c_ref = dist.tau_c_ref(u.tau_c);
+    t.tau_e_ref = dist.tau_e_ref(t.tau_c_ref, u.ratio);
+    t.delta_vth = dist.impact(u.impact);
     set.traps.push_back(t);
   }
   return set;
@@ -56,6 +51,7 @@ OccupancyKernel::OccupancyKernel(const BtiParams& params, const StressProfile& p
     if (phase.vstress <= 0.0 || phase.fraction <= 0.0) continue;
     stressed_.push_back(
         {phase.fraction, std::exp(-params.gamma_field * (phase.vstress - params.vdd_ref))});
+    capture_scale_ += phase.fraction / (capture_temp_factor_ * stressed_.back().field_factor);
   }
 }
 

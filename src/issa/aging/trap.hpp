@@ -1,12 +1,14 @@
 // Individual oxide defects and their capture/emission statistics.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "issa/aging/bti_params.hpp"
 #include "issa/aging/stress.hpp"
 #include "issa/device/mos_params.hpp"
+#include "issa/util/rng.hpp"
 
 namespace issa::aging {
 
@@ -22,9 +24,57 @@ struct TrapSet {
   std::vector<Trap> traps;
 };
 
-/// Samples a trap set for a device.  The count is Poisson in the gate area
-/// (times the PMOS density factor for PMOS); per-trap impacts are exponential
-/// with mean eta_factor * q / (Cox W L); tau_c follows the power-law density.
+/// The trap population law of one device, and the one routine that draws
+/// from it: sample_trap_set and sample_bti_shift both read a device's stream
+/// through draw_count() and draw_uniforms(), so the two see the same traps.
+/// The count is Poisson in the gate area (times the PMOS density factor for
+/// PMOS); per-trap impacts are exponential with mean eta_factor * q /
+/// (Cox W L); tau_c follows the power-law density and tau_e = tau_c times a
+/// log-uniform ratio.
+class TrapDistribution {
+ public:
+  /// One trap's three uniforms, in stream order.
+  struct Uniforms {
+    double tau_c = 0.0;   ///< inverse-CDF input of tau_c_ref
+    double ratio = 0.0;   ///< inverse-CDF input of tau_e_ref / tau_c_ref
+    double impact = 0.0;  ///< inverse-CDF input of delta_vth
+  };
+
+  TrapDistribution(const BtiParams& params, const device::MosInstance& inst);
+
+  double mean_count() const noexcept { return mean_count_; }
+  double eta_mean() const noexcept { return eta_mean_; }
+
+  /// The trap count: the stream's first draws.
+  unsigned draw_count(util::Xoshiro256& rng) const { return rng.poisson(mean_count_); }
+  /// The next trap's uniforms.
+  static Uniforms draw_uniforms(util::Xoshiro256& rng) {
+    Uniforms u;
+    u.tau_c = rng.uniform();
+    u.ratio = rng.uniform();
+    u.impact = rng.uniform();
+    return u;
+  }
+
+  /// Power-law inverse CDF: pdf ~ tau^(alpha - 1) on [tau_min, tau_max]
+  /// <=> tau = (lo^a + u (hi^a - lo^a))^(1/a).  Increasing in u.
+  double tau_c_ref(double u) const { return std::pow(lo_a_ + u * (hi_a_ - lo_a_), inv_a_); }
+  double tau_e_ref(double tau_c_ref, double u) const {
+    return tau_c_ref * std::exp(log_ratio_lo_ + (log_ratio_hi_ - log_ratio_lo_) * u);
+  }
+  double impact(double u) const { return util::Xoshiro256::exponential_of(u, eta_mean_); }
+
+ private:
+  double mean_count_ = 0.0;
+  double eta_mean_ = 0.0;
+  double lo_a_ = 0.0;
+  double hi_a_ = 0.0;
+  double inv_a_ = 0.0;
+  double log_ratio_lo_ = 0.0;
+  double log_ratio_hi_ = 0.0;
+};
+
+/// Samples a trap set for a device (see TrapDistribution).
 TrapSet sample_trap_set(const BtiParams& params, const device::MosInstance& inst,
                         std::uint64_t seed);
 
@@ -50,6 +100,11 @@ class OccupancyKernel {
   /// initially-occupied trap Eq. (2) is the complement.
   double occupancy(const Trap& trap, double time_s) const noexcept;
 
+  /// Sum over the stressed phases of fraction / (capture Arrhenius factor x
+  /// field factor): a trap's mean capture rate lc is this over its
+  /// tau_c_ref, up to rounding.
+  double capture_scale() const noexcept { return capture_scale_; }
+
  private:
   struct StressedPhase {
     double fraction = 0.0;      ///< share of the period
@@ -59,6 +114,7 @@ class OccupancyKernel {
   double capture_temp_factor_ = 0.0;
   double emission_temp_factor_ = 0.0;
   double relax_fraction_ = 0.0;
+  double capture_scale_ = 0.0;
   std::vector<StressedPhase> stressed_;
 };
 

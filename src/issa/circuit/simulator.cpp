@@ -391,6 +391,10 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, d
                              double source_scale) {
   const std::size_t n = unknown_count();
   pinned_valid_ = false;  // source waves may have changed since the last solve
+  // Only a final update keeps the columns solved alongside it; any other
+  // exit leaves advance_sensitivities to solve them.
+  sensitivities_solved_ = false;
+  const bool carry_sensitivities = transient && !sens_.empty();
   const bool forensic = util::trace::enabled();
   if (forensic) {
     fnorm_hist_ws_.clear();
@@ -457,7 +461,21 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, d
       lu_ws_.factorize(jacobian);  // in place: jacobian now holds the factors
       jacobian_factored_ = true;
       for (std::size_t i = 0; i < n; ++i) dx[i] = -residual[i];
-      lu_ws_.solve_in_place(dx);
+      if (carry_sensitivities) {
+        // The sensitivities ride along in case this update is final: their
+        // right-hand sides come from the assembly just factored and the
+        // last accepted step's capacitor history, which is exactly what
+        // advance_sensitivities would build from these factors.
+        columns_ws_.clear();
+        columns_ws_.emplace_back(dx);
+        for (Sensitivity& s : sens_) {
+          build_sensitivity_rhs(s, /*transient=*/true, companion_method_, companion_h_);
+          columns_ws_.emplace_back(s.rhs);
+        }
+        lu_ws_.solve_in_place(columns_ws_);
+      } else {
+        lu_ws_.solve_in_place(dx);
+      }
     } catch (const std::runtime_error&) {
       ++telemetry.failures;
       return false;  // singular Jacobian: the caller falls back
@@ -473,6 +491,7 @@ bool Simulator::newton_solve(std::vector<double>& x, double t, bool transient, d
     // A settled update is final: take the full step without assembling it.
     if (max_step < kNewtonFinalStep) {
       for (std::size_t i = 0; i < n; ++i) x[i] += dx[i];
+      sensitivities_solved_ = carry_sensitivities;
       return true;
     }
 
@@ -604,59 +623,74 @@ void Simulator::accept_step(const std::vector<double>& node_v) {
   }
 }
 
-void Simulator::advance_sensitivities(bool transient, IntegrationMethod method, double h) {
-  if (!jacobian_factored_) {
-    m_lu_factorizations().add();
-    lu_ws_.factorize(jacobian_ws_);
-    jacobian_factored_ = true;
-  }
+void Simulator::build_sensitivity_rhs(Sensitivity& s, bool transient, IntegrationMethod method,
+                                      double h) const {
   const std::size_t n = unknown_count();
   const bool trapezoidal = method == IntegrationMethod::kTrapezoidal;
   const double geq_per_farad = transient ? (trapezoidal ? 2.0 : 1.0) / h : 0.0;
   const auto& mosfets = netlist_.mosfets();
-  std::vector<double>& rhs = sens_rhs_ws_;
+  std::vector<double>& rhs = s.rhs;
+  // -dF/dp.  A pinned driven node moves the current of every device on it;
+  // a driven node with a branch current moves its source's KVL row.
+  rhs.assign(n, 0.0);
+  auto on_pin = [&](NodeId node) { return node == s.node_id ? 1.0 : 0.0; };
+  auto add_current = [&](NodeId node, double di) {
+    const long r = row_[static_cast<std::size_t>(node)];
+    if (r >= 0) rhs[static_cast<std::size_t>(r)] -= di;
+  };
+  for (const std::size_t k : s.mosfets) {
+    const auto& m = mosfets[k];
+    const device::MosEval& e = mos_eval_ws_[k];
+    const double di = e.gm * on_pin(m.gate) + e.gds * on_pin(m.drain) +
+                      e.gms * on_pin(m.source) + e.gmb * on_pin(m.bulk);
+    add_current(m.drain, di);
+    add_current(m.source, -di);
+  }
+  for (const std::size_t k : s.resistors) {
+    const auto& r = netlist_.resistors()[k];
+    const double di = (on_pin(r.a) - on_pin(r.b)) / r.resistance;
+    add_current(r.a, di);
+    add_current(r.b, -di);
+  }
+  for (const auto& [row, value] : s.kvl) rhs[row] += value;
+  // The capacitors' history.  Per row, their charge is q = C x and their
+  // companion current geq dv + ieq, with ieq = -geq dv_n - i_n
+  // (trapezoidal) or -geq dv_n (backward Euler) and geq = 2C/h or C/h.
+  if (transient) {
+    for (std::size_t r = 0; r < n; ++r) {
+      rhs[r] += geq_per_farad * s.q[r] + (trapezoidal ? s.cap_i[r] : 0.0);
+    }
+  }
+}
+
+void Simulator::advance_sensitivities(bool transient, IntegrationMethod method, double h) {
+  if (!sensitivities_solved_) {
+    if (!jacobian_factored_) {
+      m_lu_factorizations().add();
+      lu_ws_.factorize(jacobian_ws_);
+      jacobian_factored_ = true;
+    }
+    columns_ws_.clear();
+    for (Sensitivity& s : sens_) {
+      build_sensitivity_rhs(s, transient, method, h);
+      columns_ws_.emplace_back(s.rhs);
+    }
+    lu_ws_.solve_in_place(columns_ws_);
+  }
+  sensitivities_solved_ = false;
+  const std::size_t n = unknown_count();
+  const bool trapezoidal = method == IntegrationMethod::kTrapezoidal;
+  const double geq_per_farad = transient ? (trapezoidal ? 2.0 : 1.0) / h : 0.0;
   for (Sensitivity& s : sens_) {
-    // -dF/dp.  A pinned driven node moves the current of every device on
-    // it; a driven node with a branch current moves its source's KVL row.
-    rhs.assign(n, 0.0);
-    auto on_pin = [&](NodeId node) { return node == s.node_id ? 1.0 : 0.0; };
-    auto add_current = [&](NodeId node, double di) {
-      const long r = row_[static_cast<std::size_t>(node)];
-      if (r >= 0) rhs[static_cast<std::size_t>(r)] -= di;
-    };
-    for (const std::size_t k : s.mosfets) {
-      const auto& m = mosfets[k];
-      const device::MosEval& e = mos_eval_ws_[k];
-      const double di = e.gm * on_pin(m.gate) + e.gds * on_pin(m.drain) +
-                        e.gms * on_pin(m.source) + e.gmb * on_pin(m.bulk);
-      add_current(m.drain, di);
-      add_current(m.source, -di);
-    }
-    for (const std::size_t k : s.resistors) {
-      const auto& r = netlist_.resistors()[k];
-      const double di = (on_pin(r.a) - on_pin(r.b)) / r.resistance;
-      add_current(r.a, di);
-      add_current(r.b, -di);
-    }
-    for (const auto& [row, value] : s.kvl) rhs[row] += value;
-    // The capacitors' history.  Per row, their charge is q = C x and their
-    // companion current geq dv + ieq, with ieq = -geq dv_n - i_n
-    // (trapezoidal) or -geq dv_n (backward Euler) and geq = 2C/h or C/h.
-    if (transient) {
-      for (std::size_t r = 0; r < n; ++r) {
-        rhs[r] += geq_per_farad * s.q[r] + (trapezoidal ? s.cap_i[r] : 0.0);
-      }
-    }
-    lu_ws_.solve_in_place(rhs);
     for (std::size_t r = 0; r < n; ++r) {
       double q = 0.0;
-      for (std::size_t c = 0; c < n; ++c) q += cap_matrix_(r, c) * rhs[c];
+      for (std::size_t c = 0; c < n; ++c) q += cap_matrix_(r, c) * s.rhs[c];
       if (transient) {
         s.cap_i[r] = geq_per_farad * (q - s.q[r]) - (trapezoidal ? s.cap_i[r] : 0.0);
       }
       s.q[r] = q;
     }
-    s.x.swap(rhs);
+    s.x.swap(s.rhs);
   }
 }
 
@@ -666,6 +700,7 @@ Simulator::Sensitivity Simulator::make_sensitivity(NodeId node) const {
   s.x.assign(unknown_count(), 0.0);
   s.q.assign(unknown_count(), 0.0);
   s.cap_i.assign(unknown_count(), 0.0);
+  s.rhs.assign(unknown_count(), 0.0);
   s.pinned = std::any_of(pins_.begin(), pins_.end(),
                          [&](const auto& pin) { return pin.first == node; });
   if (s.pinned) {
@@ -709,6 +744,7 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
     throw std::invalid_argument("run_transient: tstop and dt must be > 0");
   }
   util::trace::Span span(util::trace::spans::kTransient, "sim");
+  span.record_thread_cpu();
   if (span.traced()) {
     span.attr_f64("tstop", options.tstop);
     span.attr_f64("dt", options.dt);

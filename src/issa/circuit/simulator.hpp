@@ -57,15 +57,19 @@
 // On request a transient also carries the forward sensitivity of every node
 // voltage to the value of named nodes that a source holds against ground
 // (the direct method of transient sensitivity analysis, DESIGN.md §16).  The
-// DC point seeds it from the DC Jacobian; after each accepted step it solves
-// J s = -dF/dp once per parameter with the LU factors that step's Newton
-// solve left behind (factoring the last assembly when that one was not
-// factored), where dF/dp is the MOSFETs' partials on a pinned node, kept
-// from the last assembly, or the driving source's KVL row, plus the
-// capacitor companions' history.  When the last update was final
-// without an assembly (case 2 above), the factors and partials are those of
-// the iterate before it, so the sensitivity is that of a point less than
-// 0.1 mV away.  It costs no device pass and leaves every waveform
+// DC point seeds it from the DC Jacobian; each accepted step solves
+// J s = -dF/dp once per parameter with the LU factors of that step's last
+// assembly, where dF/dp is the MOSFETs' partials on a pinned node, from the
+// same assembly, or the driving source's KVL row, plus the capacitor
+// companions' history.  Every factorisation of a transient Newton solve
+// builds these right-hand sides from the assembly it just factored and
+// solves them in one multi-column LU pass with the update: when the update
+// is final (case 2 above), those columns are the step's sensitivities, and
+// otherwise they are dropped.  A solve that ends on its residual (case 1)
+// leaves its last assembly unfactored, so the step factors it and solves
+// the columns afterwards.  After a final update the factors and partials
+// are those of the iterate before it, so the sensitivity is that of a point
+// less than 0.1 mV away.  It costs no device pass and leaves every waveform
 // bit-identical; on a linear circuit it is exact to rounding.
 //
 // Every per-iteration buffer (Jacobian, residuals, trial vectors, the LU
@@ -77,6 +81,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -275,14 +280,21 @@ class Simulator {
     std::vector<double> x;      // d unknowns / d V(node_id)
     std::vector<double> q;      // d capacitor charge, per row: cap_matrix_ x
     std::vector<double> cap_i;  // d capacitor current, per row
+    std::vector<double> rhs;    // -dF/dp, solved in place into the next x
   };
 
   // The sensitivity to `node`'s value, zeroed; throws std::invalid_argument
   // when no source holds `node` against ground.
   Sensitivity make_sensitivity(NodeId node) const;
+  // Writes s.rhs = -dF/dp at the last assembly (its MOSFET partials) and
+  // the last accepted step's capacitor history, for a step of size h.
+  // `transient` false is the DC seed: capacitors open, their current
+  // history zero.
+  void build_sensitivity_rhs(Sensitivity& s, bool transient, IntegrationMethod method,
+                             double h) const;
   // Brings every sensitivity to the point newton_solve just returned, a
-  // step of size h (see the file comment).  `transient` false is the DC
-  // seed: capacitors open, their current history zero.
+  // step of size h (see the file comment): solves the columns unless the
+  // final update already did, then updates q and cap_i.
   void advance_sensitivities(bool transient, IntegrationMethod method, double h);
 
   // The Jacobian's linear part: gmin on every free node, the resistors, the
@@ -348,7 +360,10 @@ class Simulator {
   std::vector<device::MosEval> mos_eval_ws_;  // [mosfet] at the last assembly; the
                                               // sensitivities read it too
   std::vector<Sensitivity> sens_;     // the running transient's sensitivities
-  std::vector<double> sens_rhs_ws_;
+  // Each sens_[k].rhs holds its solution with the factors of the final
+  // update newton_solve just returned; set only by that return.
+  bool sensitivities_solved_ = false;
+  std::vector<std::span<double>> columns_ws_;  // one multi-column solve's right-hand sides
   std::vector<double> step_x_try_ws_; // transient per-step trial unknowns
   std::vector<double> step_x_prev_ws_; // unknowns of the step before the last
   std::vector<double> step_x_prev2_ws_; // unknowns two steps before the last

@@ -17,6 +17,10 @@ class Matrix {
   double& operator()(std::size_t r, std::size_t c) noexcept { return data_[r * cols_ + c]; }
   double operator()(std::size_t r, std::size_t c) const noexcept { return data_[r * cols_ + c]; }
 
+  /// The entries, row-major.
+  double* data() noexcept { return data_.data(); }
+  const double* data() const noexcept { return data_.data(); }
+
   /// Sets every entry to zero without reallocating.
   void set_zero() noexcept;
 

@@ -15,8 +15,7 @@ double Xoshiro256::normal() noexcept {
   return r * std::cos(6.283185307179586476925286766559 * u2);
 }
 
-double Xoshiro256::exponential(double mean) noexcept {
-  double u = uniform();
+double Xoshiro256::exponential_of(double u, double mean) noexcept {
   if (u <= 0.0) u = 0x1.0p-53;
   return -mean * std::log(u);
 }

@@ -68,7 +68,11 @@ class Xoshiro256 {
   double normal(double mean, double stddev) noexcept { return mean + stddev * normal(); }
 
   /// Exponential deviate with the given mean (mean > 0).
-  double exponential(double mean) noexcept;
+  double exponential(double mean) noexcept { return exponential_of(uniform(), mean); }
+
+  /// The exponential deviate exponential() makes of the uniform `u`, for a
+  /// caller that draws the uniform first and transforms it only when needed.
+  static double exponential_of(double u, double mean) noexcept;
 
   /// Poisson deviate with the given mean (mean >= 0).  Uses Knuth's method for
   /// small means and normal approximation above 64 (trap counts never need

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -44,6 +45,14 @@ struct Registry {
 Registry& registry() {
   static Registry* r = new Registry;  // leaked: safe at exit
   return *r;
+}
+
+// CPU time of the calling thread [ns].
+std::uint64_t thread_cpu_ns() noexcept {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
+         static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
 ThreadBuffer& thread_buffer() {
@@ -114,6 +123,10 @@ Span::~Span() {
   // stays off the hot path.
   metrics::Registry::instance().timer(name_).record_ns(end_ns - start_ns_);
   if (!traced_) return;
+  if (cpu_timed_) {
+    attrs_.push_back(
+        Attr::f64("cpu_us", static_cast<double>(thread_cpu_ns() - cpu_start_ns_) / 1e3));
+  }
   t_span_stack.pop_back();
   ThreadBuffer& buffer = thread_buffer();
   SpanEvent event;
@@ -125,6 +138,12 @@ Span::~Span() {
   event.depth = static_cast<std::uint32_t>(t_span_stack.size());
   event.attrs = std::move(attrs_);
   buffer.push(std::move(event));
+}
+
+void Span::record_thread_cpu() {
+  if (!traced_) return;
+  cpu_timed_ = true;
+  cpu_start_ns_ = thread_cpu_ns();
 }
 
 void Span::attr_u64(const char* key, std::uint64_t value) {

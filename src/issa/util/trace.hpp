@@ -12,7 +12,9 @@
 // drained by collect() once the traced region has quiesced, and the merged
 // event set serializes to one Chrome trace-event JSON document (loadable in
 // Perfetto / chrome://tracing).  Spans sit at sample granularity and above
-// (spans::kAll); Newton and LU work is only counted.
+// (spans::kAll); Newton and LU work is only counted.  The mc.sample and
+// sim.transient spans also carry their thread's CPU time (cpu_us), so a
+// slow span shows whether it computed or waited.
 //
 // Like util/metrics, tracing starts disabled: with metrics off too, every
 // span site pays two relaxed atomic loads + a predicted branch until
@@ -122,6 +124,13 @@ class Span {
   /// construction with it.
   bool traced() const noexcept { return traced_; }
 
+  /// Also records the CPU time the calling thread spends inside the span,
+  /// as its `cpu_us` attribute (a no-op on an untraced span).  Against the
+  /// span's wall time it tells a thread the host held back from one that
+  /// had more work to do.  Call right after construction, on the thread
+  /// that closes the span.
+  void record_thread_cpu();
+
   /// Attach attributes (no-ops on an untraced span).
   void attr_u64(const char* key, std::uint64_t value);
   void attr_f64(const char* key, double value);
@@ -132,7 +141,9 @@ class Span {
 
   bool timed_;
   bool traced_;
+  bool cpu_timed_ = false;
   std::uint64_t start_ns_ = 0;
+  std::uint64_t cpu_start_ns_ = 0;
   const char* name_ = "";
   const char* category_ = "";
   std::vector<Attr> attrs_;

@@ -2,12 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 
 #include "issa/aging/trap.hpp"
+#include "issa/util/rng.hpp"
 #include "issa/util/statistics.hpp"
 #include "issa/workload/device_names.hpp"
 #include "issa/workload/stress_map.hpp"
@@ -173,6 +175,53 @@ TEST(BtiModel, CalibratedMagnitudeMatchesPaperAnchor) {
       expected_bti_shift(p, nmos(17.8), StressProfile::duty_cycle(0.4, 1.0), kLifetime, kT25);
   EXPECT_GT(shift, 8e-3);
   EXPECT_LT(shift, 28e-3);
+}
+
+TEST(BtiModel, ScreenedDrawMatchesTrapByTrapDraw) {
+  // sample_bti_shift skips the traps whose occupancy uniform a bound proves
+  // too large to fall below the occupancy.  Its oracle is the unscreened
+  // draw, trap by trap: every trap of sample_trap_set, its occupancy from
+  // OccupancyKernel and a Bernoulli draw from the occupancy stream.  The two
+  // must agree to the bit over devices, profiles, temperatures and stress
+  // times from mostly screened (short, cool) to mostly occupied (long, hot).
+  const BtiParams p = default_bti();
+  device::MosInstance pmos = nmos();
+  pmos.card = device::ptm45_pmos();
+  pmos.type = device::MosType::kPmos;
+  pmos.w_over_l = 8.0;
+  const device::MosInstance devices[2] = {nmos(), pmos};
+  const auto map = workload::nssa_stress_map(workload::workload_from_name("80r0"), 1.0);
+  const StressProfile duty = StressProfile::duty_cycle(0.4, 1.0);
+  const StressProfile* profiles[2][2] = {{&duty, &map.at(std::string(workload::names::kMdown))},
+                                         {&duty, &map.at(std::string(workload::names::kMupBar))}};
+  auto trap_by_trap = [&](const device::MosInstance& inst, const StressProfile& profile,
+                          double time_s, double temperature_k, std::uint64_t seed) {
+    const OccupancyKernel kernel(p, profile, temperature_k);
+    util::Xoshiro256 occupancy_rng(util::derive_seed(seed, 0x0CCC));
+    double shift = 0.0;
+    for (const Trap& trap : sample_trap_set(p, inst, seed).traps) {
+      if (occupancy_rng.bernoulli(kernel.occupancy(trap, time_s))) shift += trap.delta_vth;
+    }
+    return shift;
+  };
+  for (int d = 0; d < 2; ++d) {
+    for (int k = 0; k < 2; ++k) {
+      for (const double temperature_c : {25.0, 75.0, 125.0}) {
+        for (const double time_s : {1e2, 1e4, 1e6, 1e8, 1e9}) {
+          for (std::uint64_t seed = 0; seed < 100; ++seed) {
+            const double temperature_k = 273.15 + temperature_c;
+            const double screened =
+                sample_bti_shift(p, devices[d], *profiles[d][k], time_s, temperature_k, seed);
+            const double oracle =
+                trap_by_trap(devices[d], *profiles[d][k], time_s, temperature_k, seed);
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(screened), std::bit_cast<std::uint64_t>(oracle))
+                << "device " << d << ", profile " << k << ", T " << temperature_c << " C, t "
+                << time_s << " s, seed " << seed << ": " << screened << " vs " << oracle;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(BtiModel, DrawMatchesRecordedBits) {

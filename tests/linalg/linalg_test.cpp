@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "issa/linalg/lu.hpp"
@@ -150,6 +154,106 @@ TEST(Lu, SolveInPlace) {
   lu.solve_in_place(b);
   EXPECT_NEAR(b[0], 1.0, 1e-12);
   EXPECT_NEAR(b[1], 2.0, 1e-12);
+}
+
+// The same bits, compared as integers: equal doubles, and NaNs alike.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// A random n x n system whose first row, and every third row after it, has
+// small entries and (for n > 1) a zero diagonal, so that most columns pivot.
+Matrix pivoting_matrix(std::size_t n, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  Matrix a(n, n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const double scale = r % 3 == 0 ? 1e-3 : 1.0;
+    for (std::size_t c = 0; c < n; ++c) a(r, c) = scale * rng.normal();
+    if (r % 3 == 0 && n > 1) a(r, r) = 0.0;
+  }
+  return a;
+}
+
+// Factors and solves `a` with the kernel compiled for size kN, and with the
+// runtime-size kernel; both must give the same factors, permutation and
+// solution, bit for bit.
+template <std::size_t kN>
+void expect_kernels_agree(std::uint64_t seed) {
+  const Matrix a = pivoting_matrix(kN, seed);
+  Matrix fixed = a;
+  Matrix runtime = a;
+  std::vector<std::size_t> perm_fixed(kN);
+  std::vector<std::size_t> perm_runtime(kN);
+  detail::lu_factorize<kN>(fixed.data(), kN, perm_fixed.data(), LuFactorization::kMinPivot);
+  detail::lu_factorize<0>(runtime.data(), kN, perm_runtime.data(), LuFactorization::kMinPivot);
+  EXPECT_EQ(perm_fixed, perm_runtime) << "n = " << kN;
+  bool pivoted = false;
+  for (std::size_t i = 0; i < kN; ++i) pivoted = pivoted || perm_fixed[i] != i;
+  EXPECT_TRUE(pivoted || kN == 1) << "n = " << kN;
+  for (std::size_t r = 0; r < kN; ++r) {
+    for (std::size_t c = 0; c < kN; ++c) {
+      EXPECT_EQ(bits(fixed(r, c)), bits(runtime(r, c))) << "n = " << kN << " (" << r << ", " << c << ")";
+    }
+  }
+  util::Xoshiro256 rng(seed + 1);
+  std::vector<double> x_fixed(kN);
+  for (double& v : x_fixed) v = rng.normal();
+  std::vector<double> x_runtime = x_fixed;
+  std::vector<double> scratch(kN);
+  double* column_fixed[1] = {x_fixed.data()};
+  double* column_runtime[1] = {x_runtime.data()};
+  detail::lu_solve<kN, 1>(fixed.data(), kN, perm_fixed.data(), column_fixed, nullptr);
+  detail::lu_solve<0, 1>(runtime.data(), kN, perm_runtime.data(), column_runtime, scratch.data());
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(bits(x_fixed[i]), bits(x_runtime[i])) << "n = " << kN << ", row " << i;
+  }
+}
+
+TEST(Lu, CompiledAndRuntimeSizeKernelsAgreeBitForBit) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    [seed]<std::size_t... kN>(std::index_sequence<kN...>) {
+      (expect_kernels_agree<kN + 1>(seed), ...);
+    }(std::make_index_sequence<8>{});
+  }
+}
+
+TEST(Lu, DetectsSingularAtTheCompiledSize) {
+  // Row 5 is twice row 2: the compiled-size kernel must still throw, and
+  // leave nothing to solve with.
+  constexpr std::size_t n = LuFactorization::kCompiledSize;
+  Matrix a = pivoting_matrix(n, 3);
+  for (std::size_t c = 0; c < n; ++c) a(5, c) = 2.0 * a(2, c);
+  LuFactorization lu;
+  EXPECT_THROW(lu.factorize(a), std::runtime_error);
+  EXPECT_EQ(lu.size(), 0u);
+  std::vector<double> b(n, 1.0);
+  EXPECT_THROW(lu.solve_in_place(b), std::logic_error);
+}
+
+TEST(Lu, MultiColumnSolveMatchesColumnByColumn) {
+  // 6 runs the compiled-size kernel, the others the runtime-size one; five
+  // columns take a 3-column pass and a 2-column pass.
+  for (const std::size_t n : {2u, 6u, 9u}) {
+    Matrix factors = pivoting_matrix(n, 11 * n);
+    for (std::size_t r = 0; r < n; ++r) factors(r, r) += 2.0;
+    LuFactorization lu;
+    lu.factorize(factors);
+    util::Xoshiro256 rng(n);
+    for (const std::size_t count : {2u, 3u, 5u}) {
+      std::vector<std::vector<double>> together(count, std::vector<double>(n));
+      for (auto& column : together) {
+        for (double& v : column) v = rng.normal();
+      }
+      std::vector<std::vector<double>> alone = together;
+      std::vector<std::span<double>> columns(together.begin(), together.end());
+      lu.solve_in_place(columns);
+      for (std::size_t j = 0; j < count; ++j) {
+        lu.solve_in_place(alone[j]);
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(bits(together[j][i]), bits(alone[j][i]))
+              << "n = " << n << ", " << count << " columns, column " << j << ", row " << i;
+        }
+      }
+    }
+  }
 }
 
 TEST(Lu, SolveSizeMismatchThrows) {

@@ -357,6 +357,53 @@ TEST(Measure, ExtrapolatedFlipFollowsTheKink) {
   EXPECT_FALSE(extrapolated_flip(1e-3, 0.1, 0.0, -300.0).has_value());
 }
 
+// The fast path's first offset probe on `c`: a full-length transient at the
+// offset model's prediction, carrying the final split's sensitivities to
+// V(BL) and V(BLBar).
+struct Probe {
+  circuit::TransientOptions options;  // without the sensitivities
+  circuit::TransientResult result;
+};
+
+Probe first_probe(SenseAmpCircuit& c) {
+  const double vin = -offset_model(c.kind(), c.config()).predict(c);
+  c.set_input_differential(vin);
+  circuit::TransientOptions opt;
+  opt.tstop = c.config().timing.t_stop;
+  opt.dt = c.config().timing.dt;
+  opt.dc_guess = c.dc_guess(vin);
+  circuit::TransientOptions with = opt;
+  with.sensitivity_to = {c.node_bl(), c.node_blbar()};
+  return {opt, circuit::Simulator(c.netlist(), c.config().temperature_k()).run_transient(with)};
+}
+
+// Holds each of the probe's two split sensitivities within 10% of a central
+// difference of the split in that bitline's source at 10 uV steps.
+void expect_split_sensitivities_match_central(SenseAmpCircuit& c, const Probe& probe,
+                                              std::size_t sample) {
+  constexpr double kStep = 10e-6;
+  auto split = [&](const circuit::TransientResult& tr) {
+    return tr.node_wave(c.node_s()).back() - tr.node_wave(c.node_sbar()).back();
+  };
+  const char* sources[] = {"Vbl", "Vblbar"};
+  for (std::size_t k = 0; k < 2; ++k) {
+    const auto s = static_cast<std::size_t>(c.node_s());
+    const auto sbar = static_cast<std::size_t>(c.node_sbar());
+    const double analytic = probe.result.sensitivity(k)[s] - probe.result.sensitivity(k)[sbar];
+    circuit::SourceWave& wave = c.netlist().find_vsource(sources[k]).wave;
+    auto shifted_split = [&](double dv) {
+      wave.offset_by(dv);
+      const double g = split(circuit::Simulator(c.netlist(), c.config().temperature_k())
+                                 .run_transient(probe.options));
+      wave.offset_by(-dv);
+      return g;
+    };
+    const double central = (shifted_split(kStep) - shifted_split(-kStep)) / (2.0 * kStep);
+    EXPECT_NEAR(analytic, central, 0.1 * std::fabs(central))
+        << "sample " << sample << ", " << sources[k] << ", split " << split(probe.result);
+  }
+}
+
 TEST(Measure, SplitSensitivityMatchesFiniteDifference) {
   // The one-probe flip extrapolates along the final split's sensitivities
   // to V(BL) and V(BLBar).  On the 32 guard samples at the offset model's
@@ -364,40 +411,32 @@ TEST(Measure, SplitSensitivityMatchesFiniteDifference) {
   // difference of the split in that bitline's source at 10 uV steps within
   // 10%.  They are the sensitivities of a point less than 0.1 mV from the
   // accepted one, where Newton's last update was final without assembling.
-  constexpr double kStep = 10e-6;
   std::vector<SenseAmpCircuit> samples = guard_samples();
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    SenseAmpCircuit& c = samples[i];
-    const double vin = -offset_model(c.kind(), c.config()).predict(c);
-    c.set_input_differential(vin);
-    circuit::TransientOptions opt;
-    opt.tstop = c.config().timing.t_stop;
-    opt.dt = c.config().timing.dt;
-    opt.dc_guess = c.dc_guess(vin);
-    auto split = [&](const circuit::TransientResult& tr) {
-      return tr.node_wave(c.node_s()).back() - tr.node_wave(c.node_sbar()).back();
-    };
-    circuit::TransientOptions with = opt;
-    with.sensitivity_to = {c.node_bl(), c.node_blbar()};
-    const circuit::TransientResult tr =
-        circuit::Simulator(c.netlist(), c.config().temperature_k()).run_transient(with);
-    const char* sources[] = {"Vbl", "Vblbar"};
-    for (std::size_t k = 0; k < 2; ++k) {
-      const auto s = static_cast<std::size_t>(c.node_s());
-      const auto sbar = static_cast<std::size_t>(c.node_sbar());
-      const double analytic = tr.sensitivity(k)[s] - tr.sensitivity(k)[sbar];
-      circuit::SourceWave& wave = c.netlist().find_vsource(sources[k]).wave;
-      auto shifted_split = [&](double dv) {
-        wave.offset_by(dv);
-        const double g =
-            split(circuit::Simulator(c.netlist(), c.config().temperature_k()).run_transient(opt));
-        wave.offset_by(-dv);
-        return g;
-      };
-      const double central = (shifted_split(kStep) - shifted_split(-kStep)) / (2.0 * kStep);
-      EXPECT_NEAR(analytic, central, 0.1 * std::fabs(central))
-          << "sample " << i << ", " << sources[k] << ", split " << split(tr);
-    }
+    expect_split_sensitivities_match_central(samples[i], first_probe(samples[i]), i);
+  }
+}
+
+TEST(Measure, SensitivitiesSolvedWithTheUpdateMatchFiniteDifference) {
+  // Every factorisation of a transient Newton solve also solves the
+  // sensitivity columns, and only a final update keeps them: a step whose
+  // solve ends on its residual factors its last assembly afterwards, as
+  // before.  The hot aged NSSA probes take a second Newton iteration on
+  // some steps, so both endings occur.  Their sensitivities must match
+  // central differences, and the factorisation count must equal the one
+  // recorded before the columns rode along (an extra or a skipped
+  // factorisation would change it).
+  constexpr std::uint64_t kLuFactorizations = 2312;
+  std::vector<SenseAmpCircuit> samples = guard_samples();
+  std::vector<Probe> probes;
+  const SearchWork work = solver_work([&] {
+    for (std::size_t i = 24; i < 32; ++i) probes.push_back(first_probe(samples[i]));
+  });
+  EXPECT_EQ(work.steps, 8u * 250u);
+  EXPECT_GT(work.newton_iterations, work.steps);
+  EXPECT_EQ(work.lu_factorizations, kLuFactorizations);
+  for (std::size_t i = 24; i < 32; ++i) {
+    expect_split_sensitivities_match_central(samples[i], probes[i - 24], i);
   }
 }
 

@@ -4,8 +4,10 @@
 //   trace_report --check <run.trace.json>   validate only (CI)
 //
 // The full report shows where the run's wall clock went (per-span-name
-// breakdown), the shape of each span population (log2 duration histograms),
-// the slowest Monte-Carlo samples with their condition, sample and seed,
+// breakdown, with the CPU time over the wall time of the spans that record
+// their thread's CPU time), the shape of each span population (log2
+// duration histograms), the slowest Monte-Carlo samples with their CPU
+// time, condition, sample and seed,
 // how busy each worker thread was (from pool.task spans), and any solver
 // forensic events with every scalar arg.  Both modes read only the Chrome
 // trace-event document --trace writes (the format Perfetto and
@@ -47,6 +49,7 @@ struct SpanRec {
   double start_ns = 0.0;
   double dur_ns = 0.0;
   std::uint32_t tid = 0;
+  double cpu_ns = -1.0;  // the thread's CPU time inside the span; -1 if not recorded
   std::vector<std::string> sample_args;  // mc.sample only: kSampleArgs' values, "-" if absent
 };
 
@@ -156,8 +159,13 @@ Trace ingest_chrome(const Value& doc) {
       s.start_ns = e.at("ts").as_number() * 1000.0;
       s.dur_ns = e.at("dur").as_number() * 1000.0;
       s.tid = static_cast<std::uint32_t>(e.at("tid").as_number());
+      const Value* args = e.find("args");
+      if (args != nullptr && args->is_object()) {
+        if (const Value* cpu = args->find("cpu_us"); cpu != nullptr && cpu->is_number()) {
+          s.cpu_ns = cpu->as_number() * 1000.0;
+        }
+      }
       if (s.name == "mc.sample") {
-        const Value* args = e.find("args");
         for (const char* key : kSampleArgs) {
           const Value* v = args != nullptr && args->is_object() ? args->find(key) : nullptr;
           if (v != nullptr && v->is_string()) {
@@ -207,11 +215,17 @@ std::string fmt_us(double ns) { return AsciiTable::num(ns / 1e3, 1); }
 struct NameStats {
   std::size_t count = 0;
   double total_ns = 0.0;
+  double cpu_ns = 0.0;       // CPU time of the spans that recorded it
+  double cpu_wall_ns = 0.0;  // wall time of the same spans
   double min_ns = 0.0;
   double max_ns = 0.0;
   std::vector<std::size_t> log2_us;  // bucket b: [2^b, 2^(b+1)) microseconds
 
-  void add(double dur_ns) {
+  void add(double dur_ns, double span_cpu_ns) {
+    if (span_cpu_ns >= 0.0) {
+      cpu_ns += span_cpu_ns;
+      cpu_wall_ns += dur_ns;
+    }
     if (count == 0) {
       min_ns = max_ns = dur_ns;
     } else {
@@ -245,7 +259,7 @@ void print_report(const Trace& trace) {
   std::printf("trace window : %s ms\n\n", fmt_ms(wall_ns).c_str());
 
   std::map<std::string, NameStats> by_name;
-  for (const auto& s : trace.spans) by_name[s.name].add(s.dur_ns);
+  for (const auto& s : trace.spans) by_name[s.name].add(s.dur_ns, s.cpu_ns);
 
   std::vector<std::pair<std::string, const NameStats*>> order;
   for (const auto& [name, stats] : by_name) order.emplace_back(name, &stats);
@@ -254,12 +268,15 @@ void print_report(const Trace& trace) {
   });
 
   std::printf("### Per-span breakdown (sorted by total time)\n\n");
-  AsciiTable table({"span", "count", "total(ms)", "mean(us)", "min(us)", "max(us)", "%window"});
+  AsciiTable table(
+      {"span", "count", "total(ms)", "mean(us)", "min(us)", "max(us)", "%window", "cpu/wall"});
   for (const auto& [name, stats] : order) {
     table.add_row({name, std::to_string(stats->count), fmt_ms(stats->total_ns),
                    fmt_us(stats->total_ns / static_cast<double>(stats->count)),
                    fmt_us(stats->min_ns), fmt_us(stats->max_ns),
-                   AsciiTable::num(100.0 * stats->total_ns / wall_ns, 1)});
+                   AsciiTable::num(100.0 * stats->total_ns / wall_ns, 1),
+                   stats->cpu_wall_ns > 0.0 ? AsciiTable::num(stats->cpu_ns / stats->cpu_wall_ns, 2)
+                                            : "-"});
   }
   std::ostringstream os;
   os << table;
@@ -293,9 +310,11 @@ void print_report(const Trace& trace) {
                       samples.end(),
                       [](const SpanRec* a, const SpanRec* b) { return a->dur_ns > b->dur_ns; });
     std::printf("### Slowest samples (%zu of %zu mc.sample spans)\n\n", shown, samples.size());
-    AsciiTable slowest({"ms", "condition", "sample", "seed"});
+    AsciiTable slowest({"ms", "cpu ms", "condition", "sample", "seed"});
     for (std::size_t i = 0; i < shown; ++i) {
-      std::vector<std::string> row{fmt_ms(samples[i]->dur_ns)};
+      const double cpu_ns = samples[i]->cpu_ns;
+      std::vector<std::string> row{fmt_ms(samples[i]->dur_ns),
+                                   cpu_ns >= 0.0 ? fmt_ms(cpu_ns) : "-"};
       row.insert(row.end(), samples[i]->sample_args.begin(), samples[i]->sample_args.end());
       slowest.add_row(std::move(row));
     }
