@@ -57,7 +57,8 @@ class TrapDistribution {
   }
 
   /// Power-law inverse CDF: pdf ~ tau^(alpha - 1) on [tau_min, tau_max]
-  /// <=> tau = (lo^a + u (hi^a - lo^a))^(1/a).  Increasing in u.
+  /// <=> tau = (lo^a + u (hi^a - lo^a))^(1/a), increasing in u when
+  /// tau_max > tau_min.
   double tau_c_ref(double u) const { return std::pow(lo_a_ + u * (hi_a_ - lo_a_), inv_a_); }
   double tau_e_ref(double tau_c_ref, double u) const {
     return tau_c_ref * std::exp(log_ratio_lo_ + (log_ratio_hi_ - log_ratio_lo_) * u);
