@@ -1,109 +1,15 @@
 // LU decomposition with partial pivoting, the linear kernel behind every
-// Newton iteration of the circuit solver.
-//
-// One kernel source, instantiated twice: over the compiled size
-// (LuFactorization::kCompiledSize, the sense amplifiers' 6 unknowns), where
-// every loop bound is a constant the compiler unrolls, and over a runtime
-// size for every other system.  Both instantiations perform the same
-// operations in the same order, so their factors and solutions agree bit for
-// bit; factorize() picks one per factorisation and the solves follow it.
+// Newton iteration of the circuit solver.  One solve pass carries up to
+// kMaxColumns right-hand sides, so a transient step solves its Newton update
+// and its sensitivity columns with the same factors at once.
 #pragma once
 
-#include <cmath>
-#include <cstddef>
 #include <span>
-#include <stdexcept>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "issa/linalg/matrix.hpp"
 
 namespace issa::linalg {
-
-namespace detail {
-
-/// Factorizes the n x n row-major matrix `a` in place with partial pivoting,
-/// writing the row permutation to `perm`.  kN > 0 fixes the size at compile
-/// time (n must equal it); kN = 0 reads n at run time.  Throws
-/// std::runtime_error when a pivot's magnitude is below min_pivot.
-template <std::size_t kN>
-void lu_factorize(double* a, std::size_t n_runtime, std::size_t* perm, double min_pivot) {
-  const std::size_t n = kN > 0 ? kN : n_runtime;
-  for (std::size_t i = 0; i < n; ++i) perm[i] = i;
-  for (std::size_t k = 0; k < n; ++k) {
-    // Partial pivot: largest magnitude in column k at or below the diagonal.
-    std::size_t pivot_row = k;
-    double pivot_mag = std::fabs(a[k * n + k]);
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double mag = std::fabs(a[r * n + k]);
-      if (mag > pivot_mag) {
-        pivot_mag = mag;
-        pivot_row = r;
-      }
-    }
-    if (pivot_mag < min_pivot) {
-      throw std::runtime_error("LuFactorization: singular matrix (pivot " +
-                               std::to_string(pivot_mag) + ")");
-    }
-    if (pivot_row != k) {
-      std::swap(perm[k], perm[pivot_row]);
-      for (std::size_t c = 0; c < n; ++c) std::swap(a[k * n + c], a[pivot_row * n + c]);
-    }
-
-    const double inv_pivot = 1.0 / a[k * n + k];
-    for (std::size_t r = k + 1; r < n; ++r) {
-      const double factor = a[r * n + k] * inv_pivot;
-      a[r * n + k] = factor;
-      if (factor == 0.0) continue;
-      for (std::size_t c = k + 1; c < n; ++c) a[r * n + c] -= factor * a[k * n + c];
-    }
-  }
-}
-
-/// Solves A x = b for kColumns right-hand sides at once with the factors
-/// lu_factorize<kN> left in `lu` and `perm`; each b[j] is replaced by its x.
-/// Every column goes through exactly the operations of a one-column solve,
-/// in the same order, so the columns only share the pass: their dependent
-/// divisions overlap instead of running one after the other.  `scratch`
-/// holds n * kColumns doubles (unused when kN > 0).
-template <std::size_t kN, std::size_t kColumns>
-void lu_solve(const double* lu, std::size_t n_runtime, const std::size_t* perm,
-              double* const* b, double* scratch) {
-  const std::size_t n = kN > 0 ? kN : n_runtime;
-  double local[kN > 0 ? kN * kColumns : 1];
-  double* y = kN > 0 ? local : scratch;  // y[i * kColumns + j]: row i of column j
-
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < kColumns; ++j) y[i * kColumns + j] = b[j][perm[i]];
-  }
-  // Forward substitution (unit lower).
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc[kColumns];
-    for (std::size_t j = 0; j < kColumns; ++j) acc[j] = y[i * kColumns + j];
-    for (std::size_t k = 0; k < i; ++k) {
-      const double l = lu[i * n + k];
-      for (std::size_t j = 0; j < kColumns; ++j) acc[j] -= l * y[k * kColumns + j];
-    }
-    for (std::size_t j = 0; j < kColumns; ++j) y[i * kColumns + j] = acc[j];
-  }
-  // Back substitution (upper).
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc[kColumns];
-    for (std::size_t j = 0; j < kColumns; ++j) acc[j] = y[ii * kColumns + j];
-    for (std::size_t k = ii + 1; k < n; ++k) {
-      const double u = lu[ii * n + k];
-      for (std::size_t j = 0; j < kColumns; ++j) acc[j] -= u * y[k * kColumns + j];
-    }
-    const double pivot = lu[ii * n + ii];
-    for (std::size_t j = 0; j < kColumns; ++j) y[ii * kColumns + j] = acc[j] / pivot;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < kColumns; ++j) b[j][i] = y[i * kColumns + j];
-  }
-}
-
-}  // namespace detail
 
 /// LU factorization of a square matrix with row pivoting, computed in the
 /// caller's storage and reusable across solves with different right-hand
@@ -114,9 +20,6 @@ class LuFactorization {
  public:
   /// Smallest pivot magnitude factorize() accepts.
   static constexpr double kMinPivot = 1e-14;
-  /// The system size with its own compile-time kernel: the unknown count of
-  /// the NSSA and ISSA testbenches.
-  static constexpr std::size_t kCompiledSize = 6;
   /// Right-hand sides one solve pass carries; solve_in_place takes more in
   /// passes of this many.
   static constexpr std::size_t kMaxColumns = 3;
@@ -149,9 +52,8 @@ class LuFactorization {
 
  private:
   Matrix* lu_ = nullptr;  // the factored caller storage
-  bool compiled_size_ = false;  // lu_ was factored by the kCompiledSize kernel
   std::vector<std::size_t> perm_;
-  mutable std::vector<double> y_;  // runtime-size solve scratch, reused across solves
+  mutable std::vector<double> y_;  // solve scratch, reused across solves
 };
 
 }  // namespace issa::linalg

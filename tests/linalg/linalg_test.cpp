@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "issa/linalg/lu.hpp"
@@ -172,53 +171,10 @@ Matrix pivoting_matrix(std::size_t n, std::uint64_t seed) {
   return a;
 }
 
-// Factors and solves `a` with the kernel compiled for size kN, and with the
-// runtime-size kernel; both must give the same factors, permutation and
-// solution, bit for bit.
-template <std::size_t kN>
-void expect_kernels_agree(std::uint64_t seed) {
-  const Matrix a = pivoting_matrix(kN, seed);
-  Matrix fixed = a;
-  Matrix runtime = a;
-  std::vector<std::size_t> perm_fixed(kN);
-  std::vector<std::size_t> perm_runtime(kN);
-  detail::lu_factorize<kN>(fixed.data(), kN, perm_fixed.data(), LuFactorization::kMinPivot);
-  detail::lu_factorize<0>(runtime.data(), kN, perm_runtime.data(), LuFactorization::kMinPivot);
-  EXPECT_EQ(perm_fixed, perm_runtime) << "n = " << kN;
-  bool pivoted = false;
-  for (std::size_t i = 0; i < kN; ++i) pivoted = pivoted || perm_fixed[i] != i;
-  EXPECT_TRUE(pivoted || kN == 1) << "n = " << kN;
-  for (std::size_t r = 0; r < kN; ++r) {
-    for (std::size_t c = 0; c < kN; ++c) {
-      EXPECT_EQ(bits(fixed(r, c)), bits(runtime(r, c))) << "n = " << kN << " (" << r << ", " << c << ")";
-    }
-  }
-  util::Xoshiro256 rng(seed + 1);
-  std::vector<double> x_fixed(kN);
-  for (double& v : x_fixed) v = rng.normal();
-  std::vector<double> x_runtime = x_fixed;
-  std::vector<double> scratch(kN);
-  double* column_fixed[1] = {x_fixed.data()};
-  double* column_runtime[1] = {x_runtime.data()};
-  detail::lu_solve<kN, 1>(fixed.data(), kN, perm_fixed.data(), column_fixed, nullptr);
-  detail::lu_solve<0, 1>(runtime.data(), kN, perm_runtime.data(), column_runtime, scratch.data());
-  for (std::size_t i = 0; i < kN; ++i) {
-    EXPECT_EQ(bits(x_fixed[i]), bits(x_runtime[i])) << "n = " << kN << ", row " << i;
-  }
-}
-
-TEST(Lu, CompiledAndRuntimeSizeKernelsAgreeBitForBit) {
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
-    [seed]<std::size_t... kN>(std::index_sequence<kN...>) {
-      (expect_kernels_agree<kN + 1>(seed), ...);
-    }(std::make_index_sequence<8>{});
-  }
-}
-
-TEST(Lu, DetectsSingularAtTheCompiledSize) {
-  // Row 5 is twice row 2: the compiled-size kernel must still throw, and
-  // leave nothing to solve with.
-  constexpr std::size_t n = LuFactorization::kCompiledSize;
+TEST(Lu, DetectsSingularAfterPivoting) {
+  // Row 5 is twice row 2 of a 6 x 6 system that pivots: factorize must
+  // throw, and leave nothing to solve with.
+  constexpr std::size_t n = 6;
   Matrix a = pivoting_matrix(n, 3);
   for (std::size_t c = 0; c < n; ++c) a(5, c) = 2.0 * a(2, c);
   LuFactorization lu;
@@ -229,8 +185,7 @@ TEST(Lu, DetectsSingularAtTheCompiledSize) {
 }
 
 TEST(Lu, MultiColumnSolveMatchesColumnByColumn) {
-  // 6 runs the compiled-size kernel, the others the runtime-size one; five
-  // columns take a 3-column pass and a 2-column pass.
+  // Five columns take a 3-column pass and a 2-column pass.
   for (const std::size_t n : {2u, 6u, 9u}) {
     Matrix factors = pivoting_matrix(n, 11 * n);
     for (std::size_t r = 0; r < n; ++r) factors(r, r) += 2.0;
