@@ -344,7 +344,6 @@ CellDistributions run_pass(const Condition& condition, const McConfig& mc,
     }
     if (missing.empty()) return;
     util::trace::Span span(util::trace::spans::kMcSample, "mc");
-    span.record_thread_cpu();
     if (span.traced()) {
       attr_condition(span, label, mc);
       span.attr_u64("sample", i);

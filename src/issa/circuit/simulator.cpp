@@ -744,7 +744,6 @@ TransientResult Simulator::run_transient(const TransientOptions& options) {
     throw std::invalid_argument("run_transient: tstop and dt must be > 0");
   }
   util::trace::Span span(util::trace::spans::kTransient, "sim");
-  span.record_thread_cpu();
   if (span.traced()) {
     span.attr_f64("tstop", options.tstop);
     span.attr_f64("dt", options.dt);

@@ -112,21 +112,23 @@ Span::Span(const char* name, const char* category) noexcept
       name_(name),
       category_(category) {
   if (!timed_) return;
-  if (traced_) t_span_stack.push_back(this);
+  if (traced_) {
+    t_span_stack.push_back(this);
+    cpu_start_ns_ = thread_cpu_ns();
+  }
   start_ns_ = metrics::monotonic_ns();
 }
 
 Span::~Span() {
   if (!timed_) return;
+  // Both clocks stop before the bookkeeping below, so the CPU time leaves
+  // out the registry's locked lookup just as the wall time does.
+  const std::uint64_t cpu_end_ns = traced_ ? thread_cpu_ns() : 0;
   const std::uint64_t end_ns = metrics::monotonic_ns();
   // Spans sit at sample level and above, so the registry's locked lookup
   // stays off the hot path.
   metrics::Registry::instance().timer(name_).record_ns(end_ns - start_ns_);
   if (!traced_) return;
-  if (cpu_timed_) {
-    attrs_.push_back(
-        Attr::f64("cpu_us", static_cast<double>(thread_cpu_ns() - cpu_start_ns_) / 1e3));
-  }
   t_span_stack.pop_back();
   ThreadBuffer& buffer = thread_buffer();
   SpanEvent event;
@@ -134,16 +136,11 @@ Span::~Span() {
   event.category = category_;
   event.start_ns = start_ns_;
   event.dur_ns = end_ns - start_ns_;
+  event.cpu_ns = cpu_end_ns - cpu_start_ns_;
   event.tid = buffer.tid;
   event.depth = static_cast<std::uint32_t>(t_span_stack.size());
   event.attrs = std::move(attrs_);
   buffer.push(std::move(event));
-}
-
-void Span::record_thread_cpu() {
-  if (!traced_) return;
-  cpu_timed_ = true;
-  cpu_start_ns_ = thread_cpu_ns();
 }
 
 void Span::attr_u64(const char* key, std::uint64_t value) {
@@ -269,7 +266,8 @@ std::string to_chrome_json(const TraceData& data, std::string_view run_id) {
     append_ts_us(os, e.start_ns);
     os << ", \"dur\": ";
     append_ts_us(os, e.dur_ns);
-    os << ", \"args\": {\"depth\": " << e.depth;
+    os << ", \"args\": {\"depth\": " << e.depth << ", \"cpu_us\": ";
+    append_ts_us(os, e.cpu_ns);
     append_members(os, e.attrs);
     os << "}}";
   }

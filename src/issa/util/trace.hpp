@@ -12,9 +12,10 @@
 // drained by collect() once the traced region has quiesced, and the merged
 // event set serializes to one Chrome trace-event JSON document (loadable in
 // Perfetto / chrome://tracing).  Spans sit at sample granularity and above
-// (spans::kAll); Newton and LU work is only counted.  The mc.sample and
-// sim.transient spans also carry their thread's CPU time (cpu_us), so a
-// slow span shows whether it computed or waited.
+// (spans::kAll); Newton and LU work is only counted.  Every traced span also
+// carries its thread's CPU time (cpu_us), so a slow span shows whether it
+// computed or waited; a span opens and closes on one thread (its
+// thread-local span stack requires that already).
 //
 // Like util/metrics, tracing starts disabled: with metrics off too, every
 // span site pays two relaxed atomic loads + a predicted branch until
@@ -92,6 +93,7 @@ struct SpanEvent {
   const char* category = "";  ///< coarse grouping ("sim", "mc", "pool", ...)
   std::uint64_t start_ns = 0;
   std::uint64_t dur_ns = 0;
+  std::uint64_t cpu_ns = 0;  ///< the thread's CPU time inside the span (args.cpu_us)
   std::uint32_t tid = 0;   ///< stable small per-thread index (0, 1, ...)
   std::uint32_t depth = 0; ///< nesting depth at open time (0 = top level)
   std::vector<Attr> attrs;
@@ -124,13 +126,6 @@ class Span {
   /// construction with it.
   bool traced() const noexcept { return traced_; }
 
-  /// Also records the CPU time the calling thread spends inside the span,
-  /// as its `cpu_us` attribute (a no-op on an untraced span).  Against the
-  /// span's wall time it tells a thread the host held back from one that
-  /// had more work to do.  Call right after construction, on the thread
-  /// that closes the span.
-  void record_thread_cpu();
-
   /// Attach attributes (no-ops on an untraced span).
   void attr_u64(const char* key, std::uint64_t value);
   void attr_f64(const char* key, double value);
@@ -141,7 +136,6 @@ class Span {
 
   bool timed_;
   bool traced_;
-  bool cpu_timed_ = false;
   std::uint64_t start_ns_ = 0;
   std::uint64_t cpu_start_ns_ = 0;
   const char* name_ = "";

@@ -59,44 +59,21 @@ TEST_F(TraceTest, SpanRecordsNameCategoryAndDuration) {
   EXPECT_EQ(e.attrs[2].s, "hello");
 }
 
-TEST_F(TraceTest, ThreadCpuTimeIsRecordedOnRequestWhenTraced) {
-  // A span that asks for its thread's CPU time gets a cpu_us attribute: at
-  // least the busy loop's work and at most the span's wall time (plus the
-  // clocks' granularity).  A span that does not ask gets none.
+TEST_F(TraceTest, ThreadCpuTimeIsRecordedOnEveryTracedSpan) {
+  // A traced span carries its thread's CPU time: at least the busy loop's
+  // work and at most the span's wall time (plus the clocks' granularity).
   volatile double sink = 0.0;
   {
     Span span("test.cpu", "test");
-    span.record_thread_cpu();
     for (int i = 0; i < 2'000'000; ++i) sink = sink + 1e-9 * i;
   }
-  { Span plain("test.plain", "test"); }
   set_enabled(false);
   const TraceData data = collect();
-  ASSERT_EQ(data.spans.size(), 2u);
-  for (const SpanEvent& e : data.spans) {
-    const auto cpu = std::find_if(e.attrs.begin(), e.attrs.end(),
-                                  [](const Attr& a) { return std::string_view(a.key) == "cpu_us"; });
-    if (std::string_view(e.name) == "test.plain") {
-      EXPECT_EQ(cpu, e.attrs.end());
-      continue;
-    }
-    ASSERT_NE(cpu, e.attrs.end());
-    EXPECT_EQ(cpu->type, Attr::Type::kDouble);
-    EXPECT_GT(cpu->d, 0.0);
-    EXPECT_LE(cpu->d, static_cast<double>(e.dur_ns) / 1e3 + 1e3);
-  }
-}
-
-TEST_F(TraceTest, ThreadCpuTimeIsNotRecordedWhenUntraced) {
-  set_enabled(false);
-  const bool metrics_were_enabled = metrics::enabled();
-  metrics::set_enabled(true);  // the span is timed, but not traced
-  {
-    Span span("test.cpu_untraced", "test");
-    span.record_thread_cpu();
-  }
-  metrics::set_enabled(metrics_were_enabled);
-  EXPECT_TRUE(collect().spans.empty());
+  ASSERT_EQ(data.spans.size(), 1u);
+  const SpanEvent& e = data.spans[0];
+  EXPECT_GT(e.cpu_ns, 0u);
+  EXPECT_LE(e.cpu_ns, e.dur_ns + 1'000'000u);
+  EXPECT_NE(to_chrome_json(data, "cpu").find("\"cpu_us\": "), std::string::npos);
 }
 
 TEST_F(TraceTest, NestedSpansCarryDepthAndContainment) {
