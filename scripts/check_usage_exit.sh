@@ -3,7 +3,7 @@
 # usage line on stderr: the way each bench and example rejects a bad value.
 # A run still going after 20 s is stopped and counts as a failure.
 #
-#   $ scripts/check_usage_exit.sh build/examples/netlist_sim --dt=0 --temp=-400
+#   $ scripts/check_usage_exit.sh build/examples/aging_study --mc=1 --temp=-400
 prog=$1
 shift
 for arg in "$@"; do

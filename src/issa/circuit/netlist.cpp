@@ -5,7 +5,6 @@ namespace issa::circuit {
 Netlist::Netlist() {
   node_names_.emplace_back("0");
   node_index_.emplace("0", kGround);
-  node_index_.emplace("gnd", kGround);
 }
 
 NodeId Netlist::node(std::string_view name) {

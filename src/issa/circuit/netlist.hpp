@@ -62,8 +62,7 @@ class Netlist {
  public:
   Netlist();
 
-  /// Creates (or returns the existing) node with this name.  "0" and "gnd"
-  /// map to ground.
+  /// Creates (or returns the existing) node with this name; "0" is ground.
   NodeId node(std::string_view name);
 
   /// Looks up an existing node; throws std::out_of_range when absent.

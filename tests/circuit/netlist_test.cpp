@@ -16,7 +16,6 @@ device::MosInstance some_nmos() {
 TEST(Netlist, GroundIsNodeZero) {
   Netlist net;
   EXPECT_EQ(net.node("0"), kGround);
-  EXPECT_EQ(net.node("gnd"), kGround);
   EXPECT_EQ(net.node_count(), 1u);
 }
 

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <iterator>
 #include <utility>
 #include <vector>
 
 #include "circuit/kcl_oracle.hpp"
-#include "issa/circuit/parser.hpp"
 #include "issa/circuit/simulator.hpp"
 #include "issa/device/mos_params.hpp"
 #include "issa/util/metrics.hpp"
@@ -35,26 +33,48 @@ struct RcFixture {
   }
 };
 
+device::MosInstance nmos(double wl) {
+  device::MosInstance m;
+  m.card = device::ptm45_nmos();
+  m.type = device::MosType::kNmos;
+  m.w_over_l = wl;
+  return m;
+}
+
+device::MosInstance pmos(double wl) {
+  device::MosInstance m;
+  m.card = device::ptm45_pmos();
+  m.type = device::MosType::kPmos;
+  m.w_over_l = wl;
+  return m;
+}
+
 // A cross-coupled latch fired by a PWL enable from two slightly unequal
 // inputs (`Vl`, `Vr`); its outputs are `s` and `sb`.
 Netlist latch_netlist() {
-  return parse_netlist(
-      ".model nch NMOS\n"
-      ".model pch PMOS\n"
-      "Vdd vdd 0 DC 1.0\n"
-      "Vl inl 0 DC 1.0\n"
-      "Vr inr 0 DC 0.99\n"
-      "Ven en 0 PWL 10p 0 12p 1\n"
-      "Mpl s en inl vdd pch W/L=10\n"
-      "Mpr sb en inr vdd pch W/L=10\n"
-      "Mnl s sb tail 0 nch W/L=17.8\n"
-      "Mnr sb s tail 0 nch W/L=17.8\n"
-      "Mul s sb vdd vdd pch W/L=5\n"
-      "Mur sb s vdd vdd pch W/L=5\n"
-      "Mt tail en 0 0 nch W/L=15.5\n"
-      "Cs s 0 1f\n"
-      "Csb sb 0 1f\n"
-      "Cx s sb 0.2f\n");
+  Netlist net;
+  const NodeId vdd = net.node("vdd");
+  const NodeId inl = net.node("inl");
+  const NodeId inr = net.node("inr");
+  const NodeId en = net.node("en");
+  const NodeId s = net.node("s");
+  const NodeId sb = net.node("sb");
+  const NodeId tail = net.node("tail");
+  net.add_vsource("Vdd", vdd, kGround, SourceWave::dc(1.0));
+  net.add_vsource("Vl", inl, kGround, SourceWave::dc(1.0));
+  net.add_vsource("Vr", inr, kGround, SourceWave::dc(0.99));
+  net.add_vsource("Ven", en, kGround, SourceWave::pwl({{10e-12, 0.0}, {12e-12, 1.0}}));
+  net.add_mosfet("Mpl", pmos(10.0), en, s, inl, vdd);
+  net.add_mosfet("Mpr", pmos(10.0), en, sb, inr, vdd);
+  net.add_mosfet("Mnl", nmos(17.8), sb, s, tail, kGround);
+  net.add_mosfet("Mnr", nmos(17.8), s, sb, tail, kGround);
+  net.add_mosfet("Mul", pmos(5.0), sb, s, vdd, vdd);
+  net.add_mosfet("Mur", pmos(5.0), s, sb, vdd, vdd);
+  net.add_mosfet("Mt", nmos(15.5), en, tail, kGround, kGround);
+  net.add_capacitor("Cs", s, kGround, 1e-15);
+  net.add_capacitor("Csb", sb, kGround, 1e-15);
+  net.add_capacitor("Cx", s, sb, 0.2e-15);
+  return net;
 }
 
 TEST(SimulatorTran, RcStepMatchesAnalyticTrapezoidal) {
@@ -173,16 +193,8 @@ TEST(SimulatorTran, CmosInverterSwitches) {
   const NodeId out = net.node("out");
   net.add_vsource("Vdd", vdd, kGround, SourceWave::dc(1.0));
   net.add_vsource("Vin", in, kGround, SourceWave::step(0.0, 1.0, 5e-12, 2e-12));
-  device::MosInstance mn;
-  mn.card = device::ptm45_nmos();
-  mn.type = device::MosType::kNmos;
-  mn.w_over_l = 2.5;
-  device::MosInstance mp;
-  mp.card = device::ptm45_pmos();
-  mp.type = device::MosType::kPmos;
-  mp.w_over_l = 5.0;
-  net.add_mosfet("MN", mn, in, out, kGround, kGround);
-  net.add_mosfet("MP", mp, in, out, vdd, vdd);
+  net.add_mosfet("MN", nmos(2.5), in, out, kGround, kGround);
+  net.add_mosfet("MP", pmos(5.0), in, out, vdd, vdd);
   net.add_capacitor("CL", out, kGround, 2e-15);
 
   Simulator sim(net, kT);
@@ -458,19 +470,17 @@ TEST(SimulatorTran, EveryAcceptedStepMeetsKclOnWideDevices) {
   // max(1e-9 A, 2 gmin) = 2e-9 A.
   constexpr double kAcceptanceFloor = 2e-9;
   for (const double scale : {1.0, 16.0, 256.0}) {
-    char text[512];
-    std::snprintf(text, sizeof text,
-                  "* inverter driving an RC load\n"
-                  ".model nch NMOS\n"
-                  ".model pch PMOS\n"
-                  "Vdd vdd 0 DC 1.0\n"
-                  "Vin in 0 STEP 0 1 20p 5p\n"
-                  "Mn out in 0 0 nch W/L=%g\n"
-                  "Mp out in vdd vdd pch W/L=%g\n"
-                  "Rw out load 500\n"
-                  "Cl load 0 %g\n",
-                  2.5 * scale, 5.0 * scale, 4e-15 * scale);
-    const Netlist net = parse_netlist(text);
+    Netlist net;
+    const NodeId vdd = net.node("vdd");
+    const NodeId in = net.node("in");
+    const NodeId out = net.node("out");
+    const NodeId load = net.node("load");
+    net.add_vsource("Vdd", vdd, kGround, SourceWave::dc(1.0));
+    net.add_vsource("Vin", in, kGround, SourceWave::step(0.0, 1.0, 20e-12, 5e-12));
+    net.add_mosfet("Mn", nmos(2.5 * scale), in, out, kGround, kGround);
+    net.add_mosfet("Mp", pmos(5.0 * scale), in, out, vdd, vdd);
+    net.add_resistor("Rw", out, load, 500.0);
+    net.add_capacitor("Cl", load, kGround, 4e-15 * scale);
     Simulator sim(net, kT);
     TransientOptions opt;
     opt.tstop = 100e-12;
@@ -521,21 +531,28 @@ TEST(SimulatorTran, SensitivityIsExactOnALinearNetwork) {
   // exercised: resistors, capacitors and the KVL row on a pinned node.  Vb
   // is written the other way round, so it drives b through a branch current
   // rather than pinning it.
-  Netlist net = parse_netlist(
-      "Va a 0 DC 0.7\n"
-      "Vb 0 b DC -0.3\n"
-      "Vc c 0 PWL 10p 0 15p 1 40p 0.4\n"
-      "R1 a n1 2k\n"
-      "C1 n1 0 3f\n"
-      "R2 n1 n2 1k\n"
-      "C2 n2 0 2f\n"
-      "R3 b n2 4k\n"
-      "C3 n2 c 1f\n"
-      "R4 n2 n3 3k\n"
-      "C4 n3 0 2f\n"
-      "Vf n4 n3 DC 0.1\n"
-      "R5 n4 c 2k\n"
-      "C5 n4 b 1f\n");
+  Netlist net;
+  const NodeId a = net.node("a");
+  const NodeId b = net.node("b");
+  const NodeId c = net.node("c");
+  const NodeId n1 = net.node("n1");
+  const NodeId n2 = net.node("n2");
+  const NodeId n3 = net.node("n3");
+  const NodeId n4 = net.node("n4");
+  net.add_vsource("Va", a, kGround, SourceWave::dc(0.7));
+  net.add_vsource("Vb", kGround, b, SourceWave::dc(-0.3));
+  net.add_vsource("Vc", c, kGround, SourceWave::pwl({{10e-12, 0.0}, {15e-12, 1.0}, {40e-12, 0.4}}));
+  net.add_resistor("R1", a, n1, 2e3);
+  net.add_capacitor("C1", n1, kGround, 3e-15);
+  net.add_resistor("R2", n1, n2, 1e3);
+  net.add_capacitor("C2", n2, kGround, 2e-15);
+  net.add_resistor("R3", b, n2, 4e3);
+  net.add_capacitor("C3", n2, c, 1e-15);
+  net.add_resistor("R4", n2, n3, 3e3);
+  net.add_capacitor("C4", n3, kGround, 2e-15);
+  net.add_vsource("Vf", n4, n3, SourceWave::dc(0.1));
+  net.add_resistor("R5", n4, c, 2e3);
+  net.add_capacitor("C5", n4, b, 1e-15);
   const std::size_t sources[] = {0, 1, 2};  // Va, Vb, Vc
   for (const IntegrationMethod method :
        {IntegrationMethod::kTrapezoidal, IntegrationMethod::kBackwardEuler}) {
